@@ -35,7 +35,7 @@ from .quadrature import (
     frac_power_scalar,
     frechet_integral_rhs,
     geometric_splits,
-    integrate_powerlaw,
+    nodes_weights,
     resolvent_pair_closed_form,
     resolvent_pair_integral,
 )

@@ -13,9 +13,14 @@ of f.  Interior split points form a geometric ladder spanning the scales of
 the integrand's poles, which keeps every pole a fixed relative distance from
 its nearest panel and gives spectral accuracy uniformly in the conditioning.
 
-Resolvents are evaluated with symmetric positive-definite factorizations
-(never eigendecompositions) so results from this module can serve as an
-independent cross-check for spectral calculus.
+``nodes_weights`` lays every node and weight of that rule out as two arrays.
+Scalar integrands are evaluated once on the node array and summed with an
+exact fsum.  Operator integrands are resolvents of the shifted matrices
+alpha_k A + beta_k I: one kernel stacks them over the nodes, rejects the stack
+unless a batched Cholesky factorization shows every member positive definite,
+solves the whole stack at once and adds the weighted solutions in node order.
+No eigendecomposition is involved, so results from this module can serve as
+an independent cross-check for spectral calculus.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from .linalg import HermitianOperator, as_herm
 LADDER_RATIO = 10.0
 #: extra decades of padding on each side of the pole-scale interval
 LADDER_PAD = 1
+#: memory cap for one chunk of the stacked node matrices (8 nodes at d=256)
+_CHUNK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -102,43 +109,73 @@ def geometric_splits(
     return tuple(start * ratio**k for k in range(count + 1))
 
 
-def integrate_powerlaw(f, exponent: float, splits: tuple[float, ...], n: int):
-    """Quadrature of int_0^inf y^exponent f(y) dy for exponent in (-1, 0).
+def nodes_weights(exponent: float, splits: tuple[float, ...],
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and weights w with sum_k w_k f(y_k) ~ int_0^inf y^exponent f(y) dy.
 
-    f maps a positive float to a float or ndarray.  Contributions are
-    accumulated in a fixed order (head, interiors ascending, tail), with an
-    exact fsum for scalar integrands, so results are bit-reproducible.
+    ``exponent`` must lie in (-1, 0).  There are n nodes per panel and
+    len(splits) + 1 panels; the nodes ascend, so head, interior and tail
+    terms are always accumulated in the same order.
     """
     e = float(exponent)
     if not -1.0 < e < 0.0:
         raise DomainViolation(f"weight exponent must lie in (-1, 0), got {e}")
-    terms = []
     c0, ck = splits[0], splits[-1]
+    ys, ws = [], []
 
     t, w = _jacobi(n, e)
-    coef = (c0 / 2.0) ** (e + 1.0)
-    for wi, ti in zip(w, t):
-        terms.append(coef * wi * f(c0 * (1.0 + ti) / 2.0))
+    ys.append(c0 * (1.0 + t) / 2.0)
+    ws.append((c0 / 2.0) ** (e + 1.0) * w)
 
     tl, wl = _legendre(n)
     for a, b in zip(splits[:-1], splits[1:]):
         half, mid = (b - a) / 2.0, (a + b) / 2.0
-        for wi, ti in zip(wl, tl):
-            y = mid + half * ti
-            terms.append(half * wi * y**e * f(y))
+        y = mid + half * tl
+        ys.append(y)
+        ws.append(half * wl * y**e)
 
-    # tail: y = ck/u turns the decay of f into the Jacobi weight u^(-e-2+1)
+    # tail: y = ck/u turns the decay of f into the Jacobi weight u^(-e-2+1);
+    # reversed so that y ascends
     t2, w2 = _jacobi(n, -e - 1.0)
-    coef = ck ** (e + 1.0) * 2.0**e
-    for wi, ti in zip(w2, t2):
-        u = (1.0 + ti) / 2.0
-        terms.append(coef * wi * f(ck / u) / u)
+    u = (1.0 + t2[::-1]) / 2.0
+    ys.append(ck / u)
+    ws.append(ck ** (e + 1.0) * 2.0**e * w2[::-1] / u)
+    return np.concatenate(ys), np.concatenate(ws)
 
-    if np.ndim(terms[0]) == 0:
-        return math.fsum(terms)
-    total = np.zeros_like(terms[0])
-    for term in terms:
-        total = total + term
+
+def _scalar_integral(f, exponent: float, splits: tuple[float, ...], n: int) -> float:
+    """Exact fsum of w_k f(y_k); f is evaluated once on the node array."""
+    y, w = nodes_weights(exponent, splits, n)
+    return math.fsum(w * f(y))
+
+
+def _resolvent_sum(mat: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+                   w: np.ndarray, rhs: np.ndarray,
+                   middle: np.ndarray | None = None) -> np.ndarray:
+    """sum_k w_k X_k with X_k = (alpha_k A + beta_k I)^(-1) rhs, or X_k D X_k
+    when ``middle`` = D is given.
+
+    Every shifted matrix must be positive definite: each chunk of the stack
+    is Cholesky-checked before it is solved, and DomainViolation is raised
+    otherwise.  Nodes are taken in consecutive chunks of at most
+    _CHUNK_BYTES of matrices, and each chunk is summed by einsum in node
+    order, so the result is bit-reproducible.
+    """
+    d = mat.shape[0]
+    eye = np.eye(d, dtype=np.complex128)
+    step = max(1, _CHUNK_BYTES // (16 * d * d))
+    total = np.zeros((d, d), dtype=np.complex128)
+    for k in range(0, len(w), step):
+        part = slice(k, k + step)
+        stack = alpha[part, None, None] * mat + beta[part, None, None] * eye
+        try:
+            np.linalg.cholesky(stack)
+            x = np.linalg.solve(stack, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise DomainViolation(f"matrix is not strictly positive definite: {exc}") from exc
+        if middle is not None:
+            x = x @ middle @ x
+        total += np.einsum("k,kij->ij", w[part], x)
     return total
 
 
@@ -158,27 +195,22 @@ def frac_power_scalar(a: float, r: float, rule: QuadratureRule | None = None,
     n = rule.nodes_per_panel
     if form == "first":
         splits = rule.splits or geometric_splits(a, a)
-        val = integrate_powerlaw(lambda x: a / (a + x), r - 1.0, splits, n)
+        val = _scalar_integral(lambda x: a / (a + x), r - 1.0, splits, n)
     elif form == "second":
         splits = rule.splits or geometric_splits(1.0 / a, 1.0 / a)
-        val = integrate_powerlaw(lambda y: 1.0 / (y + 1.0 / a), -r, splits, n)
+        val = _scalar_integral(lambda y: 1.0 / (y + 1.0 / a), -r, splits, n)
     else:
         raise DomainViolation(f"unknown form {form!r}")
     return math.sin(r * math.pi) / math.pi * val
 
 
-def _pd_factor(mat: np.ndarray):
-    """Cholesky factor of a Hermitian positive-definite matrix, or DomainViolation."""
-    try:
-        return scipy.linalg.cho_factor(mat, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise DomainViolation(f"matrix is not strictly positive definite: {exc}") from exc
-
-
 def _pd_scales(h: HermitianOperator) -> tuple[float, float]:
     """Bounds (lo <= lambda_min, hi >= lambda_max) from SPD solves, no eigh."""
     mat = h.matrix
-    chol = _pd_factor(mat)
+    try:
+        chol = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise DomainViolation(f"matrix is not strictly positive definite: {exc}") from exc
     inv = scipy.linalg.cho_solve(chol, np.eye(h.dim, dtype=np.complex128), check_finite=False)
     hi = float(np.linalg.norm(mat, "fro"))
     inv_norm = float(np.linalg.norm(inv, "fro"))
@@ -204,29 +236,17 @@ def frac_power_operator(A, r: float, rule: QuadratureRule | None = None,
     n = rule.nodes_per_panel
     lo, hi = _pd_scales(A)
     mat = A.matrix
-    d = A.dim
-    eye = np.eye(d, dtype=np.complex128)
 
     if form == "first":
-        splits = rule.splits or geometric_splits(lo, hi)
-
-        def f(x: float) -> np.ndarray:
-            chol = _pd_factor(mat + x * eye)
-            return scipy.linalg.cho_solve(chol, mat, check_finite=False)
-
-        val = integrate_powerlaw(f, r - 1.0, splits, n)
+        y, w = nodes_weights(r - 1.0, rule.splits or geometric_splits(lo, hi), n)
+        alpha, beta = np.ones_like(y), y
     elif form == "second":
-        splits = rule.splits or geometric_splits(1.0 / hi, 1.0 / lo)
-
-        def f(y: float) -> np.ndarray:
-            chol = _pd_factor(y * mat + eye)
-            return scipy.linalg.cho_solve(chol, mat, check_finite=False)
-
-        val = integrate_powerlaw(f, -r, splits, n)
+        y, w = nodes_weights(-r, rule.splits or geometric_splits(1.0 / hi, 1.0 / lo), n)
+        alpha, beta = y, np.ones_like(y)
     else:
         raise DomainViolation(f"unknown form {form!r}")
 
-    result = math.sin(r * math.pi) / math.pi * val
+    result = math.sin(r * math.pi) / math.pi * _resolvent_sum(mat, alpha, beta, w, mat)
     return HermitianOperator((result + result.conj().T) / 2.0)
 
 
@@ -245,17 +265,9 @@ def frechet_integral_rhs(A, D, r: float,
         raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
     rule = _resolve_rule(rule, r)
     lo, hi = _pd_scales(A)
-    splits = rule.splits or geometric_splits(lo, hi)
-    mat = A.matrix
-    dmat = D.matrix
+    y, w = nodes_weights(-r, rule.splits or geometric_splits(lo, hi), rule.nodes_per_panel)
     eye = np.eye(A.dim, dtype=np.complex128)
-
-    def f(y: float) -> np.ndarray:
-        chol = _pd_factor(mat + y * eye)
-        res = scipy.linalg.cho_solve(chol, eye, check_finite=False)
-        return res @ dmat @ res
-
-    val = integrate_powerlaw(f, -r, splits, rule.nodes_per_panel)
+    val = _resolvent_sum(A.matrix, np.ones_like(y), y, w, eye, middle=D.matrix)
     result = math.sin(r * math.pi) / math.pi * val
     return HermitianOperator((result + result.conj().T) / 2.0)
 
@@ -269,7 +281,7 @@ def resolvent_pair_integral(a0: float, b0: float, r: float,
         raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
     rule = _resolve_rule(rule, r)
     splits = rule.splits or geometric_splits(min(a0, b0), max(a0, b0))
-    val = integrate_powerlaw(
+    val = _scalar_integral(
         lambda y: 1.0 / ((y + a0) * (y + b0)), -r, splits, rule.nodes_per_panel
     )
     return math.sin(r * math.pi) / math.pi * val

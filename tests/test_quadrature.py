@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi, roots_legendre
 
+from qrelent import quadrature
 from qrelent.errors import ConfigError, DomainViolation
 from qrelent.linalg import HermitianOperator, apply_function, schatten_norm
 from qrelent.quadrature import (
@@ -13,13 +16,16 @@ from qrelent.quadrature import (
     frac_power_scalar,
     frechet_integral_rhs,
     geometric_splits,
+    nodes_weights,
     resolvent_pair_closed_form,
     resolvent_pair_integral,
     self_test,
 )
 from qrelent.states import haar_unitary
 
-from conftest import random_pd
+from conftest import random_hermitian, random_pd
+
+INDEFINITE = np.array([[1.0, 2.0j], [-2.0j, 1.0]])  # eigenvalues -1 and 3
 
 
 class TestRuleValidation:
@@ -114,8 +120,14 @@ class TestOperatorPower:
         assert np.max(np.abs(first.matrix - second.matrix)) <= 1e-8
 
     def test_singular_input_rejected(self):
-        with pytest.raises(DomainViolation):
-            frac_power_operator(np.diag([1.0, 0.0]), 0.5)
+        ones, shifts = np.ones(3), np.array([2.0, 0.0, 2.0])
+        for mat in (np.diag([1.0, 0.0]), INDEFINITE):
+            for form in ("first", "second"):
+                with pytest.raises(DomainViolation):
+                    frac_power_operator(mat, 0.5, form=form)
+            # the stacked solve checks every node itself: the middle node is A
+            with pytest.raises(DomainViolation):
+                quadrature._resolvent_sum(mat, ones, shifts, ones, np.eye(2))
 
 
 class TestFrechetIntegral:
@@ -135,8 +147,9 @@ class TestFrechetIntegral:
         np.testing.assert_allclose(out.matrix, np.diag([0.5, -0.0625]), atol=1e-8)
 
     def test_singular_base_rejected(self):
-        with pytest.raises(DomainViolation):
-            frechet_integral_rhs(np.diag([1.0, 0.0]), np.eye(2), 0.5)
+        for mat in (np.diag([1.0, 0.0]), INDEFINITE):
+            with pytest.raises(DomainViolation):
+                frechet_integral_rhs(mat, np.eye(2), 0.5)
 
 
 class TestResolventPair:
@@ -171,6 +184,112 @@ class TestSelfTest:
     def test_starved_nodes_abort(self):
         with pytest.raises(ConfigError):
             self_test(4)
+
+
+def _loop_integral(f, e, splits, n):
+    """Per-node reference: the panel-by-panel loop nodes_weights replaces."""
+    terms = []
+    c0, ck = splits[0], splits[-1]
+    t, w = roots_jacobi(n, 0.0, e)
+    for wi, ti in zip(w, t):
+        terms.append((c0 / 2.0) ** (e + 1.0) * wi * f(c0 * (1.0 + ti) / 2.0))
+    tl, wl = roots_legendre(n)
+    for a, b in zip(splits[:-1], splits[1:]):
+        half, mid = (b - a) / 2.0, (a + b) / 2.0
+        for wi, ti in zip(wl, tl):
+            y = mid + half * ti
+            terms.append(half * wi * y**e * f(y))
+    t2, w2 = roots_jacobi(n, 0.0, -e - 1.0)
+    for wi, ti in zip(w2, t2):
+        u = (1.0 + ti) / 2.0
+        terms.append(ck ** (e + 1.0) * 2.0**e * wi * f(ck / u) / u)
+    return sum(terms[1:], terms[0])
+
+
+LADDERS = [geometric_splits(1.0, 1.0), geometric_splits(1e-3, 10.0),
+           geometric_splits(1e-6, 1.0), (0.5, 0.7, 3.0)]
+
+
+class TestNodesWeights:
+    @pytest.mark.parametrize("e", [-0.9, -0.5, -0.1])
+    @pytest.mark.parametrize("splits", LADDERS)
+    def test_beta_function_integral(self, e, splits):
+        # int_0^inf y^e / (1 + y) dy = pi / sin(pi (e + 1))
+        y, w = nodes_weights(e, splits, 64)
+        expect = math.pi / math.sin(math.pi * (e + 1.0))
+        assert abs(math.fsum(w / (1.0 + y)) - expect) <= 1e-12 * expect
+
+    @pytest.mark.parametrize("n", [4, 17, 64])
+    @pytest.mark.parametrize("splits", LADDERS)
+    def test_layout(self, n, splits):
+        y, w = nodes_weights(-0.3, splits, n)
+        assert len(y) == len(w) == n * (len(splits) + 1)
+        assert np.all(np.diff(y) > 0.0)
+        assert np.all(w > 0.0)
+
+    @pytest.mark.parametrize("e", [-1.0, 0.0, 0.5, -1.5, math.nan])
+    def test_exponent_out_of_range(self, e):
+        with pytest.raises(DomainViolation):
+            nodes_weights(e, (1.0, 10.0), 8)
+
+    @pytest.mark.parametrize("form", ["first", "second"])
+    def test_operator_matches_per_node_loop(self, rng, form):
+        a = HermitianOperator(random_pd(rng, 5))
+        mat, eye = a.matrix, np.eye(5)
+        splits = geometric_splits(1e-3, 30.0)
+        rule = QuadratureRule(r=0.4, nodes_per_panel=16, splits=splits)
+        if form == "first":
+            loop = _loop_integral(lambda x: scipy.linalg.solve(mat + x * eye, mat, assume_a="pos"),
+                                  -0.6, splits, 16)
+        else:
+            loop = _loop_integral(lambda y: scipy.linalg.solve(y * mat + eye, mat, assume_a="pos"),
+                                  -0.4, splits, 16)
+        loop = math.sin(0.4 * math.pi) / math.pi * loop
+        got = frac_power_operator(a, 0.4, rule, form=form).matrix
+        assert np.max(np.abs(got - (loop + loop.conj().T) / 2.0)) <= 1e-13 * np.max(np.abs(loop))
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("call", ["first", "second", "frechet"])
+    def test_chunked_matches_single_chunk(self, rng, monkeypatch, call):
+        a = HermitianOperator(random_pd(rng, 8))
+        direction = HermitianOperator(random_hermitian(rng, 8))
+        r = 0.3
+        if call == "frechet":
+            run = lambda: frechet_integral_rhs(a, direction, r).matrix  # noqa: E731
+        else:
+            run = lambda: frac_power_operator(a, r, form=call).matrix  # noqa: E731
+        whole = run()
+        assert np.array_equal(whole, run())
+        chunks = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: chunks.append(len(m)) or cholesky(m))
+        monkeypatch.setattr(quadrature, "_CHUNK_BYTES", 100 * 16 * 8 * 8)
+        chunked = run()
+        assert len(chunks) >= 3 and max(chunks) == 100
+        scale = np.max(np.abs(whole)) if call == "frechet" else schatten_norm(a, math.inf) ** r
+        assert np.max(np.abs(chunked - whole)) <= 1e-14 * scale
+        assert np.array_equal(chunked, run())
+
+
+def test_quadrature_never_decomposes(rng, monkeypatch):
+    # the oracle is only independent of spectral calculus while this holds
+    a = HermitianOperator(random_pd(rng, 4))
+    direction = HermitianOperator(random_hermitian(rng, 4))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigendecomposition reached from quadrature")
+
+    for module in (np.linalg, scipy.linalg):
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(HermitianOperator, "eig", forbidden)
+    for form in ("first", "second"):
+        frac_power_operator(a, 0.5, form=form)
+    frechet_integral_rhs(a, direction, 0.5)
+    frac_power_scalar(3.0, 0.5)
+    resolvent_pair_integral(0.7, 0.2, 0.5)
+    self_test()
 
 
 def test_geometric_splits_cover_scales():
