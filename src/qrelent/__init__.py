@@ -9,6 +9,7 @@ from .errors import (
     DimensionMismatch,
     DomainViolation,
     InternalInconsistency,
+    NonFiniteInput,
     NonHermitianInput,
     NotNormalized,
     NotPSD,
@@ -23,7 +24,6 @@ from .linalg import (
     eigh,
     herm_power,
     identity,
-    operator_leq,
     psd_gap,
     schatten_norm,
     singular_values,
@@ -67,6 +67,7 @@ from .entropy import (
 )
 from .bounds import (
     BoundReport,
+    PairEval,
     frechet_check,
     lemma3_bound,
     lower_bounds,

@@ -1,6 +1,11 @@
 """Bound evaluators: each computes the right-hand side of one continuity
-inequality from spectral summaries and norm distances, compares it against
-the directly evaluated left-hand side, and reports the slack.
+inequality from the spectral summary and norm distances of a state pair,
+compares it against the directly evaluated left-hand side, and reports the
+slack.
+
+The D_q bounds and the lower-bound chains are functions of a ``PairEval``,
+which computes everything they share once per pair; the ``BOUNDS`` registry
+lists them with their q gates for the sweep and eval commands.
 
 A report is *vacuous* when the hypotheses of the inequality fail for the
 given states (for example a rank-deficient state where strict positivity is
@@ -12,10 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .errors import InternalInconsistency, PreconditionFailed
+from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .linalg import (
     HermitianOperator,
     PSD_TOL,
@@ -62,6 +69,55 @@ class BoundReport:
     extras: dict[str, float] = field(default_factory=dict)
 
 
+class PairEval:
+    """Evaluation context of one state pair (rho, sigma).
+
+    Each quantity the bound evaluators share is computed on first use and
+    kept: the spectral summary, the trace and spectral distances, kernel
+    inclusion ker(sigma) in ker(rho), D_1, and D_q for every q asked for.
+    """
+
+    def __init__(self, rho: DensityMatrix, sigma: DensityMatrix,
+                 tol_incl: float = TOL_INCL) -> None:
+        if rho.dim != sigma.dim:
+            raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+        self.rho = rho
+        self.sigma = sigma
+        self.tol_incl = tol_incl
+        self._dq: dict[float, ExtendedReal] = {}
+
+    @cached_property
+    def summary(self) -> SpectralSummary:
+        return SpectralSummary.from_states(self.rho, self.sigma)
+
+    @cached_property
+    def distances(self) -> dict[str, float]:
+        return _distances(self.rho.matrix, self.sigma.matrix)
+
+    @cached_property
+    def kernel_included(self) -> bool:
+        return kernel_included(self.sigma, self.rho, self.tol_incl)
+
+    @cached_property
+    def d1(self) -> ExtendedReal:
+        return relative_entropy_vn(self.rho, self.sigma, self.tol_incl)
+
+    def dq(self, q: float) -> ExtendedReal:
+        q = float(q)
+        if q not in self._dq:
+            self._dq[q] = quantum_relative_q(self.rho, self.sigma, q, self.tol_incl)
+        return self._dq[q]
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> dict[str, float]:
+    """||A - B||_1 and ||A - B||_inf."""
+    delta = a - b
+    return {
+        "trace_norm": schatten_norm(delta, 1.0),
+        "spectral_norm": schatten_norm(delta, math.inf),
+    }
+
+
 def _verdict(lhs: ExtendedReal, rhs: float, tol: float, vacuous: bool) -> tuple[bool, float | None]:
     if vacuous:
         return True, None
@@ -77,12 +133,11 @@ def _verdict(lhs: ExtendedReal, rhs: float, tol: float, vacuous: bool) -> tuple[
     return lval <= rhs + tol * (1.0 + rhs), slack
 
 
-def _distances(rho: DensityMatrix, sigma: DensityMatrix) -> dict[str, float]:
-    delta = rho.matrix - sigma.matrix
-    return {
-        "trace_norm": schatten_norm(delta, 1.0),
-        "spectral_norm": schatten_norm(delta, math.inf),
-    }
+def _report(pair: PairEval, name: str, lhs: ExtendedReal, rhs: float, tol: float,
+            vacuous: bool, extras: dict[str, float]) -> BoundReport:
+    holds, slack = _verdict(lhs, rhs, tol, vacuous)
+    return BoundReport(name, lhs, rhs, slack, holds, vacuous, pair.summary,
+                       pair.distances, extras)
 
 
 def _chain_holds(*links: float, tol: float) -> bool:
@@ -97,13 +152,14 @@ def _chain_holds(*links: float, tol: float) -> bool:
     return True
 
 
-def thm1_bounds(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    q: float,
-    tol_bound: float = TOL_BOUND,
-    tol_incl: float = TOL_INCL,
-) -> list[BoundReport]:
+def _gate_q(q: float, q_max: float) -> float:
+    q = float(q)
+    if not 1.0 < q <= q_max:
+        raise PreconditionFailed(f"requires 1 < q <= {q_max}, got {q}")
+    return q
+
+
+def thm1_bounds(pair: PairEval, q: float, tol_bound: float = TOL_BOUND) -> list[BoundReport]:
     """Three linear bounds valid for strictly positive states and 1 < q <= 2.
 
     With a1 the largest eigenvalue of rho and lambda0 the smallest eigenvalue
@@ -113,16 +169,14 @@ def thm1_bounds(
         rhs2 = a1^(q-1)/lambda0^q * ||Delta||_1 / (2(q-1))
         rhs3 = a1^q    /lambda0^q * ||Delta||_1 / (q-1)
     """
-    q = float(q)
-    if not 1.0 < q <= 2.0:
-        raise PreconditionFailed(f"requires 1 < q <= 2, got {q}")
-    summary = SpectralSummary.from_states(rho, sigma)
-    dist = _distances(rho, sigma)
-    lhs = quantum_relative_q(rho, sigma, q, tol_incl)
+    q = _gate_q(q, 2.0)
+    lhs = pair.dq(q)
+    rho, sigma = pair.rho, pair.sigma
     vacuous = rho.rank < rho.dim or sigma.rank < sigma.dim
     if vacuous:
         rhs_vals = (math.inf, math.inf, math.inf)
     else:
+        summary, dist = pair.summary, pair.distances
         lam0 = summary.lambda0
         coeff = summary.a1 ** (q - 1.0) / lam0**q / (q - 1.0)
         rhs_vals = (
@@ -130,22 +184,17 @@ def thm1_bounds(
             coeff * dist["trace_norm"] / 2.0,
             summary.a1**q / lam0**q / (q - 1.0) * dist["trace_norm"],
         )
-    reports = []
-    for name, rhs in zip(("thm1_rhs1", "thm1_rhs2", "thm1_rhs3"), rhs_vals):
-        holds, slack = _verdict(lhs, rhs, tol_bound, vacuous)
-        reports.append(
-            BoundReport(name, lhs, rhs, slack, holds, vacuous, summary, dist, {"q": q})
-        )
-    return reports
+    return [
+        _report(pair, name, lhs, rhs, tol_bound, vacuous, {"q": q})
+        for name, rhs in zip(("thm1_rhs1", "thm1_rhs2", "thm1_rhs3"), rhs_vals)
+    ]
 
 
 def thm2_bound(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
+    pair: PairEval,
     q: float,
     variant: str = "general",
     tol_bound: float = TOL_BOUND,
-    tol_incl: float = TOL_INCL,
 ) -> BoundReport:
     """Bound in the smallest nonzero eigenvalue b0 of sigma, for 1 < q <= 2.
 
@@ -155,19 +204,16 @@ def thm2_bound(
     (the difference of two states is always traceless).  At b1 = b0 the leading
     prefactor is replaced by its limit value 1.
     """
-    q = float(q)
-    if not 1.0 < q <= 2.0:
-        raise PreconditionFailed(f"requires 1 < q <= 2, got {q}")
+    q = _gate_q(q, 2.0)
     if variant not in ("general", "traceless"):
         raise PreconditionFailed(f"unknown variant {variant!r}")
-    summary = SpectralSummary.from_states(rho, sigma)
-    dist = _distances(rho, sigma)
-    lhs = quantum_relative_q(rho, sigma, q, tol_incl)
-    vacuous = not kernel_included(sigma, rho, tol_incl)
+    lhs = pair.dq(q)
+    vacuous = not pair.kernel_included
     extras: dict[str, float] = {"q": q}
     if vacuous:
         rhs = math.inf
     else:
+        summary, dist = pair.summary, pair.distances
         b0, b1, a1 = summary.b0, summary.b1, summary.a1
         ratio = b1 / b0
         if abs(ratio - 1.0) < 1e-8:
@@ -181,9 +227,8 @@ def thm2_bound(
         else:
             second = a1 ** (q - 1.0) / (2.0 * b0**q) * dist["trace_norm"] ** 2
         rhs = first + second
-    holds, slack = _verdict(lhs, rhs, tol_bound, vacuous)
     name = "thm2_rhs" if variant == "general" else "thm2tl_rhs"
-    return BoundReport(name, lhs, rhs, slack, holds, vacuous, summary, dist, extras)
+    return _report(pair, name, lhs, rhs, tol_bound, vacuous, extras)
 
 
 def _ceil_snap(q: float) -> int:
@@ -195,12 +240,10 @@ def _ceil_snap(q: float) -> int:
 
 
 def thm3_bound(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
+    pair: PairEval,
     q: float,
     variant: str = "general",
     tol_bound: float = TOL_BOUND,
-    tol_incl: float = TOL_INCL,
 ) -> BoundReport:
     """Bound with the b0^(1-q) dependence.
 
@@ -209,86 +252,99 @@ def thm3_bound(
 
     Integer q uses ceil(q) = q, the limit of the ceiling from below.
     """
-    q = float(q)
-    if not q > 1.0:
-        raise PreconditionFailed(f"requires q > 1, got {q}")
     if variant not in ("general", "q2"):
         raise PreconditionFailed(f"unknown variant {variant!r}")
-    if variant == "q2" and q > 2.0:
-        raise PreconditionFailed(f"variant 'q2' requires q <= 2, got {q}")
-    summary = SpectralSummary.from_states(rho, sigma)
-    dist = _distances(rho, sigma)
-    lhs = quantum_relative_q(rho, sigma, q, tol_incl)
-    vacuous = not kernel_included(sigma, rho, tol_incl)
+    q = _gate_q(q, math.inf if variant == "general" else 2.0)
+    lhs = pair.dq(q)
+    vacuous = not pair.kernel_included
     extras: dict[str, float] = {"q": q}
     if vacuous:
         rhs = math.inf
-    elif variant == "general":
-        factor = (_ceil_snap(q) - 1.0) / (q - 1.0)
-        extras["ceiling_factor"] = factor
-        rhs = factor * (summary.lambda1 / summary.b0) ** (q - 1.0) * dist["trace_norm"]
     else:
-        rhs = (summary.a1 / summary.b0) ** (q - 1.0) / (q - 1.0) * dist["trace_norm"]
-    holds, slack = _verdict(lhs, rhs, tol_bound, vacuous)
+        summary, trace_norm = pair.summary, pair.distances["trace_norm"]
+        if variant == "general":
+            factor = (_ceil_snap(q) - 1.0) / (q - 1.0)
+            extras["ceiling_factor"] = factor
+            rhs = factor * (summary.lambda1 / summary.b0) ** (q - 1.0) * trace_norm
+        else:
+            rhs = (summary.a1 / summary.b0) ** (q - 1.0) / (q - 1.0) * trace_norm
     name = "thm3_rhs" if variant == "general" else "thm3q2_rhs"
-    return BoundReport(name, lhs, rhs, slack, holds, vacuous, summary, dist, extras)
+    return _report(pair, name, lhs, rhs, tol_bound, vacuous, extras)
 
 
 def lower_bounds(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
+    pair: PairEval,
     q: float,
     p: float,
     tol_bound: float = TOL_BOUND,
-    tol_incl: float = TOL_INCL,
 ) -> list[BoundReport]:
     """Lower-bound chains for 1 < q <= 2 and 0 <= p < 1.
 
     Chain report:    D_p <= D_1 <= D_q.
     Pinsker report:  ||Delta||_1^2 / 2 <= D_1 <= D_q.
     """
-    q = float(q)
+    q = _gate_q(q, 2.0)
     p = float(p)
-    if not 1.0 < q <= 2.0:
-        raise PreconditionFailed(f"requires 1 < q <= 2, got {q}")
     if not 0.0 <= p < 1.0:
         raise PreconditionFailed(f"requires 0 <= p < 1, got {p}")
-    summary = SpectralSummary.from_states(rho, sigma)
-    dist = _distances(rho, sigma)
-    d1 = relative_entropy_vn(rho, sigma, tol_incl)
-    dq = quantum_relative_q(rho, sigma, q, tol_incl)
-    dp = quantum_relative_q_low(rho, sigma, p)
-    d1f, dqf = d1.as_float(), dq.as_float()
+    d1f, dqf = pair.d1.as_float(), pair.dq(q).as_float()
+    dp = quantum_relative_q_low(pair.rho, pair.sigma, p)
+    pinsker_lhs = 0.5 * pair.distances["trace_norm"] ** 2
+    reports = []
+    for name, low, extras in (("lower_chain", dp, {"q": q, "p": p, "D1": d1f}),
+                              ("pinsker", pinsker_lhs, {"q": q, "D1": d1f})):
+        slack = dqf - low if math.isfinite(dqf) else None
+        holds = _chain_holds(low, d1f, dqf, tol=tol_bound)
+        reports.append(BoundReport(name, ExtendedReal.finite(low), dqf, slack, holds,
+                                   False, pair.summary, pair.distances, extras))
+    return reports
 
-    chain_holds = _chain_holds(dp, d1f, dqf, tol=tol_bound)
-    chain_slack = dqf - dp if math.isfinite(dqf) else None
-    chain = BoundReport(
-        "lower_chain",
-        ExtendedReal.finite(dp),
-        dqf,
-        chain_slack,
-        chain_holds,
-        False,
-        summary,
-        dist,
-        {"q": q, "p": p, "D1": d1f},
-    )
 
-    pinsker_lhs = 0.5 * dist["trace_norm"] ** 2
-    pinsker_holds = _chain_holds(pinsker_lhs, d1f, dqf, tol=tol_bound)
-    pinsker_slack = dqf - pinsker_lhs if math.isfinite(dqf) else None
-    pinsker = BoundReport(
-        "pinsker",
-        ExtendedReal.finite(pinsker_lhs),
-        dqf,
-        pinsker_slack,
-        pinsker_holds,
-        False,
-        summary,
-        dist,
-        {"q": q, "D1": d1f},
-    )
-    return [chain, pinsker]
+@dataclass(frozen=True)
+class BoundSpec:
+    """One registry row: a D_q bound evaluator and where it applies.
+
+    ``name`` labels the bound in the sweep's ``vacuous`` column, the bound
+    applies for 1 < q <= ``q_max``, and ``columns`` are the names of the
+    reports ``rhs(pair, q, variant, tol_bound)`` returns, in order.
+    """
+
+    name: str
+    q_max: float
+    variant: str | None
+    columns: tuple[str, ...]
+    rhs: Callable[[PairEval, float, str | None, float], list[BoundReport]]
+
+    def applies(self, q: float) -> bool:
+        return 1.0 < q <= self.q_max
+
+    def evaluate(self, pair: PairEval, q: float, tol_bound: float) -> list[BoundReport]:
+        return self.rhs(pair, q, self.variant, tol_bound)
+
+
+#: lower order p of the chain D_p <= D_1 <= D_q in registry reports
+REGISTRY_P = 0.5
+
+# The evaluators are looked up by name when a row is evaluated, so a wrapper
+# installed on the module attribute (a profiler, a test counter) sees the call.
+#: upper bounds on D_q, in sweep column order
+UPPER_BOUNDS = (
+    BoundSpec("thm1", 2.0, None, ("thm1_rhs1", "thm1_rhs2", "thm1_rhs3"),
+              lambda pair, q, variant, tol: thm1_bounds(pair, q, tol)),
+    BoundSpec("thm2", 2.0, "general", ("thm2_rhs",),
+              lambda pair, q, variant, tol: [thm2_bound(pair, q, variant, tol)]),
+    BoundSpec("thm2tl", 2.0, "traceless", ("thm2tl_rhs",),
+              lambda pair, q, variant, tol: [thm2_bound(pair, q, variant, tol)]),
+    BoundSpec("thm3", math.inf, "general", ("thm3_rhs",),
+              lambda pair, q, variant, tol: [thm3_bound(pair, q, variant, tol)]),
+    BoundSpec("thm3q2", 2.0, "q2", ("thm3q2_rhs",),
+              lambda pair, q, variant, tol: [thm3_bound(pair, q, variant, tol)]),
+)
+#: every D_q bound: the upper bounds and the lower-bound chains
+BOUNDS = UPPER_BOUNDS + (
+    BoundSpec("lower", 2.0, None, ("lower_chain", "pinsker"),
+              lambda pair, q, variant, tol: lower_bounds(pair, q, REGISTRY_P, tol)),
+)
 
 
 def power_diff_bound(
@@ -321,10 +377,7 @@ def power_diff_bound(
     rhs = n * base ** (n - 1) * dist_p
     lhs = ExtendedReal.finite(lhs_val)
     holds, slack = _verdict(lhs, rhs, tol_bound, False)
-    dist = {
-        "trace_norm": schatten_norm(X.matrix - Y.matrix, 1.0),
-        "spectral_norm": schatten_norm(X.matrix - Y.matrix, math.inf),
-    }
+    dist = _distances(X.matrix, Y.matrix)
     return BoundReport(
         "power_diff", lhs, rhs, slack, holds, False, None, dist,
         {"n": float(n), "p": float(p), "base_norm": base},
@@ -355,14 +408,10 @@ def lemma3_bound(
     lhs_val = abs(float(np.trace(mixed).real) - tau_a)
     a1 = float(a_eigs[-1])
     b0 = float(b_eigs[0])
-    dist_tr = schatten_norm(A.matrix - B.matrix, 1.0)
-    rhs = (a1 / b0) ** s * dist_tr
+    dist = _distances(A.matrix, B.matrix)
+    rhs = (a1 / b0) ** s * dist["trace_norm"]
     lhs = ExtendedReal.finite(lhs_val)
     holds, slack = _verdict(lhs, rhs, tol_bound, False)
-    dist = {
-        "trace_norm": dist_tr,
-        "spectral_norm": schatten_norm(A.matrix - B.matrix, math.inf),
-    }
     return BoundReport(
         "lemma3", lhs, rhs, slack, holds, False, None, dist,
         {"s": s, "tau": tau_a, "a1": a1, "b0": b0},
@@ -398,10 +447,7 @@ def frechet_check(
     gap = psd_gap(lhs_op, rhs_op)
     allowance = tol_psd + FRECHET_QUAD_ALLOWANCE
     holds = gap >= -allowance
-    dist = {
-        "trace_norm": schatten_norm(A.matrix - B.matrix, 1.0),
-        "spectral_norm": schatten_norm(A.matrix - B.matrix, math.inf),
-    }
+    dist = _distances(A.matrix, B.matrix)
     return BoundReport(
         "frechet_gap", ExtendedReal.finite(0.0), gap, gap, holds, False, None, dist,
         {"r": r, "allowance": allowance},

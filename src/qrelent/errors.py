@@ -5,6 +5,10 @@ class NonHermitianInput(ValueError):
     """Input matrix is farther from Hermitian than the constructor tolerance."""
 
 
+class NonFiniteInput(ValueError):
+    """Input matrix has a NaN or infinite entry."""
+
+
 class ConvergenceFailure(RuntimeError):
     """Eigendecomposition did not converge or violated its reconstruction contract."""
 

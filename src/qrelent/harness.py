@@ -18,7 +18,10 @@ import numpy as np
 
 from . import quadrature
 from .bounds import (
+    BOUNDS,
+    UPPER_BOUNDS,
     BoundReport,
+    PairEval,
     TOL_BOUND,
     frechet_check,
     lemma3_bound,
@@ -34,11 +37,10 @@ from .entropy import (
     quantum_relative_q,
     relative_entropy_vn,
 )
-from .errors import ConfigError, DimensionMismatch, PreconditionFailed
+from .errors import ConfigError
 from .linalg import HermitianOperator, apply_function, schatten_norm
 from .states import (
     DensityMatrix,
-    SpectralSummary,
     TOL_INCL,
     density_with_spectrum,
     haar_unitary,
@@ -255,6 +257,15 @@ def _sample_pair(rng, d: int, rank_deficient: bool) -> tuple[DensityMatrix, Dens
     return sample_common_support_pair(d, k, rng, rho_rank=rho_rank)
 
 
+def _instances(config: SweepConfig, count: int, salt: int, max_dim: float = 8):
+    """(trial, stream, d) per suite instance: the trial's private stream and a
+    dimension drawn from it among the configured dims in [2, max_dim]."""
+    dims = [d for d in config.dims if 2 <= d <= max_dim] or [2]
+    for i in range(count):
+        rng = trial_stream(config.seed, i, salt=salt)
+        yield i, rng, int(rng.choice(dims))
+
+
 def _sample_q(rng, exact_every: int, i: int, lo: float = 1.0, hi: float = 2.0) -> float:
     if exact_every and i % exact_every == 0:
         return hi
@@ -268,10 +279,7 @@ def _sample_q(rng, exact_every: int, i: int, lo: float = 1.0, hi: float = 2.0) -
 
 def _suite_linalg_norms(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     tol = 1e-10
-    dims = [d for d in config.dims if d >= 2] or [2]
-    for i in range(count):
-        rng = trial_stream(config.seed, i, salt=1)
-        d = int(rng.choice(dims))
+    for i, rng, d in _instances(config, count, salt=1, max_dim=math.inf):
         run.instances += 1
         x, y, z = (_rand_complex(rng, d) for _ in range(3))
         for p in (1.0, 2.0, math.inf):
@@ -311,10 +319,7 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             got = quadrature.frac_power_scalar(a, r, rule, form=form)
             run.check(1e-10 - abs(got - expect) / expect,
                       context={"check": "scalar_fixture", "a": a, "r": r, "form": form})
-    dims = [d for d in config.dims if 2 <= d <= 8] or [2]
-    for i in range(count):
-        rng = trial_stream(config.seed, i, salt=2)
-        d = int(rng.choice(dims))
+    for i, rng, d in _instances(config, count, salt=2):
         a_op = _conditioned_pd(rng, d, log10_cond=float(rng.uniform(0.0, 6.0)))
         norm_inf = schatten_norm(a_op, math.inf)
         run.instances += 1
@@ -357,10 +362,7 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    dims = [d for d in config.dims if d >= 2] or [2]
-    for i in range(count):
-        rng = trial_stream(config.seed, i, salt=3)
-        d = int(rng.choice(dims))
+    for i, rng, d in _instances(config, count, salt=3, max_dim=math.inf):
         rank = int(rng.integers(1, d + 1))
         rho = sample_density(d, rank, rng)
         run.instances += 1
@@ -398,10 +400,7 @@ def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     tols = config.tolerances
-    dims = [d for d in config.dims if 2 <= d <= 8] or [2]
-    for i in range(count):
-        rng = trial_stream(config.seed, i, salt=4)
-        d = int(rng.choice(dims))
+    for i, rng, d in _instances(config, count, salt=4):
         rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 3 == 2))
         q = _sample_q(rng, exact_every=10, i=i)
         value = quantum_relative_q(rho, sigma, q, tols.tol_incl).as_float()
@@ -416,6 +415,7 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             self_val = quantum_relative_q(rho, rho, q, tols.tol_incl).as_float()
             run.check(1e-10 - abs(self_val), context={"check": "self_zero", "q": q})
 
+    dims = [d for d in config.dims if 2 <= d <= 8] or [2]
     small = max(1, count // 5)
     for i in range(small):
         rng = trial_stream(config.seed, i, salt=5)
@@ -502,14 +502,11 @@ def _bound_margin(report: BoundReport) -> float:
 
 
 def _suite_thm1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    dims = [d for d in config.dims if 2 <= d <= 8] or [2]
-    for i in range(count):
-        rng = trial_stream(config.seed, i, salt=7)
-        d = int(rng.choice(dims))
+    for i, rng, d in _instances(config, count, salt=7):
         rho, sigma = sample_density(d, d, rng), sample_density(d, d, rng)
         q = _sample_q(rng, exact_every=10, i=i)
-        reports = thm1_bounds(rho, sigma, q, config.tolerances.tol_bound,
-                              config.tolerances.tol_incl)
+        pair = PairEval(rho, sigma, config.tolerances.tol_incl)
+        reports = thm1_bounds(pair, q, config.tolerances.tol_bound)
         run.instances += 1
         for rep in reports:
             run.check(_bound_margin(rep), states=(rho, sigma),
@@ -520,25 +517,19 @@ def _suite_thm1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_thm2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    dims = [d for d in config.dims if 2 <= d <= 8] or [2]
-    for i in range(count):
-        rng = trial_stream(config.seed, i, salt=8)
-        d = int(rng.choice(dims))
+    for i, rng, d in _instances(config, count, salt=8):
         rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 2 == 1))
         q = _sample_q(rng, exact_every=10, i=i)
         run.instances += 1
+        pair = PairEval(rho, sigma, config.tolerances.tol_incl)
         for variant in ("general", "traceless"):
-            rep = thm2_bound(rho, sigma, q, variant, config.tolerances.tol_bound,
-                             config.tolerances.tol_incl)
+            rep = thm2_bound(pair, q, variant, config.tolerances.tol_bound)
             run.check(_bound_margin(rep), states=(rho, sigma),
                       context={"check": rep.name, "q": q, "trial": i})
 
 
 def _suite_thm3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    dims = [d for d in config.dims if 2 <= d <= 8] or [2]
-    for i in range(count):
-        rng = trial_stream(config.seed, i, salt=9)
-        d = int(rng.choice(dims))
+    for i, rng, d in _instances(config, count, salt=9):
         rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 2 == 1))
         if i % 5 == 4:
             q = float(rng.choice([2.0, 3.0, 4.0]))
@@ -547,28 +538,24 @@ def _suite_thm3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         else:
             q = _sample_q(rng, exact_every=0, i=i, lo=2.0, hi=6.0)
         run.instances += 1
-        rep = thm3_bound(rho, sigma, q, "general", config.tolerances.tol_bound,
-                         config.tolerances.tol_incl)
+        pair = PairEval(rho, sigma, config.tolerances.tol_incl)
+        rep = thm3_bound(pair, q, "general", config.tolerances.tol_bound)
         run.check(_bound_margin(rep), states=(rho, sigma),
                   context={"check": rep.name, "q": q, "trial": i})
         q2 = _sample_q(rng, exact_every=10, i=i)
-        rep2 = thm3_bound(rho, sigma, q2, "q2", config.tolerances.tol_bound,
-                          config.tolerances.tol_incl)
+        rep2 = thm3_bound(pair, q2, "q2", config.tolerances.tol_bound)
         run.check(_bound_margin(rep2), states=(rho, sigma),
                   context={"check": rep2.name, "q": q2, "trial": i})
 
 
 def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    dims = [d for d in config.dims if 2 <= d <= 8] or [2]
-    for i in range(count):
-        rng = trial_stream(config.seed, i, salt=10)
-        d = int(rng.choice(dims))
+    for i, rng, d in _instances(config, count, salt=10):
         rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 4 == 3))
         q = _sample_q(rng, exact_every=10, i=i)
         p = 0.0 if i % 10 == 5 else float(rng.uniform(0.0, 1.0))
         run.instances += 1
-        for rep in lower_bounds(rho, sigma, q, p, config.tolerances.tol_bound,
-                                config.tolerances.tol_incl):
+        pair = PairEval(rho, sigma, config.tolerances.tol_incl)
+        for rep in lower_bounds(pair, q, p, config.tolerances.tol_bound):
             run.check_bool(rep.holds, states=(rho, sigma),
                            context={"check": rep.name, "q": q, "p": p, "trial": i})
             if rep.slack is not None and math.isfinite(rep.slack):
@@ -577,11 +564,8 @@ def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    dims = [d for d in config.dims if 2 <= d <= 8] or [2]
     nodes = config.tolerances.quad_nodes
-    for i in range(count):
-        rng = trial_stream(config.seed, i, salt=11)
-        d = int(rng.choice(dims))
+    for i, rng, d in _instances(config, count, salt=11):
         a_op = _rand_pd(rng, d)
         b_op = _rand_pd(rng, d)
         run.instances += 1
@@ -592,10 +576,7 @@ def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    dims = [d for d in config.dims if 2 <= d <= 8] or [2]
-    for i in range(count):
-        rng = trial_stream(config.seed, i, salt=12)
-        d = int(rng.choice(dims))
+    for i, rng, d in _instances(config, count, salt=12):
         x, y = _rand_herm(rng, d), _rand_herm(rng, d)
         run.instances += 1
         for n in range(1, 7):
@@ -610,10 +591,7 @@ def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_lemma3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    dims = [d for d in config.dims if 2 <= d <= 8] or [2]
-    for i in range(count):
-        rng = trial_stream(config.seed, i, salt=13)
-        d = int(rng.choice(dims))
+    for i, rng, d in _instances(config, count, salt=13):
         rank = d if i % 3 else max(1, d - 1)
         g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
         a_m = g @ g.conj().T
@@ -641,8 +619,8 @@ def divergence_envelope(seed: int, d: int = 4, tolerances: Tolerances | None = N
     records = []
     for q in ENVELOPE_Q:
         for b0 in ENVELOPE_B0:
-            sigma = sigma_family(d, b0)
-            rep = thm3_bound(rho, sigma, q, "general", tols.tol_bound, tols.tol_incl)
+            pair = PairEval(rho, sigma_family(d, b0), tols.tol_incl)
+            rep = thm3_bound(pair, q, "general", tols.tol_bound)
             dq = rep.lhs.as_float()
             ratio = dq * b0 ** (q - 1.0)
             constant = rep.extras["ceiling_factor"] * rep.constants.lambda1 ** (
@@ -675,9 +653,9 @@ def tightness_crossover(seed: int, trials: int, d: int = 4,
         rng = trial_stream(seed, trial, salt=15)
         rho = sample_density(d, d, rng)
         for b0 in CROSSOVER_B0:
-            sigma = sigma_family(d, b0)
-            rep2 = thm2_bound(rho, sigma, 2.0, "general", tols.tol_bound, tols.tol_incl)
-            rep3 = thm3_bound(rho, sigma, 2.0, "q2", tols.tol_bound, tols.tol_incl)
+            pair = PairEval(rho, sigma_family(d, b0), tols.tol_incl)
+            rep2 = thm2_bound(pair, 2.0, "general", tols.tol_bound)
+            rep3 = thm3_bound(pair, 2.0, "q2", tols.tol_bound)
             records.append(
                 {
                     "trial": trial,
@@ -759,9 +737,9 @@ def cmd_verify(config: SweepConfig) -> VerifyReport:
 
 
 CSV_COLUMNS = (
-    "d", "q", "b0", "trial", "seed", "Dq", "D1", "dist_tr", "dist_sp",
-    "thm1_rhs1", "thm1_rhs2", "thm1_rhs3", "thm2_rhs", "thm2tl_rhs",
-    "thm3_rhs", "thm3q2_rhs", "pinsker_lhs", "ratio_dq_b0", "vacuous",
+    ("d", "q", "b0", "trial", "seed", "Dq", "D1", "dist_tr", "dist_sp")
+    + tuple(col for spec in UPPER_BOUNDS for col in spec.columns)
+    + ("pinsker_lhs", "ratio_dq_b0", "vacuous")
 )
 
 
@@ -773,63 +751,41 @@ def _csv_num(x: float) -> str:
     return format(x, ".17g")
 
 
-def sweep_row(rho: DensityMatrix, sigma: DensityMatrix, q: float, b0: float,
-              trial: int, stream_seed: int, tols: Tolerances) -> dict:
-    """One record of the sweep CSV for a given state pair."""
-    d = rho.dim
-    dq = quantum_relative_q(rho, sigma, q, tols.tol_incl)
-    d1 = relative_entropy_vn(rho, sigma, tols.tol_incl)
-    dist_tr = schatten_norm(rho.matrix - sigma.matrix, 1.0)
-    dist_sp = schatten_norm(rho.matrix - sigma.matrix, math.inf)
-    vacuous: list[str] = []
-
-    def rhs_of(label: str, evaluate) -> float:
-        try:
-            rep = evaluate()
-        except PreconditionFailed:
-            vacuous.append(label)
-            return math.nan
-        if rep.vacuous:
-            vacuous.append(label)
-            return math.nan
-        return rep.rhs
-
-    thm1_vals = [math.nan] * 3
-    try:
-        reports = thm1_bounds(rho, sigma, q, tols.tol_bound, tols.tol_incl)
-        if reports[0].vacuous:
-            vacuous.append("thm1")
-        else:
-            thm1_vals = [rep.rhs for rep in reports]
-    except PreconditionFailed:
-        vacuous.append("thm1")
-
+def sweep_row(pair: PairEval, q: float, b0: float, trial: int, stream_seed: int,
+              tols: Tolerances) -> dict:
+    """One record of the sweep CSV for a given state pair; an upper bound whose
+    q gate or hypotheses fail is ``nan`` in its columns and named in ``vacuous``."""
+    dq = pair.dq(q).as_float()
     row = {
-        "d": d,
+        "d": pair.rho.dim,
         "q": q,
         "b0": b0,
         "trial": trial,
         "seed": stream_seed,
-        "Dq": dq.as_float(),
-        "D1": d1.as_float(),
-        "dist_tr": dist_tr,
-        "dist_sp": dist_sp,
-        "thm1_rhs1": thm1_vals[0],
-        "thm1_rhs2": thm1_vals[1],
-        "thm1_rhs3": thm1_vals[2],
-        "thm2_rhs": rhs_of("thm2", lambda: thm2_bound(
-            rho, sigma, q, "general", tols.tol_bound, tols.tol_incl)),
-        "thm2tl_rhs": rhs_of("thm2tl", lambda: thm2_bound(
-            rho, sigma, q, "traceless", tols.tol_bound, tols.tol_incl)),
-        "thm3_rhs": rhs_of("thm3", lambda: thm3_bound(
-            rho, sigma, q, "general", tols.tol_bound, tols.tol_incl)),
-        "thm3q2_rhs": rhs_of("thm3q2", lambda: thm3_bound(
-            rho, sigma, q, "q2", tols.tol_bound, tols.tol_incl)),
-        "pinsker_lhs": 0.5 * dist_tr**2,
-        "ratio_dq_b0": dq.as_float() * b0 ** (q - 1.0),
-        "vacuous": ";".join(vacuous),
+        "Dq": dq,
+        "D1": pair.d1.as_float(),
+        "dist_tr": pair.distances["trace_norm"],
+        "dist_sp": pair.distances["spectral_norm"],
+        "pinsker_lhs": 0.5 * pair.distances["trace_norm"] ** 2,
+        "ratio_dq_b0": dq * b0 ** (q - 1.0),
     }
+    vacuous: list[str] = []
+    for spec in UPPER_BOUNDS:
+        reports = spec.evaluate(pair, q, tols.tol_bound) if spec.applies(q) else None
+        if reports is None or reports[0].vacuous:
+            vacuous.append(spec.name)
+            row.update(dict.fromkeys(spec.columns, math.nan))
+        else:
+            row.update(zip(spec.columns, (rep.rhs for rep in reports)))
+    row["vacuous"] = ";".join(vacuous)
     return row
+
+
+def _csv_line(row: dict) -> str:
+    return ",".join(
+        str(row[col]) if col in ("d", "trial", "seed", "vacuous") else _csv_num(float(row[col]))
+        for col in CSV_COLUMNS
+    )
 
 
 def cmd_sweep(config: SweepConfig) -> Path:
@@ -837,10 +793,13 @@ def cmd_sweep(config: SweepConfig) -> Path:
 
     Every row pairs sigma_family(d, b0) with a random full-rank rho drawn from
     the per-trial stream, so rows with equal (d, trial) share the same rho
-    across the whole (q, b0) grid.
+    across the whole (q, b0) grid.  Each rho and sigma is built once, each
+    pair evaluated once for all q, and the rows are written in (d, q, b0,
+    trial) order.
     """
     config.validate(require_grids=True)
     quadrature.self_test(config.tolerances.quad_nodes)
+    tols = config.tolerances
     out = Path(config.output_path)
     lines = [
         "# config: " + json.dumps(config.echo_dict(), sort_keys=True),
@@ -848,25 +807,17 @@ def cmd_sweep(config: SweepConfig) -> Path:
         ",".join(CSV_COLUMNS),
     ]
     for d in config.dims:
-        for q in config.q_grid:
-            for b0 in config.b0_grid:
-                sigma = sigma_family(d, b0)
-                for trial in range(config.trials):
-                    stream_seed = (config.seed ^ trial) & _MASK64
-                    rng = trial_stream(config.seed, trial)
-                    rho = sample_density(d, d, rng)
-                    row = sweep_row(rho, sigma, q, b0, trial, stream_seed,
-                                    config.tolerances)
-                    cells = []
-                    for col in CSV_COLUMNS:
-                        val = row[col]
-                        if col in ("d", "trial", "seed"):
-                            cells.append(str(val))
-                        elif col == "vacuous":
-                            cells.append(val)
-                        else:
-                            cells.append(_csv_num(float(val)))
-                    lines.append(",".join(cells))
+        sigmas = [sigma_family(d, b0) for b0 in config.b0_grid]
+        rows: dict[tuple[int, int, int], str] = {}
+        for trial in range(config.trials):
+            stream_seed = (config.seed ^ trial) & _MASK64
+            rho = sample_density(d, d, trial_stream(config.seed, trial))
+            for bi, (b0, sigma) in enumerate(zip(config.b0_grid, sigmas)):
+                pair = PairEval(rho, sigma, tols.tol_incl)
+                for qi, q in enumerate(config.q_grid):
+                    rows[qi, bi, trial] = _csv_line(
+                        sweep_row(pair, q, b0, trial, stream_seed, tols))
+        lines.extend(rows[key] for key in sorted(rows))
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_suffix(out.suffix + ".tmp")
     with open(tmp, "w", encoding="ascii") as fh:
@@ -891,42 +842,25 @@ def cmd_eval(rho_path, sigma_path, q_list, tolerances: Tolerances | None = None)
     tols = tolerances or Tolerances()
     tols.validate()
     quadrature.self_test(tols.quad_nodes)
-    rho = read_state(rho_path)
-    sigma = read_state(sigma_path)
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    summary = SpectralSummary.from_states(rho, sigma)
-    dist_tr = schatten_norm(rho.matrix - sigma.matrix, 1.0)
-    dist_sp = schatten_norm(rho.matrix - sigma.matrix, math.inf)
-    d1 = relative_entropy_vn(rho, sigma, tols.tol_incl)
+    pair = PairEval(read_state(rho_path), read_state(sigma_path), tols.tol_incl)
     per_q = []
     for q in q_list:
         q = float(q)
-        dq = quantum_relative_q(rho, sigma, q, tols.tol_incl)
-        reports: dict[str, dict] = {}
-
-        def add(evaluate) -> None:
-            try:
-                result = evaluate()
-            except PreconditionFailed:
-                return
-            for rep in result if isinstance(result, list) else [result]:
-                reports[rep.name] = _report_to_json(rep)
-
-        add(lambda: thm1_bounds(rho, sigma, q, tols.tol_bound, tols.tol_incl))
-        add(lambda: thm2_bound(rho, sigma, q, "general", tols.tol_bound, tols.tol_incl))
-        add(lambda: thm2_bound(rho, sigma, q, "traceless", tols.tol_bound, tols.tol_incl))
-        add(lambda: thm3_bound(rho, sigma, q, "general", tols.tol_bound, tols.tol_incl))
-        add(lambda: thm3_bound(rho, sigma, q, "q2", tols.tol_bound, tols.tol_incl))
-        add(lambda: lower_bounds(rho, sigma, q, 0.5, tols.tol_bound, tols.tol_incl))
+        dq = pair.dq(q)
+        reports = {
+            rep.name: _report_to_json(rep)
+            for spec in BOUNDS
+            if spec.applies(q)
+            for rep in spec.evaluate(pair, q, tols.tol_bound)
+        }
         per_q.append({"q": q, "Dq": extended_to_json(dq), "reports": reports})
     return {
         "rho_path": str(rho_path),
         "sigma_path": str(sigma_path),
-        "dim": rho.dim,
-        "spectral_summary": asdict(summary),
-        "distances": {"trace_norm": dist_tr, "spectral_norm": dist_sp},
-        "D1": extended_to_json(d1),
+        "dim": pair.rho.dim,
+        "spectral_summary": asdict(pair.summary),
+        "distances": pair.distances,
+        "D1": extended_to_json(pair.d1),
         "per_q": per_q,
     }
 

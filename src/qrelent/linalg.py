@@ -16,6 +16,7 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     DomainViolation,
+    NonFiniteInput,
     NonHermitianInput,
 )
 
@@ -43,10 +44,11 @@ def zero_threshold(eigenvalues: np.ndarray) -> float:
 class HermitianOperator:
     """Immutable complex Hermitian matrix with a cached eigendecomposition.
 
-    The constructor symmetrizes the input to (M + M^dag)/2, records the
-    maximal entrywise asymmetry of M, and rejects inputs whose asymmetry
-    exceeds ``tol * max(1, scale)``.  The eigendecomposition is computed at
-    most once and is checked against the reconstruction contract
+    The constructor rejects inputs with a NaN or infinite entry, symmetrizes
+    the input to (M + M^dag)/2, records the maximal entrywise asymmetry of M,
+    and rejects inputs whose asymmetry exceeds ``tol * max(1, scale)``.  The
+    eigendecomposition is computed at most once and is checked against the
+    reconstruction contract
     ``||U diag(w) U^dag - H||_max <= EIG_TOL * max(1, |w|_max)``.
     """
 
@@ -59,6 +61,8 @@ class HermitianOperator:
         d = mat.shape[0]
         if d < 1 or d > MAX_DIM:
             raise DimensionMismatch(f"dimension {d} outside [1, {MAX_DIM}]")
+        if not np.isfinite(mat).all():
+            raise NonFiniteInput("matrix has a NaN or infinite entry")
         herm = (mat + mat.conj().T) / 2.0
         asym = float(np.max(np.abs(mat - mat.conj().T)))
         scale = max(1.0, float(np.linalg.norm(herm, "fro")))
@@ -131,14 +135,8 @@ class HermitianOperator:
     def eigenvalues(self) -> np.ndarray:
         return self.eig()[0]
 
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        return HermitianOperator(self._mat + as_herm(other)._mat)
-
     def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
         return HermitianOperator(self._mat - as_herm(other)._mat)
-
-    def __neg__(self) -> "HermitianOperator":
-        return HermitianOperator(-self._mat)
 
     def __mul__(self, scalar: float) -> "HermitianOperator":
         return HermitianOperator(self._mat * float(scalar))
@@ -255,10 +253,3 @@ def psd_gap(a, b) -> float:
     diff = b.matrix - a.matrix
     return float(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)[0])
 
-
-def operator_leq(a, b, tol: float = PSD_TOL) -> bool:
-    """True iff A <= B up to the PSD tolerance scaled by the operand norms."""
-    a = as_herm(a)
-    b = as_herm(b)
-    scale = max(1.0, schatten_norm(a, math.inf), schatten_norm(b, math.inf))
-    return psd_gap(a, b) >= -tol * scale

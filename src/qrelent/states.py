@@ -14,6 +14,7 @@ from .errors import (
     BadFactorization,
     BadSpectrum,
     DimensionMismatch,
+    NonFiniteInput,
     NotNormalized,
     NotPSD,
     ParseError,
@@ -45,7 +46,7 @@ class DensityMatrix:
     projector spans the eigenvectors of the nonzero eigenvalues.
     """
 
-    __slots__ = ("op", "spectrum", "rank", "support_projector", "_basis")
+    __slots__ = ("op", "spectrum", "rank", "_basis")
 
     def __init__(self, matrix, tol: float = 1e-10) -> None:
         h = HermitianOperator(matrix, tol=tol)
@@ -86,8 +87,6 @@ class DensityMatrix:
         self.rank = int(np.count_nonzero(w))
         self._basis = u
         self.op = HermitianOperator.from_eigensystem(w, u)
-        support = u[:, w > 0.0]
-        self.support_projector = HermitianOperator(support @ support.conj().T)
         self.spectrum.setflags(write=False)
         self._basis.setflags(write=False)
 
@@ -103,6 +102,12 @@ class DensityMatrix:
     def eigenvectors(self) -> np.ndarray:
         """Columns aligned with ``spectrum`` (ascending, zeros first)."""
         return self._basis
+
+    @property
+    def support_projector(self) -> HermitianOperator:
+        """Orthogonal projector onto the span of the nonzero-eigenvalue vectors."""
+        support = self._basis[:, self.spectrum > 0.0]
+        return HermitianOperator(support @ support.conj().T)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim}, rank={self.rank})"
@@ -283,4 +288,7 @@ def read_state(path, tol: float = 1e-10) -> DensityMatrix:
         raise ParseError(f"{path}: malformed state document: {exc}") from exc
     if re.shape != (d, d) or im.shape != (d, d):
         raise ParseError(f"{path}: entry arrays do not match dim={d}")
-    return DensityMatrix(re + 1j * im, tol=tol)
+    try:
+        return DensityMatrix(re + 1j * im, tol=tol)
+    except NonFiniteInput as exc:
+        raise ParseError(f"{path}: {exc}") from exc

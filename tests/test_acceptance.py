@@ -7,7 +7,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qrelent.bounds import lower_bounds, thm1_bounds, thm2_bound, thm3_bound
+from qrelent.bounds import PairEval, lower_bounds, thm1_bounds, thm2_bound, thm3_bound
 from qrelent.entropy import quantum_relative_q, relative_entropy_vn
 from qrelent.harness import (
     SweepConfig,
@@ -59,12 +59,13 @@ def test_criterion_1_fixture_suite(fixture_pair):
         assert f"{d1:.6f}" == "0.143841"
         assert schatten_norm(rho.matrix - sigma.matrix, 1.0) == pytest.approx(
             0.5, abs=tol)
-        r1, r2, r3 = thm1_bounds(rho, sigma, 2.0)
+        pair = PairEval(rho, sigma)
+        r1, r2, r3 = thm1_bounds(pair, 2.0)
         assert (r1.rhs, r2.rhs, r3.rhs) == pytest.approx((2.0, 2.0, 2.0), abs=tol)
-        assert thm2_bound(rho, sigma, 2.0).rhs == pytest.approx(2.0, abs=tol)
-        assert thm3_bound(rho, sigma, 2.0).rhs == pytest.approx(1.5, abs=tol)
-        assert thm3_bound(rho, sigma, 2.0, "q2").rhs == pytest.approx(1.0, abs=tol)
-        _, pinsker = lower_bounds(rho, sigma, 2.0, 0.5)
+        assert thm2_bound(pair, 2.0).rhs == pytest.approx(2.0, abs=tol)
+        assert thm3_bound(pair, 2.0).rhs == pytest.approx(1.5, abs=tol)
+        assert thm3_bound(pair, 2.0, "q2").rhs == pytest.approx(1.0, abs=tol)
+        _, pinsker = lower_bounds(pair, 2.0, 0.5)
         assert pinsker.lhs.value == pytest.approx(0.125, abs=tol)
         for rep in (r1, r2, r3):
             assert rep.holds

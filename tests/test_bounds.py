@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrelent.bounds import (
+    BOUNDS,
+    PairEval,
     frechet_check,
     lemma3_bound,
     lower_bounds,
@@ -14,7 +16,7 @@ from qrelent.bounds import (
     thm2_bound,
     thm3_bound,
 )
-from qrelent.errors import PreconditionFailed
+from qrelent.errors import DimensionMismatch, PreconditionFailed
 from qrelent.linalg import HermitianOperator
 from qrelent.states import (
     density_from_matrix,
@@ -33,17 +35,44 @@ def pair():
     return density_from_matrix(RHO), density_from_matrix(SIGMA)
 
 
+class TestPairEval:
+    def test_values_are_computed_once(self, pair):
+        ctx = PairEval(*pair)
+        assert ctx.dq(2.0) is ctx.dq(2) and ctx.d1 is ctx.d1
+        assert ctx.distances is ctx.distances and ctx.summary is ctx.summary
+        assert ctx.distances == {"trace_norm": pytest.approx(0.5),
+                                 "spectral_norm": pytest.approx(0.25)}
+
+    def test_dimension_mismatch(self, rng):
+        with pytest.raises(DimensionMismatch):
+            PairEval(sample_density(2, 2, rng), sample_density(3, 3, rng))
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_gates_and_report_names(self, pair, q):
+        ctx = PairEval(*pair)
+        for spec in BOUNDS:
+            if spec.applies(q):
+                reports = spec.evaluate(ctx, q, 1e-9)
+                assert tuple(rep.name for rep in reports) == spec.columns
+                assert all(rep.holds for rep in reports)
+            else:
+                with pytest.raises(PreconditionFailed):
+                    spec.evaluate(ctx, q, 1e-9)
+
+
 class TestThm1:
     def test_equal_states(self, rng):
         rho = sample_density(3, 3, rng)
-        for rep in thm1_bounds(rho, rho, 1.5):
+        for rep in thm1_bounds(PairEval(rho, rho), 1.5):
             assert rep.rhs == pytest.approx(0.0, abs=1e-12)
             assert abs(rep.lhs.as_float()) <= 1e-10
             assert rep.holds and not rep.vacuous
 
     def test_diagonal_fixture_triple(self, pair):
         rho, sigma = pair
-        reports = thm1_bounds(rho, sigma, 2.0)
+        reports = thm1_bounds(PairEval(rho, sigma), 2.0)
         # a1^(q-1)/lambda0^q = 0.5/0.0625 = 8, distances (0.25, 0.5)
         assert reports[0].rhs == pytest.approx(2.0, abs=1e-12)
         assert reports[1].rhs == pytest.approx(2.0, abs=1e-12)
@@ -55,13 +84,13 @@ class TestThm1:
     def test_vacuous_on_rank_deficiency(self, rng):
         rho = sample_density(3, 2, rng)
         sigma = sample_density(3, 3, rng)
-        for rep in thm1_bounds(rho, sigma, 2.0):
+        for rep in thm1_bounds(PairEval(rho, sigma), 2.0):
             assert rep.vacuous and rep.holds and math.isinf(rep.rhs)
 
     def test_q_gate(self, pair):
         rho, sigma = pair
         with pytest.raises(PreconditionFailed):
-            thm1_bounds(rho, sigma, 2.5)
+            thm1_bounds(PairEval(rho, sigma), 2.5)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -70,7 +99,7 @@ class TestThm1:
         d = int(gen.integers(2, 7))
         rho, sigma = sample_density(d, d, gen), sample_density(d, d, gen)
         q = 1.0 + float(gen.uniform(1e-3, 1.0))
-        r1, r2, r3 = thm1_bounds(rho, sigma, q)
+        r1, r2, r3 = thm1_bounds(PairEval(rho, sigma), q)
         assert r1.holds and r2.holds and r3.holds
         assert r1.rhs <= r2.rhs * (1.0 + 1e-12)
 
@@ -78,13 +107,13 @@ class TestThm1:
 class TestThm2:
     def test_equal_states(self, rng):
         rho = sample_density(3, 3, rng)
-        rep = thm2_bound(rho, rho, 2.0)
+        rep = thm2_bound(PairEval(rho, rho), 2.0)
         assert rep.rhs == pytest.approx(0.0, abs=1e-12)
         assert rep.holds
 
     def test_diagonal_fixture(self, pair):
         rho, sigma = pair
-        rep = thm2_bound(rho, sigma, 2.0)
+        rep = thm2_bound(PairEval(rho, sigma), 2.0)
         # prefactor (2/3)/(2/3) = 1; terms 1.0 + 1.0
         assert rep.extras["prefactor"] == pytest.approx(1.0, abs=1e-12)
         assert rep.rhs == pytest.approx(2.0, abs=1e-12)
@@ -93,64 +122,64 @@ class TestThm2:
 
     def test_traceless_variant_fixture(self, pair):
         rho, sigma = pair
-        rep = thm2_bound(rho, sigma, 2.0, "traceless")
+        rep = thm2_bound(PairEval(rho, sigma), 2.0, "traceless")
         # second term becomes (0.5/0.125)*0.25 = 1.0 as well
         assert rep.rhs == pytest.approx(2.0, abs=1e-12)
 
     def test_degenerate_sigma_prefactor(self, rng):
         rho = sample_density(3, 3, rng)
         sigma = density_from_matrix(np.eye(3) / 3.0)
-        rep = thm2_bound(rho, sigma, 1.7)
+        rep = thm2_bound(PairEval(rho, sigma), 1.7)
         assert rep.extras["prefactor"] == 1.0
         assert math.isfinite(rep.rhs) and rep.holds
 
     def test_vacuous_without_kernel_inclusion(self, rng):
         rho = sample_density(3, 3, rng)
         sigma = sample_density(3, 2, rng)
-        rep = thm2_bound(rho, sigma, 2.0)
+        rep = thm2_bound(PairEval(rho, sigma), 2.0)
         assert rep.vacuous and rep.holds
 
     def test_singular_pair_with_inclusion(self, rng):
         rho, sigma = sample_common_support_pair(4, 2, rng)
-        rep = thm2_bound(rho, sigma, 2.0)
+        rep = thm2_bound(PairEval(rho, sigma), 2.0)
         assert not rep.vacuous and rep.holds and math.isfinite(rep.rhs)
 
 
 class TestThm3:
     def test_ceiling_factor(self, pair):
         rho, sigma = pair
-        rep = thm3_bound(rho, sigma, 3.5)
+        rep = thm3_bound(PairEval(rho, sigma), 3.5)
         assert rep.extras["ceiling_factor"] == pytest.approx(1.2, abs=1e-12)
 
     def test_diagonal_fixture_both_variants(self, pair):
         rho, sigma = pair
-        general = thm3_bound(rho, sigma, 2.0)
+        general = thm3_bound(PairEval(rho, sigma), 2.0)
         assert general.rhs == pytest.approx(1.5, abs=1e-12)
-        q2 = thm3_bound(rho, sigma, 2.0, "q2")
+        q2 = thm3_bound(PairEval(rho, sigma), 2.0, "q2")
         assert q2.rhs == pytest.approx(1.0, abs=1e-12)
         assert general.holds and q2.holds
 
     def test_restricted_support_fixture(self):
         rho = density_from_matrix(np.diag([0.6, 0.4, 0.0]))
         sigma = density_from_matrix(np.diag([0.5, 0.5, 0.0]))
-        rep = thm3_bound(rho, sigma, 2.0, "q2")
+        rep = thm3_bound(PairEval(rho, sigma), 2.0, "q2")
         assert rep.lhs.value == pytest.approx(0.04, abs=1e-10)
         assert rep.rhs == pytest.approx(0.24, abs=1e-12)
         assert rep.holds and not rep.vacuous
 
     def test_integer_snap(self, pair):
         rho, sigma = pair
-        assert thm3_bound(rho, sigma, 2.0).extras["ceiling_factor"] == pytest.approx(1.0)
-        assert thm3_bound(rho, sigma, 3.0).extras["ceiling_factor"] == pytest.approx(1.0)
-        just_above = thm3_bound(rho, sigma, 2.0 + 1e-6).extras["ceiling_factor"]
+        assert thm3_bound(PairEval(rho, sigma), 2.0).extras["ceiling_factor"] == pytest.approx(1.0)
+        assert thm3_bound(PairEval(rho, sigma), 3.0).extras["ceiling_factor"] == pytest.approx(1.0)
+        just_above = thm3_bound(PairEval(rho, sigma), 2.0 + 1e-6).extras["ceiling_factor"]
         assert just_above == pytest.approx(2.0, rel=1e-5)
 
     def test_variant_gates(self, pair):
         rho, sigma = pair
         with pytest.raises(PreconditionFailed):
-            thm3_bound(rho, sigma, 3.0, "q2")
+            thm3_bound(PairEval(rho, sigma), 3.0, "q2")
         with pytest.raises(PreconditionFailed):
-            thm3_bound(rho, sigma, 0.9)
+            thm3_bound(PairEval(rho, sigma), 0.9)
 
     @given(seed=st.integers(0, 2**32 - 1), q=st.floats(1.01, 6.0))
     @settings(max_examples=40, deadline=None)
@@ -158,19 +187,19 @@ class TestThm3:
         gen = np.random.Generator(np.random.SFC64(seed))
         d = int(gen.integers(2, 7))
         rho, sigma = sample_density(d, d, gen), sample_density(d, d, gen)
-        assert thm3_bound(rho, sigma, q).holds
+        assert thm3_bound(PairEval(rho, sigma), q).holds
 
 
 class TestLowerBounds:
     def test_equal_states_chain(self, rng):
         rho = sample_density(3, 3, rng)
-        chain, pinsker = lower_bounds(rho, rho, 2.0, 0.5)
+        chain, pinsker = lower_bounds(PairEval(rho, rho), 2.0, 0.5)
         assert chain.holds and pinsker.holds
         assert abs(chain.lhs.as_float()) <= 1e-10
 
     def test_diagonal_fixture(self, pair):
         rho, sigma = pair
-        chain, pinsker = lower_bounds(rho, sigma, 2.0, 0.5)
+        chain, pinsker = lower_bounds(PairEval(rho, sigma), 2.0, 0.5)
         assert pinsker.lhs.value == pytest.approx(0.125, abs=1e-12)
         assert chain.extras["D1"] == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=1e-10)
         assert chain.rhs == pytest.approx(1.0 / 3.0, abs=1e-10)
@@ -181,9 +210,9 @@ class TestLowerBounds:
     def test_gates(self, pair):
         rho, sigma = pair
         with pytest.raises(PreconditionFailed):
-            lower_bounds(rho, sigma, 2.5, 0.5)
+            lower_bounds(PairEval(rho, sigma), 2.5, 0.5)
         with pytest.raises(PreconditionFailed):
-            lower_bounds(rho, sigma, 2.0, 1.0)
+            lower_bounds(PairEval(rho, sigma), 2.0, 1.0)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -193,7 +222,7 @@ class TestLowerBounds:
         rho, sigma = sample_density(d, d, gen), sample_density(d, d, gen)
         q = 1.0 + float(gen.uniform(1e-3, 1.0))
         p = float(gen.uniform(0.0, 1.0))
-        chain, pinsker = lower_bounds(rho, sigma, q, p)
+        chain, pinsker = lower_bounds(PairEval(rho, sigma), q, p)
         assert chain.holds and pinsker.holds
 
 

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qrelent import entropy, errors
 from qrelent.entropy import (
     POSITIVE_INFINITY,
     ExtendedReal,
@@ -152,12 +153,33 @@ class TestQuantumRelative:
         with pytest.raises(DimensionMismatch):
             quantum_relative_q(sample_density(2, 2, rng), sample_density(3, 3, rng), 2.0)
 
-    def test_route_agreement_is_enforced(self, rng):
+    def test_route_agreement_is_enforced(self, rng, monkeypatch):
         # the operator-route cross-check runs on every call; exercise it on a
         # rank-deficient pair where the restricted trace matters
         rho, sigma = sample_common_support_pair(5, 3, rng)
         value = quantum_relative_q(rho, sigma, 1.7)
         assert value.is_finite
+        honest = entropy._operator_route_sum
+        monkeypatch.setattr(entropy, "_operator_route_sum",
+                            lambda r, s, q: honest(r, s, q) * (1.0 + 1e-6))
+        with pytest.raises(InternalInconsistency):
+            quantum_relative_q(rho, sigma, 1.7)
+
+    def test_q_max_with_tiny_b0_is_never_finite(self, rng):
+        # b0^(1-q) = 1e390 at q = 40, b0 = 1e-10: the true value is past the
+        # float range, so the result must be +inf or a typed error
+        d = 16
+        spectrum = np.full(d, 1e-10)
+        spectrum[0] = 1.0 - 1e-10 * (d - 1)
+        sigma = DensityMatrix.from_eigensystem(spectrum, np.eye(d))
+        rho = sample_density(d, d, rng)
+        typed = tuple(v for v in vars(errors).values()
+                      if isinstance(v, type) and issubclass(v, Exception))
+        try:
+            value = quantum_relative_q(rho, sigma, 40.0)
+        except typed:
+            return
+        assert value == POSITIVE_INFINITY
 
     @given(seed=st.integers(0, 2**32 - 1), q=st.floats(1.01, 5.0))
     @settings(max_examples=40, deadline=None)
@@ -170,6 +192,80 @@ class TestQuantumRelative:
         assert value >= -1e-10
         if schatten_norm(rho.matrix - sigma.matrix, 1.0) > 1e-4:
             assert value > 1e-10
+
+
+def _reference_trace_sum(rho, sigma, q):
+    """Per-term restricted double sum, the reference for the vectorised one."""
+    overlaps = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
+    a, b = rho.spectrum, sigma.spectrum
+    return math.fsum(overlaps[i, j] * a[i] ** q * b[j] ** (1.0 - q)
+                     for i in range(a.size) if a[i] > 0.0
+                     for j in range(b.size) if b[j] > 0.0)
+
+
+def _reference_operator_sum(rho, sigma, q):
+    """Per-term operator route on the support of sigma."""
+    k = sigma.rank
+    support = sigma.eigenvectors[:, sigma.dim - k:]
+    b = sigma.spectrum[sigma.dim - k:]
+    compressed = support.conj().T @ rho.matrix @ support
+    lam, w = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
+    lam = np.clip(lam, 0.0, None)
+    weights = np.abs(w) ** 2
+    return math.fsum(lam[m] ** q * weights[j, m] * b[j] ** (1.0 - q)
+                     for m in range(lam.size) if lam[m] > 0.0
+                     for j in range(b.size))
+
+
+def _reference_vn(rho, sigma):
+    """Per-term restricted double sum of the standard relative entropy."""
+    overlaps = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
+    a, b = rho.spectrum, sigma.spectrum
+    return math.fsum(overlaps[i, j] * a[i] * (math.log(a[i]) - math.log(b[j]))
+                     for i in range(a.size) if a[i] > 0.0
+                     for j in range(b.size) if b[j] > 0.0)
+
+
+def _close(got, ref):
+    return abs(got - ref) <= 1e-14 * abs(ref)
+
+
+class TestVectorisedSums:
+    """The numpy-term double sums against per-term comprehensions."""
+
+    @staticmethod
+    def _pair(seed, d, kind):
+        gen = np.random.Generator(np.random.SFC64(seed))
+        if kind == "full" or d == 1:
+            return sample_density(d, d, gen), sample_density(d, d, gen)
+        k = int(gen.integers(1, d))
+        if kind == "rank_deficient":
+            return sample_density(d, k, gen), sample_density(d, int(gen.integers(1, d)), gen)
+        return sample_common_support_pair(d, k, gen, rho_rank=int(gen.integers(1, k + 1)))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 16),
+        kind=st.sampled_from(["full", "rank_deficient", "common_kernel"]),
+        q=st.floats(1.0, 40.0, exclude_min=True),
+        p=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_match_per_term_reference(self, seed, d, kind, q, p):
+        rho, sigma = self._pair(seed, d, kind)
+        b0 = float(sigma.spectrum[sigma.dim - sigma.rank])
+        # keep b0^(1-q) inside the float range; past it both sums overflow
+        assume((q - 1.0) * -math.log(b0) < 700.0)
+        for order in (q, p):
+            got = entropy._restricted_trace_sum(rho, sigma, order)
+            assert _close(got, _reference_trace_sum(rho, sigma, order))
+        got = entropy._operator_route_sum(rho, sigma, q)
+        assert _close(got, _reference_operator_sum(rho, sigma, q))
+        d1 = relative_entropy_vn(rho, sigma)
+        if d1.is_finite:
+            assert _close(d1.value, _reference_vn(rho, sigma))
+        else:
+            assert kind == "rank_deficient"
 
 
 class TestLowOrderRelative:

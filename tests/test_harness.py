@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qrelent.bounds import PairEval
 from qrelent.cli import main
 from qrelent.errors import ConfigError
 from qrelent.harness import (
@@ -75,7 +76,7 @@ class TestSweepRow:
     def test_diagonal_fixture_row(self):
         rho = density_from_matrix(np.diag([0.5, 0.5]))
         sigma = sigma_family(2, 0.25)
-        row = sweep_row(rho, sigma, q=2.0, b0=0.25, trial=0, stream_seed=1,
+        row = sweep_row(PairEval(rho, sigma), q=2.0, b0=0.25, trial=0, stream_seed=1,
                         tols=Tolerances())
         assert row["Dq"] == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert row["thm3q2_rhs"] == pytest.approx(1.0, abs=1e-12)
@@ -86,12 +87,66 @@ class TestSweepRow:
 
     def test_high_q_marks_vacuous_columns(self, rng):
         rho = sample_density(2, 2, rng)
-        row = sweep_row(rho, sigma_family(2, 0.25), q=3.0, b0=0.25, trial=0,
+        row = sweep_row(PairEval(rho, sigma_family(2, 0.25)), q=3.0, b0=0.25, trial=0,
                         stream_seed=1, tols=Tolerances())
         assert math.isnan(row["thm1_rhs1"]) and math.isnan(row["thm2_rhs"])
         assert math.isnan(row["thm3q2_rhs"])
         assert math.isfinite(row["thm3_rhs"])
         assert "thm1" in row["vacuous"] and "thm3q2" in row["vacuous"]
+
+
+class TestEvaluationCounts:
+    """Each pair computes D_q once per q, D_1 once and the distances once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import qrelent.bounds as bounds_module
+        import qrelent.harness as harness_module
+
+        counts = {}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("quantum_relative_q", "relative_entropy_vn", "schatten_norm"):
+            counting(bounds_module, name)
+        for name in ("sample_density", "sigma_family"):
+            counting(harness_module, name)
+        return counts
+
+    def test_sweep_row(self, rng, calls):
+        pair = PairEval(sample_density(4, 4, rng), sigma_family(4, 0.1))
+        sweep_row(pair, 1.5, 0.1, trial=0, stream_seed=1, tols=Tolerances())
+        assert calls == {"quantum_relative_q": 1, "relative_entropy_vn": 1, "schatten_norm": 2}
+        sweep_row(pair, 2.0, 0.1, trial=0, stream_seed=1, tols=Tolerances())
+        assert calls == {"quantum_relative_q": 2, "relative_entropy_vn": 1, "schatten_norm": 2}
+
+    def test_eval(self, tmp_path, calls):
+        rho = cmd_gen(4, 4, seed=1, out=tmp_path / "rho.json")
+        sigma = cmd_gen(4, 4, seed=2, out=tmp_path / "sigma.json")
+        calls.clear()
+        doc = cmd_eval(rho, sigma, [1.5, 2.0, 3.0])
+        assert len(doc["per_q"]) == 3
+        assert calls == {"quantum_relative_q": 3, "relative_entropy_vn": 1, "schatten_norm": 2}
+
+    def test_sweep_grid(self, tmp_path, calls):
+        config = SweepConfig(dims=(2, 3), q_grid=(1.5, 2.0, 3.0), b0_grid=(0.1, 0.2),
+                             trials=2, seed=9, output_path=str(tmp_path / "s.csv"))
+        cmd_sweep(config)
+        pairs = 2 * 2 * 2  # (d, b0, trial)
+        assert calls == {
+            "quantum_relative_q": 3 * pairs,
+            "relative_entropy_vn": pairs,
+            "schatten_norm": 2 * pairs,
+            "sample_density": 2 * 2,  # once per (d, trial)
+            "sigma_family": 2 * 2,  # once per (d, b0)
+        }
 
 
 class TestSweep:
@@ -100,6 +155,13 @@ class TestSweep:
                     trials=2, seed=9, output_path=str(tmp_path / name))
         base.update(kw)
         return SweepConfig(**base)
+
+    def test_header_is_stable(self):
+        assert CSV_COLUMNS == (
+            "d", "q", "b0", "trial", "seed", "Dq", "D1", "dist_tr", "dist_sp",
+            "thm1_rhs1", "thm1_rhs2", "thm1_rhs3", "thm2_rhs", "thm2tl_rhs",
+            "thm3_rhs", "thm3q2_rhs", "pinsker_lhs", "ratio_dq_b0", "vacuous",
+        )
 
     def test_row_count_and_header(self, tmp_path):
         out = cmd_sweep(self._config(tmp_path))
@@ -262,6 +324,14 @@ class TestCli:
 
     def test_missing_file_exit_three(self, tmp_path):
         assert main(["eval", str(tmp_path / "no.json"), str(tmp_path / "no.json")]) == 3
+
+    def test_non_finite_state_file_exit_three(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"dim": 2, "re": [[NaN, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}')
+        good = cmd_gen(2, 2, seed=7, out=tmp_path / "good.json")
+        assert main(["eval", str(bad), str(good)]) == 3
+        assert main(["eval", str(good), str(bad)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error:")
 
     def test_gen_and_eval_cli(self, tmp_path, capsys):
         out = tmp_path / "s.json"

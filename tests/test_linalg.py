@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrelent.errors import DimensionMismatch, DomainViolation, NonHermitianInput
+from qrelent.errors import DimensionMismatch, DomainViolation, NonFiniteInput, NonHermitianInput
 from qrelent.linalg import (
     HermitianOperator,
     apply_function,
@@ -66,6 +66,16 @@ class TestConstructor:
     def test_rejects_oversized(self):
         with pytest.raises(DimensionMismatch):
             HermitianOperator(np.eye(257))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        # a NaN compares false against every tolerance, so without an explicit
+        # check it would pass the asymmetry gate; inf makes the scale infinite
+        for entry in ((0, 0), (0, 1)):
+            m = np.eye(2, dtype=np.complex128) / 2.0
+            m[entry] = bad
+            with pytest.raises(NonFiniteInput):
+                HermitianOperator(m)
 
     def test_matrix_is_readonly(self, rng):
         h = HermitianOperator(random_hermitian(rng, 3))

@@ -250,6 +250,14 @@ class TestStateFiles:
         with pytest.raises(ParseError):
             read_state(path)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_parse_error_on_non_finite_entry(self, tmp_path, token):
+        path = tmp_path / "nan.json"
+        path.write_text(f'{{"dim": 2, "re": [[0.5, {token}], [{token}, 0.5]], '
+                        '"im": [[0.0, 0.0], [0.0, 0.0]]}')
+        with pytest.raises(ParseError):
+            read_state(path)
+
     def test_parse_error_on_wrong_shape(self, tmp_path):
         path = tmp_path / "short.json"
         path.write_text('{"dim": 2, "re": [[1.0]], "im": [[0.0]]}')
