@@ -78,7 +78,6 @@ from .bounds import (
 )
 from .harness import (
     SweepConfig,
-    Tolerances,
     VerifyReport,
     cmd_eval,
     cmd_gen,

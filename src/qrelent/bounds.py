@@ -33,7 +33,7 @@ from .linalg import (
     zero_threshold,
 )
 from .quadrature import QuadratureRule, frechet_integral_rhs
-from .states import DensityMatrix, SpectralSummary, kernel_included, TOL_INCL
+from .states import DensityMatrix, SpectralSummary, kernel_included
 from .entropy import (
     ExtendedReal,
     q_log,
@@ -77,13 +77,11 @@ class PairEval:
     inclusion ker(sigma) in ker(rho), D_1, and D_q for every q asked for.
     """
 
-    def __init__(self, rho: DensityMatrix, sigma: DensityMatrix,
-                 tol_incl: float = TOL_INCL) -> None:
+    def __init__(self, rho: DensityMatrix, sigma: DensityMatrix) -> None:
         if rho.dim != sigma.dim:
             raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
         self.rho = rho
         self.sigma = sigma
-        self.tol_incl = tol_incl
         self._dq: dict[float, ExtendedReal] = {}
 
     @cached_property
@@ -96,16 +94,16 @@ class PairEval:
 
     @cached_property
     def kernel_included(self) -> bool:
-        return kernel_included(self.sigma, self.rho, self.tol_incl)
+        return kernel_included(self.sigma, self.rho)
 
     @cached_property
     def d1(self) -> ExtendedReal:
-        return relative_entropy_vn(self.rho, self.sigma, self.tol_incl)
+        return relative_entropy_vn(self.rho, self.sigma)
 
     def dq(self, q: float) -> ExtendedReal:
         q = float(q)
         if q not in self._dq:
-            self._dq[q] = quantum_relative_q(self.rho, self.sigma, q, self.tol_incl)
+            self._dq[q] = quantum_relative_q(self.rho, self.sigma, q)
         return self._dq[q]
 
 
@@ -118,7 +116,7 @@ def _distances(a: np.ndarray, b: np.ndarray) -> dict[str, float]:
     }
 
 
-def _verdict(lhs: ExtendedReal, rhs: float, tol: float, vacuous: bool) -> tuple[bool, float | None]:
+def _verdict(lhs: ExtendedReal, rhs: float, vacuous: bool) -> tuple[bool, float | None]:
     if vacuous:
         return True, None
     lval = lhs.as_float()
@@ -130,24 +128,24 @@ def _verdict(lhs: ExtendedReal, rhs: float, tol: float, vacuous: bool) -> tuple[
     if math.isinf(rhs):
         return True, None
     slack = rhs - lval
-    return lval <= rhs + tol * (1.0 + rhs), slack
+    return lval <= rhs + TOL_BOUND * (1.0 + rhs), slack
 
 
-def _report(pair: PairEval, name: str, lhs: ExtendedReal, rhs: float, tol: float,
+def _report(pair: PairEval, name: str, lhs: ExtendedReal, rhs: float,
             vacuous: bool, extras: dict[str, float]) -> BoundReport:
-    holds, slack = _verdict(lhs, rhs, tol, vacuous)
+    holds, slack = _verdict(lhs, rhs, vacuous)
     return BoundReport(name, lhs, rhs, slack, holds, vacuous, pair.summary,
                        pair.distances, extras)
 
 
-def _chain_holds(*links: float, tol: float) -> bool:
+def _chain_holds(*links: float) -> bool:
     """Monotone chain check with the relative tolerance at every link."""
     for low, high in zip(links[:-1], links[1:]):
         if math.isinf(high):
             continue
         if math.isinf(low):
             return False
-        if not low <= high + tol * (1.0 + abs(high)):
+        if not low <= high + TOL_BOUND * (1.0 + abs(high)):
             return False
     return True
 
@@ -159,7 +157,7 @@ def _gate_q(q: float, q_max: float) -> float:
     return q
 
 
-def thm1_bounds(pair: PairEval, q: float, tol_bound: float = TOL_BOUND) -> list[BoundReport]:
+def thm1_bounds(pair: PairEval, q: float) -> list[BoundReport]:
     """Three linear bounds valid for strictly positive states and 1 < q <= 2.
 
     With a1 the largest eigenvalue of rho and lambda0 the smallest eigenvalue
@@ -185,17 +183,12 @@ def thm1_bounds(pair: PairEval, q: float, tol_bound: float = TOL_BOUND) -> list[
             summary.a1**q / lam0**q / (q - 1.0) * dist["trace_norm"],
         )
     return [
-        _report(pair, name, lhs, rhs, tol_bound, vacuous, {"q": q})
+        _report(pair, name, lhs, rhs, vacuous, {"q": q})
         for name, rhs in zip(("thm1_rhs1", "thm1_rhs2", "thm1_rhs3"), rhs_vals)
     ]
 
 
-def thm2_bound(
-    pair: PairEval,
-    q: float,
-    variant: str = "general",
-    tol_bound: float = TOL_BOUND,
-) -> BoundReport:
+def thm2_bound(pair: PairEval, q: float, variant: str = "general") -> BoundReport:
     """Bound in the smallest nonzero eigenvalue b0 of sigma, for 1 < q <= 2.
 
     rhs = ln_q(b1/b0)/(1 - b0/b1) * a1^(q-1)/b0^(q-1) * ||Delta||_1  + second term,
@@ -228,7 +221,7 @@ def thm2_bound(
             second = a1 ** (q - 1.0) / (2.0 * b0**q) * dist["trace_norm"] ** 2
         rhs = first + second
     name = "thm2_rhs" if variant == "general" else "thm2tl_rhs"
-    return _report(pair, name, lhs, rhs, tol_bound, vacuous, extras)
+    return _report(pair, name, lhs, rhs, vacuous, extras)
 
 
 def _ceil_snap(q: float) -> int:
@@ -239,12 +232,7 @@ def _ceil_snap(q: float) -> int:
     return int(math.ceil(q))
 
 
-def thm3_bound(
-    pair: PairEval,
-    q: float,
-    variant: str = "general",
-    tol_bound: float = TOL_BOUND,
-) -> BoundReport:
+def thm3_bound(pair: PairEval, q: float, variant: str = "general") -> BoundReport:
     """Bound with the b0^(1-q) dependence.
 
     general (any q > 1):  rhs = (ceil(q)-1)/(q-1) * (lambda1/b0)^(q-1) * ||Delta||_1
@@ -269,15 +257,10 @@ def thm3_bound(
         else:
             rhs = (summary.a1 / summary.b0) ** (q - 1.0) / (q - 1.0) * trace_norm
     name = "thm3_rhs" if variant == "general" else "thm3q2_rhs"
-    return _report(pair, name, lhs, rhs, tol_bound, vacuous, extras)
+    return _report(pair, name, lhs, rhs, vacuous, extras)
 
 
-def lower_bounds(
-    pair: PairEval,
-    q: float,
-    p: float,
-    tol_bound: float = TOL_BOUND,
-) -> list[BoundReport]:
+def lower_bounds(pair: PairEval, q: float, p: float) -> list[BoundReport]:
     """Lower-bound chains for 1 < q <= 2 and 0 <= p < 1.
 
     Chain report:    D_p <= D_1 <= D_q.
@@ -294,7 +277,7 @@ def lower_bounds(
     for name, low, extras in (("lower_chain", dp, {"q": q, "p": p, "D1": d1f}),
                               ("pinsker", pinsker_lhs, {"q": q, "D1": d1f})):
         slack = dqf - low if math.isfinite(dqf) else None
-        holds = _chain_holds(low, d1f, dqf, tol=tol_bound)
+        holds = _chain_holds(low, d1f, dqf)
         reports.append(BoundReport(name, ExtendedReal.finite(low), dqf, slack, holds,
                                    False, pair.summary, pair.distances, extras))
     return reports
@@ -306,20 +289,16 @@ class BoundSpec:
 
     ``name`` labels the bound in the sweep's ``vacuous`` column, the bound
     applies for 1 < q <= ``q_max``, and ``columns`` are the names of the
-    reports ``rhs(pair, q, variant, tol_bound)`` returns, in order.
+    reports ``evaluate(pair, q)`` returns, in order.
     """
 
     name: str
     q_max: float
-    variant: str | None
     columns: tuple[str, ...]
-    rhs: Callable[[PairEval, float, str | None, float], list[BoundReport]]
+    evaluate: Callable[[PairEval, float], list[BoundReport]]
 
     def applies(self, q: float) -> bool:
         return 1.0 < q <= self.q_max
-
-    def evaluate(self, pair: PairEval, q: float, tol_bound: float) -> list[BoundReport]:
-        return self.rhs(pair, q, self.variant, tol_bound)
 
 
 #: lower order p of the chain D_p <= D_1 <= D_q in registry reports
@@ -329,32 +308,25 @@ REGISTRY_P = 0.5
 # installed on the module attribute (a profiler, a test counter) sees the call.
 #: upper bounds on D_q, in sweep column order
 UPPER_BOUNDS = (
-    BoundSpec("thm1", 2.0, None, ("thm1_rhs1", "thm1_rhs2", "thm1_rhs3"),
-              lambda pair, q, variant, tol: thm1_bounds(pair, q, tol)),
-    BoundSpec("thm2", 2.0, "general", ("thm2_rhs",),
-              lambda pair, q, variant, tol: [thm2_bound(pair, q, variant, tol)]),
-    BoundSpec("thm2tl", 2.0, "traceless", ("thm2tl_rhs",),
-              lambda pair, q, variant, tol: [thm2_bound(pair, q, variant, tol)]),
-    BoundSpec("thm3", math.inf, "general", ("thm3_rhs",),
-              lambda pair, q, variant, tol: [thm3_bound(pair, q, variant, tol)]),
-    BoundSpec("thm3q2", 2.0, "q2", ("thm3q2_rhs",),
-              lambda pair, q, variant, tol: [thm3_bound(pair, q, variant, tol)]),
+    BoundSpec("thm1", 2.0, ("thm1_rhs1", "thm1_rhs2", "thm1_rhs3"),
+              lambda pair, q: thm1_bounds(pair, q)),
+    BoundSpec("thm2", 2.0, ("thm2_rhs",),
+              lambda pair, q: [thm2_bound(pair, q, "general")]),
+    BoundSpec("thm2tl", 2.0, ("thm2tl_rhs",),
+              lambda pair, q: [thm2_bound(pair, q, "traceless")]),
+    BoundSpec("thm3", math.inf, ("thm3_rhs",),
+              lambda pair, q: [thm3_bound(pair, q, "general")]),
+    BoundSpec("thm3q2", 2.0, ("thm3q2_rhs",),
+              lambda pair, q: [thm3_bound(pair, q, "q2")]),
 )
 #: every D_q bound: the upper bounds and the lower-bound chains
 BOUNDS = UPPER_BOUNDS + (
-    BoundSpec("lower", 2.0, None, ("lower_chain", "pinsker"),
-              lambda pair, q, variant, tol: lower_bounds(pair, q, REGISTRY_P, tol)),
+    BoundSpec("lower", 2.0, ("lower_chain", "pinsker"),
+              lambda pair, q: lower_bounds(pair, q, REGISTRY_P)),
 )
 
 
-def power_diff_bound(
-    X,
-    Y,
-    n: int,
-    p: float,
-    mode: str = "spectral",
-    tol_bound: float = TOL_BOUND,
-) -> BoundReport:
+def power_diff_bound(X, Y, n: int, p: float, mode: str = "spectral") -> BoundReport:
     """||X^n - Y^n||_p <= n * c^(n-1) * ||X - Y||_p.
 
     mode="spectral" uses c = max(||X||_inf, ||Y||_inf); mode="submultiplicative"
@@ -376,7 +348,7 @@ def power_diff_bound(
         base = max(schatten_norm(X, p), schatten_norm(Y, p))
     rhs = n * base ** (n - 1) * dist_p
     lhs = ExtendedReal.finite(lhs_val)
-    holds, slack = _verdict(lhs, rhs, tol_bound, False)
+    holds, slack = _verdict(lhs, rhs, False)
     dist = _distances(X.matrix, Y.matrix)
     return BoundReport(
         "power_diff", lhs, rhs, slack, holds, False, None, dist,
@@ -384,12 +356,7 @@ def power_diff_bound(
     )
 
 
-def lemma3_bound(
-    A,
-    B,
-    s: float,
-    tol_bound: float = TOL_BOUND,
-) -> BoundReport:
+def lemma3_bound(A, B, s: float) -> BoundReport:
     """|tr(B^(1-s) A^s) - tau| <= (a1/b0)^s * ||A - B||_1 for trace-matched
     A >= 0 and B > 0 with common trace tau, and 0 < s < 1."""
     A = as_herm(A)
@@ -411,26 +378,20 @@ def lemma3_bound(
     dist = _distances(A.matrix, B.matrix)
     rhs = (a1 / b0) ** s * dist["trace_norm"]
     lhs = ExtendedReal.finite(lhs_val)
-    holds, slack = _verdict(lhs, rhs, tol_bound, False)
+    holds, slack = _verdict(lhs, rhs, False)
     return BoundReport(
         "lemma3", lhs, rhs, slack, holds, False, None, dist,
         {"s": s, "tau": tau_a, "a1": a1, "b0": b0},
     )
 
 
-def frechet_check(
-    A,
-    B,
-    r: float,
-    rule: QuadratureRule | None = None,
-    tol_psd: float = PSD_TOL,
-) -> BoundReport:
+def frechet_check(A, B, r: float, rule: QuadratureRule | None = None) -> BoundReport:
     """Operator-order check A^(-r) - B^(-r) <= directional-derivative integral.
 
     The left side is evaluated by spectral calculus, the right side by
     resolvent quadrature in the direction B - A; the report's rhs is the
     minimum eigenvalue of (right - left), which must not drop below
-    -(tol_psd + quadrature allowance).
+    -(PSD_TOL + quadrature allowance).
     """
     A = as_herm(A)
     B = as_herm(B)
@@ -445,7 +406,7 @@ def frechet_check(
     lhs_op = herm_power(A, -r) - herm_power(B, -r)
     rhs_op = frechet_integral_rhs(A, B - A, r, rule)
     gap = psd_gap(lhs_op, rhs_op)
-    allowance = tol_psd + FRECHET_QUAD_ALLOWANCE
+    allowance = PSD_TOL + FRECHET_QUAD_ALLOWANCE
     holds = gap >= -allowance
     dist = _distances(A.matrix, B.matrix)
     return BoundReport(

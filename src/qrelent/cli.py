@@ -1,8 +1,15 @@
 """Command-line front end.
 
-Subcommands: verify, sweep, eval, gen.  Flags override config-file values.
-Exit codes: 0 pass, 1 property failure (counterexample written), 2 usage or
-configuration error, 3 I/O error.
+Subcommands: verify, sweep, eval, gen; each accepts only the flags it uses.
+Flags override config-file values.
+
+Exit codes:
+  0  pass
+  1  property failure (counterexample written)
+  2  usage or configuration error, or an argument outside a function's domain
+  3  I/O error
+  4  internal error: two evaluation routes disagreed, a value overflowed, or
+     an eigendecomposition failed its contract
 """
 
 from __future__ import annotations
@@ -13,21 +20,28 @@ import json
 import sys
 
 from .errors import (
+    BadFactorization,
+    BadSpectrum,
     ConfigError,
+    ConvergenceFailure,
     DimensionMismatch,
+    DomainViolation,
+    InternalInconsistency,
     NonHermitianInput,
     NotNormalized,
     NotPSD,
     ParseError,
+    PreconditionFailed,
+    QOutOfRange,
 )
-from .harness import (
-    SweepConfig,
-    Tolerances,
-    cmd_eval,
-    cmd_gen,
-    cmd_sweep,
-    cmd_verify,
-)
+from .harness import SweepConfig, cmd_eval, cmd_gen, cmd_sweep, cmd_verify
+
+#: errors in what the caller asked for: exit code 2
+USAGE_ERRORS = (ConfigError, NotPSD, NotNormalized, NonHermitianInput, DimensionMismatch,
+                QOutOfRange, DomainViolation, PreconditionFailed, BadSpectrum,
+                BadFactorization)
+#: failures of the program's own numerics: exit code 4
+INTERNAL_ERRORS = (InternalInconsistency, ConvergenceFailure)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -38,22 +52,17 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of the config-driven commands, verify and sweep."""
     parser.add_argument("--seed", type=int, default=None, help="root RNG seed")
     parser.add_argument("--config", default=None, help="JSON config file (SweepConfig fields)")
     parser.add_argument("--out", default=None, help="output artifact path")
-    parser.add_argument("--quad-nodes", type=int, default=None,
-                        help="Gauss nodes per quadrature panel")
-    parser.add_argument("--tol-bound", type=float, default=None,
-                        help="relative slack for bound verdicts")
     parser.add_argument("--trials", type=int, default=None, help="trials per suite/grid point")
     parser.add_argument("--dims", type=_int_list, default=None, help="comma list of dimensions")
-    parser.add_argument("--q", type=_float_list, default=None, help="comma list of q values")
-    parser.add_argument("--b0", type=_float_list, default=None,
-                        help="comma list of smallest-eigenvalue values")
 
 
-def _build_config(args: argparse.Namespace) -> SweepConfig:
+def _build_config(args: argparse.Namespace, **grids) -> SweepConfig:
+    """The config file's values, overridden by every flag that was given."""
     doc: dict = {}
     if args.config:
         try:
@@ -64,27 +73,9 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
     config = SweepConfig.from_dict(doc)
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.dims is not None:
-        overrides["dims"] = args.dims
-    if args.q is not None:
-        overrides["q_grid"] = args.q
-    if args.b0 is not None:
-        overrides["b0_grid"] = args.b0
-    if args.out is not None:
-        overrides["output_path"] = args.out
-    tol_overrides: dict = {}
-    if args.quad_nodes is not None:
-        tol_overrides["quad_nodes"] = args.quad_nodes
-    if args.tol_bound is not None:
-        tol_overrides["tol_bound"] = args.tol_bound
-    if tol_overrides:
-        overrides["tolerances"] = dataclasses.replace(config.tolerances, **tol_overrides)
-    return dataclasses.replace(config, **overrides) if overrides else config
+    flags = dict(seed=args.seed, trials=args.trials, dims=args.dims, output_path=args.out,
+                 **grids)
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _run_verify(args: argparse.Namespace) -> int:
@@ -101,27 +92,19 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    out = cmd_sweep(_build_config(args))
+    out = cmd_sweep(_build_config(args, q_grid=args.q, b0_grid=args.b0))
     print(f"wrote {out}")
     return 0
 
 
 def _run_eval(args: argparse.Namespace) -> int:
-    tols = Tolerances()
-    if args.quad_nodes is not None:
-        tols = dataclasses.replace(tols, quad_nodes=args.quad_nodes)
-    if args.tol_bound is not None:
-        tols = dataclasses.replace(tols, tol_bound=args.tol_bound)
-    report = cmd_eval(args.rho, args.sigma, args.q or (2.0,), tols)
+    report = cmd_eval(args.rho, args.sigma, args.q or (2.0,))
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 
 
 def _run_gen(args: argparse.Namespace) -> int:
-    if args.out is None:
-        raise ConfigError("gen requires --out")
-    seed = 0 if args.seed is None else args.seed
-    out = cmd_gen(args.d, args.rank, seed, args.out)
+    out = cmd_gen(args.d, args.rank, args.seed, args.out)
     print(f"wrote {out}")
     return 0
 
@@ -134,23 +117,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run every randomized property suite")
-    _add_common(p_verify)
+    _add_run_flags(p_verify)
     p_verify.set_defaults(func=_run_verify)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep writing one CSV row per instance")
-    _add_common(p_sweep)
+    _add_run_flags(p_sweep)
+    p_sweep.add_argument("--q", type=_float_list, default=None, help="comma list of q values")
+    p_sweep.add_argument("--b0", type=_float_list, default=None,
+                         help="comma list of smallest-eigenvalue values")
     p_sweep.set_defaults(func=_run_sweep)
 
     p_eval = sub.add_parser("eval", help="evaluate one state pair from files")
     p_eval.add_argument("rho", help="state file for the first argument")
     p_eval.add_argument("sigma", help="state file for the second argument")
-    _add_common(p_eval)
+    p_eval.add_argument("--q", type=_float_list, default=None,
+                        help="comma list of q values (default 2)")
     p_eval.set_defaults(func=_run_eval)
 
     p_gen = sub.add_parser("gen", help="sample a random state and write it to a file")
     p_gen.add_argument("--d", type=int, required=True, help="dimension")
     p_gen.add_argument("--rank", type=int, required=True, help="rank of the sampled state")
-    _add_common(p_gen)
+    p_gen.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p_gen.add_argument("--out", required=True, help="output state file")
     p_gen.set_defaults(func=_run_gen)
     return parser
 
@@ -160,12 +148,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NotPSD, NotNormalized, NonHermitianInput, DimensionMismatch) as exc:
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ParseError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except INTERNAL_ERRORS as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

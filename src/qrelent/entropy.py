@@ -30,7 +30,7 @@ from .errors import (
     InternalInconsistency,
     QOutOfRange,
 )
-from .states import DensityMatrix, kernel_included, TOL_INCL
+from .states import DensityMatrix, kernel_included
 
 #: largest accepted entropy order; beyond this a^q underflows for typical spectra
 Q_MAX = 40.0
@@ -197,16 +197,11 @@ def _operator_route_sum(rho: DensityMatrix, sigma: DensityMatrix, q: float) -> f
     return math.fsum(terms.flat)
 
 
-def quantum_relative_q(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    q: float,
-    tol_incl: float = TOL_INCL,
-) -> ExtendedReal:
+def quantum_relative_q(rho: DensityMatrix, sigma: DensityMatrix, q: float) -> ExtendedReal:
     """Quantum relative q-entropy for q in (1, Q_MAX].
 
     Returns +inf unless rho is supported inside the support of sigma (weight
-    on the kernel at most ``tol_incl``).  The finite branch is the restricted
+    on the kernel at most ``TOL_INCL``).  The finite branch is the restricted
     double sum; it must agree with the operator route within 1e-9 relative
     or an InternalInconsistency aborts.
     """
@@ -215,7 +210,7 @@ def quantum_relative_q(
     q = float(q)
     if not (1.0 < q <= Q_MAX):
         raise QOutOfRange(f"requires 1 < q <= {Q_MAX}, got {q}")
-    if not kernel_included(sigma, rho, tol_incl):
+    if not kernel_included(sigma, rho):
         return POSITIVE_INFINITY
     s = _restricted_trace_sum(rho, sigma, q)
     value = (1.0 - s) / (1.0 - q)
@@ -248,9 +243,7 @@ def quantum_relative_q_low(rho: DensityMatrix, sigma: DensityMatrix, p: float) -
     return value
 
 
-def relative_entropy_vn(
-    rho: DensityMatrix, sigma: DensityMatrix, tol_incl: float = TOL_INCL
-) -> ExtendedReal:
+def relative_entropy_vn(rho: DensityMatrix, sigma: DensityMatrix) -> ExtendedReal:
     """Standard quantum relative entropy tr(rho ln rho - rho ln sigma).
 
     Computed as the restricted double sum sum_{a>0,b>0} |<a|b>|^2 a (ln a - ln b);
@@ -258,7 +251,7 @@ def relative_entropy_vn(
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    if not kernel_included(sigma, rho, tol_incl):
+    if not kernel_included(sigma, rho):
         return POSITIVE_INFINITY
     overlaps, a, b = _restricted_overlap(rho, sigma)
     # math.log per eigenvalue for the same reason as _power

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +38,9 @@ from .entropy import (
     relative_entropy_vn,
 )
 from .errors import ConfigError
-from .linalg import HermitianOperator, apply_function, schatten_norm
+from .linalg import PSD_TOL, HermitianOperator, apply_function, schatten_norm
 from .states import (
     DensityMatrix,
-    TOL_INCL,
     density_with_spectrum,
     haar_unitary,
     kernel_included,
@@ -58,50 +57,19 @@ _MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    tol_incl: float = TOL_INCL
-    tol_bound: float = TOL_BOUND
-    tol_psd: float = 1e-8
-    quad_nodes: int = 64
-
-    def validate(self) -> None:
-        for name in ("tol_incl", "tol_bound", "tol_psd"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.quad_nodes < 4:
-            raise ConfigError(f"quad_nodes must be at least 4, got {self.quad_nodes}")
-
-
-@dataclass(frozen=True)
 class SweepConfig:
     dims: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
     q_grid: tuple[float, ...] = (1.5, 2.0)
     b0_grid: tuple[float, ...] = (0.1, 0.01)
     trials: int = 1000
     seed: int = 1
-    tolerances: Tolerances = field(default_factory=Tolerances)
     output_path: str | None = None
 
-    def validate(self, require_grids: bool = False) -> None:
+    def validate(self) -> None:
         if not self.dims or any(not 1 <= d <= 256 for d in self.dims):
             raise ConfigError(f"dims must be nonempty integers in [1, 256], got {self.dims!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
-        if any(q <= 1.0 for q in self.q_grid):
-            raise ConfigError(f"all q values must exceed 1, got {self.q_grid!r}")
-        d_max = max(self.dims)
-        if any(not 0.0 < b <= 1.0 / d_max for b in self.b0_grid):
-            raise ConfigError(
-                f"all b0 values must lie in (0, 1/{d_max}], got {self.b0_grid!r}"
-            )
-        self.tolerances.validate()
-        if require_grids:
-            if not self.q_grid:
-                raise ConfigError("q_grid must be nonempty")
-            if not self.b0_grid:
-                raise ConfigError("b0_grid must be nonempty")
-            if self.output_path is None:
-                raise ConfigError("output_path is required")
 
     def echo_dict(self) -> dict:
         """Configuration echo for artifact headers; excludes the output path so
@@ -112,12 +80,11 @@ class SweepConfig:
             "b0_grid": list(self.b0_grid),
             "trials": self.trials,
             "seed": self.seed,
-            "tolerances": asdict(self.tolerances),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
-        known = {"dims", "q_grid", "b0_grid", "trials", "seed", "tolerances", "output_path"}
+        known = {"dims", "q_grid", "b0_grid", "trials", "seed", "output_path"}
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -128,8 +95,6 @@ class SweepConfig:
             kwargs["q_grid"] = tuple(float(q) for q in kwargs["q_grid"])
         if "b0_grid" in kwargs:
             kwargs["b0_grid"] = tuple(float(b) for b in kwargs["b0_grid"])
-        if "tolerances" in kwargs and not isinstance(kwargs["tolerances"], Tolerances):
-            kwargs["tolerances"] = Tolerances(**kwargs["tolerances"])
         return cls(**kwargs)
 
 
@@ -309,14 +274,12 @@ def _suite_linalg_norms(run: _SuiteRun, config: SweepConfig, count: int) -> None
 
 
 def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    nodes = config.tolerances.quad_nodes
     r_values = (0.1, 0.5, 0.9)
     # deterministic scalar fixtures
     run.instances += 1
     for a, r, expect in ((4.0, 0.5, 2.0), (8.0, 1.0 / 3.0, 2.0), (1.0, 0.7, 1.0)):
-        rule = quadrature.QuadratureRule(r=r, nodes_per_panel=nodes)
         for form in ("first", "second"):
-            got = quadrature.frac_power_scalar(a, r, rule, form=form)
+            got = quadrature.frac_power_scalar(a, r, form=form)
             run.check(1e-10 - abs(got - expect) / expect,
                       context={"check": "scalar_fixture", "a": a, "r": r, "form": form})
     for i, rng, d in _instances(config, count, salt=2):
@@ -324,14 +287,13 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         norm_inf = schatten_norm(a_op, math.inf)
         run.instances += 1
         for r in r_values:
-            rule = quadrature.QuadratureRule(r=r, nodes_per_panel=nodes)
             spectral = apply_function(a_op, lambda lam: lam**r)
-            first = quadrature.frac_power_operator(a_op, r, rule, form="first")
+            first = quadrature.frac_power_operator(a_op, r, form="first")
             budget = 1e-8 * norm_inf**r
             err = float(np.max(np.abs(first.matrix - spectral.matrix)))
             run.check(budget - err, context={"check": "oracle_first", "r": r, "trial": i})
             if i % 4 == 0:
-                second = quadrature.frac_power_operator(a_op, r, rule, form="second")
+                second = quadrature.frac_power_operator(a_op, r, form="second")
                 err2 = float(np.max(np.abs(second.matrix - first.matrix)))
                 run.check(1e-8 * max(1.0, norm_inf**r) - err2,
                           context={"check": "forms_agree", "r": r, "trial": i})
@@ -343,9 +305,7 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         b0 = a0 * float(rng.uniform(0.25, 0.8))
         for r in r_values:
             closed = quadrature.resolvent_pair_closed_form(a0, b0, r)
-            got = quadrature.resolvent_pair_integral(
-                a0, b0, r, quadrature.QuadratureRule(r=r, nodes_per_panel=nodes)
-            )
+            got = quadrature.resolvent_pair_integral(a0, b0, r)
             run.check(1e-10 - abs(got - closed),
                       context={"check": "pair_identity", "r": r, "trial": i})
             lam0 = min(a0, b0)
@@ -353,10 +313,7 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             run.check(envelope + 1e-12 * envelope - closed,
                       context={"check": "pair_envelope", "r": r, "trial": i})
         limit_base = float(rng.uniform(0.1, 1.0))
-        got = quadrature.resolvent_pair_integral(
-            limit_base, limit_base, 0.5,
-            quadrature.QuadratureRule(r=0.5, nodes_per_panel=nodes),
-        )
+        got = quadrature.resolvent_pair_integral(limit_base, limit_base, 0.5)
         run.check(1e-10 - abs(got - 0.5 * limit_base**-1.5),
                   context={"check": "pair_limit", "trial": i})
 
@@ -372,7 +329,7 @@ def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         run.check_bool(rho.rank == rank, states=(rho, rho),
                        context={"check": "rank", "trial": i, "expected": rank})
         proj = rho.support_projector.matrix
-        run.check(config.tolerances.tol_psd - float(np.max(np.abs(proj @ proj - proj))),
+        run.check(PSD_TOL - float(np.max(np.abs(proj @ proj - proj))),
                   context={"check": "projector_idempotent", "trial": i})
         run.check(1e-10 - abs(float(np.trace(proj).real) - rho.rank),
                   context={"check": "projector_trace", "trial": i})
@@ -399,11 +356,10 @@ def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    tols = config.tolerances
     for i, rng, d in _instances(config, count, salt=4):
         rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 3 == 2))
         q = _sample_q(rng, exact_every=10, i=i)
-        value = quantum_relative_q(rho, sigma, q, tols.tol_incl).as_float()
+        value = quantum_relative_q(rho, sigma, q).as_float()
         run.instances += 1
         run.check(value + 1e-10, states=(rho, sigma),
                   context={"check": "positivity", "q": q, "trial": i})
@@ -412,7 +368,7 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             run.check_bool(value > 1e-10, states=(rho, sigma),
                            context={"check": "zero_only_at_equality", "q": q, "trial": i})
         if i % 25 == 0:
-            self_val = quantum_relative_q(rho, rho, q, tols.tol_incl).as_float()
+            self_val = quantum_relative_q(rho, rho, q).as_float()
             run.check(1e-10 - abs(self_val), context={"check": "self_zero", "q": q})
 
     dims = [d for d in config.dims if 2 <= d <= 8] or [2]
@@ -505,8 +461,8 @@ def _suite_thm1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     for i, rng, d in _instances(config, count, salt=7):
         rho, sigma = sample_density(d, d, rng), sample_density(d, d, rng)
         q = _sample_q(rng, exact_every=10, i=i)
-        pair = PairEval(rho, sigma, config.tolerances.tol_incl)
-        reports = thm1_bounds(pair, q, config.tolerances.tol_bound)
+        pair = PairEval(rho, sigma)
+        reports = thm1_bounds(pair, q)
         run.instances += 1
         for rep in reports:
             run.check(_bound_margin(rep), states=(rho, sigma),
@@ -521,9 +477,9 @@ def _suite_thm2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 2 == 1))
         q = _sample_q(rng, exact_every=10, i=i)
         run.instances += 1
-        pair = PairEval(rho, sigma, config.tolerances.tol_incl)
+        pair = PairEval(rho, sigma)
         for variant in ("general", "traceless"):
-            rep = thm2_bound(pair, q, variant, config.tolerances.tol_bound)
+            rep = thm2_bound(pair, q, variant)
             run.check(_bound_margin(rep), states=(rho, sigma),
                       context={"check": rep.name, "q": q, "trial": i})
 
@@ -538,12 +494,12 @@ def _suite_thm3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         else:
             q = _sample_q(rng, exact_every=0, i=i, lo=2.0, hi=6.0)
         run.instances += 1
-        pair = PairEval(rho, sigma, config.tolerances.tol_incl)
-        rep = thm3_bound(pair, q, "general", config.tolerances.tol_bound)
+        pair = PairEval(rho, sigma)
+        rep = thm3_bound(pair, q, "general")
         run.check(_bound_margin(rep), states=(rho, sigma),
                   context={"check": rep.name, "q": q, "trial": i})
         q2 = _sample_q(rng, exact_every=10, i=i)
-        rep2 = thm3_bound(pair, q2, "q2", config.tolerances.tol_bound)
+        rep2 = thm3_bound(pair, q2, "q2")
         run.check(_bound_margin(rep2), states=(rho, sigma),
                   context={"check": rep2.name, "q": q2, "trial": i})
 
@@ -554,8 +510,8 @@ def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         q = _sample_q(rng, exact_every=10, i=i)
         p = 0.0 if i % 10 == 5 else float(rng.uniform(0.0, 1.0))
         run.instances += 1
-        pair = PairEval(rho, sigma, config.tolerances.tol_incl)
-        for rep in lower_bounds(pair, q, p, config.tolerances.tol_bound):
+        pair = PairEval(rho, sigma)
+        for rep in lower_bounds(pair, q, p):
             run.check_bool(rep.holds, states=(rho, sigma),
                            context={"check": rep.name, "q": q, "p": p, "trial": i})
             if rep.slack is not None and math.isfinite(rep.slack):
@@ -564,14 +520,12 @@ def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    nodes = config.tolerances.quad_nodes
     for i, rng, d in _instances(config, count, salt=11):
         a_op = _rand_pd(rng, d)
         b_op = _rand_pd(rng, d)
         run.instances += 1
         for r in (0.1, 0.5, 0.9):
-            rule = quadrature.QuadratureRule(r=r, nodes_per_panel=nodes)
-            rep = frechet_check(a_op, b_op, r, rule, config.tolerances.tol_psd)
+            rep = frechet_check(a_op, b_op, r)
             run.check(rep.rhs + 1e-7, context={"check": "psd_gap", "r": r, "trial": i})
 
 
@@ -607,20 +561,19 @@ ENVELOPE_B0 = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 ENVELOPE_Q = (1.5, 2.0, 3.0)
 
 
-def divergence_envelope(seed: int, d: int = 4, tolerances: Tolerances | None = None) -> list[dict]:
+def divergence_envelope(seed: int, d: int = 4) -> list[dict]:
     """Divergence-rate probe on the sigma_family grid with one fixed random rho.
 
     Each record carries D_q, the general b0^(1-q) bound, and the rescaled
     ratio D_q * b0^(q-1) next to its b0-free envelope constant.
     """
-    tols = tolerances or Tolerances()
     rng = trial_stream(seed, 0, salt=14)
     rho = sample_density(d, d, rng)
     records = []
     for q in ENVELOPE_Q:
         for b0 in ENVELOPE_B0:
-            pair = PairEval(rho, sigma_family(d, b0), tols.tol_incl)
-            rep = thm3_bound(pair, q, "general", tols.tol_bound)
+            pair = PairEval(rho, sigma_family(d, b0))
+            rep = thm3_bound(pair, q, "general")
             dq = rep.lhs.as_float()
             ratio = dq * b0 ** (q - 1.0)
             constant = rep.extras["ceiling_factor"] * rep.constants.lambda1 ** (
@@ -643,19 +596,17 @@ def divergence_envelope(seed: int, d: int = 4, tolerances: Tolerances | None = N
 CROSSOVER_B0 = (1e-3, 1e-4, 1e-5, 1e-6)
 
 
-def tightness_crossover(seed: int, trials: int, d: int = 4,
-                        tolerances: Tolerances | None = None) -> list[dict]:
+def tightness_crossover(seed: int, trials: int, d: int = 4) -> list[dict]:
     """Compare the quadratic-in-b0 bound against the b0^(1-q) one at q = 2 for
     small b0, where the latter must win in every trial."""
-    tols = tolerances or Tolerances()
     records = []
     for trial in range(trials):
         rng = trial_stream(seed, trial, salt=15)
         rho = sample_density(d, d, rng)
         for b0 in CROSSOVER_B0:
-            pair = PairEval(rho, sigma_family(d, b0), tols.tol_incl)
-            rep2 = thm2_bound(pair, 2.0, "general", tols.tol_bound)
-            rep3 = thm3_bound(pair, 2.0, "q2", tols.tol_bound)
+            pair = PairEval(rho, sigma_family(d, b0))
+            rep2 = thm2_bound(pair, 2.0, "general")
+            rep3 = thm3_bound(pair, 2.0, "q2")
             records.append(
                 {
                     "trial": trial,
@@ -670,17 +621,16 @@ def tightness_crossover(seed: int, trials: int, d: int = 4,
 
 def _suite_envelope(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     del count
-    for rec in divergence_envelope(config.seed, d=4, tolerances=config.tolerances):
+    for rec in divergence_envelope(config.seed, d=4):
         run.instances += 1
         run.check_bool(rec["holds"], context={"check": "dq_le_thm3", **{k: rec[k] for k in ("q", "b0")}})
-        tol = config.tolerances.tol_bound
-        run.check(rec["envelope_constant"] * (1.0 + tol) + tol - rec["ratio"],
+        run.check(rec["envelope_constant"] * (1.0 + TOL_BOUND) + TOL_BOUND - rec["ratio"],
                   context={"check": "ratio_bounded", "q": rec["q"], "b0": rec["b0"]})
 
 
 def _suite_crossover(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     trials = max(5, count // 40)
-    for rec in tightness_crossover(config.seed, trials, d=4, tolerances=config.tolerances):
+    for rec in tightness_crossover(config.seed, trials, d=4):
         run.instances += 1
         run.check(rec["thm2_rhs"] - rec["thm3q2_rhs"],
                   context={"check": "crossover", "trial": rec["trial"], "b0": rec["b0"]})
@@ -714,7 +664,7 @@ def cmd_verify(config: SweepConfig) -> VerifyReport:
     """Run every property suite; counterexamples are serialized next to the
     report when an output path is configured."""
     config.validate()
-    quadrature.self_test(config.tolerances.quad_nodes)
+    quadrature.self_test()
     out_dir = Path(config.output_path).parent if config.output_path else None
     results = []
     for name, builder, count_fn in _SUITES:
@@ -751,8 +701,7 @@ def _csv_num(x: float) -> str:
     return format(x, ".17g")
 
 
-def sweep_row(pair: PairEval, q: float, b0: float, trial: int, stream_seed: int,
-              tols: Tolerances) -> dict:
+def sweep_row(pair: PairEval, q: float, b0: float, trial: int, stream_seed: int) -> dict:
     """One record of the sweep CSV for a given state pair; an upper bound whose
     q gate or hypotheses fail is ``nan`` in its columns and named in ``vacuous``."""
     dq = pair.dq(q).as_float()
@@ -771,7 +720,7 @@ def sweep_row(pair: PairEval, q: float, b0: float, trial: int, stream_seed: int,
     }
     vacuous: list[str] = []
     for spec in UPPER_BOUNDS:
-        reports = spec.evaluate(pair, q, tols.tol_bound) if spec.applies(q) else None
+        reports = spec.evaluate(pair, q) if spec.applies(q) else None
         if reports is None or reports[0].vacuous:
             vacuous.append(spec.name)
             row.update(dict.fromkeys(spec.columns, math.nan))
@@ -797,9 +746,17 @@ def cmd_sweep(config: SweepConfig) -> Path:
     pair evaluated once for all q, and the rows are written in (d, q, b0,
     trial) order.
     """
-    config.validate(require_grids=True)
-    quadrature.self_test(config.tolerances.quad_nodes)
-    tols = config.tolerances
+    config.validate()
+    if not config.q_grid or any(q <= 1.0 for q in config.q_grid):
+        raise ConfigError(f"q_grid must be nonempty with every q above 1, got {config.q_grid!r}")
+    d_max = max(config.dims)
+    if not config.b0_grid or any(not 0.0 < b <= 1.0 / d_max for b in config.b0_grid):
+        raise ConfigError(
+            f"b0_grid must be nonempty with every b0 in (0, 1/{d_max}], got {config.b0_grid!r}"
+        )
+    if config.output_path is None:
+        raise ConfigError("output_path is required")
+    quadrature.self_test()
     out = Path(config.output_path)
     lines = [
         "# config: " + json.dumps(config.echo_dict(), sort_keys=True),
@@ -813,10 +770,9 @@ def cmd_sweep(config: SweepConfig) -> Path:
             stream_seed = (config.seed ^ trial) & _MASK64
             rho = sample_density(d, d, trial_stream(config.seed, trial))
             for bi, (b0, sigma) in enumerate(zip(config.b0_grid, sigmas)):
-                pair = PairEval(rho, sigma, tols.tol_incl)
+                pair = PairEval(rho, sigma)
                 for qi, q in enumerate(config.q_grid):
-                    rows[qi, bi, trial] = _csv_line(
-                        sweep_row(pair, q, b0, trial, stream_seed, tols))
+                    rows[qi, bi, trial] = _csv_line(sweep_row(pair, q, b0, trial, stream_seed))
         lines.extend(rows[key] for key in sorted(rows))
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_suffix(out.suffix + ".tmp")
@@ -836,13 +792,11 @@ def _report_to_json(rep: BoundReport) -> dict:
     }
 
 
-def cmd_eval(rho_path, sigma_path, q_list, tolerances: Tolerances | None = None) -> dict:
+def cmd_eval(rho_path, sigma_path, q_list) -> dict:
     """Evaluate D_q, the q -> 1 anchor, and every applicable bound for a state
     pair loaded from JSON files; returns a JSON-serializable report."""
-    tols = tolerances or Tolerances()
-    tols.validate()
-    quadrature.self_test(tols.quad_nodes)
-    pair = PairEval(read_state(rho_path), read_state(sigma_path), tols.tol_incl)
+    quadrature.self_test()
+    pair = PairEval(read_state(rho_path), read_state(sigma_path))
     per_q = []
     for q in q_list:
         q = float(q)
@@ -851,7 +805,7 @@ def cmd_eval(rho_path, sigma_path, q_list, tolerances: Tolerances | None = None)
             rep.name: _report_to_json(rep)
             for spec in BOUNDS
             if spec.applies(q)
-            for rep in spec.evaluate(pair, q, tols.tol_bound)
+            for rep in spec.evaluate(pair, q)
         }
         per_q.append({"q": q, "Dq": extended_to_json(dq), "reports": reports})
     return {

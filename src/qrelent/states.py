@@ -215,8 +215,8 @@ def sample_common_support_pair(
     return embed(rho_k), embed(sigma_k)
 
 
-def kernel_included(sigma: DensityMatrix, rho: DensityMatrix, tol: float = TOL_INCL) -> bool:
-    """True iff rho puts weight at most ``tol`` on the kernel of sigma,
+def kernel_included(sigma: DensityMatrix, rho: DensityMatrix) -> bool:
+    """True iff rho puts weight at most ``TOL_INCL`` on the kernel of sigma,
     i.e. ker(sigma) is contained in ker(rho) up to tolerance."""
     if sigma.dim != rho.dim:
         raise DimensionMismatch(f"dimension mismatch: {sigma.dim} vs {rho.dim}")
@@ -227,7 +227,7 @@ def kernel_included(sigma: DensityMatrix, rho: DensityMatrix, tol: float = TOL_I
     weight = float(
         np.einsum("ij,jk,ki->", kernel_basis.conj().T, rho.matrix, kernel_basis).real
     )
-    return weight <= tol
+    return weight <= TOL_INCL
 
 
 def tensor(rho1: DensityMatrix, rho2: DensityMatrix) -> DensityMatrix:

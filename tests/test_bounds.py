@@ -54,12 +54,12 @@ class TestRegistry:
         ctx = PairEval(*pair)
         for spec in BOUNDS:
             if spec.applies(q):
-                reports = spec.evaluate(ctx, q, 1e-9)
+                reports = spec.evaluate(ctx, q)
                 assert tuple(rep.name for rep in reports) == spec.columns
                 assert all(rep.holds for rep in reports)
             else:
                 with pytest.raises(PreconditionFailed):
-                    spec.evaluate(ctx, q, 1e-9)
+                    spec.evaluate(ctx, q)
 
 
 class TestThm1:

@@ -10,7 +10,6 @@ from qrelent.errors import ConfigError
 from qrelent.harness import (
     CSV_COLUMNS,
     SweepConfig,
-    Tolerances,
     cmd_eval,
     cmd_gen,
     cmd_sweep,
@@ -29,33 +28,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SweepConfig(trials=0).validate()
 
-    def test_negative_tolerance(self):
+    def test_q_at_most_one(self, tmp_path):
         with pytest.raises(ConfigError):
-            SweepConfig(tolerances=Tolerances(tol_bound=-1.0)).validate()
+            cmd_sweep(SweepConfig(q_grid=(1.0,), output_path=str(tmp_path / "x.csv")))
 
-    def test_q_at_most_one(self):
+    def test_b0_beyond_inverse_dimension(self, tmp_path):
         with pytest.raises(ConfigError):
-            SweepConfig(q_grid=(1.0,)).validate()
+            cmd_sweep(SweepConfig(dims=(4,), b0_grid=(0.3,), output_path=str(tmp_path / "x.csv")))
 
-    def test_b0_beyond_inverse_dimension(self):
+    def test_empty_b0_grid_for_sweep(self, tmp_path):
         with pytest.raises(ConfigError):
-            SweepConfig(dims=(4,), b0_grid=(0.3,)).validate()
-
-    def test_empty_b0_grid_for_sweep(self):
-        with pytest.raises(ConfigError):
-            SweepConfig(b0_grid=(), output_path="x.csv").validate(require_grids=True)
+            cmd_sweep(SweepConfig(b0_grid=(), output_path=str(tmp_path / "x.csv")))
 
     def test_sweep_requires_output(self):
         with pytest.raises(ConfigError):
-            SweepConfig().validate(require_grids=True)
+            cmd_sweep(SweepConfig())
 
     def test_unknown_config_key(self):
-        with pytest.raises(ConfigError):
-            SweepConfig.from_dict({"bogus": 1})
-
-    def test_starved_quad_nodes(self):
-        with pytest.raises(ConfigError):
-            SweepConfig(tolerances=Tolerances(quad_nodes=2)).validate()
+        for doc in ({"bogus": 1}, {"tolerances": {"tol_bound": 1e-3}}):
+            with pytest.raises(ConfigError):
+                SweepConfig.from_dict(doc)
 
 
 class TestSigmaFamily:
@@ -76,8 +68,7 @@ class TestSweepRow:
     def test_diagonal_fixture_row(self):
         rho = density_from_matrix(np.diag([0.5, 0.5]))
         sigma = sigma_family(2, 0.25)
-        row = sweep_row(PairEval(rho, sigma), q=2.0, b0=0.25, trial=0, stream_seed=1,
-                        tols=Tolerances())
+        row = sweep_row(PairEval(rho, sigma), q=2.0, b0=0.25, trial=0, stream_seed=1)
         assert row["Dq"] == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert row["thm3q2_rhs"] == pytest.approx(1.0, abs=1e-12)
         assert row["thm1_rhs1"] == pytest.approx(2.0, abs=1e-12)
@@ -88,7 +79,7 @@ class TestSweepRow:
     def test_high_q_marks_vacuous_columns(self, rng):
         rho = sample_density(2, 2, rng)
         row = sweep_row(PairEval(rho, sigma_family(2, 0.25)), q=3.0, b0=0.25, trial=0,
-                        stream_seed=1, tols=Tolerances())
+                        stream_seed=1)
         assert math.isnan(row["thm1_rhs1"]) and math.isnan(row["thm2_rhs"])
         assert math.isnan(row["thm3q2_rhs"])
         assert math.isfinite(row["thm3_rhs"])
@@ -122,9 +113,9 @@ class TestEvaluationCounts:
 
     def test_sweep_row(self, rng, calls):
         pair = PairEval(sample_density(4, 4, rng), sigma_family(4, 0.1))
-        sweep_row(pair, 1.5, 0.1, trial=0, stream_seed=1, tols=Tolerances())
+        sweep_row(pair, 1.5, 0.1, trial=0, stream_seed=1)
         assert calls == {"quantum_relative_q": 1, "relative_entropy_vn": 1, "schatten_norm": 2}
-        sweep_row(pair, 2.0, 0.1, trial=0, stream_seed=1, tols=Tolerances())
+        sweep_row(pair, 2.0, 0.1, trial=0, stream_seed=1)
         assert calls == {"quantum_relative_q": 2, "relative_entropy_vn": 1, "schatten_norm": 2}
 
     def test_eval(self, tmp_path, calls):
@@ -350,6 +341,40 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) - 1 == 2
+
+    def test_usage_error_exit_two(self, tmp_path, capsys):
+        state = cmd_gen(2, 2, seed=7, out=tmp_path / "s.json")
+        assert main(["eval", str(state), str(state), "--q", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_internal_error_exit_four(self, tmp_path, capsys):
+        from qrelent.states import write_state
+
+        # b0^(1-q) = 1e390 overflows the eigenvalue power at q = Q_MAX
+        rho = cmd_gen(16, 16, seed=7, out=tmp_path / "rho.json")
+        write_state(tmp_path / "sigma.json", sigma_family(16, 1e-10))
+        assert main(["eval", str(rho), str(tmp_path / "sigma.json"), "--q", "40"]) == 4
+        assert capsys.readouterr().err.startswith("internal error:")
+
+    def test_verify_ignores_sweep_grids(self, tmp_path):
+        # the default b0 grid exceeds 1/16, but verify never reads it
+        assert main(["verify", "--dims", "16", "--trials", "1",
+                     "--out", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "a.json", "b.json", "--out", "x.json"],
+        ["eval", "a.json", "b.json", "--dims", "2"],
+        ["eval", "a.json", "b.json", "--config", "c.json"],
+        ["gen", "--d", "2", "--rank", "2", "--out", "x.json", "--q", "2"],
+        ["gen", "--d", "2", "--rank", "2", "--out", "x.json", "--quad-nodes", "8"],
+        ["verify", "--b0", "0.1"],
+        ["sweep", "--tol-bound", "1e-3"],
+    ], ids=lambda argv: " ".join((argv[0], argv[-2])))
+    def test_unused_flag_rejected(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # nothing lands in the working tree if a flag is accepted
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_flags_override_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
