@@ -22,20 +22,21 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
+from .errors import InternalInconsistency, PreconditionFailed
 from .linalg import (
-    HermitianOperator,
     PSD_TOL,
     as_herm,
     herm_power,
     psd_gap,
     schatten_norm,
+    singular_values,
     zero_threshold,
 )
 from .quadrature import QuadratureRule, frechet_integral_rhs
-from .states import DensityMatrix, SpectralSummary, kernel_included
+from .states import DensityMatrix, SpectralSummary
 from .entropy import (
     ExtendedReal,
+    StatePair,
     q_log,
     quantum_relative_q,
     quantum_relative_q_low,
@@ -69,20 +70,21 @@ class BoundReport:
     extras: dict[str, float] = field(default_factory=dict)
 
 
-class PairEval:
+class PairEval(StatePair):
     """Evaluation context of one state pair (rho, sigma).
 
     Each quantity the bound evaluators share is computed on first use and
-    kept: the spectral summary, the trace and spectral distances, kernel
-    inclusion ker(sigma) in ker(rho), D_1, and D_q for every q asked for.
+    kept: the spectral summary, the trace and spectral distances (from one
+    singular-value solve of rho - sigma), D_1, D_q for every q and D_p for
+    every p asked for.  As a StatePair it also holds, once per pair, the
+    kernel verdict ker(sigma) in ker(rho), the overlap of the double sums
+    and the operator route's eigensystem that every D_q, D_p and D_1 share.
     """
 
     def __init__(self, rho: DensityMatrix, sigma: DensityMatrix) -> None:
-        if rho.dim != sigma.dim:
-            raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-        self.rho = rho
-        self.sigma = sigma
+        super().__init__(rho, sigma)
         self._dq: dict[float, ExtendedReal] = {}
+        self._dp: dict[float, float] = {}
 
     @cached_property
     def summary(self) -> SpectralSummary:
@@ -90,29 +92,75 @@ class PairEval:
 
     @cached_property
     def distances(self) -> dict[str, float]:
-        return _distances(self.rho.matrix, self.sigma.matrix)
-
-    @cached_property
-    def kernel_included(self) -> bool:
-        return kernel_included(self.sigma, self.rho)
+        return _distances(singular_values(self.rho.matrix - self.sigma.matrix))
 
     @cached_property
     def d1(self) -> ExtendedReal:
-        return relative_entropy_vn(self.rho, self.sigma)
+        return relative_entropy_vn(self.rho, self.sigma, self)
 
     def dq(self, q: float) -> ExtendedReal:
         q = float(q)
         if q not in self._dq:
-            self._dq[q] = quantum_relative_q(self.rho, self.sigma, q)
+            self._dq[q] = quantum_relative_q(self.rho, self.sigma, q, self)
         return self._dq[q]
 
+    def dp(self, p: float) -> float:
+        p = float(p)
+        if p not in self._dp:
+            self._dp[p] = quantum_relative_q_low(self.rho, self.sigma, p, self)
+        return self._dp[p]
 
-def _distances(a: np.ndarray, b: np.ndarray) -> dict[str, float]:
-    """||A - B||_1 and ||A - B||_inf."""
-    delta = a - b
+
+class OperatorPair:
+    """Norm context of the two Hermitian operands (A, B) of a lemma check.
+
+    The singular values of A, B, A - B and A^n - B^n are each computed once,
+    on first use, and shared by every norm and distance taken of the pair.
+    Pass one instance, as ``operands``, to every check on the same (A, B).
+    """
+
+    def __init__(self, a, b) -> None:
+        self.a = as_herm(a)
+        self.b = as_herm(b)
+        self._power_diff: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def operand_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
+        return singular_values(self.a), singular_values(self.b)
+
+    @cached_property
+    def diff_singular_values(self) -> np.ndarray:
+        return singular_values(self.a.matrix - self.b.matrix)
+
+    @cached_property
+    def distances(self) -> dict[str, float]:
+        return _distances(self.diff_singular_values)
+
+    def power_diff_singular_values(self, n: int) -> np.ndarray:
+        """Singular values of A^n - B^n; matrix_power(M, 1) is M itself, so
+        n = 1 is the difference A - B."""
+        if n == 1:
+            return self.diff_singular_values
+        if n not in self._power_diff:
+            power = np.linalg.matrix_power
+            self._power_diff[n] = singular_values(power(self.a.matrix, n)
+                                                  - power(self.b.matrix, n))
+        return self._power_diff[n]
+
+
+def _operands(a, b, operands: OperatorPair | None) -> OperatorPair:
+    if operands is None:
+        return OperatorPair(a, b)
+    if operands.a is not a or operands.b is not b:
+        raise PreconditionFailed("operand context belongs to other operands")
+    return operands
+
+
+def _distances(s: np.ndarray) -> dict[str, float]:
+    """||A - B||_1 and ||A - B||_inf from the singular values s of A - B."""
     return {
-        "trace_norm": schatten_norm(delta, 1.0),
-        "spectral_norm": schatten_norm(delta, math.inf),
+        "trace_norm": schatten_norm(s, 1.0),
+        "spectral_norm": schatten_norm(s, math.inf),
     }
 
 
@@ -270,8 +318,7 @@ def lower_bounds(pair: PairEval, q: float, p: float) -> list[BoundReport]:
     p = float(p)
     if not 0.0 <= p < 1.0:
         raise PreconditionFailed(f"requires 0 <= p < 1, got {p}")
-    d1f, dqf = pair.d1.as_float(), pair.dq(q).as_float()
-    dp = quantum_relative_q_low(pair.rho, pair.sigma, p)
+    d1f, dqf, dp = pair.d1.as_float(), pair.dq(q).as_float(), pair.dp(p)
     pinsker_lhs = 0.5 * pair.distances["trace_norm"] ** 2
     reports = []
     for name, low, extras in (("lower_chain", dp, {"q": q, "p": p, "D1": d1f}),
@@ -326,41 +373,41 @@ BOUNDS = UPPER_BOUNDS + (
 )
 
 
-def power_diff_bound(X, Y, n: int, p: float, mode: str = "spectral") -> BoundReport:
+def power_diff_bound(X, Y, n: int, p: float, mode: str = "spectral",
+                     operands: OperatorPair | None = None) -> BoundReport:
     """||X^n - Y^n||_p <= n * c^(n-1) * ||X - Y||_p.
 
     mode="spectral" uses c = max(||X||_inf, ||Y||_inf); mode="submultiplicative"
     uses c = max(||X||_p, ||Y||_p), valid for any submultiplicative norm.
+    ``operands``, the OperatorPair of (X, Y), shares its singular values
+    across the checks of one instance.
     """
-    X = as_herm(X)
-    Y = as_herm(Y)
+    ops = _operands(X, Y, operands)
     n = int(n)
     if n < 1:
         raise PreconditionFailed(f"requires integer n >= 1, got {n}")
     if mode not in ("spectral", "submultiplicative"):
         raise PreconditionFailed(f"unknown mode {mode!r}")
-    diff_pow = np.linalg.matrix_power(X.matrix, n) - np.linalg.matrix_power(Y.matrix, n)
-    lhs_val = schatten_norm(diff_pow, p)
-    dist_p = schatten_norm(X.matrix - Y.matrix, p)
-    if mode == "spectral":
-        base = max(schatten_norm(X, math.inf), schatten_norm(Y, math.inf))
-    else:
-        base = max(schatten_norm(X, p), schatten_norm(Y, p))
+    lhs_val = schatten_norm(ops.power_diff_singular_values(n), p)
+    dist_p = schatten_norm(ops.diff_singular_values, p)
+    base_p = math.inf if mode == "spectral" else p
+    base = max(schatten_norm(s, base_p) for s in ops.operand_singular_values)
     rhs = n * base ** (n - 1) * dist_p
     lhs = ExtendedReal.finite(lhs_val)
     holds, slack = _verdict(lhs, rhs, False)
-    dist = _distances(X.matrix, Y.matrix)
     return BoundReport(
-        "power_diff", lhs, rhs, slack, holds, False, None, dist,
+        "power_diff", lhs, rhs, slack, holds, False, None, ops.distances,
         {"n": float(n), "p": float(p), "base_norm": base},
     )
 
 
-def lemma3_bound(A, B, s: float) -> BoundReport:
+def lemma3_bound(A, B, s: float, operands: OperatorPair | None = None) -> BoundReport:
     """|tr(B^(1-s) A^s) - tau| <= (a1/b0)^s * ||A - B||_1 for trace-matched
-    A >= 0 and B > 0 with common trace tau, and 0 < s < 1."""
-    A = as_herm(A)
-    B = as_herm(B)
+    A >= 0 and B > 0 with common trace tau, and 0 < s < 1.  ``operands``, the
+    OperatorPair of (A, B), shares the distances across the checks of one
+    instance."""
+    ops = _operands(A, B, operands)
+    A, B = ops.a, ops.b
     s = float(s)
     if not 0.0 < s < 1.0:
         raise PreconditionFailed(f"requires 0 < s < 1, got {s}")
@@ -375,7 +422,7 @@ def lemma3_bound(A, B, s: float) -> BoundReport:
     lhs_val = abs(float(np.trace(mixed).real) - tau_a)
     a1 = float(a_eigs[-1])
     b0 = float(b_eigs[0])
-    dist = _distances(A.matrix, B.matrix)
+    dist = ops.distances
     rhs = (a1 / b0) ** s * dist["trace_norm"]
     lhs = ExtendedReal.finite(lhs_val)
     holds, slack = _verdict(lhs, rhs, False)
@@ -385,16 +432,18 @@ def lemma3_bound(A, B, s: float) -> BoundReport:
     )
 
 
-def frechet_check(A, B, r: float, rule: QuadratureRule | None = None) -> BoundReport:
+def frechet_check(A, B, r: float, rule: QuadratureRule | None = None,
+                  operands: OperatorPair | None = None) -> BoundReport:
     """Operator-order check A^(-r) - B^(-r) <= directional-derivative integral.
 
     The left side is evaluated by spectral calculus, the right side by
     resolvent quadrature in the direction B - A; the report's rhs is the
     minimum eigenvalue of (right - left), which must not drop below
-    -(PSD_TOL + quadrature allowance).
+    -(PSD_TOL + quadrature allowance).  ``operands``, the OperatorPair of
+    (A, B), shares the distances across the checks of one instance.
     """
-    A = as_herm(A)
-    B = as_herm(B)
+    ops = _operands(A, B, operands)
+    A, B = ops.a, ops.b
     if A.dim != B.dim:
         raise PreconditionFailed(f"dimension mismatch: {A.dim} vs {B.dim}")
     if not 0.0 < r < 1.0:
@@ -408,8 +457,8 @@ def frechet_check(A, B, r: float, rule: QuadratureRule | None = None) -> BoundRe
     gap = psd_gap(lhs_op, rhs_op)
     allowance = PSD_TOL + FRECHET_QUAD_ALLOWANCE
     holds = gap >= -allowance
-    dist = _distances(A.matrix, B.matrix)
     return BoundReport(
-        "frechet_gap", ExtendedReal.finite(0.0), gap, gap, holds, False, None, dist,
+        "frechet_gap", ExtendedReal.finite(0.0), gap, gap, holds, False, None,
+        ops.distances,
         {"r": r, "allowance": allowance},
     )

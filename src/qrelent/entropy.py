@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     DomainViolation,
     InternalInconsistency,
+    PreconditionFailed,
     QOutOfRange,
 )
 from .states import DensityMatrix, kernel_included
@@ -152,6 +154,66 @@ def _restricted_overlap(
     return overlaps, a, b
 
 
+def _compressed_eigensystem(
+    rho: DensityMatrix, sigma: DensityMatrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Operator-route inputs: the eigenvalues (clipped at 0) and the squared
+    eigenvector moduli of rho compressed to the support of sigma, and the
+    nonzero spectrum of sigma, on which sigma is diagonal by construction.
+
+    Only rho's matrix and sigma's eigensystem enter, never the overlap or
+    rho's eigensystem, so the route stays independent of the double sum.
+    """
+    k = sigma.rank
+    support = sigma.eigenvectors[:, sigma.dim - k :]
+    b = sigma.spectrum[sigma.dim - k :]
+    compressed = support.conj().T @ rho.matrix @ support
+    compressed = (compressed + compressed.conj().T) / 2.0
+    lam, w = np.linalg.eigh(compressed)
+    if float(lam.min()) < -1e-10:
+        raise InternalInconsistency(
+            f"support compression produced eigenvalue {float(lam.min())!r}"
+        )
+    return np.maximum(lam, 0.0), np.abs(w) ** 2, b
+
+
+class StatePair:
+    """The q-independent inputs of D_q, D_p and D_1 for one state pair.
+
+    Each is computed on first use and kept: the kernel verdict ker(sigma) in
+    ker(rho), the restricted overlap |<a|b>|^2 with the two restricted
+    spectra (the double-sum route), and the compressed eigensystem of the
+    operator route.  Pass one instance to every entropy call on the pair;
+    each call still runs its own checks, the cross-route check included.
+    """
+
+    def __init__(self, rho: DensityMatrix, sigma: DensityMatrix) -> None:
+        if rho.dim != sigma.dim:
+            raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+        self.rho = rho
+        self.sigma = sigma
+
+    @cached_property
+    def kernel_included(self) -> bool:
+        return kernel_included(self.sigma, self.rho)
+
+    @cached_property
+    def overlap(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _restricted_overlap(self.rho, self.sigma)
+
+    @cached_property
+    def compressed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _compressed_eigensystem(self.rho, self.sigma)
+
+
+def _state_pair(rho: DensityMatrix, sigma: DensityMatrix, pair: StatePair | None) -> StatePair:
+    if pair is None:
+        return StatePair(rho, sigma)
+    if pair.rho is not rho or pair.sigma is not sigma:
+        raise PreconditionFailed("evaluation context belongs to another state pair")
+    return pair
+
+
 def _power(x: np.ndarray, e: float) -> np.ndarray:
     """x**e entrywise by the C library's pow, as scalar code computes it.
 
@@ -168,55 +230,47 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
         ) from exc
 
 
-def _restricted_trace_sum(rho: DensityMatrix, sigma: DensityMatrix, q: float) -> float:
+def _restricted_trace_sum(pair: StatePair, q: float) -> float:
     """sum over a>0, b>0 of |<a|b>|^2 a^q b^(1-q), exactly rounded by fsum."""
-    overlaps, a, b = _restricted_overlap(rho, sigma)
+    overlaps, a, b = pair.overlap
     terms = overlaps * _power(a, q)[:, None] * _power(b, 1.0 - q)
-    return math.fsum(terms.flat)
+    return math.fsum(terms.ravel().tolist())
 
 
-def _operator_route_sum(rho: DensityMatrix, sigma: DensityMatrix, q: float) -> float:
+def _operator_route_sum(pair: StatePair, q: float) -> float:
     """tr(rho^q sigma^(1-q)) on the support of sigma via spectral calculus.
 
     rho is compressed to the support subspace, rho^q computed from the
     compressed eigensystem, and sigma^(1-q) is diagonal there by construction.
     """
-    k = sigma.rank
-    support = sigma.eigenvectors[:, sigma.dim - k :]
-    b = sigma.spectrum[sigma.dim - k :]
-    compressed = support.conj().T @ rho.matrix @ support
-    compressed = (compressed + compressed.conj().T) / 2.0
-    lam, w = np.linalg.eigh(compressed)
-    if float(lam.min()) < -1e-10:
-        raise InternalInconsistency(
-            f"support compression produced eigenvalue {float(lam.min())!r}"
-        )
-    lam = np.maximum(lam, 0.0)
+    lam, w_sq, b = pair.compressed
     # terms[j, m] = lam_m^q |w_jm|^2 b_j^(1-q); a zero lam_m adds zero terms
-    terms = _power(lam, q) * np.abs(w) ** 2 * _power(b, 1.0 - q)[:, None]
-    return math.fsum(terms.flat)
+    terms = _power(lam, q) * w_sq * _power(b, 1.0 - q)[:, None]
+    return math.fsum(terms.ravel().tolist())
 
 
-def quantum_relative_q(rho: DensityMatrix, sigma: DensityMatrix, q: float) -> ExtendedReal:
+def quantum_relative_q(
+    rho: DensityMatrix, sigma: DensityMatrix, q: float, pair: StatePair | None = None
+) -> ExtendedReal:
     """Quantum relative q-entropy for q in (1, Q_MAX].
 
     Returns +inf unless rho is supported inside the support of sigma (weight
     on the kernel at most ``TOL_INCL``).  The finite branch is the restricted
     double sum; it must agree with the operator route within 1e-9 relative
-    or an InternalInconsistency aborts.
+    or an InternalInconsistency aborts.  ``pair``, the StatePair of (rho,
+    sigma), carries the q-independent work over from earlier calls.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    pair = _state_pair(rho, sigma, pair)
     q = float(q)
     if not (1.0 < q <= Q_MAX):
         raise QOutOfRange(f"requires 1 < q <= {Q_MAX}, got {q}")
-    if not kernel_included(sigma, rho):
+    if not pair.kernel_included:
         return POSITIVE_INFINITY
-    s = _restricted_trace_sum(rho, sigma, q)
+    s = _restricted_trace_sum(pair, q)
     value = (1.0 - s) / (1.0 - q)
     if math.isnan(value):
         raise InternalInconsistency(f"NaN in relative q-entropy (trace sum {s!r})")
-    s_op = _operator_route_sum(rho, sigma, q)
+    s_op = _operator_route_sum(pair, q)
     value_op = (1.0 - s_op) / (1.0 - q)
     if not abs(value - value_op) <= CROSS_CHECK_TOL * (1.0 + abs(value)):
         raise InternalInconsistency(
@@ -225,39 +279,41 @@ def quantum_relative_q(rho: DensityMatrix, sigma: DensityMatrix, q: float) -> Ex
     return ExtendedReal.finite(value)
 
 
-def quantum_relative_q_low(rho: DensityMatrix, sigma: DensityMatrix, p: float) -> float:
+def quantum_relative_q_low(
+    rho: DensityMatrix, sigma: DensityMatrix, p: float, pair: StatePair | None = None
+) -> float:
     """Relative p-entropy for order p in [0, 1): always finite.
 
     Uses the same restricted double sum; no singular branch is needed because
     b^(1-p) vanishes on the kernel of sigma.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    pair = _state_pair(rho, sigma, pair)
     p = float(p)
     if not 0.0 <= p < 1.0:
         raise QOutOfRange(f"requires 0 <= p < 1, got {p}")
-    s = _restricted_trace_sum(rho, sigma, p)
+    s = _restricted_trace_sum(pair, p)
     value = (1.0 - s) / (1.0 - p)
     if math.isnan(value):
         raise InternalInconsistency(f"NaN in relative p-entropy (trace sum {s!r})")
     return value
 
 
-def relative_entropy_vn(rho: DensityMatrix, sigma: DensityMatrix) -> ExtendedReal:
+def relative_entropy_vn(
+    rho: DensityMatrix, sigma: DensityMatrix, pair: StatePair | None = None
+) -> ExtendedReal:
     """Standard quantum relative entropy tr(rho ln rho - rho ln sigma).
 
     Computed as the restricted double sum sum_{a>0,b>0} |<a|b>|^2 a (ln a - ln b);
     +inf when rho has weight on the kernel of sigma.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    if not kernel_included(sigma, rho):
+    pair = _state_pair(rho, sigma, pair)
+    if not pair.kernel_included:
         return POSITIVE_INFINITY
-    overlaps, a, b = _restricted_overlap(rho, sigma)
+    overlaps, a, b = pair.overlap
     # math.log per eigenvalue for the same reason as _power
     log_a, log_b = (np.array([math.log(v) for v in x.tolist()]) for x in (a, b))
     terms = overlaps * a[:, None] * (log_a[:, None] - log_b)
-    value = math.fsum(terms.flat)
+    value = math.fsum(terms.ravel().tolist())
     if math.isnan(value):
         raise InternalInconsistency("NaN in relative entropy")
     return ExtendedReal.finite(value)

@@ -21,6 +21,7 @@ from .bounds import (
     BOUNDS,
     UPPER_BOUNDS,
     BoundReport,
+    OperatorPair,
     PairEval,
     TOL_BOUND,
     frechet_check,
@@ -38,7 +39,13 @@ from .entropy import (
     relative_entropy_vn,
 )
 from .errors import ConfigError
-from .linalg import PSD_TOL, HermitianOperator, apply_function, schatten_norm
+from .linalg import (
+    PSD_TOL,
+    HermitianOperator,
+    apply_function,
+    schatten_norm,
+    singular_values,
+)
 from .states import (
     DensityMatrix,
     density_with_spectrum,
@@ -84,18 +91,45 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
-        known = {"dims", "q_grid", "b0_grid", "trials", "seed", "output_path"}
-        unknown = set(doc) - known
+        """Fields from a parsed JSON object; an unknown key or a value of the
+        wrong JSON type is a ConfigError."""
+        unknown = set(doc) - set(_CONFIG_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        if "dims" in kwargs:
-            kwargs["dims"] = tuple(int(d) for d in kwargs["dims"])
-        if "q_grid" in kwargs:
-            kwargs["q_grid"] = tuple(float(q) for q in kwargs["q_grid"])
-        if "b0_grid" in kwargs:
-            kwargs["b0_grid"] = tuple(float(b) for b in kwargs["b0_grid"])
+        kwargs = {}
+        for key, value in doc.items():
+            expected, accepts, convert = _CONFIG_TYPES[key]
+            if not accepts(value):
+                raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+            kwargs[key] = convert(value)
         return cls(**kwargs)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _list_of(is_item):
+    return lambda value: isinstance(value, list) and all(map(is_item, value))
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(map(float, values))
+
+
+#: config key -> (JSON type in words, type test, conversion to the field value)
+_CONFIG_TYPES = {
+    "dims": ("a list of integers", _list_of(_is_int), tuple),
+    "q_grid": ("a list of numbers", _list_of(_is_number), _floats),
+    "b0_grid": ("a list of numbers", _list_of(_is_number), _floats),
+    "trials": ("an integer", _is_int, int),
+    "seed": ("an integer", _is_int, int),
+    "output_path": ("a string or null", lambda v: v is None or isinstance(v, str), lambda v: v),
+}
 
 
 @dataclass
@@ -247,23 +281,28 @@ def _suite_linalg_norms(run: _SuiteRun, config: SweepConfig, count: int) -> None
     for i, rng, d in _instances(config, count, salt=1, max_dim=math.inf):
         run.instances += 1
         x, y, z = (_rand_complex(rng, d) for _ in range(3))
+        xy = x @ y
+        xyz = xy @ z
+        # one singular-value solve per matrix serves all of its norms
+        sx, sy, sz, sxy, sxyz = map(singular_values, (x, y, z, xy, xyz))
         for p in (1.0, 2.0, math.inf):
-            rhs = schatten_norm(x, math.inf) * schatten_norm(y, p) * schatten_norm(z, math.inf)
+            rhs = schatten_norm(sx, math.inf) * schatten_norm(sy, p) * schatten_norm(sz, math.inf)
             scale = max(1.0, rhs)
-            run.check(rhs + tol * scale - schatten_norm(x @ y @ z, p),
+            run.check(rhs + tol * scale - schatten_norm(sxyz, p),
                       context={"check": "holder", "p": p, "trial": i})
-            sub_rhs = schatten_norm(x, p) * schatten_norm(y, p)
-            run.check(sub_rhs + tol * max(1.0, sub_rhs) - schatten_norm(x @ y, p),
+            sub_rhs = schatten_norm(sx, p) * schatten_norm(sy, p)
+            run.check(sub_rhs + tol * max(1.0, sub_rhs) - schatten_norm(sxy, p),
                       context={"check": "submultiplicative", "p": p, "trial": i})
-        tr_rhs = schatten_norm(x, math.inf) * schatten_norm(z, math.inf) * schatten_norm(y, 1.0)
-        run.check(tr_rhs + tol * max(1.0, tr_rhs) - abs(np.trace(x @ y @ z)),
+        tr_rhs = schatten_norm(sx, math.inf) * schatten_norm(sz, math.inf) * schatten_norm(sy, 1.0)
+        run.check(tr_rhs + tol * max(1.0, tr_rhs) - abs(np.trace(xyz)),
                   context={"check": "trace_bound", "trial": i})
         for p_lo, p_hi in ((1.0, 2.0), (2.0, math.inf), (1.0, math.inf)):
-            run.check(schatten_norm(x, p_lo) + tol - schatten_norm(x, p_hi),
+            run.check(schatten_norm(sx, p_lo) + tol - schatten_norm(sx, p_hi),
                       context={"check": "p_monotone", "trial": i})
         h = _rand_herm(rng, d)
         delta = HermitianOperator(h.matrix - (h.trace() / d) * np.eye(d))
-        run.check(0.5 * schatten_norm(delta, 1.0) + tol - schatten_norm(delta, math.inf),
+        s_delta = singular_values(delta)
+        run.check(0.5 * schatten_norm(s_delta, 1.0) + tol - schatten_norm(s_delta, math.inf),
                   context={"check": "traceless_half", "trial": i})
         composed = apply_function(h, lambda lam: math.exp(lam / 2.0) ** 2)
         stepped = apply_function(apply_function(h, lambda lam: math.exp(lam / 2.0)),
@@ -524,8 +563,9 @@ def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         a_op = _rand_pd(rng, d)
         b_op = _rand_pd(rng, d)
         run.instances += 1
+        operands = OperatorPair(a_op, b_op)
         for r in (0.1, 0.5, 0.9):
-            rep = frechet_check(a_op, b_op, r)
+            rep = frechet_check(a_op, b_op, r, operands=operands)
             run.check(rep.rhs + 1e-7, context={"check": "psd_gap", "r": r, "trial": i})
 
 
@@ -533,9 +573,10 @@ def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     for i, rng, d in _instances(config, count, salt=12):
         x, y = _rand_herm(rng, d), _rand_herm(rng, d)
         run.instances += 1
+        operands = OperatorPair(x, y)
         for n in range(1, 7):
             for p in (1.0, 2.0, math.inf):
-                rep = power_diff_bound(x, y, n, p)
+                rep = power_diff_bound(x, y, n, p, operands=operands)
                 run.check(_bound_margin(rep),
                           context={"check": "power_diff", "n": n, "p": p, "trial": i})
                 if n == 1:
@@ -552,8 +593,9 @@ def _suite_lemma3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         a_op = HermitianOperator(a_m / np.trace(a_m).real)
         b_op = _rand_pd(rng, d, trace_one=True)
         run.instances += 1
+        operands = OperatorPair(a_op, b_op)
         for s in (0.25, 0.5, 0.75):
-            rep = lemma3_bound(a_op, b_op, s)
+            rep = lemma3_bound(a_op, b_op, s, operands=operands)
             run.check(_bound_margin(rep), context={"check": "lemma3", "s": s, "trial": i})
 
 

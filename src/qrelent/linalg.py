@@ -7,6 +7,7 @@ positive-semidefinite order comparison for matrices at desk scale
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -29,6 +30,8 @@ EIG_TOL = 1e-12
 #: operator-order checks tolerate negative gaps of this size
 PSD_TOL = 1e-8
 
+_EPS = float(np.finfo(np.float64).eps)
+
 
 def zero_threshold(eigenvalues: np.ndarray) -> float:
     """Cutoff below which eigenvalues are treated as exact zeros.
@@ -37,8 +40,26 @@ def zero_threshold(eigenvalues: np.ndarray) -> float:
     rank decisions stay stable under round-off.
     """
     w = np.asarray(eigenvalues, dtype=float)
-    lam_max = float(np.max(np.abs(w))) if w.size else 0.0
-    return w.size * np.finfo(np.float64).eps * max(1.0, lam_max)
+    lam_max = float(np.abs(w).max()) if w.size else 0.0
+    return w.size * _EPS * max(1.0, lam_max)
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(d: int) -> np.ndarray:
+    """Read-only d x d identity, shared by every unitarity check at that d
+    (at most MAX_DIM of them)."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
+def sort_eigensystem(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ascending with the eigenvector columns in step; a spectrum
+    that already ascends, as every eigh result does, is returned as given."""
+    if (w[1:] >= w[:-1]).all():
+        return w, u
+    order = np.argsort(w, kind="stable")
+    return w[order], u[:, order]
 
 
 class HermitianOperator:
@@ -63,8 +84,9 @@ class HermitianOperator:
             raise DimensionMismatch(f"dimension {d} outside [1, {MAX_DIM}]")
         if not np.isfinite(mat).all():
             raise NonFiniteInput("matrix has a NaN or infinite entry")
-        herm = (mat + mat.conj().T) / 2.0
-        asym = float(np.max(np.abs(mat - mat.conj().T)))
+        mat_h = mat.conj().T
+        herm = (mat + mat_h) / 2.0
+        asym = float(np.abs(mat - mat_h).max())
         scale = max(1.0, float(np.linalg.norm(herm, "fro")))
         if asym > tol * scale:
             raise NonHermitianInput(
@@ -82,9 +104,13 @@ class HermitianOperator:
         u = np.array(eigenvectors, dtype=np.complex128)
         if w.ndim != 1 or u.shape != (w.size, w.size):
             raise DimensionMismatch("eigenvalues and eigenvectors have inconsistent shapes")
-        order = np.argsort(w, kind="stable")
-        w = w[order]
-        u = u[:, order]
+        return cls._from_ascending(*sort_eigensystem(w, u))
+
+    @classmethod
+    def _from_ascending(cls, w: np.ndarray, u: np.ndarray) -> "HermitianOperator":
+        """from_eigensystem for an ascending float64 spectrum and a complex128
+        basis that the operator may keep: no checks and no copies, and both
+        arrays become read-only."""
         mat = (u * w) @ u.conj().T
         mat = (mat + mat.conj().T) / 2.0
         obj = cls.__new__(cls)
@@ -120,12 +146,12 @@ class HermitianOperator:
                 w, u = np.linalg.eigh(self._mat)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceFailure(f"eigh failed: {exc}") from exc
-            scale = max(1.0, float(np.max(np.abs(w))))
-            recon = (u * w) @ u.conj().T
-            if float(np.max(np.abs(recon - self._mat))) > EIG_TOL * scale:
+            scale = max(1.0, float(np.abs(w).max()))
+            u_h = u.conj().T
+            recon = (u * w) @ u_h
+            if float(np.abs(recon - self._mat).max()) > EIG_TOL * scale:
                 raise ConvergenceFailure("eigendecomposition failed reconstruction check")
-            gram = u.conj().T @ u
-            if float(np.max(np.abs(gram - np.eye(self.dim)))) > EIG_TOL:
+            if float(np.abs(u_h @ u - _identity(w.size)).max()) > EIG_TOL:
                 raise ConvergenceFailure("eigenvector matrix is not unitary")
             w.setflags(write=False)
             u.setflags(write=False)
@@ -214,10 +240,11 @@ def singular_values(x) -> np.ndarray:
     if mat.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {mat.shape}")
     if mat.shape[0] == mat.shape[1]:
-        asym = float(np.max(np.abs(mat - mat.conj().T)))
+        mat_h = mat.conj().T
+        asym = float(np.abs(mat - mat_h).max())
         scale = max(1.0, float(np.linalg.norm(mat, "fro")))
         if asym <= 1e-12 * scale:
-            return np.sort(np.abs(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)))[::-1]
+            return np.sort(np.abs(np.linalg.eigvalsh((mat + mat_h) / 2.0)))[::-1]
     gram = mat.conj().T @ mat
     w = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
     return np.sqrt(np.clip(w, 0.0, None))[::-1]
@@ -227,16 +254,19 @@ def schatten_norm(x, p: float) -> float:
     """Schatten p-norm: the l_p norm of the singular value vector.
 
     p=1 is the trace norm, p=2 the Frobenius norm, p=inf the spectral norm.
+    ``x`` is a matrix, or a 1-d array of the singular values themselves (as
+    :func:`singular_values` returns them), so that several norms of one
+    matrix share a single decomposition.
     """
     p = float(p)
     if not p >= 1.0:
         raise DomainViolation(f"Schatten index must satisfy p >= 1, got {p}")
-    s = singular_values(x)
+    s = x if isinstance(x, np.ndarray) and x.ndim == 1 else singular_values(x)
     if math.isinf(p):
-        return float(s[0]) if s.size else 0.0
+        return float(s.max()) if s.size else 0.0
     if p == 1.0:
-        return float(math.fsum(s))
-    return float(math.fsum(si**p for si in s) ** (1.0 / p))
+        return math.fsum(s.tolist())
+    return math.fsum(si**p for si in s) ** (1.0 / p)
 
 
 def psd_gap(a, b) -> float:

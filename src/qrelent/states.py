@@ -19,7 +19,7 @@ from .errors import (
     NotPSD,
     ParseError,
 )
-from .linalg import HermitianOperator, zero_threshold
+from .linalg import HermitianOperator, sort_eigensystem, zero_threshold
 
 #: default absolute weight allowed on the kernel of sigma
 TOL_INCL = 1e-12
@@ -60,35 +60,33 @@ class DensityMatrix:
     def from_eigensystem(cls, eigenvalues, eigenvectors, tol: float = 1e-10) -> "DensityMatrix":
         """Build from a known eigensystem, keeping exact zeros exact."""
         w = np.asarray(eigenvalues, dtype=np.float64)
-        u = np.asarray(eigenvectors, dtype=np.complex128)
+        u = np.array(eigenvectors, dtype=np.complex128)  # the state keeps this copy
         if w.ndim != 1 or u.shape != (w.size, w.size):
             raise DimensionMismatch("eigenvalues and eigenvectors have inconsistent shapes")
-        tr = float(math.fsum(w))
+        tr = math.fsum(w.tolist())
         if abs(tr - 1.0) > tol:
             raise NotNormalized(f"spectrum sums to {tr!r}, not 1 within {tol:.1e}")
         obj = cls.__new__(cls)
-        obj._init_from_eigensystem(w, u, tol)
+        obj._init_from_eigensystem(*sort_eigensystem(w, u), tol)
         return obj
 
     def _init_from_eigensystem(self, w: np.ndarray, u: np.ndarray, tol: float) -> None:
-        if float(np.min(w)) < -tol:
-            raise NotPSD(f"eigenvalue {float(np.min(w))!r} below -{tol:.1e}")
-        order = np.argsort(w, kind="stable")
-        w = np.array(w[order], dtype=np.float64)
-        u = np.array(u[:, order], dtype=np.complex128)
-        cut = zero_threshold(w)
-        w[np.abs(w) <= cut] = 0.0
-        w[w < 0.0] = 0.0  # clamp round-off negatives that passed the -tol gate
-        total = math.fsum(w)
+        """Threshold, renormalize and keep an ascending eigensystem, as eigh
+        returns it; ``u`` becomes the state's read-only basis, so it must
+        not be a caller's array."""
+        w_min = float(w.min())
+        if w_min < -tol:
+            raise NotPSD(f"eigenvalue {w_min!r} below -{tol:.1e}")
+        w = np.array(w, dtype=np.float64)
+        # one mask zeroes both |w| <= cut and the round-off negatives that
+        # passed the -tol gate, and keeps w ascending
+        w[w <= zero_threshold(w)] = 0.0
+        total = math.fsum(w.tolist())
         if total <= 0.0:
             raise NotPSD("spectrum vanished entirely after thresholding")
-        w = w / total
-        self.spectrum = w
-        self.rank = int(np.count_nonzero(w))
-        self._basis = u
-        self.op = HermitianOperator.from_eigensystem(w, u)
-        self.spectrum.setflags(write=False)
-        self._basis.setflags(write=False)
+        self.op = HermitianOperator._from_ascending(w / total, u)
+        self.spectrum, self._basis = self.op.eig()
+        self.rank = int(np.count_nonzero(self.spectrum))
 
     @property
     def dim(self) -> int:
@@ -224,10 +222,9 @@ def kernel_included(sigma: DensityMatrix, rho: DensityMatrix) -> bool:
     if n_zero == 0:
         return True
     kernel_basis = sigma.eigenvectors[:, :n_zero]
-    weight = float(
-        np.einsum("ij,jk,ki->", kernel_basis.conj().T, rho.matrix, kernel_basis).real
-    )
-    return weight <= TOL_INCL
+    # tr(K^dag rho K) as one product and one conjugating dot
+    weight = np.vdot(kernel_basis, rho.matrix @ kernel_basis).real
+    return bool(weight <= TOL_INCL)
 
 
 def tensor(rho1: DensityMatrix, rho2: DensityMatrix) -> DensityMatrix:

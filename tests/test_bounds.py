@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qrelent.bounds import (
     BOUNDS,
+    OperatorPair,
     PairEval,
     frechet_check,
     lemma3_bound,
@@ -16,8 +17,9 @@ from qrelent.bounds import (
     thm2_bound,
     thm3_bound,
 )
-from qrelent.errors import DimensionMismatch, PreconditionFailed
-from qrelent.linalg import HermitianOperator
+from qrelent.entropy import quantum_relative_q
+from qrelent.errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
+from qrelent.linalg import HermitianOperator, schatten_norm
 from qrelent.states import (
     density_from_matrix,
     sample_common_support_pair,
@@ -358,3 +360,116 @@ class TestFrechetCheck:
         rep = frechet_check(a, b, r)
         assert rep.rhs >= -1e-7
         assert rep.holds
+
+
+class TestSharedWork:
+    """Each q-independent solve of a state pair, and each singular-value solve
+    of a lemma instance, runs once; sharing it changes no value and skips no
+    check."""
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        import qrelent.entropy as entropy_module
+
+        def start():
+            counts = dict.fromkeys(("eigvalsh", "eigh", "overlap", "kernel_included"), 0)
+            for owner, attr, key in ((np.linalg, "eigvalsh", "eigvalsh"),
+                                     (np.linalg, "eigh", "eigh"),
+                                     (entropy_module, "_overlap", "overlap"),
+                                     (entropy_module, "kernel_included", "kernel_included")):
+                def wrapper(*args, _original=getattr(owner, attr), _key=key, **kwargs):
+                    counts[_key] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(owner, attr, wrapper)
+            return counts
+
+        return start
+
+    @pytest.mark.parametrize("kind", ["full", "common_kernel"])
+    def test_pair_eval_solves_once(self, rng, counter, kind):
+        if kind == "full":
+            rho, sigma = sample_density(5, 5, rng), sample_density(5, 5, rng)
+        else:
+            rho, sigma = sample_common_support_pair(5, 3, rng)
+        counts = counter()
+        ctx = PairEval(rho, sigma)
+        for q in (1.5, 2.0, 3.0):
+            assert ctx.dq(q).is_finite
+            for spec in BOUNDS:
+                if spec.applies(q):
+                    spec.evaluate(ctx, q)
+        ctx.d1, ctx.dp(0.5), ctx.distances
+        assert counts == {"eigvalsh": 1, "eigh": 1, "overlap": 1, "kernel_included": 1}
+
+    def test_lemma2_instance_solves(self, counter):
+        from qrelent import harness
+
+        counts = counter()
+        run = harness._SuiteRun("lemma2_power_diff", None, 1)
+        harness._suite_lemma2(run, harness.SweepConfig(seed=1), 3)
+        assert run.instances == 3 and run.failures == 0
+        assert counts["eigvalsh"] <= 7 * run.instances
+
+    def test_cached_orders_still_cross_check_a_new_q(self, rng, monkeypatch):
+        import qrelent.entropy as entropy_module
+
+        rho, sigma = sample_common_support_pair(5, 3, rng)
+        ctx = PairEval(rho, sigma)
+        ctx.dq(1.5), ctx.dq(2.0)
+        honest = entropy_module._restricted_trace_sum
+
+        def perturbed(pair, q):
+            return honest(pair, q) * (1.0 + 1e-6) if q == 3.0 else honest(pair, q)
+
+        monkeypatch.setattr(entropy_module, "_restricted_trace_sum", perturbed)
+        assert ctx.dq(1.5).is_finite and ctx.dq(2.0).is_finite
+        with pytest.raises(InternalInconsistency):
+            ctx.dq(3.0)
+
+    def test_shared_operands_are_bit_identical(self, rng):
+        x = HermitianOperator(random_hermitian(rng, 5))
+        y = HermitianOperator(random_hermitian(rng, 5))
+        operands = OperatorPair(x, y)
+        delta = x.matrix - y.matrix
+        standalone = {"trace_norm": schatten_norm(delta, 1.0),
+                      "spectral_norm": schatten_norm(delta, math.inf)}
+        assert operands.distances == standalone
+        for n in range(1, 7):
+            diff = np.linalg.matrix_power(x.matrix, n) - np.linalg.matrix_power(y.matrix, n)
+            for p in (1.0, 2.0, math.inf):
+                for mode in ("spectral", "submultiplicative"):
+                    shared = power_diff_bound(x, y, n, p, mode, operands=operands)
+                    alone = power_diff_bound(x, y, n, p, mode)
+                    assert shared == alone
+                    assert shared.lhs.value == schatten_norm(diff, p)
+                    assert shared.distances == standalone
+
+    def test_pair_distances_are_bit_identical(self, rng):
+        rho, sigma = sample_density(6, 6, rng), sample_density(6, 6, rng)
+        delta = rho.matrix - sigma.matrix
+        assert PairEval(rho, sigma).distances == {
+            "trace_norm": schatten_norm(delta, 1.0),
+            "spectral_norm": schatten_norm(delta, math.inf),
+        }
+
+    def test_shared_lemma_contexts_are_bit_identical(self, rng):
+        a = HermitianOperator(random_pd(rng, 4))
+        b = HermitianOperator(random_pd(rng, 4))
+        operands = OperatorPair(a, b)
+        for r in (0.1, 0.5, 0.9):
+            assert frechet_check(a, b, r, operands=operands) == frechet_check(a, b, r)
+        a1 = HermitianOperator(a.matrix / a.trace())
+        b1 = HermitianOperator(b.matrix / b.trace())
+        operands = OperatorPair(a1, b1)
+        for s in (0.25, 0.5, 0.75):
+            assert lemma3_bound(a1, b1, s, operands=operands) == lemma3_bound(a1, b1, s)
+
+    def test_context_of_other_operands_is_rejected(self, rng):
+        x = HermitianOperator(random_hermitian(rng, 3))
+        y = HermitianOperator(random_hermitian(rng, 3))
+        with pytest.raises(PreconditionFailed):
+            power_diff_bound(y, x, 2, 1.0, operands=OperatorPair(x, y))
+        rho, sigma = sample_density(3, 3, rng), sample_density(3, 3, rng)
+        with pytest.raises(PreconditionFailed):
+            quantum_relative_q(sigma, rho, 2.0, PairEval(rho, sigma))

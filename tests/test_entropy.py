@@ -161,7 +161,7 @@ class TestQuantumRelative:
         assert value.is_finite
         honest = entropy._operator_route_sum
         monkeypatch.setattr(entropy, "_operator_route_sum",
-                            lambda r, s, q: honest(r, s, q) * (1.0 + 1e-6))
+                            lambda pair, q: honest(pair, q) * (1.0 + 1e-6))
         with pytest.raises(InternalInconsistency):
             quantum_relative_q(rho, sigma, 1.7)
 
@@ -256,10 +256,11 @@ class TestVectorisedSums:
         b0 = float(sigma.spectrum[sigma.dim - sigma.rank])
         # keep b0^(1-q) inside the float range; past it both sums overflow
         assume((q - 1.0) * -math.log(b0) < 700.0)
+        pair = entropy.StatePair(rho, sigma)
         for order in (q, p):
-            got = entropy._restricted_trace_sum(rho, sigma, order)
+            got = entropy._restricted_trace_sum(pair, order)
             assert _close(got, _reference_trace_sum(rho, sigma, order))
-        got = entropy._operator_route_sum(rho, sigma, q)
+        got = entropy._operator_route_sum(pair, q)
         assert _close(got, _reference_operator_sum(rho, sigma, q))
         d1 = relative_entropy_vn(rho, sigma)
         if d1.is_finite:

@@ -49,6 +49,35 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 SweepConfig.from_dict(doc)
 
+    # one value of the wrong JSON type per key; a bool is not a number here
+    @pytest.mark.parametrize("key,value", [
+        ("dims", 5), ("dims", "2,4"), ("dims", [2, "4"]), ("dims", [2.0]), ("dims", [True]),
+        ("q_grid", 2.0), ("q_grid", ["2"]), ("q_grid", [False]), ("q_grid", None),
+        ("b0_grid", 0.1), ("b0_grid", [0.1, "0.01"]), ("b0_grid", [[0.1]]),
+        ("trials", "3"), ("trials", 3.0), ("trials", True), ("trials", None),
+        ("seed", "1"), ("seed", 1.5), ("seed", False), ("seed", [1]),
+        ("output_path", 7), ("output_path", ["a.json"]), ("output_path", False),
+    ])
+    def test_wrong_json_type_is_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            SweepConfig.from_dict({key: value})
+
+    def test_every_key_accepts_its_json_type(self):
+        doc = {"dims": [2, 3], "q_grid": [1.5, 2], "b0_grid": [0.1, 1e-2], "trials": 3,
+               "seed": 4, "output_path": "out.csv"}
+        assert SweepConfig.from_dict(doc) == SweepConfig(
+            dims=(2, 3), q_grid=(1.5, 2.0), b0_grid=(0.1, 0.01), trials=3, seed=4,
+            output_path="out.csv")
+        assert SweepConfig.from_dict({"output_path": None}).output_path is None
+
+    @pytest.mark.parametrize("doc", [{"dims": 5}, {"trials": "3"}])
+    def test_wrong_json_type_exits_two(self, doc, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["verify", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestSigmaFamily:
     def test_spectrum(self):

@@ -15,6 +15,7 @@ from qrelent.errors import (
     ParseError,
 )
 from qrelent.states import (
+    TOL_INCL,
     DensityMatrix,
     SpectralSummary,
     density_from_matrix,
@@ -149,6 +150,22 @@ class TestKernelInclusion:
         assert kernel_included(sigma, rho)
         assert not kernel_included(rho, sigma)
 
+    @pytest.mark.parametrize("d", [4, 64])
+    @pytest.mark.parametrize("weight,included", [(1e-13, True), (1e-11, False)])
+    def test_weight_either_side_of_tolerance(self, rng, d, weight, included):
+        # TOL_INCL = 1e-12: rho puts `weight` on one vector of the d/2-dim
+        # kernel of sigma, in a Haar-random frame shared by both states
+        assert TOL_INCL == 1e-12
+        u = haar_unitary(d, rng)
+        half = d // 2
+        sigma_spec = np.concatenate([np.zeros(half), np.full(half, 1.0 / half)])
+        rho_spec = np.concatenate([[weight], np.zeros(half - 1),
+                                   np.full(half, (1.0 - weight) / half)])
+        sigma = DensityMatrix.from_eigensystem(sigma_spec, u)
+        rho = DensityMatrix.from_eigensystem(rho_spec, u)
+        assert sigma.rank == half and rho.rank == half + 1
+        assert kernel_included(sigma, rho) is included
+
 
 class TestTensor:
     def test_identity_factor(self, rng):
@@ -167,6 +184,41 @@ class TestTensor:
         r1 = sample_density(3, 2, rng)
         r2 = sample_density(4, 3, rng)
         assert tensor(r1, r2).rank == 6
+
+
+class TestUnsortedEigensystems:
+    """Eigensystems given out of order still come out ascending, with each
+    eigenvector following its eigenvalue."""
+
+    @staticmethod
+    def _assert_sorted(state, expected_spectrum):
+        w, u = state.spectrum, state.eigenvectors
+        assert np.all(np.diff(w) >= 0.0)
+        np.testing.assert_array_equal(w, np.sort(expected_spectrum))
+        np.testing.assert_allclose((u * w) @ u.conj().T, state.matrix, atol=1e-15)
+        op_w, op_u = state.op.eig()
+        np.testing.assert_array_equal(op_w, w)
+        np.testing.assert_array_equal(op_u, u)
+        assert state.rank == np.count_nonzero(expected_spectrum)
+
+    def test_sigma_family(self):
+        from qrelent.harness import sigma_family
+
+        sigma = sigma_family(4, 0.1)  # spectrum given as 0.7, 0.1, 0.1, 0.1
+        self._assert_sorted(sigma, [0.7, 0.1, 0.1, 0.1])
+        np.testing.assert_array_equal(np.abs(sigma.eigenvectors[:, -1]), [1.0, 0.0, 0.0, 0.0])
+
+    def test_tensor(self, rng):
+        r1 = sample_density(3, 2, rng)
+        r2 = sample_density(2, 2, rng)
+        self._assert_sorted(tensor(r1, r2), np.kron(r1.spectrum, r2.spectrum))
+
+    def test_caller_arrays_stay_writable(self):
+        w = np.array([0.25, 0.75])
+        u = np.eye(2, dtype=np.complex128)
+        DensityMatrix.from_eigensystem(w, u)
+        assert w.flags.writeable and u.flags.writeable
+        np.testing.assert_array_equal(w, [0.25, 0.75])
 
 
 class TestPartialTrace:
