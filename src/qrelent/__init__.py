@@ -23,7 +23,6 @@ from .linalg import (
     as_herm,
     eigh,
     herm_power,
-    identity,
     psd_gap,
     schatten_norm,
     singular_values,
@@ -43,7 +42,6 @@ from .states import (
     DensityMatrix,
     SpectralSummary,
     as_generator,
-    density_from_matrix,
     density_with_spectrum,
     haar_unitary,
     kernel_included,
@@ -85,7 +83,6 @@ from .harness import (
     cmd_gen,
     cmd_sweep,
     cmd_verify,
-    default_verify_config,
     divergence_envelope,
     sigma_family,
     sweep_row,

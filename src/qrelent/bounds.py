@@ -32,7 +32,7 @@ from .linalg import (
     singular_values,
     zero_threshold,
 )
-from .quadrature import QuadratureRule, frechet_integral_rhs
+from .quadrature import frechet_integral_rhs
 from .states import DensityMatrix, SpectralSummary
 from .entropy import (
     ExtendedReal,
@@ -68,6 +68,15 @@ class BoundReport:
     constants: SpectralSummary | None = None
     distances: dict[str, float] | None = None
     extras: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def margin(self) -> float:
+        """rhs + TOL_BOUND*(1 + rhs) - lhs, at least 0 iff an upper bound
+        ``holds``; +inf when vacuous or rhs is infinite.  The lower-bound
+        chains and the Frechet check decide ``holds`` by their own rules."""
+        if self.vacuous or math.isinf(self.rhs):
+            return math.inf
+        return _margin(self.lhs.as_float(), self.rhs)
 
 
 class PairEval(StatePair):
@@ -164,6 +173,10 @@ def _distances(s: np.ndarray) -> dict[str, float]:
     }
 
 
+def _margin(lhs: float, rhs: float) -> float:
+    return rhs + TOL_BOUND * (1.0 + rhs) - lhs
+
+
 def _verdict(lhs: ExtendedReal, rhs: float, vacuous: bool) -> tuple[bool, float | None]:
     if vacuous:
         return True, None
@@ -175,8 +188,7 @@ def _verdict(lhs: ExtendedReal, rhs: float, vacuous: bool) -> tuple[bool, float 
         )
     if math.isinf(rhs):
         return True, None
-    slack = rhs - lval
-    return lval <= rhs + TOL_BOUND * (1.0 + rhs), slack
+    return _margin(lval, rhs) >= 0.0, rhs - lval
 
 
 def _report(pair: PairEval, name: str, lhs: ExtendedReal, rhs: float,
@@ -373,12 +385,10 @@ BOUNDS = UPPER_BOUNDS + (
 )
 
 
-def power_diff_bound(X, Y, n: int, p: float, mode: str = "spectral",
+def power_diff_bound(X, Y, n: int, p: float,
                      operands: OperatorPair | None = None) -> BoundReport:
-    """||X^n - Y^n||_p <= n * c^(n-1) * ||X - Y||_p.
+    """||X^n - Y^n||_p <= n * c^(n-1) * ||X - Y||_p with c = max(||X||_inf, ||Y||_inf).
 
-    mode="spectral" uses c = max(||X||_inf, ||Y||_inf); mode="submultiplicative"
-    uses c = max(||X||_p, ||Y||_p), valid for any submultiplicative norm.
     ``operands``, the OperatorPair of (X, Y), shares its singular values
     across the checks of one instance.
     """
@@ -386,12 +396,9 @@ def power_diff_bound(X, Y, n: int, p: float, mode: str = "spectral",
     n = int(n)
     if n < 1:
         raise PreconditionFailed(f"requires integer n >= 1, got {n}")
-    if mode not in ("spectral", "submultiplicative"):
-        raise PreconditionFailed(f"unknown mode {mode!r}")
     lhs_val = schatten_norm(ops.power_diff_singular_values(n), p)
     dist_p = schatten_norm(ops.diff_singular_values, p)
-    base_p = math.inf if mode == "spectral" else p
-    base = max(schatten_norm(s, base_p) for s in ops.operand_singular_values)
+    base = max(schatten_norm(s, math.inf) for s in ops.operand_singular_values)
     rhs = n * base ** (n - 1) * dist_p
     lhs = ExtendedReal.finite(lhs_val)
     holds, slack = _verdict(lhs, rhs, False)
@@ -432,8 +439,7 @@ def lemma3_bound(A, B, s: float, operands: OperatorPair | None = None) -> BoundR
     )
 
 
-def frechet_check(A, B, r: float, rule: QuadratureRule | None = None,
-                  operands: OperatorPair | None = None) -> BoundReport:
+def frechet_check(A, B, r: float, operands: OperatorPair | None = None) -> BoundReport:
     """Operator-order check A^(-r) - B^(-r) <= directional-derivative integral.
 
     The left side is evaluated by spectral calculus, the right side by
@@ -453,7 +459,7 @@ def frechet_check(A, B, r: float, rule: QuadratureRule | None = None,
         if float(w[0]) <= zero_threshold(w):
             raise PreconditionFailed(f"{side} operand must be strictly positive")
     lhs_op = herm_power(A, -r) - herm_power(B, -r)
-    rhs_op = frechet_integral_rhs(A, B - A, r, rule)
+    rhs_op = frechet_integral_rhs(A, B - A, r)
     gap = psd_gap(lhs_op, rhs_op)
     allowance = PSD_TOL + FRECHET_QUAD_ALLOWANCE
     holds = gap >= -allowance

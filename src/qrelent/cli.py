@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_sweep)
     p_sweep.add_argument("--q", type=_float_list, default=None, help="comma list of q values")
     p_sweep.add_argument("--b0", type=_float_list, default=None,
-                         help="comma list of smallest-eigenvalue values")
+                         help="comma list of smallest-eigenvalue values, each at most "
+                              "1/max(dims); the default 0.1,0.01 fits only dims up to 10")
     p_sweep.set_defaults(func=_run_sweep)
 
     p_eval = sub.add_parser("eval", help="evaluate one state pair from files")

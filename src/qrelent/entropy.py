@@ -74,21 +74,18 @@ def extended_to_json(x: ExtendedReal):
     return x.value if x.is_finite else "inf"
 
 
-def q_log(x: float, q: float, allow_q1: bool = False) -> float:
-    """Deformed logarithm ln_q(x) = (x^(1-q) - 1)/(1-q) for x > 0.
+def q_log(x: float, q: float) -> float:
+    """Deformed logarithm ln_q(x) = (x^(1-q) - 1)/(1-q) for x > 0 and q != 1.
 
     Near q = 1 the difference quotient cancels catastrophically, so for
-    |q - 1| < 1e-6 it is evaluated as expm1((1-q) ln x)/(1-q).  q = 1 itself
-    returns the natural logarithm only with ``allow_q1=True``.
+    |q - 1| < 1e-6 it is evaluated as expm1((1-q) ln x)/(1-q).
     """
     x = float(x)
     q = float(q)
     if not x > 0.0:
         raise DomainViolation(f"q_log requires x > 0, got {x}")
     if q == 1.0:
-        if allow_q1:
-            return math.log(x)
-        raise DomainViolation("q = 1 requires allow_q1=True (natural logarithm)")
+        raise DomainViolation("q_log requires q != 1; ln_1 is the natural logarithm")
     if abs(q - 1.0) < 1e-6:
         return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q)
     return (x ** (1.0 - q) - 1.0) / (1.0 - q)

@@ -487,12 +487,6 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
                       context={"check": "q_to_1", "pair": pair_idx})
 
 
-def _bound_margin(report: BoundReport) -> float:
-    if report.vacuous or math.isinf(report.rhs):
-        return math.inf
-    return report.rhs + TOL_BOUND * (1.0 + report.rhs) - report.lhs.as_float()
-
-
 def _suite_thm1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     for i, rng, d in _instances(config, count, salt=7):
         rho, sigma = sample_density(d, d, rng), sample_density(d, d, rng)
@@ -501,7 +495,7 @@ def _suite_thm1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         reports = thm1_bounds(pair, q)
         run.instances += 1
         for rep in reports:
-            run.check(_bound_margin(rep), states=(rho, sigma),
+            run.check(rep.margin, states=(rho, sigma),
                       context={"check": rep.name, "q": q, "trial": i})
         # the spectral-norm bound is never looser than the halved trace-norm one
         run.check(reports[1].rhs + 1e-12 * (1.0 + reports[1].rhs) - reports[0].rhs,
@@ -516,7 +510,7 @@ def _suite_thm2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         pair = PairEval(rho, sigma)
         for variant in ("general", "traceless"):
             rep = thm2_bound(pair, q, variant)
-            run.check(_bound_margin(rep), states=(rho, sigma),
+            run.check(rep.margin, states=(rho, sigma),
                       context={"check": rep.name, "q": q, "trial": i})
 
 
@@ -532,11 +526,11 @@ def _suite_thm3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         run.instances += 1
         pair = PairEval(rho, sigma)
         rep = thm3_bound(pair, q, "general")
-        run.check(_bound_margin(rep), states=(rho, sigma),
+        run.check(rep.margin, states=(rho, sigma),
                   context={"check": rep.name, "q": q, "trial": i})
         q2 = _sample_q(rng, exact_every=10, i=i)
         rep2 = thm3_bound(pair, q2, "q2")
-        run.check(_bound_margin(rep2), states=(rho, sigma),
+        run.check(rep2.margin, states=(rho, sigma),
                   context={"check": rep2.name, "q": q2, "trial": i})
 
 
@@ -574,7 +568,7 @@ def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         for n in range(1, 7):
             for p in (1.0, 2.0, math.inf):
                 rep = power_diff_bound(x, y, n, p, operands=operands)
-                run.check(_bound_margin(rep),
+                run.check(rep.margin,
                           context={"check": "power_diff", "n": n, "p": p, "trial": i})
                 if n == 1:
                     scale = max(1.0, rep.rhs)
@@ -593,7 +587,7 @@ def _suite_lemma3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         operands = OperatorPair(a_op, b_op)
         for s in (0.25, 0.5, 0.75):
             rep = lemma3_bound(a_op, b_op, s, operands=operands)
-            run.check(_bound_margin(rep), context={"check": "lemma3", "s": s, "trial": i})
+            run.check(rep.margin, context={"check": "lemma3", "s": s, "trial": i})
 
 
 ENVELOPE_B0 = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -691,12 +685,6 @@ _SUITES = (
     ("divergence_envelope", _suite_envelope, lambda t: t),
     ("tightness_crossover", _suite_crossover, lambda t: t),
 )
-
-
-def default_verify_config(seed: int = 1, trials: int = 1000,
-                          output_path: str | None = None) -> SweepConfig:
-    """Configuration whose suite counts reproduce the standard acceptance run."""
-    return SweepConfig(trials=trials, seed=seed, output_path=output_path)
 
 
 def cmd_verify(config: SweepConfig) -> VerifyReport:

@@ -66,16 +66,16 @@ class HermitianOperator:
     """Immutable complex Hermitian matrix with a cached eigendecomposition.
 
     The constructor rejects inputs with a NaN or infinite entry, symmetrizes
-    the input to (M + M^dag)/2, records the maximal entrywise asymmetry of M,
-    and rejects inputs whose asymmetry exceeds ``tol * max(1, scale)``.  The
+    the input to (M + M^dag)/2, and rejects inputs whose maximal entrywise
+    asymmetry exceeds ``HERM_TOL * max(1, scale)``.  The
     eigendecomposition is computed at most once and is checked against the
     reconstruction contract
     ``||U diag(w) U^dag - H||_max <= EIG_TOL * max(1, |w|_max)``.
     """
 
-    __slots__ = ("_mat", "_asymmetry", "_eig")
+    __slots__ = ("_mat", "_eig")
 
-    def __init__(self, entries, tol: float = HERM_TOL) -> None:
+    def __init__(self, entries) -> None:
         mat = np.array(entries, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
@@ -90,13 +90,12 @@ class HermitianOperator:
         herm *= 0.5
         # the Frobenius norm only scales the tolerance
         scale = max(1.0, math.sqrt(np.vdot(herm, herm).real))
-        if asym > tol * scale:
+        if asym > HERM_TOL * scale:
             raise NonHermitianInput(
-                f"asymmetry {asym:.3e} exceeds tolerance {tol * scale:.3e}"
+                f"asymmetry {asym:.3e} exceeds tolerance {HERM_TOL * scale:.3e}"
             )
         herm.setflags(write=False)
         self._mat = herm
-        self._asymmetry = asym
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
@@ -121,7 +120,6 @@ class HermitianOperator:
         w.setflags(write=False)
         u.setflags(write=False)
         obj._mat = mat
-        obj._asymmetry = 0.0
         obj._eig = (w, u)
         return obj
 
@@ -133,11 +131,6 @@ class HermitianOperator:
     def matrix(self) -> np.ndarray:
         """Read-only view of the symmetrized entries."""
         return self._mat
-
-    @property
-    def asymmetry(self) -> float:
-        """Max |M - M^dag| recorded at construction."""
-        return self._asymmetry
 
     def trace(self) -> float:
         return float(np.trace(self._mat).real)
@@ -178,10 +171,6 @@ class HermitianOperator:
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"
-
-
-def identity(d: int) -> HermitianOperator:
-    return HermitianOperator.from_eigensystem(np.ones(d), np.eye(d, dtype=np.complex128))
 
 
 def as_herm(x) -> HermitianOperator:

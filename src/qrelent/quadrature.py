@@ -47,20 +47,18 @@ _CHUNK_BYTES = 1 << 23
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Node budget and panel layout for one fractional exponent r in (0, 1).
+    """Node budget and panel layout of one quadrature.
 
     ``splits`` is the ascending tuple of breakpoints of (0, inf); when None
     the evaluator derives a geometric ladder from cheap norm bounds of its
-    operand (no eigendecomposition involved).
+    operand (no eigendecomposition involved).  Every function that takes a
+    rule also takes, and checks, its own exponent r.
     """
 
-    r: float
     nodes_per_panel: int = NODES_PER_PANEL
     splits: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.r < 1.0:
-            raise DomainViolation(f"fractional exponent must lie in (0, 1), got {self.r}")
         if self.nodes_per_panel < 4:
             raise DomainViolation("nodes_per_panel must be at least 4")
         if self.splits is not None:
@@ -68,14 +66,6 @@ class QuadratureRule:
             if len(s) < 1 or any(x <= 0.0 for x in s) or list(s) != sorted(s):
                 raise DomainViolation("splits must be positive and ascending")
             object.__setattr__(self, "splits", s)
-
-
-def _resolve_rule(rule: QuadratureRule | None, r: float) -> QuadratureRule:
-    if rule is None:
-        return QuadratureRule(r=r)
-    if abs(rule.r - r) > 1e-14:
-        raise DomainViolation(f"rule.r={rule.r} does not match requested exponent {r}")
-    return rule
 
 
 @lru_cache(maxsize=256)
@@ -185,7 +175,7 @@ def frac_power_scalar(a: float, r: float, rule: QuadratureRule | None = None,
         raise DomainViolation(f"base must be positive, got {a}")
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
-    rule = _resolve_rule(rule, r)
+    rule = rule or QuadratureRule()
     n = rule.nodes_per_panel
     if form == "first":
         splits = rule.splits or geometric_splits(a, a)
@@ -226,7 +216,7 @@ def frac_power_operator(A, r: float, rule: QuadratureRule | None = None,
     A = as_herm(A)
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
-    rule = _resolve_rule(rule, r)
+    rule = rule or QuadratureRule()
     n = rule.nodes_per_panel
     lo, hi = _pd_scales(A)
     mat = A.matrix
@@ -257,7 +247,7 @@ def frechet_integral_rhs(A, D, r: float,
         raise DimensionMismatch(f"dimension mismatch: {A.dim} vs {D.dim}")
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
-    rule = _resolve_rule(rule, r)
+    rule = rule or QuadratureRule()
     lo, hi = _pd_scales(A)
     y, w = nodes_weights(-r, rule.splits or geometric_splits(lo, hi), rule.nodes_per_panel)
     eye = np.eye(A.dim, dtype=np.complex128)
@@ -273,7 +263,7 @@ def resolvent_pair_integral(a0: float, b0: float, r: float,
         raise DomainViolation("both scalars must be positive")
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
-    rule = _resolve_rule(rule, r)
+    rule = rule or QuadratureRule()
     splits = rule.splits or geometric_splits(min(a0, b0), max(a0, b0))
     val = _scalar_integral(
         lambda y: 1.0 / ((y + a0) * (y + b0)), -r, splits, rule.nodes_per_panel
@@ -297,14 +287,14 @@ def resolvent_pair_closed_form(a0: float, b0: float, r: float) -> float:
     return (b0**-r - a0**-r) / (a0 - b0)
 
 
-def self_test(nodes_per_panel: int = NODES_PER_PANEL, tol: float = 1e-9) -> float:
+def self_test(nodes_per_panel: int = NODES_PER_PANEL) -> float:
     """Scalar sanity check 4^0.5 = 2; raises ConfigError when the node budget
-    cannot deliver the required accuracy."""
-    rule = QuadratureRule(r=0.5, nodes_per_panel=nodes_per_panel)
+    cannot deliver it within 1e-9."""
+    rule = QuadratureRule(nodes_per_panel=nodes_per_panel)
     err = abs(frac_power_scalar(4.0, 0.5, rule) - 2.0)
-    if err > tol:
+    if err > 1e-9:
         raise ConfigError(
-            f"quadrature self-test error {err:.3e} exceeds {tol:.1e} "
+            f"quadrature self-test error {err:.3e} exceeds 1e-9 "
             f"at {nodes_per_panel} nodes per panel"
         )
     return err

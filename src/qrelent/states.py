@@ -24,6 +24,9 @@ from .linalg import _EPS, HermitianOperator, sort_eigensystem
 
 #: default absolute weight allowed on the kernel of sigma
 TOL_INCL = 1e-12
+#: a state's trace may differ from 1, and its eigenvalues may fall below 0,
+#: by this much; such negative eigenvalues are clamped to zero
+TOL_STATE = 1e-10
 
 
 def as_generator(seed_or_rng) -> np.random.Generator:
@@ -45,43 +48,49 @@ class DensityMatrix:
     ``spectrum`` holds the eigenvalues ascending after zero-thresholding and
     renormalization; ``rank`` counts the nonzero entries; the support
     projector spans the eigenvectors of the nonzero eigenvalues.
+
+    The constructor raises NonHermitianInput, NotNormalized or NotPSD when
+    the matrix fails the corresponding check; eigenvalues in [-TOL_STATE, 0)
+    are clamped to zero and the spectrum renormalized.
     """
 
     __slots__ = ("op", "spectrum", "rank", "_basis")
 
-    def __init__(self, matrix, tol: float = 1e-10) -> None:
-        h = HermitianOperator(matrix, tol=tol)
+    def __init__(self, matrix) -> None:
+        h = HermitianOperator(matrix)
         tr = h.trace()
-        if abs(tr - 1.0) > tol:
-            raise NotNormalized(f"trace {tr!r} differs from 1 beyond {tol:.1e}")
+        if abs(tr - 1.0) > TOL_STATE:
+            raise NotNormalized(f"trace {tr!r} differs from 1 beyond {TOL_STATE:.1e}")
         w, u = h.eig()
-        self._init_from_eigensystem(w, u, tol)
+        self._init_from_eigensystem(w, u)
 
     @classmethod
-    def from_eigensystem(cls, eigenvalues, eigenvectors, tol: float = 1e-10) -> "DensityMatrix":
+    def from_eigensystem(cls, eigenvalues, eigenvectors) -> "DensityMatrix":
         """Build from a known eigensystem, keeping exact zeros exact."""
         w = np.asarray(eigenvalues, dtype=np.float64)
         u = np.array(eigenvectors, dtype=np.complex128)  # the state keeps this copy
         if w.ndim != 1 or u.shape != (w.size, w.size):
             raise DimensionMismatch("eigenvalues and eigenvectors have inconsistent shapes")
+        if not (np.isfinite(w).all() and np.isfinite(u).all()):
+            raise NonFiniteInput("eigensystem has a NaN or infinite entry")
         tr = math.fsum(w.tolist())
-        if abs(tr - 1.0) > tol:
-            raise NotNormalized(f"spectrum sums to {tr!r}, not 1 within {tol:.1e}")
+        if abs(tr - 1.0) > TOL_STATE:
+            raise NotNormalized(f"spectrum sums to {tr!r}, not 1 within {TOL_STATE:.1e}")
         obj = cls.__new__(cls)
-        obj._init_from_eigensystem(*sort_eigensystem(w, u), tol)
+        obj._init_from_eigensystem(*sort_eigensystem(w, u))
         return obj
 
-    def _init_from_eigensystem(self, w: np.ndarray, u: np.ndarray, tol: float) -> None:
+    def _init_from_eigensystem(self, w: np.ndarray, u: np.ndarray) -> None:
         """Threshold, renormalize and keep an ascending eigensystem, as eigh
         returns it; ``u`` becomes the state's read-only basis, so it must
         not be a caller's array."""
         values = w.tolist()
-        if values[0] < -tol:
-            raise NotPSD(f"eigenvalue {values[0]!r} below -{tol:.1e}")
+        if values[0] < -TOL_STATE:
+            raise NotPSD(f"eigenvalue {values[0]!r} below -{TOL_STATE:.1e}")
         # zero_threshold(w) from the ends of the ascending spectrum
         cut = len(values) * _EPS * max(1.0, -values[0], values[-1])
         # the entries <= cut, both |w| <= cut and the round-off negatives that
-        # passed the -tol gate, are a prefix of w; zeroing them keeps w ascending
+        # passed the -TOL_STATE gate, are a prefix of w; zeroing keeps w ascending
         zeros = bisect.bisect_right(values, cut)
         total = math.fsum(values[zeros:])
         if total <= 0.0:
@@ -140,16 +149,6 @@ class SpectralSummary:
         lambda0 = float(min(rho.spectrum[0], sigma.spectrum[0]))
         lambda1 = float(max(a1, b1))
         return cls(a1=a1, b1=b1, b0=b0, lambda0=lambda0, lambda1=lambda1)
-
-
-def density_from_matrix(m, tol: float = 1e-10) -> DensityMatrix:
-    """Validate and wrap a matrix as a DensityMatrix.
-
-    Raises NonHermitianInput, NotNormalized, or NotPSD when the input fails
-    the corresponding check at tolerance ``tol``; eigenvalues in [-tol, 0)
-    are clamped to zero and the spectrum renormalized.
-    """
-    return DensityMatrix(m, tol=tol)
 
 
 def sample_density(d: int, rank: int, rng) -> DensityMatrix:
@@ -275,7 +274,7 @@ def write_state(path, rho: DensityMatrix) -> None:
     os.replace(tmp, path)
 
 
-def read_state(path, tol: float = 1e-10) -> DensityMatrix:
+def read_state(path) -> DensityMatrix:
     """Parse a state file written by :func:`write_state` and validate it."""
     with open(path, "r", encoding="ascii") as fh:
         try:
@@ -291,6 +290,6 @@ def read_state(path, tol: float = 1e-10) -> DensityMatrix:
     if re.shape != (d, d) or im.shape != (d, d):
         raise ParseError(f"{path}: entry arrays do not match dim={d}")
     try:
-        return DensityMatrix(re + 1j * im, tol=tol)
+        return DensityMatrix(re + 1j * im)
     except NonFiniteInput as exc:
         raise ParseError(f"{path}: {exc}") from exc

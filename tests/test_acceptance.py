@@ -13,7 +13,6 @@ from qrelent.harness import (
     SweepConfig,
     cmd_sweep,
     cmd_verify,
-    default_verify_config,
     divergence_envelope,
     tightness_crossover,
 )
@@ -23,7 +22,7 @@ from qrelent.quadrature import (
     resolvent_pair_closed_form,
     resolvent_pair_integral,
 )
-from qrelent.states import density_from_matrix, tensor
+from qrelent.states import DensityMatrix, tensor
 
 
 @contextmanager
@@ -39,13 +38,13 @@ def criterion(num, name):
 @pytest.fixture(scope="session")
 def full_verify(tmp_path_factory):
     out = tmp_path_factory.mktemp("verify") / "report.json"
-    return cmd_verify(default_verify_config(seed=1, output_path=str(out)))
+    return cmd_verify(SweepConfig(seed=1, output_path=str(out)))
 
 
 @pytest.fixture(scope="module")
 def fixture_pair():
-    return (density_from_matrix(np.diag([0.5, 0.5])),
-            density_from_matrix(np.diag([0.75, 0.25])))
+    return (DensityMatrix(np.diag([0.5, 0.5])),
+            DensityMatrix(np.diag([0.75, 0.25])))
 
 
 def test_criterion_1_fixture_suite(fixture_pair):
@@ -137,8 +136,7 @@ def test_criterion_8_determinism(tmp_path):
     with criterion(8, "determinism"):
         reports = []
         for name in ("v1.json", "v2.json"):
-            cmd_verify(default_verify_config(seed=1, trials=25,
-                                             output_path=str(tmp_path / name)))
+            cmd_verify(SweepConfig(seed=1, trials=25, output_path=str(tmp_path / name)))
             reports.append((tmp_path / name).read_bytes())
         assert reports[0] == reports[1]
         sweeps = []

@@ -21,7 +21,7 @@ from qrelent.entropy import quantum_relative_q
 from qrelent.errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from qrelent.linalg import HermitianOperator, schatten_norm
 from qrelent.states import (
-    density_from_matrix,
+    DensityMatrix,
     sample_common_support_pair,
     sample_density,
 )
@@ -34,7 +34,7 @@ SIGMA = np.diag([0.75, 0.25])
 
 @pytest.fixture
 def pair():
-    return density_from_matrix(RHO), density_from_matrix(SIGMA)
+    return DensityMatrix(RHO), DensityMatrix(SIGMA)
 
 
 class TestPairEval:
@@ -130,7 +130,7 @@ class TestThm2:
 
     def test_degenerate_sigma_prefactor(self, rng):
         rho = sample_density(3, 3, rng)
-        sigma = density_from_matrix(np.eye(3) / 3.0)
+        sigma = DensityMatrix(np.eye(3) / 3.0)
         rep = thm2_bound(PairEval(rho, sigma), 1.7)
         assert rep.extras["prefactor"] == 1.0
         assert math.isfinite(rep.rhs) and rep.holds
@@ -162,8 +162,8 @@ class TestThm3:
         assert general.holds and q2.holds
 
     def test_restricted_support_fixture(self):
-        rho = density_from_matrix(np.diag([0.6, 0.4, 0.0]))
-        sigma = density_from_matrix(np.diag([0.5, 0.5, 0.0]))
+        rho = DensityMatrix(np.diag([0.6, 0.4, 0.0]))
+        sigma = DensityMatrix(np.diag([0.5, 0.5, 0.0]))
         rep = thm3_bound(PairEval(rho, sigma), 2.0, "q2")
         assert rep.lhs.value == pytest.approx(0.04, abs=1e-10)
         assert rep.rhs == pytest.approx(0.24, abs=1e-12)
@@ -257,13 +257,6 @@ class TestPowerDiff:
         assert scaled.lhs.value == pytest.approx(8.0 * base.lhs.value, rel=1e-10)
         assert scaled.rhs == pytest.approx(8.0 * base.rhs, rel=1e-10)
         assert scaled.holds == base.holds
-
-    def test_submultiplicative_mode(self, rng):
-        x = HermitianOperator(random_hermitian(rng, 3))
-        y = HermitianOperator(random_hermitian(rng, 3))
-        for p in (1.0, 2.0):
-            rep = power_diff_bound(x, y, 4, p, mode="submultiplicative")
-            assert rep.holds
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
            p=st.sampled_from([1.0, 2.0, math.inf]))
@@ -438,12 +431,11 @@ class TestSharedWork:
         for n in range(1, 7):
             diff = np.linalg.matrix_power(x.matrix, n) - np.linalg.matrix_power(y.matrix, n)
             for p in (1.0, 2.0, math.inf):
-                for mode in ("spectral", "submultiplicative"):
-                    shared = power_diff_bound(x, y, n, p, mode, operands=operands)
-                    alone = power_diff_bound(x, y, n, p, mode)
-                    assert shared == alone
-                    assert shared.lhs.value == schatten_norm(diff, p)
-                    assert shared.distances == standalone
+                shared = power_diff_bound(x, y, n, p, operands=operands)
+                alone = power_diff_bound(x, y, n, p)
+                assert shared == alone
+                assert shared.lhs.value == schatten_norm(diff, p)
+                assert shared.distances == standalone
 
     def test_pair_distances_are_bit_identical(self, rng):
         rho, sigma = sample_density(6, 6, rng), sample_density(6, 6, rng)

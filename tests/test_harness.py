@@ -14,13 +14,12 @@ from qrelent.harness import (
     cmd_gen,
     cmd_sweep,
     cmd_verify,
-    default_verify_config,
     divergence_envelope,
     sigma_family,
     sweep_row,
     tightness_crossover,
 )
-from qrelent.states import density_from_matrix, read_state, sample_density
+from qrelent.states import DensityMatrix, read_state, sample_density
 
 
 class TestConfigValidation:
@@ -95,7 +94,7 @@ class TestSigmaFamily:
 
 class TestSweepRow:
     def test_diagonal_fixture_row(self):
-        rho = density_from_matrix(np.diag([0.5, 0.5]))
+        rho = DensityMatrix(np.diag([0.5, 0.5]))
         sigma = sigma_family(2, 0.25)
         row = sweep_row(PairEval(rho, sigma), q=2.0, b0=0.25, trial=0, stream_seed=1)
         assert row["Dq"] == pytest.approx(1.0 / 3.0, abs=1e-10)
@@ -251,8 +250,8 @@ class TestEvalAndGen:
     def test_eval_fixture_pair(self, tmp_path):
         from qrelent.states import write_state
 
-        write_state(tmp_path / "rho.json", density_from_matrix(np.diag([0.5, 0.5])))
-        write_state(tmp_path / "sigma.json", density_from_matrix(np.diag([0.75, 0.25])))
+        write_state(tmp_path / "rho.json", DensityMatrix(np.diag([0.5, 0.5])))
+        write_state(tmp_path / "sigma.json", DensityMatrix(np.diag([0.75, 0.25])))
         doc = cmd_eval(tmp_path / "rho.json", tmp_path / "sigma.json", [2.0])
         record = doc["per_q"][0]
         assert record["Dq"] == pytest.approx(1.0 / 3.0, abs=1e-10)
@@ -274,7 +273,7 @@ class TestEvalAndGen:
         from qrelent.states import write_state
 
         write_state(tmp_path / "rho.json", sample_density(2, 2, rng))
-        write_state(tmp_path / "sigma.json", density_from_matrix(np.diag([1.0, 0.0])))
+        write_state(tmp_path / "sigma.json", DensityMatrix(np.diag([1.0, 0.0])))
         doc = cmd_eval(tmp_path / "rho.json", tmp_path / "sigma.json", [2.0])
         record = doc["per_q"][0]
         assert record["Dq"] == "inf"
@@ -319,8 +318,7 @@ class TestVerify:
         assert doc["suites"][0]["failures"] == 1
 
     def test_small_run_passes(self, tmp_path):
-        config = default_verify_config(seed=1, trials=30,
-                                       output_path=str(tmp_path / "report.json"))
+        config = SweepConfig(seed=1, trials=30, output_path=str(tmp_path / "report.json"))
         report = cmd_verify(config)
         assert report.passed
         names = [s.name for s in report.suites]
@@ -330,8 +328,7 @@ class TestVerify:
 
     def test_report_byte_determinism(self, tmp_path):
         for name in ("r1.json", "r2.json"):
-            cmd_verify(default_verify_config(seed=5, trials=20,
-                                             output_path=str(tmp_path / name)))
+            cmd_verify(SweepConfig(seed=5, trials=20, output_path=str(tmp_path / name)))
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
 
 

@@ -11,7 +11,6 @@ from qrelent.linalg import (
     apply_function,
     eigh,
     herm_power,
-    identity,
     psd_gap,
     schatten_norm,
     singular_values,
@@ -52,7 +51,6 @@ class TestConstructor:
         m = random_hermitian(rng, 4)
         skew = m + 1e-13 * np.array([[0, 1], [0, 0]]).repeat(2, 0).repeat(2, 1)
         h = HermitianOperator(skew)
-        assert h.asymmetry > 0.0
         assert np.max(np.abs(h.matrix - h.matrix.conj().T)) == 0.0
 
     def test_rejects_non_hermitian(self):
@@ -215,9 +213,3 @@ def test_zero_threshold_scales_with_dimension():
     cut = zero_threshold(w)
     assert 0.0 < cut < 1e-12
     assert abs(w[1]) <= cut
-
-
-def test_identity_helper():
-    ident = identity(3)
-    np.testing.assert_allclose(ident.matrix, np.eye(3))
-    np.testing.assert_allclose(ident.eigenvalues(), [1.0, 1.0, 1.0])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi, roots_legendre
 
 from qrelent import quadrature
-from qrelent.errors import ConfigError, DomainViolation
+from qrelent.bounds import frechet_check
+from qrelent.errors import ConfigError, DomainViolation, PreconditionFailed
 from qrelent.linalg import HermitianOperator, apply_function, eigh, schatten_norm
 from qrelent.quadrature import (
     QuadratureRule,
@@ -27,25 +28,34 @@ from conftest import random_hermitian, random_pd
 
 INDEFINITE = np.array([[1.0, 2.0j], [-2.0j, 1.0]])  # eigenvalues -1 and 3
 
+_PD = np.diag([1.0, 2.0])
+#: every function taking a fractional exponent r, and the error its gate raises
+EXPONENT_GATES = {
+    "frac_power_scalar": (lambda r: frac_power_scalar(4.0, r), DomainViolation),
+    "frac_power_operator": (lambda r: frac_power_operator(_PD, r), DomainViolation),
+    "frechet_integral_rhs": (lambda r: frechet_integral_rhs(_PD, np.eye(2), r), DomainViolation),
+    "resolvent_pair_integral": (lambda r: resolvent_pair_integral(0.5, 0.25, r), DomainViolation),
+    "resolvent_pair_closed_form": (lambda r: resolvent_pair_closed_form(0.5, 0.25, r),
+                                   DomainViolation),
+    "frechet_check": (lambda r: frechet_check(_PD, 2.0 * _PD, r), PreconditionFailed),
+}
+
 
 class TestRuleValidation:
-    def test_r_out_of_range(self):
-        with pytest.raises(DomainViolation):
-            QuadratureRule(r=1.0)
-        with pytest.raises(DomainViolation):
-            QuadratureRule(r=0.0)
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    @pytest.mark.parametrize("name", sorted(EXPONENT_GATES))
+    def test_exponent_gate(self, name, r):
+        call, error = EXPONENT_GATES[name]
+        with pytest.raises(error):
+            call(r)
 
     def test_node_floor(self):
         with pytest.raises(DomainViolation):
-            QuadratureRule(r=0.5, nodes_per_panel=3)
+            QuadratureRule(nodes_per_panel=3)
 
     def test_splits_must_ascend(self):
         with pytest.raises(DomainViolation):
-            QuadratureRule(r=0.5, splits=(2.0, 1.0))
-
-    def test_mismatched_rule_r(self):
-        with pytest.raises(DomainViolation):
-            frac_power_scalar(4.0, 0.5, QuadratureRule(r=0.25))
+            QuadratureRule(splits=(2.0, 1.0))
 
 
 class TestScalarPower:
@@ -198,7 +208,7 @@ def _budget_errors(cond: float, d: int, r: float, nodes: int | None) -> tuple[fl
     a = HermitianOperator.from_eigensystem(10.0 ** rng.uniform(-2.0, 2.0) * w,
                                            haar_unitary(d, rng))
     direction = random_hermitian(rng, d)
-    rule = None if nodes is None else QuadratureRule(r=r, nodes_per_panel=nodes)
+    rule = None if nodes is None else QuadratureRule(nodes_per_panel=nodes)
     spectral = apply_function(a, lambda lam: lam**r).matrix
     scale = max(1.0, schatten_norm(a, math.inf) ** r)
     power = max(float(np.max(np.abs(frac_power_operator(a, r, rule, form=form).matrix
@@ -289,7 +299,7 @@ class TestNodesWeights:
         a = HermitianOperator(random_pd(rng, 5))
         mat, eye = a.matrix, np.eye(5)
         splits = geometric_splits(1e-3, 30.0)
-        rule = QuadratureRule(r=0.4, nodes_per_panel=16, splits=splits)
+        rule = QuadratureRule(nodes_per_panel=16, splits=splits)
         if form == "first":
             loop = _loop_integral(lambda x: scipy.linalg.solve(mat + x * eye, mat, assume_a="pos"),
                                   -0.6, splits, 16)
@@ -308,7 +318,7 @@ class TestStackedSolve:
         direction = HermitianOperator(random_hermitian(rng, 8))
         r = 0.3
         # an explicit 64-node rule gives this operand over 300 nodes, three chunks
-        rule = QuadratureRule(r=r, nodes_per_panel=64)
+        rule = QuadratureRule(nodes_per_panel=64)
         if call == "frechet":
             run = lambda: frechet_integral_rhs(a, direction, r, rule).matrix  # noqa: E731
         else:

@@ -21,7 +21,6 @@ from qrelent.states import (
     TOL_INCL,
     DensityMatrix,
     SpectralSummary,
-    density_from_matrix,
     density_with_spectrum,
     haar_unitary,
     kernel_included,
@@ -36,30 +35,30 @@ from qrelent.states import (
 
 class TestDensityFromMatrix:
     def test_maximally_mixed(self):
-        rho = density_from_matrix(np.eye(2) / 2.0)
+        rho = DensityMatrix(np.eye(2) / 2.0)
         np.testing.assert_allclose(rho.spectrum, [0.5, 0.5])
         assert rho.rank == 2
 
     def test_pure_state_support(self):
-        rho = density_from_matrix(np.diag([1.0, 0.0]))
+        rho = DensityMatrix(np.diag([1.0, 0.0]))
         assert rho.rank == 1
         np.testing.assert_allclose(rho.support_projector.matrix, np.diag([1.0, 0.0]),
                                    atol=1e-14)
 
     def test_trace_violation(self):
         with pytest.raises(NotNormalized):
-            density_from_matrix(np.diag([0.6, 0.5]))
+            DensityMatrix(np.diag([0.6, 0.5]))
 
     def test_negative_eigenvalue(self):
         with pytest.raises(NotPSD):
-            density_from_matrix(np.diag([1.5, -0.5]))
+            DensityMatrix(np.diag([1.5, -0.5]))
 
     def test_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
-            density_from_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+            DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
     def test_clamps_round_off_negatives(self):
-        rho = density_from_matrix(np.diag([1.0 + 1e-12, -1e-12]), tol=1e-10)
+        rho = DensityMatrix(np.diag([1.0 + 1e-12, -1e-12]))
         assert rho.rank == 1
         assert rho.spectrum[0] == 0.0
         assert math.fsum(rho.spectrum) == pytest.approx(1.0, abs=1e-14)
@@ -134,13 +133,13 @@ class TestKernelInclusion:
         assert kernel_included(sigma, rho)
 
     def test_pure_sigma_mixed_rho(self):
-        rho = density_from_matrix(np.diag([0.5, 0.5]))
-        sigma = density_from_matrix(np.diag([1.0, 0.0]))
+        rho = DensityMatrix(np.diag([0.5, 0.5]))
+        sigma = DensityMatrix(np.diag([1.0, 0.0]))
         assert not kernel_included(sigma, rho)
 
     def test_common_kernel(self):
-        rho = density_from_matrix(np.diag([0.6, 0.4, 0.0]))
-        sigma = density_from_matrix(np.diag([0.5, 0.5, 0.0]))
+        rho = DensityMatrix(np.diag([0.6, 0.4, 0.0]))
+        sigma = DensityMatrix(np.diag([0.5, 0.5, 0.0]))
         assert kernel_included(sigma, rho)
 
     def test_reflexive(self, rng):
@@ -173,12 +172,12 @@ class TestKernelInclusion:
 class TestTensor:
     def test_identity_factor(self, rng):
         rho = sample_density(3, 3, rng)
-        unit = density_from_matrix(np.array([[1.0]]))
+        unit = DensityMatrix(np.array([[1.0]]))
         np.testing.assert_allclose(tensor(rho, unit).matrix, rho.matrix, atol=1e-14)
 
     def test_diagonal_products(self):
-        a = density_from_matrix(np.diag([0.5, 0.5]))
-        b = density_from_matrix(np.diag([0.75, 0.25]))
+        a = DensityMatrix(np.diag([0.5, 0.5]))
+        b = DensityMatrix(np.diag([0.75, 0.25]))
         out = tensor(a, b)
         np.testing.assert_allclose(np.sort(np.diag(out.matrix).real),
                                    [0.125, 0.125, 0.375, 0.375], atol=1e-14)
@@ -224,6 +223,24 @@ class TestUnsortedEigensystems:
         np.testing.assert_array_equal(w, [0.25, 0.75])
 
 
+class TestNonFiniteEigensystem:
+    """A NaN or infinite eigenvalue or eigenvector entry is a NonFiniteInput,
+    not a NaN state nor an untyped error of the trace sum."""
+
+    @pytest.mark.parametrize("w", [[math.nan, 0.5, 0.5], [math.inf, -math.inf, 1.0],
+                                   [math.inf, 0.5, 0.5]])
+    def test_eigenvalues(self, w):
+        with pytest.raises(NonFiniteInput):
+            DensityMatrix.from_eigensystem(w, np.eye(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
+    def test_eigenvectors(self, bad):
+        u = np.eye(3, dtype=np.complex128)
+        u[1, 2] = bad
+        with pytest.raises(NonFiniteInput):
+            DensityMatrix.from_eigensystem([0.2, 0.3, 0.5], u)
+
+
 class TestPartialTrace:
     def test_product_state_recovers_factor(self, rng):
         rho_a = sample_density(2, 2, rng)
@@ -243,7 +260,7 @@ class TestPartialTrace:
             for k in range(2):
                 expected[i, k] = math.fsum(joint[2 * i + j, 2 * k + j].real for j in range(2))
         np.testing.assert_allclose(expected, np.eye(2) / 2.0, atol=1e-15)
-        reduced = partial_trace(density_from_matrix(joint), 2, 2, "A")
+        reduced = partial_trace(DensityMatrix(joint), 2, 2, "A")
         np.testing.assert_allclose(reduced.matrix, expected, atol=1e-12)
 
     def test_bad_factorization(self, rng):
@@ -254,8 +271,8 @@ class TestPartialTrace:
 
 class TestSpectralSummary:
     def test_fixture_pair(self):
-        rho = density_from_matrix(np.diag([0.5, 0.5]))
-        sigma = density_from_matrix(np.diag([0.75, 0.25]))
+        rho = DensityMatrix(np.diag([0.5, 0.5]))
+        sigma = DensityMatrix(np.diag([0.75, 0.25]))
         s = SpectralSummary.from_states(rho, sigma)
         assert (s.a1, s.b1, s.b0, s.lambda0, s.lambda1) == (0.5, 0.75, 0.25, 0.25, 0.75)
 
@@ -461,14 +478,14 @@ class TestLeanConstructor:
             m[i, j] = rng.choice([complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf])
         expect = _outcome(lambda: _reference_state(m))
         assert _outcome(lambda: DensityMatrix(m)) == expect
-        # the operator's own symmetrisation and recorded asymmetry
+        # the operator's own symmetrisation
         ref = _outcome(lambda: _reference_hermitian(m, 1e-10))
         if isinstance(ref[0], type):
             assert _outcome(lambda: HermitianOperator(m)) == ref
         else:
             h = HermitianOperator(m)
-            herm, asym = _reference_hermitian(m, 1e-10)
-            assert h.matrix.tobytes() == herm.tobytes() and h.asymmetry == asym
+            herm, _ = _reference_hermitian(m, 1e-10)
+            assert h.matrix.tobytes() == herm.tobytes()
 
     @pytest.mark.parametrize("defect,error", [
         ("not_psd", NotPSD), ("not_normalized", NotNormalized),
