@@ -68,12 +68,12 @@ def operand_errors(a: HermitianOperator, direction: np.ndarray, n: int,
         for form, splits in (("first", padded(lo, hi, pad)),
                              ("second", padded(1.0 / hi, 1.0 / lo, pad))):
             rule = QuadratureRule(nodes_per_panel=n, splits=splits)
-            quad = frac_power_operator(a, r, rule, form=form).matrix
+            quad = frac_power_operator(a, (r,), rule, form=form)[0].matrix
             err = float(np.max(np.abs(quad - spectral))) / max(1.0, norm**r)
             power_err = max(power_err, err)
         exact = daleckii_krein(a, direction, r)
         rule = QuadratureRule(nodes_per_panel=n, splits=padded(lo, hi, pad))
-        quad = frechet_integral_rhs(a, direction, r, rule).matrix
+        quad = frechet_integral_rhs(a, direction, (r,), rule)[0].matrix
         err = float(np.max(np.abs(quad - exact)) / np.max(np.abs(exact)))
         frechet_err = max(frechet_err, err)
     return power_err, frechet_err

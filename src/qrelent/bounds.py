@@ -101,7 +101,10 @@ class PairEval(StatePair):
 
     @cached_property
     def distances(self) -> dict[str, float]:
-        return _distances(singular_values(self.rho.matrix - self.sigma.matrix))
+        # both state matrices are exactly Hermitian, so their difference is:
+        # its singular values are the sorted moduli of its eigenvalues
+        s = np.abs(np.linalg.eigvalsh(self.rho.matrix - self.sigma.matrix))
+        return _distances(np.sort(s)[::-1])
 
     @cached_property
     def d1(self) -> ExtendedReal:
@@ -439,32 +442,38 @@ def lemma3_bound(A, B, s: float, operands: OperatorPair | None = None) -> BoundR
     )
 
 
-def frechet_check(A, B, r: float, operands: OperatorPair | None = None) -> BoundReport:
-    """Operator-order check A^(-r) - B^(-r) <= directional-derivative integral.
+def frechet_check(A, B, rs, operands: OperatorPair | None = None
+                  ) -> tuple[BoundReport, ...]:
+    """Operator-order check A^(-r) - B^(-r) <= directional-derivative integral,
+    one report for each exponent r in the tuple ``rs``.
 
     The left side is evaluated by spectral calculus, the right side by
-    resolvent quadrature in the direction B - A; the report's rhs is the
-    minimum eigenvalue of (right - left), which must not drop below
-    -(PSD_TOL + quadrature allowance).  ``operands``, the OperatorPair of
-    (A, B), shares the distances across the checks of one instance.
+    resolvent quadrature in the direction B - A, one stack of solves for
+    every r; each report's rhs is the minimum eigenvalue of (right - left),
+    which must not drop below -(PSD_TOL + quadrature allowance).
+    ``operands``, the OperatorPair of (A, B), shares the distances across
+    the checks of one instance.
     """
     ops = _operands(A, B, operands)
     A, B = ops.a, ops.b
     if A.dim != B.dim:
         raise PreconditionFailed(f"dimension mismatch: {A.dim} vs {B.dim}")
-    if not 0.0 < r < 1.0:
-        raise PreconditionFailed(f"requires 0 < r < 1, got {r}")
+    rs = tuple(float(r) for r in rs)
+    for r in rs:
+        if not 0.0 < r < 1.0:
+            raise PreconditionFailed(f"requires 0 < r < 1, got {r}")
     for op, side in ((A, "first"), (B, "second")):
         w = op.eigenvalues()
         if float(w[0]) <= zero_threshold(w):
             raise PreconditionFailed(f"{side} operand must be strictly positive")
-    lhs_op = herm_power(A, -r) - herm_power(B, -r)
-    rhs_op = frechet_integral_rhs(A, B - A, r)
-    gap = psd_gap(lhs_op, rhs_op)
     allowance = PSD_TOL + FRECHET_QUAD_ALLOWANCE
-    holds = gap >= -allowance
-    return BoundReport(
-        "frechet_gap", ExtendedReal.finite(0.0), gap, gap, holds, False, None,
-        ops.distances,
-        {"r": r, "allowance": allowance},
-    )
+    reports = []
+    for r, rhs_op in zip(rs, frechet_integral_rhs(A, B - A, rs)):
+        lhs_op = herm_power(A, -r) - herm_power(B, -r)
+        gap = psd_gap(lhs_op, rhs_op)
+        reports.append(BoundReport(
+            "frechet_gap", ExtendedReal.finite(0.0), gap, gap, gap >= -allowance, False, None,
+            ops.distances,
+            {"r": r, "allowance": allowance},
+        ))
+    return tuple(reports)

@@ -32,6 +32,7 @@ from .errors import (
     PreconditionFailed,
     QOutOfRange,
 )
+from .linalg import lapack_eigh
 from .states import DensityMatrix, kernel_included
 
 #: largest accepted entropy order; beyond this a^q underflows for typical spectra
@@ -166,7 +167,7 @@ def _compressed_eigensystem(
     b = sigma.spectrum[sigma.dim - k :]
     compressed = support.conj().T @ rho.matrix @ support
     compressed = (compressed + compressed.conj().T) / 2.0
-    lam, w = np.linalg.eigh(compressed)
+    lam, w = lapack_eigh(compressed)
     if float(lam.min()) < -1e-10:
         raise InternalInconsistency(
             f"support compression produced eigenvalue {float(lam.min())!r}"

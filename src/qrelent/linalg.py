@@ -12,6 +12,7 @@ import math
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -51,6 +52,20 @@ def _identity(d: int) -> np.ndarray:
     eye = np.eye(d)
     eye.setflags(write=False)
     return eye
+
+
+def lapack_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ascending and orthonormal eigenvector columns of a complex
+    Hermitian matrix, from its lower triangle, by one LAPACK zheevd call.
+
+    These are the arrays np.linalg.eigh returns (the same driver, triangle
+    and C-ordered eigenvectors) without its wrapper's cost; a solve that
+    does not converge raises ConvergenceFailure.
+    """
+    w, u, info = scipy.linalg.lapack.zheevd(mat, lower=1)
+    if info != 0:
+        raise ConvergenceFailure(f"eigh failed: zheevd info {info}")
+    return w, np.ascontiguousarray(u)
 
 
 def sort_eigensystem(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,11 +115,14 @@ class HermitianOperator:
 
     @classmethod
     def from_eigensystem(cls, eigenvalues, eigenvectors) -> "HermitianOperator":
-        """Build U diag(w) U^dag with the eigendecomposition cache pre-seeded."""
+        """Build U diag(w) U^dag with the eigendecomposition cache pre-seeded;
+        a NaN or infinite eigenvalue or eigenvector entry is NonFiniteInput."""
         w = np.array(eigenvalues, dtype=np.float64)
         u = np.array(eigenvectors, dtype=np.complex128)
         if w.ndim != 1 or u.shape != (w.size, w.size):
             raise DimensionMismatch("eigenvalues and eigenvectors have inconsistent shapes")
+        if not (np.isfinite(w).all() and np.isfinite(u).all()):
+            raise NonFiniteInput("eigensystem has a NaN or infinite entry")
         return cls._from_ascending(*sort_eigensystem(w, u))
 
     @classmethod
@@ -138,10 +156,7 @@ class HermitianOperator:
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues ascending and the matching orthonormal eigenvector columns."""
         if self._eig is None:
-            try:
-                w, u = np.linalg.eigh(self._mat)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceFailure(f"eigh failed: {exc}") from exc
+            w, u = lapack_eigh(self._mat)
             # eigh returns w ascending, so its extremes are the ends
             scale = max(1.0, -float(w[0]), float(w[-1]))
             u_h = u.conj().T
@@ -195,7 +210,8 @@ def apply_function(
     Eigenvalues within the zero threshold are snapped to exactly 0 before the
     guard and before f, so rank decisions do not depend on round-off.  The
     guard, when given, must accept every (thresholded) eigenvalue or a
-    DomainViolation naming the offender is raised.
+    DomainViolation naming the offender is raised; so is a NaN or infinite
+    value of f.
     """
     h = as_herm(h)
     w, u = h.eig()
@@ -206,8 +222,8 @@ def apply_function(
             if not domain_guard(float(lam)):
                 raise DomainViolation(f"eigenvalue {float(lam)!r} rejected by domain guard")
     vals = np.array([float(f(float(lam))) for lam in w_eff])
-    if np.any(np.isnan(vals)):
-        raise DomainViolation("function produced NaN on the spectrum")
+    if not np.isfinite(vals).all():
+        raise DomainViolation("function produced a NaN or infinite value on the spectrum")
     return HermitianOperator.from_eigensystem(vals, u)
 
 

@@ -19,8 +19,11 @@ exact fsum.  Operator integrands are resolvents of the shifted matrices
 alpha_k A + beta_k I: one kernel stacks them over the nodes, rejects the stack
 unless a batched Cholesky factorization shows every member positive definite,
 solves the whole stack at once and adds the weighted solutions in node order.
-No eigendecomposition is involved, so results from this module can serve as
-an independent cross-check for spectral calculus.
+The operator functions take a tuple of exponents: their rules share the
+interior nodes of the operand's ladder (``shared_nodes_weights``), so one
+stack of solves serves every exponent.  No eigendecomposition is involved,
+so results from this module can serve as an independent cross-check for
+spectral calculus.
 """
 
 from __future__ import annotations
@@ -93,6 +96,46 @@ def geometric_splits(scale_low: float, scale_high: float) -> tuple[float, ...]:
     return tuple(scale_low * LADDER_RATIO**k for k in range(count + 1))
 
 
+def shared_nodes_weights(exponents, splits: tuple[float, ...], n: int
+                         ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """One node array y for the rules of several weight exponents on one ladder,
+    and per exponent its (index, weights) with sum_k w_k f(y[index_k]) ~
+    int_0^inf y^exponent f(y) dy.
+
+    Every exponent must lie in (-1, 0).  The Gauss-Legendre interior nodes
+    depend only on the splits, so the rules share them; each exponent adds
+    its own Gauss-Jacobi head and tail panel of n nodes.  y holds every head
+    (in exponent order), the interior, then every tail, so each index
+    ascends and y[index] is the exponent's rule in head, interior, tail order.
+    """
+    es = tuple(float(e) for e in exponents)
+    for e in es:
+        if not -1.0 < e < 0.0:
+            raise DomainViolation(f"weight exponent must lie in (-1, 0), got {e}")
+    c0, ck = splits[0], splits[-1]
+    tl, wl = _legendre(n)
+    panels = [((b - a) / 2.0, (a + b) / 2.0) for a, b in zip(splits[:-1], splits[1:])]
+    interior = [mid + half * tl for half, mid in panels]
+    heads, tails, weights = [], [], []
+    for e in es:
+        t, w = _jacobi(n, e)
+        heads.append(c0 * (1.0 + t) / 2.0)
+        ws = [(c0 / 2.0) ** (e + 1.0) * w]
+        ws.extend(half * wl * y**e for (half, _), y in zip(panels, interior))
+        # tail: y = ck/u turns the decay of f into the Jacobi weight u^(-e-2+1);
+        # reversed so that y ascends
+        t2, w2 = _jacobi(n, -e - 1.0)
+        u = (1.0 + t2[::-1]) / 2.0
+        tails.append(ck / u)
+        ws.append(ck ** (e + 1.0) * 2.0**e * w2[::-1] / u)
+        weights.append(np.concatenate(ws))
+    k, m = len(es), n * len(panels)
+    panel, shared = np.arange(n), np.arange(k * n, k * n + m)
+    index = [np.concatenate([panel + i * n, shared, panel + (k * n + m + i * n)])
+             for i in range(k)]
+    return np.concatenate(heads + interior + tails), list(zip(index, weights))
+
+
 def nodes_weights(exponent: float, splits: tuple[float, ...],
                   n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes y and weights w with sum_k w_k f(y_k) ~ int_0^inf y^exponent f(y) dy.
@@ -101,30 +144,8 @@ def nodes_weights(exponent: float, splits: tuple[float, ...],
     len(splits) + 1 panels; the nodes ascend, so head, interior and tail
     terms are always accumulated in the same order.
     """
-    e = float(exponent)
-    if not -1.0 < e < 0.0:
-        raise DomainViolation(f"weight exponent must lie in (-1, 0), got {e}")
-    c0, ck = splits[0], splits[-1]
-    ys, ws = [], []
-
-    t, w = _jacobi(n, e)
-    ys.append(c0 * (1.0 + t) / 2.0)
-    ws.append((c0 / 2.0) ** (e + 1.0) * w)
-
-    tl, wl = _legendre(n)
-    for a, b in zip(splits[:-1], splits[1:]):
-        half, mid = (b - a) / 2.0, (a + b) / 2.0
-        y = mid + half * tl
-        ys.append(y)
-        ws.append(half * wl * y**e)
-
-    # tail: y = ck/u turns the decay of f into the Jacobi weight u^(-e-2+1);
-    # reversed so that y ascends
-    t2, w2 = _jacobi(n, -e - 1.0)
-    u = (1.0 + t2[::-1]) / 2.0
-    ys.append(ck / u)
-    ws.append(ck ** (e + 1.0) * 2.0**e * w2[::-1] / u)
-    return np.concatenate(ys), np.concatenate(ws)
+    y, ((_, w),) = shared_nodes_weights((exponent,), splits, n)
+    return y, w
 
 
 def _scalar_integral(f, exponent: float, splits: tuple[float, ...], n: int) -> float:
@@ -134,22 +155,24 @@ def _scalar_integral(f, exponent: float, splits: tuple[float, ...], n: int) -> f
 
 
 def _resolvent_sum(mat: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
-                   w: np.ndarray, rhs: np.ndarray,
-                   middle: np.ndarray | None = None) -> np.ndarray:
-    """sum_k w_k X_k with X_k = (alpha_k A + beta_k I)^(-1) rhs, or X_k D X_k
-    when ``middle`` = D is given.
+                   rules: list[tuple[np.ndarray, np.ndarray]], rhs: np.ndarray,
+                   middle: np.ndarray | None = None) -> list[np.ndarray]:
+    """Per rule (index, w), sum_k w_k X_(index_k) with X_j = (alpha_j A +
+    beta_j I)^(-1) rhs, or X_j D X_j when ``middle`` = D is given.
 
     Every shifted matrix must be positive definite: each chunk of the stack
     is Cholesky-checked before it is solved, and DomainViolation is raised
     otherwise.  Nodes are taken in consecutive chunks of at most
-    _CHUNK_BYTES of matrices, and each chunk is summed by einsum in node
-    order, so the result is bit-reproducible.
+    _CHUNK_BYTES of matrices, each node is solved once for every rule that
+    uses it, and each rule's part of a chunk is summed by einsum in its
+    (ascending) index order.  The result is bit-reproducible, and with one
+    chunk it is bit-identical to summing each rule on its own stack.
     """
     d = mat.shape[0]
     eye = np.eye(d, dtype=np.complex128)
     step = max(1, _CHUNK_BYTES // (16 * d * d))
-    total = np.zeros((d, d), dtype=np.complex128)
-    for k in range(0, len(w), step):
+    totals = [np.zeros((d, d), dtype=np.complex128) for _ in rules]
+    for k in range(0, len(alpha), step):
         part = slice(k, k + step)
         stack = alpha[part, None, None] * mat + beta[part, None, None] * eye
         try:
@@ -159,8 +182,32 @@ def _resolvent_sum(mat: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
             raise DomainViolation(f"matrix is not strictly positive definite: {exc}") from exc
         if middle is not None:
             x = x @ middle @ x
-        total += np.einsum("k,kij->ij", w[part], x)
-    return total
+        for total, (index, w) in zip(totals, rules):
+            lo, hi = np.searchsorted(index, (k, k + step))
+            if lo < hi:
+                total += np.einsum("k,kij->ij", w[lo:hi], x[index[lo:hi] - k])
+    return totals
+
+
+def _exponents(rs) -> tuple[float, ...]:
+    """The exponents of an operator integral as floats, each in (0, 1)."""
+    rs = tuple(float(r) for r in rs)
+    if not rs:
+        raise DomainViolation("at least one exponent is required")
+    for r in rs:
+        if not 0.0 < r < 1.0:
+            raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
+    return rs
+
+
+def _scaled_hermitian(rs: tuple[float, ...], totals: list[np.ndarray]
+                      ) -> tuple[HermitianOperator, ...]:
+    """(sin(r pi)/pi) * total per exponent, symmetrized."""
+    results = []
+    for r, total in zip(rs, totals):
+        result = math.sin(r * math.pi) / math.pi * total
+        results.append(HermitianOperator((result + result.conj().T) / 2.0))
+    return tuple(results)
 
 
 def frac_power_scalar(a: float, r: float, rule: QuadratureRule | None = None,
@@ -205,38 +252,39 @@ def _pd_scales(h: HermitianOperator) -> tuple[float, float]:
     return lo, hi
 
 
-def frac_power_operator(A, r: float, rule: QuadratureRule | None = None,
-                        form: str = "first") -> HermitianOperator:
-    """A^r for strictly positive A by resolvent quadrature.
+def frac_power_operator(A, rs, rule: QuadratureRule | None = None,
+                        form: str = "first") -> tuple[HermitianOperator, ...]:
+    """A^r for strictly positive A and each exponent r in the tuple ``rs``, by
+    resolvent quadrature; one stack of solves serves every exponent.
 
     form="first" integrates x^(r-1) A (A + x I)^(-1); form="second" integrates
     y^(-r) (y I + A^(-1))^(-1), evaluated as A (y A + I)^(-1) so that only
     positive-definite solves are needed.
     """
     A = as_herm(A)
-    if not 0.0 < r < 1.0:
-        raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
+    rs = _exponents(rs)
     rule = rule or QuadratureRule()
     n = rule.nodes_per_panel
     lo, hi = _pd_scales(A)
     mat = A.matrix
 
     if form == "first":
-        y, w = nodes_weights(r - 1.0, rule.splits or geometric_splits(lo, hi), n)
+        y, rules = shared_nodes_weights([r - 1.0 for r in rs],
+                                        rule.splits or geometric_splits(lo, hi), n)
         alpha, beta = np.ones_like(y), y
     elif form == "second":
-        y, w = nodes_weights(-r, rule.splits or geometric_splits(1.0 / hi, 1.0 / lo), n)
+        y, rules = shared_nodes_weights([-r for r in rs],
+                                        rule.splits or geometric_splits(1.0 / hi, 1.0 / lo), n)
         alpha, beta = y, np.ones_like(y)
     else:
         raise DomainViolation(f"unknown form {form!r}")
-
-    result = math.sin(r * math.pi) / math.pi * _resolvent_sum(mat, alpha, beta, w, mat)
-    return HermitianOperator((result + result.conj().T) / 2.0)
+    return _scaled_hermitian(rs, _resolvent_sum(mat, alpha, beta, rules, mat))
 
 
-def frechet_integral_rhs(A, D, r: float,
-                         rule: QuadratureRule | None = None) -> HermitianOperator:
-    """(sin(r pi)/pi) int_0^inf y^(-r) (yI+A)^(-1) D (yI+A)^(-1) dy.
+def frechet_integral_rhs(A, D, rs, rule: QuadratureRule | None = None
+                         ) -> tuple[HermitianOperator, ...]:
+    """(sin(r pi)/pi) int_0^inf y^(-r) (yI+A)^(-1) D (yI+A)^(-1) dy for each
+    exponent r in the tuple ``rs``; one stack of solves serves every exponent.
 
     For D commuting with A this acts eigenvalue-wise as d * r * a^(-r-1); in
     general it is the derivative of t -> -t^(-r) at A in the direction D.
@@ -245,15 +293,14 @@ def frechet_integral_rhs(A, D, r: float,
     D = as_herm(D)
     if A.dim != D.dim:
         raise DimensionMismatch(f"dimension mismatch: {A.dim} vs {D.dim}")
-    if not 0.0 < r < 1.0:
-        raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
+    rs = _exponents(rs)
     rule = rule or QuadratureRule()
     lo, hi = _pd_scales(A)
-    y, w = nodes_weights(-r, rule.splits or geometric_splits(lo, hi), rule.nodes_per_panel)
+    y, rules = shared_nodes_weights([-r for r in rs], rule.splits or geometric_splits(lo, hi),
+                                    rule.nodes_per_panel)
     eye = np.eye(A.dim, dtype=np.complex128)
-    val = _resolvent_sum(A.matrix, np.ones_like(y), y, w, eye, middle=D.matrix)
-    result = math.sin(r * math.pi) / math.pi * val
-    return HermitianOperator((result + result.conj().T) / 2.0)
+    totals = _resolvent_sum(A.matrix, np.ones_like(y), y, rules, eye, middle=D.matrix)
+    return _scaled_hermitian(rs, totals)
 
 
 def resolvent_pair_integral(a0: float, b0: float, r: float,

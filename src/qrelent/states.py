@@ -4,23 +4,26 @@ products, partial traces, and the JSON state-file format."""
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     BadFactorization,
     BadSpectrum,
+    ConvergenceFailure,
     DimensionMismatch,
     NonFiniteInput,
     NotNormalized,
     NotPSD,
     ParseError,
 )
-from .linalg import _EPS, HermitianOperator, sort_eigensystem
+from .linalg import _EPS, MAX_DIM, HermitianOperator, sort_eigensystem
 
 #: default absolute weight allowed on the kernel of sigma
 TOL_INCL = 1e-12
@@ -162,15 +165,31 @@ def sample_density(d: int, rank: int, rng) -> DensityMatrix:
     return DensityMatrix(m)
 
 
+@functools.lru_cache(maxsize=MAX_DIM)
+def _qr_workspace(d: int) -> tuple[int, int]:
+    """Optimal zgeqrf and zungqr workspace sizes at d x d, the ones
+    np.linalg.qr queries: they select the same blocked code, so the same bits."""
+    z = np.zeros((d, d), dtype=np.complex128)
+    work_r = scipy.linalg.lapack.zgeqrf(z, lwork=-1)[2]
+    work_q = scipy.linalg.lapack.zungqr(z, z[0], lwork=-1)[1]
+    return int(work_r[0].real), int(work_q[0].real)
+
+
 def haar_unitary(d: int, rng) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Ginibre matrix with the phases
-    of diag(R) pulled into Q."""
+    of diag(R) pulled into Q.  The QR is LAPACK's zgeqrf and zungqr called
+    directly, which gives np.linalg.qr's Q and R without its wrapper's cost."""
     rng = as_generator(rng)
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
+    lwork_r, lwork_q = _qr_workspace(d)
+    lapack = scipy.linalg.lapack
+    qr, tau, _, info_r = lapack.zgeqrf(z, lwork=lwork_r, overwrite_a=1)
+    diag = np.diagonal(qr).copy()
+    q, _, info_q = lapack.zungqr(qr, tau, lwork=lwork_q, overwrite_a=1)
+    if info_r or info_q:
+        raise ConvergenceFailure(f"QR failed: LAPACK info {info_r}, {info_q}")
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return np.multiply(q, diag / np.abs(diag), order="C")
 
 
 def density_with_spectrum(spec, rng) -> DensityMatrix:

@@ -326,14 +326,14 @@ class TestLemma3:
 class TestFrechetCheck:
     def test_equal_operands(self, rng):
         a = HermitianOperator(random_pd(rng, 3))
-        rep = frechet_check(a, a, 0.5)
+        (rep,) = frechet_check(a, a, (0.5,))
         assert abs(rep.rhs) <= 1e-9
         assert rep.holds
 
     def test_commuting_scalar_fixture(self):
         a = HermitianOperator(np.eye(2))
         b = HermitianOperator(2.0 * np.eye(2))
-        rep = frechet_check(a, b, 0.5)
+        (rep,) = frechet_check(a, b, (0.5,))
         # gap = 0.5 - (1 - 2^(-1/2))
         assert rep.rhs == pytest.approx(0.5 - (1.0 - 2.0**-0.5), abs=1e-8)
         assert rep.holds
@@ -342,7 +342,7 @@ class TestFrechetCheck:
         a = HermitianOperator(np.diag([1.0, 0.0]))
         b = HermitianOperator(random_pd(rng, 2))
         with pytest.raises(PreconditionFailed):
-            frechet_check(a, b, 0.5)
+            frechet_check(a, b, (0.5,))
 
     @given(seed=st.integers(0, 2**32 - 1), r=st.sampled_from([0.1, 0.5, 0.9]))
     @settings(max_examples=25, deadline=None)
@@ -350,7 +350,7 @@ class TestFrechetCheck:
         gen = np.random.Generator(np.random.SFC64(seed))
         a = HermitianOperator(random_pd(gen, 4))
         b = HermitianOperator(random_pd(gen, 4))
-        rep = frechet_check(a, b, r)
+        (rep,) = frechet_check(a, b, (r,))
         assert rep.rhs >= -1e-7
         assert rep.holds
 
@@ -363,11 +363,13 @@ class TestSharedWork:
     @pytest.fixture
     def counter(self, monkeypatch):
         import qrelent.entropy as entropy_module
+        import qrelent.linalg as linalg_module
 
         def start():
             counts = dict.fromkeys(("eigvalsh", "eigh", "overlap", "kernel_included"), 0)
             for owner, attr, key in ((np.linalg, "eigvalsh", "eigvalsh"),
-                                     (np.linalg, "eigh", "eigh"),
+                                     (linalg_module, "lapack_eigh", "eigh"),
+                                     (entropy_module, "lapack_eigh", "eigh"),
                                      (entropy_module, "_overlap", "overlap"),
                                      (entropy_module, "kernel_included", "kernel_included")):
                 def wrapper(*args, _original=getattr(owner, attr), _key=key, **kwargs):
@@ -450,7 +452,7 @@ class TestSharedWork:
         b = HermitianOperator(random_pd(rng, 4))
         operands = OperatorPair(a, b)
         for r in (0.1, 0.5, 0.9):
-            assert frechet_check(a, b, r, operands=operands) == frechet_check(a, b, r)
+            assert frechet_check(a, b, (r,), operands=operands) == frechet_check(a, b, (r,))
         a1 = HermitianOperator(a.matrix / a.trace())
         b1 = HermitianOperator(b.matrix / b.trace())
         operands = OperatorPair(a1, b1)

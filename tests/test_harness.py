@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qrelent import harness
 from qrelent.bounds import PairEval
 from qrelent.cli import main
 from qrelent.errors import ConfigError
@@ -19,7 +22,7 @@ from qrelent.harness import (
     sweep_row,
     tightness_crossover,
 )
-from qrelent.states import DensityMatrix, read_state, sample_density
+from qrelent.states import DensityMatrix, read_state, sample_density, trial_stream
 
 
 class TestConfigValidation:
@@ -429,3 +432,16 @@ class TestCli:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--seed", "4", "--out", str(out2)]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+
+@given(seed=st.integers(0, 2**63), salt=st.integers(0, 16),
+       dims=st.lists(st.integers(2, 8), min_size=1, max_size=7))
+@settings(max_examples=60, deadline=None)
+def test_instances_draw_as_choice(seed, salt, dims):
+    # each suite instance's dimension is the draw rng.choice(dims) makes, and
+    # leaves the trial's stream where rng.choice leaves it
+    config = SweepConfig(dims=tuple(dims), seed=seed)
+    for i, rng, d in harness._instances(config, 4, salt):
+        reference = trial_stream(seed, i, salt=salt)
+        assert d == int(reference.choice(dims))
+        assert rng.standard_normal(3).tolist() == reference.standard_normal(3).tolist()

@@ -2,15 +2,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrelent.errors import DimensionMismatch, DomainViolation, NonFiniteInput, NonHermitianInput
+from qrelent.errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    DomainViolation,
+    NonFiniteInput,
+    NonHermitianInput,
+)
 from qrelent.linalg import (
     HermitianOperator,
     apply_function,
     eigh,
     herm_power,
+    lapack_eigh,
     psd_gap,
     schatten_norm,
     singular_values,
@@ -80,6 +88,17 @@ class TestConstructor:
         with pytest.raises(ValueError):
             h.matrix[0, 0] = 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_from_eigensystem_rejects_non_finite(self, bad):
+        # the matrix built from a NaN eigenvalue is all NaN, and its cached
+        # spectrum would keep the NaN
+        with pytest.raises(NonFiniteInput):
+            HermitianOperator.from_eigensystem([bad, 1.0], np.eye(2))
+        basis = np.eye(2, dtype=np.complex128)
+        basis[1, 0] = bad
+        with pytest.raises(NonFiniteInput):
+            HermitianOperator.from_eigensystem([0.5, 1.0], basis)
+
 
 class TestEigh:
     def test_diagonal_passthrough(self):
@@ -96,6 +115,27 @@ class TestEigh:
         w, u = h.eig()
         resid = np.max(np.abs((u * w) @ u.conj().T - h.matrix))
         assert resid <= 1e-12 * max(1.0, np.max(np.abs(w)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 16])
+    def test_lapack_eigh_matches_numpy(self, d):
+        # the same LAPACK driver and triangle as np.linalg.eigh: bitwise equal
+        # with one LAPACK build, within 1e-14 across builds
+        gen = np.random.Generator(np.random.SFC64(d))
+        for _ in range(20):
+            h = random_hermitian(gen, d)
+            w, u = lapack_eigh(h)
+            w_np, u_np = np.linalg.eigh(h)
+            assert u.flags.c_contiguous
+            scale = max(1.0, float(np.max(np.abs(w_np))))
+            np.testing.assert_allclose(w, w_np, rtol=0.0, atol=1e-14 * scale)
+            np.testing.assert_allclose(u, u_np, rtol=0.0, atol=1e-14 * d)
+
+    def test_lapack_eigh_failure_is_typed(self, monkeypatch):
+        # zheevd reports a solve that did not converge through info > 0
+        monkeypatch.setattr(scipy.linalg.lapack, "zheevd",
+                            lambda a, lower: (np.zeros(2), np.eye(2), 1))
+        with pytest.raises(ConvergenceFailure):
+            HermitianOperator(np.diag([1.0, 2.0])).eig()
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -133,6 +173,11 @@ class TestApplyFunction:
         out = apply_function(h, lambda x: 0.0 if x == 0.0 else x**0.5,
                              domain_guard=lambda x: x >= 0.0)
         np.testing.assert_allclose(np.diag(out.matrix).real, [1.0, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(DomainViolation):
+            apply_function(np.eye(2), lambda x: value)
 
     def test_herm_power_negative_requires_pd(self):
         with pytest.raises(DomainViolation):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_jacobi, roots_legendre
 
-from qrelent import quadrature
+from qrelent import linalg, quadrature
 from qrelent.bounds import frechet_check
 from qrelent.errors import ConfigError, DomainViolation, PreconditionFailed
 from qrelent.linalg import HermitianOperator, apply_function, eigh, schatten_norm
@@ -21,6 +21,7 @@ from qrelent.quadrature import (
     resolvent_pair_closed_form,
     resolvent_pair_integral,
     self_test,
+    shared_nodes_weights,
 )
 from qrelent.states import haar_unitary
 
@@ -32,12 +33,13 @@ _PD = np.diag([1.0, 2.0])
 #: every function taking a fractional exponent r, and the error its gate raises
 EXPONENT_GATES = {
     "frac_power_scalar": (lambda r: frac_power_scalar(4.0, r), DomainViolation),
-    "frac_power_operator": (lambda r: frac_power_operator(_PD, r), DomainViolation),
-    "frechet_integral_rhs": (lambda r: frechet_integral_rhs(_PD, np.eye(2), r), DomainViolation),
+    "frac_power_operator": (lambda r: frac_power_operator(_PD, (r,)), DomainViolation),
+    "frechet_integral_rhs": (lambda r: frechet_integral_rhs(_PD, np.eye(2), (r,)),
+                             DomainViolation),
     "resolvent_pair_integral": (lambda r: resolvent_pair_integral(0.5, 0.25, r), DomainViolation),
     "resolvent_pair_closed_form": (lambda r: resolvent_pair_closed_form(0.5, 0.25, r),
                                    DomainViolation),
-    "frechet_check": (lambda r: frechet_check(_PD, 2.0 * _PD, r), PreconditionFailed),
+    "frechet_check": (lambda r: frechet_check(_PD, 2.0 * _PD, (r,)), PreconditionFailed),
 }
 
 
@@ -99,18 +101,18 @@ class TestScalarPower:
 
 class TestOperatorPower:
     def test_diagonal_square_root(self):
-        out = frac_power_operator(np.diag([4.0, 9.0]), 0.5)
+        (out,) = frac_power_operator(np.diag([4.0, 9.0]), (0.5,))
         np.testing.assert_allclose(out.matrix, np.diag([2.0, 3.0]), atol=1e-8)
 
     def test_identity_fixed_point(self):
-        out = frac_power_operator(np.eye(3), 0.5)
+        (out,) = frac_power_operator(np.eye(3), (0.5,))
         np.testing.assert_allclose(out.matrix, np.eye(3), atol=1e-10)
 
     def test_matches_spectral_calculus(self, rng):
         a = HermitianOperator(random_pd(rng, 6))
         budget = 1e-8 * schatten_norm(a, math.inf) ** 0.5
         spectral = apply_function(a, lambda x: x**0.5)
-        quad = frac_power_operator(a, 0.5)
+        (quad,) = frac_power_operator(a, (0.5,))
         assert np.max(np.abs(quad.matrix - spectral.matrix)) <= budget
 
     def test_ill_conditioned_spectrum(self, rng):
@@ -120,13 +122,13 @@ class TestOperatorPower:
         a = HermitianOperator.from_eigensystem(w, u)
         for r in (0.1, 0.9):
             spectral = apply_function(a, lambda x: x**r)
-            quad = frac_power_operator(a, r)
+            (quad,) = frac_power_operator(a, (r,))
             assert np.max(np.abs(quad.matrix - spectral.matrix)) <= 1e-8
 
     def test_operator_forms_agree(self, rng):
         a = HermitianOperator(random_pd(rng, 4))
-        first = frac_power_operator(a, 0.7, form="first")
-        second = frac_power_operator(a, 0.7, form="second")
+        (first,) = frac_power_operator(a, (0.7,), form="first")
+        (second,) = frac_power_operator(a, (0.7,), form="second")
         assert np.max(np.abs(first.matrix - second.matrix)) <= 1e-8
 
     def test_singular_input_rejected(self):
@@ -134,32 +136,32 @@ class TestOperatorPower:
         for mat in (np.diag([1.0, 0.0]), INDEFINITE):
             for form in ("first", "second"):
                 with pytest.raises(DomainViolation):
-                    frac_power_operator(mat, 0.5, form=form)
+                    frac_power_operator(mat, (0.5,), form=form)
             # the stacked solve checks every node itself: the middle node is A
             with pytest.raises(DomainViolation):
-                quadrature._resolvent_sum(mat, ones, shifts, ones, np.eye(2))
+                quadrature._resolvent_sum(mat, ones, shifts, [(np.arange(3), ones)], np.eye(2))
 
 
 class TestFrechetIntegral:
     def test_zero_direction(self):
-        out = frechet_integral_rhs(np.eye(2), np.zeros((2, 2)), 0.5)
+        (out,) = frechet_integral_rhs(np.eye(2), np.zeros((2, 2)), (0.5,))
         np.testing.assert_allclose(out.matrix, np.zeros((2, 2)), atol=1e-12)
 
     def test_scalar_multiple_of_identity(self):
         # eigenvalue-wise the integral equals r * a^(-r-1) * d
-        out = frechet_integral_rhs(2.0 * np.eye(2), np.eye(2), 0.5)
+        (out,) = frechet_integral_rhs(2.0 * np.eye(2), np.eye(2), (0.5,))
         expect = 0.5 * 2.0 ** (-1.5)
         np.testing.assert_allclose(out.matrix, expect * np.eye(2), atol=1e-10)
         assert expect == pytest.approx(0.17677669529663687)
 
     def test_commuting_diagonal_case(self):
-        out = frechet_integral_rhs(np.diag([1.0, 4.0]), np.diag([1.0, -1.0]), 0.5)
+        (out,) = frechet_integral_rhs(np.diag([1.0, 4.0]), np.diag([1.0, -1.0]), (0.5,))
         np.testing.assert_allclose(out.matrix, np.diag([0.5, -0.0625]), atol=1e-8)
 
     def test_singular_base_rejected(self):
         for mat in (np.diag([1.0, 0.0]), INDEFINITE):
             with pytest.raises(DomainViolation):
-                frechet_integral_rhs(mat, np.eye(2), 0.5)
+                frechet_integral_rhs(mat, np.eye(2), (0.5,))
 
 
 class TestResolventPair:
@@ -211,11 +213,11 @@ def _budget_errors(cond: float, d: int, r: float, nodes: int | None) -> tuple[fl
     rule = None if nodes is None else QuadratureRule(nodes_per_panel=nodes)
     spectral = apply_function(a, lambda lam: lam**r).matrix
     scale = max(1.0, schatten_norm(a, math.inf) ** r)
-    power = max(float(np.max(np.abs(frac_power_operator(a, r, rule, form=form).matrix
+    power = max(float(np.max(np.abs(frac_power_operator(a, (r,), rule, form=form)[0].matrix
                                     - spectral))) / scale
                 for form in ("first", "second"))
     exact = _daleckii_krein(a, direction, r)
-    frechet = frechet_integral_rhs(a, direction, r, rule).matrix
+    frechet = frechet_integral_rhs(a, direction, (r,), rule)[0].matrix
     return power, float(np.max(np.abs(frechet - exact)) / np.max(np.abs(exact)))
 
 
@@ -307,7 +309,7 @@ class TestNodesWeights:
             loop = _loop_integral(lambda y: scipy.linalg.solve(y * mat + eye, mat, assume_a="pos"),
                                   -0.4, splits, 16)
         loop = math.sin(0.4 * math.pi) / math.pi * loop
-        got = frac_power_operator(a, 0.4, rule, form=form).matrix
+        got = frac_power_operator(a, (0.4,), rule, form=form)[0].matrix
         assert np.max(np.abs(got - (loop + loop.conj().T) / 2.0)) <= 1e-13 * np.max(np.abs(loop))
 
 
@@ -320,9 +322,9 @@ class TestStackedSolve:
         # an explicit 64-node rule gives this operand over 300 nodes, three chunks
         rule = QuadratureRule(nodes_per_panel=64)
         if call == "frechet":
-            run = lambda: frechet_integral_rhs(a, direction, r, rule).matrix  # noqa: E731
+            run = lambda: frechet_integral_rhs(a, direction, (r,), rule)[0].matrix  # noqa: E731
         else:
-            run = lambda: frac_power_operator(a, r, rule, form=call).matrix  # noqa: E731
+            run = lambda: frac_power_operator(a, (r,), rule, form=call)[0].matrix  # noqa: E731
         whole = run()
         assert np.array_equal(whole, run())
         chunks = []
@@ -336,6 +338,83 @@ class TestStackedSolve:
         assert np.array_equal(chunked, run())
 
 
+R_VALUES = (0.1, 0.5, 0.9)
+SHARED_CASES = [(cond, d) for cond in (1.0, 1e3, 1e6) for d in range(2, 9)]
+
+
+def _shared_operand(cond: float, d: int) -> tuple[HermitianOperator, HermitianOperator]:
+    """An operand with condition number ``cond`` exactly, and a direction."""
+    rng = np.random.Generator(np.random.SFC64(int(cond) * 32 + d + 7))
+    w = np.sort(np.concatenate([[1.0 / cond, 1.0], cond ** -rng.uniform(0.0, 1.0, d - 2)]))
+    a = HermitianOperator.from_eigensystem(10.0 ** rng.uniform(-2.0, 2.0) * w,
+                                           haar_unitary(d, rng))
+    return a, HermitianOperator(random_hermitian(rng, d))
+
+
+def _integrals(call: str, a, direction, rs) -> list[np.ndarray]:
+    if call == "frechet":
+        return [x.matrix for x in frechet_integral_rhs(a, direction, rs)]
+    return [x.matrix for x in frac_power_operator(a, rs, form=call)]
+
+
+class TestSharedExponents:
+    """Several exponents of one operand share one stack of resolvent solves;
+    each exponent gets the value it gets alone."""
+
+    @pytest.mark.parametrize("e", [(-0.9,), (-0.9, -0.5, -0.1), (-0.3, -0.3)])
+    @pytest.mark.parametrize("splits", LADDERS)
+    def test_layout(self, e, splits):
+        y, rules = shared_nodes_weights(e, splits, 8)
+        assert len(y) == 8 * (len(splits) - 1) + 16 * len(e)
+        for exponent, (index, w) in zip(e, rules):
+            assert np.all(np.diff(index) > 0)
+            alone_y, alone_w = nodes_weights(exponent, splits, 8)
+            assert np.array_equal(y[index], alone_y) and np.array_equal(w, alone_w)
+
+    @pytest.mark.parametrize("call", ["first", "second", "frechet"])
+    @pytest.mark.parametrize("cond,d", SHARED_CASES)
+    def test_together_equals_alone(self, monkeypatch, call, cond, d):
+        a, direction = _shared_operand(cond, d)
+        alone = [_integrals(call, a, direction, (r,))[0] for r in R_VALUES]
+        together = _integrals(call, a, direction, R_VALUES)
+        # one chunk, as every command runs it: the same bits
+        for x, y in zip(together, alone):
+            assert np.array_equal(x, y)
+        chunks = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: chunks.append(len(m)) or cholesky(m))
+        # 40 nodes per chunk: chunk ends fall inside panels
+        monkeypatch.setattr(quadrature, "_CHUNK_BYTES", 40 * 16 * d * d)
+        chunked = _integrals(call, a, direction, R_VALUES)
+        assert len(chunks) >= 3 and max(chunks) == 40
+        for x, y in zip(chunked, alone):
+            assert np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("call", ["first", "second", "frechet", "check"])
+    def test_one_stack_per_operand(self, monkeypatch, call):
+        a, direction = _shared_operand(1e3, 8)
+        counts = dict.fromkeys(("cho_factor", "cholesky", "solve"), 0)
+        for owner, name in ((scipy.linalg, "cho_factor"), (np.linalg, "cholesky"),
+                            (np.linalg, "solve")):
+            def wrapper(*args, _original=getattr(owner, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+        if call == "check":
+            assert len(frechet_check(a, 2.0 * a, R_VALUES)) == len(R_VALUES)
+        else:
+            _integrals(call, a, direction, R_VALUES)
+        assert counts == {"cho_factor": 1, "cholesky": 1, "solve": 1}
+
+    def test_exponents_are_checked(self):
+        for rs in ((), (0.5, 1.0), (0.0, 0.5)):
+            with pytest.raises(DomainViolation):
+                frac_power_operator(_PD, rs)
+            with pytest.raises(DomainViolation):
+                frechet_integral_rhs(_PD, np.eye(2), rs)
+
+
 def test_quadrature_never_decomposes(rng, monkeypatch):
     # the oracle is only independent of spectral calculus while this holds
     a = HermitianOperator(random_pd(rng, 4))
@@ -347,10 +426,14 @@ def test_quadrature_never_decomposes(rng, monkeypatch):
     for module in (np.linalg, scipy.linalg):
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(module, name, forbidden)
+    for name in ("zheevd", "zheev", "zheevr", "zheevx"):
+        monkeypatch.setattr(scipy.linalg.lapack, name, forbidden)
+    monkeypatch.setattr(linalg, "lapack_eigh", forbidden)
     monkeypatch.setattr(HermitianOperator, "eig", forbidden)
-    for form in ("first", "second"):
-        frac_power_operator(a, 0.5, form=form)
-    frechet_integral_rhs(a, direction, 0.5)
+    for rs in ((0.5,), (0.1, 0.5, 0.9)):
+        for form in ("first", "second"):
+            frac_power_operator(a, rs, form=form)
+        frechet_integral_rhs(a, direction, rs)
     frac_power_scalar(3.0, 0.5)
     resolvent_pair_integral(0.7, 0.2, 0.5)
     self_test()
