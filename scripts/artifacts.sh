@@ -1,0 +1,42 @@
+#!/usr/bin/env bash
+# Write the program's reference artifacts to OUT_DIR: verify reports and their
+# stdout, two sweeps, two generated states, eval of that pair in both orders,
+# and the output of the two probe scripts.
+#
+# Every command runs through `python -m qrelent`, so PYTHONPATH (or the
+# installed package) picks the source tree that runs.  Two trees give the same
+# bytes when `diff -r` of their outputs is empty:
+#
+#   PYTHONPATH=src scripts/artifacts.sh /tmp/new
+#   PYTHONPATH=/path/to/other/checkout/src scripts/artifacts.sh /tmp/old
+#   diff -r /tmp/old /tmp/new
+#
+# Paths inside the artifacts are relative to OUT_DIR, so the output does not
+# depend on where it is written.  It takes about 10 s.
+set -euo pipefail
+
+if [ "$#" -ne 1 ]; then
+    echo "usage: $0 OUT_DIR" >&2
+    exit 2
+fi
+scripts=$(cd "$(dirname "$0")" && pwd)
+# pin the tree PYTHONPATH selects before leaving the working directory
+PYTHONPATH=$(python -c 'import os, qrelent; print(os.path.dirname(os.path.dirname(os.path.abspath(qrelent.__file__))))')
+export PYTHONPATH
+mkdir -p "$1"
+cd "$1"
+
+python -m qrelent verify --trials 40 --seed 3 --out verify_t40_s3.json > verify_t40_s3.txt
+python -m qrelent verify --trials 200 --seed 11 --out verify_t200_s11.json > verify_t200_s11.txt
+python -m qrelent sweep --dims 2,3,5,16 --q 1.5,2,3,1.0001 --b0 0.05,0.01,0.001 \
+    --trials 7 --seed 4 --out sweep_small.csv > /dev/null
+python -m qrelent sweep --dims 16,64 --q 1.5,2,3 --b0 1e-3,1e-4 --trials 2 --seed 3 \
+    --out sweep_large.csv > /dev/null
+python -m qrelent gen --d 8 --rank 5 --seed 2 --out rho.json > /dev/null
+python -m qrelent gen --d 8 --rank 8 --seed 3 --out sigma.json > /dev/null
+# rho has rank 5 and sigma full rank: D(rho||sigma) is finite, D(sigma||rho)
+# is +inf, and the bounds that need a strictly positive pair are vacuous
+python -m qrelent eval rho.json sigma.json --q 1.5,2,3,7 > eval_rho_sigma.json
+python -m qrelent eval sigma.json rho.json --q 1.5,2,3,7 > eval_sigma_rho.json
+python "$scripts/divergence_rate.py" > divergence_rate.txt
+python "$scripts/tightness_crossover.py" > tightness_crossover.txt

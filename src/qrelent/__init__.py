@@ -56,7 +56,7 @@ from .states import (
 from .entropy import (
     POSITIVE_INFINITY,
     ExtendedReal,
-    StatePair,
+    PairEval,
     classical_relative_q,
     q_log,
     quantum_relative_q,
@@ -67,7 +67,6 @@ from .entropy import (
 from .bounds import (
     BoundReport,
     OperatorPair,
-    PairEval,
     frechet_check,
     lemma3_bound,
     lower_bounds,

@@ -1,11 +1,14 @@
 """Bound evaluators: each computes the right-hand side of one continuity
-inequality from the spectral summary and norm distances of a state pair,
-compares it against the directly evaluated left-hand side, and reports the
-slack.
+inequality, compares it against the directly evaluated left-hand side, and
+reports the verdict.
 
-The D_q bounds and the lower-bound chains are functions of a ``PairEval``,
-which computes everything they share once per pair; the ``BOUNDS`` registry
-lists them with their q gates for the sweep and eval commands.
+The D_q bounds and the lower-bound chains are functions of the ``PairEval``
+of a state pair (from the entropy layer), which computes the spectral
+summary, distances and divergences they share once per pair; the ``BOUNDS``
+registry lists them with their q gates for the sweep and eval commands.  The
+lemma checks are functions of an ``OperatorPair``, which shares the singular
+values of two operands the same way.  A report holds only its own values;
+the summary and distances stay on the context.
 
 A report is *vacuous* when the hypotheses of the inequality fail for the
 given states (for example a rank-deficient state where strict positivity is
@@ -27,21 +30,14 @@ from .linalg import (
     PSD_TOL,
     as_herm,
     herm_power,
+    norm_distances,
     psd_gap,
     schatten_norm,
     singular_values,
     zero_threshold,
 )
 from .quadrature import frechet_integral_rhs
-from .states import DensityMatrix, SpectralSummary
-from .entropy import (
-    ExtendedReal,
-    StatePair,
-    q_log,
-    quantum_relative_q,
-    quantum_relative_q_low,
-    relative_entropy_vn,
-)
+from .entropy import ExtendedReal, PairEval, q_log
 
 #: relative slack allowed by the ``holds`` verdict: lhs <= rhs + tol*(1+rhs)
 TOL_BOUND = 1e-9
@@ -54,20 +50,24 @@ FRECHET_QUAD_ALLOWANCE = 1e-7
 class BoundReport:
     """Outcome of one inequality check.
 
-    ``slack`` is rhs - lhs when both are finite, ``holds`` applies the
-    relative tolerance, and ``extras`` carries evaluator-specific constants
-    (intermediate links of a chain, exponents, norm bounds).
+    ``holds`` applies the relative tolerance, and ``extras`` carries
+    evaluator-specific constants (intermediate links of a chain, exponents,
+    norm bounds).
     """
 
     name: str
     lhs: ExtendedReal
     rhs: float
-    slack: float | None
     holds: bool
     vacuous: bool = False
-    constants: SpectralSummary | None = None
-    distances: dict[str, float] | None = None
     extras: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def slack(self) -> float | None:
+        """rhs - lhs; None when vacuous or rhs is infinite."""
+        if self.vacuous or math.isinf(self.rhs):
+            return None
+        return self.rhs - self.lhs.value
 
     @property
     def margin(self) -> float:
@@ -76,51 +76,7 @@ class BoundReport:
         chains and the Frechet check decide ``holds`` by their own rules."""
         if self.vacuous or math.isinf(self.rhs):
             return math.inf
-        return _margin(self.lhs.as_float(), self.rhs)
-
-
-class PairEval(StatePair):
-    """Evaluation context of one state pair (rho, sigma).
-
-    Each quantity the bound evaluators share is computed on first use and
-    kept: the spectral summary, the trace and spectral distances (from one
-    singular-value solve of rho - sigma), D_1, D_q for every q and D_p for
-    every p asked for.  As a StatePair it also holds, once per pair, the
-    kernel verdict ker(sigma) in ker(rho), the overlap of the double sums
-    and the operator route's eigensystem that every D_q, D_p and D_1 share.
-    """
-
-    def __init__(self, rho: DensityMatrix, sigma: DensityMatrix) -> None:
-        super().__init__(rho, sigma)
-        self._dq: dict[float, ExtendedReal] = {}
-        self._dp: dict[float, float] = {}
-
-    @cached_property
-    def summary(self) -> SpectralSummary:
-        return SpectralSummary.from_states(self.rho, self.sigma)
-
-    @cached_property
-    def distances(self) -> dict[str, float]:
-        # both state matrices are exactly Hermitian, so their difference is:
-        # its singular values are the sorted moduli of its eigenvalues
-        s = np.abs(np.linalg.eigvalsh(self.rho.matrix - self.sigma.matrix))
-        return _distances(np.sort(s)[::-1])
-
-    @cached_property
-    def d1(self) -> ExtendedReal:
-        return relative_entropy_vn(self.rho, self.sigma, self)
-
-    def dq(self, q: float) -> ExtendedReal:
-        q = float(q)
-        if q not in self._dq:
-            self._dq[q] = quantum_relative_q(self.rho, self.sigma, q, self)
-        return self._dq[q]
-
-    def dp(self, p: float) -> float:
-        p = float(p)
-        if p not in self._dp:
-            self._dp[p] = quantum_relative_q_low(self.rho, self.sigma, p, self)
-        return self._dp[p]
+        return _margin(self.lhs.value, self.rhs)
 
 
 class OperatorPair:
@@ -128,7 +84,7 @@ class OperatorPair:
 
     The singular values of A, B, A - B and A^n - B^n are each computed once,
     on first use, and shared by every norm and distance taken of the pair.
-    Pass one instance, as ``operands``, to every check on the same (A, B).
+    Pass one instance to every check on the same (A, B).
     """
 
     def __init__(self, a, b) -> None:
@@ -146,7 +102,7 @@ class OperatorPair:
 
     @cached_property
     def distances(self) -> dict[str, float]:
-        return _distances(self.diff_singular_values)
+        return norm_distances(self.diff_singular_values)
 
     def power_diff_singular_values(self, n: int) -> np.ndarray:
         """Singular values of A^n - B^n; matrix_power(M, 1) is M itself, so
@@ -160,45 +116,24 @@ class OperatorPair:
         return self._power_diff[n]
 
 
-def _operands(a, b, operands: OperatorPair | None) -> OperatorPair:
-    if operands is None:
-        return OperatorPair(a, b)
-    if operands.a is not a or operands.b is not b:
-        raise PreconditionFailed("operand context belongs to other operands")
-    return operands
-
-
-def _distances(s: np.ndarray) -> dict[str, float]:
-    """||A - B||_1 and ||A - B||_inf from the singular values s of A - B."""
-    return {
-        "trace_norm": schatten_norm(s, 1.0),
-        "spectral_norm": schatten_norm(s, math.inf),
-    }
-
-
 def _margin(lhs: float, rhs: float) -> float:
     return rhs + TOL_BOUND * (1.0 + rhs) - lhs
 
 
-def _verdict(lhs: ExtendedReal, rhs: float, vacuous: bool) -> tuple[bool, float | None]:
+def _verdict(lhs: ExtendedReal, rhs: float, vacuous: bool) -> bool:
     if vacuous:
-        return True, None
-    lval = lhs.as_float()
-    if math.isinf(lval) and math.isfinite(rhs):
+        return True
+    if math.isinf(lhs.value) and math.isfinite(rhs):
         raise InternalInconsistency(
             "infinite divergence against a finite bound while hypotheses hold; "
             "kernel-inclusion tolerances are inconsistent"
         )
-    if math.isinf(rhs):
-        return True, None
-    return _margin(lval, rhs) >= 0.0, rhs - lval
+    return math.isinf(rhs) or _margin(lhs.value, rhs) >= 0.0
 
 
-def _report(pair: PairEval, name: str, lhs: ExtendedReal, rhs: float,
-            vacuous: bool, extras: dict[str, float]) -> BoundReport:
-    holds, slack = _verdict(lhs, rhs, vacuous)
-    return BoundReport(name, lhs, rhs, slack, holds, vacuous, pair.summary,
-                       pair.distances, extras)
+def _report(name: str, lhs: ExtendedReal, rhs: float, vacuous: bool,
+            extras: dict[str, float]) -> BoundReport:
+    return BoundReport(name, lhs, rhs, _verdict(lhs, rhs, vacuous), vacuous, extras)
 
 
 def _chain_holds(*links: float) -> bool:
@@ -246,7 +181,7 @@ def thm1_bounds(pair: PairEval, q: float) -> list[BoundReport]:
             summary.a1**q / lam0**q / (q - 1.0) * dist["trace_norm"],
         )
     return [
-        _report(pair, name, lhs, rhs, vacuous, {"q": q})
+        _report(name, lhs, rhs, vacuous, {"q": q})
         for name, rhs in zip(("thm1_rhs1", "thm1_rhs2", "thm1_rhs3"), rhs_vals)
     ]
 
@@ -284,7 +219,7 @@ def thm2_bound(pair: PairEval, q: float, variant: str = "general") -> BoundRepor
             second = a1 ** (q - 1.0) / (2.0 * b0**q) * dist["trace_norm"] ** 2
         rhs = first + second
     name = "thm2_rhs" if variant == "general" else "thm2tl_rhs"
-    return _report(pair, name, lhs, rhs, vacuous, extras)
+    return _report(name, lhs, rhs, vacuous, extras)
 
 
 def _ceil_snap(q: float) -> int:
@@ -320,7 +255,7 @@ def thm3_bound(pair: PairEval, q: float, variant: str = "general") -> BoundRepor
         else:
             rhs = (summary.a1 / summary.b0) ** (q - 1.0) / (q - 1.0) * trace_norm
     name = "thm3_rhs" if variant == "general" else "thm3q2_rhs"
-    return _report(pair, name, lhs, rhs, vacuous, extras)
+    return _report(name, lhs, rhs, vacuous, extras)
 
 
 def lower_bounds(pair: PairEval, q: float, p: float) -> list[BoundReport]:
@@ -333,16 +268,14 @@ def lower_bounds(pair: PairEval, q: float, p: float) -> list[BoundReport]:
     p = float(p)
     if not 0.0 <= p < 1.0:
         raise PreconditionFailed(f"requires 0 <= p < 1, got {p}")
-    d1f, dqf, dp = pair.d1.as_float(), pair.dq(q).as_float(), pair.dp(p)
+    d1f, dqf, dp = pair.d1.value, pair.dq(q).value, pair.dp(p)
     pinsker_lhs = 0.5 * pair.distances["trace_norm"] ** 2
-    reports = []
-    for name, low, extras in (("lower_chain", dp, {"q": q, "p": p, "D1": d1f}),
-                              ("pinsker", pinsker_lhs, {"q": q, "D1": d1f})):
-        slack = dqf - low if math.isfinite(dqf) else None
-        holds = _chain_holds(low, d1f, dqf)
-        reports.append(BoundReport(name, ExtendedReal.finite(low), dqf, slack, holds,
-                                   False, pair.summary, pair.distances, extras))
-    return reports
+    return [
+        BoundReport(name, ExtendedReal.finite(low), dqf, _chain_holds(low, d1f, dqf),
+                    False, extras)
+        for name, low, extras in (("lower_chain", dp, {"q": q, "p": p, "D1": d1f}),
+                                  ("pinsker", pinsker_lhs, {"q": q, "D1": d1f}))
+    ]
 
 
 @dataclass(frozen=True)
@@ -388,14 +321,9 @@ BOUNDS = UPPER_BOUNDS + (
 )
 
 
-def power_diff_bound(X, Y, n: int, p: float,
-                     operands: OperatorPair | None = None) -> BoundReport:
-    """||X^n - Y^n||_p <= n * c^(n-1) * ||X - Y||_p with c = max(||X||_inf, ||Y||_inf).
-
-    ``operands``, the OperatorPair of (X, Y), shares its singular values
-    across the checks of one instance.
-    """
-    ops = _operands(X, Y, operands)
+def power_diff_bound(ops: OperatorPair, n: int, p: float) -> BoundReport:
+    """||X^n - Y^n||_p <= n * c^(n-1) * ||X - Y||_p with c = max(||X||_inf, ||Y||_inf)
+    for the operands (X, Y) of ``ops``."""
     n = int(n)
     if n < 1:
         raise PreconditionFailed(f"requires integer n >= 1, got {n}")
@@ -403,20 +331,14 @@ def power_diff_bound(X, Y, n: int, p: float,
     dist_p = schatten_norm(ops.diff_singular_values, p)
     base = max(schatten_norm(s, math.inf) for s in ops.operand_singular_values)
     rhs = n * base ** (n - 1) * dist_p
-    lhs = ExtendedReal.finite(lhs_val)
-    holds, slack = _verdict(lhs, rhs, False)
-    return BoundReport(
-        "power_diff", lhs, rhs, slack, holds, False, None, ops.distances,
-        {"n": float(n), "p": float(p), "base_norm": base},
-    )
+    return _report("power_diff", ExtendedReal.finite(lhs_val), rhs, False,
+                   {"n": float(n), "p": float(p), "base_norm": base})
 
 
-def lemma3_bound(A, B, s: float, operands: OperatorPair | None = None) -> BoundReport:
-    """|tr(B^(1-s) A^s) - tau| <= (a1/b0)^s * ||A - B||_1 for trace-matched
-    A >= 0 and B > 0 with common trace tau, and 0 < s < 1.  ``operands``, the
-    OperatorPair of (A, B), shares the distances across the checks of one
-    instance."""
-    ops = _operands(A, B, operands)
+def lemma3_bound(ops: OperatorPair, s: float) -> BoundReport:
+    """|tr(B^(1-s) A^s) - tau| <= (a1/b0)^s * ||A - B||_1 for the operands
+    (A, B) of ``ops``: trace-matched A >= 0 and B > 0 with common trace tau,
+    and 0 < s < 1."""
     A, B = ops.a, ops.b
     s = float(s)
     if not 0.0 < s < 1.0:
@@ -432,29 +354,21 @@ def lemma3_bound(A, B, s: float, operands: OperatorPair | None = None) -> BoundR
     lhs_val = abs(float(np.trace(mixed).real) - tau_a)
     a1 = float(a_eigs[-1])
     b0 = float(b_eigs[0])
-    dist = ops.distances
-    rhs = (a1 / b0) ** s * dist["trace_norm"]
-    lhs = ExtendedReal.finite(lhs_val)
-    holds, slack = _verdict(lhs, rhs, False)
-    return BoundReport(
-        "lemma3", lhs, rhs, slack, holds, False, None, dist,
-        {"s": s, "tau": tau_a, "a1": a1, "b0": b0},
-    )
+    rhs = (a1 / b0) ** s * ops.distances["trace_norm"]
+    return _report("lemma3", ExtendedReal.finite(lhs_val), rhs, False,
+                   {"s": s, "tau": tau_a, "a1": a1, "b0": b0})
 
 
-def frechet_check(A, B, rs, operands: OperatorPair | None = None
-                  ) -> tuple[BoundReport, ...]:
-    """Operator-order check A^(-r) - B^(-r) <= directional-derivative integral,
-    one report for each exponent r in the tuple ``rs``.
+def frechet_check(ops: OperatorPair, rs) -> tuple[BoundReport, ...]:
+    """Operator-order check A^(-r) - B^(-r) <= directional-derivative integral
+    for the operands (A, B) of ``ops``, one report for each exponent r in the
+    tuple ``rs``.
 
     The left side is evaluated by spectral calculus, the right side by
     resolvent quadrature in the direction B - A, one stack of solves for
     every r; each report's rhs is the minimum eigenvalue of (right - left),
     which must not drop below -(PSD_TOL + quadrature allowance).
-    ``operands``, the OperatorPair of (A, B), shares the distances across
-    the checks of one instance.
     """
-    ops = _operands(A, B, operands)
     A, B = ops.a, ops.b
     if A.dim != B.dim:
         raise PreconditionFailed(f"dimension mismatch: {A.dim} vs {B.dim}")
@@ -469,11 +383,7 @@ def frechet_check(A, B, rs, operands: OperatorPair | None = None
     allowance = PSD_TOL + FRECHET_QUAD_ALLOWANCE
     reports = []
     for r, rhs_op in zip(rs, frechet_integral_rhs(A, B - A, rs)):
-        lhs_op = herm_power(A, -r) - herm_power(B, -r)
-        gap = psd_gap(lhs_op, rhs_op)
-        reports.append(BoundReport(
-            "frechet_gap", ExtendedReal.finite(0.0), gap, gap, gap >= -allowance, False, None,
-            ops.distances,
-            {"r": r, "allowance": allowance},
-        ))
+        gap = psd_gap(herm_power(A, -r) - herm_power(B, -r), rhs_op)
+        reports.append(BoundReport("frechet_gap", ExtendedReal.finite(0.0), gap,
+                                   gap >= -allowance, False, {"r": r, "allowance": allowance}))
     return tuple(reports)

@@ -14,6 +14,9 @@ restricted double sum over nonzero eigenvalues
 
 and every call cross-checks this against an independent operator route
 (spectral calculus compressed to the support of sigma).
+
+``PairEval`` is the one evaluation context of a state pair: it keeps what
+the entropy calls and the bound evaluators share, each computed once.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .errors import (
     PreconditionFailed,
     QOutOfRange,
 )
-from .linalg import lapack_eigh
-from .states import DensityMatrix, kernel_included
+from .linalg import lapack_eigh, norm_distances
+from .states import DensityMatrix, SpectralSummary, kernel_included
 
 #: largest accepted entropy order; beyond this a^q underflows for typical spectra
 Q_MAX = 40.0
@@ -59,9 +62,6 @@ class ExtendedReal:
     @classmethod
     def finite(cls, value: float) -> "ExtendedReal":
         return cls(True, float(value))
-
-    def as_float(self) -> float:
-        return self.value
 
     def __float__(self) -> float:
         return self.value
@@ -175,14 +175,17 @@ def _compressed_eigensystem(
     return np.maximum(lam, 0.0), np.abs(w) ** 2, b
 
 
-class StatePair:
-    """The q-independent inputs of D_q, D_p and D_1 for one state pair.
+class PairEval:
+    """Evaluation context of one state pair (rho, sigma).
 
-    Each is computed on first use and kept: the kernel verdict ker(sigma) in
-    ker(rho), the restricted overlap |<a|b>|^2 with the two restricted
-    spectra (the double-sum route), and the compressed eigensystem of the
-    operator route.  Pass one instance to every entropy call on the pair;
-    each call still runs its own checks, the cross-route check included.
+    Each quantity is computed on first use and kept: the kernel verdict
+    ker(sigma) in ker(rho), the restricted overlap |<a|b>|^2 with the two
+    restricted spectra (the double-sum route), the compressed eigensystem of
+    the operator route, the spectral summary, the trace and spectral
+    distances (from one eigenvalue solve of rho - sigma), D_1, D_q for every
+    q and D_p for every p asked for.  Pass one instance to every entropy call
+    and bound evaluator on the pair; each entropy call still runs its own
+    checks, the cross-route check included.
     """
 
     def __init__(self, rho: DensityMatrix, sigma: DensityMatrix) -> None:
@@ -190,6 +193,8 @@ class StatePair:
             raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
         self.rho = rho
         self.sigma = sigma
+        self._dq: dict[float, ExtendedReal] = {}
+        self._dp: dict[float, float] = {}
 
     @cached_property
     def kernel_included(self) -> bool:
@@ -203,10 +208,39 @@ class StatePair:
     def compressed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _compressed_eigensystem(self.rho, self.sigma)
 
+    @cached_property
+    def summary(self) -> SpectralSummary:
+        return SpectralSummary.from_states(self.rho, self.sigma)
 
-def _state_pair(rho: DensityMatrix, sigma: DensityMatrix, pair: StatePair | None) -> StatePair:
+    @cached_property
+    def distances(self) -> dict[str, float]:
+        # both state matrices are exactly Hermitian, so their difference is:
+        # its singular values are the sorted moduli of its eigenvalues
+        s = np.abs(np.linalg.eigvalsh(self.rho.matrix - self.sigma.matrix))
+        return norm_distances(np.sort(s)[::-1])
+
+    # the entropy functions are looked up by name at each call, so a wrapper
+    # installed on the module attribute (a profiler, a test counter) sees it
+    @cached_property
+    def d1(self) -> ExtendedReal:
+        return relative_entropy_vn(self.rho, self.sigma, self)
+
+    def dq(self, q: float) -> ExtendedReal:
+        q = float(q)
+        if q not in self._dq:
+            self._dq[q] = quantum_relative_q(self.rho, self.sigma, q, self)
+        return self._dq[q]
+
+    def dp(self, p: float) -> float:
+        p = float(p)
+        if p not in self._dp:
+            self._dp[p] = quantum_relative_q_low(self.rho, self.sigma, p, self)
+        return self._dp[p]
+
+
+def _state_pair(rho: DensityMatrix, sigma: DensityMatrix, pair: PairEval | None) -> PairEval:
     if pair is None:
-        return StatePair(rho, sigma)
+        return PairEval(rho, sigma)
     if pair.rho is not rho or pair.sigma is not sigma:
         raise PreconditionFailed("evaluation context belongs to another state pair")
     return pair
@@ -228,14 +262,14 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
         ) from exc
 
 
-def _restricted_trace_sum(pair: StatePair, q: float) -> float:
+def _restricted_trace_sum(pair: PairEval, q: float) -> float:
     """sum over a>0, b>0 of |<a|b>|^2 a^q b^(1-q), exactly rounded by fsum."""
     overlaps, a, b = pair.overlap
     terms = overlaps * _power(a, q)[:, None] * _power(b, 1.0 - q)
     return math.fsum(terms.ravel().tolist())
 
 
-def _operator_route_sum(pair: StatePair, q: float) -> float:
+def _operator_route_sum(pair: PairEval, q: float) -> float:
     """tr(rho^q sigma^(1-q)) on the support of sigma via spectral calculus.
 
     rho is compressed to the support subspace, rho^q computed from the
@@ -248,14 +282,14 @@ def _operator_route_sum(pair: StatePair, q: float) -> float:
 
 
 def quantum_relative_q(
-    rho: DensityMatrix, sigma: DensityMatrix, q: float, pair: StatePair | None = None
+    rho: DensityMatrix, sigma: DensityMatrix, q: float, pair: PairEval | None = None
 ) -> ExtendedReal:
     """Quantum relative q-entropy for q in (1, Q_MAX].
 
     Returns +inf unless rho is supported inside the support of sigma (weight
     on the kernel at most ``TOL_INCL``).  The finite branch is the restricted
     double sum; it must agree with the operator route within 1e-9 relative
-    or an InternalInconsistency aborts.  ``pair``, the StatePair of (rho,
+    or an InternalInconsistency aborts.  ``pair``, the PairEval of (rho,
     sigma), carries the q-independent work over from earlier calls.
     """
     pair = _state_pair(rho, sigma, pair)
@@ -278,7 +312,7 @@ def quantum_relative_q(
 
 
 def quantum_relative_q_low(
-    rho: DensityMatrix, sigma: DensityMatrix, p: float, pair: StatePair | None = None
+    rho: DensityMatrix, sigma: DensityMatrix, p: float, pair: PairEval | None = None
 ) -> float:
     """Relative p-entropy for order p in [0, 1): always finite.
 
@@ -297,7 +331,7 @@ def quantum_relative_q_low(
 
 
 def relative_entropy_vn(
-    rho: DensityMatrix, sigma: DensityMatrix, pair: StatePair | None = None
+    rho: DensityMatrix, sigma: DensityMatrix, pair: PairEval | None = None
 ) -> ExtendedReal:
     """Standard quantum relative entropy tr(rho ln rho - rho ln sigma).
 

@@ -401,7 +401,7 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     for i, rng, d in _instances(config, count, salt=4):
         rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 3 == 2))
         q = _sample_q(rng, exact_every=10, i=i)
-        value = quantum_relative_q(rho, sigma, q).as_float()
+        value = quantum_relative_q(rho, sigma, q).value
         run.instances += 1
         run.check(value + 1e-10, states=(rho, sigma),
                   context={"check": "positivity", "q": q, "trial": i})
@@ -410,7 +410,7 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             run.check_bool(value > 1e-10, states=(rho, sigma),
                            context={"check": "zero_only_at_equality", "q": q, "trial": i})
         if i % 25 == 0:
-            self_val = quantum_relative_q(rho, rho, q).as_float()
+            self_val = quantum_relative_q(rho, rho, q).value
             run.check(1e-10 - abs(self_val), context={"check": "self_zero", "q": q})
 
     dims = [d for d in config.dims if 2 <= d <= 8] or [2]
@@ -423,9 +423,9 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         d1, d2 = int(rng.choice([2, 3])), int(rng.choice([2, 3]))
         r1, s1 = sample_density(d1, d1, rng), sample_density(d1, d1, rng)
         r2, s2 = sample_density(d2, d2, rng), sample_density(d2, d2, rng)
-        v1 = quantum_relative_q(r1, s1, q).as_float()
-        v2 = quantum_relative_q(r2, s2, q).as_float()
-        joint = quantum_relative_q(tensor(r1, r2), tensor(s1, s2), q).as_float()
+        v1 = quantum_relative_q(r1, s1, q).value
+        v2 = quantum_relative_q(r2, s2, q).value
+        joint = quantum_relative_q(tensor(r1, r2), tensor(s1, s2), q).value
         expect = v1 + v2 + (q - 1.0) * v1 * v2
         run.check(1e-9 - abs(joint - expect),
                   context={"check": "pseudoadditive", "q": q, "trial": i})
@@ -436,19 +436,19 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         lam = float(rng.uniform(0.0, 1.0))
         mix_r = DensityMatrix(lam * ra.matrix + (1.0 - lam) * rb.matrix)
         mix_s = DensityMatrix(lam * sa.matrix + (1.0 - lam) * sb.matrix)
-        mixed = quantum_relative_q(mix_r, mix_s, q).as_float()
-        base = quantum_relative_q(ra, sa, q).as_float()
-        averaged = lam * base + (1.0 - lam) * quantum_relative_q(rb, sb, q).as_float()
+        mixed = quantum_relative_q(mix_r, mix_s, q).value
+        base = quantum_relative_q(ra, sa, q).value
+        averaged = lam * base + (1.0 - lam) * quantum_relative_q(rb, sb, q).value
         run.check(averaged + 1e-9 - mixed, states=(mix_r, mix_s),
                   context={"check": "joint_convexity", "q": q, "trial": i})
         # monotonicity under partial trace
         da, db = int(rng.choice([2, 3])), int(rng.choice([2, 3]))
         rho_ab = sample_density(da * db, da * db, rng)
         sigma_ab = sample_density(da * db, da * db, rng)
-        whole = quantum_relative_q(rho_ab, sigma_ab, q).as_float()
+        whole = quantum_relative_q(rho_ab, sigma_ab, q).value
         reduced = quantum_relative_q(
             partial_trace(rho_ab, da, db, "A"), partial_trace(sigma_ab, da, db, "A"), q
-        ).as_float()
+        ).value
         run.check(whole + 1e-9 - reduced, states=(rho_ab, sigma_ab),
                   context={"check": "partial_trace_monotone", "q": q, "trial": i})
         # unitary invariance
@@ -457,7 +457,7 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             DensityMatrix(u @ ra.matrix @ u.conj().T),
             DensityMatrix(u @ sa.matrix @ u.conj().T),
             q,
-        ).as_float()
+        ).value
         run.check(1e-9 * (1.0 + abs(base)) - abs(rot - base),
                   context={"check": "unitary_invariance", "q": q, "trial": i})
         # reduction to the classical formula for commuting states; pairing of
@@ -467,8 +467,8 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         basis = haar_unitary(d, rng)
         qa = DensityMatrix.from_eigensystem(spec_a, basis)
         qb = DensityMatrix.from_eigensystem(spec_b, basis)
-        quantum = quantum_relative_q(qa, qb, q).as_float()
-        classical = classical_relative_q(spec_a, spec_b, q).as_float()
+        quantum = quantum_relative_q(qa, qb, q).value
+        classical = classical_relative_q(spec_a, spec_b, q).value
         run.check(1e-10 - abs(quantum - classical),
                   context={"check": "classical_reduction", "q": q, "trial": i})
 
@@ -477,11 +477,11 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         rng = trial_stream(config.seed, pair_idx, salt=6)
         d = 2 + 2 * pair_idx
         rho, sigma = sample_density(d, d, rng), sample_density(d, d, rng)
-        d1 = relative_entropy_vn(rho, sigma).as_float()
+        d1 = relative_entropy_vn(rho, sigma).value
         ratios = []
         for k in range(2, 6):
             q = 1.0 + 10.0**-k
-            dq = quantum_relative_q(rho, sigma, q).as_float()
+            dq = quantum_relative_q(rho, sigma, q).value
             ratios.append(abs(dq - d1) / (q - 1.0))
         bound = 2.0 * ratios[0] + 1e-9
         run.instances += 1
@@ -558,8 +558,7 @@ def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         a_op = _rand_pd(rng, d)
         b_op = _rand_pd(rng, d)
         run.instances += 1
-        operands = OperatorPair(a_op, b_op)
-        for r, rep in zip(r_values, frechet_check(a_op, b_op, r_values, operands=operands)):
+        for r, rep in zip(r_values, frechet_check(OperatorPair(a_op, b_op), r_values)):
             run.check(rep.rhs + 1e-7, context={"check": "psd_gap", "r": r, "trial": i})
 
 
@@ -567,15 +566,15 @@ def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     for i, rng, d in _instances(config, count, salt=12):
         x, y = _rand_herm(rng, d), _rand_herm(rng, d)
         run.instances += 1
-        operands = OperatorPair(x, y)
+        ops = OperatorPair(x, y)
         for n in range(1, 7):
             for p in (1.0, 2.0, math.inf):
-                rep = power_diff_bound(x, y, n, p, operands=operands)
+                rep = power_diff_bound(ops, n, p)
                 run.check(rep.margin,
                           context={"check": "power_diff", "n": n, "p": p, "trial": i})
                 if n == 1:
                     scale = max(1.0, rep.rhs)
-                    run.check(1e-10 * scale - abs(rep.rhs - rep.lhs.as_float()),
+                    run.check(1e-10 * scale - abs(rep.rhs - rep.lhs.value),
                               context={"check": "n1_equality", "p": p, "trial": i})
 
 
@@ -587,9 +586,9 @@ def _suite_lemma3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         a_op = HermitianOperator(a_m / np.trace(a_m).real)
         b_op = _rand_pd(rng, d, trace_one=True)
         run.instances += 1
-        operands = OperatorPair(a_op, b_op)
+        ops = OperatorPair(a_op, b_op)
         for s in (0.25, 0.5, 0.75):
-            rep = lemma3_bound(a_op, b_op, s, operands=operands)
+            rep = lemma3_bound(ops, s)
             run.check(rep.margin, context={"check": "lemma3", "s": s, "trial": i})
 
 
@@ -610,11 +609,11 @@ def divergence_envelope(seed: int, d: int = 4) -> list[dict]:
         for b0 in ENVELOPE_B0:
             pair = PairEval(rho, sigma_family(d, b0))
             rep = thm3_bound(pair, q, "general")
-            dq = rep.lhs.as_float()
+            dq = rep.lhs.value
             ratio = dq * b0 ** (q - 1.0)
-            constant = rep.extras["ceiling_factor"] * rep.constants.lambda1 ** (
+            constant = rep.extras["ceiling_factor"] * pair.summary.lambda1 ** (
                 q - 1.0
-            ) * rep.distances["trace_norm"]
+            ) * pair.distances["trace_norm"]
             records.append(
                 {
                     "q": q,
@@ -734,7 +733,7 @@ def _csv_num(x: float) -> str:
 def sweep_row(pair: PairEval, q: float, b0: float, trial: int, stream_seed: int) -> dict:
     """One record of the sweep CSV for a given state pair; an upper bound whose
     q gate or hypotheses fail is ``nan`` in its columns and named in ``vacuous``."""
-    dq = pair.dq(q).as_float()
+    dq = pair.dq(q).value
     row = {
         "d": pair.rho.dim,
         "q": q,
@@ -742,7 +741,7 @@ def sweep_row(pair: PairEval, q: float, b0: float, trial: int, stream_seed: int)
         "trial": trial,
         "seed": stream_seed,
         "Dq": dq,
-        "D1": pair.d1.as_float(),
+        "D1": pair.d1.value,
         "dist_tr": pair.distances["trace_norm"],
         "dist_sp": pair.distances["spectral_norm"],
         "pinsker_lhs": 0.5 * pair.distances["trace_norm"] ** 2,
@@ -784,7 +783,7 @@ def cmd_sweep(config: SweepConfig) -> Path:
         raise ConfigError(
             f"b0_grid must be nonempty with every b0 in (0, 1/{d_max}], got {config.b0_grid!r}"
         )
-    if config.output_path is None:
+    if not config.output_path:
         raise ConfigError("output_path is required")
     quadrature.self_test()
     out = Path(config.output_path)
@@ -855,6 +854,8 @@ def cmd_gen(d: int, rank: int, seed: int, out) -> Path:
         raise ConfigError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
     if not 1 <= d <= 256:
         raise ConfigError(f"dimension must lie in [1, 256], got {d}")
+    if not out:
+        raise ConfigError("an output path is required")
     rho = sample_density(d, rank, trial_stream(seed, 0))
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)

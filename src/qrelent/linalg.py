@@ -281,6 +281,11 @@ def schatten_norm(x, p: float) -> float:
     return math.fsum(si**p for si in s) ** (1.0 / p)
 
 
+def norm_distances(s: np.ndarray) -> dict[str, float]:
+    """||A - B||_1 and ||A - B||_inf from the singular values s of A - B."""
+    return {"trace_norm": schatten_norm(s, 1.0), "spectral_norm": schatten_norm(s, math.inf)}
+
+
 def psd_gap(a, b) -> float:
     """Minimum eigenvalue of B - A.
 

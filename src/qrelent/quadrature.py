@@ -334,14 +334,13 @@ def resolvent_pair_closed_form(a0: float, b0: float, r: float) -> float:
     return (b0**-r - a0**-r) / (a0 - b0)
 
 
-def self_test(nodes_per_panel: int = NODES_PER_PANEL) -> float:
-    """Scalar sanity check 4^0.5 = 2; raises ConfigError when the node budget
-    cannot deliver it within 1e-9."""
-    rule = QuadratureRule(nodes_per_panel=nodes_per_panel)
-    err = abs(frac_power_scalar(4.0, 0.5, rule) - 2.0)
+def self_test() -> float:
+    """Scalar sanity check 4^0.5 = 2 under the default rule; raises
+    ConfigError when the rule misses it by more than 1e-9."""
+    err = abs(frac_power_scalar(4.0, 0.5) - 2.0)
     if err > 1e-9:
         raise ConfigError(
             f"quadrature self-test error {err:.3e} exceeds 1e-9 "
-            f"at {nodes_per_panel} nodes per panel"
+            f"at {NODES_PER_PANEL} nodes per panel"
         )
     return err

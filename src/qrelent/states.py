@@ -298,7 +298,7 @@ def read_state(path) -> DensityMatrix:
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not ASCII, or not JSON
             raise ParseError(f"{path}: {exc}") from exc
     try:
         d = int(doc["dim"])

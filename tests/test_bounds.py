@@ -69,7 +69,7 @@ class TestThm1:
         rho = sample_density(3, 3, rng)
         for rep in thm1_bounds(PairEval(rho, rho), 1.5):
             assert rep.rhs == pytest.approx(0.0, abs=1e-12)
-            assert abs(rep.lhs.as_float()) <= 1e-10
+            assert abs(rep.lhs.value) <= 1e-10
             assert rep.holds and not rep.vacuous
 
     def test_diagonal_fixture_triple(self, pair):
@@ -197,7 +197,7 @@ class TestLowerBounds:
         rho = sample_density(3, 3, rng)
         chain, pinsker = lower_bounds(PairEval(rho, rho), 2.0, 0.5)
         assert chain.holds and pinsker.holds
-        assert abs(chain.lhs.as_float()) <= 1e-10
+        assert abs(chain.lhs.value) <= 1e-10
 
     def test_diagonal_fixture(self, pair):
         rho, sigma = pair
@@ -231,14 +231,14 @@ class TestLowerBounds:
 class TestPowerDiff:
     def test_equal_operands(self, rng):
         x = HermitianOperator(random_hermitian(rng, 3))
-        rep = power_diff_bound(x, x, 3, 2.0)
+        rep = power_diff_bound(OperatorPair(x, x), 3, 2.0)
         assert rep.lhs.value == pytest.approx(0.0, abs=1e-12)
         assert rep.holds
 
     def test_orthogonal_projectors(self):
         x = HermitianOperator(np.diag([1.0, 0.0]))
         y = HermitianOperator(np.diag([0.0, 1.0]))
-        rep = power_diff_bound(x, y, 2, 1.0)
+        rep = power_diff_bound(OperatorPair(x, y), 2, 1.0)
         assert rep.lhs.value == pytest.approx(2.0, abs=1e-12)
         assert rep.rhs == pytest.approx(4.0, abs=1e-12)
         assert rep.holds
@@ -246,14 +246,14 @@ class TestPowerDiff:
     def test_base_case_equality(self, rng):
         x = HermitianOperator(random_hermitian(rng, 4))
         y = HermitianOperator(random_hermitian(rng, 4))
-        rep = power_diff_bound(x, y, 1, math.inf)
+        rep = power_diff_bound(OperatorPair(x, y), 1, math.inf)
         assert rep.lhs.value == pytest.approx(rep.rhs, rel=1e-12)
 
     def test_scale_homogeneity(self, rng):
         x = HermitianOperator(random_hermitian(rng, 3))
         y = HermitianOperator(random_hermitian(rng, 3))
-        base = power_diff_bound(x, y, 3, 2.0)
-        scaled = power_diff_bound(2.0 * x, 2.0 * y, 3, 2.0)
+        base = power_diff_bound(OperatorPair(x, y), 3, 2.0)
+        scaled = power_diff_bound(OperatorPair(2.0 * x, 2.0 * y), 3, 2.0)
         assert scaled.lhs.value == pytest.approx(8.0 * base.lhs.value, rel=1e-10)
         assert scaled.rhs == pytest.approx(8.0 * base.rhs, rel=1e-10)
         assert scaled.holds == base.holds
@@ -266,20 +266,20 @@ class TestPowerDiff:
         d = int(gen.integers(2, 7))
         x = HermitianOperator(random_hermitian(gen, d))
         y = HermitianOperator(random_hermitian(gen, d))
-        assert power_diff_bound(x, y, n, p).holds
+        assert power_diff_bound(OperatorPair(x, y), n, p).holds
 
 
 class TestLemma3:
     def test_equal_operands(self, rng):
         a = HermitianOperator(random_pd(rng, 3))
         a = 1.0 / a.trace() * a
-        rep = lemma3_bound(a, a, 0.5)
+        rep = lemma3_bound(OperatorPair(a, a), 0.5)
         assert rep.lhs.value == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_fixture(self):
         a = HermitianOperator(np.diag([0.5, 0.5]))
         b = HermitianOperator(np.diag([0.75, 0.25]))
-        rep = lemma3_bound(a, b, 0.5)
+        rep = lemma3_bound(OperatorPair(a, b), 0.5)
         expect = abs(math.sqrt(0.375) + math.sqrt(0.125) - 1.0)
         assert rep.lhs.value == pytest.approx(expect, abs=1e-12)
         assert rep.rhs == pytest.approx(math.sqrt(2.0) * 0.5, abs=1e-12)
@@ -288,8 +288,8 @@ class TestLemma3:
     def test_tau_scaling(self):
         a = HermitianOperator(np.diag([0.5, 0.5]))
         b = HermitianOperator(np.diag([0.75, 0.25]))
-        base = lemma3_bound(a, b, 0.5)
-        scaled = lemma3_bound(2.0 * a, 2.0 * b, 0.5)
+        base = lemma3_bound(OperatorPair(a, b), 0.5)
+        scaled = lemma3_bound(OperatorPair(2.0 * a, 2.0 * b), 0.5)
         assert scaled.lhs.value == pytest.approx(2.0 * base.lhs.value, rel=1e-10)
         assert scaled.rhs == pytest.approx(2.0 * base.rhs, rel=1e-10)
         assert scaled.holds == base.holds
@@ -298,18 +298,18 @@ class TestLemma3:
         a = HermitianOperator(np.diag([0.6, 0.5]))
         b = HermitianOperator(np.diag([0.5, 0.5]))
         with pytest.raises(PreconditionFailed):
-            lemma3_bound(a, b, 0.5)
+            lemma3_bound(OperatorPair(a, b), 0.5)
 
     def test_singular_second_operand(self):
         a = HermitianOperator(np.diag([0.5, 0.5]))
         b = HermitianOperator(np.diag([1.0, 0.0]))
         with pytest.raises(PreconditionFailed):
-            lemma3_bound(a, b, 0.5)
+            lemma3_bound(OperatorPair(a, b), 0.5)
 
     def test_s_gate(self):
         a = HermitianOperator(np.eye(2) / 2.0)
         with pytest.raises(PreconditionFailed):
-            lemma3_bound(a, a, 1.0)
+            lemma3_bound(OperatorPair(a, a), 1.0)
 
     @given(seed=st.integers(0, 2**32 - 1), s=st.sampled_from([0.25, 0.5, 0.75]))
     @settings(max_examples=40, deadline=None)
@@ -320,20 +320,20 @@ class TestLemma3:
         b_m = random_pd(gen, d)
         a = HermitianOperator(a_m / np.trace(a_m).real)
         b = HermitianOperator(b_m / np.trace(b_m).real)
-        assert lemma3_bound(a, b, s).holds
+        assert lemma3_bound(OperatorPair(a, b), s).holds
 
 
 class TestFrechetCheck:
     def test_equal_operands(self, rng):
         a = HermitianOperator(random_pd(rng, 3))
-        (rep,) = frechet_check(a, a, (0.5,))
+        (rep,) = frechet_check(OperatorPair(a, a), (0.5,))
         assert abs(rep.rhs) <= 1e-9
         assert rep.holds
 
     def test_commuting_scalar_fixture(self):
         a = HermitianOperator(np.eye(2))
         b = HermitianOperator(2.0 * np.eye(2))
-        (rep,) = frechet_check(a, b, (0.5,))
+        (rep,) = frechet_check(OperatorPair(a, b), (0.5,))
         # gap = 0.5 - (1 - 2^(-1/2))
         assert rep.rhs == pytest.approx(0.5 - (1.0 - 2.0**-0.5), abs=1e-8)
         assert rep.holds
@@ -342,7 +342,7 @@ class TestFrechetCheck:
         a = HermitianOperator(np.diag([1.0, 0.0]))
         b = HermitianOperator(random_pd(rng, 2))
         with pytest.raises(PreconditionFailed):
-            frechet_check(a, b, (0.5,))
+            frechet_check(OperatorPair(a, b), (0.5,))
 
     @given(seed=st.integers(0, 2**32 - 1), r=st.sampled_from([0.1, 0.5, 0.9]))
     @settings(max_examples=25, deadline=None)
@@ -350,7 +350,7 @@ class TestFrechetCheck:
         gen = np.random.Generator(np.random.SFC64(seed))
         a = HermitianOperator(random_pd(gen, 4))
         b = HermitianOperator(random_pd(gen, 4))
-        (rep,) = frechet_check(a, b, (r,))
+        (rep,) = frechet_check(OperatorPair(a, b), (r,))
         assert rep.rhs >= -1e-7
         assert rep.holds
 
@@ -425,19 +425,16 @@ class TestSharedWork:
     def test_shared_operands_are_bit_identical(self, rng):
         x = HermitianOperator(random_hermitian(rng, 5))
         y = HermitianOperator(random_hermitian(rng, 5))
-        operands = OperatorPair(x, y)
+        ops = OperatorPair(x, y)
         delta = x.matrix - y.matrix
-        standalone = {"trace_norm": schatten_norm(delta, 1.0),
-                      "spectral_norm": schatten_norm(delta, math.inf)}
-        assert operands.distances == standalone
+        assert ops.distances == {"trace_norm": schatten_norm(delta, 1.0),
+                                 "spectral_norm": schatten_norm(delta, math.inf)}
         for n in range(1, 7):
             diff = np.linalg.matrix_power(x.matrix, n) - np.linalg.matrix_power(y.matrix, n)
             for p in (1.0, 2.0, math.inf):
-                shared = power_diff_bound(x, y, n, p, operands=operands)
-                alone = power_diff_bound(x, y, n, p)
-                assert shared == alone
+                shared = power_diff_bound(ops, n, p)
+                assert shared == power_diff_bound(OperatorPair(x, y), n, p)
                 assert shared.lhs.value == schatten_norm(diff, p)
-                assert shared.distances == standalone
 
     def test_pair_distances_are_bit_identical(self, rng):
         rho, sigma = sample_density(6, 6, rng), sample_density(6, 6, rng)
@@ -450,20 +447,16 @@ class TestSharedWork:
     def test_shared_lemma_contexts_are_bit_identical(self, rng):
         a = HermitianOperator(random_pd(rng, 4))
         b = HermitianOperator(random_pd(rng, 4))
-        operands = OperatorPair(a, b)
+        ops = OperatorPair(a, b)
         for r in (0.1, 0.5, 0.9):
-            assert frechet_check(a, b, (r,), operands=operands) == frechet_check(a, b, (r,))
+            assert frechet_check(ops, (r,)) == frechet_check(OperatorPair(a, b), (r,))
         a1 = HermitianOperator(a.matrix / a.trace())
         b1 = HermitianOperator(b.matrix / b.trace())
-        operands = OperatorPair(a1, b1)
+        ops = OperatorPair(a1, b1)
         for s in (0.25, 0.5, 0.75):
-            assert lemma3_bound(a1, b1, s, operands=operands) == lemma3_bound(a1, b1, s)
+            assert lemma3_bound(ops, s) == lemma3_bound(OperatorPair(a1, b1), s)
 
     def test_context_of_other_operands_is_rejected(self, rng):
-        x = HermitianOperator(random_hermitian(rng, 3))
-        y = HermitianOperator(random_hermitian(rng, 3))
-        with pytest.raises(PreconditionFailed):
-            power_diff_bound(y, x, 2, 1.0, operands=OperatorPair(x, y))
         rho, sigma = sample_density(3, 3, rng), sample_density(3, 3, rng)
         with pytest.raises(PreconditionFailed):
             quantum_relative_q(sigma, rho, 2.0, PairEval(rho, sigma))

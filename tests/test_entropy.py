@@ -47,7 +47,7 @@ class TestExtendedReal:
         assert x.is_finite and float(x) == 0.25
 
     def test_infinity_value(self):
-        assert math.isinf(POSITIVE_INFINITY.as_float())
+        assert math.isinf(POSITIVE_INFINITY.value)
 
     def test_nan_rejected(self):
         with pytest.raises(InternalInconsistency):
@@ -113,7 +113,7 @@ class TestClassicalRelative:
 class TestQuantumRelative:
     def test_equal_states_vanish(self, rng):
         rho = sample_density(4, 4, rng)
-        value = quantum_relative_q(rho, rho, 2.0).as_float()
+        value = quantum_relative_q(rho, rho, 2.0).value
         assert abs(value) <= 1e-10
 
     def test_diagonal_fixture(self, fixture_pair):
@@ -186,7 +186,7 @@ class TestQuantumRelative:
         d = int(gen.integers(2, 6))
         rho = sample_density(d, d, gen)
         sigma = sample_density(d, d, gen)
-        value = quantum_relative_q(rho, sigma, q).as_float()
+        value = quantum_relative_q(rho, sigma, q).value
         assert value >= -1e-10
         if schatten_norm(rho.matrix - sigma.matrix, 1.0) > 1e-4:
             assert value > 1e-10
@@ -254,7 +254,7 @@ class TestVectorisedSums:
         b0 = float(sigma.spectrum[sigma.dim - sigma.rank])
         # keep b0^(1-q) inside the float range; past it both sums overflow
         assume((q - 1.0) * -math.log(b0) < 700.0)
-        pair = entropy.StatePair(rho, sigma)
+        pair = entropy.PairEval(rho, sigma)
         for order in (q, p):
             got = entropy._restricted_trace_sum(pair, order)
             assert _close(got, _reference_trace_sum(rho, sigma, order))

@@ -122,8 +122,9 @@ class TestEvaluationCounts:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        import qrelent.bounds as bounds_module
+        import qrelent.entropy as entropy_module
         import qrelent.harness as harness_module
+        import qrelent.linalg as linalg_module
 
         counts = {}
 
@@ -136,8 +137,9 @@ class TestEvaluationCounts:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("quantum_relative_q", "relative_entropy_vn", "schatten_norm"):
-            counting(bounds_module, name)
+        for name in ("quantum_relative_q", "relative_entropy_vn"):
+            counting(entropy_module, name)
+        counting(linalg_module, "schatten_norm")
         for name in ("sample_density", "sigma_family"):
             counting(harness_module, name)
         return counts
@@ -369,6 +371,31 @@ class TestCli:
         assert main(["eval", str(bad), str(good)]) == 3
         assert main(["eval", str(good), str(bad)]) == 3
         assert capsys.readouterr().err.startswith("i/o error:")
+
+    def test_non_ascii_state_file_exit_three(self, tmp_path, capsys):
+        good = cmd_gen(2, 2, seed=7, out=tmp_path / "good.json")
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + good.read_bytes())
+        assert main(["eval", str(bom), str(good)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error:")
+
+    def test_undecodable_config_file_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"seed": 3}\xff')
+        assert main(["verify", "--config", str(cfg_path), "--trials", "1",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--dims", "2", "--q", "2", "--b0", "0.25", "--trials", "1"],
+        ["gen", "--d", "2", "--rank", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_empty_out_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", ""]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_gen_and_eval_cli(self, tmp_path, capsys):
         out = tmp_path / "s.json"
