@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InternalInconsistency, PreconditionFailed
+from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .linalg import (
     PSD_TOL,
     as_herm,
@@ -84,12 +84,15 @@ class OperatorPair:
 
     The singular values of A, B, A - B and A^n - B^n are each computed once,
     on first use, and shared by every norm and distance taken of the pair.
-    Pass one instance to every check on the same (A, B).
+    Pass one instance to every check on the same (A, B).  Operands of
+    different dimensions raise DimensionMismatch.
     """
 
     def __init__(self, a, b) -> None:
         self.a = as_herm(a)
         self.b = as_herm(b)
+        if self.a.dim != self.b.dim:
+            raise DimensionMismatch(f"dimension mismatch: {self.a.dim} vs {self.b.dim}")
         self._power_diff: dict[int, np.ndarray] = {}
 
     @cached_property
@@ -370,8 +373,6 @@ def frechet_check(ops: OperatorPair, rs) -> tuple[BoundReport, ...]:
     which must not drop below -(PSD_TOL + quadrature allowance).
     """
     A, B = ops.a, ops.b
-    if A.dim != B.dim:
-        raise PreconditionFailed(f"dimension mismatch: {A.dim} vs {B.dim}")
     rs = tuple(float(r) for r in rs)
     for r in rs:
         if not 0.0 < r < 1.0:

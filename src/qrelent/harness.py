@@ -2,15 +2,15 @@
 generation with deterministic CSV/JSON artifacts.
 
 Randomness policy: every trial draws from a private SFC64 stream seeded with
-``root_seed XOR trial_index`` (suites additionally fold in a fixed per-suite
-salt), so outputs are byte-identical across runs for a given configuration.
+``states.stream_seed(seed, trial, salt)`` (each suite folds in a fixed salt),
+so outputs are byte-identical across runs for a given configuration, and every
+artifact is written through ``states.write_atomic``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -55,12 +55,12 @@ from .states import (
     read_state,
     sample_common_support_pair,
     sample_density,
+    stream_seed,
     tensor,
     trial_stream,
+    write_atomic,
     write_state,
 )
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,14 @@ class _SuiteRun:
         self.failures = 0
         self.worst: float | None = None
         self.counterexample_path: str | None = None
+        self._instance: dict = {}
+
+    def stream(self, trial: int, salt: int) -> np.random.Generator:
+        """Count one instance and return its stream; a counterexample from it
+        records the trial and salt, which with the seed redraw it."""
+        self.instances += 1
+        self._instance = {"trial": trial, "salt": salt}
+        return trial_stream(self.seed, trial, salt=salt)
 
     def check(self, margin: float, states=None, context: dict | None = None) -> None:
         margin = float(margin)
@@ -186,17 +194,15 @@ class _SuiteRun:
     def _record(self, states, context, margin) -> None:
         if self.counterexample_path is not None or self.out_dir is None:
             return
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         stem = self.out_dir / f"counterexample_{self.name}"
-        doc = {"suite": self.name, "seed": self.seed, "margin": margin}
+        doc = {"suite": self.name, "seed": self.seed, "margin": margin, **self._instance}
         doc.update(context or {})
         if states is not None:
             for label, state in zip(("rho", "sigma"), states):
                 write_state(f"{stem}_{label}.json", state)
             doc["rho_path"] = f"{stem}_rho.json"
             doc["sigma_path"] = f"{stem}_sigma.json"
-        with open(f"{stem}_context.json", "w", encoding="ascii") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
+        write_atomic(f"{stem}_context.json", json.dumps(doc, sort_keys=True, indent=2))
         self.counterexample_path = f"{stem}_context.json"
 
     def result(self) -> SuiteResult:
@@ -256,12 +262,12 @@ def _sample_pair(rng, d: int, rank_deficient: bool) -> tuple[DensityMatrix, Dens
     return sample_common_support_pair(d, k, rng, rho_rank=rho_rank)
 
 
-def _instances(config: SweepConfig, count: int, salt: int, max_dim: float = 8):
-    """(trial, stream, d) per suite instance: the trial's private stream and a
-    dimension drawn from it among the configured dims in [2, max_dim]."""
+def _instances(run: _SuiteRun, config: SweepConfig, count: int, salt: int, max_dim: float = 8):
+    """(trial, stream, d) per suite instance: the stream from ``run.stream`` and
+    a dimension drawn from it among the configured dims in [2, max_dim]."""
     dims = [d for d in config.dims if 2 <= d <= max_dim] or [2]
     for i in range(count):
-        rng = trial_stream(config.seed, i, salt=salt)
+        rng = run.stream(i, salt)
         # the draw of rng.choice(dims), without converting dims to an array
         yield i, rng, dims[int(rng.integers(0, len(dims), dtype=np.int64))]
 
@@ -279,8 +285,7 @@ def _sample_q(rng, exact_every: int, i: int, lo: float = 1.0, hi: float = 2.0) -
 
 def _suite_linalg_norms(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     tol = 1e-10
-    for i, rng, d in _instances(config, count, salt=1, max_dim=math.inf):
-        run.instances += 1
+    for _, rng, d in _instances(run, config, count, salt=1, max_dim=math.inf):
         x, y, z = (_rand_complex(rng, d) for _ in range(3))
         xy = x @ y
         xyz = xy @ z
@@ -290,27 +295,27 @@ def _suite_linalg_norms(run: _SuiteRun, config: SweepConfig, count: int) -> None
             rhs = schatten_norm(sx, math.inf) * schatten_norm(sy, p) * schatten_norm(sz, math.inf)
             scale = max(1.0, rhs)
             run.check(rhs + tol * scale - schatten_norm(sxyz, p),
-                      context={"check": "holder", "p": p, "trial": i})
+                      context={"check": "holder", "p": p})
             sub_rhs = schatten_norm(sx, p) * schatten_norm(sy, p)
             run.check(sub_rhs + tol * max(1.0, sub_rhs) - schatten_norm(sxy, p),
-                      context={"check": "submultiplicative", "p": p, "trial": i})
+                      context={"check": "submultiplicative", "p": p})
         tr_rhs = schatten_norm(sx, math.inf) * schatten_norm(sz, math.inf) * schatten_norm(sy, 1.0)
         run.check(tr_rhs + tol * max(1.0, tr_rhs) - abs(np.trace(xyz)),
-                  context={"check": "trace_bound", "trial": i})
+                  context={"check": "trace_bound"})
         for p_lo, p_hi in ((1.0, 2.0), (2.0, math.inf), (1.0, math.inf)):
             run.check(schatten_norm(sx, p_lo) + tol - schatten_norm(sx, p_hi),
-                      context={"check": "p_monotone", "trial": i})
+                      context={"check": "p_monotone"})
         h = _rand_herm(rng, d)
         delta = HermitianOperator(h.matrix - (h.trace() / d) * np.eye(d))
         s_delta = singular_values(delta)
         run.check(0.5 * schatten_norm(s_delta, 1.0) + tol - schatten_norm(s_delta, math.inf),
-                  context={"check": "traceless_half", "trial": i})
+                  context={"check": "traceless_half"})
         composed = apply_function(h, lambda lam: math.exp(lam / 2.0) ** 2)
         stepped = apply_function(apply_function(h, lambda lam: math.exp(lam / 2.0)),
                                  lambda lam: lam**2)
         scale = max(1.0, schatten_norm(composed, math.inf))
         err = float(np.max(np.abs(composed.matrix - stepped.matrix)))
-        run.check(1e-10 * scale - err, context={"check": "composition", "trial": i})
+        run.check(1e-10 * scale - err, context={"check": "composition"})
 
 
 def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
@@ -322,10 +327,9 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             got = quadrature.frac_power_scalar(a, r, form=form)
             run.check(1e-10 - abs(got - expect) / expect,
                       context={"check": "scalar_fixture", "a": a, "r": r, "form": form})
-    for i, rng, d in _instances(config, count, salt=2):
+    for i, rng, d in _instances(run, config, count, salt=2):
         a_op = _conditioned_pd(rng, d, log10_cond=float(rng.uniform(0.0, 6.0)))
         norm_inf = schatten_norm(a_op, math.inf)
-        run.instances += 1
         # one resolvent stack per form serves all three exponents
         firsts = quadrature.frac_power_operator(a_op, r_values, form="first")
         seconds = (quadrature.frac_power_operator(a_op, r_values, form="second")
@@ -334,11 +338,11 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             spectral = apply_function(a_op, lambda lam: lam**r)
             budget = 1e-8 * norm_inf**r
             err = float(np.max(np.abs(first.matrix - spectral.matrix)))
-            run.check(budget - err, context={"check": "oracle_first", "r": r, "trial": i})
+            run.check(budget - err, context={"check": "oracle_first", "r": r})
             if second is not None:
                 err2 = float(np.max(np.abs(second.matrix - first.matrix)))
                 run.check(1e-8 * max(1.0, norm_inf**r) - err2,
-                          context={"check": "forms_agree", "r": r, "trial": i})
+                          context={"check": "forms_agree", "r": r})
         # scalar resolvent-pair identity against its closed form; scales are
         # kept at the density-eigenvalue range and well separated, so the
         # closed-form value stays O(100) and the absolute 1e-10 comparison is
@@ -348,33 +352,29 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         for r in r_values:
             closed = quadrature.resolvent_pair_closed_form(a0, b0, r)
             got = quadrature.resolvent_pair_integral(a0, b0, r)
-            run.check(1e-10 - abs(got - closed),
-                      context={"check": "pair_identity", "r": r, "trial": i})
+            run.check(1e-10 - abs(got - closed), context={"check": "pair_identity", "r": r})
             lam0 = min(a0, b0)
             envelope = lam0 ** (-(r + 1.0))
             run.check(envelope + 1e-12 * envelope - closed,
-                      context={"check": "pair_envelope", "r": r, "trial": i})
+                      context={"check": "pair_envelope", "r": r})
         limit_base = float(rng.uniform(0.1, 1.0))
         got = quadrature.resolvent_pair_integral(limit_base, limit_base, 0.5)
-        run.check(1e-10 - abs(got - 0.5 * limit_base**-1.5),
-                  context={"check": "pair_limit", "trial": i})
+        run.check(1e-10 - abs(got - 0.5 * limit_base**-1.5), context={"check": "pair_limit"})
 
 
 def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d in _instances(config, count, salt=3, max_dim=math.inf):
+    for _, rng, d in _instances(run, config, count, salt=3, max_dim=math.inf):
         rank = int(rng.integers(1, d + 1))
         rho = sample_density(d, rank, rng)
-        run.instances += 1
-        run.check(float(np.min(rho.spectrum)), context={"check": "psd", "trial": i})
-        run.check(1e-10 - abs(math.fsum(rho.spectrum) - 1.0),
-                  context={"check": "unit_trace", "trial": i})
+        run.check(float(np.min(rho.spectrum)), context={"check": "psd"})
+        run.check(1e-10 - abs(math.fsum(rho.spectrum) - 1.0), context={"check": "unit_trace"})
         run.check_bool(rho.rank == rank, states=(rho, rho),
-                       context={"check": "rank", "trial": i, "expected": rank})
+                       context={"check": "rank", "expected": rank})
         proj = rho.support_projector.matrix
         run.check(PSD_TOL - float(np.max(np.abs(proj @ proj - proj))),
-                  context={"check": "projector_idempotent", "trial": i})
+                  context={"check": "projector_idempotent"})
         run.check(1e-10 - abs(float(np.trace(proj).real) - rho.rank),
-                  context={"check": "projector_trace", "trial": i})
+                  context={"check": "projector_trace"})
         run.check_bool(kernel_included(rho, rho), context={"check": "kernel_reflexive"})
         # exact-spectrum construction round-trips
         raw = rng.exponential(size=d)
@@ -384,7 +384,7 @@ def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         spec = np.sort(raw / math.fsum(raw))
         controlled = density_with_spectrum(spec, rng)
         run.check(1e-10 - float(np.max(np.abs(controlled.spectrum - spec))),
-                  context={"check": "spectrum_roundtrip", "trial": i})
+                  context={"check": "spectrum_roundtrip"})
         # mixing closure
         lam = float(rng.uniform(0.0, 1.0))
         other = sample_density(d, d, rng)
@@ -394,21 +394,19 @@ def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             deficient = sample_density(d, d - 1, rng)
             full = sample_density(d, d, rng)
             run.check_bool(not kernel_included(deficient, full),
-                           context={"check": "kernel_excluded", "trial": i})
+                           context={"check": "kernel_excluded"})
 
 
 def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d in _instances(config, count, salt=4):
+    for i, rng, d in _instances(run, config, count, salt=4):
         rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 3 == 2))
         q = _sample_q(rng, exact_every=10, i=i)
         value = quantum_relative_q(rho, sigma, q).value
-        run.instances += 1
-        run.check(value + 1e-10, states=(rho, sigma),
-                  context={"check": "positivity", "q": q, "trial": i})
+        run.check(value + 1e-10, states=(rho, sigma), context={"check": "positivity", "q": q})
         dist = schatten_norm(rho.matrix - sigma.matrix, 1.0)
         if dist > 1e-4:
             run.check_bool(value > 1e-10, states=(rho, sigma),
-                           context={"check": "zero_only_at_equality", "q": q, "trial": i})
+                           context={"check": "zero_only_at_equality", "q": q})
         if i % 25 == 0:
             self_val = quantum_relative_q(rho, rho, q).value
             run.check(1e-10 - abs(self_val), context={"check": "self_zero", "q": q})
@@ -416,9 +414,8 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     dims = [d for d in config.dims if 2 <= d <= 8] or [2]
     small = max(1, count // 5)
     for i in range(small):
-        rng = trial_stream(config.seed, i, salt=5)
+        rng = run.stream(i, 5)
         q = _sample_q(rng, exact_every=7, i=i)
-        run.instances += 1
         # pseudoadditivity on tensor products
         d1, d2 = int(rng.choice([2, 3])), int(rng.choice([2, 3]))
         r1, s1 = sample_density(d1, d1, rng), sample_density(d1, d1, rng)
@@ -427,8 +424,7 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         v2 = quantum_relative_q(r2, s2, q).value
         joint = quantum_relative_q(tensor(r1, r2), tensor(s1, s2), q).value
         expect = v1 + v2 + (q - 1.0) * v1 * v2
-        run.check(1e-9 - abs(joint - expect),
-                  context={"check": "pseudoadditive", "q": q, "trial": i})
+        run.check(1e-9 - abs(joint - expect), context={"check": "pseudoadditive", "q": q})
         # joint convexity
         d = int(rng.choice(dims))
         ra, sa = sample_density(d, d, rng), sample_density(d, d, rng)
@@ -440,7 +436,7 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         base = quantum_relative_q(ra, sa, q).value
         averaged = lam * base + (1.0 - lam) * quantum_relative_q(rb, sb, q).value
         run.check(averaged + 1e-9 - mixed, states=(mix_r, mix_s),
-                  context={"check": "joint_convexity", "q": q, "trial": i})
+                  context={"check": "joint_convexity", "q": q})
         # monotonicity under partial trace
         da, db = int(rng.choice([2, 3])), int(rng.choice([2, 3]))
         rho_ab = sample_density(da * db, da * db, rng)
@@ -450,7 +446,7 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             partial_trace(rho_ab, da, db, "A"), partial_trace(sigma_ab, da, db, "A"), q
         ).value
         run.check(whole + 1e-9 - reduced, states=(rho_ab, sigma_ab),
-                  context={"check": "partial_trace_monotone", "q": q, "trial": i})
+                  context={"check": "partial_trace_monotone", "q": q})
         # unitary invariance
         u = haar_unitary(d, rng)
         rot = quantum_relative_q(
@@ -459,7 +455,7 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             q,
         ).value
         run.check(1e-9 * (1.0 + abs(base)) - abs(rot - base),
-                  context={"check": "unitary_invariance", "q": q, "trial": i})
+                  context={"check": "unitary_invariance", "q": q})
         # reduction to the classical formula for commuting states; pairing of
         # the two spectra follows the shared eigenbasis columns
         spec_a = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
@@ -470,11 +466,11 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         quantum = quantum_relative_q(qa, qb, q).value
         classical = classical_relative_q(spec_a, spec_b, q).value
         run.check(1e-10 - abs(quantum - classical),
-                  context={"check": "classical_reduction", "q": q, "trial": i})
+                  context={"check": "classical_reduction", "q": q})
 
     # q -> 1 consistency on fixed pairs
     for pair_idx in range(2):
-        rng = trial_stream(config.seed, pair_idx, salt=6)
+        rng = run.stream(pair_idx, 6)
         d = 2 + 2 * pair_idx
         rho, sigma = sample_density(d, d, rng), sample_density(d, d, rng)
         d1 = relative_entropy_vn(rho, sigma).value
@@ -484,41 +480,35 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             dq = quantum_relative_q(rho, sigma, q).value
             ratios.append(abs(dq - d1) / (q - 1.0))
         bound = 2.0 * ratios[0] + 1e-9
-        run.instances += 1
         for ratio in ratios[1:]:
-            run.check(bound - ratio, states=(rho, sigma),
-                      context={"check": "q_to_1", "pair": pair_idx})
+            run.check(bound - ratio, states=(rho, sigma), context={"check": "q_to_1"})
 
 
 def _suite_thm1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d in _instances(config, count, salt=7):
+    for i, rng, d in _instances(run, config, count, salt=7):
         rho, sigma = sample_density(d, d, rng), sample_density(d, d, rng)
         q = _sample_q(rng, exact_every=10, i=i)
         pair = PairEval(rho, sigma)
         reports = thm1_bounds(pair, q)
-        run.instances += 1
         for rep in reports:
-            run.check(rep.margin, states=(rho, sigma),
-                      context={"check": rep.name, "q": q, "trial": i})
+            run.check(rep.margin, states=(rho, sigma), context={"check": rep.name, "q": q})
         # the spectral-norm bound is never looser than the halved trace-norm one
         run.check(reports[1].rhs + 1e-12 * (1.0 + reports[1].rhs) - reports[0].rhs,
-                  states=(rho, sigma), context={"check": "rhs1_le_rhs2", "q": q, "trial": i})
+                  states=(rho, sigma), context={"check": "rhs1_le_rhs2", "q": q})
 
 
 def _suite_thm2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d in _instances(config, count, salt=8):
+    for i, rng, d in _instances(run, config, count, salt=8):
         rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 2 == 1))
         q = _sample_q(rng, exact_every=10, i=i)
-        run.instances += 1
         pair = PairEval(rho, sigma)
         for variant in ("general", "traceless"):
             rep = thm2_bound(pair, q, variant)
-            run.check(rep.margin, states=(rho, sigma),
-                      context={"check": rep.name, "q": q, "trial": i})
+            run.check(rep.margin, states=(rho, sigma), context={"check": rep.name, "q": q})
 
 
 def _suite_thm3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d in _instances(config, count, salt=9):
+    for i, rng, d in _instances(run, config, count, salt=9):
         rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 2 == 1))
         if i % 5 == 4:
             q = float(rng.choice([2.0, 3.0, 4.0]))
@@ -526,27 +516,23 @@ def _suite_thm3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             q = _sample_q(rng, exact_every=0, i=i)
         else:
             q = _sample_q(rng, exact_every=0, i=i, lo=2.0, hi=6.0)
-        run.instances += 1
         pair = PairEval(rho, sigma)
         rep = thm3_bound(pair, q, "general")
-        run.check(rep.margin, states=(rho, sigma),
-                  context={"check": rep.name, "q": q, "trial": i})
+        run.check(rep.margin, states=(rho, sigma), context={"check": rep.name, "q": q})
         q2 = _sample_q(rng, exact_every=10, i=i)
         rep2 = thm3_bound(pair, q2, "q2")
-        run.check(rep2.margin, states=(rho, sigma),
-                  context={"check": rep2.name, "q": q2, "trial": i})
+        run.check(rep2.margin, states=(rho, sigma), context={"check": rep2.name, "q": q2})
 
 
 def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d in _instances(config, count, salt=10):
+    for i, rng, d in _instances(run, config, count, salt=10):
         rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 4 == 3))
         q = _sample_q(rng, exact_every=10, i=i)
         p = 0.0 if i % 10 == 5 else float(rng.uniform(0.0, 1.0))
-        run.instances += 1
         pair = PairEval(rho, sigma)
         for rep in lower_bounds(pair, q, p):
             run.check_bool(rep.holds, states=(rho, sigma),
-                           context={"check": rep.name, "q": q, "p": p, "trial": i})
+                           context={"check": rep.name, "q": q, "p": p})
             if rep.slack is not None and math.isfinite(rep.slack):
                 run.check(rep.slack + TOL_BOUND, states=(rho, sigma),
                           context={"check": rep.name + "_slack", "q": q, "p": p})
@@ -554,42 +540,38 @@ def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     r_values = (0.1, 0.5, 0.9)
-    for i, rng, d in _instances(config, count, salt=11):
+    for _, rng, d in _instances(run, config, count, salt=11):
         a_op = _rand_pd(rng, d)
         b_op = _rand_pd(rng, d)
-        run.instances += 1
         for r, rep in zip(r_values, frechet_check(OperatorPair(a_op, b_op), r_values)):
-            run.check(rep.rhs + 1e-7, context={"check": "psd_gap", "r": r, "trial": i})
+            run.check(rep.rhs + 1e-7, context={"check": "psd_gap", "r": r})
 
 
 def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d in _instances(config, count, salt=12):
+    for _, rng, d in _instances(run, config, count, salt=12):
         x, y = _rand_herm(rng, d), _rand_herm(rng, d)
-        run.instances += 1
         ops = OperatorPair(x, y)
         for n in range(1, 7):
             for p in (1.0, 2.0, math.inf):
                 rep = power_diff_bound(ops, n, p)
-                run.check(rep.margin,
-                          context={"check": "power_diff", "n": n, "p": p, "trial": i})
+                run.check(rep.margin, context={"check": "power_diff", "n": n, "p": p})
                 if n == 1:
                     scale = max(1.0, rep.rhs)
                     run.check(1e-10 * scale - abs(rep.rhs - rep.lhs.value),
-                              context={"check": "n1_equality", "p": p, "trial": i})
+                              context={"check": "n1_equality", "p": p})
 
 
 def _suite_lemma3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d in _instances(config, count, salt=13):
+    for i, rng, d in _instances(run, config, count, salt=13):
         rank = d if i % 3 else max(1, d - 1)
         g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
         a_m = g @ g.conj().T
         a_op = HermitianOperator(a_m / np.trace(a_m).real)
         b_op = _rand_pd(rng, d, trace_one=True)
-        run.instances += 1
         ops = OperatorPair(a_op, b_op)
         for s in (0.25, 0.5, 0.75):
             rep = lemma3_bound(ops, s)
-            run.check(rep.margin, context={"check": "lemma3", "s": s, "trial": i})
+            run.check(rep.margin, context={"check": "lemma3", "s": s})
 
 
 ENVELOPE_B0 = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -671,21 +653,21 @@ def _suite_crossover(run: _SuiteRun, config: SweepConfig, count: int) -> None:
                   context={"check": "crossover", "trial": rec["trial"], "b0": rec["b0"]})
 
 
-# suite name -> (builder, count as a function of config.trials)
+# suite name -> (builder, divisor): the builder gets max(1, config.trials // divisor)
 _SUITES = (
-    ("linalg_norms", _suite_linalg_norms, lambda t: max(1, t // 5)),
-    ("quadrature_oracle", _suite_quadrature, lambda t: max(1, t // 5)),
-    ("state_invariants", _suite_states, lambda t: t),
-    ("entropy_properties", _suite_entropy, lambda t: t),
-    ("thm1_soundness", _suite_thm1, lambda t: t),
-    ("thm2_soundness", _suite_thm2, lambda t: t),
-    ("thm3_soundness", _suite_thm3, lambda t: t),
-    ("lower_bound_soundness", _suite_lower, lambda t: t),
-    ("lemma1_psd_gap", _suite_lemma1, lambda t: max(1, t // 5)),
-    ("lemma2_power_diff", _suite_lemma2, lambda t: max(1, t // 2)),
-    ("lemma3_frac_trace", _suite_lemma3, lambda t: max(1, t // 2)),
-    ("divergence_envelope", _suite_envelope, lambda t: t),
-    ("tightness_crossover", _suite_crossover, lambda t: t),
+    ("linalg_norms", _suite_linalg_norms, 5),
+    ("quadrature_oracle", _suite_quadrature, 5),
+    ("state_invariants", _suite_states, 1),
+    ("entropy_properties", _suite_entropy, 1),
+    ("thm1_soundness", _suite_thm1, 1),
+    ("thm2_soundness", _suite_thm2, 1),
+    ("thm3_soundness", _suite_thm3, 1),
+    ("lower_bound_soundness", _suite_lower, 1),
+    ("lemma1_psd_gap", _suite_lemma1, 5),
+    ("lemma2_power_diff", _suite_lemma2, 2),
+    ("lemma3_frac_trace", _suite_lemma3, 2),
+    ("divergence_envelope", _suite_envelope, 1),
+    ("tightness_crossover", _suite_crossover, 1),
 )
 
 
@@ -696,9 +678,9 @@ def cmd_verify(config: SweepConfig) -> VerifyReport:
     quadrature.self_test()
     out_dir = Path(config.output_path).parent if config.output_path else None
     results = []
-    for name, builder, count_fn in _SUITES:
+    for name, builder, divisor in _SUITES:
         run = _SuiteRun(name, out_dir, config.seed)
-        builder(run, config, count_fn(config.trials))
+        builder(run, config, max(1, config.trials // divisor))
         results.append(run.result())
     report = VerifyReport(seed=config.seed, suites=results)
     if config.output_path:
@@ -708,10 +690,7 @@ def cmd_verify(config: SweepConfig) -> VerifyReport:
             "all_passed": report.passed,
             "suites": [asdict(s) for s in report.suites],
         }
-        Path(config.output_path).parent.mkdir(parents=True, exist_ok=True)
-        with open(config.output_path, "w", encoding="ascii") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_atomic(config.output_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return report
 
 
@@ -796,18 +775,14 @@ def cmd_sweep(config: SweepConfig) -> Path:
         sigmas = [sigma_family(d, b0) for b0 in config.b0_grid]
         rows: dict[tuple[int, int, int], str] = {}
         for trial in range(config.trials):
-            stream_seed = (config.seed ^ trial) & _MASK64
+            seed = stream_seed(config.seed, trial, 0)
             rho = sample_density(d, d, trial_stream(config.seed, trial))
             for bi, (b0, sigma) in enumerate(zip(config.b0_grid, sigmas)):
                 pair = PairEval(rho, sigma)
                 for qi, q in enumerate(config.q_grid):
-                    rows[qi, bi, trial] = _csv_line(sweep_row(pair, q, b0, trial, stream_seed))
+                    rows[qi, bi, trial] = _csv_line(sweep_row(pair, q, b0, trial, seed))
         lines.extend(rows[key] for key in sorted(rows))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_suffix(out.suffix + ".tmp")
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, out)
+    write_atomic(out, "\n".join(lines) + "\n")
     return out
 
 
@@ -856,8 +831,5 @@ def cmd_gen(d: int, rank: int, seed: int, out) -> Path:
         raise ConfigError(f"dimension must lie in [1, 256], got {d}")
     if not out:
         raise ConfigError("an output path is required")
-    rho = sample_density(d, rank, trial_stream(seed, 0))
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_state(out, rho)
-    return out
+    write_state(out, sample_density(d, rank, trial_stream(seed, 0)))
+    return Path(out)

@@ -210,9 +210,9 @@ def _scaled_hermitian(rs: tuple[float, ...], totals: list[np.ndarray]
     return tuple(results)
 
 
-def frac_power_scalar(a: float, r: float, rule: QuadratureRule | None = None,
-                      form: str = "first") -> float:
-    """a^r for a > 0 and r in (0, 1) via an integral representation.
+def frac_power_scalar(a: float, r: float, form: str = "first") -> float:
+    """a^r for a > 0 and r in (0, 1) via an integral representation, with
+    NODES_PER_PANEL nodes on the one-point ladder at the integrand's pole.
 
     form="first":   (sin(r pi)/pi) int_0^inf x^(r-1) a/(a+x) dx
     form="second":  (sin(r pi)/pi) int_0^inf y^(-r) (y + 1/a)^(-1) dy
@@ -222,14 +222,12 @@ def frac_power_scalar(a: float, r: float, rule: QuadratureRule | None = None,
         raise DomainViolation(f"base must be positive, got {a}")
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
-    rule = rule or QuadratureRule()
-    n = rule.nodes_per_panel
     if form == "first":
-        splits = rule.splits or geometric_splits(a, a)
-        val = _scalar_integral(lambda x: a / (a + x), r - 1.0, splits, n)
+        splits = geometric_splits(a, a)
+        val = _scalar_integral(lambda x: a / (a + x), r - 1.0, splits, NODES_PER_PANEL)
     elif form == "second":
-        splits = rule.splits or geometric_splits(1.0 / a, 1.0 / a)
-        val = _scalar_integral(lambda y: 1.0 / (y + 1.0 / a), -r, splits, n)
+        splits = geometric_splits(1.0 / a, 1.0 / a)
+        val = _scalar_integral(lambda y: 1.0 / (y + 1.0 / a), -r, splits, NODES_PER_PANEL)
     else:
         raise DomainViolation(f"unknown form {form!r}")
     return math.sin(r * math.pi) / math.pi * val
@@ -303,18 +301,15 @@ def frechet_integral_rhs(A, D, rs, rule: QuadratureRule | None = None
     return _scaled_hermitian(rs, totals)
 
 
-def resolvent_pair_integral(a0: float, b0: float, r: float,
-                            rule: QuadratureRule | None = None) -> float:
-    """(sin(r pi)/pi) int_0^inf y^(-r) ((y+a0)(y+b0))^(-1) dy."""
+def resolvent_pair_integral(a0: float, b0: float, r: float) -> float:
+    """(sin(r pi)/pi) int_0^inf y^(-r) ((y+a0)(y+b0))^(-1) dy, with
+    NODES_PER_PANEL nodes per panel of the ladder from min(a0, b0) to max(a0, b0)."""
     if not (a0 > 0.0 and b0 > 0.0):
         raise DomainViolation("both scalars must be positive")
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
-    rule = rule or QuadratureRule()
-    splits = rule.splits or geometric_splits(min(a0, b0), max(a0, b0))
-    val = _scalar_integral(
-        lambda y: 1.0 / ((y + a0) * (y + b0)), -r, splits, rule.nodes_per_panel
-    )
+    splits = geometric_splits(min(a0, b0), max(a0, b0))
+    val = _scalar_integral(lambda y: 1.0 / ((y + a0) * (y + b0)), -r, splits, NODES_PER_PANEL)
     return math.sin(r * math.pi) / math.pi * val
 
 

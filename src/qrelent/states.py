@@ -4,11 +4,13 @@ products, partial traces, and the JSON state-file format."""
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import json
 import math
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -39,10 +41,14 @@ def as_generator(seed_or_rng) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(int(seed_or_rng)))
 
 
+def stream_seed(seed: int, trial: int, salt: int) -> int:
+    """The 64-bit SFC64 seed of a trial's stream: seed XOR trial XOR (salt << 40)."""
+    return (int(seed) ^ int(trial) ^ (int(salt) << 40)) & ((1 << 64) - 1)
+
+
 def trial_stream(seed: int, trial: int, salt: int = 0) -> np.random.Generator:
-    """Per-trial RNG stream: SFC64 seeded with seed XOR trial (XOR a salt)."""
-    mask = (1 << 64) - 1
-    return as_generator((int(seed) ^ int(trial) ^ (int(salt) << 40)) & mask)
+    """Per-trial RNG stream: SFC64 seeded with ``stream_seed(seed, trial, salt)``."""
+    return as_generator(stream_seed(seed, trial, salt))
 
 
 class DensityMatrix:
@@ -286,11 +292,24 @@ def write_state(path, rho: DensityMatrix) -> None:
             + "]"
         )
 
-    text = f'{{"dim": {rho.dim}, "re": {rows(m.real)}, "im": {rows(m.imag)}}}\n'
+    write_atomic(path, f'{{"dim": {rho.dim}, "re": {rows(m.real)}, "im": {rows(m.imag)}}}\n')
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ASCII ``text`` to ``path`` (creating missing directories) through
+    ``<path>.tmp`` and one os.replace.  A failure after the temporary file is
+    opened unlinks it, suppressing an OSError of the unlink, and re-raises."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="ascii")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def read_state(path) -> DensityMatrix:

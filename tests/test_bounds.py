@@ -229,6 +229,10 @@ class TestLowerBounds:
 
 
 class TestPowerDiff:
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            power_diff_bound(OperatorPair(np.eye(2), np.eye(3)), 2, 1.0)
+
     def test_equal_operands(self, rng):
         x = HermitianOperator(random_hermitian(rng, 3))
         rep = power_diff_bound(OperatorPair(x, x), 3, 2.0)
@@ -270,6 +274,10 @@ class TestPowerDiff:
 
 
 class TestLemma3:
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            lemma3_bound(OperatorPair(np.eye(2) / 2, np.eye(3) / 3), 0.5)
+
     def test_equal_operands(self, rng):
         a = HermitianOperator(random_pd(rng, 3))
         a = 1.0 / a.trace() * a
@@ -324,6 +332,10 @@ class TestLemma3:
 
 
 class TestFrechetCheck:
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            frechet_check(OperatorPair(np.eye(2), 2.0 * np.eye(3)), (0.5,))
+
     def test_equal_operands(self, rng):
         a = HermitianOperator(random_pd(rng, 3))
         (rep,) = frechet_check(OperatorPair(a, a), (0.5,))

@@ -22,7 +22,7 @@ from qrelent.harness import (
     sweep_row,
     tightness_crossover,
 )
-from qrelent.states import DensityMatrix, read_state, sample_density, trial_stream
+from qrelent.states import DensityMatrix, read_state, sample_density, trial_stream, write_state
 
 
 class TestConfigValidation:
@@ -314,13 +314,42 @@ class TestVerify:
             run.instances += 1
             run.check(-1.0, context={"check": "forced"})
 
-        monkeypatch.setattr(hz, "_SUITES",
-                            (("forced", failing_suite, lambda t: 1),))
+        monkeypatch.setattr(hz, "_SUITES", (("forced", failing_suite, 5),))
         assert main(["verify", "--trials", "5",
                      "--out", str(tmp_path / "r.json")]) == 1
         doc = json.loads((tmp_path / "r.json").read_text())
         assert doc["all_passed"] is False
         assert doc["suites"][0]["failures"] == 1
+
+    def test_counterexample_replays(self, tmp_path, monkeypatch):
+        import qrelent.harness as hz
+        from qrelent.bounds import BoundReport
+        from qrelent.entropy import ExtendedReal
+
+        # the third thm1 instance (trial 2) fails: its report has rhs -1
+        calls = []
+
+        def thm1_bounds(pair, q):
+            calls.append(q)
+            rhs = -1.0 if len(calls) == 3 else 1.0
+            return [BoundReport("forced", ExtendedReal.finite(0.0), rhs, rhs > 0.0)] * 2
+
+        monkeypatch.setattr(hz, "thm1_bounds", thm1_bounds)
+        monkeypatch.setattr(hz, "_SUITES", (("thm1_soundness", hz._suite_thm1, 1),))
+        dims = (2, 3, 5)
+        report = cmd_verify(SweepConfig(dims=dims, trials=4, seed=11,
+                                        output_path=str(tmp_path / "r.json")))
+        assert report.suites[0].failures == 2  # both reports of trial 2
+        doc = json.loads((tmp_path / "counterexample_thm1_soundness_context.json").read_text())
+        assert (doc["seed"], doc["trial"], doc["salt"]) == (11, 2, 7)
+        # the replay recipe: the instance's stream, its dimension draw, then the pair
+        rng = trial_stream(doc["seed"], doc["trial"], doc["salt"])
+        d = int(rng.choice(dims))
+        pair = sample_density(d, d, rng), sample_density(d, d, rng)
+        for label, state in zip(("rho", "sigma"), pair):
+            replay = tmp_path / f"replay_{label}.json"
+            write_state(replay, state)
+            assert replay.read_bytes() == open(doc[f"{label}_path"], "rb").read()
 
     def test_small_run_passes(self, tmp_path):
         config = SweepConfig(seed=1, trials=30, output_path=str(tmp_path / "report.json"))
@@ -397,6 +426,18 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--d", "2", "--rank", "2"],
+        ["sweep", "--dims", "2", "--q", "2", "--b0", "0.25", "--trials", "1"],
+        ["verify", "--trials", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_out_is_directory_exit_three(self, argv, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        assert main(argv + ["--out", str(tmp_path / "d")]) == 3
+        assert capsys.readouterr().err.startswith("i/o error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
+
     def test_gen_and_eval_cli(self, tmp_path, capsys):
         out = tmp_path / "s.json"
         assert main(["gen", "--d", "2", "--rank", "2", "--seed", "7",
@@ -467,8 +508,9 @@ class TestCli:
 def test_instances_draw_as_choice(seed, salt, dims):
     # each suite instance's dimension is the draw rng.choice(dims) makes, and
     # leaves the trial's stream where rng.choice leaves it
-    config = SweepConfig(dims=tuple(dims), seed=seed)
-    for i, rng, d in harness._instances(config, 4, salt):
+    run = harness._SuiteRun("demo", None, seed)
+    for i, rng, d in harness._instances(run, SweepConfig(dims=tuple(dims)), 4, salt):
         reference = trial_stream(seed, i, salt=salt)
         assert d == int(reference.choice(dims))
         assert rng.standard_normal(3).tolist() == reference.standard_normal(3).tolist()
+    assert run.instances == 4

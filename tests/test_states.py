@@ -28,7 +28,10 @@ from qrelent.states import (
     read_state,
     sample_common_support_pair,
     sample_density,
+    stream_seed,
     tensor,
+    trial_stream,
+    write_atomic,
     write_state,
 )
 
@@ -330,6 +333,26 @@ class TestStateFiles:
         assert doc["dim"] == 2
         assert np.asarray(doc["re"]).shape == (2, 2)
 
+    def test_writer_creates_missing_directories(self, rng, tmp_path):
+        path = tmp_path / "a" / "b" / "state.json"
+        write_state(path, sample_density(2, 2, rng))
+        assert read_state(path).dim == 2
+        assert [p.name for p in path.parent.iterdir()] == ["state.json"]
+
+    def test_failed_write_removes_its_temporary_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_atomic(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(path, "not ascii: \u00e9\n")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_existing_temporary_directory_is_kept(self, tmp_path):
+        (tmp_path / "out.txt.tmp").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_atomic(tmp_path / "out.txt", "text\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt.tmp"]
+
     def test_parse_error_on_garbage(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -349,6 +372,15 @@ class TestStateFiles:
         path.write_text('{"dim": 2, "re": [[1.0]], "im": [[0.0]]}')
         with pytest.raises(ParseError):
             read_state(path)
+
+
+def test_stream_seed_formula():
+    assert stream_seed(5, 3, 1) == 5 ^ 3 ^ (1 << 40)
+    assert stream_seed(-1, 0, 0) == 2**64 - 1
+    for seed, trial, salt in ((1, 0, 0), (7, 12, 9), (2**70 + 3, 5, 15)):
+        reference = np.random.Generator(np.random.SFC64(stream_seed(seed, trial, salt)))
+        assert (trial_stream(seed, trial, salt).standard_normal(4).tolist()
+                == reference.standard_normal(4).tolist())
 
 
 def test_mixing_closure(rng):
