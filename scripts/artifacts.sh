@@ -35,8 +35,9 @@ python -m qrelent sweep --dims 16,64 --q 1.5,2,3 --b0 1e-3,1e-4 --trials 2 --see
 python -m qrelent gen --d 8 --rank 5 --seed 2 --out rho.json > /dev/null
 python -m qrelent gen --d 8 --rank 8 --seed 3 --out sigma.json > /dev/null
 # rho has rank 5 and sigma full rank: D(rho||sigma) is finite, D(sigma||rho)
-# is +inf, and the bounds that need a strictly positive pair are vacuous
-python -m qrelent eval rho.json sigma.json --q 1.5,2,3,7 > eval_rho_sigma.json
-python -m qrelent eval sigma.json rho.json --q 1.5,2,3,7 > eval_sigma_rho.json
+# is +inf, and the bounds that need a strictly positive pair are vacuous;
+# q = 1.000000001 covers the q -> 1 end of the divergence sum
+python -m qrelent eval rho.json sigma.json --q 1.000000001,1.5,2,3,7 > eval_rho_sigma.json
+python -m qrelent eval sigma.json rho.json --q 1.000000001,1.5,2,3,7 > eval_sigma_rho.json
 python "$scripts/divergence_rate.py" > divergence_rate.txt
 python "$scripts/tightness_crossover.py" > tightness_crossover.txt

@@ -6,14 +6,18 @@ The quantum relative q-entropy for q > 1 is
 
     D_q(rho||sigma) = (1 - tr(rho^q sigma^(1-q))) / (1 - q)
 
-when ker(sigma) is contained in ker(rho), and +inf otherwise.  The trace in
-the finite branch is taken over the support of sigma: it is evaluated as the
-restricted double sum over nonzero eigenvalues
+when ker(sigma) is contained in ker(rho), and +inf otherwise.  The finite
+branch is taken over the support of sigma,
 
-    tr(rho^q sigma^(1-q)) = sum_{a>0} sum_{b>0} |<a|b>|^2 a^q b^(1-q),
+    D_q = (tr_supp(rho^q sigma^(1-q)) - tr_supp(rho)) / (q - 1)
+        = sum_{a>0} sum_{b>0} |<a|b>|^2 a expm1((q-1)(ln a - ln b)) / (q - 1),
 
-and every call cross-checks this against an independent operator route
-(spectral calculus compressed to the support of sigma).
+which equals the form above whenever tr rho = 1: rho's weight on ker(sigma),
+which the inclusion verdict accepts up to ``TOL_INCL``, counts as zero.  This
+one divergence sum, free of the 1 - tr cancellation, also gives D_1 (its
+q -> 1 limit) and D_p for p < 1, and every D_q cross-checks it against an
+independent operator route (spectral calculus compressed to the support of
+sigma).
 
 ``PairEval`` is the one evaluation context of a state pair: it keeps what
 the entropy calls and the bound evaluators share, each computed once.
@@ -78,8 +82,7 @@ def extended_to_json(x: ExtendedReal):
 def q_log(x: float, q: float) -> float:
     """Deformed logarithm ln_q(x) = (x^(1-q) - 1)/(1-q) for x > 0 and q != 1.
 
-    Near q = 1 the difference quotient cancels catastrophically, so for
-    |q - 1| < 1e-6 it is evaluated as expm1((1-q) ln x)/(1-q).
+    Evaluated as expm1((1-q) ln x)/(1-q), which does not cancel as q -> 1.
     """
     x = float(x)
     q = float(q)
@@ -87,9 +90,7 @@ def q_log(x: float, q: float) -> float:
         raise DomainViolation(f"q_log requires x > 0, got {x}")
     if q == 1.0:
         raise DomainViolation("q_log requires q != 1; ln_1 is the natural logarithm")
-    if abs(q - 1.0) < 1e-6:
-        return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q)
-    return (x ** (1.0 - q) - 1.0) / (1.0 - q)
+    return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q)
 
 
 def _as_prob_vector(p) -> np.ndarray:
@@ -137,53 +138,21 @@ def _overlap(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
     return np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
 
 
-def _restricted_overlap(
-    rho: DensityMatrix, sigma: DensityMatrix
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Overlaps and the two spectra restricted to the nonzero eigenvalues.
-
-    Spectra are ascending with their exact zeros first, so the restriction
-    is a slice, taken only when a state is rank-deficient.
-    """
-    overlaps, a, b = _overlap(rho, sigma), rho.spectrum, sigma.spectrum
-    if rho.rank < a.size or sigma.rank < b.size:
-        i, j = a.size - rho.rank, b.size - sigma.rank
-        return overlaps[i:, j:], a[i:], b[j:]
-    return overlaps, a, b
-
-
-def _compressed_eigensystem(
-    rho: DensityMatrix, sigma: DensityMatrix
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Operator-route inputs: the eigenvalues (clipped at 0) and the squared
-    eigenvector moduli of rho compressed to the support of sigma, and the
-    nonzero spectrum of sigma, on which sigma is diagonal by construction.
-
-    Only rho's matrix and sigma's eigensystem enter, never the overlap or
-    rho's eigensystem, so the route stays independent of the double sum.
-    """
-    k = sigma.rank
-    support = sigma.eigenvectors[:, sigma.dim - k :]
-    b = sigma.spectrum[sigma.dim - k :]
-    compressed = support.conj().T @ rho.matrix @ support
-    compressed = (compressed + compressed.conj().T) / 2.0
-    lam, w = lapack_eigh(compressed)
-    if float(lam.min()) < -1e-10:
-        raise InternalInconsistency(
-            f"support compression produced eigenvalue {float(lam.min())!r}"
-        )
-    return np.maximum(lam, 0.0), np.abs(w) ** 2, b
+def _log(x: np.ndarray) -> np.ndarray:
+    """ln x entrywise by the C library, for the same reason as ``_power``."""
+    return np.array([math.log(v) for v in x.tolist()])
 
 
 class PairEval:
     """Evaluation context of one state pair (rho, sigma).
 
     Each quantity is computed on first use and kept: the kernel verdict
-    ker(sigma) in ker(rho), the restricted overlap |<a|b>|^2 with the two
-    restricted spectra (the double-sum route), the compressed eigensystem of
-    the operator route, the spectral summary, the trace and spectral
-    distances (from one eigenvalue solve of rho - sigma), D_1, D_q for every
-    q and D_p for every p asked for.  Pass one instance to every entropy call
+    ker(sigma) in ker(rho), the restricted overlap |<a|b>|^2 with rho's
+    nonzero spectrum (the double-sum route), the compressed eigensystem of
+    the operator route, the logarithms of sigma's nonzero spectrum (read by
+    both routes), the spectral summary, the trace and spectral distances
+    (from one eigenvalue solve of rho - sigma), D_1, D_q for every q and D_p
+    for every p asked for.  Pass one instance to every entropy call
     and bound evaluator on the pair; each entropy call still runs its own
     checks, the cross-route check included.
     """
@@ -202,11 +171,36 @@ class PairEval:
 
     @cached_property
     def overlap(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _restricted_overlap(self.rho, self.sigma)
+        """Double-sum route: the overlaps between the nonzero eigenvalues of
+        rho (rows) and of sigma (columns), and rho's nonzero spectrum with its
+        logarithms.  Spectra are ascending with their exact zeros first, so
+        the restriction is a slice."""
+        i, j = self.rho.dim - self.rho.rank, self.sigma.dim - self.sigma.rank
+        a = self.rho.spectrum[i:]
+        return _overlap(self.rho, self.sigma)[i:, j:], a, _log(a)
 
     @cached_property
     def compressed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _compressed_eigensystem(self.rho, self.sigma)
+        """Operator route: the squared eigenvector moduli of rho compressed to
+        the support of sigma (rows: the compression's nonzero eigenvalues;
+        columns: sigma's support eigenvectors, on which sigma is diagonal),
+        those eigenvalues and their logarithms.  Only rho's matrix and
+        sigma's eigensystem enter, so the route stays independent of the
+        double sum."""
+        support = self.sigma.eigenvectors[:, self.sigma.dim - self.sigma.rank :]
+        compressed = support.conj().T @ self.rho.matrix @ support
+        lam, w = lapack_eigh((compressed + compressed.conj().T) / 2.0)
+        if lam[0] < -1e-10:
+            raise InternalInconsistency(f"compression has eigenvalue {float(lam[0])!r}")
+        weights = np.abs(w.T) ** 2
+        if lam[0] <= 0.0:  # ascending, so the eigenvalues at or below 0 come first
+            n = int(np.searchsorted(lam, 0.0, side="right"))
+            lam, weights = lam[n:], weights[n:]
+        return weights, lam, _log(lam)
+
+    @cached_property
+    def log_b(self) -> np.ndarray:
+        return _log(self.sigma.spectrum[self.sigma.dim - self.sigma.rank :])
 
     @cached_property
     def summary(self) -> SpectralSummary:
@@ -251,34 +245,34 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
 
     numpy's array pow uses SIMD kernels that differ from it in the last bit
     on some CPUs; looping over the d eigenvalues keeps the d^2 terms exact
-    and machine-independent.  A power beyond the float range is an
-    InternalInconsistency, as its inf would make the two routes disagree.
+    and machine-independent.
     """
+    return np.array([v**e for v in x.tolist()])
+
+
+def _divergence_sum(
+    w: np.ndarray, a: np.ndarray, log_a: np.ndarray, log_b: np.ndarray, r: float
+) -> float:
+    """sum_ab w_ab (a^r b^(1-r) - a)/(r - 1) over nonzero a (rows of w) and
+    nonzero b (columns), exactly rounded by fsum; at r = 1 its limit
+    sum_ab w_ab a (ln a - ln b).
+
+    Each term a expm1((r-1)(ln a - ln b)) is evaluated as a X + a^r Y with
+    X = expm1((r-1) ln a) and Y = expm1((1-r) ln b), one C-library call per
+    eigenvalue; nothing cancels as r -> 1.  A value beyond the float range is
+    an InternalInconsistency.
+    """
+    if r == 1.0:
+        terms = w * a[:, None] * (log_a[:, None] - log_b)
+        return math.fsum(terms.ravel().tolist())
+    t = r - 1.0
     try:
-        return np.array([v**e for v in x.tolist()])
+        ax = np.array([v * math.expm1(t * u) for v, u in zip(a.tolist(), log_a.tolist())])
+        y = np.array([math.expm1(-t * u) for u in log_b.tolist()])
+        terms = w * (ax[:, None] + _power(a, r)[:, None] * y)
+        return math.fsum(terms.ravel().tolist()) / t
     except OverflowError as exc:
-        raise InternalInconsistency(
-            f"eigenvalue power with exponent {e!r} overflows float64"
-        ) from exc
-
-
-def _restricted_trace_sum(pair: PairEval, q: float) -> float:
-    """sum over a>0, b>0 of |<a|b>|^2 a^q b^(1-q), exactly rounded by fsum."""
-    overlaps, a, b = pair.overlap
-    terms = overlaps * _power(a, q)[:, None] * _power(b, 1.0 - q)
-    return math.fsum(terms.ravel().tolist())
-
-
-def _operator_route_sum(pair: PairEval, q: float) -> float:
-    """tr(rho^q sigma^(1-q)) on the support of sigma via spectral calculus.
-
-    rho is compressed to the support subspace, rho^q computed from the
-    compressed eigensystem, and sigma^(1-q) is diagonal there by construction.
-    """
-    lam, w_sq, b = pair.compressed
-    # terms[j, m] = lam_m^q |w_jm|^2 b_j^(1-q); a zero lam_m adds zero terms
-    terms = _power(lam, q) * w_sq * _power(b, 1.0 - q)[:, None]
-    return math.fsum(terms.ravel().tolist())
+        raise InternalInconsistency(f"divergence sum of order {r!r} overflows float64") from exc
 
 
 def quantum_relative_q(
@@ -287,10 +281,11 @@ def quantum_relative_q(
     """Quantum relative q-entropy for q in (1, Q_MAX].
 
     Returns +inf unless rho is supported inside the support of sigma (weight
-    on the kernel at most ``TOL_INCL``).  The finite branch is the restricted
-    double sum; it must agree with the operator route within 1e-9 relative
-    or an InternalInconsistency aborts.  ``pair``, the PairEval of (rho,
-    sigma), carries the q-independent work over from earlier calls.
+    on the kernel at most ``TOL_INCL``).  The finite branch is the divergence
+    sum of the restricted double sum; it must agree with the same sum on the
+    operator route within 1e-9 relative or an InternalInconsistency aborts.
+    ``pair``, the PairEval of (rho, sigma), carries the q-independent work
+    over from earlier calls.
     """
     pair = _state_pair(rho, sigma, pair)
     q = float(q)
@@ -298,12 +293,8 @@ def quantum_relative_q(
         raise QOutOfRange(f"requires 1 < q <= {Q_MAX}, got {q}")
     if not pair.kernel_included:
         return POSITIVE_INFINITY
-    s = _restricted_trace_sum(pair, q)
-    value = (1.0 - s) / (1.0 - q)
-    if math.isnan(value):
-        raise InternalInconsistency(f"NaN in relative q-entropy (trace sum {s!r})")
-    s_op = _operator_route_sum(pair, q)
-    value_op = (1.0 - s_op) / (1.0 - q)
+    value = _divergence_sum(*pair.overlap, pair.log_b, q)
+    value_op = _divergence_sum(*pair.compressed, pair.log_b, q)
     if not abs(value - value_op) <= CROSS_CHECK_TOL * (1.0 + abs(value)):
         raise InternalInconsistency(
             f"double-sum route {value!r} disagrees with operator route {value_op!r}"
@@ -314,20 +305,20 @@ def quantum_relative_q(
 def quantum_relative_q_low(
     rho: DensityMatrix, sigma: DensityMatrix, p: float, pair: PairEval | None = None
 ) -> float:
-    """Relative p-entropy for order p in [0, 1): always finite.
+    """Relative p-entropy (1 - tr(rho^p sigma^(1-p)))/(1 - p) for order p in
+    [0, 1): always finite.
 
-    Uses the same restricted double sum; no singular branch is needed because
-    b^(1-p) vanishes on the kernel of sigma.
+    The divergence sum of the restricted double sum plus kappa/(1 - p), where
+    kappa = 1 - sum_ab w_ab a is rho's weight off the support of sigma; no
+    singular branch is needed because b^(1-p) vanishes on the kernel of sigma.
     """
     pair = _state_pair(rho, sigma, pair)
     p = float(p)
     if not 0.0 <= p < 1.0:
         raise QOutOfRange(f"requires 0 <= p < 1, got {p}")
-    s = _restricted_trace_sum(pair, p)
-    value = (1.0 - s) / (1.0 - p)
-    if math.isnan(value):
-        raise InternalInconsistency(f"NaN in relative p-entropy (trace sum {s!r})")
-    return value
+    w, a, log_a = pair.overlap
+    kappa = 1.0 - math.fsum((w * a[:, None]).ravel().tolist())
+    return _divergence_sum(w, a, log_a, pair.log_b, p) + kappa / (1.0 - p)
 
 
 def relative_entropy_vn(
@@ -335,17 +326,10 @@ def relative_entropy_vn(
 ) -> ExtendedReal:
     """Standard quantum relative entropy tr(rho ln rho - rho ln sigma).
 
-    Computed as the restricted double sum sum_{a>0,b>0} |<a|b>|^2 a (ln a - ln b);
+    The divergence sum at order 1, sum_{a>0,b>0} |<a|b>|^2 a (ln a - ln b);
     +inf when rho has weight on the kernel of sigma.
     """
     pair = _state_pair(rho, sigma, pair)
     if not pair.kernel_included:
         return POSITIVE_INFINITY
-    overlaps, a, b = pair.overlap
-    # math.log per eigenvalue for the same reason as _power
-    log_a, log_b = (np.array([math.log(v) for v in x.tolist()]) for x in (a, b))
-    terms = overlaps * a[:, None] * (log_a[:, None] - log_b)
-    value = math.fsum(terms.ravel().tolist())
-    if math.isnan(value):
-        raise InternalInconsistency("NaN in relative entropy")
-    return ExtendedReal.finite(value)
+    return ExtendedReal.finite(_divergence_sum(*pair.overlap, pair.log_b, 1.0))

@@ -475,7 +475,7 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         rho, sigma = sample_density(d, d, rng), sample_density(d, d, rng)
         d1 = relative_entropy_vn(rho, sigma).value
         ratios = []
-        for k in range(2, 6):
+        for k in range(2, 10):
             q = 1.0 + 10.0**-k
             dq = quantum_relative_q(rho, sigma, q).value
             ratios.append(abs(dq - d1) / (q - 1.0))
@@ -582,10 +582,11 @@ def divergence_envelope(seed: int, d: int = 4) -> list[dict]:
     """Divergence-rate probe on the sigma_family grid with one fixed random rho.
 
     Each record carries D_q, the general b0^(1-q) bound, and the rescaled
-    ratio D_q * b0^(q-1) next to its b0-free envelope constant.
+    ratio D_q * b0^(q-1) next to its b0-free envelope constant, with the
+    trial and salt of rho's stream.
     """
-    rng = trial_stream(seed, 0, salt=14)
-    rho = sample_density(d, d, rng)
+    trial, salt = 0, 14
+    rho = sample_density(d, d, trial_stream(seed, trial, salt=salt))
     records = []
     for q in ENVELOPE_Q:
         for b0 in ENVELOPE_B0:
@@ -598,6 +599,8 @@ def divergence_envelope(seed: int, d: int = 4) -> list[dict]:
             ) * pair.distances["trace_norm"]
             records.append(
                 {
+                    "trial": trial,
+                    "salt": salt,
                     "q": q,
                     "b0": b0,
                     "Dq": dq,
@@ -615,11 +618,11 @@ CROSSOVER_B0 = (1e-3, 1e-4, 1e-5, 1e-6)
 
 def tightness_crossover(seed: int, trials: int, d: int = 4) -> list[dict]:
     """Compare the quadratic-in-b0 bound against the b0^(1-q) one at q = 2 for
-    small b0, where the latter must win in every trial."""
-    records = []
+    small b0, where the latter must win in every trial.  Each record carries
+    the trial and salt of rho's stream."""
+    records, salt = [], 15
     for trial in range(trials):
-        rng = trial_stream(seed, trial, salt=15)
-        rho = sample_density(d, d, rng)
+        rho = sample_density(d, d, trial_stream(seed, trial, salt=salt))
         for b0 in CROSSOVER_B0:
             pair = PairEval(rho, sigma_family(d, b0))
             rep2 = thm2_bound(pair, 2.0, "general")
@@ -627,6 +630,7 @@ def tightness_crossover(seed: int, trials: int, d: int = 4) -> list[dict]:
             records.append(
                 {
                     "trial": trial,
+                    "salt": salt,
                     "b0": b0,
                     "thm2_rhs": rep2.rhs,
                     "thm3q2_rhs": rep3.rhs,
@@ -640,9 +644,10 @@ def _suite_envelope(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     del count
     for rec in divergence_envelope(config.seed, d=4):
         run.instances += 1
-        run.check_bool(rec["holds"], context={"check": "dq_le_thm3", **{k: rec[k] for k in ("q", "b0")}})
+        where = {k: rec[k] for k in ("trial", "salt", "q", "b0")}
+        run.check_bool(rec["holds"], context={"check": "dq_le_thm3", **where})
         run.check(rec["envelope_constant"] * (1.0 + TOL_BOUND) + TOL_BOUND - rec["ratio"],
-                  context={"check": "ratio_bounded", "q": rec["q"], "b0": rec["b0"]})
+                  context={"check": "ratio_bounded", **where})
 
 
 def _suite_crossover(run: _SuiteRun, config: SweepConfig, count: int) -> None:
@@ -650,7 +655,7 @@ def _suite_crossover(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     for rec in tightness_crossover(config.seed, trials, d=4):
         run.instances += 1
         run.check(rec["thm2_rhs"] - rec["thm3q2_rhs"],
-                  context={"check": "crossover", "trial": rec["trial"], "b0": rec["b0"]})
+                  context={"check": "crossover", **{k: rec[k] for k in ("trial", "salt", "b0")}})
 
 
 # suite name -> (builder, divisor): the builder gets max(1, config.trials // divisor)

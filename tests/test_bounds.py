@@ -424,12 +424,14 @@ class TestSharedWork:
         rho, sigma = sample_common_support_pair(5, 3, rng)
         ctx = PairEval(rho, sigma)
         ctx.dq(1.5), ctx.dq(2.0)
-        honest = entropy_module._restricted_trace_sum
+        honest = entropy_module._divergence_sum
 
-        def perturbed(pair, q):
-            return honest(pair, q) * (1.0 + 1e-6) if q == 3.0 else honest(pair, q)
+        def perturbed(w, a, log_a, log_b, r):
+            # the double-sum route alone, and only at the new order
+            value = honest(w, a, log_a, log_b, r)
+            return value * (1.0 + 1e-6) if r == 3.0 and w is ctx.overlap[0] else value
 
-        monkeypatch.setattr(entropy_module, "_restricted_trace_sum", perturbed)
+        monkeypatch.setattr(entropy_module, "_divergence_sum", perturbed)
         assert ctx.dq(1.5).is_finite and ctx.dq(2.0).is_finite
         with pytest.raises(InternalInconsistency):
             ctx.dq(3.0)

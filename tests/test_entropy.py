@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -151,17 +152,17 @@ class TestQuantumRelative:
         with pytest.raises(DimensionMismatch):
             quantum_relative_q(sample_density(2, 2, rng), sample_density(3, 3, rng), 2.0)
 
-    def test_route_agreement_is_enforced(self, rng, monkeypatch):
+    def test_route_agreement_is_enforced(self, rng):
         # the operator-route cross-check runs on every call; exercise it on a
         # rank-deficient pair where the restricted trace matters
         rho, sigma = sample_common_support_pair(5, 3, rng)
         value = quantum_relative_q(rho, sigma, 1.7)
         assert value.is_finite
-        honest = entropy._operator_route_sum
-        monkeypatch.setattr(entropy, "_operator_route_sum",
-                            lambda pair, q: honest(pair, q) * (1.0 + 1e-6))
+        pair = entropy.PairEval(rho, sigma)
+        weights, lam, log_lam = pair.compressed
+        pair.compressed = (weights * (1.0 + 1e-6), lam, log_lam)
         with pytest.raises(InternalInconsistency):
-            quantum_relative_q(rho, sigma, 1.7)
+            quantum_relative_q(rho, sigma, 1.7, pair)
 
     def test_q_max_with_tiny_b0_is_never_finite(self, rng):
         # b0^(1-q) = 1e390 at q = 40, b0 = 1e-10: the true value is past the
@@ -192,27 +193,32 @@ class TestQuantumRelative:
             assert value > 1e-10
 
 
-def _reference_trace_sum(rho, sigma, q):
-    """Per-term restricted double sum, the reference for the vectorised one."""
+def _reference_divergence_sum(w, a, b, r):
+    """Per-term divergence sum over a > 0 (rows of w) and b > 0 (columns):
+    sum of w (a expm1((r-1) ln a) + a^r expm1((1-r) ln b)) / (r - 1)."""
+    a, b = a.tolist(), b.tolist()
+    return math.fsum(
+        w[i, j] * (a[i] * math.expm1((r - 1.0) * math.log(a[i]))
+                   + a[i] ** r * math.expm1((1.0 - r) * math.log(b[j])))
+        for i in range(len(a)) if a[i] > 0.0
+        for j in range(len(b)) if b[j] > 0.0
+    ) / (r - 1.0)
+
+
+def _reference_trace_sum(rho, sigma, r):
+    """The double-sum route's divergence sum, per term."""
     overlaps = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
-    a, b = rho.spectrum, sigma.spectrum
-    return math.fsum(overlaps[i, j] * a[i] ** q * b[j] ** (1.0 - q)
-                     for i in range(a.size) if a[i] > 0.0
-                     for j in range(b.size) if b[j] > 0.0)
+    return _reference_divergence_sum(overlaps, rho.spectrum, sigma.spectrum, r)
 
 
-def _reference_operator_sum(rho, sigma, q):
-    """Per-term operator route on the support of sigma."""
+def _reference_operator_sum(rho, sigma, r):
+    """The operator route's divergence sum on the support of sigma, per term."""
     k = sigma.rank
     support = sigma.eigenvectors[:, sigma.dim - k:]
-    b = sigma.spectrum[sigma.dim - k:]
     compressed = support.conj().T @ rho.matrix @ support
     lam, w = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
-    lam = np.clip(lam, 0.0, None)
-    weights = np.abs(w) ** 2
-    return math.fsum(lam[m] ** q * weights[j, m] * b[j] ** (1.0 - q)
-                     for m in range(lam.size) if lam[m] > 0.0
-                     for j in range(b.size))
+    b = sigma.spectrum[sigma.dim - k:]
+    return _reference_divergence_sum(np.abs(w.T) ** 2, lam, b, r)
 
 
 def _reference_vn(rho, sigma):
@@ -229,7 +235,7 @@ def _close(got, ref):
 
 
 class TestVectorisedSums:
-    """The numpy-term double sums against per-term comprehensions."""
+    """The numpy-term divergence sums against per-term comprehensions."""
 
     @staticmethod
     def _pair(seed, d, kind):
@@ -252,19 +258,86 @@ class TestVectorisedSums:
     def test_match_per_term_reference(self, seed, d, kind, q, p):
         rho, sigma = self._pair(seed, d, kind)
         b0 = float(sigma.spectrum[sigma.dim - sigma.rank])
-        # keep b0^(1-q) inside the float range; past it both sums overflow
+        # keep b0^(1-q) inside the float range; past it the sums overflow
         assume((q - 1.0) * -math.log(b0) < 700.0)
         pair = entropy.PairEval(rho, sigma)
         for order in (q, p):
-            got = entropy._restricted_trace_sum(pair, order)
+            got = entropy._divergence_sum(*pair.overlap, pair.log_b, order)
             assert _close(got, _reference_trace_sum(rho, sigma, order))
-        got = entropy._operator_route_sum(pair, q)
+        got = entropy._divergence_sum(*pair.compressed, pair.log_b, q)
         assert _close(got, _reference_operator_sum(rho, sigma, q))
         d1 = relative_entropy_vn(rho, sigma)
         if d1.is_finite:
             assert _close(d1.value, _reference_vn(rho, sigma))
         else:
             assert kind == "rank_deficient"
+
+
+def _mp_divergence(w, a, b, q):
+    """40-digit sum of w a expm1((q-1)(ln a - ln b))/(q-1) over a, b > 0."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(q)
+        return mpmath.fsum(
+            mpmath.mpf(w[i, j]) * mpmath.mpf(a[i])
+            * mpmath.expm1((q - 1) * (mpmath.log(a[i]) - mpmath.log(b[j])))
+            for i in range(a.size) if a[i] > 0.0
+            for j in range(b.size) if b[j] > 0.0
+        ) / (q - 1)
+
+
+class TestNearOrderOne:
+    """D_q against 40-digit references, down to q = 1 + 1e-9."""
+
+    @staticmethod
+    def _mp_restricted(rho, sigma, q):
+        """(tr rho^q sigma^(1-q) - tr rho)/(q - 1) in 40 digits, on both
+        matrices compressed to the support of sigma; the compressions'
+        eigenvalues are clipped at 0 in every power, the first one too."""
+        with mpmath.workdps(40):
+            support = mpmath.matrix(sigma.eigenvectors[:, sigma.dim - sigma.rank:].tolist())
+            r, s = (support.H * mpmath.matrix(m.matrix.tolist()) * support for m in (rho, sigma))
+
+            def power(m, e):
+                lam, u = mpmath.eighe(m)
+                return u * mpmath.diag([max(x, 0) ** e for x in lam]) * u.H
+
+            q = mpmath.mpf(q)
+            product = power(r, q) * power(s, 1 - q)
+            traces = (mpmath.fsum(m[i, i] for i in range(sigma.rank)).real
+                      for m in (product, power(r, 1)))
+            return (next(traces) - next(traces)) / (q - 1)
+
+    @pytest.mark.parametrize("q", [1.0 + 1e-6, 1.0 + 1e-9, 2.0])
+    def test_common_support_pair_pin(self, q):
+        # rank-1 rho inside sigma's rank-2 support, where tr rho - 1 = 5e-16:
+        # (1 - s)/(1 - q) would be off by 5e-7 at q = 1 + 1e-9
+        rho, sigma = sample_common_support_pair(3, 2, np.random.Generator(np.random.SFC64(27)),
+                                                rho_rank=1)
+        value = quantum_relative_q(rho, sigma, q).value
+        assert abs(value - self._mp_restricted(rho, sigma, q)) <= 1e-14 * value
+        if q == 1.0 + 1e-6:
+            assert value == pytest.approx(0.13774219772437517718, rel=1e-14)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        common_kernel=st.booleans(),
+        q=st.floats(1.0, 40.0, exclude_min=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_mpmath_per_term(self, seed, common_kernel, q):
+        gen = np.random.Generator(np.random.SFC64(seed))
+        d = int(gen.integers(2, 9))
+        if common_kernel:
+            k = int(gen.integers(1, d))
+            rho, sigma = sample_common_support_pair(d, k, gen, rho_rank=int(gen.integers(1, k + 1)))
+        else:
+            rho, sigma = sample_density(d, d, gen), sample_density(d, d, gen)
+        pair = entropy.PairEval(rho, sigma)
+        b = sigma.spectrum[sigma.dim - sigma.rank:]
+        assume((q - 1.0) * -math.log(float(b[0])) < 700.0)
+        w, a, _ = pair.overlap
+        value = quantum_relative_q(rho, sigma, q, pair).value
+        assert abs(value - _mp_divergence(w, a, b, q)) <= 1e-13 * abs(value)
 
 
 class TestLowOrderRelative:
@@ -370,7 +443,7 @@ class TestStructuralProperties:
         rho, sigma = sample_density(4, 4, rng), sample_density(4, 4, rng)
         d1 = relative_entropy_vn(rho, sigma).value
         ratios = []
-        for k in range(2, 6):
+        for k in range(2, 10):
             q = 1.0 + 10.0**-k
             dq = quantum_relative_q(rho, sigma, q).value
             ratios.append(abs(dq - d1) / (q - 1.0))

@@ -351,6 +351,33 @@ class TestVerify:
             write_state(replay, state)
             assert replay.read_bytes() == open(doc[f"{label}_path"], "rb").read()
 
+    @pytest.mark.parametrize("suite, builder, patched, salt, trial", [
+        ("divergence_envelope", "_suite_envelope", "thm3_bound", 14, 0),
+        ("tightness_crossover", "_suite_crossover", "thm2_bound", 15, 1),
+    ])
+    def test_probe_counterexamples_replay(self, tmp_path, monkeypatch,
+                                          suite, builder, patched, salt, trial):
+        import dataclasses
+
+        import qrelent.harness as hz
+
+        honest, states = getattr(hz, patched), []
+
+        def forced(pair, q, variant):
+            # the seventh evaluation fails: its bound is negative
+            states.append(pair.rho)
+            rep = honest(pair, q, variant)
+            return dataclasses.replace(rep, rhs=-1.0, holds=False) if len(states) == 7 else rep
+
+        monkeypatch.setattr(hz, patched, forced)
+        monkeypatch.setattr(hz, "_SUITES", ((suite, getattr(hz, builder), 1),))
+        report = cmd_verify(SweepConfig(trials=40, seed=5, output_path=str(tmp_path / "r.json")))
+        assert report.suites[0].failures == 1
+        doc = json.loads((tmp_path / f"counterexample_{suite}_context.json").read_text())
+        assert (doc["seed"], doc["trial"], doc["salt"]) == (5, trial, salt)
+        rho = sample_density(4, 4, trial_stream(doc["seed"], doc["trial"], doc["salt"]))
+        assert np.array_equal(rho.matrix, states[6].matrix)
+
     def test_small_run_passes(self, tmp_path):
         config = SweepConfig(seed=1, trials=30, output_path=str(tmp_path / "report.json"))
         report = cmd_verify(config)
