@@ -105,20 +105,26 @@ def _as_prob_vector(p) -> np.ndarray:
 
 
 def tsallis_entropy(p, q: float) -> float:
-    """S_q(p) = (sum_i p_i^q - 1)/(1-q) with the convention 0^q = 0."""
+    """S_q(p) = (sum_i p_i^q - 1)/(1-q) with the convention 0^q = 0.
+
+    Evaluated as minus the divergence sum of p against b = 1 over p > 0,
+    (sum p^q - sum p)/(q - 1), which does not cancel as q -> 1.
+    """
     v = _as_prob_vector(p)
     q = float(q)
     if q == 1.0:
         raise QOutOfRange("q = 1 is excluded; use the Shannon entropy directly")
-    power_sum = math.fsum(x**q for x in v if x > 0.0)
-    return (power_sum - 1.0) / (1.0 - q)
+    a = v[v > 0.0]
+    return -_divergence_sum(np.eye(a.size), a, _log(a), np.zeros(a.size), q)
 
 
 def classical_relative_q(a, b, q: float) -> ExtendedReal:
     """Relative q-entropy of probability vectors for q > 1.
 
     Infinite whenever some outcome has a_i > 0 but b_i = 0; otherwise
-    (1 - sum_{a_i>0} a_i^q b_i^(1-q)) / (1-q).
+    (1 - sum_{a_i>0} a_i^q b_i^(1-q)) / (1-q), evaluated as the divergence
+    sum over a_i > 0 with a diagonal overlap,
+    (sum a_i^q b_i^(1-q) - sum a_i)/(q - 1), which does not cancel as q -> 1.
     """
     va = _as_prob_vector(a)
     vb = _as_prob_vector(b)
@@ -129,8 +135,9 @@ def classical_relative_q(a, b, q: float) -> ExtendedReal:
         raise QOutOfRange(f"requires q > 1, got {q}")
     if any(ai > 0.0 and bi == 0.0 for ai, bi in zip(va, vb)):
         return POSITIVE_INFINITY
-    s = math.fsum(ai**q * bi ** (1.0 - q) for ai, bi in zip(va, vb) if ai > 0.0)
-    return ExtendedReal.finite((1.0 - s) / (1.0 - q))
+    support = va > 0.0
+    a, b = va[support], vb[support]
+    return ExtendedReal.finite(_divergence_sum(np.eye(a.size), a, _log(a), _log(b), q))
 
 
 def _overlap(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:

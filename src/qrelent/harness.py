@@ -49,11 +49,13 @@ from .linalg import (
 from .states import (
     DensityMatrix,
     density_with_spectrum,
+    draw_common_support_pair,
+    draw_density,
+    embed_common_support,
     haar_unitary,
     kernel_included,
     partial_trace,
     read_state,
-    sample_common_support_pair,
     sample_density,
     stream_seed,
     tensor,
@@ -252,14 +254,23 @@ def _conditioned_pd(rng, d: int, log10_cond: float) -> HermitianOperator:
     return HermitianOperator.from_eigensystem(w, u)
 
 
-def _sample_pair(rng, d: int, rank_deficient: bool) -> tuple[DensityMatrix, DensityMatrix]:
-    """Instance family for the bound sweeps: either a full-rank pair or a
-    pair with an exact common kernel (sigma full-rank on the shared support)."""
+def _draw_pair(rng, d: int, rank_deficient: bool) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The draws of one instance of the bound sweeps' family: either a
+    full-rank pair, or a pair with an exact common kernel (sigma full-rank on
+    the shared support).  Returns the matrices to build, rho's first, and the
+    Haar basis that embeds the support, or None for a full-rank pair."""
     if not rank_deficient or d < 2:
-        return sample_density(d, d, rng), sample_density(d, d, rng)
+        return [draw_density(d, d, rng), draw_density(d, d, rng)], None
     k = int(rng.integers(1, d))
     rho_rank = int(rng.integers(1, k + 1))
-    return sample_common_support_pair(d, k, rng, rho_rank=rho_rank)
+    rho_k, sigma_k, basis = draw_common_support_pair(d, k, rng, rho_rank)
+    return [rho_k, sigma_k], basis
+
+
+def _pair(states: list[DensityMatrix], basis: np.ndarray | None) -> tuple[DensityMatrix, ...]:
+    """(rho, sigma) from the built states of a ``_draw_pair`` draw."""
+    rho, sigma = states
+    return (rho, sigma) if basis is None else embed_common_support(rho, sigma, basis)
 
 
 def _instances(run: _SuiteRun, config: SweepConfig, count: int, salt: int, max_dim: float = 8):
@@ -270,6 +281,43 @@ def _instances(run: _SuiteRun, config: SweepConfig, count: int, salt: int, max_d
         rng = run.stream(i, salt)
         # the draw of rng.choice(dims), without converting dims to an array
         yield i, rng, dims[int(rng.integers(0, len(dims), dtype=np.int64))]
+
+
+#: bytes of drawn matrices per construction-kernel call: a suite draws
+#: instances until their matrices reach this size, builds them all with one
+#: DensityMatrix.stack call, then checks the instances in order
+_BLOCK_BYTES = 1 << 18
+
+
+def _built(run: _SuiteRun, instances, draw):
+    """(trial, stream, d, states, drawn) per instance of ``instances``, in order.
+
+    ``draw(trial, stream, d)`` makes every random draw of the instance that
+    feeds its states and returns the raw matrices of those states with
+    whatever else it drew.  Instances are drawn in blocks of _BLOCK_BYTES of
+    matrices; one DensityMatrix.stack call builds a block's states, and
+    ``run`` is pointed back at each instance's trial and salt before the
+    instance is yielded, so a counterexample records its own.  The checks
+    may go on drawing from the stream: no other instance uses it.
+    """
+    block, size = [], 0
+    for trial, rng, d in instances:
+        matrices, drawn = draw(trial, rng, d)
+        block.append((run._instance, trial, rng, d, matrices, drawn))
+        size += sum(m.nbytes for m in matrices)
+        if size >= _BLOCK_BYTES:
+            yield from _build_block(run, block)
+            block, size = [], 0
+    yield from _build_block(run, block)
+
+
+def _build_block(run: _SuiteRun, block: list):
+    states = DensityMatrix.stack([m for *_, matrices, _ in block for m in matrices])
+    start = 0
+    for instance, trial, rng, d, matrices, drawn in block:
+        run._instance = instance
+        yield trial, rng, d, states[start : start + len(matrices)], drawn
+        start += len(matrices)
 
 
 def _sample_q(rng, exact_every: int, i: int, lo: float = 1.0, hi: float = 2.0) -> float:
@@ -362,10 +410,30 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         run.check(1e-10 - abs(got - 0.5 * limit_base**-1.5), context={"check": "pair_limit"})
 
 
+def _draw_state_checks(trial, rng, d):
+    """States rho (of a drawn rank), other, and for d >= 2 a rank-deficient
+    and a full-rank state; the controlled-spectrum state and the mixing
+    weight are drawn in between, in the order the checks use them."""
+    rank = int(rng.integers(1, d + 1))
+    rho = draw_density(d, rank, rng)
+    # exact-spectrum construction round-trips
+    raw = rng.exponential(size=d)
+    zeros = int(rng.integers(0, d))
+    if zeros:
+        raw[np.argsort(raw)[:zeros]] = 0.0
+    spec = np.sort(raw / math.fsum(raw))
+    controlled = density_with_spectrum(spec, rng)
+    lam = float(rng.uniform(0.0, 1.0))
+    matrices = [rho, draw_density(d, d, rng)]
+    if d >= 2:
+        matrices += [draw_density(d, d - 1, rng), draw_density(d, d, rng)]
+    return matrices, (rank, spec, controlled, lam)
+
+
 def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for _, rng, d in _instances(run, config, count, salt=3, max_dim=math.inf):
-        rank = int(rng.integers(1, d + 1))
-        rho = sample_density(d, rank, rng)
+    instances = _instances(run, config, count, salt=3, max_dim=math.inf)
+    for _, _, d, states, drawn in _built(run, instances, _draw_state_checks):
+        (rho, other, *extra), (rank, spec, controlled, lam) = states, drawn
         run.check(float(np.min(rho.spectrum)), context={"check": "psd"})
         run.check(1e-10 - abs(math.fsum(rho.spectrum) - 1.0), context={"check": "unit_trace"})
         run.check_bool(rho.rank == rank, states=(rho, rho),
@@ -376,30 +444,22 @@ def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         run.check(1e-10 - abs(float(np.trace(proj).real) - rho.rank),
                   context={"check": "projector_trace"})
         run.check_bool(kernel_included(rho, rho), context={"check": "kernel_reflexive"})
-        # exact-spectrum construction round-trips
-        raw = rng.exponential(size=d)
-        zeros = int(rng.integers(0, d))
-        if zeros:
-            raw[np.argsort(raw)[:zeros]] = 0.0
-        spec = np.sort(raw / math.fsum(raw))
-        controlled = density_with_spectrum(spec, rng)
         run.check(1e-10 - float(np.max(np.abs(controlled.spectrum - spec))),
                   context={"check": "spectrum_roundtrip"})
         # mixing closure
-        lam = float(rng.uniform(0.0, 1.0))
-        other = sample_density(d, d, rng)
         mix = DensityMatrix(lam * rho.matrix + (1.0 - lam) * other.matrix)
         run.check_bool(mix.dim == d, context={"check": "mixing_closure"})
-        if d >= 2:
-            deficient = sample_density(d, d - 1, rng)
-            full = sample_density(d, d, rng)
+        if extra:
+            deficient, full = extra
             run.check_bool(not kernel_included(deficient, full),
                            context={"check": "kernel_excluded"})
 
 
 def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d in _instances(run, config, count, salt=4):
-        rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 3 == 2))
+    instances = _instances(run, config, count, salt=4)
+    pairs = _built(run, instances, lambda i, rng, d: _draw_pair(rng, d, i % 3 == 2))
+    for i, rng, d, states, basis in pairs:
+        rho, sigma = _pair(states, basis)
         q = _sample_q(rng, exact_every=10, i=i)
         value = quantum_relative_q(rho, sigma, q).value
         run.check(value + 1e-10, states=(rho, sigma), context={"check": "positivity", "q": q})
@@ -412,24 +472,32 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             run.check(1e-10 - abs(self_val), context={"check": "self_zero", "q": q})
 
     dims = [d for d in config.dims if 2 <= d <= 8] or [2]
-    small = max(1, count // 5)
-    for i in range(small):
-        rng = run.stream(i, 5)
+
+    def draw_properties(i, rng, _):
         q = _sample_q(rng, exact_every=7, i=i)
-        # pseudoadditivity on tensor products
         d1, d2 = int(rng.choice([2, 3])), int(rng.choice([2, 3]))
-        r1, s1 = sample_density(d1, d1, rng), sample_density(d1, d1, rng)
-        r2, s2 = sample_density(d2, d2, rng), sample_density(d2, d2, rng)
+        matrices = [draw_density(n, n, rng) for n in (d1, d1, d2, d2)]
+        d = int(rng.choice(dims))
+        matrices += [draw_density(d, d, rng) for _ in range(4)]
+        lam = float(rng.uniform(0.0, 1.0))
+        da, db = int(rng.choice([2, 3])), int(rng.choice([2, 3]))
+        matrices += [draw_density(da * db, da * db, rng) for _ in range(2)]
+        u = haar_unitary(d, rng)
+        spec_a = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
+        spec_b = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
+        return matrices, (q, lam, da, db, u, spec_a, spec_b, haar_unitary(d, rng))
+
+    small = ((i, run.stream(i, 5), None) for i in range(max(1, count // 5)))
+    for _, _, _, states, drawn in _built(run, small, draw_properties):
+        r1, s1, r2, s2, ra, sa, rb, sb, rho_ab, sigma_ab = states
+        q, lam, da, db, u, spec_a, spec_b, basis = drawn
+        # pseudoadditivity on tensor products
         v1 = quantum_relative_q(r1, s1, q).value
         v2 = quantum_relative_q(r2, s2, q).value
         joint = quantum_relative_q(tensor(r1, r2), tensor(s1, s2), q).value
         expect = v1 + v2 + (q - 1.0) * v1 * v2
         run.check(1e-9 - abs(joint - expect), context={"check": "pseudoadditive", "q": q})
         # joint convexity
-        d = int(rng.choice(dims))
-        ra, sa = sample_density(d, d, rng), sample_density(d, d, rng)
-        rb, sb = sample_density(d, d, rng), sample_density(d, d, rng)
-        lam = float(rng.uniform(0.0, 1.0))
         mix_r = DensityMatrix(lam * ra.matrix + (1.0 - lam) * rb.matrix)
         mix_s = DensityMatrix(lam * sa.matrix + (1.0 - lam) * sb.matrix)
         mixed = quantum_relative_q(mix_r, mix_s, q).value
@@ -438,9 +506,6 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         run.check(averaged + 1e-9 - mixed, states=(mix_r, mix_s),
                   context={"check": "joint_convexity", "q": q})
         # monotonicity under partial trace
-        da, db = int(rng.choice([2, 3])), int(rng.choice([2, 3]))
-        rho_ab = sample_density(da * db, da * db, rng)
-        sigma_ab = sample_density(da * db, da * db, rng)
         whole = quantum_relative_q(rho_ab, sigma_ab, q).value
         reduced = quantum_relative_q(
             partial_trace(rho_ab, da, db, "A"), partial_trace(sigma_ab, da, db, "A"), q
@@ -448,7 +513,6 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         run.check(whole + 1e-9 - reduced, states=(rho_ab, sigma_ab),
                   context={"check": "partial_trace_monotone", "q": q})
         # unitary invariance
-        u = haar_unitary(d, rng)
         rot = quantum_relative_q(
             DensityMatrix(u @ ra.matrix @ u.conj().T),
             DensityMatrix(u @ sa.matrix @ u.conj().T),
@@ -458,9 +522,6 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
                   context={"check": "unitary_invariance", "q": q})
         # reduction to the classical formula for commuting states; pairing of
         # the two spectra follows the shared eigenbasis columns
-        spec_a = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
-        spec_b = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
-        basis = haar_unitary(d, rng)
         qa = DensityMatrix.from_eigensystem(spec_a, basis)
         qb = DensityMatrix.from_eigensystem(spec_b, basis)
         quantum = quantum_relative_q(qa, qb, q).value
@@ -469,10 +530,8 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
                   context={"check": "classical_reduction", "q": q})
 
     # q -> 1 consistency on fixed pairs
-    for pair_idx in range(2):
-        rng = run.stream(pair_idx, 6)
-        d = 2 + 2 * pair_idx
-        rho, sigma = sample_density(d, d, rng), sample_density(d, d, rng)
+    fixed = ((i, run.stream(i, 6), 2 + 2 * i) for i in range(2))
+    for _, _, _, (rho, sigma), _ in _built(run, fixed, _draw_full_pair):
         d1 = relative_entropy_vn(rho, sigma).value
         ratios = []
         for k in range(2, 10):
@@ -484,9 +543,13 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             run.check(bound - ratio, states=(rho, sigma), context={"check": "q_to_1"})
 
 
+def _draw_full_pair(trial: int, rng, d: int) -> tuple[list[np.ndarray], None]:
+    return _draw_pair(rng, d, rank_deficient=False)
+
+
 def _suite_thm1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d in _instances(run, config, count, salt=7):
-        rho, sigma = sample_density(d, d, rng), sample_density(d, d, rng)
+    instances = _instances(run, config, count, salt=7)
+    for i, rng, d, (rho, sigma), _ in _built(run, instances, _draw_full_pair):
         q = _sample_q(rng, exact_every=10, i=i)
         pair = PairEval(rho, sigma)
         reports = thm1_bounds(pair, q)
@@ -498,8 +561,10 @@ def _suite_thm1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_thm2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d in _instances(run, config, count, salt=8):
-        rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 2 == 1))
+    instances = _instances(run, config, count, salt=8)
+    pairs = _built(run, instances, lambda i, rng, d: _draw_pair(rng, d, i % 2 == 1))
+    for i, rng, d, states, basis in pairs:
+        rho, sigma = _pair(states, basis)
         q = _sample_q(rng, exact_every=10, i=i)
         pair = PairEval(rho, sigma)
         for variant in ("general", "traceless"):
@@ -508,8 +573,10 @@ def _suite_thm2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_thm3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d in _instances(run, config, count, salt=9):
-        rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 2 == 1))
+    instances = _instances(run, config, count, salt=9)
+    pairs = _built(run, instances, lambda i, rng, d: _draw_pair(rng, d, i % 2 == 1))
+    for i, rng, d, states, basis in pairs:
+        rho, sigma = _pair(states, basis)
         if i % 5 == 4:
             q = float(rng.choice([2.0, 3.0, 4.0]))
         elif i % 2 == 0:
@@ -525,8 +592,10 @@ def _suite_thm3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d in _instances(run, config, count, salt=10):
-        rho, sigma = _sample_pair(rng, d, rank_deficient=(i % 4 == 3))
+    instances = _instances(run, config, count, salt=10)
+    pairs = _built(run, instances, lambda i, rng, d: _draw_pair(rng, d, i % 4 == 3))
+    for i, rng, d, states, basis in pairs:
+        rho, sigma = _pair(states, basis)
         q = _sample_q(rng, exact_every=10, i=i)
         p = 0.0 if i % 10 == 5 else float(rng.uniform(0.0, 1.0))
         pair = PairEval(rho, sigma)

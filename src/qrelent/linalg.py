@@ -77,38 +77,107 @@ def sort_eigensystem(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return w[order], u[:, order]
 
 
+def square_dim(shape: tuple[int, ...]) -> int:
+    """The dimension d of a d x d shape with 1 <= d <= MAX_DIM, or DimensionMismatch."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {shape}")
+    d = shape[0]
+    if d < 1 or d > MAX_DIM:
+        raise DimensionMismatch(f"dimension {d} outside [1, {MAX_DIM}]")
+    return d
+
+
+# The checks below take one matrix (d, d) or a stack of them (n, d, d) and
+# check every matrix at once.  Each matrix of a result is bit-identical to
+# the same matrix processed alone: the arithmetic is entrywise or one
+# BLAS/LAPACK call per matrix.
+
+
+def hermitian_parts(mats: np.ndarray) -> np.ndarray:
+    """(M + M^dag)/2 of a complex128 matrix, or of each matrix of a stack.
+
+    A NaN or infinite entry is NonFiniteInput; a maximal entrywise asymmetry
+    |M - M^dag| above ``HERM_TOL * max(1, ||(M + M^dag)/2||_F)`` is
+    NonHermitianInput, reported for the first matrix that has it.
+    """
+    if not np.isfinite(mats).all():
+        raise NonFiniteInput("matrix has a NaN or infinite entry")
+    mats_h = mats.conj().swapaxes(-1, -2)
+    asym = np.abs(mats - mats_h)
+    herm = mats + mats_h
+    herm *= 0.5
+    # every tolerance is at least HERM_TOL, so below it no matrix can fail;
+    # the Frobenius norm only scales the tolerance
+    if asym.max() > HERM_TOL:
+        d = mats.shape[-1]
+        worst = asym.reshape(-1, d * d).max(axis=1).tolist()
+        for k, h in enumerate(herm.reshape(-1, d, d)):
+            tol = HERM_TOL * max(1.0, math.sqrt(np.vdot(h, h).real))
+            if worst[k] > tol:
+                raise NonHermitianInput(f"asymmetry {worst[k]:.3e} exceeds tolerance {tol:.3e}")
+    return herm
+
+
+def checked_eigh(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ascending and eigenvector columns of a Hermitian matrix,
+    or of each matrix of a stack (shapes (n, d) and (n, d, d)): one
+    lapack_eigh per matrix.
+
+    Every result is checked against the reconstruction contract
+    ``||U diag(w) U^dag - H||_max <= EIG_TOL * max(1, |w|_max)`` and against
+    ``||U^dag U - I||_max <= EIG_TOL``; a breach is ConvergenceFailure.
+    """
+    if herm.ndim == 2:
+        w, u = lapack_eigh(herm)
+    else:
+        w = np.empty(herm.shape[:-1])
+        u = np.empty(herm.shape, dtype=np.complex128)
+        for k, h in enumerate(herm):
+            w[k], u[k] = lapack_eigh(h)
+    u_h = u.conj().swapaxes(-1, -2)
+    recon = (u * w[..., None, :]) @ u_h
+    recon -= herm
+    recon = np.abs(recon)
+    # every budget is at least EIG_TOL, so below it no matrix can fail; eigh
+    # returns w ascending, so its extremes are the ends
+    if recon.max() > EIG_TOL:
+        scale = np.maximum(1.0, np.maximum(-w[..., 0], w[..., -1]))
+        if (recon.max(axis=(-2, -1)) > EIG_TOL * scale).any():
+            raise ConvergenceFailure("eigendecomposition failed reconstruction check")
+    gram = u_h @ u
+    gram -= _identity(w.shape[-1])
+    if np.abs(gram).max() > EIG_TOL:
+        raise ConvergenceFailure("eigenvector matrix is not unitary")
+    return w, u
+
+
+def compose(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U diag(w) U^dag, symmetrized, of one eigensystem (w of shape (d,)) or
+    of each of a stack (w of shape (n, d))."""
+    mat = (u * w[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    mat += mat.conj().swapaxes(-1, -2)
+    mat *= 0.5
+    return mat
+
+
 class HermitianOperator:
     """Immutable complex Hermitian matrix with a cached eigendecomposition.
 
-    The constructor rejects inputs with a NaN or infinite entry, symmetrizes
-    the input to (M + M^dag)/2, and rejects inputs whose maximal entrywise
-    asymmetry exceeds ``HERM_TOL * max(1, scale)``.  The
-    eigendecomposition is computed at most once and is checked against the
-    reconstruction contract
-    ``||U diag(w) U^dag - H||_max <= EIG_TOL * max(1, |w|_max)``.
+    The constructor is :func:`hermitian_parts`: it rejects inputs with a NaN
+    or infinite entry, symmetrizes the input to (M + M^dag)/2, and rejects
+    inputs whose maximal entrywise asymmetry exceeds
+    ``HERM_TOL * max(1, scale)``.  The eigendecomposition is
+    :func:`checked_eigh`, computed at most once and checked against the
+    reconstruction and unitarity contract.
     """
 
     __slots__ = ("_mat", "_eig")
 
     def __init__(self, entries) -> None:
-        mat = np.array(entries, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-        d = mat.shape[0]
-        if d < 1 or d > MAX_DIM:
-            raise DimensionMismatch(f"dimension {d} outside [1, {MAX_DIM}]")
-        if not np.isfinite(mat).all():
-            raise NonFiniteInput("matrix has a NaN or infinite entry")
-        mat_h = mat.conj().T
-        asym = float(np.abs(mat - mat_h).max())
-        herm = mat + mat_h
-        herm *= 0.5
-        # the Frobenius norm only scales the tolerance
-        scale = max(1.0, math.sqrt(np.vdot(herm, herm).real))
-        if asym > HERM_TOL * scale:
-            raise NonHermitianInput(
-                f"asymmetry {asym:.3e} exceeds tolerance {HERM_TOL * scale:.3e}"
-            )
+        # hermitian_parts writes new arrays, so the entries need no copy
+        mat = np.asarray(entries, dtype=np.complex128)
+        square_dim(mat.shape)
+        herm = hermitian_parts(mat)
         herm.setflags(write=False)
         self._mat = herm
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
@@ -123,20 +192,17 @@ class HermitianOperator:
             raise DimensionMismatch("eigenvalues and eigenvectors have inconsistent shapes")
         if not (np.isfinite(w).all() and np.isfinite(u).all()):
             raise NonFiniteInput("eigensystem has a NaN or infinite entry")
-        return cls._from_ascending(*sort_eigensystem(w, u))
+        w, u = sort_eigensystem(w, u)
+        mat = compose(w, u)
+        for a in (mat, w, u):
+            a.setflags(write=False)
+        return cls._adopt(mat, w, u)
 
     @classmethod
-    def _from_ascending(cls, w: np.ndarray, u: np.ndarray) -> "HermitianOperator":
-        """from_eigensystem for an ascending float64 spectrum and a complex128
-        basis that the operator may keep: no checks and no copies, and both
-        arrays become read-only."""
-        mat = (u * w) @ u.conj().T
-        mat += mat.conj().T
-        mat *= 0.5
+    def _adopt(cls, mat: np.ndarray, w: np.ndarray, u: np.ndarray) -> "HermitianOperator":
+        """The operator of a read-only symmetrized matrix and its read-only
+        ascending eigensystem, kept as given: no checks and no copies."""
         obj = cls.__new__(cls)
-        mat.setflags(write=False)
-        w.setflags(write=False)
-        u.setflags(write=False)
         obj._mat = mat
         obj._eig = (w, u)
         return obj
@@ -156,18 +222,7 @@ class HermitianOperator:
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues ascending and the matching orthonormal eigenvector columns."""
         if self._eig is None:
-            w, u = lapack_eigh(self._mat)
-            # eigh returns w ascending, so its extremes are the ends
-            scale = max(1.0, -float(w[0]), float(w[-1]))
-            u_h = u.conj().T
-            recon = (u * w) @ u_h
-            recon -= self._mat
-            if float(np.abs(recon).max()) > EIG_TOL * scale:
-                raise ConvergenceFailure("eigendecomposition failed reconstruction check")
-            gram = u_h @ u
-            gram -= _identity(w.size)
-            if float(np.abs(gram).max()) > EIG_TOL:
-                raise ConvergenceFailure("eigenvector matrix is not unitary")
+            w, u = checked_eigh(self._mat)
             w.setflags(write=False)
             u.setflags(write=False)
             self._eig = (w, u)
@@ -178,11 +233,6 @@ class HermitianOperator:
 
     def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
         return HermitianOperator(self._mat - as_herm(other)._mat)
-
-    def __mul__(self, scalar: float) -> "HermitianOperator":
-        return HermitianOperator(self._mat * float(scalar))
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"

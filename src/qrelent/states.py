@@ -25,7 +25,16 @@ from .errors import (
     NotPSD,
     ParseError,
 )
-from .linalg import _EPS, MAX_DIM, HermitianOperator, sort_eigensystem
+from .linalg import (
+    _EPS,
+    MAX_DIM,
+    HermitianOperator,
+    checked_eigh,
+    compose,
+    hermitian_parts,
+    sort_eigensystem,
+    square_dim,
+)
 
 #: default absolute weight allowed on the kernel of sigma
 TOL_INCL = 1e-12
@@ -58,20 +67,50 @@ class DensityMatrix:
     renormalization; ``rank`` counts the nonzero entries; the support
     projector spans the eigenvectors of the nonzero eigenvalues.
 
-    The constructor raises NonHermitianInput, NotNormalized or NotPSD when
-    the matrix fails the corresponding check; eigenvalues in [-TOL_STATE, 0)
-    are clamped to zero and the spectrum renormalized.
+    The constructor runs the stages of :meth:`stack` on one matrix.  It
+    raises NonFiniteInput, NonHermitianInput, NotNormalized, NotPSD or
+    ConvergenceFailure when the matrix fails the corresponding check;
+    eigenvalues in [-TOL_STATE, 0) are clamped to zero and the spectrum
+    renormalized.
     """
 
     __slots__ = ("op", "spectrum", "rank", "_basis")
 
     def __init__(self, matrix) -> None:
+        # the kernel's stages on one matrix, through the operator that runs
+        # them: hermitian_parts in its constructor, checked_eigh in eig
         h = HermitianOperator(matrix)
-        tr = h.trace()
-        if abs(tr - 1.0) > TOL_STATE:
-            raise NotNormalized(f"trace {tr!r} differs from 1 beyond {TOL_STATE:.1e}")
-        w, u = h.eig()
-        self._init_from_eigensystem(w, u)
+        _trace_gate(h.matrix)
+        w, u, mat, (rank,) = _settle(*h.eig())
+        self._adopt(w, u, mat, rank)
+
+    @classmethod
+    def stack(cls, matrices) -> list["DensityMatrix"]:
+        """One state per matrix, in order; the matrices may differ in dimension.
+
+        The construction kernel: the matrices of each dimension are stacked,
+        and every check of the constructor runs on the whole stack (finite
+        entries, Hermitian asymmetry, the trace gate, the eigendecomposition
+        with its reconstruction and unitarity contract, the PSD gate), then
+        each spectrum is thresholded and renormalized by its own fsum and
+        U diag(w) U^dag is rebuilt for the stack.  Each state is
+        bit-identical to the same matrix built alone and keeps its own
+        read-only slice of the stacks.  A stack holding one bad matrix raises
+        the error that matrix raises alone.
+        """
+        arrays = [np.asarray(m, dtype=np.complex128) for m in matrices]
+        groups: dict[int, list[int]] = {}
+        for k, a in enumerate(arrays):
+            groups.setdefault(square_dim(a.shape), []).append(k)
+        states: list = [None] * len(arrays)
+        for idx in groups.values():
+            herm = hermitian_parts(np.array([arrays[k] for k in idx]))
+            _trace_gate(herm)
+            w, u, mats, ranks = _settle(*checked_eigh(herm))
+            for j, k in enumerate(idx):
+                states[k] = obj = cls.__new__(cls)
+                obj._adopt(w[j], u[j], mats[j], ranks[j])
+        return states
 
     @classmethod
     def from_eigensystem(cls, eigenvalues, eigenvectors) -> "DensityMatrix":
@@ -85,31 +124,15 @@ class DensityMatrix:
         tr = math.fsum(w.tolist())
         if abs(tr - 1.0) > TOL_STATE:
             raise NotNormalized(f"spectrum sums to {tr!r}, not 1 within {TOL_STATE:.1e}")
+        w, u, mat, (rank,) = _settle(*sort_eigensystem(w, u))
         obj = cls.__new__(cls)
-        obj._init_from_eigensystem(*sort_eigensystem(w, u))
+        obj._adopt(w, u, mat, rank)
         return obj
 
-    def _init_from_eigensystem(self, w: np.ndarray, u: np.ndarray) -> None:
-        """Threshold, renormalize and keep an ascending eigensystem, as eigh
-        returns it; ``u`` becomes the state's read-only basis, so it must
-        not be a caller's array."""
-        values = w.tolist()
-        if values[0] < -TOL_STATE:
-            raise NotPSD(f"eigenvalue {values[0]!r} below -{TOL_STATE:.1e}")
-        # zero_threshold(w) from the ends of the ascending spectrum
-        cut = len(values) * _EPS * max(1.0, -values[0], values[-1])
-        # the entries <= cut, both |w| <= cut and the round-off negatives that
-        # passed the -TOL_STATE gate, are a prefix of w; zeroing keeps w ascending
-        zeros = bisect.bisect_right(values, cut)
-        total = math.fsum(values[zeros:])
-        if total <= 0.0:
-            raise NotPSD("spectrum vanished entirely after thresholding")
-        w = np.array(w, dtype=np.float64)
-        w[:zeros] = 0.0
-        w /= total
-        self.op = HermitianOperator._from_ascending(w, u)
-        self.spectrum, self._basis = self.op.eig()
-        self.rank = len(values) - zeros
+    def _adopt(self, w: np.ndarray, u: np.ndarray, mat: np.ndarray, rank: int) -> None:
+        self.op = HermitianOperator._adopt(mat, w, u)
+        self.spectrum, self._basis = w, u
+        self.rank = rank
 
     @property
     def dim(self) -> int:
@@ -132,6 +155,42 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim}, rank={self.rank})"
+
+
+def _trace_gate(herm: np.ndarray) -> None:
+    """NotNormalized unless the trace of a Hermitian matrix, or of each
+    matrix of a stack, is 1 within TOL_STATE."""
+    for tr in np.atleast_1d(herm.trace(axis1=-2, axis2=-1).real).tolist():
+        if abs(tr - 1.0) > TOL_STATE:
+            raise NotNormalized(f"trace {tr!r} differs from 1 beyond {TOL_STATE:.1e}")
+
+
+def _settle(w: np.ndarray, u: np.ndarray) -> tuple:
+    """Threshold, renormalize and rebuild an ascending eigensystem, as eigh
+    returns it, or each of a stack: (spectrum, basis, matrix) of the input's
+    shapes, all read-only, and the rank of each.  ``u`` becomes the bases
+    of the states, so it must not be a caller's array."""
+    rows, ranks = [], []
+    for values in w.reshape(-1, w.shape[-1]).tolist():
+        if values[0] < -TOL_STATE:
+            raise NotPSD(f"eigenvalue {values[0]!r} below -{TOL_STATE:.1e}")
+        # zero_threshold(w) from the ends of the ascending spectrum
+        cut = len(values) * _EPS * max(1.0, -values[0], values[-1])
+        # the entries <= cut, both |w| <= cut and the round-off negatives that
+        # passed the -TOL_STATE gate, are a prefix of w; zeroing keeps w ascending
+        zeros = bisect.bisect_right(values, cut)
+        kept = values[zeros:]
+        total = math.fsum(kept)
+        if total <= 0.0:
+            raise NotPSD("spectrum vanished entirely after thresholding")
+        # Python's float division rounds as numpy's does
+        rows.append([0.0] * zeros + [v / total for v in kept])
+        ranks.append(len(kept))
+    w = np.array(rows).reshape(w.shape)
+    mats = compose(w, u)
+    for a in (w, u, mats):
+        a.setflags(write=False)
+    return w, u, mats, ranks
 
 
 @dataclass(frozen=True)
@@ -160,15 +219,23 @@ class SpectralSummary:
         return cls(a1=a1, b1=b1, b0=b0, lambda0=lambda0, lambda1=lambda1)
 
 
-def sample_density(d: int, rank: int, rng) -> DensityMatrix:
-    """Random state G G^dag / tr(G G^dag) with G a d x rank complex Ginibre matrix."""
+def draw_density(d: int, rank: int, rng) -> np.ndarray:
+    """The matrix G G^dag / tr(G G^dag) of :func:`sample_density`, with G a
+    d x rank complex Ginibre matrix drawn from ``rng``; nothing is checked
+    or decomposed, so a caller can draw many before building them with
+    :meth:`DensityMatrix.stack`."""
     if not 1 <= rank <= d:
         raise BadSpectrum(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
     rng = as_generator(rng)
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = g @ g.conj().T
-    m /= np.trace(m).real
-    return DensityMatrix(m)
+    m /= m.trace().real
+    return m
+
+
+def sample_density(d: int, rank: int, rng) -> DensityMatrix:
+    """Random state G G^dag / tr(G G^dag) with G a d x rank complex Ginibre matrix."""
+    return DensityMatrix(draw_density(d, rank, rng))
 
 
 @functools.lru_cache(maxsize=MAX_DIM)
@@ -211,6 +278,41 @@ def density_with_spectrum(spec, rng) -> DensityMatrix:
     return DensityMatrix.from_eigensystem(w, u)
 
 
+def draw_common_support_pair(
+    d: int, support_rank: int, rng, rho_rank: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of :func:`sample_common_support_pair`, in its order: sigma's
+    and then rho's matrix on the support (rho of rank ``rho_rank``, or full
+    rank for None), then the Haar basis of C^d.  Returned as
+    (rho_k, sigma_k, u) for :func:`embed_common_support`."""
+    if not 1 <= support_rank <= d:
+        raise BadSpectrum(f"support rank must lie in [1, {d}], got {support_rank}")
+    rng = as_generator(rng)
+    k = support_rank
+    rho_rank = k if rho_rank is None else rho_rank
+    sigma_k = draw_density(k, k, rng)
+    rho_k = draw_density(k, rho_rank, rng)
+    return rho_k, sigma_k, haar_unitary(d, rng)
+
+
+def embed_common_support(
+    rho_k: DensityMatrix, sigma_k: DensityMatrix, u: np.ndarray
+) -> tuple[DensityMatrix, DensityMatrix]:
+    """(rho, sigma) on C^d from two states on a k-dimensional space: the
+    space maps onto the last k columns of the unitary ``u``, and both
+    states are exactly zero on the first d - k."""
+    d, k = u.shape[0], sigma_k.dim
+
+    def embed(state_k: DensityMatrix) -> DensityMatrix:
+        w = np.concatenate([np.zeros(d - k), state_k.spectrum])
+        basis = np.zeros((d, d), dtype=np.complex128)
+        basis[k:, : d - k] = np.eye(d - k)
+        basis[:k, d - k :] = state_k.eigenvectors
+        return DensityMatrix.from_eigensystem(w, u @ basis)
+
+    return embed(rho_k), embed(sigma_k)
+
+
 def sample_common_support_pair(
     d: int,
     support_rank: int,
@@ -223,23 +325,8 @@ def sample_common_support_pair(
     share an exactly-zero block outside it, so ker(sigma) is contained in
     ker(rho) by construction.
     """
-    if not 1 <= support_rank <= d:
-        raise BadSpectrum(f"support rank must lie in [1, {d}], got {support_rank}")
-    rng = as_generator(rng)
-    k = support_rank
-    rho_rank = k if rho_rank is None else rho_rank
-    sigma_k = sample_density(k, k, rng)
-    rho_k = sample_density(k, rho_rank, rng)
-    u = haar_unitary(d, rng)
-
-    def embed(state_k: DensityMatrix) -> DensityMatrix:
-        w = np.concatenate([np.zeros(d - k), state_k.spectrum])
-        basis = np.zeros((d, d), dtype=np.complex128)
-        basis[k:, : d - k] = np.eye(d - k)
-        basis[:k, d - k :] = state_k.eigenvectors
-        return DensityMatrix.from_eigensystem(w, u @ basis)
-
-    return embed(rho_k), embed(sigma_k)
+    rho_k, sigma_k, u = draw_common_support_pair(d, support_rank, rng, rho_rank)
+    return embed_common_support(*DensityMatrix.stack([rho_k, sigma_k]), u)
 
 
 def kernel_included(sigma: DensityMatrix, rho: DensityMatrix) -> bool:

@@ -257,7 +257,8 @@ class TestPowerDiff:
         x = HermitianOperator(random_hermitian(rng, 3))
         y = HermitianOperator(random_hermitian(rng, 3))
         base = power_diff_bound(OperatorPair(x, y), 3, 2.0)
-        scaled = power_diff_bound(OperatorPair(2.0 * x, 2.0 * y), 3, 2.0)
+        doubled = OperatorPair(HermitianOperator(2.0 * x.matrix), HermitianOperator(2.0 * y.matrix))
+        scaled = power_diff_bound(doubled, 3, 2.0)
         assert scaled.lhs.value == pytest.approx(8.0 * base.lhs.value, rel=1e-10)
         assert scaled.rhs == pytest.approx(8.0 * base.rhs, rel=1e-10)
         assert scaled.holds == base.holds
@@ -280,7 +281,7 @@ class TestLemma3:
 
     def test_equal_operands(self, rng):
         a = HermitianOperator(random_pd(rng, 3))
-        a = 1.0 / a.trace() * a
+        a = HermitianOperator(a.matrix * (1.0 / a.trace()))
         rep = lemma3_bound(OperatorPair(a, a), 0.5)
         assert rep.lhs.value == pytest.approx(0.0, abs=1e-12)
 
@@ -297,7 +298,8 @@ class TestLemma3:
         a = HermitianOperator(np.diag([0.5, 0.5]))
         b = HermitianOperator(np.diag([0.75, 0.25]))
         base = lemma3_bound(OperatorPair(a, b), 0.5)
-        scaled = lemma3_bound(OperatorPair(2.0 * a, 2.0 * b), 0.5)
+        doubled = OperatorPair(HermitianOperator(2.0 * a.matrix), HermitianOperator(2.0 * b.matrix))
+        scaled = lemma3_bound(doubled, 0.5)
         assert scaled.lhs.value == pytest.approx(2.0 * base.lhs.value, rel=1e-10)
         assert scaled.rhs == pytest.approx(2.0 * base.rhs, rel=1e-10)
         assert scaled.holds == base.holds

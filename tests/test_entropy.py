@@ -111,6 +111,41 @@ class TestClassicalRelative:
             classical_relative_q([1.0], [1.0], 0.5)
 
 
+#: a classical pair whose D_q and S_q lost up to 4e-7 relative to the
+#: 1 - s cancellation at q = 1 + 1e-9
+_A, _B = (0.7, 0.2, 0.1), (0.5, 0.3, 0.2)
+_NEAR_ONE_ORDERS = (1.0 + 1e-9, 1.0 + 1e-7, 2.0, 7.0)
+
+
+def _mp_support_sum(a, b, q):
+    """(sum a^q b^(1-q) - sum a)/(q - 1) over a > 0 at 40 digits, from the
+    float inputs as given: the support form both classical functions use,
+    equal to (1 - sum a^q b^(1-q))/(1 - q) when sum a = 1 exactly."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(q)
+        pairs = [(mpmath.mpf(x), mpmath.mpf(y)) for x, y in zip(a, b) if x > 0.0]
+        return (mpmath.fsum(x**q * y ** (1 - q) for x, y in pairs)
+                - mpmath.fsum(x for x, _ in pairs)) / (q - 1)
+
+
+class TestClassicalNearOrderOne:
+    """Both classical functions against 40-digit mpmath, without the 1 - s
+    cancellation as q -> 1."""
+
+    @pytest.mark.parametrize("q", _NEAR_ONE_ORDERS)
+    def test_classical_relative_q(self, q):
+        expect = _mp_support_sum(_A, _B, q)
+        got = classical_relative_q(_A, _B, q).value
+        assert abs(got - expect) <= 1e-14 * abs(expect)
+
+    @pytest.mark.parametrize("q", _NEAR_ONE_ORDERS)
+    def test_tsallis_entropy(self, q):
+        # S_q(p) is minus the support sum against b = 1
+        expect = -_mp_support_sum(_A, (1.0,) * len(_A), q)
+        got = tsallis_entropy(_A, q)
+        assert abs(got - expect) <= 1e-14 * abs(expect)
+
+
 class TestQuantumRelative:
     def test_equal_states_vanish(self, rng):
         rho = sample_density(4, 4, rng)

@@ -541,3 +541,59 @@ def test_instances_draw_as_choice(seed, salt, dims):
         assert d == int(reference.choice(dims))
         assert rng.standard_normal(3).tolist() == reference.standard_normal(3).tolist()
     assert run.instances == 4
+
+
+#: the suites that draw their states and build them in blocks
+_BLOCKED_SUITES = ("_suite_states", "_suite_entropy", "_suite_thm1", "_suite_thm2",
+                   "_suite_thm3", "_suite_lower")
+
+
+@pytest.mark.parametrize("builder", _BLOCKED_SUITES)
+def test_block_size_changes_no_result(monkeypatch, builder):
+    # with one instance per block, as with the default blocks, a suite gives
+    # the same SuiteResult; the kernel is called once per block
+    calls = []
+    stack = DensityMatrix.stack.__func__
+
+    def counted(cls, matrices):
+        calls.append(len(matrices))
+        return stack(cls, matrices)
+
+    monkeypatch.setattr(DensityMatrix, "stack", classmethod(counted))
+
+    def run_suite(block_bytes):
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", block_bytes)
+        calls.clear()
+        run = harness._SuiteRun(builder, None, 5)
+        getattr(harness, builder)(run, SweepConfig(seed=5), 30)
+        return run.result(), list(calls)
+
+    default, default_calls = run_suite(harness._BLOCK_BYTES)
+    alone, alone_calls = run_suite(1)
+    assert alone == default
+    assert default.instances_run >= 30 and default.failures == 0
+    # every instance builds at least one state, alone in its block
+    assert len([n for n in alone_calls if n]) >= 30 > len(default_calls)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 18])
+def test_block_restores_each_instance(tmp_path, monkeypatch, block_bytes):
+    # a failure in the fourth thm2 instance records trial 3, however many
+    # instances share its block
+    from qrelent.bounds import BoundReport
+    from qrelent.entropy import ExtendedReal
+
+    calls = []
+
+    def thm2_bound(pair, q, variant):
+        calls.append(q)
+        rhs = -1.0 if len(calls) == 7 else 1.0
+        return BoundReport("forced", ExtendedReal.finite(0.0), rhs, rhs > 0.0)
+
+    monkeypatch.setattr(harness, "thm2_bound", thm2_bound)
+    monkeypatch.setattr(harness, "_BLOCK_BYTES", block_bytes)
+    run = harness._SuiteRun("thm2_soundness", tmp_path, 9)
+    harness._suite_thm2(run, SweepConfig(seed=9), 10)
+    assert run.failures == 1
+    doc = json.loads((tmp_path / "counterexample_thm2_soundness_context.json").read_text())
+    assert (doc["seed"], doc["trial"], doc["salt"]) == (9, 3, 8)

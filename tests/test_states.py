@@ -465,16 +465,20 @@ def _outcome(build):
 _SLOTS = ("positive", "zero", "roundoff_negative", "below_cut", "at_cut", "above_cut")
 
 
+#: "none" and "asymmetric" (within tolerance) build; the others are the
+#: error paths of the constructor
+_DEFECTS = ("none", "asymmetric", "not_psd", "not_normalized", "non_hermitian", "non_finite")
+
+
 @st.composite
-def _spectrum_cases(draw):
-    """A spectrum of dimension 1..16 with exact zeros, round-off negatives
-    inside -tol and entries on either side of the zero threshold, a Haar
-    basis, and a defect: none, an asymmetry within tolerance, or one that
-    each error path of the constructor rejects."""
-    d = draw(st.integers(1, 16))
+def _spectrum_cases(draw, max_dim=16, defects=_DEFECTS):
+    """A spectrum of dimension 1..max_dim with exact zeros, round-off
+    negatives inside -tol and entries on either side of the zero threshold,
+    a Haar basis, and one of ``defects``: none, an asymmetry within
+    tolerance, or one that each error path of the constructor rejects."""
+    d = draw(st.integers(1, max_dim))
     slots = draw(st.lists(st.sampled_from(_SLOTS), min_size=d - 1, max_size=d - 1))
-    defect = draw(st.sampled_from(("none", "asymmetric", "not_psd", "not_normalized",
-                                   "non_hermitian", "non_finite")))
+    defect = draw(st.sampled_from(defects))
     rng = np.random.Generator(np.random.SFC64(draw(st.integers(0, 2**32 - 1))))
     cut = d * _EPS  # zero threshold of a spectrum inside [-1, 1]
     fill = {
@@ -496,6 +500,21 @@ def _spectrum_cases(draw):
     return d, rng.permutation(w), haar_unitary(d, rng), defect, rng
 
 
+def _case_matrix(case) -> np.ndarray:
+    """U diag(w) U^dag of a _spectrum_cases draw, with its matrix defect."""
+    d, w, u, defect, rng = case
+    m = (u * w) @ u.conj().T
+    if defect in ("asymmetric", "non_hermitian"):
+        # asymmetry below and above the 1e-10 tolerance
+        size = rng.uniform(-14.0, -11.0) if defect == "asymmetric" else rng.uniform(-9.0, -6.0)
+        noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = m + 10.0**size * noise
+    elif defect == "non_finite":
+        i, j = rng.integers(0, d, size=2)
+        m[i, j] = rng.choice([complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf])
+    return m
+
+
 class TestLeanConstructor:
     """DensityMatrix matches the reference algorithm above bit for bit:
     spectrum, matrix, basis and rank, and every error path."""
@@ -512,16 +531,7 @@ class TestLeanConstructor:
     @given(case=_spectrum_cases())
     @settings(max_examples=300, deadline=None)
     def test_from_matrix_matches_reference(self, case):
-        d, w, u, defect, rng = case
-        m = (u * w) @ u.conj().T
-        if defect in ("asymmetric", "non_hermitian"):
-            # asymmetry below and above the 1e-10 tolerance
-            size = rng.uniform(-14.0, -11.0) if defect == "asymmetric" else rng.uniform(-9.0, -6.0)
-            noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            m = m + 10.0**size * noise
-        elif defect == "non_finite":
-            i, j = rng.integers(0, d, size=2)
-            m[i, j] = rng.choice([complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf])
+        m = _case_matrix(case)
         expect = _outcome(lambda: _reference_state(m))
         assert _outcome(lambda: DensityMatrix(m)) == expect
         # the operator's own symmetrisation
@@ -554,3 +564,71 @@ class TestLeanConstructor:
         with pytest.raises(error) as expect:
             _reference_state(m)
         assert str(got.value) == str(expect.value)
+
+
+def _error(build):
+    """(type, message) of the error ``build`` raises, or None."""
+    try:
+        build()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestStackedKernel:
+    """DensityMatrix.stack on stacks of mixed dimension (1..8) and rank, with
+    spectra on both sides of the rank cut d * eps * max(1, lambda_max): each
+    state is bit-identical to its matrix built alone, and one bad matrix in
+    a stack raises the error it raises alone."""
+
+    @given(cases=st.lists(_spectrum_cases(8, ("none", "asymmetric")), min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_each_state_matches_its_own_build(self, cases):
+        matrices = [_case_matrix(case) for case in cases]
+        stacked = DensityMatrix.stack(matrices)
+        assert len(stacked) == len(matrices)
+        for m, state in zip(matrices, stacked):
+            assert _outcome(lambda: state) == _outcome(lambda: DensityMatrix(m))
+            for a in (state.spectrum, state.matrix, state.eigenvectors):
+                assert not a.flags.writeable
+
+    @given(good=st.lists(_spectrum_cases(8, ("none",)), max_size=8),
+           bad=_spectrum_cases(8, ("not_psd", "not_normalized", "non_hermitian", "non_finite")),
+           at=st.integers(0, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_one_bad_matrix_raises_its_own_error(self, good, bad, at):
+        matrices = [_case_matrix(case) for case in good]
+        m = _case_matrix(bad)
+        matrices.insert(min(at, len(matrices)), m)
+        assert _error(lambda: DensityMatrix.stack(matrices)) == _error(lambda: DensityMatrix(m))
+
+    @pytest.mark.parametrize("defect,error", [
+        ("not_psd", NotPSD), ("not_normalized", NotNormalized),
+        ("non_hermitian", NonHermitianInput), ("non_finite", NonFiniteInput)])
+    def test_each_error_path_is_reached_in_a_stack(self, defect, error):
+        rng = np.random.Generator(np.random.SFC64(11))
+        u = haar_unitary(4, rng)
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        if defect == "not_psd":
+            w = np.array([-1e-6, 0.2, 0.3, 0.5 + 1e-6])
+        elif defect == "not_normalized":
+            w = w * 1.01
+        m = (u * w) @ u.conj().T
+        if defect == "non_hermitian":
+            m[0, 1] += 1e-6
+        elif defect == "non_finite":
+            m[2, 3] = math.nan
+        others = [sample_density(d, d, rng).matrix for d in (4, 2, 4, 3)]
+        with pytest.raises(error) as alone:
+            DensityMatrix(m)
+        with pytest.raises(error) as stacked:
+            DensityMatrix.stack(others[:2] + [m] + others[2:])
+        assert str(stacked.value) == str(alone.value)
+
+    def test_empty_stack(self):
+        assert DensityMatrix.stack([]) == []
+
+    def test_stack_of_one_is_the_constructor(self, rng):
+        m = sample_density(5, 3, rng).matrix
+        (state,) = DensityMatrix.stack([m])
+        assert _outcome(lambda: state) == _outcome(lambda: DensityMatrix(m))
