@@ -30,6 +30,9 @@ python -m qrelent verify --trials 40 --seed 3 --out verify_t40_s3.json > verify_
 python -m qrelent verify --trials 200 --seed 11 --out verify_t200_s11.json > verify_t200_s11.txt
 # 1000 trials span several construction blocks per suite; the runs above fit in one
 python -m qrelent verify --trials 1000 --seed 1 --out verify_t1000_s1.json > verify_t1000_s1.txt
+# a d = 64 state-suite instance fills a block alone, and blocks mix dimensions
+python -m qrelent verify --trials 40 --dims 3,64 --seed 5 --out verify_t40_s5_d64.json \
+    > verify_t40_s5_d64.txt
 python -m qrelent sweep --dims 2,3,5,16 --q 1.5,2,3,1.0001 --b0 0.05,0.01,0.001 \
     --trials 7 --seed 4 --out sweep_small.csv > /dev/null
 python -m qrelent sweep --dims 16,64 --q 1.5,2,3 --b0 1e-3,1e-4 --trials 2 --seed 3 \

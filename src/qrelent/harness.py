@@ -83,13 +83,9 @@ class SweepConfig:
     def echo_dict(self) -> dict:
         """Configuration echo for artifact headers; excludes the output path so
         identical runs to different files stay byte-identical."""
-        return {
-            "dims": list(self.dims),
-            "q_grid": list(self.q_grid),
-            "b0_grid": list(self.b0_grid),
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        echo = asdict(self)
+        del echo["output_path"]
+        return echo
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
@@ -173,12 +169,39 @@ class _SuiteRun:
         self.counterexample_path: str | None = None
         self._instance: dict = {}
 
-    def stream(self, trial: int, salt: int) -> np.random.Generator:
-        """Count one instance and return its stream; a counterexample from it
-        records the trial and salt, which with the seed redraw it."""
-        self.instances += 1
-        self._instance = {"trial": trial, "salt": salt}
-        return trial_stream(self.seed, trial, salt=salt)
+    def draws(self, salt: int, count: int, dims: list[int] | None, draw):
+        """(trial, stream, d, states, drawn) per instance, trials 0 to count - 1:
+        the one path from (seed, trial, salt) to an instance.
+
+        Each instance is counted and opens its own stream, from which d is
+        drawn first, as rng.choice(dims) draws it (None when ``dims`` is None).
+        ``draw(trial, stream, d)`` then makes every random draw that feeds the
+        instance's states and returns their raw matrices with whatever else it
+        drew.  Instances are drawn in blocks of _BLOCK_BYTES of matrices, and
+        one DensityMatrix.stack call builds a block's states; with ``draw``
+        None, each instance is yielded as soon as it is counted, with no
+        states.  A counterexample records the trial and salt of the instance
+        last yielded, which with the seed redraw it.  The checks may go on
+        drawing from the stream: no other instance uses it.
+        """
+        block, size = [], 0
+        for trial in range(count):
+            self.instances += 1
+            rng = trial_stream(self.seed, trial, salt=salt)
+            # the draw of rng.choice(dims), without converting dims to an array
+            d = None if dims is None else dims[int(rng.integers(0, len(dims), dtype=np.int64))]
+            matrices, drawn = draw(trial, rng, d) if draw else ([], None)
+            block.append((trial, rng, d, matrices, drawn))
+            size += sum(m.nbytes for m in matrices)
+            if draw and size < _BLOCK_BYTES and trial + 1 < count:
+                continue
+            states = DensityMatrix.stack([m for *_, ms, _ in block for m in ms]) if draw else []
+            start = 0
+            for trial, rng, d, matrices, drawn in block:
+                self._instance = {"trial": trial, "salt": salt}
+                yield trial, rng, d, states[start : start + len(matrices)], drawn
+                start += len(matrices)
+            block, size = [], 0
 
     def check(self, margin: float, states=None, context: dict | None = None) -> None:
         margin = float(margin)
@@ -254,33 +277,9 @@ def _conditioned_pd(rng, d: int, log10_cond: float) -> HermitianOperator:
     return HermitianOperator.from_eigensystem(w, u)
 
 
-def _draw_pair(rng, d: int, rank_deficient: bool) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """The draws of one instance of the bound sweeps' family: either a
-    full-rank pair, or a pair with an exact common kernel (sigma full-rank on
-    the shared support).  Returns the matrices to build, rho's first, and the
-    Haar basis that embeds the support, or None for a full-rank pair."""
-    if not rank_deficient or d < 2:
-        return [draw_density(d, d, rng), draw_density(d, d, rng)], None
-    k = int(rng.integers(1, d))
-    rho_rank = int(rng.integers(1, k + 1))
-    rho_k, sigma_k, basis = draw_common_support_pair(d, k, rng, rho_rank)
-    return [rho_k, sigma_k], basis
-
-
-def _pair(states: list[DensityMatrix], basis: np.ndarray | None) -> tuple[DensityMatrix, ...]:
-    """(rho, sigma) from the built states of a ``_draw_pair`` draw."""
-    rho, sigma = states
-    return (rho, sigma) if basis is None else embed_common_support(rho, sigma, basis)
-
-
-def _instances(run: _SuiteRun, config: SweepConfig, count: int, salt: int, max_dim: float = 8):
-    """(trial, stream, d) per suite instance: the stream from ``run.stream`` and
-    a dimension drawn from it among the configured dims in [2, max_dim]."""
-    dims = [d for d in config.dims if 2 <= d <= max_dim] or [2]
-    for i in range(count):
-        rng = run.stream(i, salt)
-        # the draw of rng.choice(dims), without converting dims to an array
-        yield i, rng, dims[int(rng.integers(0, len(dims), dtype=np.int64))]
+def _dims(config: SweepConfig, max_dim: float) -> list[int]:
+    """The configured dimensions in [2, max_dim], or [2] if there are none."""
+    return [d for d in config.dims if 2 <= d <= max_dim] or [2]
 
 
 #: bytes of drawn matrices per construction-kernel call: a suite draws
@@ -289,35 +288,28 @@ def _instances(run: _SuiteRun, config: SweepConfig, count: int, salt: int, max_d
 _BLOCK_BYTES = 1 << 18
 
 
-def _built(run: _SuiteRun, instances, draw):
-    """(trial, stream, d, states, drawn) per instance of ``instances``, in order.
+def _pairs(run: _SuiteRun, config: SweepConfig, count: int, salt: int, deficient):
+    """(trial, stream, PairEval) per instance of the bound sweeps' family: a
+    full-rank pair, or where ``deficient(trial)`` holds a pair with an exact
+    common kernel, sigma full-rank on the shared support."""
 
-    ``draw(trial, stream, d)`` makes every random draw of the instance that
-    feeds its states and returns the raw matrices of those states with
-    whatever else it drew.  Instances are drawn in blocks of _BLOCK_BYTES of
-    matrices; one DensityMatrix.stack call builds a block's states, and
-    ``run`` is pointed back at each instance's trial and salt before the
-    instance is yielded, so a counterexample records its own.  The checks
-    may go on drawing from the stream: no other instance uses it.
-    """
-    block, size = [], 0
-    for trial, rng, d in instances:
-        matrices, drawn = draw(trial, rng, d)
-        block.append((run._instance, trial, rng, d, matrices, drawn))
-        size += sum(m.nbytes for m in matrices)
-        if size >= _BLOCK_BYTES:
-            yield from _build_block(run, block)
-            block, size = [], 0
-    yield from _build_block(run, block)
+    def draw(trial, rng, d):
+        if not deficient(trial):
+            return [draw_density(d, d, rng), draw_density(d, d, rng)], None
+        k = int(rng.integers(1, d))
+        rho_rank = int(rng.integers(1, k + 1))
+        rho_k, sigma_k, basis = draw_common_support_pair(d, k, rng, rho_rank)
+        return [rho_k, sigma_k], basis
+
+    for trial, rng, _, states, basis in run.draws(salt, count, _dims(config, 8), draw):
+        rho, sigma = states if basis is None else embed_common_support(*states, basis)
+        yield trial, rng, PairEval(rho, sigma)
 
 
-def _build_block(run: _SuiteRun, block: list):
-    states = DensityMatrix.stack([m for *_, matrices, _ in block for m in matrices])
-    start = 0
-    for instance, trial, rng, d, matrices, drawn in block:
-        run._instance = instance
-        yield trial, rng, d, states[start : start + len(matrices)], drawn
-        start += len(matrices)
+def _check_reports(run: _SuiteRun, pair: PairEval, q: float, reports) -> None:
+    """Check the margin of each upper-bound report, recording the pair."""
+    for rep in reports:
+        run.check(rep.margin, states=(pair.rho, pair.sigma), context={"check": rep.name, "q": q})
 
 
 def _sample_q(rng, exact_every: int, i: int, lo: float = 1.0, hi: float = 2.0) -> float:
@@ -333,7 +325,7 @@ def _sample_q(rng, exact_every: int, i: int, lo: float = 1.0, hi: float = 2.0) -
 
 def _suite_linalg_norms(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     tol = 1e-10
-    for _, rng, d in _instances(run, config, count, salt=1, max_dim=math.inf):
+    for _, rng, d, _, _ in run.draws(1, count, _dims(config, math.inf), None):
         x, y, z = (_rand_complex(rng, d) for _ in range(3))
         xy = x @ y
         xyz = xy @ z
@@ -375,7 +367,7 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             got = quadrature.frac_power_scalar(a, r, form=form)
             run.check(1e-10 - abs(got - expect) / expect,
                       context={"check": "scalar_fixture", "a": a, "r": r, "form": form})
-    for i, rng, d in _instances(run, config, count, salt=2):
+    for i, rng, d, _, _ in run.draws(2, count, _dims(config, 8), None):
         a_op = _conditioned_pd(rng, d, log10_cond=float(rng.uniform(0.0, 6.0)))
         norm_inf = schatten_norm(a_op, math.inf)
         # one resolvent stack per form serves all three exponents
@@ -431,8 +423,8 @@ def _draw_state_checks(trial, rng, d):
 
 
 def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    instances = _instances(run, config, count, salt=3, max_dim=math.inf)
-    for _, _, d, states, drawn in _built(run, instances, _draw_state_checks):
+    dims = _dims(config, math.inf)
+    for _, _, d, states, drawn in run.draws(3, count, dims, _draw_state_checks):
         (rho, other, *extra), (rank, spec, controlled, lam) = states, drawn
         run.check(float(np.min(rho.spectrum)), context={"check": "psd"})
         run.check(1e-10 - abs(math.fsum(rho.spectrum) - 1.0), context={"check": "unit_trace"})
@@ -456,12 +448,10 @@ def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    instances = _instances(run, config, count, salt=4)
-    pairs = _built(run, instances, lambda i, rng, d: _draw_pair(rng, d, i % 3 == 2))
-    for i, rng, d, states, basis in pairs:
-        rho, sigma = _pair(states, basis)
+    for i, rng, pair in _pairs(run, config, count, 4, lambda i: i % 3 == 2):
+        rho, sigma = pair.rho, pair.sigma
         q = _sample_q(rng, exact_every=10, i=i)
-        value = quantum_relative_q(rho, sigma, q).value
+        value = pair.dq(q).value
         run.check(value + 1e-10, states=(rho, sigma), context={"check": "positivity", "q": q})
         dist = schatten_norm(rho.matrix - sigma.matrix, 1.0)
         if dist > 1e-4:
@@ -471,7 +461,7 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             self_val = quantum_relative_q(rho, rho, q).value
             run.check(1e-10 - abs(self_val), context={"check": "self_zero", "q": q})
 
-    dims = [d for d in config.dims if 2 <= d <= 8] or [2]
+    dims = _dims(config, 8)
 
     def draw_properties(i, rng, _):
         q = _sample_q(rng, exact_every=7, i=i)
@@ -487,8 +477,7 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         spec_b = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
         return matrices, (q, lam, da, db, u, spec_a, spec_b, haar_unitary(d, rng))
 
-    small = ((i, run.stream(i, 5), None) for i in range(max(1, count // 5)))
-    for _, _, _, states, drawn in _built(run, small, draw_properties):
+    for _, _, _, states, drawn in run.draws(5, max(1, count // 5), None, draw_properties):
         r1, s1, r2, s2, ra, sa, rb, sb, rho_ab, sigma_ab = states
         q, lam, da, db, u, spec_a, spec_b, basis = drawn
         # pseudoadditivity on tensor products
@@ -530,8 +519,10 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
                   context={"check": "classical_reduction", "q": q})
 
     # q -> 1 consistency on fixed pairs
-    fixed = ((i, run.stream(i, 6), 2 + 2 * i) for i in range(2))
-    for _, _, _, (rho, sigma), _ in _built(run, fixed, _draw_full_pair):
+    def draw_fixed(i, rng, _):
+        return [draw_density(2 + 2 * i, 2 + 2 * i, rng) for _ in range(2)], None
+
+    for _, _, _, (rho, sigma), _ in run.draws(6, 2, None, draw_fixed):
         d1 = relative_entropy_vn(rho, sigma).value
         ratios = []
         for k in range(2, 10):
@@ -543,62 +534,40 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             run.check(bound - ratio, states=(rho, sigma), context={"check": "q_to_1"})
 
 
-def _draw_full_pair(trial: int, rng, d: int) -> tuple[list[np.ndarray], None]:
-    return _draw_pair(rng, d, rank_deficient=False)
-
-
 def _suite_thm1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    instances = _instances(run, config, count, salt=7)
-    for i, rng, d, (rho, sigma), _ in _built(run, instances, _draw_full_pair):
+    for i, rng, pair in _pairs(run, config, count, 7, lambda i: False):
         q = _sample_q(rng, exact_every=10, i=i)
-        pair = PairEval(rho, sigma)
         reports = thm1_bounds(pair, q)
-        for rep in reports:
-            run.check(rep.margin, states=(rho, sigma), context={"check": rep.name, "q": q})
+        _check_reports(run, pair, q, reports)
         # the spectral-norm bound is never looser than the halved trace-norm one
         run.check(reports[1].rhs + 1e-12 * (1.0 + reports[1].rhs) - reports[0].rhs,
-                  states=(rho, sigma), context={"check": "rhs1_le_rhs2", "q": q})
+                  states=(pair.rho, pair.sigma), context={"check": "rhs1_le_rhs2", "q": q})
 
 
 def _suite_thm2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    instances = _instances(run, config, count, salt=8)
-    pairs = _built(run, instances, lambda i, rng, d: _draw_pair(rng, d, i % 2 == 1))
-    for i, rng, d, states, basis in pairs:
-        rho, sigma = _pair(states, basis)
+    for i, rng, pair in _pairs(run, config, count, 8, lambda i: i % 2 == 1):
         q = _sample_q(rng, exact_every=10, i=i)
-        pair = PairEval(rho, sigma)
-        for variant in ("general", "traceless"):
-            rep = thm2_bound(pair, q, variant)
-            run.check(rep.margin, states=(rho, sigma), context={"check": rep.name, "q": q})
+        _check_reports(run, pair, q, [thm2_bound(pair, q, v) for v in ("general", "traceless")])
 
 
 def _suite_thm3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    instances = _instances(run, config, count, salt=9)
-    pairs = _built(run, instances, lambda i, rng, d: _draw_pair(rng, d, i % 2 == 1))
-    for i, rng, d, states, basis in pairs:
-        rho, sigma = _pair(states, basis)
+    for i, rng, pair in _pairs(run, config, count, 9, lambda i: i % 2 == 1):
         if i % 5 == 4:
             q = float(rng.choice([2.0, 3.0, 4.0]))
         elif i % 2 == 0:
             q = _sample_q(rng, exact_every=0, i=i)
         else:
             q = _sample_q(rng, exact_every=0, i=i, lo=2.0, hi=6.0)
-        pair = PairEval(rho, sigma)
-        rep = thm3_bound(pair, q, "general")
-        run.check(rep.margin, states=(rho, sigma), context={"check": rep.name, "q": q})
+        _check_reports(run, pair, q, [thm3_bound(pair, q, "general")])
         q2 = _sample_q(rng, exact_every=10, i=i)
-        rep2 = thm3_bound(pair, q2, "q2")
-        run.check(rep2.margin, states=(rho, sigma), context={"check": rep2.name, "q": q2})
+        _check_reports(run, pair, q2, [thm3_bound(pair, q2, "q2")])
 
 
 def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    instances = _instances(run, config, count, salt=10)
-    pairs = _built(run, instances, lambda i, rng, d: _draw_pair(rng, d, i % 4 == 3))
-    for i, rng, d, states, basis in pairs:
-        rho, sigma = _pair(states, basis)
+    for i, rng, pair in _pairs(run, config, count, 10, lambda i: i % 4 == 3):
+        rho, sigma = pair.rho, pair.sigma
         q = _sample_q(rng, exact_every=10, i=i)
         p = 0.0 if i % 10 == 5 else float(rng.uniform(0.0, 1.0))
-        pair = PairEval(rho, sigma)
         for rep in lower_bounds(pair, q, p):
             run.check_bool(rep.holds, states=(rho, sigma),
                            context={"check": rep.name, "q": q, "p": p})
@@ -609,7 +578,7 @@ def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     r_values = (0.1, 0.5, 0.9)
-    for _, rng, d in _instances(run, config, count, salt=11):
+    for _, rng, d, _, _ in run.draws(11, count, _dims(config, 8), None):
         a_op = _rand_pd(rng, d)
         b_op = _rand_pd(rng, d)
         for r, rep in zip(r_values, frechet_check(OperatorPair(a_op, b_op), r_values)):
@@ -617,7 +586,7 @@ def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for _, rng, d in _instances(run, config, count, salt=12):
+    for _, rng, d, _, _ in run.draws(12, count, _dims(config, 8), None):
         x, y = _rand_herm(rng, d), _rand_herm(rng, d)
         ops = OperatorPair(x, y)
         for n in range(1, 7):
@@ -631,7 +600,7 @@ def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_lemma3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d in _instances(run, config, count, salt=13):
+    for i, rng, d, _, _ in run.draws(13, count, _dims(config, 8), None):
         rank = d if i % 3 else max(1, d - 1)
         g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
         a_m = g @ g.conj().T

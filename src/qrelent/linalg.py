@@ -68,9 +68,17 @@ def lapack_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, np.ascontiguousarray(u)
 
 
-def sort_eigensystem(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues ascending with the eigenvector columns in step; a spectrum
-    that already ascends, as every eigh result does, is returned as given."""
+def checked_eigensystem(eigenvalues, eigenvectors) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of an eigensystem (w, U), eigenvalues ascending with the
+    eigenvector columns in step; a spectrum that already ascends keeps its
+    order.  DimensionMismatch unless w is a vector and U square of its size;
+    NonFiniteInput for a NaN or infinite entry of either."""
+    w = np.array(eigenvalues, dtype=np.float64)
+    u = np.array(eigenvectors, dtype=np.complex128)
+    if w.ndim != 1 or u.shape != (w.size, w.size):
+        raise DimensionMismatch("eigenvalues and eigenvectors have inconsistent shapes")
+    if not (np.isfinite(w).all() and np.isfinite(u).all()):
+        raise NonFiniteInput("eigensystem has a NaN or infinite entry")
     if (w[1:] >= w[:-1]).all():
         return w, u
     order = np.argsort(w, kind="stable")
@@ -185,14 +193,8 @@ class HermitianOperator:
     @classmethod
     def from_eigensystem(cls, eigenvalues, eigenvectors) -> "HermitianOperator":
         """Build U diag(w) U^dag with the eigendecomposition cache pre-seeded;
-        a NaN or infinite eigenvalue or eigenvector entry is NonFiniteInput."""
-        w = np.array(eigenvalues, dtype=np.float64)
-        u = np.array(eigenvectors, dtype=np.complex128)
-        if w.ndim != 1 or u.shape != (w.size, w.size):
-            raise DimensionMismatch("eigenvalues and eigenvectors have inconsistent shapes")
-        if not (np.isfinite(w).all() and np.isfinite(u).all()):
-            raise NonFiniteInput("eigensystem has a NaN or infinite entry")
-        w, u = sort_eigensystem(w, u)
+        the eigensystem is checked and sorted by :func:`checked_eigensystem`."""
+        w, u = checked_eigensystem(eigenvalues, eigenvectors)
         mat = compose(w, u)
         for a in (mat, w, u):
             a.setflags(write=False)

@@ -29,10 +29,10 @@ from .linalg import (
     _EPS,
     MAX_DIM,
     HermitianOperator,
+    checked_eigensystem,
     checked_eigh,
     compose,
     hermitian_parts,
-    sort_eigensystem,
     square_dim,
 )
 
@@ -115,16 +115,11 @@ class DensityMatrix:
     @classmethod
     def from_eigensystem(cls, eigenvalues, eigenvectors) -> "DensityMatrix":
         """Build from a known eigensystem, keeping exact zeros exact."""
-        w = np.asarray(eigenvalues, dtype=np.float64)
-        u = np.array(eigenvectors, dtype=np.complex128)  # the state keeps this copy
-        if w.ndim != 1 or u.shape != (w.size, w.size):
-            raise DimensionMismatch("eigenvalues and eigenvectors have inconsistent shapes")
-        if not (np.isfinite(w).all() and np.isfinite(u).all()):
-            raise NonFiniteInput("eigensystem has a NaN or infinite entry")
+        w, u = checked_eigensystem(eigenvalues, eigenvectors)  # the state keeps the copy u
         tr = math.fsum(w.tolist())
         if abs(tr - 1.0) > TOL_STATE:
             raise NotNormalized(f"spectrum sums to {tr!r}, not 1 within {TOL_STATE:.1e}")
-        w, u, mat, (rank,) = _settle(*sort_eigensystem(w, u))
+        w, u, mat, (rank,) = _settle(w, u)
         obj = cls.__new__(cls)
         obj._adopt(w, u, mat, rank)
         return obj

@@ -174,16 +174,19 @@ class TestEvaluationCounts:
 
 
     def test_entropy_suite_repeats_no_evaluation(self, monkeypatch):
+        import qrelent.entropy as entropy_module
         import qrelent.harness as harness_module
 
         seen = []
-        original = harness_module.quantum_relative_q
+        original = entropy_module.quantum_relative_q
 
-        def recording(rho, sigma, q):
+        def recording(rho, sigma, q, pair=None):
             seen.append((rho.matrix.tobytes(), sigma.matrix.tobytes(), q))
-            return original(rho, sigma, q)
+            return original(rho, sigma, q, pair)
 
-        monkeypatch.setattr(harness_module, "quantum_relative_q", recording)
+        # the suite calls D_q directly and through each pair's PairEval.dq
+        for module in (harness_module, entropy_module):
+            monkeypatch.setattr(module, "quantum_relative_q", recording)
         run = harness_module._SuiteRun("entropy_properties", None, seed=4)
         harness_module._suite_entropy(run, SweepConfig(trials=10, seed=4), 10)
         assert run.failures == 0
@@ -346,6 +349,42 @@ class TestVerify:
         rng = trial_stream(doc["seed"], doc["trial"], doc["salt"])
         d = int(rng.choice(dims))
         pair = sample_density(d, d, rng), sample_density(d, d, rng)
+        for label, state in zip(("rho", "sigma"), pair):
+            replay = tmp_path / f"replay_{label}.json"
+            write_state(replay, state)
+            assert replay.read_bytes() == open(doc[f"{label}_path"], "rb").read()
+
+    def test_common_kernel_counterexample_replays(self, tmp_path, monkeypatch):
+        import qrelent.harness as hz
+        from qrelent.bounds import BoundReport
+        from qrelent.entropy import ExtendedReal
+        from qrelent.states import sample_common_support_pair
+
+        # the fourth thm2 instance (trial 3, odd, so a pair with a common
+        # kernel) fails: its first report has rhs -1
+        calls = []
+
+        def thm2_bound(pair, q, variant):
+            calls.append((pair.rho.rank, pair.sigma.rank))
+            rhs = -1.0 if len(calls) == 7 else 1.0
+            return BoundReport("forced", ExtendedReal.finite(0.0), rhs, rhs > 0.0)
+
+        monkeypatch.setattr(hz, "thm2_bound", thm2_bound)
+        monkeypatch.setattr(hz, "_SUITES", (("thm2_soundness", hz._suite_thm2, 1),))
+        dims = (2, 3, 5)
+        report = cmd_verify(SweepConfig(dims=dims, trials=6, seed=13,
+                                        output_path=str(tmp_path / "r.json")))
+        assert report.suites[0].failures == 1
+        doc = json.loads((tmp_path / "counterexample_thm2_soundness_context.json").read_text())
+        assert (doc["seed"], doc["trial"], doc["salt"]) == (13, 3, 8)
+        # the replay recipe's common-kernel branch: the support rank k and
+        # rho's rank on it follow the dimension draw, then the pair
+        rng = trial_stream(doc["seed"], doc["trial"], doc["salt"])
+        d = int(rng.choice(dims))
+        k = int(rng.integers(1, d))
+        rho_rank = int(rng.integers(1, k + 1))
+        pair = sample_common_support_pair(d, k, rng, rho_rank)
+        assert (pair[0].rank, pair[1].rank) == calls[6] == (rho_rank, k)
         for label, state in zip(("rho", "sigma"), pair):
             replay = tmp_path / f"replay_{label}.json"
             write_state(replay, state)
@@ -533,25 +572,39 @@ class TestCli:
        dims=st.lists(st.integers(2, 8), min_size=1, max_size=7))
 @settings(max_examples=60, deadline=None)
 def test_instances_draw_as_choice(seed, salt, dims):
-    # each suite instance's dimension is the draw rng.choice(dims) makes, and
-    # leaves the trial's stream where rng.choice leaves it
+    # each instance's dimension is the draw rng.choice(dims) makes, and
+    # leaves the trial's stream where rng.choice leaves it; with no draw, an
+    # instance comes as soon as it is counted
     run = harness._SuiteRun("demo", None, seed)
-    for i, rng, d in harness._instances(run, SweepConfig(dims=tuple(dims)), 4, salt):
+    for i, rng, d, states, drawn in run.draws(salt, 4, dims, None):
+        assert run.instances == i + 1
         reference = trial_stream(seed, i, salt=salt)
         assert d == int(reference.choice(dims))
         assert rng.standard_normal(3).tolist() == reference.standard_normal(3).tolist()
+        assert (states, drawn) == ([], None)
     assert run.instances == 4
+
+    # with no dims, draw gets the trial's stream before any draw
+    def draw(i, rng, d):
+        assert d is None
+        fresh = trial_stream(seed, i, salt=salt)
+        assert rng.standard_normal(3).tolist() == fresh.standard_normal(3).tolist()
+        return [], i
+
+    assert [drawn for *_, drawn in run.draws(salt, 3, None, draw)] == [0, 1, 2]
+    assert run.instances == 7
 
 
 #: the suites that draw their states and build them in blocks
-_BLOCKED_SUITES = ("_suite_states", "_suite_entropy", "_suite_thm1", "_suite_thm2",
-                   "_suite_thm3", "_suite_lower")
+_STACKING_SUITES = {"_suite_states", "_suite_entropy", "_suite_thm1", "_suite_thm2",
+                    "_suite_thm3", "_suite_lower"}
 
 
-@pytest.mark.parametrize("builder", _BLOCKED_SUITES)
+@pytest.mark.parametrize("builder", [b.__name__ for _, b, _ in harness._SUITES])
 def test_block_size_changes_no_result(monkeypatch, builder):
     # with one instance per block, as with the default blocks, a suite gives
-    # the same SuiteResult; the kernel is called once per block
+    # the same SuiteResult; a suite that builds states calls the kernel once
+    # per block, and the others never call it
     calls = []
     stack = DensityMatrix.stack.__func__
 
@@ -571,9 +624,13 @@ def test_block_size_changes_no_result(monkeypatch, builder):
     default, default_calls = run_suite(harness._BLOCK_BYTES)
     alone, alone_calls = run_suite(1)
     assert alone == default
-    assert default.instances_run >= 30 and default.failures == 0
-    # every instance builds at least one state, alone in its block
-    assert len([n for n in alone_calls if n]) >= 30 > len(default_calls)
+    assert default.failures == 0
+    if builder in _STACKING_SUITES:
+        assert default.instances_run >= 30
+        # every instance builds at least one state, alone in its block
+        assert len([n for n in alone_calls if n]) >= 30 > len(default_calls)
+    else:
+        assert alone_calls == default_calls == []
 
 
 @pytest.mark.parametrize("block_bytes", [1, 1 << 18])

@@ -10,6 +10,7 @@ from qrelent.errors import (
     BadFactorization,
     BadSpectrum,
     ConvergenceFailure,
+    DimensionMismatch,
     NonFiniteInput,
     NonHermitianInput,
     NotNormalized,
@@ -632,3 +633,19 @@ class TestStackedKernel:
         m = sample_density(5, 3, rng).matrix
         (state,) = DensityMatrix.stack([m])
         assert _outcome(lambda: state) == _outcome(lambda: DensityMatrix(m))
+
+
+@pytest.mark.parametrize("build", [HermitianOperator.from_eigensystem,
+                                   DensityMatrix.from_eigensystem], ids=["operator", "state"])
+@pytest.mark.parametrize("w, u, error", [
+    ([0.5, 0.5], np.eye(3), DimensionMismatch),
+    ([[0.5, 0.5]], np.eye(2), DimensionMismatch),
+    ([0.5, 0.5], np.eye(2)[:, :1], DimensionMismatch),
+    ([math.nan, 1.0], np.eye(2), NonFiniteInput),
+    ([0.5, 0.5], [[1.0, math.inf], [0.0, 1.0]], NonFiniteInput),
+], ids=["basis_too_large", "values_not_vector", "basis_not_square", "nan_value", "inf_vector"])
+def test_eigensystem_rejected_by_both_constructors(build, w, u, error):
+    # both constructors run the one eigensystem check, before any trace gate
+    with pytest.raises(error):
+        build(w, u)
+
