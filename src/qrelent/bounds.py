@@ -10,6 +10,9 @@ lemma checks are functions of an ``OperatorPair``, which shares the singular
 values of two operands the same way.  A report holds only its own values;
 the summary and distances stay on the context.
 
+Every verdict, here and in the verify suites, applies one rule, ``margin``:
+lhs <= rhs holds within an allowance iff rhs + allowance - lhs >= 0.
+
 A report is *vacuous* when the hypotheses of the inequality fail for the
 given states (for example a rank-deficient state where strict positivity is
 required); the right-hand side is then +inf and ``holds`` is true by
@@ -27,7 +30,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .linalg import (
-    PSD_TOL,
     as_herm,
     herm_power,
     norm_distances,
@@ -42,17 +44,19 @@ from .entropy import ExtendedReal, PairEval, q_log
 #: relative slack allowed by the ``holds`` verdict: lhs <= rhs + tol*(1+rhs)
 TOL_BOUND = 1e-9
 
-#: extra allowance for quadrature error in the PSD-gap check
-FRECHET_QUAD_ALLOWANCE = 1e-7
+#: allowance of the Lemma 1 PSD-gap check, for eigenvalue rounding and
+#: quadrature error together
+FRECHET_ALLOWANCE = 1e-7
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of one inequality check.
 
-    ``holds`` applies the relative tolerance, and ``extras`` carries
-    evaluator-specific constants (intermediate links of a chain, exponents,
-    norm bounds).
+    ``holds`` is ``margin(lhs, rhs, allowance) >= 0``, except in the
+    lower-bound chains, which apply the rule to each link of the chain.
+    ``extras`` carries evaluator-specific constants (intermediate links of a
+    chain, exponents, norm bounds).
     """
 
     name: str
@@ -61,6 +65,7 @@ class BoundReport:
     holds: bool
     vacuous: bool = False
     extras: dict[str, float] = field(default_factory=dict)
+    allowance: float = 0.0
 
     @property
     def slack(self) -> float | None:
@@ -68,15 +73,6 @@ class BoundReport:
         if self.vacuous or math.isinf(self.rhs):
             return None
         return self.rhs - self.lhs.value
-
-    @property
-    def margin(self) -> float:
-        """rhs + TOL_BOUND*(1 + rhs) - lhs, at least 0 iff an upper bound
-        ``holds``; +inf when vacuous or rhs is infinite.  The lower-bound
-        chains and the Frechet check decide ``holds`` by their own rules."""
-        if self.vacuous or math.isinf(self.rhs):
-            return math.inf
-        return _margin(self.lhs.value, self.rhs)
 
 
 class OperatorPair:
@@ -119,36 +115,35 @@ class OperatorPair:
         return self._power_diff[n]
 
 
-def _margin(lhs: float, rhs: float) -> float:
-    return rhs + TOL_BOUND * (1.0 + rhs) - lhs
+def margin(lhs: float, rhs: float, allowance: float) -> float:
+    """The rule of every verdict: lhs <= rhs holds within ``allowance`` iff the
+    margin rhs + allowance - lhs, computed in that order, is at least 0.
+
+    A +inf rhs holds against any lhs but NaN, with margin +inf.  A NaN
+    anywhere else gives a NaN margin, which fails, since NaN >= 0 is false.
+    """
+    if rhs == math.inf and not math.isnan(lhs):
+        return math.inf
+    return rhs + allowance - lhs
 
 
-def _verdict(lhs: ExtendedReal, rhs: float, vacuous: bool) -> bool:
-    if vacuous:
-        return True
+def _report(name: str, lhs: ExtendedReal, rhs: float, vacuous: bool,
+            extras: dict[str, float]) -> BoundReport:
+    """An upper-bound report: lhs <= rhs within TOL_BOUND*(1 + rhs)."""
     if math.isinf(lhs.value) and math.isfinite(rhs):
         raise InternalInconsistency(
             "infinite divergence against a finite bound while hypotheses hold; "
             "kernel-inclusion tolerances are inconsistent"
         )
-    return math.isinf(rhs) or _margin(lhs.value, rhs) >= 0.0
-
-
-def _report(name: str, lhs: ExtendedReal, rhs: float, vacuous: bool,
-            extras: dict[str, float]) -> BoundReport:
-    return BoundReport(name, lhs, rhs, _verdict(lhs, rhs, vacuous), vacuous, extras)
+    allowance = TOL_BOUND * (1.0 + rhs)
+    return BoundReport(name, lhs, rhs, margin(lhs.value, rhs, allowance) >= 0.0, vacuous,
+                       extras, allowance)
 
 
 def _chain_holds(*links: float) -> bool:
     """Monotone chain check with the relative tolerance at every link."""
-    for low, high in zip(links[:-1], links[1:]):
-        if math.isinf(high):
-            continue
-        if math.isinf(low):
-            return False
-        if not low <= high + TOL_BOUND * (1.0 + abs(high)):
-            return False
-    return True
+    return all(margin(low, high, TOL_BOUND * (1.0 + abs(high))) >= 0.0
+               for low, high in zip(links, links[1:]))
 
 
 def _gate_q(q: float, q_max: float) -> float:
@@ -370,7 +365,7 @@ def frechet_check(ops: OperatorPair, rs) -> tuple[BoundReport, ...]:
     The left side is evaluated by spectral calculus, the right side by
     resolvent quadrature in the direction B - A, one stack of solves for
     every r; each report's rhs is the minimum eigenvalue of (right - left),
-    which must not drop below -(PSD_TOL + quadrature allowance).
+    which must not drop below -FRECHET_ALLOWANCE.
     """
     A, B = ops.a, ops.b
     rs = tuple(float(r) for r in rs)
@@ -381,10 +376,10 @@ def frechet_check(ops: OperatorPair, rs) -> tuple[BoundReport, ...]:
         w = op.eigenvalues()
         if float(w[0]) <= zero_threshold(w):
             raise PreconditionFailed(f"{side} operand must be strictly positive")
-    allowance = PSD_TOL + FRECHET_QUAD_ALLOWANCE
     reports = []
     for r, rhs_op in zip(rs, frechet_integral_rhs(A, B - A, rs)):
         gap = psd_gap(herm_power(A, -r) - herm_power(B, -r), rhs_op)
         reports.append(BoundReport("frechet_gap", ExtendedReal.finite(0.0), gap,
-                                   gap >= -allowance, False, {"r": r, "allowance": allowance}))
+                                   margin(0.0, gap, FRECHET_ALLOWANCE) >= 0.0, False, {"r": r},
+                                   FRECHET_ALLOWANCE))
     return tuple(reports)

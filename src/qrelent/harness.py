@@ -27,6 +27,7 @@ from .bounds import (
     frechet_check,
     lemma3_bound,
     lower_bounds,
+    margin,
     power_diff_bound,
     thm1_bounds,
     thm2_bound,
@@ -137,6 +138,7 @@ class SuiteResult:
     failures: int
     worst_slack: float | None
     counterexample_path: str | None = None
+    closest: dict | None = None
 
 
 @dataclass
@@ -156,8 +158,8 @@ class VerifyReport:
 
 
 class _SuiteRun:
-    """Accumulates margins for one suite; a negative margin is a failure and
-    serializes the offending instance to disk (first failure only)."""
+    """Accumulates the checks of one suite; a failed check serializes the
+    offending instance to disk (first failure only)."""
 
     def __init__(self, name: str, out_dir: Path | None, seed: int):
         self.name = name
@@ -166,6 +168,7 @@ class _SuiteRun:
         self.instances = 0
         self.failures = 0
         self.worst: float | None = None
+        self.closest: dict | None = None
         self.counterexample_path: str | None = None
         self._instance: dict = {}
 
@@ -203,25 +206,38 @@ class _SuiteRun:
                 start += len(matrices)
             block, size = [], 0
 
-    def check(self, margin: float, states=None, context: dict | None = None) -> None:
-        margin = float(margin)
-        if math.isfinite(margin):
-            self.worst = margin if self.worst is None else min(self.worst, margin)
-        if margin < 0.0:
-            self.failures += 1
-            self._record(states, context, margin)
+    def le(self, name: str, lhs: float, rhs: float, allowance: float, states=None,
+           **where) -> None:
+        """Check lhs <= rhs within ``allowance`` by ``bounds.margin``; ``where``
+        names the check's parameters in a counterexample and in ``closest``.
 
-    def check_bool(self, ok: bool, states=None, context: dict | None = None) -> None:
+        A finite margin counts toward ``worst``.  Of the checks with a finite
+        lhs and 0 < rhs < inf, the one with the largest lhs/rhs is ``closest``,
+        recorded with its instance's trial and salt so it can be redrawn.
+        """
+        lhs, rhs = float(lhs), float(rhs)
+        m = margin(lhs, rhs, float(allowance))
+        if math.isfinite(m):
+            self.worst = m if self.worst is None else min(self.worst, m)
+        if not m >= 0.0:  # a NaN margin fails
+            self.failures += 1
+            self._record(states, name, where, m)
+        if math.isfinite(lhs) and 0.0 < rhs < math.inf and (
+                self.closest is None or lhs / rhs > self.closest["ratio"]):
+            self.closest = {"check": name, "ratio": lhs / rhs, **self._instance, **where}
+
+    def verdict(self, name: str, ok: bool, states=None, **where) -> None:
+        """Check a verdict with no number behind it: ``ok`` false is a failure."""
         if not ok:
             self.failures += 1
-            self._record(states, context, None)
+            self._record(states, name, where, None)
 
-    def _record(self, states, context, margin) -> None:
+    def _record(self, states, name: str, where: dict, m: float | None) -> None:
         if self.counterexample_path is not None or self.out_dir is None:
             return
         stem = self.out_dir / f"counterexample_{self.name}"
-        doc = {"suite": self.name, "seed": self.seed, "margin": margin, **self._instance}
-        doc.update(context or {})
+        doc = {"suite": self.name, "seed": self.seed, "margin": m, **self._instance,
+               "check": name, **where}
         if states is not None:
             for label, state in zip(("rho", "sigma"), states):
                 write_state(f"{stem}_{label}.json", state)
@@ -231,9 +247,8 @@ class _SuiteRun:
         self.counterexample_path = f"{stem}_context.json"
 
     def result(self) -> SuiteResult:
-        return SuiteResult(
-            self.name, self.instances, self.failures, self.worst, self.counterexample_path
-        )
+        return SuiteResult(self.name, self.instances, self.failures, self.worst,
+                           self.counterexample_path, self.closest)
 
 
 def sigma_family(d: int, b0: float) -> DensityMatrix:
@@ -306,12 +321,6 @@ def _pairs(run: _SuiteRun, config: SweepConfig, count: int, salt: int, deficient
         yield trial, rng, PairEval(rho, sigma)
 
 
-def _check_reports(run: _SuiteRun, pair: PairEval, q: float, reports) -> None:
-    """Check the margin of each upper-bound report, recording the pair."""
-    for rep in reports:
-        run.check(rep.margin, states=(pair.rho, pair.sigma), context={"check": rep.name, "q": q})
-
-
 def _sample_q(rng, exact_every: int, i: int, lo: float = 1.0, hi: float = 2.0) -> float:
     if exact_every and i % exact_every == 0:
         return hi
@@ -333,29 +342,25 @@ def _suite_linalg_norms(run: _SuiteRun, config: SweepConfig, count: int) -> None
         sx, sy, sz, sxy, sxyz = map(singular_values, (x, y, z, xy, xyz))
         for p in (1.0, 2.0, math.inf):
             rhs = schatten_norm(sx, math.inf) * schatten_norm(sy, p) * schatten_norm(sz, math.inf)
-            scale = max(1.0, rhs)
-            run.check(rhs + tol * scale - schatten_norm(sxyz, p),
-                      context={"check": "holder", "p": p})
+            run.le("holder", schatten_norm(sxyz, p), rhs, tol * max(1.0, rhs), p=p)
             sub_rhs = schatten_norm(sx, p) * schatten_norm(sy, p)
-            run.check(sub_rhs + tol * max(1.0, sub_rhs) - schatten_norm(sxy, p),
-                      context={"check": "submultiplicative", "p": p})
+            run.le("submultiplicative", schatten_norm(sxy, p), sub_rhs,
+                   tol * max(1.0, sub_rhs), p=p)
         tr_rhs = schatten_norm(sx, math.inf) * schatten_norm(sz, math.inf) * schatten_norm(sy, 1.0)
-        run.check(tr_rhs + tol * max(1.0, tr_rhs) - abs(np.trace(xyz)),
-                  context={"check": "trace_bound"})
+        run.le("trace_bound", abs(np.trace(xyz)), tr_rhs, tol * max(1.0, tr_rhs))
         for p_lo, p_hi in ((1.0, 2.0), (2.0, math.inf), (1.0, math.inf)):
-            run.check(schatten_norm(sx, p_lo) + tol - schatten_norm(sx, p_hi),
-                      context={"check": "p_monotone"})
+            run.le("p_monotone", schatten_norm(sx, p_hi), schatten_norm(sx, p_lo), tol)
         h = _rand_herm(rng, d)
         delta = HermitianOperator(h.matrix - (h.trace() / d) * np.eye(d))
         s_delta = singular_values(delta)
-        run.check(0.5 * schatten_norm(s_delta, 1.0) + tol - schatten_norm(s_delta, math.inf),
-                  context={"check": "traceless_half"})
+        run.le("traceless_half", schatten_norm(s_delta, math.inf),
+               0.5 * schatten_norm(s_delta, 1.0), tol)
         composed = apply_function(h, lambda lam: math.exp(lam / 2.0) ** 2)
         stepped = apply_function(apply_function(h, lambda lam: math.exp(lam / 2.0)),
                                  lambda lam: lam**2)
         scale = max(1.0, schatten_norm(composed, math.inf))
         err = float(np.max(np.abs(composed.matrix - stepped.matrix)))
-        run.check(1e-10 * scale - err, context={"check": "composition"})
+        run.le("composition", err, 0.0, 1e-10 * scale)
 
 
 def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
@@ -365,8 +370,8 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     for a, r, expect in ((4.0, 0.5, 2.0), (8.0, 1.0 / 3.0, 2.0), (1.0, 0.7, 1.0)):
         for form in ("first", "second"):
             got = quadrature.frac_power_scalar(a, r, form=form)
-            run.check(1e-10 - abs(got - expect) / expect,
-                      context={"check": "scalar_fixture", "a": a, "r": r, "form": form})
+            run.le("scalar_fixture", abs(got - expect) / expect, 0.0, 1e-10,
+                   a=a, r=r, form=form)
     for i, rng, d, _, _ in run.draws(2, count, _dims(config, 8), None):
         a_op = _conditioned_pd(rng, d, log10_cond=float(rng.uniform(0.0, 6.0)))
         norm_inf = schatten_norm(a_op, math.inf)
@@ -376,13 +381,11 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
                    if i % 4 == 0 else (None,) * len(r_values))
         for r, first, second in zip(r_values, firsts, seconds):
             spectral = apply_function(a_op, lambda lam: lam**r)
-            budget = 1e-8 * norm_inf**r
             err = float(np.max(np.abs(first.matrix - spectral.matrix)))
-            run.check(budget - err, context={"check": "oracle_first", "r": r})
+            run.le("oracle_first", err, 0.0, 1e-8 * norm_inf**r, r=r)
             if second is not None:
                 err2 = float(np.max(np.abs(second.matrix - first.matrix)))
-                run.check(1e-8 * max(1.0, norm_inf**r) - err2,
-                          context={"check": "forms_agree", "r": r})
+                run.le("forms_agree", err2, 0.0, 1e-8 * max(1.0, norm_inf**r), r=r)
         # scalar resolvent-pair identity against its closed form; scales are
         # kept at the density-eigenvalue range and well separated, so the
         # closed-form value stays O(100) and the absolute 1e-10 comparison is
@@ -392,14 +395,12 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         for r in r_values:
             closed = quadrature.resolvent_pair_closed_form(a0, b0, r)
             got = quadrature.resolvent_pair_integral(a0, b0, r)
-            run.check(1e-10 - abs(got - closed), context={"check": "pair_identity", "r": r})
-            lam0 = min(a0, b0)
-            envelope = lam0 ** (-(r + 1.0))
-            run.check(envelope + 1e-12 * envelope - closed,
-                      context={"check": "pair_envelope", "r": r})
+            run.le("pair_identity", abs(got - closed), 0.0, 1e-10, r=r)
+            envelope = min(a0, b0) ** (-(r + 1.0))
+            run.le("pair_envelope", closed, envelope, 1e-12 * envelope, r=r)
         limit_base = float(rng.uniform(0.1, 1.0))
         got = quadrature.resolvent_pair_integral(limit_base, limit_base, 0.5)
-        run.check(1e-10 - abs(got - 0.5 * limit_base**-1.5), context={"check": "pair_limit"})
+        run.le("pair_limit", abs(got - 0.5 * limit_base**-1.5), 0.0, 1e-10)
 
 
 def _draw_state_checks(trial, rng, d):
@@ -426,25 +427,20 @@ def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     dims = _dims(config, math.inf)
     for _, _, d, states, drawn in run.draws(3, count, dims, _draw_state_checks):
         (rho, other, *extra), (rank, spec, controlled, lam) = states, drawn
-        run.check(float(np.min(rho.spectrum)), context={"check": "psd"})
-        run.check(1e-10 - abs(math.fsum(rho.spectrum) - 1.0), context={"check": "unit_trace"})
-        run.check_bool(rho.rank == rank, states=(rho, rho),
-                       context={"check": "rank", "expected": rank})
+        run.le("psd", 0.0, np.min(rho.spectrum), 0.0)
+        run.le("unit_trace", abs(math.fsum(rho.spectrum) - 1.0), 0.0, 1e-10)
+        run.verdict("rank", rho.rank == rank, states=(rho, rho), expected=rank)
         proj = rho.support_projector.matrix
-        run.check(PSD_TOL - float(np.max(np.abs(proj @ proj - proj))),
-                  context={"check": "projector_idempotent"})
-        run.check(1e-10 - abs(float(np.trace(proj).real) - rho.rank),
-                  context={"check": "projector_trace"})
-        run.check_bool(kernel_included(rho, rho), context={"check": "kernel_reflexive"})
-        run.check(1e-10 - float(np.max(np.abs(controlled.spectrum - spec))),
-                  context={"check": "spectrum_roundtrip"})
+        run.le("projector_idempotent", np.max(np.abs(proj @ proj - proj)), 0.0, PSD_TOL)
+        run.le("projector_trace", abs(float(np.trace(proj).real) - rho.rank), 0.0, 1e-10)
+        run.verdict("kernel_reflexive", kernel_included(rho, rho))
+        run.le("spectrum_roundtrip", np.max(np.abs(controlled.spectrum - spec)), 0.0, 1e-10)
         # mixing closure
         mix = DensityMatrix(lam * rho.matrix + (1.0 - lam) * other.matrix)
-        run.check_bool(mix.dim == d, context={"check": "mixing_closure"})
+        run.verdict("mixing_closure", mix.dim == d)
         if extra:
             deficient, full = extra
-            run.check_bool(not kernel_included(deficient, full),
-                           context={"check": "kernel_excluded"})
+            run.verdict("kernel_excluded", not kernel_included(deficient, full))
 
 
 def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
@@ -452,14 +448,12 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         rho, sigma = pair.rho, pair.sigma
         q = _sample_q(rng, exact_every=10, i=i)
         value = pair.dq(q).value
-        run.check(value + 1e-10, states=(rho, sigma), context={"check": "positivity", "q": q})
+        run.le("positivity", 0.0, value, 1e-10, states=(rho, sigma), q=q)
         dist = schatten_norm(rho.matrix - sigma.matrix, 1.0)
         if dist > 1e-4:
-            run.check_bool(value > 1e-10, states=(rho, sigma),
-                           context={"check": "zero_only_at_equality", "q": q})
+            run.verdict("zero_only_at_equality", value > 1e-10, states=(rho, sigma), q=q)
         if i % 25 == 0:
-            self_val = quantum_relative_q(rho, rho, q).value
-            run.check(1e-10 - abs(self_val), context={"check": "self_zero", "q": q})
+            run.le("self_zero", abs(quantum_relative_q(rho, rho, q).value), 0.0, 1e-10, q=q)
 
     dims = _dims(config, 8)
 
@@ -485,38 +479,34 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         v2 = quantum_relative_q(r2, s2, q).value
         joint = quantum_relative_q(tensor(r1, r2), tensor(s1, s2), q).value
         expect = v1 + v2 + (q - 1.0) * v1 * v2
-        run.check(1e-9 - abs(joint - expect), context={"check": "pseudoadditive", "q": q})
+        run.le("pseudoadditive", abs(joint - expect), 0.0, 1e-9, q=q)
         # joint convexity
         mix_r = DensityMatrix(lam * ra.matrix + (1.0 - lam) * rb.matrix)
         mix_s = DensityMatrix(lam * sa.matrix + (1.0 - lam) * sb.matrix)
         mixed = quantum_relative_q(mix_r, mix_s, q).value
         base = quantum_relative_q(ra, sa, q).value
         averaged = lam * base + (1.0 - lam) * quantum_relative_q(rb, sb, q).value
-        run.check(averaged + 1e-9 - mixed, states=(mix_r, mix_s),
-                  context={"check": "joint_convexity", "q": q})
+        run.le("joint_convexity", mixed, averaged, 1e-9, states=(mix_r, mix_s), q=q)
         # monotonicity under partial trace
         whole = quantum_relative_q(rho_ab, sigma_ab, q).value
         reduced = quantum_relative_q(
             partial_trace(rho_ab, da, db, "A"), partial_trace(sigma_ab, da, db, "A"), q
         ).value
-        run.check(whole + 1e-9 - reduced, states=(rho_ab, sigma_ab),
-                  context={"check": "partial_trace_monotone", "q": q})
+        run.le("partial_trace_monotone", reduced, whole, 1e-9, states=(rho_ab, sigma_ab), q=q)
         # unitary invariance
         rot = quantum_relative_q(
             DensityMatrix(u @ ra.matrix @ u.conj().T),
             DensityMatrix(u @ sa.matrix @ u.conj().T),
             q,
         ).value
-        run.check(1e-9 * (1.0 + abs(base)) - abs(rot - base),
-                  context={"check": "unitary_invariance", "q": q})
+        run.le("unitary_invariance", abs(rot - base), 0.0, 1e-9 * (1.0 + abs(base)), q=q)
         # reduction to the classical formula for commuting states; pairing of
         # the two spectra follows the shared eigenbasis columns
         qa = DensityMatrix.from_eigensystem(spec_a, basis)
         qb = DensityMatrix.from_eigensystem(spec_b, basis)
         quantum = quantum_relative_q(qa, qb, q).value
         classical = classical_relative_q(spec_a, spec_b, q).value
-        run.check(1e-10 - abs(quantum - classical),
-                  context={"check": "classical_reduction", "q": q})
+        run.le("classical_reduction", abs(quantum - classical), 0.0, 1e-10, q=q)
 
     # q -> 1 consistency on fixed pairs
     def draw_fixed(i, rng, _):
@@ -529,25 +519,26 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             q = 1.0 + 10.0**-k
             dq = quantum_relative_q(rho, sigma, q).value
             ratios.append(abs(dq - d1) / (q - 1.0))
-        bound = 2.0 * ratios[0] + 1e-9
         for ratio in ratios[1:]:
-            run.check(bound - ratio, states=(rho, sigma), context={"check": "q_to_1"})
+            run.le("q_to_1", ratio, 2.0 * ratios[0], 1e-9, states=(rho, sigma))
 
 
 def _suite_thm1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     for i, rng, pair in _pairs(run, config, count, 7, lambda i: False):
         q = _sample_q(rng, exact_every=10, i=i)
-        reports = thm1_bounds(pair, q)
-        _check_reports(run, pair, q, reports)
+        states, reports = (pair.rho, pair.sigma), thm1_bounds(pair, q)
+        for rep in reports:
+            run.le(rep.name, rep.lhs.value, rep.rhs, rep.allowance, states, q=q)
         # the spectral-norm bound is never looser than the halved trace-norm one
-        run.check(reports[1].rhs + 1e-12 * (1.0 + reports[1].rhs) - reports[0].rhs,
-                  states=(pair.rho, pair.sigma), context={"check": "rhs1_le_rhs2", "q": q})
+        rhs1, rhs2 = reports[0].rhs, reports[1].rhs
+        run.le("rhs1_le_rhs2", rhs1, rhs2, 1e-12 * (1.0 + rhs2), states, q=q)
 
 
 def _suite_thm2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     for i, rng, pair in _pairs(run, config, count, 8, lambda i: i % 2 == 1):
         q = _sample_q(rng, exact_every=10, i=i)
-        _check_reports(run, pair, q, [thm2_bound(pair, q, v) for v in ("general", "traceless")])
+        for rep in (thm2_bound(pair, q, v) for v in ("general", "traceless")):
+            run.le(rep.name, rep.lhs.value, rep.rhs, rep.allowance, (pair.rho, pair.sigma), q=q)
 
 
 def _suite_thm3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
@@ -558,9 +549,9 @@ def _suite_thm3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             q = _sample_q(rng, exact_every=0, i=i)
         else:
             q = _sample_q(rng, exact_every=0, i=i, lo=2.0, hi=6.0)
-        _check_reports(run, pair, q, [thm3_bound(pair, q, "general")])
-        q2 = _sample_q(rng, exact_every=10, i=i)
-        _check_reports(run, pair, q2, [thm3_bound(pair, q2, "q2")])
+        for variant, q in (("general", q), ("q2", _sample_q(rng, exact_every=10, i=i))):
+            rep = thm3_bound(pair, q, variant)
+            run.le(rep.name, rep.lhs.value, rep.rhs, rep.allowance, (pair.rho, pair.sigma), q=q)
 
 
 def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
@@ -569,11 +560,9 @@ def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         q = _sample_q(rng, exact_every=10, i=i)
         p = 0.0 if i % 10 == 5 else float(rng.uniform(0.0, 1.0))
         for rep in lower_bounds(pair, q, p):
-            run.check_bool(rep.holds, states=(rho, sigma),
-                           context={"check": rep.name, "q": q, "p": p})
-            if rep.slack is not None and math.isfinite(rep.slack):
-                run.check(rep.slack + TOL_BOUND, states=(rho, sigma),
-                          context={"check": rep.name + "_slack", "q": q, "p": p})
+            run.verdict(rep.name, rep.holds, states=(rho, sigma), q=q, p=p)
+            run.le(rep.name + "_slack", 0.0, rep.rhs - rep.lhs.value, TOL_BOUND,
+                   states=(rho, sigma), q=q, p=p)
 
 
 def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
@@ -582,7 +571,7 @@ def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         a_op = _rand_pd(rng, d)
         b_op = _rand_pd(rng, d)
         for r, rep in zip(r_values, frechet_check(OperatorPair(a_op, b_op), r_values)):
-            run.check(rep.rhs + 1e-7, context={"check": "psd_gap", "r": r})
+            run.le("psd_gap", rep.lhs.value, rep.rhs, rep.allowance, r=r)
 
 
 def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
@@ -592,11 +581,10 @@ def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         for n in range(1, 7):
             for p in (1.0, 2.0, math.inf):
                 rep = power_diff_bound(ops, n, p)
-                run.check(rep.margin, context={"check": "power_diff", "n": n, "p": p})
+                run.le(rep.name, rep.lhs.value, rep.rhs, rep.allowance, n=n, p=p)
                 if n == 1:
-                    scale = max(1.0, rep.rhs)
-                    run.check(1e-10 * scale - abs(rep.rhs - rep.lhs.value),
-                              context={"check": "n1_equality", "p": p})
+                    run.le("n1_equality", abs(rep.rhs - rep.lhs.value), 0.0,
+                           1e-10 * max(1.0, rep.rhs), p=p)
 
 
 def _suite_lemma3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
@@ -609,7 +597,7 @@ def _suite_lemma3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         ops = OperatorPair(a_op, b_op)
         for s in (0.25, 0.5, 0.75):
             rep = lemma3_bound(ops, s)
-            run.check(rep.margin, context={"check": "lemma3", "s": s})
+            run.le(rep.name, rep.lhs.value, rep.rhs, rep.allowance, s=s)
 
 
 ENVELOPE_B0 = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -683,17 +671,17 @@ def _suite_envelope(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     for rec in divergence_envelope(config.seed, d=4):
         run.instances += 1
         where = {k: rec[k] for k in ("trial", "salt", "q", "b0")}
-        run.check_bool(rec["holds"], context={"check": "dq_le_thm3", **where})
-        run.check(rec["envelope_constant"] * (1.0 + TOL_BOUND) + TOL_BOUND - rec["ratio"],
-                  context={"check": "ratio_bounded", **where})
+        run.verdict("dq_le_thm3", rec["holds"], **where)
+        run.le("ratio_bounded", rec["ratio"], rec["envelope_constant"] * (1.0 + TOL_BOUND),
+               TOL_BOUND, **where)
 
 
 def _suite_crossover(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     trials = max(5, count // 40)
     for rec in tightness_crossover(config.seed, trials, d=4):
         run.instances += 1
-        run.check(rec["thm2_rhs"] - rec["thm3q2_rhs"],
-                  context={"check": "crossover", **{k: rec[k] for k in ("trial", "salt", "b0")}})
+        run.le("crossover", rec["thm3q2_rhs"], rec["thm2_rhs"], 0.0,
+               **{k: rec[k] for k in ("trial", "salt", "b0")})
 
 
 # suite name -> (builder, divisor): the builder gets max(1, config.trials // divisor)

@@ -358,6 +358,19 @@ class TestFrechetCheck:
         with pytest.raises(PreconditionFailed):
             frechet_check(OperatorPair(a, b), (0.5,))
 
+    @pytest.mark.parametrize("gap, holds", [(-1e-7, True), (-1.05e-7, False)])
+    def test_one_allowance(self, monkeypatch, gap, holds):
+        # the verdict and the verify check share the report's allowance, 1e-7
+        import qrelent.bounds as bounds_module
+        from qrelent.harness import _SuiteRun
+
+        monkeypatch.setattr(bounds_module, "psd_gap", lambda left, right: gap)
+        (rep,) = frechet_check(OperatorPair(np.eye(2), 2.0 * np.eye(2)), (0.5,))
+        assert rep.allowance == 1e-7 and rep.holds is holds
+        run = _SuiteRun("lemma1_psd_gap", None, 1)
+        run.le(rep.name, rep.lhs.value, rep.rhs, rep.allowance)
+        assert run.failures == (0 if holds else 1)
+
     @given(seed=st.integers(0, 2**32 - 1), r=st.sampled_from([0.1, 0.5, 0.9]))
     @settings(max_examples=25, deadline=None)
     def test_gap_never_negative(self, seed, r):

@@ -300,14 +300,16 @@ class TestVerify:
         from qrelent.harness import _SuiteRun
 
         run = _SuiteRun("demo", tmp_path, seed=3)
-        run.instances += 1
         states = (sample_density(2, 2, rng), sample_density(2, 2, rng))
-        run.check(-0.5, states=states, context={"check": "forced"})
+        for _ in run.draws(4, 1, None, None):
+            run.le("forced", 1.5, 1.0, 0.0, states=states, q=2.0)
         result = run.result()
         assert result.failures == 1
         assert result.counterexample_path is not None
         doc = json.loads((tmp_path / "counterexample_demo_context.json").read_text())
-        assert doc["check"] == "forced" and doc["margin"] == -0.5
+        assert doc == {"suite": "demo", "seed": 3, "trial": 0, "salt": 4, "check": "forced",
+                       "margin": -0.5, "q": 2.0, "rho_path": doc["rho_path"],
+                       "sigma_path": doc["sigma_path"]}
         assert read_state(doc["rho_path"]).dim == 2
 
     def test_failure_exit_code_and_report(self, tmp_path, monkeypatch):
@@ -315,7 +317,7 @@ class TestVerify:
 
         def failing_suite(run, config, count):
             run.instances += 1
-            run.check(-1.0, context={"check": "forced"})
+            run.le("forced", 1.0, 0.0, 0.0)
 
         monkeypatch.setattr(hz, "_SUITES", (("forced", failing_suite, 5),))
         assert main(["verify", "--trials", "5",
@@ -416,6 +418,36 @@ class TestVerify:
         assert (doc["seed"], doc["trial"], doc["salt"]) == (5, trial, salt)
         rho = sample_density(4, 4, trial_stream(doc["seed"], doc["trial"], doc["salt"]))
         assert np.array_equal(rho.matrix, states[6].matrix)
+
+    # thm2 at seed 2 comes closest at trial 11, a common-kernel pair
+    @pytest.mark.parametrize("builder, seed", [("_suite_thm1", 17), ("_suite_thm2", 2),
+                                               ("_suite_thm3", 17)])
+    def test_closest_replays(self, builder, seed):
+        # the suite's tightest instance redraws from (seed, trial, salt), and
+        # its bound gives the recorded ratio bit for bit
+        from qrelent.bounds import UPPER_BOUNDS
+        from qrelent.states import sample_common_support_pair
+
+        config = SweepConfig(dims=(2, 3, 5), seed=seed)
+        run = harness._SuiteRun("demo", None, config.seed)
+        getattr(harness, builder)(run, config, 30)
+        closest = run.closest
+        rng = trial_stream(config.seed, closest["trial"], closest["salt"])
+        d = int(rng.choice(config.dims))
+        if builder != "_suite_thm1" and closest["trial"] % 2 == 1:
+            k = int(rng.integers(1, d))
+            rho, sigma = sample_common_support_pair(d, k, rng, int(rng.integers(1, k + 1)))
+        else:
+            rho, sigma = sample_density(d, d, rng), sample_density(d, d, rng)
+        pair = PairEval(rho, sigma)
+        reports = [rep for spec in UPPER_BOUNDS if spec.applies(closest["q"])
+                   for rep in spec.evaluate(pair, closest["q"])]
+        if closest["check"] == "rhs1_le_rhs2":
+            ratio = reports[0].rhs / reports[1].rhs
+        else:
+            (rep,) = [rep for rep in reports if rep.name == closest["check"]]
+            ratio = rep.lhs.value / rep.rhs
+        assert ratio == closest["ratio"]
 
     def test_small_run_passes(self, tmp_path):
         config = SweepConfig(seed=1, trials=30, output_path=str(tmp_path / "report.json"))
@@ -566,6 +598,44 @@ class TestCli:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--seed", "4", "--out", str(out2)]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+
+@pytest.mark.parametrize("lhs, rhs, allowance, holds, worst", [
+    (1.0, 1.0, 0.0, True, 0.0),  # a margin of exactly 0 holds
+    (2.0, 1.0, 1.0, True, 0.0),
+    (0.5, 1.0, 0.0, True, 0.5),
+    (1.0, 0.5, 0.25, False, -0.25),
+    (math.nan, 1.0, 0.0, False, None),  # a NaN margin fails
+    (1.0, math.nan, 0.0, False, None),
+    (0.0, 1.0, math.nan, False, None),
+    (math.inf, 1.0, 0.0, False, None),  # -inf fails and is not recorded
+    (0.0, -math.inf, 0.0, False, None),
+    (5.0, math.inf, 0.0, True, None),  # +inf holds and is not recorded
+    (math.inf, math.inf, 0.0, True, None),
+    (math.nan, math.inf, 0.0, False, None),
+])
+def test_inequality_rule(lhs, rhs, allowance, holds, worst):
+    from qrelent.bounds import margin
+
+    assert (margin(lhs, rhs, allowance) >= 0.0) is holds
+    run = harness._SuiteRun("demo", None, 1)
+    run.le("rule", lhs, rhs, allowance)
+    assert (run.failures, run.worst) == (0 if holds else 1, worst)
+
+
+def test_closest_is_largest_finite_ratio():
+    run = harness._SuiteRun("demo", None, 1)
+    assert run.result().closest is None
+    for name, lhs, rhs in (("zero_rhs", 1.0, 0.0), ("inf_rhs", 1.0, math.inf),
+                           ("inf_lhs", math.inf, 1.0), ("negative_rhs", -1.0, -1.0)):
+        run.le(name, lhs, rhs, 1.0)
+    assert run.closest is None
+    for _ in run.draws(6, 1, None, None):
+        run.le("first", 1.0, 4.0, 0.0, q=1.5)
+        run.le("tie", 2.0, 8.0, 0.0)
+        run.le("lower", 0.1, 4.0, 0.0)
+    assert run.result().closest == {"check": "first", "ratio": 0.25, "trial": 0, "salt": 6,
+                                    "q": 1.5}
 
 
 @given(seed=st.integers(0, 2**63), salt=st.integers(0, 16),
