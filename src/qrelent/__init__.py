@@ -8,6 +8,7 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     DomainViolation,
+    InternalError,
     InternalInconsistency,
     NonFiniteInput,
     NonHermitianInput,
@@ -16,6 +17,7 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     QOutOfRange,
+    UsageError,
 )
 from .linalg import (
     HermitianOperator,

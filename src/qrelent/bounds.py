@@ -234,7 +234,8 @@ def thm3_bound(pair: PairEval, q: float, variant: str = "general") -> BoundRepor
     general (any q > 1):  rhs = (ceil(q)-1)/(q-1) * (lambda1/b0)^(q-1) * ||Delta||_1
     q2 (1 < q <= 2):      rhs = (a1/b0)^(q-1) * ||Delta||_1 / (q-1)
 
-    Integer q uses ceil(q) = q, the limit of the ceiling from below.
+    Integer q uses ceil(q) = q, the limit of the ceiling from below.  A
+    general rhs whose power overflows float64 is +inf.
     """
     if variant not in ("general", "q2"):
         raise PreconditionFailed(f"unknown variant {variant!r}")
@@ -249,7 +250,10 @@ def thm3_bound(pair: PairEval, q: float, variant: str = "general") -> BoundRepor
         if variant == "general":
             factor = (_ceil_snap(q) - 1.0) / (q - 1.0)
             extras["ceiling_factor"] = factor
-            rhs = factor * (summary.lambda1 / summary.b0) ** (q - 1.0) * trace_norm
+            try:
+                rhs = factor * (summary.lambda1 / summary.b0) ** (q - 1.0) * trace_norm
+            except OverflowError:  # past the float range, so above any finite D_q
+                rhs = math.inf
         else:
             rhs = (summary.a1 / summary.b0) ** (q - 1.0) / (q - 1.0) * trace_norm
     name = "thm3_rhs" if variant == "general" else "thm3q2_rhs"

@@ -6,10 +6,11 @@ Flags override config-file values.
 Exit codes:
   0  pass
   1  property failure (counterexample written)
-  2  usage or configuration error, or an argument outside a function's domain
-  3  I/O error
-  4  internal error: two evaluation routes disagreed, a value overflowed, or
-     an eigendecomposition failed its contract
+  2  errors.UsageError: usage or configuration error, or an argument outside
+     a function's domain
+  3  errors.ParseError or OSError: an unreadable file or an unwritable path
+  4  errors.InternalError: two evaluation routes disagreed, a value
+     overflowed, or an eigendecomposition failed its contract
 """
 
 from __future__ import annotations
@@ -19,29 +20,8 @@ import dataclasses
 import json
 import sys
 
-from .errors import (
-    BadFactorization,
-    BadSpectrum,
-    ConfigError,
-    ConvergenceFailure,
-    DimensionMismatch,
-    DomainViolation,
-    InternalInconsistency,
-    NonHermitianInput,
-    NotNormalized,
-    NotPSD,
-    ParseError,
-    PreconditionFailed,
-    QOutOfRange,
-)
+from .errors import ConfigError, InternalError, ParseError, UsageError
 from .harness import SweepConfig, cmd_eval, cmd_gen, cmd_sweep, cmd_verify
-
-#: errors in what the caller asked for: exit code 2
-USAGE_ERRORS = (ConfigError, NotPSD, NotNormalized, NonHermitianInput, DimensionMismatch,
-                QOutOfRange, DomainViolation, PreconditionFailed, BadSpectrum,
-                BadFactorization)
-#: failures of the program's own numerics: exit code 4
-INTERNAL_ERRORS = (InternalInconsistency, ConvergenceFailure)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -149,13 +129,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ParseError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except INTERNAL_ERRORS as exc:
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

@@ -32,7 +32,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    BadSpectrum,
     DimensionMismatch,
     DomainViolation,
     InternalInconsistency,
@@ -40,7 +39,7 @@ from .errors import (
     QOutOfRange,
 )
 from .linalg import lapack_eigh, norm_distances
-from .states import DensityMatrix, SpectralSummary, kernel_included
+from .states import DensityMatrix, SpectralSummary, kernel_included, probability_vector
 
 #: largest accepted entropy order; beyond this a^q underflows for typical spectra
 Q_MAX = 40.0
@@ -93,24 +92,13 @@ def q_log(x: float, q: float) -> float:
     return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q)
 
 
-def _as_prob_vector(p) -> np.ndarray:
-    v = np.asarray(p, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise BadSpectrum("probability vector must be a nonempty 1-d array")
-    if np.any(v < 0.0):
-        raise BadSpectrum(f"negative probability {float(v.min())!r}")
-    if abs(math.fsum(v) - 1.0) > 1e-12:
-        raise BadSpectrum(f"probabilities sum to {math.fsum(v)!r}, not 1")
-    return v
-
-
 def tsallis_entropy(p, q: float) -> float:
     """S_q(p) = (sum_i p_i^q - 1)/(1-q) with the convention 0^q = 0.
 
     Evaluated as minus the divergence sum of p against b = 1 over p > 0,
     (sum p^q - sum p)/(q - 1), which does not cancel as q -> 1.
     """
-    v = _as_prob_vector(p)
+    v = probability_vector(p)
     q = float(q)
     if q == 1.0:
         raise QOutOfRange("q = 1 is excluded; use the Shannon entropy directly")
@@ -126,8 +114,8 @@ def classical_relative_q(a, b, q: float) -> ExtendedReal:
     sum over a_i > 0 with a diagonal overlap,
     (sum a_i^q b_i^(1-q) - sum a_i)/(q - 1), which does not cancel as q -> 1.
     """
-    va = _as_prob_vector(a)
-    vb = _as_prob_vector(b)
+    va = probability_vector(a)
+    vb = probability_vector(b)
     if va.size != vb.size:
         raise DimensionMismatch(f"length mismatch: {va.size} vs {vb.size}")
     q = float(q)
@@ -266,8 +254,9 @@ def _divergence_sum(
 
     Each term a expm1((r-1)(ln a - ln b)) is evaluated as a X + a^r Y with
     X = expm1((r-1) ln a) and Y = expm1((1-r) ln b), one C-library call per
-    eigenvalue; nothing cancels as r -> 1.  A value beyond the float range is
-    an InternalInconsistency.
+    eigenvalue; nothing cancels as r -> 1.  A column of w that is all zero
+    contributes exactly 0, even where its Y overflows; any other value beyond
+    the float range is an InternalInconsistency.
     """
     if r == 1.0:
         terms = w * a[:, None] * (log_a[:, None] - log_b)
@@ -279,6 +268,11 @@ def _divergence_sum(
         terms = w * (ax[:, None] + _power(a, r)[:, None] * y)
         return math.fsum(terms.ravel().tolist()) / t
     except OverflowError as exc:
+        # all-zero columns are dropped only after an overflow, so the usual
+        # path keeps its cost
+        weighted = w.any(axis=0)
+        if not weighted.all():
+            return _divergence_sum(w[:, weighted], a, log_a, log_b[weighted], r)
         raise InternalInconsistency(f"divergence sum of order {r!r} overflows float64") from exc
 
 

@@ -1,51 +1,64 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error the command line maps to an exit code derives from one of two
+bases: ``UsageError`` (exit 2) or ``InternalError`` (exit 4).  ``ParseError``
+is neither: an unreadable state file is an I/O error (exit 3).
+"""
 
 
-class NonHermitianInput(ValueError):
+class UsageError(ValueError):
+    """The caller asked for something outside a function's domain."""
+
+
+class InternalError(RuntimeError):
+    """The program's own numerics failed."""
+
+
+class NonHermitianInput(UsageError):
     """Input matrix is farther from Hermitian than the constructor tolerance."""
 
 
-class NonFiniteInput(ValueError):
+class NonFiniteInput(UsageError):
     """Input matrix has a NaN or infinite entry."""
 
 
-class ConvergenceFailure(RuntimeError):
+class ConvergenceFailure(InternalError):
     """Eigendecomposition did not converge or violated its reconstruction contract."""
 
 
-class DomainViolation(ValueError):
+class DomainViolation(UsageError):
     """Scalar argument or eigenvalue outside the domain of the requested function."""
 
 
-class NotPSD(ValueError):
+class NotPSD(UsageError):
     """Matrix has an eigenvalue below the negative tolerance."""
 
 
-class NotNormalized(ValueError):
+class NotNormalized(UsageError):
     """Matrix trace is not 1 within tolerance."""
 
 
-class BadSpectrum(ValueError):
+class BadSpectrum(UsageError):
     """Vector is not a valid probability spectrum."""
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(UsageError):
     """Operands have incompatible shapes or dimensions."""
 
 
-class QOutOfRange(ValueError):
+class QOutOfRange(UsageError):
     """Entropy order q outside the supported range."""
 
 
-class BadFactorization(ValueError):
+class BadFactorization(UsageError):
     """Declared tensor factors do not multiply to the total dimension."""
 
 
-class PreconditionFailed(ValueError):
+class PreconditionFailed(UsageError):
     """Arguments violate a hypothesis of the requested bound evaluator."""
 
 
-class ConfigError(ValueError):
+class ConfigError(UsageError):
     """Invalid harness configuration."""
 
 
@@ -53,5 +66,5 @@ class ParseError(ValueError):
     """State file could not be parsed."""
 
 
-class InternalInconsistency(RuntimeError):
+class InternalInconsistency(InternalError):
     """Two evaluation routes disagreed beyond tolerance, or a NaN appeared."""

@@ -49,6 +49,7 @@ from .linalg import (
 )
 from .states import (
     DensityMatrix,
+    _fmt17,
     density_with_spectrum,
     draw_common_support_pair,
     draw_density,
@@ -190,7 +191,7 @@ class _SuiteRun:
         block, size = [], 0
         for trial in range(count):
             self.instances += 1
-            rng = trial_stream(self.seed, trial, salt=salt)
+            rng = trial_stream(self.seed, trial, salt)
             # the draw of rng.choice(dims), without converting dims to an array
             d = None if dims is None else dims[int(rng.integers(0, len(dims), dtype=np.int64))]
             matrices, drawn = draw(trial, rng, d) if draw else ([], None)
@@ -590,9 +591,7 @@ def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 def _suite_lemma3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     for i, rng, d, _, _ in run.draws(13, count, _dims(config, 8), None):
         rank = d if i % 3 else max(1, d - 1)
-        g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-        a_m = g @ g.conj().T
-        a_op = HermitianOperator(a_m / np.trace(a_m).real)
+        a_op = HermitianOperator(draw_density(d, rank, rng))
         b_op = _rand_pd(rng, d, trace_one=True)
         ops = OperatorPair(a_op, b_op)
         for s in (0.25, 0.5, 0.75):
@@ -604,19 +603,20 @@ ENVELOPE_B0 = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 ENVELOPE_Q = (1.5, 2.0, 3.0)
 
 
-def divergence_envelope(seed: int, d: int = 4) -> list[dict]:
+def divergence_envelope(seed: int, d: int) -> list[dict]:
     """Divergence-rate probe on the sigma_family grid with one fixed random rho.
 
     Each record carries D_q, the general b0^(1-q) bound, and the rescaled
     ratio D_q * b0^(q-1) next to its b0-free envelope constant, with the
-    trial and salt of rho's stream.
+    trial and salt of rho's stream.  Each b0 builds one sigma and one pair,
+    which every q evaluates.
     """
     trial, salt = 0, 14
-    rho = sample_density(d, d, trial_stream(seed, trial, salt=salt))
+    rho = sample_density(d, d, trial_stream(seed, trial, salt))
+    pairs = [PairEval(rho, sigma_family(d, b0)) for b0 in ENVELOPE_B0]
     records = []
     for q in ENVELOPE_Q:
-        for b0 in ENVELOPE_B0:
-            pair = PairEval(rho, sigma_family(d, b0))
+        for b0, pair in zip(ENVELOPE_B0, pairs):
             rep = thm3_bound(pair, q, "general")
             dq = rep.lhs.value
             ratio = dq * b0 ** (q - 1.0)
@@ -642,15 +642,17 @@ def divergence_envelope(seed: int, d: int = 4) -> list[dict]:
 CROSSOVER_B0 = (1e-3, 1e-4, 1e-5, 1e-6)
 
 
-def tightness_crossover(seed: int, trials: int, d: int = 4) -> list[dict]:
+def tightness_crossover(seed: int, trials: int, d: int) -> list[dict]:
     """Compare the quadratic-in-b0 bound against the b0^(1-q) one at q = 2 for
     small b0, where the latter must win in every trial.  Each record carries
-    the trial and salt of rho's stream."""
+    the trial and salt of rho's stream; each b0 builds one sigma for every
+    trial."""
     records, salt = [], 15
+    sigmas = [sigma_family(d, b0) for b0 in CROSSOVER_B0]
     for trial in range(trials):
-        rho = sample_density(d, d, trial_stream(seed, trial, salt=salt))
-        for b0 in CROSSOVER_B0:
-            pair = PairEval(rho, sigma_family(d, b0))
+        rho = sample_density(d, d, trial_stream(seed, trial, salt))
+        for b0, sigma in zip(CROSSOVER_B0, sigmas):
+            pair = PairEval(rho, sigma)
             rep2 = thm2_bound(pair, 2.0, "general")
             rep3 = thm3_bound(pair, 2.0, "q2")
             records.append(
@@ -732,14 +734,6 @@ CSV_COLUMNS = (
 )
 
 
-def _csv_num(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
-
-
 def sweep_row(pair: PairEval, q: float, b0: float, trial: int, stream_seed: int) -> dict:
     """One record of the sweep CSV for a given state pair; an upper bound whose
     q gate or hypotheses fail is ``nan`` in its columns and named in ``vacuous``."""
@@ -771,7 +765,7 @@ def sweep_row(pair: PairEval, q: float, b0: float, trial: int, stream_seed: int)
 
 def _csv_line(row: dict) -> str:
     return ",".join(
-        str(row[col]) if col in ("d", "trial", "seed", "vacuous") else _csv_num(float(row[col]))
+        str(row[col]) if col in ("d", "trial", "seed", "vacuous") else _fmt17(row[col])
         for col in CSV_COLUMNS
     )
 
@@ -807,7 +801,7 @@ def cmd_sweep(config: SweepConfig) -> Path:
         rows: dict[tuple[int, int, int], str] = {}
         for trial in range(config.trials):
             seed = stream_seed(config.seed, trial, 0)
-            rho = sample_density(d, d, trial_stream(config.seed, trial))
+            rho = sample_density(d, d, trial_stream(config.seed, trial, 0))
             for bi, (b0, sigma) in enumerate(zip(config.b0_grid, sigmas)):
                 pair = PairEval(rho, sigma)
                 for qi, q in enumerate(config.q_grid):
@@ -862,5 +856,5 @@ def cmd_gen(d: int, rank: int, seed: int, out) -> Path:
         raise ConfigError(f"dimension must lie in [1, 256], got {d}")
     if not out:
         raise ConfigError("an output path is required")
-    write_state(out, sample_density(d, rank, trial_stream(seed, 0)))
+    write_state(out, sample_density(d, rank, trial_stream(seed, 0, 0)))
     return Path(out)

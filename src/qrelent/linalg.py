@@ -198,16 +198,14 @@ class HermitianOperator:
         mat = compose(w, u)
         for a in (mat, w, u):
             a.setflags(write=False)
-        return cls._adopt(mat, w, u)
+        return cls.__new__(cls)._adopt(mat, w, u)
 
-    @classmethod
-    def _adopt(cls, mat: np.ndarray, w: np.ndarray, u: np.ndarray) -> "HermitianOperator":
-        """The operator of a read-only symmetrized matrix and its read-only
-        ascending eigensystem, kept as given: no checks and no copies."""
-        obj = cls.__new__(cls)
-        obj._mat = mat
-        obj._eig = (w, u)
-        return obj
+    def _adopt(self, mat: np.ndarray, w: np.ndarray, u: np.ndarray) -> "HermitianOperator":
+        """Take a read-only symmetrized matrix and its read-only ascending
+        eigensystem as given, with no checks and no copies; returns self."""
+        self._mat = mat
+        self._eig = (w, u)
+        return self
 
     @property
     def dim(self) -> int:

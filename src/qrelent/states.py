@@ -55,13 +55,15 @@ def stream_seed(seed: int, trial: int, salt: int) -> int:
     return (int(seed) ^ int(trial) ^ (int(salt) << 40)) & ((1 << 64) - 1)
 
 
-def trial_stream(seed: int, trial: int, salt: int = 0) -> np.random.Generator:
+def trial_stream(seed: int, trial: int, salt: int) -> np.random.Generator:
     """Per-trial RNG stream: SFC64 seeded with ``stream_seed(seed, trial, salt)``."""
     return as_generator(stream_seed(seed, trial, salt))
 
 
-class DensityMatrix:
-    """Positive semidefinite, unit-trace Hermitian matrix.
+class DensityMatrix(HermitianOperator):
+    """Positive semidefinite, unit-trace Hermitian matrix: the
+    :class:`HermitianOperator` of the state, with its eigendecomposition
+    always cached.
 
     ``spectrum`` holds the eigenvalues ascending after zero-thresholding and
     renormalization; ``rank`` counts the nonzero entries; the support
@@ -74,15 +76,15 @@ class DensityMatrix:
     renormalized.
     """
 
-    __slots__ = ("op", "spectrum", "rank", "_basis")
+    __slots__ = ("rank",)
 
     def __init__(self, matrix) -> None:
-        # the kernel's stages on one matrix, through the operator that runs
-        # them: hermitian_parts in its constructor, checked_eigh in eig
-        h = HermitianOperator(matrix)
-        _trace_gate(h.matrix)
-        w, u, mat, (rank,) = _settle(*h.eig())
-        self._adopt(w, u, mat, rank)
+        # the kernel's stages on one matrix, through the operator's own:
+        # hermitian_parts in its constructor, checked_eigh in eig
+        super().__init__(matrix)
+        _trace_gate(self.matrix)
+        w, u, mat, (rank,) = _settle(*self.eig())
+        self._adopt(mat, w, u, rank)
 
     @classmethod
     def stack(cls, matrices) -> list["DensityMatrix"]:
@@ -108,8 +110,7 @@ class DensityMatrix:
             _trace_gate(herm)
             w, u, mats, ranks = _settle(*checked_eigh(herm))
             for j, k in enumerate(idx):
-                states[k] = obj = cls.__new__(cls)
-                obj._adopt(w[j], u[j], mats[j], ranks[j])
+                states[k] = cls.__new__(cls)._adopt(mats[j], w[j], u[j], ranks[j])
         return states
 
     @classmethod
@@ -120,32 +121,26 @@ class DensityMatrix:
         if abs(tr - 1.0) > TOL_STATE:
             raise NotNormalized(f"spectrum sums to {tr!r}, not 1 within {TOL_STATE:.1e}")
         w, u, mat, (rank,) = _settle(w, u)
-        obj = cls.__new__(cls)
-        obj._adopt(w, u, mat, rank)
-        return obj
+        return cls.__new__(cls)._adopt(mat, w, u, rank)
 
-    def _adopt(self, w: np.ndarray, u: np.ndarray, mat: np.ndarray, rank: int) -> None:
-        self.op = HermitianOperator._adopt(mat, w, u)
-        self.spectrum, self._basis = w, u
+    def _adopt(self, mat: np.ndarray, w: np.ndarray, u: np.ndarray, rank: int) -> "DensityMatrix":
+        super()._adopt(mat, w, u)
         self.rank = rank
+        return self
 
     @property
-    def dim(self) -> int:
-        return self.spectrum.size
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
+    def spectrum(self) -> np.ndarray:
+        return self._eig[0]
 
     @property
     def eigenvectors(self) -> np.ndarray:
         """Columns aligned with ``spectrum`` (ascending, zeros first)."""
-        return self._basis
+        return self._eig[1]
 
     @property
     def support_projector(self) -> HermitianOperator:
         """Orthogonal projector onto the span of the nonzero-eigenvalue vectors."""
-        support = self._basis[:, self.spectrum > 0.0]
+        support = self.eigenvectors[:, self.spectrum > 0.0]
         return HermitianOperator(support @ support.conj().T)
 
     def __repr__(self) -> str:
@@ -260,15 +255,23 @@ def haar_unitary(d: int, rng) -> np.ndarray:
     return np.multiply(q, diag / np.abs(diag), order="C")
 
 
+def probability_vector(p) -> np.ndarray:
+    """``p`` as a float64 vector; BadSpectrum unless it is nonempty and 1-d,
+    with no negative entry and an fsum within 1e-12 of 1."""
+    v = np.asarray(p, dtype=np.float64)
+    if v.ndim != 1 or v.size < 1:
+        raise BadSpectrum("probability vector must be a nonempty 1-d array")
+    if np.any(v < 0.0):
+        raise BadSpectrum(f"negative probability {float(v.min())!r}")
+    total = math.fsum(v)
+    if not abs(total - 1.0) <= 1e-12:  # a NaN entry fails here
+        raise BadSpectrum(f"probabilities sum to {total!r}, not 1")
+    return v
+
+
 def density_with_spectrum(spec, rng) -> DensityMatrix:
     """U diag(spec) U^dag with Haar-random U; controls the spectrum exactly."""
-    w = np.asarray(spec, dtype=np.float64)
-    if w.ndim != 1 or w.size < 1:
-        raise BadSpectrum("spectrum must be a nonempty vector")
-    if np.any(w < 0.0):
-        raise BadSpectrum(f"negative entry {float(w.min())!r} in spectrum")
-    if abs(math.fsum(w) - 1.0) > 1e-12:
-        raise BadSpectrum(f"spectrum sums to {math.fsum(w)!r}, not 1")
+    w = probability_vector(spec)
     u = haar_unitary(w.size, rng)
     return DensityMatrix.from_eigensystem(w, u)
 

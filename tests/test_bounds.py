@@ -183,6 +183,15 @@ class TestThm3:
         with pytest.raises(PreconditionFailed):
             thm3_bound(PairEval(rho, sigma), 0.9)
 
+    def test_overflowing_rhs_is_infinite(self):
+        # (lambda1/b0)^(q-1) = 1e390 at q = 40; D_q is finite because rho
+        # puts no weight on the b0 eigenvector
+        rho = DensityMatrix(np.diag([1.0, 0.0]))
+        sigma = DensityMatrix(np.diag([0.9999999999, 1e-10]))
+        rep = thm3_bound(PairEval(rho, sigma), 40.0)
+        assert rep.lhs.is_finite and rep.rhs == math.inf
+        assert rep.holds and not rep.vacuous and rep.slack is None
+
     @given(seed=st.integers(0, 2**32 - 1), q=st.floats(1.01, 6.0))
     @settings(max_examples=40, deadline=None)
     def test_soundness_high_q(self, seed, q):

@@ -18,6 +18,7 @@ from qrelent.entropy import (
     tsallis_entropy,
 )
 from qrelent.errors import (
+    BadSpectrum,
     DimensionMismatch,
     DomainViolation,
     InternalInconsistency,
@@ -91,6 +92,13 @@ class TestTsallisEntropy:
     def test_q1_rejected(self):
         with pytest.raises(QOutOfRange):
             tsallis_entropy([0.5, 0.5], 1.0)
+
+    def test_nan_probability_rejected(self):
+        # a NaN entry is neither negative nor counted in p > 0
+        with pytest.raises(BadSpectrum):
+            tsallis_entropy([math.nan, 1.0], 2.0)
+        with pytest.raises(BadSpectrum):
+            classical_relative_q([0.5, 0.5], [math.nan, 1.0], 2.0)
 
 
 class TestClassicalRelative:
@@ -214,6 +222,24 @@ class TestQuantumRelative:
         except typed:
             return
         assert value == POSITIVE_INFINITY
+
+    def test_zero_weight_column_does_not_overflow(self):
+        # rho puts exactly no weight on sigma's b = 1e-10 eigenvector, so its
+        # b^(1-q) = 1e390 at q = 40 must not enter the sum
+        rho = DensityMatrix(np.diag([1.0, 0.0]))
+        sigma = DensityMatrix(np.diag([0.9999999999, 1e-10]))
+        value = quantum_relative_q(rho, sigma, 40.0)
+        with mpmath.workdps(40):
+            b = mpmath.mpf(float(sigma.spectrum[-1]))
+            ref = float((b**-39 - 1) / 39)  # 1.00000008474037133e-10
+        assert abs(ref - 1.00000008474037133e-10) <= 1e-16 * ref
+        assert value.is_finite and abs(value.value - ref) <= 1e-14 * ref
+
+    def test_weighted_overflow_still_raises(self):
+        rho = DensityMatrix(np.diag([0.5, 0.5]))
+        sigma = DensityMatrix(np.diag([0.9999999999, 1e-10]))
+        with pytest.raises(InternalInconsistency, match="overflows"):
+            quantum_relative_q(rho, sigma, 40.0)
 
     @given(seed=st.integers(0, 2**32 - 1), q=st.floats(1.01, 5.0))
     @settings(max_examples=40, deadline=None)

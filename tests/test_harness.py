@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrelent import harness
+from qrelent import cli, errors, harness
 from qrelent.bounds import PairEval
 from qrelent.cli import main
 from qrelent.errors import ConfigError
@@ -172,6 +172,14 @@ class TestEvaluationCounts:
             "sigma_family": 2 * 2,  # once per (d, b0)
         }
 
+    def test_probes_build_one_sigma_per_b0(self, calls):
+        divergence_envelope(seed=1, d=4)
+        assert calls["sigma_family"] == len(harness.ENVELOPE_B0)
+        assert calls["sample_density"] == 1
+        calls.clear()
+        tightness_crossover(seed=1, trials=3, d=4)
+        assert calls["sigma_family"] == len(harness.CROSSOVER_B0)
+        assert calls["sample_density"] == 3
 
     def test_entropy_suite_repeats_no_evaluation(self, monkeypatch):
         import qrelent.entropy as entropy_module
@@ -466,19 +474,42 @@ class TestVerify:
 
 class TestExperimentHelpers:
     def test_envelope_records(self):
-        records = divergence_envelope(seed=1)
+        records = divergence_envelope(seed=1, d=4)
         assert len(records) == 18
         assert all(rec["holds"] for rec in records)
         assert all(rec["ratio"] <= rec["envelope_constant"] * (1 + 1e-9) + 1e-9
                    for rec in records)
 
     def test_crossover_records(self):
-        records = tightness_crossover(seed=1, trials=3)
+        records = tightness_crossover(seed=1, trials=3, d=4)
         assert len(records) == 12
         assert all(rec["tighter"] for rec in records)
 
 
+#: the exit code cli.main documents for each error type of qrelent.errors
+EXIT_CODES = {
+    "UsageError": 2, "NonHermitianInput": 2, "NonFiniteInput": 2, "DomainViolation": 2,
+    "NotPSD": 2, "NotNormalized": 2, "BadSpectrum": 2, "DimensionMismatch": 2,
+    "QOutOfRange": 2, "BadFactorization": 2, "PreconditionFailed": 2, "ConfigError": 2,
+    "ParseError": 3,
+    "InternalError": 4, "ConvergenceFailure": 4, "InternalInconsistency": 4,
+}
+ERROR_TYPES = [v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)]
+
+
 class TestCli:
+    @pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda error: error.__name__)
+    def test_exit_code_by_error_type(self, error, monkeypatch, capsys):
+        def fail(args):
+            raise error("forced")
+
+        monkeypatch.setattr(cli, "_run_eval", fail)
+        assert main(["eval", "rho.json", "sigma.json"]) == EXIT_CODES[error.__name__]
+        assert "forced" in capsys.readouterr().err
+
+    def test_every_error_type_has_an_exit_code(self):
+        assert sorted(EXIT_CODES) == sorted(error.__name__ for error in ERROR_TYPES)
+
     def test_verify_exit_zero(self, tmp_path, capsys):
         code = main(["verify", "--trials", "10", "--seed", "2",
                      "--out", str(tmp_path / "r.json")])
@@ -553,6 +584,16 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) - 1 == 2
+
+    def test_zero_weight_overflow_exit_zero(self, tmp_path, capsys):
+        # rho has no weight on sigma's b = 1e-10 column: D_q at q = 40 is finite
+        paths = [tmp_path / "rho.json", tmp_path / "sigma.json"]
+        for path, diag in zip(paths, ([1.0, 0.0], [0.9999999999, 1e-10])):
+            write_state(path, DensityMatrix(np.diag(diag)))
+        assert main(["eval", *map(str, paths), "--q", "40"]) == 0
+        dq = json.loads(capsys.readouterr().out)["per_q"][0]["Dq"]
+        # 40-digit mpmath on the stored spectrum: (b^-39 - 1)/39, b = 0.9999999999
+        assert abs(dq - 1.00000008474037133e-10) <= 1e-14 * 1.00000008474037133e-10
 
     def test_usage_error_exit_two(self, tmp_path, capsys):
         state = cmd_gen(2, 2, seed=7, out=tmp_path / "s.json")

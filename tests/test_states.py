@@ -216,7 +216,7 @@ class TestUnsortedEigensystems:
         assert np.all(np.diff(w) >= 0.0)
         np.testing.assert_array_equal(w, np.sort(expected_spectrum))
         np.testing.assert_allclose((u * w) @ u.conj().T, state.matrix, atol=1e-15)
-        op_w, op_u = state.op.eig()
+        op_w, op_u = state.eig()
         np.testing.assert_array_equal(op_w, w)
         np.testing.assert_array_equal(op_u, u)
         assert state.rank == np.count_nonzero(expected_spectrum)
@@ -574,6 +574,31 @@ def _error(build):
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
     return None
+
+
+class TestStateIsOperator:
+    """A state is its HermitianOperator: every constructor returns one whose
+    spectrum and eigenvectors are the arrays its cached eig() returns."""
+
+    @staticmethod
+    def _assert_operator(state):
+        assert isinstance(state, HermitianOperator)
+        assert not hasattr(state, "op")
+        w, u = state.eig()
+        assert state.spectrum is w and state.eigenvectors is u
+        assert state.eigenvalues() is w
+        assert state.dim == w.size == state.matrix.shape[0]
+
+    def test_from_matrix(self, rng):
+        self._assert_operator(DensityMatrix(sample_density(4, 3, rng).matrix))
+
+    def test_stacked(self, rng):
+        for state in DensityMatrix.stack([sample_density(d, d, rng).matrix for d in (2, 3, 2)]):
+            self._assert_operator(state)
+
+    def test_from_eigensystem(self, rng):
+        self._assert_operator(DensityMatrix.from_eigensystem([0.0, 0.25, 0.75],
+                                                             haar_unitary(3, rng)))
 
 
 class TestStackedKernel:
