@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Write the program's reference artifacts to OUT_DIR: verify reports and their
-# stdout, two sweeps, two generated states, eval of that pair in both orders,
+# stdout, three sweeps, two generated states, eval of that pair in both orders,
 # and the output of the two probe scripts.
 #
 # Every command runs through `python -m qrelent`, so PYTHONPATH (or the
@@ -37,6 +37,9 @@ python -m qrelent sweep --dims 2,3,5,16 --q 1.5,2,3,1.0001 --b0 0.05,0.01,0.001 
     --trials 7 --seed 4 --out sweep_small.csv > /dev/null
 python -m qrelent sweep --dims 16,64 --q 1.5,2,3 --b0 1e-3,1e-4 --trials 2 --seed 3 \
     --out sweep_large.csv > /dev/null
+# d = 256: each divergence sum has 65 536 terms, enough for exact_sum to fold
+python -m qrelent sweep --dims 256 --q 1.5,2 --b0 1e-3 --trials 1 --seed 2 \
+    --out sweep_d256.csv > /dev/null
 python -m qrelent gen --d 8 --rank 5 --seed 2 --out rho.json > /dev/null
 python -m qrelent gen --d 8 --rank 8 --seed 3 --out sigma.json > /dev/null
 # rho has rank 5 and sigma full rank: D(rho||sigma) is finite, D(sigma||rho)

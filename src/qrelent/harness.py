@@ -44,6 +44,7 @@ from .linalg import (
     PSD_TOL,
     HermitianOperator,
     apply_function,
+    exact_sum,
     schatten_norm,
     singular_values,
 )
@@ -415,7 +416,7 @@ def _draw_state_checks(trial, rng, d):
     zeros = int(rng.integers(0, d))
     if zeros:
         raw[np.argsort(raw)[:zeros]] = 0.0
-    spec = np.sort(raw / math.fsum(raw))
+    spec = np.sort(raw / exact_sum(raw))
     controlled = density_with_spectrum(spec, rng)
     lam = float(rng.uniform(0.0, 1.0))
     matrices = [rho, draw_density(d, d, rng)]
@@ -429,7 +430,7 @@ def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     for _, _, d, states, drawn in run.draws(3, count, dims, _draw_state_checks):
         (rho, other, *extra), (rank, spec, controlled, lam) = states, drawn
         run.le("psd", 0.0, np.min(rho.spectrum), 0.0)
-        run.le("unit_trace", abs(math.fsum(rho.spectrum) - 1.0), 0.0, 1e-10)
+        run.le("unit_trace", abs(exact_sum(rho.spectrum) - 1.0), 0.0, 1e-10)
         run.verdict("rank", rho.rank == rank, states=(rho, rho), expected=rank)
         proj = rho.support_projector.matrix
         run.le("projector_idempotent", np.max(np.abs(proj @ proj - proj)), 0.0, PSD_TOL)

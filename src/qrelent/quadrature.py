@@ -14,11 +14,12 @@ the integrand's poles, which keeps every pole a fixed relative distance from
 its nearest panel and gives spectral accuracy uniformly in the conditioning.
 
 ``nodes_weights`` lays every node and weight of that rule out as two arrays.
-Scalar integrands are evaluated once on the node array and summed with an
-exact fsum.  Operator integrands are resolvents of the shifted matrices
-alpha_k A + beta_k I: one kernel stacks them over the nodes, rejects the stack
-unless a batched Cholesky factorization shows every member positive definite,
-solves the whole stack at once and adds the weighted solutions in node order.
+Scalar integrands are evaluated once on the node array and summed correctly
+rounded by ``exact_sum``.  Operator integrands are resolvents of the shifted
+matrices alpha_k A + beta_k I: one kernel stacks them over the nodes, rejects
+the stack unless a batched Cholesky factorization shows every member positive
+definite, solves the whole stack at once and adds the weighted solutions in
+node order.
 The operator functions take a tuple of exponents: their rules share the
 interior nodes of the operand's ladder (``shared_nodes_weights``), so one
 stack of solves serves every exponent.  No eigendecomposition is involved,
@@ -37,7 +38,7 @@ import scipy.linalg
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConfigError, DimensionMismatch, DomainViolation
-from .linalg import HermitianOperator, as_herm
+from .linalg import HermitianOperator, as_herm, exact_sum
 
 #: geometric ratio between consecutive interior split points
 LADDER_RATIO = 10.0
@@ -149,9 +150,9 @@ def nodes_weights(exponent: float, splits: tuple[float, ...],
 
 
 def _scalar_integral(f, exponent: float, splits: tuple[float, ...], n: int) -> float:
-    """Exact fsum of w_k f(y_k); f is evaluated once on the node array."""
+    """Correctly rounded sum of w_k f(y_k); f is evaluated once on the node array."""
     y, w = nodes_weights(exponent, splits, n)
-    return math.fsum(w * f(y))
+    return exact_sum(w * f(y))
 
 
 def _resolvent_sum(mat: np.ndarray, alpha: np.ndarray, beta: np.ndarray,

@@ -32,6 +32,7 @@ from .linalg import (
     checked_eigensystem,
     checked_eigh,
     compose,
+    exact_sum,
     hermitian_parts,
     square_dim,
 )
@@ -117,7 +118,7 @@ class DensityMatrix(HermitianOperator):
     def from_eigensystem(cls, eigenvalues, eigenvectors) -> "DensityMatrix":
         """Build from a known eigensystem, keeping exact zeros exact."""
         w, u = checked_eigensystem(eigenvalues, eigenvectors)  # the state keeps the copy u
-        tr = math.fsum(w.tolist())
+        tr = exact_sum(w)
         if abs(tr - 1.0) > TOL_STATE:
             raise NotNormalized(f"spectrum sums to {tr!r}, not 1 within {TOL_STATE:.1e}")
         w, u, mat, (rank,) = _settle(w, u)
@@ -263,7 +264,7 @@ def probability_vector(p) -> np.ndarray:
         raise BadSpectrum("probability vector must be a nonempty 1-d array")
     if np.any(v < 0.0):
         raise BadSpectrum(f"negative probability {float(v.min())!r}")
-    total = math.fsum(v)
+    total = exact_sum(v)
     if not abs(total - 1.0) <= 1e-12:  # a NaN entry fails here
         raise BadSpectrum(f"probabilities sum to {total!r}, not 1")
     return v

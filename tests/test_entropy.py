@@ -24,7 +24,8 @@ from qrelent.errors import (
     InternalInconsistency,
     QOutOfRange,
 )
-from qrelent.linalg import schatten_norm
+from qrelent.harness import sigma_family
+from qrelent.linalg import exact_sum, schatten_norm
 from qrelent.states import (
     DensityMatrix,
     haar_unitary,
@@ -75,6 +76,13 @@ class TestQLog:
         with pytest.raises(DomainViolation):
             q_log(2.0, 1.0)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("x", [0.5, 2.0])
+    def test_nonfinite_q_rejected(self, x, q):
+        # the formula gives NaN at q = NaN and at q = inf
+        with pytest.raises(DomainViolation):
+            q_log(x, q)
+
     @given(x=st.floats(0.01, 100.0), q=st.floats(1.0001, 5.0))
     @settings(max_examples=50, deadline=None)
     def test_matches_reference_formula(self, x, q):
@@ -92,6 +100,11 @@ class TestTsallisEntropy:
     def test_q1_rejected(self):
         with pytest.raises(QOutOfRange):
             tsallis_entropy([0.5, 0.5], 1.0)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_q_rejected(self, q):
+        with pytest.raises(QOutOfRange):
+            tsallis_entropy([0.5, 0.5], q)
 
     def test_nan_probability_rejected(self):
         # a NaN entry is neither negative nor counted in p > 0
@@ -256,8 +269,13 @@ class TestQuantumRelative:
 
 def _reference_divergence_sum(w, a, b, r):
     """Per-term divergence sum over a > 0 (rows of w) and b > 0 (columns):
-    sum of w (a expm1((r-1) ln a) + a^r expm1((1-r) ln b)) / (r - 1)."""
+    sum of w (a expm1((r-1) ln a) + a^r expm1((1-r) ln b)) / (r - 1), and
+    at r = 1 sum of w a (ln a - ln b)."""
     a, b = a.tolist(), b.tolist()
+    if r == 1.0:
+        return math.fsum(w[i, j] * a[i] * (math.log(a[i]) - math.log(b[j]))
+                         for i in range(len(a)) if a[i] > 0.0
+                         for j in range(len(b)) if b[j] > 0.0)
     return math.fsum(
         w[i, j] * (a[i] * math.expm1((r - 1.0) * math.log(a[i]))
                    + a[i] ** r * math.expm1((1.0 - r) * math.log(b[j])))
@@ -280,15 +298,6 @@ def _reference_operator_sum(rho, sigma, r):
     lam, w = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
     b = sigma.spectrum[sigma.dim - k:]
     return _reference_divergence_sum(np.abs(w.T) ** 2, lam, b, r)
-
-
-def _reference_vn(rho, sigma):
-    """Per-term restricted double sum of the standard relative entropy."""
-    overlaps = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
-    a, b = rho.spectrum, sigma.spectrum
-    return math.fsum(overlaps[i, j] * a[i] * (math.log(a[i]) - math.log(b[j]))
-                     for i in range(a.size) if a[i] > 0.0
-                     for j in range(b.size) if b[j] > 0.0)
 
 
 def _close(got, ref):
@@ -329,9 +338,38 @@ class TestVectorisedSums:
         assert _close(got, _reference_operator_sum(rho, sigma, q))
         d1 = relative_entropy_vn(rho, sigma)
         if d1.is_finite:
-            assert _close(d1.value, _reference_vn(rho, sigma))
+            assert _close(d1.value, _reference_trace_sum(rho, sigma, 1.0))
         else:
             assert kind == "rank_deficient"
+
+
+class TestFoldedDivergenceSums:
+    """At d = 64 and 256 a divergence sum has 4096 or 65 536 terms, enough for
+    exact_sum to fold them: every sum keeps math.fsum's bits and matches the
+    per-term reference."""
+
+    @pytest.mark.parametrize("d", [64, 256])
+    @pytest.mark.parametrize("sigma_kind", ["random", "family"])
+    def test_fsum_bits_and_per_term_reference(self, d, sigma_kind, monkeypatch):
+        gen = np.random.Generator(np.random.SFC64(d))
+        rho = sample_density(d, d, gen)
+        sigma = sample_density(d, d, gen) if sigma_kind == "random" else sigma_family(d, 1e-3)
+        pair = entropy.PairEval(rho, sigma)
+        sums = []
+
+        def recorded(terms):
+            sums.append((terms.size, exact_sum(terms), math.fsum(terms.ravel().tolist())))
+            return sums[-1][1]
+
+        monkeypatch.setattr(entropy, "exact_sum", recorded)
+        for r in (1.5, 2.0, 1.0):
+            got = entropy._divergence_sum(*pair.overlap, pair.log_b, r)
+            assert _close(got, _reference_trace_sum(rho, sigma, r))
+            got = entropy._divergence_sum(*pair.compressed, pair.log_b, r)
+            assert _close(got, _reference_operator_sum(rho, sigma, r))
+        assert [size for size, _, _ in sums] == [d * d] * 6
+        for _, got, want in sums:
+            assert got.hex() == want.hex()
 
 
 def _mp_divergence(w, a, b, q):

@@ -5,7 +5,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from qrelent import linalg
 from qrelent.errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -17,6 +19,7 @@ from qrelent.linalg import (
     HermitianOperator,
     apply_function,
     eigh,
+    exact_sum,
     herm_power,
     lapack_eigh,
     psd_gap,
@@ -235,6 +238,112 @@ class TestSchattenNorm:
         h = random_hermitian(gen, d)
         delta = h - (np.trace(h).real / d) * np.eye(d)
         assert schatten_norm(delta, math.inf) <= 0.5 * schatten_norm(delta, 1.0) + 1e-12
+
+
+def _assert_fsum_bits(x):
+    """exact_sum(x) has math.fsum's bits, or raises fsum's exception type,
+    and leaves x as it was."""
+    before = x.copy()
+    try:
+        want = math.fsum(x.ravel().tolist())
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            exact_sum(x)
+    else:
+        assert exact_sum(x).hex() == want.hex()
+    np.testing.assert_array_equal(x, before)
+
+
+_SPECIALS = {
+    "none": [],
+    "inf": [math.inf],
+    "-inf": [-math.inf],
+    "nan": [math.nan],
+    "inf-inf": [math.inf, -math.inf],
+    "overflow": [1e308, 1e308, -1e308],
+}
+
+
+class TestExactSum:
+    """exact_sum against math.fsum, bit for bit, on both sides of the size
+    at which it starts to fold."""
+
+    @staticmethod
+    def _draw(gen, n, kind):
+        if kind == "normal":
+            return gen.standard_normal(n)
+        if kind == "wide":  # magnitudes 1e-300 .. 1e300, both signs
+            return gen.choice([-1.0, 1.0], n) * 10.0 ** gen.uniform(-300.0, 300.0, n)
+        if kind == "folding_range":  # 1e-300 .. 1e270: folds, then leaves the range
+            return gen.standard_normal(n) * 10.0 ** gen.uniform(-300.0, 270.0, n)
+        if kind == "cancel":  # pairs x, -x, and one small entry when n is odd
+            half = gen.standard_normal(n // 2) * 10.0 ** gen.uniform(-200.0, 200.0, n // 2)
+            return np.concatenate([half, -half, gen.standard_normal(n - 2 * (n // 2)) * 1e-30])
+        if kind == "subnormal":
+            x = gen.integers(-(2**52), 2**52, n) * 5e-324
+            x[: min(n, 3)] = [1.0, 2.0**-1000, -1.0][: min(n, 3)]
+            return x
+        if kind == "signed_zero":
+            return gen.choice([-0.0, 0.0], n)
+        if kind == "positive":
+            return gen.exponential(size=n) * 1e-5
+        if kind == "crowded":  # n entries near the max: the fold's headroom at its limit
+            x = gen.uniform(0.99, 1.0, n)
+            x[::7] = -gen.uniform(0.0, 1e-3, x[::7].size)
+            return x
+        raise AssertionError(kind)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(
+            st.integers(1, 1100), st.sampled_from([1023, 1024, 1025, 2047, 4095, 4097, 20000])
+        ),
+        kind=st.sampled_from(
+            ["normal", "wide", "folding_range", "cancel", "subnormal", "signed_zero", "positive",
+             "crowded"]
+        ),
+        special=st.sampled_from(sorted(_SPECIALS)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fsum(self, seed, n, kind, special):
+        gen = np.random.Generator(np.random.SFC64(seed))
+        x = self._draw(gen, n, kind)
+        _assert_fsum_bits(gen.permutation(np.concatenate([x, _SPECIALS[special]])))
+
+    @given(x=hnp.arrays(np.float64, st.integers(0, 1500)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fsum_on_any_floats(self, x):
+        _assert_fsum_bits(x)
+
+    @pytest.mark.parametrize("n", [3, 2048])
+    def test_intermediate_overflow(self, n):
+        x = np.zeros(n)
+        x[:3] = [1e308, 1e308, -1e308]
+        with pytest.raises(OverflowError):
+            exact_sum(x)
+
+    @pytest.mark.parametrize("scale", [2.0**900, 2.0**-900, 2.0**901, 2.0**-901])
+    def test_range_edges(self, scale, rng):
+        x = rng.uniform(-1.0, 1.0, 3000)
+        x[0] = 1.0
+        _assert_fsum_bits(x * scale)
+
+    def test_all_zero_and_two_dimensional(self, rng):
+        _assert_fsum_bits(np.zeros(5000))
+        _assert_fsum_bits(-np.zeros(5000))
+        _assert_fsum_bits(rng.standard_normal((256, 256)) * rng.exponential(size=256))
+
+    def test_folds_a_large_sum(self, rng, monkeypatch):
+        # 65 536 terms, as in a d = 256 divergence sum: fsum sees only a
+        # handful of pass totals and leftover residuals
+        x = rng.standard_normal(65536) * rng.exponential(size=65536)
+        fsum = math.fsum
+        seen = []
+        monkeypatch.setattr(linalg.math, "fsum", lambda v: seen.append(len(v)) or fsum(v))
+        got = exact_sum(x)
+        monkeypatch.undo()
+        assert got.hex() == math.fsum(x.tolist()).hex()
+        assert seen and max(seen) < 1024 + 8
 
 
 class TestPsdGap:
