@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Write the program's reference artifacts to OUT_DIR: verify reports and their
-# stdout, three sweeps, two generated states, eval of that pair in both orders,
-# and the output of the two probe scripts.
+# stdout, three sweeps, two generated states, eval of that pair in both orders
+# and at q = Q_MAX, and the output of the two probe scripts.
 #
 # Every command runs through `python -m qrelent`, so PYTHONPATH (or the
 # installed package) picks the source tree that runs.  Two trees give the same
@@ -47,5 +47,7 @@ python -m qrelent gen --d 8 --rank 8 --seed 3 --out sigma.json > /dev/null
 # q = 1.000000001 covers the q -> 1 end of the divergence sum
 python -m qrelent eval rho.json sigma.json --q 1.000000001,1.5,2,3,7 > eval_rho_sigma.json
 python -m qrelent eval sigma.json rho.json --q 1.000000001,1.5,2,3,7 > eval_sigma_rho.json
+# q = 40 is Q_MAX, the largest order D_q and the thm3 row accept
+python -m qrelent eval rho.json sigma.json --q 40 > eval_rho_sigma_q40.json
 python "$scripts/divergence_rate.py" > divergence_rate.txt
 python "$scripts/tightness_crossover.py" > tightness_crossover.txt

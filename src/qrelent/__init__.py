@@ -21,6 +21,7 @@ from .errors import (
 )
 from .linalg import (
     HermitianOperator,
+    OperatorPair,
     apply_function,
     as_herm,
     eigh,
@@ -68,7 +69,6 @@ from .entropy import (
 )
 from .bounds import (
     BoundReport,
-    OperatorPair,
     frechet_check,
     lemma3_bound,
     lower_bounds,

@@ -2,12 +2,13 @@
 inequality, compares it against the directly evaluated left-hand side, and
 reports the verdict.
 
-The D_q bounds and the lower-bound chains are functions of the ``PairEval``
-of a state pair (from the entropy layer), which computes the spectral
-summary, distances and divergences they share once per pair; the ``BOUNDS``
-registry lists them with their q gates for the sweep and eval commands.  The
-lemma checks are functions of an ``OperatorPair``, which shares the singular
-values of two operands the same way.  A report holds only its own values;
+The lemma checks are functions of an ``OperatorPair`` (from the linear
+algebra layer), which computes the singular values of two operands once and
+shares them.  The D_q bounds and the lower-bound chains are functions of
+the ``PairEval`` of a state pair (from the entropy layer): the OperatorPair
+of (rho, sigma), which also computes the spectral summary and divergences
+they share once per pair.  The ``BOUNDS`` registry lists them with their q
+gates for the sweep and eval commands.  A report holds only its own values;
 the summary and distances stay on the context.
 
 Every verdict, here and in the verify suites, applies one rule, ``margin``:
@@ -23,23 +24,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
+from .errors import InternalInconsistency, PreconditionFailed
 from .linalg import (
-    as_herm,
+    HermitianOperator,
+    OperatorPair,
     herm_power,
-    norm_distances,
     psd_gap,
     schatten_norm,
-    singular_values,
     zero_threshold,
 )
 from .quadrature import frechet_integral_rhs
-from .entropy import ExtendedReal, PairEval, q_log
+from .entropy import Q_MAX, ExtendedReal, PairEval, q_log
 
 #: relative slack allowed by the ``holds`` verdict: lhs <= rhs + tol*(1+rhs)
 TOL_BOUND = 1e-9
@@ -73,46 +72,6 @@ class BoundReport:
         if self.vacuous or math.isinf(self.rhs):
             return None
         return self.rhs - self.lhs.value
-
-
-class OperatorPair:
-    """Norm context of the two Hermitian operands (A, B) of a lemma check.
-
-    The singular values of A, B, A - B and A^n - B^n are each computed once,
-    on first use, and shared by every norm and distance taken of the pair.
-    Pass one instance to every check on the same (A, B).  Operands of
-    different dimensions raise DimensionMismatch.
-    """
-
-    def __init__(self, a, b) -> None:
-        self.a = as_herm(a)
-        self.b = as_herm(b)
-        if self.a.dim != self.b.dim:
-            raise DimensionMismatch(f"dimension mismatch: {self.a.dim} vs {self.b.dim}")
-        self._power_diff: dict[int, np.ndarray] = {}
-
-    @cached_property
-    def operand_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
-        return singular_values(self.a), singular_values(self.b)
-
-    @cached_property
-    def diff_singular_values(self) -> np.ndarray:
-        return singular_values(self.a.matrix - self.b.matrix)
-
-    @cached_property
-    def distances(self) -> dict[str, float]:
-        return norm_distances(self.diff_singular_values)
-
-    def power_diff_singular_values(self, n: int) -> np.ndarray:
-        """Singular values of A^n - B^n; matrix_power(M, 1) is M itself, so
-        n = 1 is the difference A - B."""
-        if n == 1:
-            return self.diff_singular_values
-        if n not in self._power_diff:
-            power = np.linalg.matrix_power
-            self._power_diff[n] = singular_values(power(self.a.matrix, n)
-                                                  - power(self.b.matrix, n))
-        return self._power_diff[n]
 
 
 def margin(lhs: float, rhs: float, allowance: float) -> float:
@@ -231,15 +190,15 @@ def _ceil_snap(q: float) -> int:
 def thm3_bound(pair: PairEval, q: float, variant: str = "general") -> BoundReport:
     """Bound with the b0^(1-q) dependence.
 
-    general (any q > 1):  rhs = (ceil(q)-1)/(q-1) * (lambda1/b0)^(q-1) * ||Delta||_1
-    q2 (1 < q <= 2):      rhs = (a1/b0)^(q-1) * ||Delta||_1 / (q-1)
+    general (1 < q <= Q_MAX):  rhs = (ceil(q)-1)/(q-1) * (lambda1/b0)^(q-1) * ||Delta||_1
+    q2 (1 < q <= 2):           rhs = (a1/b0)^(q-1) * ||Delta||_1 / (q-1)
 
     Integer q uses ceil(q) = q, the limit of the ceiling from below.  A
     general rhs whose power overflows float64 is +inf.
     """
     if variant not in ("general", "q2"):
         raise PreconditionFailed(f"unknown variant {variant!r}")
-    q = _gate_q(q, math.inf if variant == "general" else 2.0)
+    q = _gate_q(q, Q_MAX if variant == "general" else 2.0)
     lhs = pair.dq(q)
     vacuous = not pair.kernel_included
     extras: dict[str, float] = {"q": q}
@@ -311,7 +270,7 @@ UPPER_BOUNDS = (
               lambda pair, q: [thm2_bound(pair, q, "general")]),
     BoundSpec("thm2tl", 2.0, ("thm2tl_rhs",),
               lambda pair, q: [thm2_bound(pair, q, "traceless")]),
-    BoundSpec("thm3", math.inf, ("thm3_rhs",),
+    BoundSpec("thm3", Q_MAX, ("thm3_rhs",),
               lambda pair, q: [thm3_bound(pair, q, "general")]),
     BoundSpec("thm3q2", 2.0, ("thm3q2_rhs",),
               lambda pair, q: [thm3_bound(pair, q, "q2")]),
@@ -337,6 +296,15 @@ def power_diff_bound(ops: OperatorPair, n: int, p: float) -> BoundReport:
                    {"n": float(n), "p": float(p), "base_norm": base})
 
 
+def _positive_eigenvalues(op: HermitianOperator, side: str) -> np.ndarray:
+    """The eigenvalues of a lemma check's ``side`` ("first" or "second")
+    operand; PreconditionFailed unless they are above the zero threshold."""
+    w = op.eigenvalues()
+    if float(w[0]) <= zero_threshold(w):
+        raise PreconditionFailed(f"{side} operand must be strictly positive")
+    return w
+
+
 def lemma3_bound(ops: OperatorPair, s: float) -> BoundReport:
     """|tr(B^(1-s) A^s) - tau| <= (a1/b0)^s * ||A - B||_1 for the operands
     (A, B) of ``ops``: trace-matched A >= 0 and B > 0 with common trace tau,
@@ -348,9 +316,7 @@ def lemma3_bound(ops: OperatorPair, s: float) -> BoundReport:
     tau_a, tau_b = A.trace(), B.trace()
     if abs(tau_a - tau_b) > 1e-10:
         raise PreconditionFailed(f"trace mismatch: {tau_a!r} vs {tau_b!r}")
-    b_eigs = B.eigenvalues()
-    if float(b_eigs[0]) <= zero_threshold(b_eigs):
-        raise PreconditionFailed("second operand must be strictly positive")
+    b_eigs = _positive_eigenvalues(B, "second")
     a_eigs = A.eigenvalues()
     mixed = herm_power(B, 1.0 - s).matrix @ herm_power(A, s).matrix
     lhs_val = abs(float(np.trace(mixed).real) - tau_a)
@@ -377,9 +343,7 @@ def frechet_check(ops: OperatorPair, rs) -> tuple[BoundReport, ...]:
         if not 0.0 < r < 1.0:
             raise PreconditionFailed(f"requires 0 < r < 1, got {r}")
     for op, side in ((A, "first"), (B, "second")):
-        w = op.eigenvalues()
-        if float(w[0]) <= zero_threshold(w):
-            raise PreconditionFailed(f"{side} operand must be strictly positive")
+        _positive_eigenvalues(op, side)
     reports = []
     for r, rhs_op in zip(rs, frechet_integral_rhs(A, B - A, rs)):
         gap = psd_gap(herm_power(A, -r) - herm_power(B, -r), rhs_op)

@@ -21,8 +21,9 @@ sigma).  Its d^2 terms are added correctly rounded by ``linalg.exact_sum``:
 math.fsum below 1024 terms, error-free folding in numpy above, the same
 bits either side.
 
-``PairEval`` is the one evaluation context of a state pair: it keeps what
-the entropy calls and the bound evaluators share, each computed once.
+``PairEval``, the OperatorPair of (rho, sigma), is the one evaluation context
+of a state pair: it keeps what the entropy calls and the bound evaluators
+share, each computed once.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     PreconditionFailed,
     QOutOfRange,
 )
-from .linalg import exact_sum, lapack_eigh, norm_distances
+from .linalg import OperatorPair, exact_sum, lapack_eigh
 from .states import DensityMatrix, SpectralSummary, kernel_included, probability_vector
 
 #: largest accepted entropy order; beyond this a^q underflows for typical spectra
@@ -114,8 +115,16 @@ def tsallis_entropy(p, q: float) -> float:
     return -_divergence_sum(np.eye(a.size), a, _log(a), np.zeros(a.size), q)
 
 
+def _order(q: float) -> float:
+    """The order of a D_q as a float; QOutOfRange unless 1 < q <= Q_MAX."""
+    q = float(q)
+    if not 1.0 < q <= Q_MAX:
+        raise QOutOfRange(f"requires 1 < q <= {Q_MAX}, got {q}")
+    return q
+
+
 def classical_relative_q(a, b, q: float) -> ExtendedReal:
-    """Relative q-entropy of probability vectors for q > 1.
+    """Relative q-entropy of probability vectors for q in (1, Q_MAX].
 
     Infinite whenever some outcome has a_i > 0 but b_i = 0; otherwise
     (1 - sum_{a_i>0} a_i^q b_i^(1-q)) / (1-q), evaluated as the divergence
@@ -126,9 +135,7 @@ def classical_relative_q(a, b, q: float) -> ExtendedReal:
     vb = probability_vector(b)
     if va.size != vb.size:
         raise DimensionMismatch(f"length mismatch: {va.size} vs {vb.size}")
-    q = float(q)
-    if not q > 1.0:
-        raise QOutOfRange(f"requires q > 1, got {q}")
+    q = _order(q)
     if any(ai > 0.0 and bi == 0.0 for ai, bi in zip(va, vb)):
         return POSITIVE_INFINITY
     support = va > 0.0
@@ -146,25 +153,23 @@ def _log(x: np.ndarray) -> np.ndarray:
     return np.array([math.log(v) for v in x.tolist()])
 
 
-class PairEval:
-    """Evaluation context of one state pair (rho, sigma).
+class PairEval(OperatorPair):
+    """Evaluation context of one state pair: the OperatorPair of (rho, sigma),
+    with its dimension check and its distances from one solve of rho - sigma.
 
-    Each quantity is computed on first use and kept: the kernel verdict
-    ker(sigma) in ker(rho), the restricted overlap |<a|b>|^2 with rho's
-    nonzero spectrum (the double-sum route), the compressed eigensystem of
-    the operator route, the logarithms of sigma's nonzero spectrum (read by
-    both routes), the spectral summary, the trace and spectral distances
-    (from one eigenvalue solve of rho - sigma), D_1, D_q for every q and D_p
-    for every p asked for.  Pass one instance to every entropy call
-    and bound evaluator on the pair; each entropy call still runs its own
-    checks, the cross-route check included.
+    Each further quantity is computed on first use and kept: the kernel
+    verdict ker(sigma) in ker(rho), the restricted overlap |<a|b>|^2 with
+    rho's nonzero spectrum (the double-sum route), the compressed
+    eigensystem of the operator route, the logarithms of sigma's nonzero
+    spectrum (read by both routes), the spectral summary, D_1, D_q for every
+    q and D_p for every p asked for.  Pass one instance to every entropy
+    call and bound evaluator on the pair; each entropy call still runs its
+    own checks, the cross-route check included.
     """
 
     def __init__(self, rho: DensityMatrix, sigma: DensityMatrix) -> None:
-        if rho.dim != sigma.dim:
-            raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-        self.rho = rho
-        self.sigma = sigma
+        super().__init__(rho, sigma)
+        self.rho, self.sigma = self.a, self.b
         self._dq: dict[float, ExtendedReal] = {}
         self._dp: dict[float, float] = {}
 
@@ -207,14 +212,9 @@ class PairEval:
 
     @cached_property
     def summary(self) -> SpectralSummary:
-        return SpectralSummary.from_states(self.rho, self.sigma)
-
-    @cached_property
-    def distances(self) -> dict[str, float]:
-        # both state matrices are exactly Hermitian, so their difference is:
-        # its singular values are the sorted moduli of its eigenvalues
-        s = np.abs(np.linalg.eigvalsh(self.rho.matrix - self.sigma.matrix))
-        return norm_distances(np.sort(s)[::-1])
+        a, b = self.rho.spectrum, self.sigma.spectrum
+        a1, b1, b0 = float(a[-1]), float(b[-1]), float(b[self.sigma.dim - self.sigma.rank])
+        return SpectralSummary(a1, b1, b0, lambda0=float(min(a[0], b[0])), lambda1=max(a1, b1))
 
     # the entropy functions are looked up by name at each call, so a wrapper
     # installed on the module attribute (a profiler, a test counter) sees it
@@ -296,9 +296,7 @@ def quantum_relative_q(
     over from earlier calls.
     """
     pair = _state_pair(rho, sigma, pair)
-    q = float(q)
-    if not (1.0 < q <= Q_MAX):
-        raise QOutOfRange(f"requires 1 < q <= {Q_MAX}, got {q}")
+    q = _order(q)
     if not pair.kernel_included:
         return POSITIVE_INFINITY
     value = _divergence_sum(*pair.overlap, pair.log_b, q)

@@ -21,7 +21,6 @@ from .bounds import (
     BOUNDS,
     UPPER_BOUNDS,
     BoundReport,
-    OperatorPair,
     PairEval,
     TOL_BOUND,
     frechet_check,
@@ -43,6 +42,7 @@ from .errors import ConfigError
 from .linalg import (
     PSD_TOL,
     HermitianOperator,
+    OperatorPair,
     apply_function,
     exact_sum,
     schatten_norm,
@@ -55,6 +55,7 @@ from .states import (
     draw_common_support_pair,
     draw_density,
     embed_common_support,
+    ginibre,
     haar_unitary,
     kernel_included,
     partial_trace,
@@ -266,16 +267,12 @@ def sigma_family(d: int, b0: float) -> DensityMatrix:
     return DensityMatrix.from_eigensystem(spec, np.eye(d, dtype=np.complex128))
 
 
-def _rand_complex(rng, d: int) -> np.ndarray:
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
 def _rand_herm(rng, d: int) -> HermitianOperator:
-    return HermitianOperator((lambda g: (g + g.conj().T) / 2.0)(_rand_complex(rng, d)))
+    return HermitianOperator((lambda g: (g + g.conj().T) / 2.0)(ginibre(rng, (d, d))))
 
 
 def _rand_pd(rng, d: int, trace_one: bool = False) -> HermitianOperator:
-    g = _rand_complex(rng, d)
+    g = ginibre(rng, (d, d))
     m = g @ g.conj().T / d
     if trace_one:
         m /= np.trace(m).real
@@ -337,7 +334,7 @@ def _sample_q(rng, exact_every: int, i: int, lo: float = 1.0, hi: float = 2.0) -
 def _suite_linalg_norms(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     tol = 1e-10
     for _, rng, d, _, _ in run.draws(1, count, _dims(config, math.inf), None):
-        x, y, z = (_rand_complex(rng, d) for _ in range(3))
+        x, y, z = (ginibre(rng, (d, d)) for _ in range(3))
         xy = x @ y
         xyz = xy @ z
         # one singular-value solve per matrix serves all of its norms

@@ -2,14 +2,15 @@
 
 Eigendecomposition, spectral calculus f(H), Schatten p-norms, and
 positive-semidefinite order comparison for matrices at desk scale
-(dimension capped at 256), and the correctly rounded array sum that every
-exact sum of the package uses.
+(dimension capped at 256), the norm context of an operator pair, and the
+correctly rounded array sum that every exact sum of the package uses.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -374,6 +375,48 @@ def norm_distances(s: np.ndarray) -> dict[str, float]:
     return {"trace_norm": schatten_norm(s, 1.0), "spectral_norm": schatten_norm(s, math.inf)}
 
 
+class OperatorPair:
+    """Norm context of two Hermitian operands (A, B): a lemma check's or a state pair's.
+
+    The singular values of A, B, A - B and A^n - B^n are each computed once,
+    on first use, and shared by every norm and distance taken of the pair.
+    Pass one instance to every check on the same (A, B).  Operands of
+    different dimensions raise DimensionMismatch.
+    """
+
+    def __init__(self, a, b) -> None:
+        self.a = as_herm(a)
+        self.b = as_herm(b)
+        if self.a.dim != self.b.dim:
+            raise DimensionMismatch(f"dimension mismatch: {self.a.dim} vs {self.b.dim}")
+        self._power_diff: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def operand_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
+        return singular_values(self.a), singular_values(self.b)
+
+    @cached_property
+    def diff_singular_values(self) -> np.ndarray:
+        # every HermitianOperator's matrix is exactly Hermitian, so A - B is:
+        # its singular values are the sorted moduli of its eigenvalues
+        return np.sort(np.abs(np.linalg.eigvalsh(self.a.matrix - self.b.matrix)))[::-1]
+
+    @cached_property
+    def distances(self) -> dict[str, float]:
+        return norm_distances(self.diff_singular_values)
+
+    def power_diff_singular_values(self, n: int) -> np.ndarray:
+        """Singular values of A^n - B^n; matrix_power(M, 1) is M itself, so
+        n = 1 is the difference A - B."""
+        if n == 1:
+            return self.diff_singular_values
+        if n not in self._power_diff:
+            power = np.linalg.matrix_power
+            self._power_diff[n] = singular_values(power(self.a.matrix, n)
+                                                  - power(self.b.matrix, n))
+        return self._power_diff[n]
+
+
 def psd_gap(a, b) -> float:
     """Minimum eigenvalue of B - A.
 
@@ -381,10 +424,7 @@ def psd_gap(a, b) -> float:
     relative to the operand scale; this function returns the raw gap and
     leaves the tolerance decision to the caller.
     """
-    a = as_herm(a)
-    b = as_herm(b)
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    diff = b.matrix - a.matrix
+    ops = OperatorPair(a, b)  # the operands, of one dimension
+    diff = ops.b.matrix - ops.a.matrix
     return float(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)[0])
 

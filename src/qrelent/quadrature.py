@@ -190,14 +190,27 @@ def _resolvent_sum(mat: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
     return totals
 
 
+def _exponent(r: float) -> float:
+    """An exponent r as a float; DomainViolation unless 0 < r < 1."""
+    r = float(r)
+    if not 0.0 < r < 1.0:
+        raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
+    return r
+
+
+def _positive(x: float) -> float:
+    """A scalar operand as a float; DomainViolation unless it is positive."""
+    x = float(x)
+    if not x > 0.0:
+        raise DomainViolation(f"scalar must be positive, got {x}")
+    return x
+
+
 def _exponents(rs) -> tuple[float, ...]:
     """The exponents of an operator integral as floats, each in (0, 1)."""
-    rs = tuple(float(r) for r in rs)
+    rs = tuple(_exponent(r) for r in rs)
     if not rs:
         raise DomainViolation("at least one exponent is required")
-    for r in rs:
-        if not 0.0 < r < 1.0:
-            raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
     return rs
 
 
@@ -218,11 +231,7 @@ def frac_power_scalar(a: float, r: float, form: str = "first") -> float:
     form="first":   (sin(r pi)/pi) int_0^inf x^(r-1) a/(a+x) dx
     form="second":  (sin(r pi)/pi) int_0^inf y^(-r) (y + 1/a)^(-1) dy
     """
-    a = float(a)
-    if not a > 0.0:
-        raise DomainViolation(f"base must be positive, got {a}")
-    if not 0.0 < r < 1.0:
-        raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
+    a, r = _positive(a), _exponent(r)
     if form == "first":
         splits = geometric_splits(a, a)
         val = _scalar_integral(lambda x: a / (a + x), r - 1.0, splits, NODES_PER_PANEL)
@@ -305,10 +314,7 @@ def frechet_integral_rhs(A, D, rs, rule: QuadratureRule | None = None
 def resolvent_pair_integral(a0: float, b0: float, r: float) -> float:
     """(sin(r pi)/pi) int_0^inf y^(-r) ((y+a0)(y+b0))^(-1) dy, with
     NODES_PER_PANEL nodes per panel of the ladder from min(a0, b0) to max(a0, b0)."""
-    if not (a0 > 0.0 and b0 > 0.0):
-        raise DomainViolation("both scalars must be positive")
-    if not 0.0 < r < 1.0:
-        raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
+    a0, b0, r = _positive(a0), _positive(b0), _exponent(r)
     splits = geometric_splits(min(a0, b0), max(a0, b0))
     val = _scalar_integral(lambda y: 1.0 / ((y + a0) * (y + b0)), -r, splits, NODES_PER_PANEL)
     return math.sin(r * math.pi) / math.pi * val
@@ -320,10 +326,7 @@ def resolvent_pair_closed_form(a0: float, b0: float, r: float) -> float:
     Switches to the limit when |a0-b0| is below 1e-8 of the scale, where the
     difference quotient loses all significant digits.
     """
-    if not (a0 > 0.0 and b0 > 0.0):
-        raise DomainViolation("both scalars must be positive")
-    if not 0.0 < r < 1.0:
-        raise DomainViolation(f"exponent must lie in (0, 1), got {r}")
+    a0, b0, r = _positive(a0), _positive(b0), _exponent(r)
     if abs(a0 - b0) <= 1e-8 * max(a0, b0):
         mid = (a0 + b0) / 2.0
         return r * mid ** (-r - 1.0)

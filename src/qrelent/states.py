@@ -186,7 +186,8 @@ def _settle(w: np.ndarray, u: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Extremal eigenvalues of a state pair used by the bound evaluators.
+    """Extremal eigenvalues of a state pair (``PairEval.summary``) used by
+    the bound evaluators.
 
     a1/b1 are the largest eigenvalues of rho/sigma, b0 the smallest nonzero
     eigenvalue of sigma, lambda0/lambda1 the extremes over both spectra.
@@ -198,16 +199,11 @@ class SpectralSummary:
     lambda0: float
     lambda1: float
 
-    @classmethod
-    def from_states(cls, rho: DensityMatrix, sigma: DensityMatrix) -> "SpectralSummary":
-        if rho.dim != sigma.dim:
-            raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-        a1 = float(rho.spectrum[-1])
-        b1 = float(sigma.spectrum[-1])
-        b0 = float(sigma.spectrum[sigma.dim - sigma.rank])
-        lambda0 = float(min(rho.spectrum[0], sigma.spectrum[0]))
-        lambda1 = float(max(a1, b1))
-        return cls(a1=a1, b1=b1, b0=b0, lambda0=lambda0, lambda1=lambda1)
+
+def ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex Ginibre array of the given shape from ``rng``: every real
+    part is drawn first, then every imaginary part, each standard normal."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def draw_density(d: int, rank: int, rng) -> np.ndarray:
@@ -218,7 +214,7 @@ def draw_density(d: int, rank: int, rng) -> np.ndarray:
     if not 1 <= rank <= d:
         raise BadSpectrum(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
     rng = as_generator(rng)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    g = ginibre(rng, (d, rank))
     m = g @ g.conj().T
     m /= m.trace().real
     return m
@@ -244,7 +240,7 @@ def haar_unitary(d: int, rng) -> np.ndarray:
     of diag(R) pulled into Q.  The QR is LAPACK's zgeqrf and zungqr called
     directly, which gives np.linalg.qr's Q and R without its wrapper's cost."""
     rng = as_generator(rng)
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    z = ginibre(rng, (d, d))
     lwork_r, lwork_q = _qr_workspace(d)
     lapack = scipy.linalg.lapack
     qr, tau, _, info_r = lapack.zgeqrf(z, lwork=lwork_r, overwrite_a=1)

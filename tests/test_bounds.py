@@ -17,7 +17,7 @@ from qrelent.bounds import (
     thm2_bound,
     thm3_bound,
 )
-from qrelent.entropy import quantum_relative_q
+from qrelent.entropy import Q_MAX, quantum_relative_q
 from qrelent.errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from qrelent.linalg import HermitianOperator, schatten_norm
 from qrelent.states import (
@@ -49,9 +49,20 @@ class TestPairEval:
         with pytest.raises(DimensionMismatch):
             PairEval(sample_density(2, 2, rng), sample_density(3, 3, rng))
 
+    def test_is_the_operator_pair_of_the_states(self, pair):
+        ctx = PairEval(*pair)
+        assert isinstance(ctx, OperatorPair)  # the class bounds re-exports from linalg
+        assert ctx.a is ctx.rho is pair[0] and ctx.b is ctx.sigma is pair[1]
+        # the distances and the dimension check are OperatorPair's own
+        assert "distances" not in vars(PairEval)
+
+
+#: the largest order any row accepts, and the first order past it
+_Q_EDGES = [Q_MAX, math.nextafter(Q_MAX, math.inf)]
+
 
 class TestRegistry:
-    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0] + _Q_EDGES)
     def test_gates_and_report_names(self, pair, q):
         ctx = PairEval(*pair)
         for spec in BOUNDS:
@@ -62,6 +73,11 @@ class TestRegistry:
             else:
                 with pytest.raises(PreconditionFailed):
                     spec.evaluate(ctx, q)
+
+    def test_no_row_applies_past_q_max(self):
+        # a row offers only the orders D_q accepts
+        assert [spec.name for spec in BOUNDS if spec.applies(_Q_EDGES[1])] == []
+        assert [spec.name for spec in BOUNDS if spec.applies(Q_MAX)] == ["thm3"]
 
 
 class TestThm1:

@@ -131,6 +131,13 @@ class TestClassicalRelative:
         with pytest.raises(QOutOfRange):
             classical_relative_q([1.0], [1.0], 0.5)
 
+    @pytest.mark.parametrize("q", [math.inf, 1e6, 40.5, math.nan])
+    def test_orders_past_q_max_rejected(self, q):
+        # the gate of the quantum D_q: an order past Q_MAX is out of range,
+        # not an overflow or a NaN sum
+        with pytest.raises(QOutOfRange):
+            classical_relative_q([0.5, 0.5], [0.25, 0.75], q)
+
 
 #: a classical pair whose D_q and S_q lost up to 4e-7 relative to the
 #: 1 - s cancellation at q = 1 + 1e-9

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi, roots_legendre
 
 from qrelent import linalg, quadrature
-from qrelent.bounds import OperatorPair, frechet_check
+from qrelent.bounds import frechet_check
 from qrelent.errors import ConfigError, DomainViolation, PreconditionFailed
-from qrelent.linalg import HermitianOperator, apply_function, eigh, schatten_norm
+from qrelent.linalg import HermitianOperator, OperatorPair, apply_function, eigh, schatten_norm
 from qrelent.quadrature import (
     QuadratureRule,
     frac_power_operator,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrelent.entropy import PairEval
 from qrelent.errors import (
     BadFactorization,
     BadSpectrum,
@@ -21,7 +22,6 @@ from qrelent.linalg import EIG_TOL, HermitianOperator
 from qrelent.states import (
     TOL_INCL,
     DensityMatrix,
-    SpectralSummary,
     density_with_spectrum,
     haar_unitary,
     kernel_included,
@@ -291,7 +291,7 @@ class TestSpectralSummary:
     def test_fixture_pair(self):
         rho = DensityMatrix(np.diag([0.5, 0.5]))
         sigma = DensityMatrix(np.diag([0.75, 0.25]))
-        s = SpectralSummary.from_states(rho, sigma)
+        s = PairEval(rho, sigma).summary
         assert (s.a1, s.b1, s.b0, s.lambda0, s.lambda1) == (0.5, 0.75, 0.25, 0.25, 0.75)
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -301,7 +301,7 @@ class TestSpectralSummary:
         d = int(gen.integers(2, 7))
         rho = sample_density(d, int(gen.integers(1, d + 1)), gen)
         sigma = sample_density(d, int(gen.integers(1, d + 1)), gen)
-        s = SpectralSummary.from_states(rho, sigma)
+        s = PairEval(rho, sigma).summary
         assert 0.0 <= s.lambda0 <= s.b0 <= s.b1 <= s.lambda1 <= 1.0
         assert s.a1 <= s.lambda1
 
