@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -78,7 +79,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_eval(args: argparse.Namespace) -> int:
-    report = cmd_eval(args.rho, args.sigma, args.q or (2.0,))
+    report = cmd_eval(args.rho, args.sigma, (2.0,) if args.q is None else args.q)
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 
@@ -89,7 +90,12 @@ def _run_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one.  Parsing leaves no state on it: each parse_args call returns a fresh
+    namespace, and the parser holds no handler, since main picks one by the
+    subcommand's name on each call."""
     parser = argparse.ArgumentParser(
         prog="qrelent",
         description="Relative q-entropy of density matrices and its continuity bounds",
@@ -98,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run every randomized property suite")
     _add_run_flags(p_verify)
-    p_verify.set_defaults(func=_run_verify)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep writing one CSV row per instance")
     _add_run_flags(p_sweep)
@@ -106,29 +111,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--b0", type=_float_list, default=None,
                          help="comma list of smallest-eigenvalue values, each at most "
                               "1/max(dims); the default 0.1,0.01 fits only dims up to 10")
-    p_sweep.set_defaults(func=_run_sweep)
 
     p_eval = sub.add_parser("eval", help="evaluate one state pair from files")
     p_eval.add_argument("rho", help="state file for the first argument")
     p_eval.add_argument("sigma", help="state file for the second argument")
     p_eval.add_argument("--q", type=_float_list, default=None,
                         help="comma list of q values (default 2)")
-    p_eval.set_defaults(func=_run_eval)
 
     p_gen = sub.add_parser("gen", help="sample a random state and write it to a file")
     p_gen.add_argument("--d", type=int, required=True, help="dimension")
     p_gen.add_argument("--rank", type=int, required=True, help="rank of the sampled state")
     p_gen.add_argument("--seed", type=int, default=0, help="RNG seed")
     p_gen.add_argument("--out", required=True, help="output state file")
-    p_gen.set_defaults(func=_run_gen)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run = {"verify": _run_verify, "sweep": _run_sweep, "eval": _run_eval, "gen": _run_gen}
     try:
-        return args.func(args)
+        return run[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

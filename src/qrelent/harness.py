@@ -68,6 +68,15 @@ from .states import (
     write_state,
 )
 
+#: root seeds lie in [0, 2^SEED_BITS): stream_seed keeps 64 bits and puts the
+#: salt at bit 40, so a seed outside would draw another seed's streams
+SEED_BITS = 40
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 1 << SEED_BITS:
+        raise ConfigError(f"seed must lie in [0, 2^{SEED_BITS}), got {seed}")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -83,6 +92,7 @@ class SweepConfig:
             raise ConfigError(f"dims must be nonempty integers in [1, 256], got {self.dims!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
+        _check_seed(self.seed)
 
     def echo_dict(self) -> dict:
         """Configuration echo for artifact headers; excludes the output path so
@@ -821,7 +831,10 @@ def _report_to_json(rep: BoundReport) -> dict:
 
 def cmd_eval(rho_path, sigma_path, q_list) -> dict:
     """Evaluate D_q, the q -> 1 anchor, and every applicable bound for a state
-    pair loaded from JSON files; returns a JSON-serializable report."""
+    pair loaded from JSON files; returns a JSON-serializable report.  An empty
+    q_list is a ConfigError."""
+    if not q_list:
+        raise ConfigError("q_list must be nonempty")
     quadrature.self_test()
     pair = PairEval(read_state(rho_path), read_state(sigma_path))
     per_q = []
@@ -854,5 +867,6 @@ def cmd_gen(d: int, rank: int, seed: int, out) -> Path:
         raise ConfigError(f"dimension must lie in [1, 256], got {d}")
     if not out:
         raise ConfigError("an output path is required")
+    _check_seed(seed)
     write_state(out, sample_density(d, rank, trial_stream(seed, 0, 0)))
     return Path(out)

@@ -47,6 +47,10 @@ LADDER_RATIO = 10.0
 NODES_PER_PANEL = 24
 #: memory cap for one chunk of the stacked node matrices (8 nodes at d=256)
 _CHUNK_BYTES = 1 << 23
+#: closed range of a scalar operand: inside it the integrands and tail nodes
+#: stay far inside float64 and a^r keeps 1e-9 relative accuracy; outside it
+#: they can overflow or underflow, and values go wrong without an error
+SCALAR_RANGE = (1e-100, 1e100)
 
 
 @dataclass(frozen=True)
@@ -199,10 +203,11 @@ def _exponent(r: float) -> float:
 
 
 def _positive(x: float) -> float:
-    """A scalar operand as a float; DomainViolation unless it is positive."""
+    """A scalar operand as a float; DomainViolation unless it lies in SCALAR_RANGE."""
     x = float(x)
-    if not x > 0.0:
-        raise DomainViolation(f"scalar must be positive, got {x}")
+    low, high = SCALAR_RANGE
+    if not low <= x <= high:
+        raise DomainViolation(f"scalar must lie in [{low:g}, {high:g}], got {x}")
     return x
 
 
@@ -225,8 +230,8 @@ def _scaled_hermitian(rs: tuple[float, ...], totals: list[np.ndarray]
 
 
 def frac_power_scalar(a: float, r: float, form: str = "first") -> float:
-    """a^r for a > 0 and r in (0, 1) via an integral representation, with
-    NODES_PER_PANEL nodes on the one-point ladder at the integrand's pole.
+    """a^r for a in SCALAR_RANGE and r in (0, 1) via an integral representation,
+    with NODES_PER_PANEL nodes on the one-point ladder at the integrand's pole.
 
     form="first":   (sin(r pi)/pi) int_0^inf x^(r-1) a/(a+x) dx
     form="second":  (sin(r pi)/pi) int_0^inf y^(-r) (y + 1/a)^(-1) dy
@@ -312,8 +317,9 @@ def frechet_integral_rhs(A, D, rs, rule: QuadratureRule | None = None
 
 
 def resolvent_pair_integral(a0: float, b0: float, r: float) -> float:
-    """(sin(r pi)/pi) int_0^inf y^(-r) ((y+a0)(y+b0))^(-1) dy, with
-    NODES_PER_PANEL nodes per panel of the ladder from min(a0, b0) to max(a0, b0)."""
+    """(sin(r pi)/pi) int_0^inf y^(-r) ((y+a0)(y+b0))^(-1) dy for a0, b0 in
+    SCALAR_RANGE, with NODES_PER_PANEL nodes per panel of the ladder from
+    min(a0, b0) to max(a0, b0)."""
     a0, b0, r = _positive(a0), _positive(b0), _exponent(r)
     splits = geometric_splits(min(a0, b0), max(a0, b0))
     val = _scalar_integral(lambda y: 1.0 / ((y + a0) * (y + b0)), -r, splits, NODES_PER_PANEL)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +75,21 @@ class TestConfigValidation:
             dims=(2, 3), q_grid=(1.5, 2.0), b0_grid=(0.1, 0.01), trials=3, seed=4,
             output_path="out.csv")
         assert SweepConfig.from_dict({"output_path": None}).output_path is None
+
+    # stream_seed keeps 64 bits and puts the salt at bit 40: a seed outside
+    # [0, 2^40) would alias another seed's streams
+    @pytest.mark.parametrize("seed", [-1, 2**40, 2**40 + 5, 2**64 - 1, 2**64 + 5])
+    def test_seed_outside_forty_bits(self, seed, tmp_path):
+        with pytest.raises(ConfigError, match="seed"):
+            SweepConfig(seed=seed).validate()
+        with pytest.raises(ConfigError, match="seed"):
+            cmd_gen(2, 2, seed=seed, out=tmp_path / "s.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_range_edges_are_accepted(self, tmp_path):
+        for seed in (0, 2**40 - 1):
+            SweepConfig(seed=seed).validate()
+            cmd_gen(2, 2, seed=seed, out=tmp_path / f"s{seed}.json")
 
     @pytest.mark.parametrize("doc", [{"dims": 5}, {"trials": "3"}])
     def test_wrong_json_type_exits_two(self, doc, tmp_path, capsys):
@@ -599,6 +618,79 @@ class TestCli:
         state = cmd_gen(2, 2, seed=7, out=tmp_path / "s.json")
         assert main(["eval", str(state), str(state), "--q", "0.5"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("q_arg", ["", ","])
+    def test_eval_empty_q_exit_two(self, q_arg, tmp_path, capsys):
+        state = cmd_gen(2, 2, seed=7, out=tmp_path / "s.json")
+        assert main(["eval", str(state), str(state), "--q", q_arg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_eval_default_q_is_two(self, tmp_path, capsys):
+        state = cmd_gen(2, 2, seed=7, out=tmp_path / "s.json")
+        assert main(["eval", str(state), str(state)]) == 0
+        assert [entry["q"] for entry in json.loads(capsys.readouterr().out)["per_q"]] == [2.0]
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--d", "2", "--rank", "2", "--seed", "18446744073709551621"],
+        ["gen", "--d", "2", "--rank", "2", "--seed", "-1"],
+        ["sweep", "--dims", "2", "--q", "2", "--b0", "0.25", "--trials", "1", "--seed", "-1"],
+        ["sweep", "--dims", "2", "--q", "2", "--b0", "0.25", "--trials", "1",
+         "--seed", "18446744073709551615"],
+        ["verify", "--trials", "1", "--seed", str(2**40)],
+    ], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+    def test_seed_outside_forty_bits_exit_two(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_parser_is_shared(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        # one process runs every command in turn on the shared parser; each
+        # exit code, output and artifact equals that of a fresh process
+        states = ("rho.json", "sigma.json")
+        sequence = [
+            ["verify", "--trials", "2", "--dims", "2,3", "--seed", "5", "--out", "v.json"],
+            ["sweep", "--dims", "2", "--q", "1.5,2", "--b0", "0.25", "--trials", "2",
+             "--seed", "3", "--out", "s.csv"],
+            ["eval", *states, "--q", "1.5,2"],
+            ["eval", *reversed(states), "--q", "1.5,2"],
+            ["gen", "--d", "3", "--rank", "2", "--seed", "9", "--out", "g.json"],
+            ["eval", *states, "--bogus"],
+            ["sweep", "--help"],
+            ["eval", "missing.json", "rho.json"],
+            ["eval", "g.json", "g.json", "--q", "3"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        runs = {}
+        for mode in ("shared", "fresh"):
+            work = tmp_path / mode
+            work.mkdir()
+            write_state(work / states[0], DensityMatrix(np.diag([0.5, 0.3, 0.2])))
+            write_state(work / states[1], DensityMatrix(np.diag([0.2, 0.2, 0.6])))
+            monkeypatch.chdir(work)
+            results = []
+            for argv in sequence:
+                if mode == "shared":
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                    captured = capsys.readouterr()
+                    results.append((code, captured.out, captured.err))
+                else:
+                    proc = subprocess.run([sys.executable, "-m", "qrelent", *argv], env=env,
+                                          capture_output=True, text=True, check=False)
+                    results.append((proc.returncode, proc.stdout, proc.stderr))
+            artifacts = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+            runs[mode] = results, artifacts
+        assert [code for code, _, _ in runs["shared"][0]] == [0, 0, 0, 0, 0, 2, 0, 3, 0]
+        assert runs["shared"] == runs["fresh"]
 
     def test_internal_error_exit_four(self, tmp_path, capsys):
         from qrelent.states import write_state

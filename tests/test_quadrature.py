@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -188,6 +189,54 @@ class TestResolventPair:
             assert resolvent_pair_closed_form(b0, b0, 0.5) == pytest.approx(
                 0.5 * b0**-1.5, rel=1e-12
             )
+
+
+class TestScalarRange:
+    """Scalar operands lie in SCALAR_RANGE = [1e-100, 1e100]: inside it the
+    scalar integrals keep the self-test's 1e-9, outside it they raise."""
+
+    OUTSIDE = [math.inf, 1e308, 1e305, 1e-320, math.nextafter(1e100, math.inf),
+               math.nextafter(1e-100, 0.0), math.nan, 0.0, -1.0]
+
+    def test_range(self):
+        assert quadrature.SCALAR_RANGE == (1e-100, 1e100)
+
+    @pytest.mark.parametrize("a", OUTSIDE)
+    @pytest.mark.parametrize("form", ["first", "second"])
+    def test_power_outside_raises(self, a, form):
+        with pytest.raises(DomainViolation):
+            frac_power_scalar(a, 0.5, form=form)
+
+    @pytest.mark.parametrize("call", [resolvent_pair_integral, resolvent_pair_closed_form],
+                             ids=lambda call: call.__name__)
+    @pytest.mark.parametrize("a0,b0", [(math.inf, 1.0), (1e300, 1e-300), (1e-300, 1e-300),
+                                       (1.0, 1e305), (1.0, math.nan)])
+    def test_pair_outside_raises(self, call, a0, b0):
+        with pytest.raises(DomainViolation):
+            call(a0, b0, 0.5)
+
+    @staticmethod
+    def _operand(log_a: float) -> float:
+        low, high = quadrature.SCALAR_RANGE
+        return min(max(10.0**log_a, low), high)
+
+    @given(log_a=st.floats(-100.0, 100.0), r=st.floats(0.01, 0.99),
+           form=st.sampled_from(["first", "second"]))
+    @settings(max_examples=200, deadline=None)
+    def test_power_inside_is_accurate(self, log_a, r, form):
+        a = self._operand(log_a)
+        assert abs(frac_power_scalar(a, r, form=form) - a**r) <= 1e-9 * a**r
+
+    @given(log_a=st.floats(-100.0, 100.0), log_b=st.floats(-100.0, 100.0),
+           r=st.floats(0.01, 0.99))
+    @settings(max_examples=100, deadline=None)
+    def test_pair_inside_is_accurate(self, log_a, log_b, r):
+        a0, b0 = self._operand(log_a), self._operand(log_b)
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(a0), mpmath.mpf(b0)
+            exact = r * a ** (-r - 1) if a == b else (b**-r - a**-r) / (a - b)
+            exact = float(exact)
+        assert abs(resolvent_pair_integral(a0, b0, r) - exact) <= 1e-9 * exact
 
 
 def _daleckii_krein(a: HermitianOperator, direction: np.ndarray, r: float) -> np.ndarray:
