@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -94,17 +93,18 @@ def _identity(d: int) -> np.ndarray:
 
 
 def lapack_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues ascending and orthonormal eigenvector columns of a complex
-    Hermitian matrix, from its lower triangle, by one LAPACK zheevd call.
+    """Eigenvalues ascending and orthonormal, C-ordered eigenvector columns of
+    a complex Hermitian matrix, or of each matrix of a stack, from the lower
+    triangle.
 
-    These are the arrays np.linalg.eigh returns (the same driver, triangle
-    and C-ordered eigenvectors) without its wrapper's cost; a solve that
-    does not converge raises ConvergenceFailure.
+    This is np.linalg.eigh, which runs LAPACK's zheevd once per matrix, so
+    each matrix of a stack gets the bits it gets alone; a solve that does
+    not converge raises ConvergenceFailure.
     """
-    w, u, info = scipy.linalg.lapack.zheevd(mat, lower=1)
-    if info != 0:
-        raise ConvergenceFailure(f"eigh failed: zheevd info {info}")
-    return w, np.ascontiguousarray(u)
+    try:
+        return np.linalg.eigh(mat, UPLO="L")
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigh failed: {exc}") from exc
 
 
 def checked_eigensystem(eigenvalues, eigenvectors) -> tuple[np.ndarray, np.ndarray]:
@@ -168,19 +168,13 @@ def hermitian_parts(mats: np.ndarray) -> np.ndarray:
 def checked_eigh(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ascending and eigenvector columns of a Hermitian matrix,
     or of each matrix of a stack (shapes (n, d) and (n, d, d)): one
-    lapack_eigh per matrix.
+    lapack_eigh call for the whole stack.
 
     Every result is checked against the reconstruction contract
     ``||U diag(w) U^dag - H||_max <= EIG_TOL * max(1, |w|_max)`` and against
     ``||U^dag U - I||_max <= EIG_TOL``; a breach is ConvergenceFailure.
     """
-    if herm.ndim == 2:
-        w, u = lapack_eigh(herm)
-    else:
-        w = np.empty(herm.shape[:-1])
-        u = np.empty(herm.shape, dtype=np.complex128)
-        for k, h in enumerate(herm):
-            w[k], u[k] = lapack_eigh(h)
+    w, u = lapack_eigh(herm)
     u_h = u.conj().swapaxes(-1, -2)
     recon = (u * w[..., None, :]) @ u_h
     recon -= herm

@@ -34,10 +34,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import ConfigError, DimensionMismatch, DomainViolation
+from .errors import ConfigError, ConvergenceFailure, DimensionMismatch, DomainViolation
 from .linalg import HermitianOperator, as_herm, exact_sum
 
 #: geometric ratio between consecutive interior split points
@@ -47,6 +45,10 @@ LADDER_RATIO = 10.0
 NODES_PER_PANEL = 24
 #: memory cap for one chunk of the stacked node matrices (8 nodes at d=256)
 _CHUNK_BYTES = 1 << 23
+#: Newton steps on the Gauss nodes stop once every step is at most
+#: _NEWTON_TOL; from the asymptotic seeds they take 3 or 4
+_NEWTON_STEPS = 20
+_NEWTON_TOL = 1e-15
 #: closed range of a scalar operand: inside it the integrands and tail nodes
 #: stay far inside float64 and a^r keeps 1e-9 relative accuracy; outside it
 #: they can overflow or underflow, and values go wrong without an error
@@ -76,18 +78,46 @@ class QuadratureRule:
             object.__setattr__(self, "splits", s)
 
 
+def _jacobi_poly(n: int, a: float, b: float, t: np.ndarray) -> np.ndarray:
+    """P_n^(a,b)(t), the Jacobi polynomial of weight (1-t)^a (1+t)^b with
+    P_n(1) = binom(n+a, n), by its three-term recurrence (Szego, eq. 4.5.1)."""
+    p0, p1 = np.ones_like(t), ((a - b) + (a + b + 2.0) * t) / 2.0
+    if n == 0:
+        return p0
+    for k in range(2, n + 1):
+        c = 2.0 * k + a + b
+        p0, p1 = p1, (((c - 1.0) * (c * (c - 2.0) * t + (a * a - b * b)) * p1
+                       - 2.0 * (k + a - 1.0) * (k + b - 1.0) * c * p0)
+                      / (2.0 * k * (k + a + b) * (c - 2.0)))
+    return p1
+
+
 @lru_cache(maxsize=256)
 def _jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    # weight (1+t)^beta on [-1, 1]
-    t, w = roots_jacobi(n, 0.0, beta)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+    """Ascending nodes and weights of the n-point Gauss rule for the weight
+    (1+t)^beta on [-1, 1], beta > -1; beta = 0 is Gauss-Legendre.
 
-
-@lru_cache(maxsize=32)
-def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    t, w = roots_legendre(n)
+    The nodes are the zeros of P_n^(0,beta), found by Newton's method on the
+    recurrence (Hale and Townsend, SIAM J. Sci. Comput. 35, A652 (2013))
+    from the asymptotic seeds cos((k - 1/4) pi / (n + (beta+1)/2)).  The
+    derivative is (n+beta+1)/2 P_(n-1)^(1,beta+1), whose recurrence stays
+    accurate near t = -1, and the weights are 2^(beta+1) / ((1-t^2) P_n'^2),
+    since the Gamma-function ratio of the Gauss-Jacobi weights,
+    Gamma(n+a+1) Gamma(n+b+1) / (Gamma(n+a+b+1) n!), is 1 at a = 0.  Only
+    elementwise arithmetic is involved, no eigensolve.
+    """
+    k = np.arange(n, 0, -1)
+    t = np.cos((k - 0.25) * math.pi / (n + (beta + 1.0) / 2.0))
+    scale = (n + beta + 1.0) / 2.0
+    for _ in range(_NEWTON_STEPS):
+        step = _jacobi_poly(n, 0.0, beta, t) / (scale * _jacobi_poly(n - 1, 1.0, beta + 1.0, t))
+        t = t - step
+        if np.abs(step).max() <= _NEWTON_TOL:
+            break
+    else:
+        raise ConvergenceFailure(f"Gauss-Jacobi nodes did not converge at n={n}, beta={beta}")
+    dp = scale * _jacobi_poly(n - 1, 1.0, beta + 1.0, t)
+    w = 2.0 ** (beta + 1.0) / ((1.0 - t) * (1.0 + t) * dp * dp)
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
@@ -118,7 +148,7 @@ def shared_nodes_weights(exponents, splits: tuple[float, ...], n: int
         if not -1.0 < e < 0.0:
             raise DomainViolation(f"weight exponent must lie in (-1, 0), got {e}")
     c0, ck = splits[0], splits[-1]
-    tl, wl = _legendre(n)
+    tl, wl = _jacobi(n, 0.0)
     panels = [((b - a) / 2.0, (a + b) / 2.0) for a, b in zip(splits[:-1], splits[1:])]
     interior = [mid + half * tl for half, mid in panels]
     heads, tails, weights = [], [], []
@@ -250,6 +280,10 @@ def frac_power_scalar(a: float, r: float, form: str = "first") -> float:
 
 def _pd_scales(h: HermitianOperator) -> tuple[float, float]:
     """Bounds (lo <= lambda_min, hi >= lambda_max) from SPD solves, no eigh."""
+    # scipy is imported here, not at module level: of the commands only
+    # verify factors an operator, and the import costs more than a command
+    import scipy.linalg
+
     mat = h.matrix
     try:
         chol = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadFactorization,
@@ -229,6 +228,8 @@ def sample_density(d: int, rank: int, rng) -> DensityMatrix:
 def _qr_workspace(d: int) -> tuple[int, int]:
     """Optimal zgeqrf and zungqr workspace sizes at d x d, the ones
     np.linalg.qr queries: they select the same blocked code, so the same bits."""
+    import scipy.linalg
+
     z = np.zeros((d, d), dtype=np.complex128)
     work_r = scipy.linalg.lapack.zgeqrf(z, lwork=-1)[2]
     work_q = scipy.linalg.lapack.zungqr(z, z[0], lwork=-1)[1]
@@ -238,7 +239,11 @@ def _qr_workspace(d: int) -> tuple[int, int]:
 def haar_unitary(d: int, rng) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Ginibre matrix with the phases
     of diag(R) pulled into Q.  The QR is LAPACK's zgeqrf and zungqr called
-    directly, which gives np.linalg.qr's Q and R without its wrapper's cost."""
+    directly, which gives np.linalg.qr's Q and R without its wrapper's cost.
+    Only verify draws Haar unitaries, so scipy is imported here and the
+    other commands never load it."""
+    import scipy.linalg
+
     rng = as_generator(rng)
     z = ginibre(rng, (d, d))
     lwork_r, lwork_q = _qr_workspace(d)

@@ -692,6 +692,30 @@ class TestCli:
         assert [code for code, _, _ in runs["shared"][0]] == [0, 0, 0, 0, 0, 2, 0, 3, 0]
         assert runs["shared"] == runs["fresh"]
 
+    def test_only_verify_imports_scipy(self, tmp_path):
+        # a fresh interpreter runs gen, eval and sweep without loading scipy;
+        # verify, which draws Haar unitaries and factors operators, still passes
+        script = """if True:
+            import json, sys
+            from qrelent.cli import main
+            codes = [main(["gen", "--d", "8", "--rank", "8", "--seed", "2", "--out", "rho.json"]),
+                     main(["gen", "--d", "8", "--rank", "5", "--seed", "3", "--out", "sigma.json"]),
+                     main(["eval", "rho.json", "sigma.json", "--q", "1.5,2,3"]),
+                     main(["eval", "sigma.json", "rho.json", "--q", "2"]),
+                     main(["sweep", "--dims", "8", "--trials", "2", "--seed", "1",
+                           "--out", "s.csv"])]
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            codes.append(main(["verify", "--trials", "5", "--seed", "1", "--out", "v.json"]))
+            sys.stderr.write(json.dumps([codes, loaded]))
+        """
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, check=False,
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stderr)
+        assert codes == [0, 0, 0, 0, 0, 0]
+        assert loaded == []
+
     def test_internal_error_exit_four(self, tmp_path, capsys):
         from qrelent.states import write_state
 

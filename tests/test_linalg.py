@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -27,6 +26,7 @@ from qrelent.linalg import (
     singular_values,
     zero_threshold,
 )
+from qrelent.states import DensityMatrix
 
 from conftest import random_hermitian
 
@@ -121,8 +121,7 @@ class TestEigh:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 16])
     def test_lapack_eigh_matches_numpy(self, d):
-        # the same LAPACK driver and triangle as np.linalg.eigh: bitwise equal
-        # with one LAPACK build, within 1e-14 across builds
+        # np.linalg.eigh's default lower triangle, with C-ordered eigenvectors
         gen = np.random.Generator(np.random.SFC64(d))
         for _ in range(20):
             h = random_hermitian(gen, d)
@@ -133,12 +132,28 @@ class TestEigh:
             np.testing.assert_allclose(w, w_np, rtol=0.0, atol=1e-14 * scale)
             np.testing.assert_allclose(u, u_np, rtol=0.0, atol=1e-14 * d)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 16, 64])
+    def test_lapack_eigh_of_a_stack_has_single_call_bits(self, d):
+        # checked_eigh decomposes a stack in one call, and DensityMatrix.stack
+        # promises each state the bits of its matrix decomposed alone
+        gen = np.random.Generator(np.random.SFC64(100 + d))
+        stack = np.array([random_hermitian(gen, d) for _ in range(12)])
+        w, u = lapack_eigh(stack)
+        assert u.flags.c_contiguous
+        for k, h in enumerate(stack):
+            w_k, u_k = lapack_eigh(h)
+            assert np.array_equal(w[k], w_k) and np.array_equal(u[k], u_k)
+
     def test_lapack_eigh_failure_is_typed(self, monkeypatch):
-        # zheevd reports a solve that did not converge through info > 0
-        monkeypatch.setattr(scipy.linalg.lapack, "zheevd",
-                            lambda a, lower: (np.zeros(2), np.eye(2), 1))
+        # np.linalg.eigh raises LinAlgError for a solve that did not converge
+        def no_convergence(a, UPLO="L"):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         with pytest.raises(ConvergenceFailure):
             HermitianOperator(np.diag([1.0, 2.0])).eig()
+        with pytest.raises(ConvergenceFailure):
+            DensityMatrix.stack([np.diag([0.25, 0.75]), np.eye(2) / 2.0])
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

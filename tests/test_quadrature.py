@@ -322,6 +322,33 @@ def _loop_integral(f, e, splits, n):
     return sum(terms[1:], terms[0])
 
 
+def _mp_gauss_jacobi(n, beta, seeds):
+    """40-digit nodes and weights of the n-point Gauss rule for (1+t)^beta:
+    mpmath's zeros of P_n^(0,beta), found from the float seeds, and the
+    weights 2^(beta+1) / ((1-t^2) P_n'(t)^2) with P_n' from mpmath.diff."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        p = lambda t: mpmath.jacobi(n, 0, b, t)  # noqa: E731
+        nodes = [mpmath.findroot(p, mpmath.mpf(float(s))) for s in seeds]
+        weights = [2 ** (b + 1) / ((1 - t * t) * mpmath.diff(p, t) ** 2) for t in nodes]
+    return nodes, weights
+
+
+class TestGaussRules:
+    @pytest.mark.parametrize("n", [4, 24])
+    @pytest.mark.parametrize("beta", [-0.9, -0.5, -0.1, 0.0])
+    def test_matches_mpmath(self, n, beta):
+        t, w = quadrature._jacobi(n, beta)
+        nodes, weights = _mp_gauss_jacobi(n, beta, t)
+        assert len(t) == len(w) == n
+        assert all(a < b for a, b in zip(nodes, nodes[1:]))
+        for ti, wi, node, weight in zip(t, w, nodes, weights):
+            assert abs(ti - node) <= 5e-16
+            assert abs(wi - weight) <= 1e-13 * weight
+        moment = 2.0 ** (beta + 1.0) / (beta + 1.0)
+        assert abs(math.fsum(w) - moment) <= 1e-13 * moment
+
+
 LADDERS = [geometric_splits(1.0, 1.0), geometric_splits(1e-3, 10.0),
            geometric_splits(1e-6, 1.0), (0.5, 0.7, 3.0)]
 
@@ -483,6 +510,8 @@ def test_quadrature_never_decomposes(rng, monkeypatch):
         monkeypatch.setattr(scipy.linalg.lapack, name, forbidden)
     monkeypatch.setattr(linalg, "lapack_eigh", forbidden)
     monkeypatch.setattr(HermitianOperator, "eig", forbidden)
+    # the Gauss rules are built under the patches too, not read from the cache
+    quadrature._jacobi.cache_clear()
     for rs in ((0.5,), (0.1, 0.5, 0.9)):
         for form in ("first", "second"):
             frac_power_operator(a, rs, form=form)
