@@ -5,13 +5,13 @@ processes for eval, gen and sweep.
 For each command, prints the median, min and max wall time of N fresh
 processes, and the scipy modules one more run of it loads (read from
 ``python -X importtime``; that run also warms the file cache and is not
-timed).  The inputs are two d x d states for eval, one d x d state for gen
-and a sweep at dimension d on its default q and b0 grids; they are written
+timed).  The inputs are two D x D states for eval, one D x D state for gen
+and a sweep at dimension D on its default q and b0 grids; they are written
 to a temporary directory first.  The child processes import the qrelent
 that this interpreter would import: the installed package, or the tree
 PYTHONPATH names.
 
-    PYTHONPATH=src python scripts/cold_start.py [--runs N] [--d D]
+    PYTHONPATH=src python scripts/cold_start.py [--runs N]
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ import tempfile
 import time
 from pathlib import Path
 
-
-def _commands(d: int) -> dict[str, list[str]]:
-    return {
-        "eval": ["eval", "rho.json", "sigma.json", "--q", "1.5,2,3"],
-        "gen": ["gen", "--d", str(d), "--rank", str(d), "--seed", "3", "--out", "gen.json"],
-        "sweep": ["sweep", "--dims", str(d), "--trials", "2", "--seed", "1", "--out", "sweep.csv"],
-    }
+#: state dimension of every command: the d = 8 pair of the cold-start metric
+D = 8
+COMMANDS = {
+    "eval": ["eval", "rho.json", "sigma.json", "--q", "1.5,2,3"],
+    "gen": ["gen", "--d", str(D), "--rank", str(D), "--seed", "3", "--out", "gen.json"],
+    "sweep": ["sweep", "--dims", str(D), "--trials", "2", "--seed", "1", "--out", "sweep.csv"],
+}
 
 
 def _qrelent(args: list[str], cwd: str, env: dict, *flags: str) -> subprocess.CompletedProcess:
@@ -51,7 +51,6 @@ def _scipy_modules(importtime: str) -> list[str]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=9, help="timed processes per command")
-    parser.add_argument("--d", type=int, default=8, help="state dimension, at most 10")
     args = parser.parse_args()
     # the tree that holds this interpreter's qrelent, pinned before the
     # children start in another working directory
@@ -60,10 +59,10 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as work:
         for seed, out in ((1, "rho.json"), (2, "sigma.json")):
-            _qrelent(["gen", "--d", str(args.d), "--rank", str(args.d), "--seed", str(seed),
+            _qrelent(["gen", "--d", str(D), "--rank", str(D), "--seed", str(seed),
                       "--out", out], work, env)
         print(f"{'command':8s} {'median_s':>9s} {'min_s':>7s} {'max_s':>7s}  scipy modules")
-        for name, command in _commands(args.d).items():
+        for name, command in COMMANDS.items():
             loaded = _scipy_modules(_qrelent(command, work, env, "-X", "importtime").stderr)
             times = []
             for _ in range(args.runs):

@@ -78,18 +78,20 @@ class QuadratureRule:
             object.__setattr__(self, "splits", s)
 
 
-def _jacobi_poly(n: int, a: float, b: float, t: np.ndarray) -> np.ndarray:
-    """P_n^(a,b)(t), the Jacobi polynomial of weight (1-t)^a (1+t)^b with
-    P_n(1) = binom(n+a, n), by its three-term recurrence (Szego, eq. 4.5.1)."""
+def _jacobi_pair(n: int, a, b, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_(n-1)(t) and P_n(t), n >= 1, of the Jacobi polynomials P_k^(a,b) of
+    weight (1-t)^a (1+t)^b with P_k(1) = binom(k+a, k), by their three-term
+    recurrence (Szego, eq. 4.5.1) in the precision of t, a and b."""
     p0, p1 = np.ones_like(t), ((a - b) + (a + b + 2.0) * t) / 2.0
-    if n == 0:
-        return p0
-    for k in range(2, n + 1):
-        c = 2.0 * k + a + b
-        p0, p1 = p1, (((c - 1.0) * (c * (c - 2.0) * t + (a * a - b * b)) * p1
-                       - 2.0 * (k + a - 1.0) * (k + b - 1.0) * c * p0)
-                      / (2.0 * k * (k + a + b) * (c - 2.0)))
-    return p1
+    # P_k = (slope_k t + shift_k) P_(k-1) - lag_k P_(k-2) for k = 2..n
+    k = np.arange(2, n + 1, dtype=t.dtype)
+    c = 2.0 * k + a + b
+    den = 2.0 * k * (k + a + b) * (c - 2.0)
+    slope, shift = (c - 1.0) * c * (c - 2.0) / den, (c - 1.0) * (a * a - b * b) / den
+    lag = 2.0 * (k + a - 1.0) * (k + b - 1.0) * c / den
+    for i in range(n - 1):
+        p0, p1 = p1, (slope[i] * t + shift[i]) * p1 - lag[i] * p0
+    return p0, p1
 
 
 @lru_cache(maxsize=256)
@@ -97,27 +99,38 @@ def _jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Ascending nodes and weights of the n-point Gauss rule for the weight
     (1+t)^beta on [-1, 1], beta > -1; beta = 0 is Gauss-Legendre.
 
-    The nodes are the zeros of P_n^(0,beta), found by Newton's method on the
-    recurrence (Hale and Townsend, SIAM J. Sci. Comput. 35, A652 (2013))
-    from the asymptotic seeds cos((k - 1/4) pi / (n + (beta+1)/2)).  The
-    derivative is (n+beta+1)/2 P_(n-1)^(1,beta+1), whose recurrence stays
-    accurate near t = -1, and the weights are 2^(beta+1) / ((1-t^2) P_n'^2),
-    since the Gamma-function ratio of the Gauss-Jacobi weights,
-    Gamma(n+a+1) Gamma(n+b+1) / (Gamma(n+a+b+1) n!), is 1 at a = 0.  Only
-    elementwise arithmetic is involved, no eigensolve.
+    The nodes are the zeros of P_n = P_n^(0,beta), found by Newton's method on
+    the recurrence (Hale and Townsend, SIAM J. Sci. Comput. 35, A652 (2013))
+    from the asymptotic seeds cos((k - 1/4) pi / (n + (beta+1)/2)), with
+    (2n+beta) (1-t^2) P_n' = n (-beta - (2n+beta) t) P_n + 2n(n+beta) P_(n-1).
+    The weights are 2^(beta+1) / ((1-t^2) P_n'^2), since the Gamma-function
+    ratio of the Gauss-Jacobi weights, Gamma(n+a+1) Gamma(n+b+1) /
+    (Gamma(n+a+b+1) n!), is 1 at a = 0; for them P_n' is taken as
+    (n+beta+1)/2 P_(n-1)^(1,beta+1), whose recurrence keeps its relative
+    accuracy near t = -1 when beta is near -1 (that of P_(n-1)^(0,beta) does
+    not).  Only elementwise arithmetic is involved, no eigensolve.
+
+    It all runs in long double and rounds once at the end.  An end node sits
+    within 1e-5 of -1 at n = 64, beta = -0.99, and the weight there moves by
+    about 1/(1+t) relative per unit of t: float64 rounding of the node and of
+    the recurrence's coefficients would cost 2.6e-11 of it.  Where long double
+    is float64 (some platforms), the rule keeps only that accuracy.
     """
-    k = np.arange(n, 0, -1)
-    t = np.cos((k - 0.25) * math.pi / (n + (beta + 1.0) / 2.0))
-    scale = (n + beta + 1.0) / 2.0
+    a, b = np.longdouble(0.0), np.longdouble(beta)
+    k = np.arange(n, 0, -1, dtype=np.longdouble)
+    t = np.cos((k - 0.25) * np.pi / (n + (b + 1.0) / 2.0))
+    c = 2.0 * n + b
     for _ in range(_NEWTON_STEPS):
-        step = _jacobi_poly(n, 0.0, beta, t) / (scale * _jacobi_poly(n - 1, 1.0, beta + 1.0, t))
+        lower, p = _jacobi_pair(n, a, b, t)
+        step = c * (1.0 - t) * (1.0 + t) * p / (n * (-b - c * t) * p + 2.0 * n * (n + b) * lower)
         t = t - step
         if np.abs(step).max() <= _NEWTON_TOL:
             break
     else:
         raise ConvergenceFailure(f"Gauss-Jacobi nodes did not converge at n={n}, beta={beta}")
-    dp = scale * _jacobi_poly(n - 1, 1.0, beta + 1.0, t)
-    w = 2.0 ** (beta + 1.0) / ((1.0 - t) * (1.0 + t) * dp * dp)
+    dp = (n + b + 1.0) / 2.0 * _jacobi_pair(n, a + 1.0, b + 1.0, t)[0]
+    w = (2.0 ** (b + 1.0) / ((1.0 - t) * (1.0 + t) * dp * dp)).astype(float)
+    t = t.astype(float)
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
