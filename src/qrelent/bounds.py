@@ -23,7 +23,7 @@ vacuity, so sweeps over mixed instance families can proceed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -54,8 +54,6 @@ class BoundReport:
 
     ``holds`` is ``margin(lhs, rhs, allowance) >= 0``, except in the
     lower-bound chains, which apply the rule to each link of the chain.
-    ``extras`` carries evaluator-specific constants (intermediate links of a
-    chain, exponents, norm bounds).
     """
 
     name: str
@@ -63,7 +61,6 @@ class BoundReport:
     rhs: float
     holds: bool
     vacuous: bool = False
-    extras: dict[str, float] = field(default_factory=dict)
     allowance: float = 0.0
 
     @property
@@ -86,8 +83,7 @@ def margin(lhs: float, rhs: float, allowance: float) -> float:
     return rhs + allowance - lhs
 
 
-def _report(name: str, lhs: ExtendedReal, rhs: float, vacuous: bool,
-            extras: dict[str, float]) -> BoundReport:
+def _report(name: str, lhs: ExtendedReal, rhs: float, vacuous: bool) -> BoundReport:
     """An upper-bound report: lhs <= rhs within TOL_BOUND*(1 + rhs)."""
     if math.isinf(lhs.value) and math.isfinite(rhs):
         raise InternalInconsistency(
@@ -96,7 +92,7 @@ def _report(name: str, lhs: ExtendedReal, rhs: float, vacuous: bool,
         )
     allowance = TOL_BOUND * (1.0 + rhs)
     return BoundReport(name, lhs, rhs, margin(lhs.value, rhs, allowance) >= 0.0, vacuous,
-                       extras, allowance)
+                       allowance)
 
 
 def _chain_holds(*links: float) -> bool:
@@ -130,15 +126,15 @@ def thm1_bounds(pair: PairEval, q: float) -> list[BoundReport]:
         rhs_vals = (math.inf, math.inf, math.inf)
     else:
         summary, dist = pair.summary, pair.distances
-        lam0 = summary.lambda0
-        coeff = summary.a1 ** (q - 1.0) / lam0**q / (q - 1.0)
+        a1, lam0 = summary["a1"], summary["lambda0"]
+        coeff = a1 ** (q - 1.0) / lam0**q / (q - 1.0)
         rhs_vals = (
             coeff * dist["spectral_norm"],
             coeff * dist["trace_norm"] / 2.0,
-            summary.a1**q / lam0**q / (q - 1.0) * dist["trace_norm"],
+            a1**q / lam0**q / (q - 1.0) * dist["trace_norm"],
         )
     return [
-        _report(name, lhs, rhs, vacuous, {"q": q})
+        _report(name, lhs, rhs, vacuous)
         for name, rhs in zip(("thm1_rhs1", "thm1_rhs2", "thm1_rhs3"), rhs_vals)
     ]
 
@@ -157,18 +153,16 @@ def thm2_bound(pair: PairEval, q: float, variant: str = "general") -> BoundRepor
         raise PreconditionFailed(f"unknown variant {variant!r}")
     lhs = pair.dq(q)
     vacuous = not pair.kernel_included
-    extras: dict[str, float] = {"q": q}
     if vacuous:
         rhs = math.inf
     else:
         summary, dist = pair.summary, pair.distances
-        b0, b1, a1 = summary.b0, summary.b1, summary.a1
+        b0, b1, a1 = summary["b0"], summary["b1"], summary["a1"]
         ratio = b1 / b0
         if abs(ratio - 1.0) < 1e-8:
             prefactor = 1.0
         else:
             prefactor = q_log(ratio, q) / (1.0 - b0 / b1)
-        extras["prefactor"] = prefactor
         first = prefactor * a1 ** (q - 1.0) / b0 ** (q - 1.0) * dist["trace_norm"]
         if variant == "general":
             second = a1 ** (q - 1.0) / b0**q * dist["spectral_norm"] * dist["trace_norm"]
@@ -176,15 +170,15 @@ def thm2_bound(pair: PairEval, q: float, variant: str = "general") -> BoundRepor
             second = a1 ** (q - 1.0) / (2.0 * b0**q) * dist["trace_norm"] ** 2
         rhs = first + second
     name = "thm2_rhs" if variant == "general" else "thm2tl_rhs"
-    return _report(name, lhs, rhs, vacuous, extras)
+    return _report(name, lhs, rhs, vacuous)
 
 
-def _ceil_snap(q: float) -> int:
-    """Ceiling of q, snapping floats within 1e-12 of an integer to that integer."""
+def ceiling_factor(q: float) -> float:
+    """(ceil(q) - 1)/(q - 1) of the general thm3 bound, for q > 1; a q within
+    1e-12 of an integer n >= 2 takes ceil(q) = n."""
     nearest = round(q)
-    if abs(q - nearest) <= 1e-12 and nearest >= 2:
-        return int(nearest)
-    return int(math.ceil(q))
+    ceil = nearest if abs(q - nearest) <= 1e-12 and nearest >= 2 else math.ceil(q)
+    return (ceil - 1.0) / (q - 1.0)
 
 
 def thm3_bound(pair: PairEval, q: float, variant: str = "general") -> BoundReport:
@@ -201,22 +195,20 @@ def thm3_bound(pair: PairEval, q: float, variant: str = "general") -> BoundRepor
     q = _gate_q(q, Q_MAX if variant == "general" else 2.0)
     lhs = pair.dq(q)
     vacuous = not pair.kernel_included
-    extras: dict[str, float] = {"q": q}
     if vacuous:
         rhs = math.inf
     else:
         summary, trace_norm = pair.summary, pair.distances["trace_norm"]
         if variant == "general":
-            factor = (_ceil_snap(q) - 1.0) / (q - 1.0)
-            extras["ceiling_factor"] = factor
             try:
-                rhs = factor * (summary.lambda1 / summary.b0) ** (q - 1.0) * trace_norm
+                rhs = (ceiling_factor(q) * (summary["lambda1"] / summary["b0"]) ** (q - 1.0)
+                       * trace_norm)
             except OverflowError:  # past the float range, so above any finite D_q
                 rhs = math.inf
         else:
-            rhs = (summary.a1 / summary.b0) ** (q - 1.0) / (q - 1.0) * trace_norm
+            rhs = (summary["a1"] / summary["b0"]) ** (q - 1.0) / (q - 1.0) * trace_norm
     name = "thm3_rhs" if variant == "general" else "thm3q2_rhs"
-    return _report(name, lhs, rhs, vacuous, extras)
+    return _report(name, lhs, rhs, vacuous)
 
 
 def lower_bounds(pair: PairEval, q: float, p: float) -> list[BoundReport]:
@@ -232,10 +224,8 @@ def lower_bounds(pair: PairEval, q: float, p: float) -> list[BoundReport]:
     d1f, dqf, dp = pair.d1.value, pair.dq(q).value, pair.dp(p)
     pinsker_lhs = 0.5 * pair.distances["trace_norm"] ** 2
     return [
-        BoundReport(name, ExtendedReal.finite(low), dqf, _chain_holds(low, d1f, dqf),
-                    False, extras)
-        for name, low, extras in (("lower_chain", dp, {"q": q, "p": p, "D1": d1f}),
-                                  ("pinsker", pinsker_lhs, {"q": q, "D1": d1f}))
+        BoundReport(name, ExtendedReal.finite(low), dqf, _chain_holds(low, d1f, dqf))
+        for name, low in (("lower_chain", dp), ("pinsker", pinsker_lhs))
     ]
 
 
@@ -292,8 +282,7 @@ def power_diff_bound(ops: OperatorPair, n: int, p: float) -> BoundReport:
     dist_p = schatten_norm(ops.diff_singular_values, p)
     base = max(schatten_norm(s, math.inf) for s in ops.operand_singular_values)
     rhs = n * base ** (n - 1) * dist_p
-    return _report("power_diff", ExtendedReal.finite(lhs_val), rhs, False,
-                   {"n": float(n), "p": float(p), "base_norm": base})
+    return _report("power_diff", ExtendedReal.finite(lhs_val), rhs, False)
 
 
 def _positive_eigenvalues(op: HermitianOperator, side: str) -> np.ndarray:
@@ -323,8 +312,7 @@ def lemma3_bound(ops: OperatorPair, s: float) -> BoundReport:
     a1 = float(a_eigs[-1])
     b0 = float(b_eigs[0])
     rhs = (a1 / b0) ** s * ops.distances["trace_norm"]
-    return _report("lemma3", ExtendedReal.finite(lhs_val), rhs, False,
-                   {"s": s, "tau": tau_a, "a1": a1, "b0": b0})
+    return _report("lemma3", ExtendedReal.finite(lhs_val), rhs, False)
 
 
 def frechet_check(ops: OperatorPair, rs) -> tuple[BoundReport, ...]:
@@ -348,6 +336,6 @@ def frechet_check(ops: OperatorPair, rs) -> tuple[BoundReport, ...]:
     for r, rhs_op in zip(rs, frechet_integral_rhs(A, B - A, rs)):
         gap = psd_gap(herm_power(A, -r) - herm_power(B, -r), rhs_op)
         reports.append(BoundReport("frechet_gap", ExtendedReal.finite(0.0), gap,
-                                   margin(0.0, gap, FRECHET_ALLOWANCE) >= 0.0, False, {"r": r},
+                                   margin(0.0, gap, FRECHET_ALLOWANCE) >= 0.0, False,
                                    FRECHET_ALLOWANCE))
     return tuple(reports)

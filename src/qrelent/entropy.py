@@ -1,6 +1,6 @@
-"""q-deformed logarithm, Tsallis entropy, and the classical and quantum
-relative q-entropies (extended-real valued), plus the standard relative
-entropy as the q -> 1 anchor.
+"""q-deformed logarithm, the classical and quantum relative q-entropies
+(extended-real valued), and the standard relative entropy as the q -> 1
+anchor.
 
 The quantum relative q-entropy for q > 1 is
 
@@ -42,7 +42,7 @@ from .errors import (
     QOutOfRange,
 )
 from .linalg import OperatorPair, exact_sum, lapack_eigh
-from .states import DensityMatrix, SpectralSummary, kernel_included, probability_vector
+from .states import DensityMatrix, kernel_included, probability_vector
 
 #: largest accepted entropy order; beyond this a^q underflows for typical spectra
 Q_MAX = 40.0
@@ -69,9 +69,6 @@ class ExtendedReal:
     def finite(cls, value: float) -> "ExtendedReal":
         return cls(True, float(value))
 
-    def __float__(self) -> float:
-        return self.value
-
 
 POSITIVE_INFINITY = ExtendedReal(is_finite=False)
 
@@ -96,23 +93,6 @@ def q_log(x: float, q: float) -> float:
     if q == 1.0:
         raise DomainViolation("q_log requires q != 1; ln_1 is the natural logarithm")
     return math.expm1((1.0 - q) * math.log(x)) / (1.0 - q)
-
-
-def tsallis_entropy(p, q: float) -> float:
-    """S_q(p) = (sum_i p_i^q - 1)/(1-q) with the convention 0^q = 0, for
-    finite q != 1.
-
-    Evaluated as minus the divergence sum of p against b = 1 over p > 0,
-    (sum p^q - sum p)/(q - 1), which does not cancel as q -> 1.
-    """
-    v = probability_vector(p)
-    q = float(q)
-    if not math.isfinite(q):
-        raise QOutOfRange(f"requires a finite q, got {q}")
-    if q == 1.0:
-        raise QOutOfRange("q = 1 is excluded; use the Shannon entropy directly")
-    a = v[v > 0.0]
-    return -_divergence_sum(np.eye(a.size), a, _log(a), np.zeros(a.size), q)
 
 
 def _order(q: float) -> float:
@@ -211,10 +191,14 @@ class PairEval(OperatorPair):
         return _log(self.sigma.spectrum[self.sigma.dim - self.sigma.rank :])
 
     @cached_property
-    def summary(self) -> SpectralSummary:
+    def summary(self) -> dict[str, float]:
+        """Extremal eigenvalues read by the bound evaluators: a1 and b1 the
+        largest of rho and sigma, b0 the smallest nonzero one of sigma, and
+        lambda0 and lambda1 the extremes over both spectra."""
         a, b = self.rho.spectrum, self.sigma.spectrum
         a1, b1, b0 = float(a[-1]), float(b[-1]), float(b[self.sigma.dim - self.sigma.rank])
-        return SpectralSummary(a1, b1, b0, lambda0=float(min(a[0], b[0])), lambda1=max(a1, b1))
+        return {"a1": a1, "b1": b1, "b0": b0, "lambda0": float(min(a[0], b[0])),
+                "lambda1": max(a1, b1)}
 
     # the entropy functions are looked up by name at each call, so a wrapper
     # installed on the module attribute (a profiler, a test counter) sees it

@@ -23,6 +23,7 @@ from .bounds import (
     BoundReport,
     PairEval,
     TOL_BOUND,
+    ceiling_factor,
     frechet_check,
     lemma3_bound,
     lower_bounds,
@@ -40,6 +41,7 @@ from .entropy import (
 )
 from .errors import ConfigError
 from .linalg import (
+    MAX_DIM,
     PSD_TOL,
     HermitianOperator,
     OperatorPair,
@@ -88,8 +90,9 @@ class SweepConfig:
     output_path: str | None = None
 
     def validate(self) -> None:
-        if not self.dims or any(not 1 <= d <= 256 for d in self.dims):
-            raise ConfigError(f"dims must be nonempty integers in [1, 256], got {self.dims!r}")
+        if not self.dims or any(not 1 <= d <= MAX_DIM for d in self.dims):
+            raise ConfigError(
+                f"dims must be nonempty integers in [1, {MAX_DIM}], got {self.dims!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
         _check_seed(self.seed)
@@ -267,9 +270,11 @@ class _SuiteRun:
 def sigma_family(d: int, b0: float) -> DensityMatrix:
     """The diagonal family (1 - b0 (d-1)) |0><0| + b0 (I - |0><0|).
 
-    Its smallest eigenvalue equals b0 for b0 <= 1/d, which makes it the
-    canonical probe for divergence rates as b0 -> 0.
+    Its smallest eigenvalue equals b0 for d >= 2 and b0 <= 1/d, which makes
+    it the canonical probe for divergence rates as b0 -> 0.
     """
+    if d < 2:
+        raise ConfigError(f"the b0 family needs dimension d >= 2, got {d}")
     if not 0.0 < b0 <= 1.0 / d:
         raise ConfigError(f"b0 must lie in (0, 1/{d}], got {b0}")
     spec = np.full(d, b0)
@@ -628,7 +633,7 @@ def divergence_envelope(seed: int, d: int) -> list[dict]:
             rep = thm3_bound(pair, q, "general")
             dq = rep.lhs.value
             ratio = dq * b0 ** (q - 1.0)
-            constant = rep.extras["ceiling_factor"] * pair.summary.lambda1 ** (
+            constant = ceiling_factor(q) * pair.summary["lambda1"] ** (
                 q - 1.0
             ) * pair.distances["trace_norm"]
             records.append(
@@ -852,7 +857,7 @@ def cmd_eval(rho_path, sigma_path, q_list) -> dict:
         "rho_path": str(rho_path),
         "sigma_path": str(sigma_path),
         "dim": pair.rho.dim,
-        "spectral_summary": asdict(pair.summary),
+        "spectral_summary": pair.summary,
         "distances": pair.distances,
         "D1": extended_to_json(pair.d1),
         "per_q": per_q,
@@ -863,8 +868,8 @@ def cmd_gen(d: int, rank: int, seed: int, out) -> Path:
     """Sample one random state and write it to the JSON state format."""
     if not 1 <= rank <= d:
         raise ConfigError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
-    if not 1 <= d <= 256:
-        raise ConfigError(f"dimension must lie in [1, 256], got {d}")
+    if not 1 <= d <= MAX_DIM:
+        raise ConfigError(f"dimension must lie in [1, {MAX_DIM}], got {d}")
     if not out:
         raise ConfigError("an output path is required")
     _check_seed(seed)

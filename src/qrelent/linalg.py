@@ -364,11 +364,6 @@ def schatten_norm(x, p: float) -> float:
     return math.fsum(si**p for si in s) ** (1.0 / p)
 
 
-def norm_distances(s: np.ndarray) -> dict[str, float]:
-    """||A - B||_1 and ||A - B||_inf from the singular values s of A - B."""
-    return {"trace_norm": schatten_norm(s, 1.0), "spectral_norm": schatten_norm(s, math.inf)}
-
-
 class OperatorPair:
     """Norm context of two Hermitian operands (A, B): a lemma check's or a state pair's.
 
@@ -397,7 +392,9 @@ class OperatorPair:
 
     @cached_property
     def distances(self) -> dict[str, float]:
-        return norm_distances(self.diff_singular_values)
+        """||A - B||_1 and ||A - B||_inf."""
+        s = self.diff_singular_values
+        return {"trace_norm": schatten_norm(s, 1.0), "spectral_norm": schatten_norm(s, math.inf)}
 
     def power_diff_singular_values(self, n: int) -> np.ndarray:
         """Singular values of A^n - B^n; matrix_power(M, 1) is M itself, so

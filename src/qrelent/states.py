@@ -9,7 +9,6 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -181,22 +180,6 @@ def _settle(w: np.ndarray, u: np.ndarray) -> tuple:
     for a in (w, u, mats):
         a.setflags(write=False)
     return w, u, mats, ranks
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Extremal eigenvalues of a state pair (``PairEval.summary``) used by
-    the bound evaluators.
-
-    a1/b1 are the largest eigenvalues of rho/sigma, b0 the smallest nonzero
-    eigenvalue of sigma, lambda0/lambda1 the extremes over both spectra.
-    """
-
-    a1: float
-    b1: float
-    b0: float
-    lambda0: float
-    lambda1: float
 
 
 def ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -9,6 +9,7 @@ from qrelent.bounds import (
     BOUNDS,
     OperatorPair,
     PairEval,
+    ceiling_factor,
     frechet_check,
     lemma3_bound,
     lower_bounds,
@@ -133,7 +134,6 @@ class TestThm2:
         rho, sigma = pair
         rep = thm2_bound(PairEval(rho, sigma), 2.0)
         # prefactor (2/3)/(2/3) = 1; terms 1.0 + 1.0
-        assert rep.extras["prefactor"] == pytest.approx(1.0, abs=1e-12)
         assert rep.rhs == pytest.approx(2.0, abs=1e-12)
         assert rep.lhs.value == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert rep.holds
@@ -147,8 +147,13 @@ class TestThm2:
     def test_degenerate_sigma_prefactor(self, rng):
         rho = sample_density(3, 3, rng)
         sigma = DensityMatrix(np.eye(3) / 3.0)
-        rep = thm2_bound(PairEval(rho, sigma), 1.7)
-        assert rep.extras["prefactor"] == 1.0
+        ctx = PairEval(rho, sigma)
+        rep = thm2_bound(ctx, 1.7)
+        # b1 = b0: the prefactor takes its limit value 1
+        a1, b0 = ctx.summary["a1"], ctx.summary["b0"]
+        tr, sp = ctx.distances["trace_norm"], ctx.distances["spectral_norm"]
+        expect = a1**0.7 / b0**0.7 * tr + a1**0.7 / b0**1.7 * sp * tr
+        assert rep.rhs == pytest.approx(expect, rel=1e-14)
         assert math.isfinite(rep.rhs) and rep.holds
 
     def test_vacuous_without_kernel_inclusion(self, rng):
@@ -167,7 +172,9 @@ class TestThm3:
     def test_ceiling_factor(self, pair):
         rho, sigma = pair
         rep = thm3_bound(PairEval(rho, sigma), 3.5)
-        assert rep.extras["ceiling_factor"] == pytest.approx(1.2, abs=1e-12)
+        assert ceiling_factor(3.5) == pytest.approx(1.2, abs=1e-12)
+        # (ceil(q)-1)/(q-1) * (lambda1/b0)^(q-1) * ||Delta||_1
+        assert rep.rhs == pytest.approx(1.2 * 3.0**2.5 * 0.5, rel=1e-14)
 
     def test_diagonal_fixture_both_variants(self, pair):
         rho, sigma = pair
@@ -185,12 +192,10 @@ class TestThm3:
         assert rep.rhs == pytest.approx(0.24, abs=1e-12)
         assert rep.holds and not rep.vacuous
 
-    def test_integer_snap(self, pair):
-        rho, sigma = pair
-        assert thm3_bound(PairEval(rho, sigma), 2.0).extras["ceiling_factor"] == pytest.approx(1.0)
-        assert thm3_bound(PairEval(rho, sigma), 3.0).extras["ceiling_factor"] == pytest.approx(1.0)
-        just_above = thm3_bound(PairEval(rho, sigma), 2.0 + 1e-6).extras["ceiling_factor"]
-        assert just_above == pytest.approx(2.0, rel=1e-5)
+    def test_integer_snap(self):
+        assert ceiling_factor(2.0) == 1.0 and ceiling_factor(3.0) == 1.0
+        assert ceiling_factor(3.0 + 1e-13) == pytest.approx(1.0)
+        assert ceiling_factor(2.0 + 1e-6) == pytest.approx(2.0, rel=1e-5)
 
     def test_variant_gates(self, pair):
         rho, sigma = pair
@@ -226,9 +231,10 @@ class TestLowerBounds:
 
     def test_diagonal_fixture(self, pair):
         rho, sigma = pair
-        chain, pinsker = lower_bounds(PairEval(rho, sigma), 2.0, 0.5)
+        ctx = PairEval(rho, sigma)
+        chain, pinsker = lower_bounds(ctx, 2.0, 0.5)
         assert pinsker.lhs.value == pytest.approx(0.125, abs=1e-12)
-        assert chain.extras["D1"] == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=1e-10)
+        assert ctx.d1.value == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=1e-10)
         assert chain.rhs == pytest.approx(1.0 / 3.0, abs=1e-10)
         expect_dp = 2.0 * (1.0 - (math.sqrt(0.375) + math.sqrt(0.125)))
         assert chain.lhs.value == pytest.approx(expect_dp, abs=1e-10)

@@ -113,6 +113,18 @@ class TestSigmaFamily:
         with pytest.raises(ConfigError):
             sigma_family(4, 0.5)
 
+    def test_dimension_one_rejected(self):
+        # diag(1) has no eigenvalue b0, so the family needs d >= 2
+        with pytest.raises(ConfigError):
+            sigma_family(1, 0.5)
+
+    def test_sweep_at_dimension_one_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--dims", "1", "--q", "2", "--b0", "0.5", "--trials", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepRow:
     def test_diagonal_fixture_row(self):

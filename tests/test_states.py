@@ -292,7 +292,7 @@ class TestSpectralSummary:
         rho = DensityMatrix(np.diag([0.5, 0.5]))
         sigma = DensityMatrix(np.diag([0.75, 0.25]))
         s = PairEval(rho, sigma).summary
-        assert (s.a1, s.b1, s.b0, s.lambda0, s.lambda1) == (0.5, 0.75, 0.25, 0.25, 0.75)
+        assert s == {"a1": 0.5, "b1": 0.75, "b0": 0.25, "lambda0": 0.25, "lambda1": 0.75}
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -302,8 +302,8 @@ class TestSpectralSummary:
         rho = sample_density(d, int(gen.integers(1, d + 1)), gen)
         sigma = sample_density(d, int(gen.integers(1, d + 1)), gen)
         s = PairEval(rho, sigma).summary
-        assert 0.0 <= s.lambda0 <= s.b0 <= s.b1 <= s.lambda1 <= 1.0
-        assert s.a1 <= s.lambda1
+        assert 0.0 <= s["lambda0"] <= s["b0"] <= s["b1"] <= s["lambda1"] <= 1.0
+        assert s["a1"] <= s["lambda1"]
 
 
 class TestStateFiles:
