@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Write the program's reference artifacts to OUT_DIR: verify reports and their
 # stdout, three sweeps, two generated states, eval of that pair in both orders
-# and at q = Q_MAX, and the output of the two probe scripts.
+# and at q = Q_MAX, the output of the two probe scripts, and the node-budget
+# table of scripts/quadrature_budget.py at two operands per band (its check
+# that it reproduces the library's own rule runs with it).
 #
 # Every command runs through `python -m qrelent`, so PYTHONPATH (or the
 # installed package) picks the source tree that runs.  Two trees give the same
@@ -55,3 +57,4 @@ python -m qrelent eval sigma.json rho.json --q 1.000000001,1.5,2,3,7 > eval_sigm
 python -m qrelent eval rho.json sigma.json --q 40 > eval_rho_sigma_q40.json
 python "$scripts/divergence_rate.py" > divergence_rate.txt
 python "$scripts/tightness_crossover.py" > tightness_crossover.txt
+python "$scripts/quadrature_budget.py" --operands 2 > quadrature_budget.txt

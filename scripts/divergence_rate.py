@@ -9,7 +9,9 @@ constant for each grid point.
 from __future__ import annotations
 
 import argparse
+import sys
 
+from qrelent.errors import UsageError
 from qrelent.harness import divergence_envelope
 
 
@@ -19,7 +21,12 @@ def main() -> None:
     parser.add_argument("--d", type=int, default=4, help="state dimension")
     args = parser.parse_args()
 
-    records = divergence_envelope(seed=args.seed, d=args.d)
+    try:
+        records = divergence_envelope(seed=args.seed, d=args.d)
+    except UsageError as exc:
+        # the CLI's report and exit code for a bad argument
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
     header = f"{'q':>5} {'b0':>9} {'D_q':>13} {'bound':>13} {'ratio':>13} {'envelope':>13}"
     print(header)
     print("-" * len(header))

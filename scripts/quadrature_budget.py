@@ -15,6 +15,13 @@ decade at each end:
 
 for r in {0.1, 0.5, 0.9}.  The oracle suites allow 1e-8 for both.  The run
 is deterministic: a fixed seed draws the operands.
+
+Each rule is built from the library's kernel, ``shared_nodes_weights`` on
+the ladder, and summed by ``_resolvent_sum`` and ``_scaled_hermitian`` as
+``frac_power_operator`` and ``frechet_integral_rhs`` sum theirs.  At the
+library's NODES_PER_PANEL on the unpadded ladder the script checks that it
+reproduces both functions bit for bit, so the rows measure the library's
+own rule.
 """
 
 from __future__ import annotations
@@ -25,13 +32,16 @@ import math
 import numpy as np
 
 from qrelent.harness import _conditioned_pd
-from qrelent.linalg import HermitianOperator, apply_function, eigh, schatten_norm
+from qrelent.linalg import HermitianOperator, apply_function, schatten_norm
 from qrelent.quadrature import (
-    QuadratureRule,
+    NODES_PER_PANEL,
     _pd_scales,
+    _resolvent_sum,
+    _scaled_hermitian,
     frac_power_operator,
     frechet_integral_rhs,
     geometric_splits,
+    shared_nodes_weights,
 )
 from qrelent.states import as_generator
 
@@ -45,7 +55,7 @@ def daleckii_krein(a: HermitianOperator, direction: np.ndarray, r: float) -> np.
     """Derivative of t -> -t^(-r) at A in the given direction, from the
     divided differences b^(-r-1) (-expm1(-r x)) / expm1(x), x = ln(a/b),
     which stay accurate for close eigenvalues."""
-    w, u = eigh(a)
+    w, u = a.eig()
     x = np.log(w[:, None] / w[None, :])
     with np.errstate(invalid="ignore"):
         ratio = np.where(x == 0.0, r, -np.expm1(-r * x) / np.expm1(x))
@@ -57,23 +67,56 @@ def padded(low: float, high: float, pad: int) -> tuple[float, ...]:
     return geometric_splits(low / 10.0**pad, high * 10.0**pad)
 
 
+def power(a: HermitianOperator, r: float, form: str, splits: tuple[float, ...],
+          n: int) -> np.ndarray:
+    """A^r from the n-node rule on ``splits``, summed as frac_power_operator sums it."""
+    mat = a.matrix
+    if form == "first":
+        y, rules = shared_nodes_weights((r - 1.0,), splits, n)
+        alpha, beta = np.ones_like(y), y
+    else:
+        y, rules = shared_nodes_weights((-r,), splits, n)
+        alpha, beta = y, np.ones_like(y)
+    return _scaled_hermitian((r,), _resolvent_sum(mat, alpha, beta, rules, mat))[0].matrix
+
+
+def frechet(a: HermitianOperator, direction: np.ndarray, r: float,
+            splits: tuple[float, ...], n: int) -> np.ndarray:
+    """The Frechet integral from the n-node rule on ``splits``, summed as
+    frechet_integral_rhs sums it."""
+    y, rules = shared_nodes_weights((-r,), splits, n)
+    eye = np.eye(a.dim, dtype=np.complex128)
+    totals = _resolvent_sum(a.matrix, np.ones_like(y), y, rules, eye, middle=direction)
+    return _scaled_hermitian((r,), totals)[0].matrix
+
+
+def same_bits(got: np.ndarray, library: np.ndarray, what: str) -> None:
+    if not np.array_equal(got, library):
+        raise AssertionError(f"the rule built here does not reproduce {what}")
+
+
 def operand_errors(a: HermitianOperator, direction: np.ndarray, n: int,
                    pad: int) -> tuple[float, float]:
     """(power error, Frechet error) of one operand, worst over R_VALUES."""
     lo, hi = _pd_scales(a)
     norm = schatten_norm(a, math.inf)
+    library = n == NODES_PER_PANEL and pad == 0
     power_err = frechet_err = 0.0
     for r in R_VALUES:
         spectral = apply_function(a, lambda lam: lam**r).matrix
         for form, splits in (("first", padded(lo, hi, pad)),
                              ("second", padded(1.0 / hi, 1.0 / lo, pad))):
-            rule = QuadratureRule(nodes_per_panel=n, splits=splits)
-            quad = frac_power_operator(a, (r,), rule, form=form)[0].matrix
+            quad = power(a, r, form, splits, n)
+            if library:
+                same_bits(quad, frac_power_operator(a, (r,), form=form)[0].matrix,
+                          f"frac_power_operator, form={form}")
             err = float(np.max(np.abs(quad - spectral))) / max(1.0, norm**r)
             power_err = max(power_err, err)
         exact = daleckii_krein(a, direction, r)
-        rule = QuadratureRule(nodes_per_panel=n, splits=padded(lo, hi, pad))
-        quad = frechet_integral_rhs(a, direction, (r,), rule)[0].matrix
+        quad = frechet(a, direction, r, padded(lo, hi, pad), n)
+        if library:
+            same_bits(quad, frechet_integral_rhs(a, direction, (r,))[0].matrix,
+                      "frechet_integral_rhs")
         err = float(np.max(np.abs(quad - exact)) / np.max(np.abs(exact)))
         frechet_err = max(frechet_err, err)
     return power_err, frechet_err

@@ -9,7 +9,9 @@ right-hand sides per trial.
 from __future__ import annotations
 
 import argparse
+import sys
 
+from qrelent.errors import UsageError
 from qrelent.harness import tightness_crossover
 
 
@@ -20,7 +22,12 @@ def main() -> None:
     parser.add_argument("--d", type=int, default=4, help="state dimension")
     args = parser.parse_args()
 
-    records = tightness_crossover(seed=args.seed, trials=args.trials, d=args.d)
+    try:
+        records = tightness_crossover(seed=args.seed, trials=args.trials, d=args.d)
+    except UsageError as exc:
+        # the CLI's report and exit code for a bad argument
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
     header = f"{'trial':>5} {'b0':>9} {'quadratic rhs':>15} {'linear rhs':>15} {'tighter':>8}"
     print(header)
     print("-" * len(header))

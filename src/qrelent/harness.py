@@ -147,26 +147,20 @@ _CONFIG_TYPES = {
 }
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    instances_run: int
-    failures: int
-    worst_slack: float | None
-    counterexample_path: str | None = None
-    closest: dict | None = None
+#: the record of one suite in the verify report, attributes of its _SuiteRun
+SUITE_FIELDS = ("name", "instances_run", "failures", "worst_slack", "counterexample_path",
+                "closest")
 
 
 @dataclass
 class VerifyReport:
-    seed: int
-    suites: list[SuiteResult]
+    suites: list[_SuiteRun]
 
     @property
     def passed(self) -> bool:
         return all(s.failures == 0 for s in self.suites)
 
-    def suite(self, name: str) -> SuiteResult:
+    def suite(self, name: str) -> _SuiteRun:
         for s in self.suites:
             if s.name == name:
                 return s
@@ -174,16 +168,17 @@ class VerifyReport:
 
 
 class _SuiteRun:
-    """Accumulates the checks of one suite; a failed check serializes the
-    offending instance to disk (first failure only)."""
+    """Accumulates the checks of one suite, and is its record in the report
+    (SUITE_FIELDS); a failed check serializes the offending instance to disk
+    (first failure only)."""
 
     def __init__(self, name: str, out_dir: Path | None, seed: int):
         self.name = name
         self.out_dir = out_dir
         self.seed = seed
-        self.instances = 0
+        self.instances_run = 0
         self.failures = 0
-        self.worst: float | None = None
+        self.worst_slack: float | None = None
         self.closest: dict | None = None
         self.counterexample_path: str | None = None
         self._instance: dict = {}
@@ -205,7 +200,7 @@ class _SuiteRun:
         """
         block, size = [], 0
         for trial in range(count):
-            self.instances += 1
+            self.instances_run += 1
             rng = trial_stream(self.seed, trial, salt)
             # the draw of rng.choice(dims), without converting dims to an array
             d = None if dims is None else dims[int(rng.integers(0, len(dims), dtype=np.int64))]
@@ -227,14 +222,15 @@ class _SuiteRun:
         """Check lhs <= rhs within ``allowance`` by ``bounds.margin``; ``where``
         names the check's parameters in a counterexample and in ``closest``.
 
-        A finite margin counts toward ``worst``.  Of the checks with a finite
-        lhs and 0 < rhs < inf, the one with the largest lhs/rhs is ``closest``,
-        recorded with its instance's trial and salt so it can be redrawn.
+        A finite margin counts toward ``worst_slack``.  Of the checks with a
+        finite lhs and 0 < rhs < inf, the one with the largest lhs/rhs is
+        ``closest``, recorded with its instance's trial and salt so it can be
+        redrawn.
         """
         lhs, rhs = float(lhs), float(rhs)
         m = margin(lhs, rhs, float(allowance))
         if math.isfinite(m):
-            self.worst = m if self.worst is None else min(self.worst, m)
+            self.worst_slack = m if self.worst_slack is None else min(self.worst_slack, m)
         if not m >= 0.0:  # a NaN margin fails
             self.failures += 1
             self._record(states, name, where, m)
@@ -262,16 +258,14 @@ class _SuiteRun:
         write_atomic(f"{stem}_context.json", json.dumps(doc, sort_keys=True, indent=2))
         self.counterexample_path = f"{stem}_context.json"
 
-    def result(self) -> SuiteResult:
-        return SuiteResult(self.name, self.instances, self.failures, self.worst,
-                           self.counterexample_path, self.closest)
-
 
 def sigma_family(d: int, b0: float) -> DensityMatrix:
     """The diagonal family (1 - b0 (d-1)) |0><0| + b0 (I - |0><0|).
 
     Its smallest eigenvalue equals b0 for d >= 2 and b0 <= 1/d, which makes
-    it the canonical probe for divergence rates as b0 -> 0.
+    it the canonical probe for divergence rates as b0 -> 0.  A b0 at or below
+    the state's zero threshold (about d * 2.2e-16) is a ConfigError, since
+    the state would lose eigenvalue b0 and its full rank.
     """
     if d < 2:
         raise ConfigError(f"the b0 family needs dimension d >= 2, got {d}")
@@ -279,7 +273,11 @@ def sigma_family(d: int, b0: float) -> DensityMatrix:
         raise ConfigError(f"b0 must lie in (0, 1/{d}], got {b0}")
     spec = np.full(d, b0)
     spec[0] = 1.0 - b0 * (d - 1)
-    return DensityMatrix.from_eigensystem(spec, np.eye(d, dtype=np.complex128))
+    sigma = DensityMatrix.from_eigensystem(spec, np.eye(d, dtype=np.complex128))
+    if sigma.rank < d:
+        raise ConfigError(f"b0 = {b0} is at or below the zero threshold of a state of "
+                          f"dimension {d}, so sigma would not have full rank")
+    return sigma
 
 
 def _rand_herm(rng, d: int) -> HermitianOperator:
@@ -380,7 +378,7 @@ def _suite_linalg_norms(run: _SuiteRun, config: SweepConfig, count: int) -> None
 def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     r_values = (0.1, 0.5, 0.9)
     # deterministic scalar fixtures
-    run.instances += 1
+    run.instances_run += 1
     for a, r, expect in ((4.0, 0.5, 2.0), (8.0, 1.0 / 3.0, 2.0), (1.0, 0.7, 1.0)):
         for form in ("first", "second"):
             got = quadrature.frac_power_scalar(a, r, form=form)
@@ -622,8 +620,9 @@ def divergence_envelope(seed: int, d: int) -> list[dict]:
     Each record carries D_q, the general b0^(1-q) bound, and the rescaled
     ratio D_q * b0^(q-1) next to its b0-free envelope constant, with the
     trial and salt of rho's stream.  Each b0 builds one sigma and one pair,
-    which every q evaluates.
+    which every q evaluates.  The seed must lie where the CLI's seeds do.
     """
+    _check_seed(seed)
     trial, salt = 0, 14
     rho = sample_density(d, d, trial_stream(seed, trial, salt))
     pairs = [PairEval(rho, sigma_family(d, b0)) for b0 in ENVELOPE_B0]
@@ -659,7 +658,8 @@ def tightness_crossover(seed: int, trials: int, d: int) -> list[dict]:
     """Compare the quadratic-in-b0 bound against the b0^(1-q) one at q = 2 for
     small b0, where the latter must win in every trial.  Each record carries
     the trial and salt of rho's stream; each b0 builds one sigma for every
-    trial."""
+    trial.  The seed must lie where the CLI's seeds do."""
+    _check_seed(seed)
     records, salt = [], 15
     sigmas = [sigma_family(d, b0) for b0 in CROSSOVER_B0]
     for trial in range(trials):
@@ -684,7 +684,7 @@ def tightness_crossover(seed: int, trials: int, d: int) -> list[dict]:
 def _suite_envelope(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     del count
     for rec in divergence_envelope(config.seed, d=4):
-        run.instances += 1
+        run.instances_run += 1
         where = {k: rec[k] for k in ("trial", "salt", "q", "b0")}
         run.verdict("dq_le_thm3", rec["holds"], **where)
         run.le("ratio_bounded", rec["ratio"], rec["envelope_constant"] * (1.0 + TOL_BOUND),
@@ -694,7 +694,7 @@ def _suite_envelope(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 def _suite_crossover(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     trials = max(5, count // 40)
     for rec in tightness_crossover(config.seed, trials, d=4):
-        run.instances += 1
+        run.instances_run += 1
         run.le("crossover", rec["thm3q2_rhs"], rec["thm2_rhs"], 0.0,
                **{k: rec[k] for k in ("trial", "salt", "b0")})
 
@@ -723,18 +723,18 @@ def cmd_verify(config: SweepConfig) -> VerifyReport:
     config.validate()
     quadrature.self_test()
     out_dir = Path(config.output_path).parent if config.output_path else None
-    results = []
+    runs = []
     for name, builder, divisor in _SUITES:
         run = _SuiteRun(name, out_dir, config.seed)
         builder(run, config, max(1, config.trials // divisor))
-        results.append(run.result())
-    report = VerifyReport(seed=config.seed, suites=results)
+        runs.append(run)
+    report = VerifyReport(runs)
     if config.output_path:
         doc = {
             "seed": config.seed,
             "config": config.echo_dict(),
             "all_passed": report.passed,
-            "suites": [asdict(s) for s in report.suites],
+            "suites": [{key: getattr(run, key) for key in SUITE_FIELDS} for run in runs],
         }
         write_atomic(config.output_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return report

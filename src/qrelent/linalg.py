@@ -278,11 +278,6 @@ def as_herm(x) -> HermitianOperator:
     return HermitianOperator(x)
 
 
-def eigh(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
-    return as_herm(h).eig()
-
-
 def apply_function(
     h,
     f: Callable[[float], float],

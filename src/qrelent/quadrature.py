@@ -13,24 +13,23 @@ of f.  Interior split points form a geometric ladder spanning the scales of
 the integrand's poles, which keeps every pole a fixed relative distance from
 its nearest panel and gives spectral accuracy uniformly in the conditioning.
 
-``nodes_weights`` lays every node and weight of that rule out as two arrays.
-Scalar integrands are evaluated once on the node array and summed correctly
-rounded by ``exact_sum``.  Operator integrands are resolvents of the shifted
-matrices alpha_k A + beta_k I: one kernel stacks them over the nodes, rejects
-the stack unless a batched Cholesky factorization shows every member positive
-definite, solves the whole stack at once and adds the weighted solutions in
-node order.
+``shared_nodes_weights`` lays every node and weight of that rule out as
+arrays.  Every integral here takes NODES_PER_PANEL nodes per panel on the
+ladder of its own operand.  Scalar integrands are evaluated once on the node
+array and summed correctly rounded by ``exact_sum``.  Operator integrands are
+resolvents of the shifted matrices alpha_k A + beta_k I: one kernel stacks
+them over the nodes, rejects the stack unless a batched Cholesky
+factorization shows every member positive definite, solves the whole stack
+at once and adds the weighted solutions in node order.
 The operator functions take a tuple of exponents: their rules share the
-interior nodes of the operand's ladder (``shared_nodes_weights``), so one
-stack of solves serves every exponent.  No eigendecomposition is involved,
-so results from this module can serve as an independent cross-check for
-spectral calculus.
+interior nodes of the operand's ladder, so one stack of solves serves every
+exponent.  No eigendecomposition is involved, so results from this module
+can serve as an independent cross-check for spectral calculus.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,8 +39,9 @@ from .linalg import HermitianOperator, as_herm, exact_sum
 
 #: geometric ratio between consecutive interior split points
 LADDER_RATIO = 10.0
-#: default Gauss nodes per panel: scripts/quadrature_budget.py measures the
-#: operator powers and Frechet integrals at the float64 floor from 24 nodes on
+#: Gauss nodes per panel of every integral, read at call time:
+#: scripts/quadrature_budget.py measures the operator powers and Frechet
+#: integrals at the float64 floor from 24 nodes on
 NODES_PER_PANEL = 24
 #: memory cap for one chunk of the stacked node matrices (8 nodes at d=256)
 _CHUNK_BYTES = 1 << 23
@@ -53,29 +53,6 @@ _NEWTON_TOL = 1e-15
 #: stay far inside float64 and a^r keeps 1e-9 relative accuracy; outside it
 #: they can overflow or underflow, and values go wrong without an error
 SCALAR_RANGE = (1e-100, 1e100)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Node budget and panel layout of one quadrature.
-
-    ``splits`` is the ascending tuple of breakpoints of (0, inf); when None
-    the evaluator derives a geometric ladder from cheap norm bounds of its
-    operand (no eigendecomposition involved).  Every function that takes a
-    rule also takes, and checks, its own exponent r.
-    """
-
-    nodes_per_panel: int = NODES_PER_PANEL
-    splits: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.nodes_per_panel < 4:
-            raise DomainViolation("nodes_per_panel must be at least 4")
-        if self.splits is not None:
-            s = tuple(float(x) for x in self.splits)
-            if len(s) < 1 or any(x <= 0.0 for x in s) or list(s) != sorted(s):
-                raise DomainViolation("splits must be positive and ascending")
-            object.__setattr__(self, "splits", s)
 
 
 def _jacobi_pair(n: int, a, b, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,21 +161,10 @@ def shared_nodes_weights(exponents, splits: tuple[float, ...], n: int
     return np.concatenate(heads + interior + tails), list(zip(index, weights))
 
 
-def nodes_weights(exponent: float, splits: tuple[float, ...],
-                  n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes y and weights w with sum_k w_k f(y_k) ~ int_0^inf y^exponent f(y) dy.
-
-    ``exponent`` must lie in (-1, 0).  There are n nodes per panel and
-    len(splits) + 1 panels; the nodes ascend, so head, interior and tail
-    terms are always accumulated in the same order.
-    """
-    y, ((_, w),) = shared_nodes_weights((exponent,), splits, n)
-    return y, w
-
-
-def _scalar_integral(f, exponent: float, splits: tuple[float, ...], n: int) -> float:
-    """Correctly rounded sum of w_k f(y_k); f is evaluated once on the node array."""
-    y, w = nodes_weights(exponent, splits, n)
+def _scalar_integral(f, exponent: float, splits: tuple[float, ...]) -> float:
+    """Correctly rounded sum of w_k f(y_k) over the rule of one exponent on
+    ``splits``; f is evaluated once on the node array."""
+    y, ((_, w),) = shared_nodes_weights((exponent,), splits, NODES_PER_PANEL)
     return exact_sum(w * f(y))
 
 
@@ -282,10 +248,10 @@ def frac_power_scalar(a: float, r: float, form: str = "first") -> float:
     a, r = _positive(a), _exponent(r)
     if form == "first":
         splits = geometric_splits(a, a)
-        val = _scalar_integral(lambda x: a / (a + x), r - 1.0, splits, NODES_PER_PANEL)
+        val = _scalar_integral(lambda x: a / (a + x), r - 1.0, splits)
     elif form == "second":
         splits = geometric_splits(1.0 / a, 1.0 / a)
-        val = _scalar_integral(lambda y: 1.0 / (y + 1.0 / a), -r, splits, NODES_PER_PANEL)
+        val = _scalar_integral(lambda y: 1.0 / (y + 1.0 / a), -r, splits)
     else:
         raise DomainViolation(f"unknown form {form!r}")
     return math.sin(r * math.pi) / math.pi * val
@@ -312,10 +278,10 @@ def _pd_scales(h: HermitianOperator) -> tuple[float, float]:
     return lo, hi
 
 
-def frac_power_operator(A, rs, rule: QuadratureRule | None = None,
-                        form: str = "first") -> tuple[HermitianOperator, ...]:
+def frac_power_operator(A, rs, form: str = "first") -> tuple[HermitianOperator, ...]:
     """A^r for strictly positive A and each exponent r in the tuple ``rs``, by
-    resolvent quadrature; one stack of solves serves every exponent.
+    resolvent quadrature on the ladder of A's scales; one stack of solves
+    serves every exponent.
 
     form="first" integrates x^(r-1) A (A + x I)^(-1); form="second" integrates
     y^(-r) (y I + A^(-1))^(-1), evaluated as A (y A + I)^(-1) so that only
@@ -323,26 +289,23 @@ def frac_power_operator(A, rs, rule: QuadratureRule | None = None,
     """
     A = as_herm(A)
     rs = _exponents(rs)
-    rule = rule or QuadratureRule()
-    n = rule.nodes_per_panel
     lo, hi = _pd_scales(A)
     mat = A.matrix
 
     if form == "first":
-        y, rules = shared_nodes_weights([r - 1.0 for r in rs],
-                                        rule.splits or geometric_splits(lo, hi), n)
+        y, rules = shared_nodes_weights([r - 1.0 for r in rs], geometric_splits(lo, hi),
+                                        NODES_PER_PANEL)
         alpha, beta = np.ones_like(y), y
     elif form == "second":
-        y, rules = shared_nodes_weights([-r for r in rs],
-                                        rule.splits or geometric_splits(1.0 / hi, 1.0 / lo), n)
+        y, rules = shared_nodes_weights([-r for r in rs], geometric_splits(1.0 / hi, 1.0 / lo),
+                                        NODES_PER_PANEL)
         alpha, beta = y, np.ones_like(y)
     else:
         raise DomainViolation(f"unknown form {form!r}")
     return _scaled_hermitian(rs, _resolvent_sum(mat, alpha, beta, rules, mat))
 
 
-def frechet_integral_rhs(A, D, rs, rule: QuadratureRule | None = None
-                         ) -> tuple[HermitianOperator, ...]:
+def frechet_integral_rhs(A, D, rs) -> tuple[HermitianOperator, ...]:
     """(sin(r pi)/pi) int_0^inf y^(-r) (yI+A)^(-1) D (yI+A)^(-1) dy for each
     exponent r in the tuple ``rs``; one stack of solves serves every exponent.
 
@@ -354,10 +317,8 @@ def frechet_integral_rhs(A, D, rs, rule: QuadratureRule | None = None
     if A.dim != D.dim:
         raise DimensionMismatch(f"dimension mismatch: {A.dim} vs {D.dim}")
     rs = _exponents(rs)
-    rule = rule or QuadratureRule()
     lo, hi = _pd_scales(A)
-    y, rules = shared_nodes_weights([-r for r in rs], rule.splits or geometric_splits(lo, hi),
-                                    rule.nodes_per_panel)
+    y, rules = shared_nodes_weights([-r for r in rs], geometric_splits(lo, hi), NODES_PER_PANEL)
     eye = np.eye(A.dim, dtype=np.complex128)
     totals = _resolvent_sum(A.matrix, np.ones_like(y), y, rules, eye, middle=D.matrix)
     return _scaled_hermitian(rs, totals)
@@ -369,7 +330,7 @@ def resolvent_pair_integral(a0: float, b0: float, r: float) -> float:
     min(a0, b0) to max(a0, b0)."""
     a0, b0, r = _positive(a0), _positive(b0), _exponent(r)
     splits = geometric_splits(min(a0, b0), max(a0, b0))
-    val = _scalar_integral(lambda y: 1.0 / ((y + a0) * (y + b0)), -r, splits, NODES_PER_PANEL)
+    val = _scalar_integral(lambda y: 1.0 / ((y + a0) * (y + b0)), -r, splits)
     return math.sin(r * math.pi) / math.pi * val
 
 
@@ -387,8 +348,8 @@ def resolvent_pair_closed_form(a0: float, b0: float, r: float) -> float:
 
 
 def self_test() -> float:
-    """Scalar sanity check 4^0.5 = 2 under the default rule; raises
-    ConfigError when the rule misses it by more than 1e-9."""
+    """Scalar sanity check 4^0.5 = 2 at NODES_PER_PANEL nodes per panel;
+    raises ConfigError when the rule misses it by more than 1e-9."""
     err = abs(frac_power_scalar(4.0, 0.5) - 2.0)
     if err > 1e-9:
         raise ConfigError(

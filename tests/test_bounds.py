@@ -461,8 +461,8 @@ class TestSharedWork:
         counts = counter()
         run = harness._SuiteRun("lemma2_power_diff", None, 1)
         harness._suite_lemma2(run, harness.SweepConfig(seed=1), 3)
-        assert run.instances == 3 and run.failures == 0
-        assert counts["eigvalsh"] <= 7 * run.instances
+        assert run.instances_run == 3 and run.failures == 0
+        assert counts["eigvalsh"] <= 7 * run.instances_run
 
     def test_cached_orders_still_cross_check_a_new_q(self, rng, monkeypatch):
         import qrelent.entropy as entropy_module

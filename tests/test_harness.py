@@ -125,6 +125,23 @@ class TestSigmaFamily:
         assert capsys.readouterr().err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_b0_at_zero_threshold_rejected(self, d):
+        # the state zeroes every eigenvalue at or below d * eps, so a smaller
+        # b0 would leave a state of rank 1 with no eigenvalue b0
+        cut = d * np.finfo(np.float64).eps
+        for b0 in (1e-17, cut):
+            with pytest.raises(ConfigError):
+                sigma_family(d, b0)
+        assert sigma_family(d, 2.0 * cut).rank == d
+
+    def test_sweep_below_zero_threshold_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--dims", "4", "--q", "1.5,2", "--b0", "1e-17", "--trials", "1",
+                     "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepRow:
     def test_diagonal_fixture_row(self):
@@ -342,9 +359,8 @@ class TestVerify:
         states = (sample_density(2, 2, rng), sample_density(2, 2, rng))
         for _ in run.draws(4, 1, None, None):
             run.le("forced", 1.5, 1.0, 0.0, states=states, q=2.0)
-        result = run.result()
-        assert result.failures == 1
-        assert result.counterexample_path is not None
+        assert run.failures == 1
+        assert run.counterexample_path is not None
         doc = json.loads((tmp_path / "counterexample_demo_context.json").read_text())
         assert doc == {"suite": "demo", "seed": 3, "trial": 0, "salt": 4, "check": "forced",
                        "margin": -0.5, "q": 2.0, "rho_path": doc["rho_path"],
@@ -355,7 +371,7 @@ class TestVerify:
         import qrelent.harness as hz
 
         def failing_suite(run, config, count):
-            run.instances += 1
+            run.instances_run += 1
             run.le("forced", 1.0, 0.0, 0.0)
 
         monkeypatch.setattr(hz, "_SUITES", (("forced", failing_suite, 5),))
@@ -497,6 +513,15 @@ class TestVerify:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["all_passed"] is True
 
+    def test_report_shape(self, tmp_path):
+        cmd_verify(SweepConfig(seed=2, trials=5, output_path=str(tmp_path / "report.json")))
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert sorted(doc) == ["all_passed", "config", "seed", "suites"]
+        assert [s["name"] for s in doc["suites"]] == [name for name, _, _ in harness._SUITES]
+        for suite in doc["suites"]:
+            assert sorted(suite) == ["closest", "counterexample_path", "failures",
+                                     "instances_run", "name", "worst_slack"]
+
     def test_report_byte_determinism(self, tmp_path):
         for name in ("r1.json", "r2.json"):
             cmd_verify(SweepConfig(seed=5, trials=20, output_path=str(tmp_path / name)))
@@ -515,6 +540,27 @@ class TestExperimentHelpers:
         records = tightness_crossover(seed=1, trials=3, d=4)
         assert len(records) == 12
         assert all(rec["tighter"] for rec in records)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 40])
+    def test_probes_check_the_seed(self, seed):
+        # as the CLI does: such a seed would alias another seed's streams
+        with pytest.raises(ConfigError):
+            divergence_envelope(seed=seed, d=4)
+        with pytest.raises(ConfigError):
+            tightness_crossover(seed=seed, trials=1, d=4)
+
+    @pytest.mark.parametrize("script", ["divergence_rate.py", "tightness_crossover.py"])
+    @pytest.mark.parametrize("argv", [["--d", "1"], ["--seed", "-1"]])
+    def test_probe_script_usage_error(self, script, argv):
+        # a bad argument is one line on stderr and exit 2, as in the CLI
+        scripts = Path(__file__).resolve().parents[1] / "scripts"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, str(scripts / script), *argv], check=False,
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 #: the exit code cli.main documents for each error type of qrelent.errors
@@ -789,12 +835,12 @@ def test_inequality_rule(lhs, rhs, allowance, holds, worst):
     assert (margin(lhs, rhs, allowance) >= 0.0) is holds
     run = harness._SuiteRun("demo", None, 1)
     run.le("rule", lhs, rhs, allowance)
-    assert (run.failures, run.worst) == (0 if holds else 1, worst)
+    assert (run.failures, run.worst_slack) == (0 if holds else 1, worst)
 
 
 def test_closest_is_largest_finite_ratio():
     run = harness._SuiteRun("demo", None, 1)
-    assert run.result().closest is None
+    assert run.closest is None
     for name, lhs, rhs in (("zero_rhs", 1.0, 0.0), ("inf_rhs", 1.0, math.inf),
                            ("inf_lhs", math.inf, 1.0), ("negative_rhs", -1.0, -1.0)):
         run.le(name, lhs, rhs, 1.0)
@@ -803,8 +849,7 @@ def test_closest_is_largest_finite_ratio():
         run.le("first", 1.0, 4.0, 0.0, q=1.5)
         run.le("tie", 2.0, 8.0, 0.0)
         run.le("lower", 0.1, 4.0, 0.0)
-    assert run.result().closest == {"check": "first", "ratio": 0.25, "trial": 0, "salt": 6,
-                                    "q": 1.5}
+    assert run.closest == {"check": "first", "ratio": 0.25, "trial": 0, "salt": 6, "q": 1.5}
 
 
 @given(seed=st.integers(0, 2**63), salt=st.integers(0, 16),
@@ -816,12 +861,12 @@ def test_instances_draw_as_choice(seed, salt, dims):
     # instance comes as soon as it is counted
     run = harness._SuiteRun("demo", None, seed)
     for i, rng, d, states, drawn in run.draws(salt, 4, dims, None):
-        assert run.instances == i + 1
+        assert run.instances_run == i + 1
         reference = trial_stream(seed, i, salt=salt)
         assert d == int(reference.choice(dims))
         assert rng.standard_normal(3).tolist() == reference.standard_normal(3).tolist()
         assert (states, drawn) == ([], None)
-    assert run.instances == 4
+    assert run.instances_run == 4
 
     # with no dims, draw gets the trial's stream before any draw
     def draw(i, rng, d):
@@ -831,7 +876,7 @@ def test_instances_draw_as_choice(seed, salt, dims):
         return [], i
 
     assert [drawn for *_, drawn in run.draws(salt, 3, None, draw)] == [0, 1, 2]
-    assert run.instances == 7
+    assert run.instances_run == 7
 
 
 #: the suites that draw their states and build them in blocks
@@ -842,7 +887,7 @@ _STACKING_SUITES = {"_suite_states", "_suite_entropy", "_suite_thm1", "_suite_th
 @pytest.mark.parametrize("builder", [b.__name__ for _, b, _ in harness._SUITES])
 def test_block_size_changes_no_result(monkeypatch, builder):
     # with one instance per block, as with the default blocks, a suite gives
-    # the same SuiteResult; a suite that builds states calls the kernel once
+    # the same record; a suite that builds states calls the kernel once
     # per block, and the others never call it
     calls = []
     stack = DensityMatrix.stack.__func__
@@ -858,11 +903,12 @@ def test_block_size_changes_no_result(monkeypatch, builder):
         calls.clear()
         run = harness._SuiteRun(builder, None, 5)
         getattr(harness, builder)(run, SweepConfig(seed=5), 30)
-        return run.result(), list(calls)
+        return run, list(calls)
 
     default, default_calls = run_suite(harness._BLOCK_BYTES)
     alone, alone_calls = run_suite(1)
-    assert alone == default
+    for key in harness.SUITE_FIELDS:
+        assert getattr(alone, key) == getattr(default, key), key
     assert default.failures == 0
     if builder in _STACKING_SUITES:
         assert default.instances_run >= 30

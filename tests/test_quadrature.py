@@ -11,14 +11,14 @@ from scipy.special import roots_jacobi, roots_legendre
 from qrelent import linalg, quadrature
 from qrelent.bounds import frechet_check
 from qrelent.errors import ConfigError, DomainViolation, PreconditionFailed
-from qrelent.linalg import HermitianOperator, OperatorPair, apply_function, eigh, schatten_norm
+from qrelent.linalg import HermitianOperator, OperatorPair, apply_function, schatten_norm
 from qrelent.quadrature import (
-    QuadratureRule,
+    NODES_PER_PANEL,
+    _pd_scales,
     frac_power_operator,
     frac_power_scalar,
     frechet_integral_rhs,
     geometric_splits,
-    nodes_weights,
     resolvent_pair_closed_form,
     resolvent_pair_integral,
     self_test,
@@ -52,14 +52,6 @@ class TestRuleValidation:
         call, error = EXPONENT_GATES[name]
         with pytest.raises(error):
             call(r)
-
-    def test_node_floor(self):
-        with pytest.raises(DomainViolation):
-            QuadratureRule(nodes_per_panel=3)
-
-    def test_splits_must_ascend(self):
-        with pytest.raises(DomainViolation):
-            QuadratureRule(splits=(2.0, 1.0))
 
 
 class TestScalarPower:
@@ -243,7 +235,7 @@ def _daleckii_krein(a: HermitianOperator, direction: np.ndarray, r: float) -> np
     """Derivative of t -> -t^(-r) at A in the given direction by divided
     differences in the eigenbasis of A, b^(-r-1) (-expm1(-r x)) / expm1(x)
     with x = ln(a/b), which stay accurate for close eigenvalues."""
-    w, u = eigh(a)
+    w, u = a.eig()
     x = np.log(w[:, None] / w[None, :])
     with np.errstate(invalid="ignore"):
         ratio = np.where(x == 0.0, r, -np.expm1(-r * x) / np.expm1(x))
@@ -251,23 +243,22 @@ def _daleckii_krein(a: HermitianOperator, direction: np.ndarray, r: float) -> np
     return u @ ((u.conj().T @ direction @ u) * dd) @ u.conj().T
 
 
-def _budget_errors(cond: float, d: int, r: float, nodes: int | None) -> tuple[float, float]:
+def _budget_errors(cond: float, d: int, r: float) -> tuple[float, float]:
     """Worst quadrature error of A^r over both forms, over max(1, ||A||^r), and
     of the Frechet integral, over max|exact|, for an operand with condition
-    number ``cond`` exactly; ``nodes`` None takes the default rule."""
+    number ``cond`` exactly, at the current NODES_PER_PANEL."""
     rng = np.random.Generator(np.random.SFC64(int(cond) * 16 + d))
     w = np.sort(np.concatenate([[1.0 / cond, 1.0], cond ** -rng.uniform(0.0, 1.0, d - 2)]))
     a = HermitianOperator.from_eigensystem(10.0 ** rng.uniform(-2.0, 2.0) * w,
                                            haar_unitary(d, rng))
     direction = random_hermitian(rng, d)
-    rule = None if nodes is None else QuadratureRule(nodes_per_panel=nodes)
     spectral = apply_function(a, lambda lam: lam**r).matrix
     scale = max(1.0, schatten_norm(a, math.inf) ** r)
-    power = max(float(np.max(np.abs(frac_power_operator(a, (r,), rule, form=form)[0].matrix
+    power = max(float(np.max(np.abs(frac_power_operator(a, (r,), form=form)[0].matrix
                                     - spectral))) / scale
                 for form in ("first", "second"))
     exact = _daleckii_krein(a, direction, r)
-    frechet = frechet_integral_rhs(a, direction, (r,), rule)[0].matrix
+    frechet = frechet_integral_rhs(a, direction, (r,))[0].matrix
     return power, float(np.max(np.abs(frechet - exact)) / np.max(np.abs(exact)))
 
 
@@ -280,14 +271,15 @@ class TestDefaultBudget:
 
     @pytest.mark.parametrize("cond,d,r", BUDGET_CASES)
     def test_default_rule_within_budget(self, cond, d, r):
-        power, frechet = _budget_errors(cond, d, r, None)
+        power, frechet = _budget_errors(cond, d, r)
         assert power <= 1e-10
         assert frechet <= 1e-10
 
-    def test_twelve_nodes_miss_budget(self):
+    def test_twelve_nodes_miss_budget(self, monkeypatch):
         # the check above can tell a starved rule apart
+        monkeypatch.setattr(quadrature, "NODES_PER_PANEL", 12)
         for cond, d, r in BUDGET_CASES:
-            assert max(_budget_errors(cond, d, r, 12)) > 1e-10
+            assert max(_budget_errors(cond, d, r)) > 1e-10
 
 
 class TestSelfTest:
@@ -303,7 +295,7 @@ class TestSelfTest:
 
 
 def _loop_integral(f, e, splits, n):
-    """Per-node reference: the panel-by-panel loop nodes_weights replaces."""
+    """Per-node reference: the panel-by-panel loop shared_nodes_weights replaces."""
     terms = []
     c0, ck = splits[0], splits[-1]
     t, w = roots_jacobi(n, 0.0, e)
@@ -366,14 +358,15 @@ class TestNodesWeights:
     @pytest.mark.parametrize("splits", LADDERS)
     def test_beta_function_integral(self, e, splits):
         # int_0^inf y^e / (1 + y) dy = pi / sin(pi (e + 1))
-        y, w = nodes_weights(e, splits, 64)
+        y, ((_, w),) = shared_nodes_weights((e,), splits, 64)
         expect = math.pi / math.sin(math.pi * (e + 1.0))
         assert abs(math.fsum(w / (1.0 + y)) - expect) <= 1e-12 * expect
 
     @pytest.mark.parametrize("n", [4, 17, 64])
     @pytest.mark.parametrize("splits", LADDERS)
     def test_layout(self, n, splits):
-        y, w = nodes_weights(-0.3, splits, n)
+        y, ((index, w),) = shared_nodes_weights((-0.3,), splits, n)
+        assert np.array_equal(index, np.arange(len(y)))
         assert len(y) == len(w) == n * (len(splits) + 1)
         assert np.all(np.diff(y) > 0.0)
         assert np.all(w > 0.0)
@@ -381,22 +374,23 @@ class TestNodesWeights:
     @pytest.mark.parametrize("e", [-1.0, 0.0, 0.5, -1.5, math.nan])
     def test_exponent_out_of_range(self, e):
         with pytest.raises(DomainViolation):
-            nodes_weights(e, (1.0, 10.0), 8)
+            shared_nodes_weights((e,), (1.0, 10.0), 8)
 
     @pytest.mark.parametrize("form", ["first", "second"])
     def test_operator_matches_per_node_loop(self, rng, form):
+        # the loop runs on the operand's own ladder at the default budget
         a = HermitianOperator(random_pd(rng, 5))
         mat, eye = a.matrix, np.eye(5)
-        splits = geometric_splits(1e-3, 30.0)
-        rule = QuadratureRule(nodes_per_panel=16, splits=splits)
+        lo, hi = _pd_scales(a)
+        n = NODES_PER_PANEL
         if form == "first":
             loop = _loop_integral(lambda x: scipy.linalg.solve(mat + x * eye, mat, assume_a="pos"),
-                                  -0.6, splits, 16)
+                                  -0.6, geometric_splits(lo, hi), n)
         else:
             loop = _loop_integral(lambda y: scipy.linalg.solve(y * mat + eye, mat, assume_a="pos"),
-                                  -0.4, splits, 16)
+                                  -0.4, geometric_splits(1.0 / hi, 1.0 / lo), n)
         loop = math.sin(0.4 * math.pi) / math.pi * loop
-        got = frac_power_operator(a, (0.4,), rule, form=form)[0].matrix
+        got = frac_power_operator(a, (0.4,), form=form)[0].matrix
         assert np.max(np.abs(got - (loop + loop.conj().T) / 2.0)) <= 1e-13 * np.max(np.abs(loop))
 
 
@@ -406,20 +400,19 @@ class TestStackedSolve:
         a = HermitianOperator(random_pd(rng, 8))
         direction = HermitianOperator(random_hermitian(rng, 8))
         r = 0.3
-        # an explicit 64-node rule gives this operand over 300 nodes, three chunks
-        rule = QuadratureRule(nodes_per_panel=64)
         if call == "frechet":
-            run = lambda: frechet_integral_rhs(a, direction, (r,), rule)[0].matrix  # noqa: E731
+            run = lambda: frechet_integral_rhs(a, direction, (r,))[0].matrix  # noqa: E731
         else:
-            run = lambda: frac_power_operator(a, (r,), rule, form=call)[0].matrix  # noqa: E731
+            run = lambda: frac_power_operator(a, (r,), form=call)[0].matrix  # noqa: E731
         whole = run()
         assert np.array_equal(whole, run())
         chunks = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: chunks.append(len(m)) or cholesky(m))
-        monkeypatch.setattr(quadrature, "_CHUNK_BYTES", 100 * 16 * 8 * 8)
+        # 30 nodes per chunk: the default rule on this operand spans three or more
+        monkeypatch.setattr(quadrature, "_CHUNK_BYTES", 30 * 16 * 8 * 8)
         chunked = run()
-        assert len(chunks) >= 3 and max(chunks) == 100
+        assert len(chunks) >= 3 and max(chunks) == 30
         scale = np.max(np.abs(whole)) if call == "frechet" else schatten_norm(a, math.inf) ** r
         assert np.max(np.abs(chunked - whole)) <= 1e-14 * scale
         assert np.array_equal(chunked, run())
@@ -455,7 +448,7 @@ class TestSharedExponents:
         assert len(y) == 8 * (len(splits) - 1) + 16 * len(e)
         for exponent, (index, w) in zip(e, rules):
             assert np.all(np.diff(index) > 0)
-            alone_y, alone_w = nodes_weights(exponent, splits, 8)
+            alone_y, ((_, alone_w),) = shared_nodes_weights((exponent,), splits, 8)
             assert np.array_equal(y[index], alone_y) and np.array_equal(w, alone_w)
 
     @pytest.mark.parametrize("call", ["first", "second", "frechet"])
