@@ -52,6 +52,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=9, help="timed processes per command")
     args = parser.parse_args()
+    if args.runs < 1:
+        # the CLI's report and exit code for a bad argument
+        print(f"error: --runs must be at least 1, got {args.runs}", file=sys.stderr)
+        sys.exit(2)
     # the tree that holds this interpreter's qrelent, pinned before the
     # children start in another working directory
     tree = Path(importlib.util.find_spec("qrelent").origin).resolve().parents[1]

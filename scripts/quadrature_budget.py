@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
-from qrelent.harness import _conditioned_pd
+from qrelent.errors import ConfigError, UsageError
+from qrelent.harness import _check_seed, _conditioned_pd
 from qrelent.linalg import HermitianOperator, apply_function, schatten_norm
 from qrelent.quadrature import (
     NODES_PER_PANEL,
@@ -127,6 +129,14 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--operands", type=int, default=50, help="operands per condition band")
     args = parser.parse_args()
+    try:
+        _check_seed(args.seed)
+        if args.operands < 1:
+            raise ConfigError(f"--operands must be at least 1, got {args.operands}")
+    except UsageError as exc:
+        # the CLI's report and exit code for a bad argument
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
     rng = as_generator(args.seed)
     operands = []

@@ -23,6 +23,7 @@ import sys
 
 from .errors import ConfigError, InternalError, ParseError, UsageError
 from .harness import SweepConfig, cmd_eval, cmd_gen, cmd_sweep, cmd_verify
+from .states import json_text
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -80,7 +81,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 def _run_eval(args: argparse.Namespace) -> int:
     report = cmd_eval(args.rho, args.sigma, (2.0,) if args.q is None else args.q)
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(json_text(report))
     return 0
 
 

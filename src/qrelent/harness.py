@@ -9,6 +9,7 @@ artifact is written through ``states.write_atomic``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -59,6 +60,7 @@ from .states import (
     embed_common_support,
     ginibre,
     haar_unitary,
+    json_text,
     kernel_included,
     partial_trace,
     read_state,
@@ -73,6 +75,14 @@ from .states import (
 #: root seeds lie in [0, 2^SEED_BITS): stream_seed keeps 64 bits and puts the
 #: salt at bit 40, so a seed outside would draw another seed's streams
 SEED_BITS = 40
+
+
+@functools.cache
+def _self_test() -> None:
+    """quadrature.self_test, run by the first command of a process: its
+    result cannot change within one.  A raised ConfigError is not cached, so
+    every later command raises it again."""
+    quadrature.self_test()
 
 
 def _check_seed(seed: int) -> None:
@@ -255,7 +265,7 @@ class _SuiteRun:
                 write_state(f"{stem}_{label}.json", state)
             doc["rho_path"] = f"{stem}_rho.json"
             doc["sigma_path"] = f"{stem}_sigma.json"
-        write_atomic(f"{stem}_context.json", json.dumps(doc, sort_keys=True, indent=2))
+        write_atomic(f"{stem}_context.json", json_text(doc))
         self.counterexample_path = f"{stem}_context.json"
 
 
@@ -658,8 +668,11 @@ def tightness_crossover(seed: int, trials: int, d: int) -> list[dict]:
     """Compare the quadratic-in-b0 bound against the b0^(1-q) one at q = 2 for
     small b0, where the latter must win in every trial.  Each record carries
     the trial and salt of rho's stream; each b0 builds one sigma for every
-    trial.  The seed must lie where the CLI's seeds do."""
+    trial.  The seed must lie where the CLI's seeds do, and trials must be
+    at least 1."""
     _check_seed(seed)
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     records, salt = [], 15
     sigmas = [sigma_family(d, b0) for b0 in CROSSOVER_B0]
     for trial in range(trials):
@@ -721,7 +734,7 @@ def cmd_verify(config: SweepConfig) -> VerifyReport:
     """Run every property suite; counterexamples are serialized next to the
     report when an output path is configured."""
     config.validate()
-    quadrature.self_test()
+    _self_test()
     out_dir = Path(config.output_path).parent if config.output_path else None
     runs = []
     for name, builder, divisor in _SUITES:
@@ -736,7 +749,7 @@ def cmd_verify(config: SweepConfig) -> VerifyReport:
             "all_passed": report.passed,
             "suites": [{key: getattr(run, key) for key in SUITE_FIELDS} for run in runs],
         }
-        write_atomic(config.output_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        write_atomic(config.output_path, json_text(doc) + "\n")
     return report
 
 
@@ -802,7 +815,7 @@ def cmd_sweep(config: SweepConfig) -> Path:
         )
     if not config.output_path:
         raise ConfigError("output_path is required")
-    quadrature.self_test()
+    _self_test()
     out = Path(config.output_path)
     lines = [
         "# config: " + json.dumps(config.echo_dict(), sort_keys=True),
@@ -840,7 +853,7 @@ def cmd_eval(rho_path, sigma_path, q_list) -> dict:
     q_list is a ConfigError."""
     if not q_list:
         raise ConfigError("q_list must be nonempty")
-    quadrature.self_test()
+    _self_test()
     pair = PairEval(read_state(rho_path), read_state(sigma_path))
     per_q = []
     for q in q_list:

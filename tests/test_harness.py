@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrelent import cli, errors, harness
+from qrelent import cli, errors, harness, quadrature
 from qrelent.bounds import PairEval
 from qrelent.cli import main
 from qrelent.errors import ConfigError
@@ -26,7 +26,40 @@ from qrelent.harness import (
     sweep_row,
     tightness_crossover,
 )
-from qrelent.states import DensityMatrix, read_state, sample_density, trial_stream, write_state
+from qrelent.states import (
+    DensityMatrix,
+    json_text,
+    read_state,
+    sample_density,
+    trial_stream,
+    write_state,
+)
+
+
+def _indented(doc) -> str:
+    """The text every indented JSON artifact must equal."""
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.fixture
+def json_docs(monkeypatch):
+    """Every tree the harness hands its JSON writer, which still writes it."""
+    docs = []
+
+    def spy(obj):
+        docs.append(obj)
+        return json_text(obj)
+
+    monkeypatch.setattr(harness, "json_text", spy)
+    return docs
+
+
+@pytest.fixture
+def uncached_self_test():
+    """A process whose commands have not run the quadrature self-test yet."""
+    harness._self_test.cache_clear()
+    yield
+    harness._self_test.cache_clear()
 
 
 class TestConfigValidation:
@@ -344,6 +377,16 @@ class TestEvalAndGen:
         assert record["reports"]["thm3_rhs"]["vacuous"] is True
         assert record["reports"]["thm3_rhs"]["holds"] is True
 
+    def test_eval_output_is_indented_json(self, tmp_path, rng, capsys):
+        # D_q = +inf ("inf") and vacuous reports (slack null) at q = 40
+        write_state(tmp_path / "rho.json", sample_density(3, 3, rng))
+        write_state(tmp_path / "sigma.json", DensityMatrix(np.diag([0.7, 0.3, 0.0])))
+        paths = [str(tmp_path / "rho.json"), str(tmp_path / "sigma.json")]
+        assert main(["eval", *paths, "--q", "1.5,2,40"]) == 0
+        out = capsys.readouterr().out
+        assert out == _indented(cmd_eval(*paths, [1.5, 2.0, 40.0])) + "\n"
+        assert '"inf"' in out and "null" in out
+
     def test_gen_then_eval_round_trip(self, tmp_path):
         p1 = cmd_gen(4, 4, seed=3, out=tmp_path / "a.json")
         p2 = cmd_gen(4, 2, seed=4, out=tmp_path / "b.json")
@@ -366,6 +409,27 @@ class TestVerify:
                        "margin": -0.5, "q": 2.0, "rho_path": doc["rho_path"],
                        "sigma_path": doc["sigma_path"]}
         assert read_state(doc["rho_path"]).dim == 2
+
+    def test_counterexample_context_is_indented_json(self, tmp_path, rng, json_docs):
+        from qrelent.harness import _SuiteRun
+
+        states = (sample_density(2, 2, rng), sample_density(2, 2, rng))
+        with_states = _SuiteRun("numeric", tmp_path, seed=3)
+        verdict_only = _SuiteRun("verdict", tmp_path, seed=3)  # margin null
+        for _ in with_states.draws(4, 1, None, None):
+            with_states.le("forced", 1.5, 1.0, 0.0, states=states, q=2.0)
+            verdict_only.verdict("forced", False, label="\u00e9\t")
+        assert len(json_docs) == 2
+        for run, doc in zip((with_states, verdict_only), json_docs):
+            assert open(run.counterexample_path, encoding="ascii").read() == _indented(doc)
+        assert json_docs[1]["margin"] is None
+
+    def test_report_is_indented_json(self, tmp_path, json_docs):
+        config = SweepConfig(dims=(2, 3), trials=3, seed=4, output_path=str(tmp_path / "r.json"))
+        cmd_verify(config)
+        (doc,) = json_docs
+        assert isinstance(doc["config"]["dims"], tuple)
+        assert (tmp_path / "r.json").read_text(encoding="ascii") == _indented(doc) + "\n"
 
     def test_failure_exit_code_and_report(self, tmp_path, monkeypatch):
         import qrelent.harness as hz
@@ -549,18 +613,39 @@ class TestExperimentHelpers:
         with pytest.raises(ConfigError):
             tightness_crossover(seed=seed, trials=1, d=4)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_crossover_needs_a_trial(self, trials):
+        # no trial would tabulate nothing and report "0/0 cases"
+        with pytest.raises(ConfigError):
+            tightness_crossover(seed=1, trials=trials, d=4)
+
     @pytest.mark.parametrize("script", ["divergence_rate.py", "tightness_crossover.py"])
     @pytest.mark.parametrize("argv", [["--d", "1"], ["--seed", "-1"]])
     def test_probe_script_usage_error(self, script, argv):
-        # a bad argument is one line on stderr and exit 2, as in the CLI
-        scripts = Path(__file__).resolve().parents[1] / "scripts"
-        src = str(Path(cli.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, str(scripts / script), *argv], check=False,
-                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                              text=True)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        _assert_script_usage_error(script, argv)
+
+    @pytest.mark.parametrize("script, argv", [
+        ("tightness_crossover.py", ["--trials", "0"]),
+        ("tightness_crossover.py", ["--trials", "-3"]),
+        ("quadrature_budget.py", ["--operands", "0"]),
+        ("quadrature_budget.py", ["--operands", "-2"]),
+        ("quadrature_budget.py", ["--seed", "-1"]),
+        ("cold_start.py", ["--runs", "0"]),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+    def test_script_bad_count_or_seed(self, script, argv):
+        _assert_script_usage_error(script, argv)
+
+
+def _assert_script_usage_error(script: str, argv: list[str]) -> None:
+    """A bad argument is one line on stderr and exit 2, as in the CLI."""
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, str(scripts / script), *argv], check=False,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 #: the exit code cli.main documents for each error type of qrelent.errors
@@ -702,6 +787,35 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
+
+    def test_self_test_runs_once_per_process(self, tmp_path, monkeypatch, capsys,
+                                             uncached_self_test):
+        calls = []
+        self_test = quadrature.self_test
+        monkeypatch.setattr(quadrature, "self_test", lambda: calls.append(1) or self_test())
+        rho, sigma = (str(cmd_gen(2, 2, seed, tmp_path / f"{seed}.json")) for seed in (1, 2))
+        assert main(["eval", rho, sigma]) == 0
+        sweep = ["sweep", "--dims", "2", "--trials", "1", "--out", str(tmp_path / "s.csv")]
+        assert main(sweep) == 0
+        assert main(["eval", sigma, rho]) == 0
+        assert len(calls) == 1
+
+    def test_failed_self_test_exits_two(self, tmp_path, monkeypatch, capsys, uncached_self_test):
+        # a raised error is not cached: every command runs the self-test again
+        calls = []
+
+        def failing():
+            calls.append(1)
+            raise ConfigError("forced self-test failure")
+
+        monkeypatch.setattr(quadrature, "self_test", failing)
+        rho = str(cmd_gen(2, 2, 1, tmp_path / "rho.json"))
+        out = ["--out", str(tmp_path / "out")]
+        for argv in (["eval", rho, rho], ["sweep", "--dims", "2", *out], ["verify", *out]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: forced self-test failure\n"
+        assert len(calls) == 3
+        assert not (tmp_path / "out").exists()
 
     def test_parser_is_shared(self):
         assert cli.build_parser() is cli.build_parser()

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrelent.entropy import PairEval
@@ -24,6 +24,7 @@ from qrelent.states import (
     DensityMatrix,
     density_with_spectrum,
     haar_unitary,
+    json_text,
     kernel_included,
     partial_trace,
     read_state,
@@ -304,6 +305,41 @@ class TestSpectralSummary:
         s = PairEval(rho, sigma).summary
         assert 0.0 <= s["lambda0"] <= s["b0"] <= s["b1"] <= s["lambda1"] <= 1.0
         assert s["a1"] <= s["lambda1"]
+
+
+#: JSON leaves as the program's artifacts hold them, and the float corner cases
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+    | st.text()
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_TREES)
+    @example({"b": [], "a": {}, "\u00e9\n\x00\U0001f600": ("\x7f", None, True, 1, -0.0)})
+    @example([np.float64(math.nan), np.float64(math.inf), np.float64(-math.inf), 2**70])
+    def test_matches_json_dumps(self, tree):
+        assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5), {"a": object()}])
+    def test_rejects_what_json_rejects(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            json_text(value)
 
 
 class TestStateFiles:
