@@ -3,8 +3,8 @@
 processes for eval, gen and sweep.
 
 For each command, prints the median, min and max wall time of N fresh
-processes, and the scipy modules one more run of it loads (read from
-``python -X importtime``; that run also warms the file cache and is not
+processes, and the orjson and scipy modules one more run of it loads (read
+from ``python -X importtime``; that run also warms the file cache and is not
 timed).  The inputs are two D x D states for eval, one D x D state for gen
 and a sweep at dimension D on its default q and b0 grids; they are written
 to a temporary directory first.  The child processes import the qrelent
@@ -41,11 +41,11 @@ def _qrelent(args: list[str], cwd: str, env: dict, *flags: str) -> subprocess.Co
                           check=True)
 
 
-def _scipy_modules(importtime: str) -> list[str]:
-    """The scipy modules named in the output of ``python -X importtime``."""
+def _modules(importtime: str, package: str) -> list[str]:
+    """The modules of ``package`` named in the output of ``python -X importtime``."""
     names = (line.rsplit("|", 1)[-1].strip() for line in importtime.splitlines()
              if line.startswith("import time:"))
-    return sorted(name for name in names if name.split(".")[0] == "scipy")
+    return sorted(name for name in names if name.split(".")[0] == package)
 
 
 def main() -> None:
@@ -65,9 +65,11 @@ def main() -> None:
         for seed, out in ((1, "rho.json"), (2, "sigma.json")):
             _qrelent(["gen", "--d", str(D), "--rank", str(D), "--seed", str(seed),
                       "--out", out], work, env)
-        print(f"{'command':8s} {'median_s':>9s} {'min_s':>7s} {'max_s':>7s}  scipy modules")
+        print(f"{'command':8s} {'median_s':>9s} {'min_s':>7s} {'max_s':>7s}  "
+              f"orjson modules  scipy modules")
         for name, command in COMMANDS.items():
-            loaded = _scipy_modules(_qrelent(command, work, env, "-X", "importtime").stderr)
+            importtime = _qrelent(command, work, env, "-X", "importtime").stderr
+            orjson, loaded = _modules(importtime, "orjson"), _modules(importtime, "scipy")
             times = []
             for _ in range(args.runs):
                 start = time.perf_counter()
@@ -75,7 +77,8 @@ def main() -> None:
                 times.append(time.perf_counter() - start)
             packages = sorted({m for m in loaded if m.count(".") == 1 and "._" not in m})
             print(f"{name:8s} {statistics.median(times):9.3f} {min(times):7.3f} "
-                  f"{max(times):7.3f}  {len(loaded)} ({', '.join(packages) or 'none'})")
+                  f"{max(times):7.3f}  {len(orjson):14d}  "
+                  f"{len(loaded)} ({', '.join(packages) or 'none'})")
 
 
 if __name__ == "__main__":

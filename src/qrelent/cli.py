@@ -50,7 +50,7 @@ def _build_config(args: argparse.Namespace, **grids) -> SweepConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise ConfigError(f"config file {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")

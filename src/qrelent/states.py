@@ -6,7 +6,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import functools
-import json
 import math
 import os
 from json.encoder import encode_basestring_ascii
@@ -19,7 +18,6 @@ from .errors import (
     BadSpectrum,
     ConvergenceFailure,
     DimensionMismatch,
-    NonFiniteInput,
     NotNormalized,
     NotPSD,
     ParseError,
@@ -352,9 +350,9 @@ def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_state(path, rho: DensityMatrix) -> None:
-    """Write the JSON state format {"dim", "re", "im"} with 17 significant digits."""
-    m = rho.matrix
+def state_text(re: np.ndarray, im: np.ndarray) -> str:
+    """The state file of the d x d matrix re + i im: the JSON object
+    {"dim", "re", "im"}, row-major, each entry with 17 significant digits."""
 
     def rows(part: np.ndarray) -> str:
         return (
@@ -363,7 +361,13 @@ def write_state(path, rho: DensityMatrix) -> None:
             + "]"
         )
 
-    write_atomic(path, f'{{"dim": {rho.dim}, "re": {rows(m.real)}, "im": {rows(m.imag)}}}\n')
+    return f'{{"dim": {len(re)}, "re": {rows(re)}, "im": {rows(im)}}}\n'
+
+
+def write_state(path, rho: DensityMatrix) -> None:
+    """Write the state file of ``rho``, as :func:`state_text` gives it."""
+    m = rho.matrix
+    write_atomic(path, state_text(m.real, m.imag))
 
 
 #: the text of the three JSON constants; only ever indexed by True, False or None
@@ -447,22 +451,59 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
+#: the '[' and '{' of a MAX_DIM x MAX_DIM state file: the object, and the
+#: outer array and MAX_DIM rows of each of "re" and "im"
+_MAX_OPENERS = 1 + 2 * (MAX_DIM + 1)
+
+
+def state_arrays(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 ``re`` and ``im`` arrays of a state file's bytes, or ParseError.
+
+    Only what :func:`state_text` writes is read: ASCII text holding one JSON
+    object whose "dim" is an integer, not a bool, and whose "re" and "im" are
+    dim x dim arrays of JSON numbers (integers or floats; a bool, string or
+    null is refused).  JSON has no NaN or Infinity, and a number beyond the
+    float64 range is refused too.  A file with more '[' and '{' than a
+    MAX_DIM x MAX_DIM state holds is refused before it is decoded.
+    """
+    # orjson 3.8 recurses once per nesting level with no depth limit: objects
+    # nested 60,000 deep overflow an 8 MB C stack and kill the process.  The
+    # count of brackets bounds the depth.  Only eval reads state files, so no
+    # other command loads orjson
+    import orjson
+
+    data = np.frombuffer(raw, dtype=np.uint8)
+    openers = np.count_nonzero(data == ord("[")) + np.count_nonzero(data == ord("{"))
+    if openers > _MAX_OPENERS:
+        raise ParseError(f"{openers} '[' and '{{' brackets, more than the {_MAX_OPENERS} "
+                         f"of a state of dimension {MAX_DIM}")
+    try:
+        doc = orjson.loads(raw.decode("ascii"))
+    except ValueError as exc:  # not ASCII, or not JSON
+        raise ParseError(str(exc)) from exc
+    try:
+        dim = doc["dim"]
+        # numpy reads the dtype from the entries: bools, strings and nulls
+        # give a kind other than integer or float
+        parts = np.asarray(doc["re"]), np.asarray(doc["im"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed state document: {exc!r}") from exc
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ParseError(f"dim must be a JSON integer, not {type(dim).__name__}")
+    for name, part in zip(("re", "im"), parts):
+        if part.dtype.kind not in "iuf":
+            raise ParseError(f"{name} entries must be JSON numbers, not {part.dtype}")
+        if part.shape != (dim, dim):
+            raise ParseError(f"{name} has shape {part.shape}, not ({dim}, {dim})")
+    return parts[0].astype(np.float64, copy=False), parts[1].astype(np.float64, copy=False)
+
+
 def read_state(path) -> DensityMatrix:
     """Parse a state file written by :func:`write_state` and validate it."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not ASCII, or not JSON
-            raise ParseError(f"{path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        d = int(doc["dim"])
-        re = np.asarray(doc["re"], dtype=np.float64)
-        im = np.asarray(doc["im"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed state document: {exc}") from exc
-    if re.shape != (d, d) or im.shape != (d, d):
-        raise ParseError(f"{path}: entry arrays do not match dim={d}")
-    try:
-        return DensityMatrix(re + 1j * im)
-    except NonFiniteInput as exc:
+        re, im = state_arrays(raw)
+    except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    return DensityMatrix(re + 1j * im)

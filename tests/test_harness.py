@@ -699,6 +699,43 @@ class TestCli:
         assert main(["eval", str(bom), str(good)]) == 3
         assert capsys.readouterr().err.startswith("i/o error:")
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_non_finite_literal_exit_three(self, token, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"dim": 1, "re": [[{token}]], "im": [[0.0]]}}')
+        good = cmd_gen(1, 1, seed=7, out=tmp_path / "good.json")
+        assert main(["eval", str(bad), str(good)]) == 3
+        assert main(["eval", str(good), str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error:")
+
+    @pytest.mark.parametrize("deep", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"a": ' * 100_000 + "1" + "}" * 100_000,
+    ], ids=["arrays", "objects"])
+    def test_deep_nesting_exit_codes(self, deep, tmp_path):
+        # a fresh process per command, so a decoder that overflows the C stack
+        # fails this test and not the whole run
+        (tmp_path / "deep.json").write_text(deep)
+        cmd_gen(2, 2, seed=7, out=tmp_path / "good.json")
+        sweep = ["sweep", "--dims", "2", "--q", "2", "--b0", "0.25", "--trials", "1",
+                 "--out", "s.csv"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for argv, code, prefix in (
+            (["eval", "deep.json", "good.json"], 3, "i/o error:"),
+            (["eval", "good.json", "deep.json"], 3, "i/o error:"),
+            ([*sweep, "--config", "deep.json"], 2, "error:"),
+            (["verify", "--trials", "1", "--out", "v.json", "--config", "deep.json"], 2, "error:"),
+        ):
+            proc = subprocess.run([sys.executable, "-m", "qrelent", *argv], cwd=tmp_path,
+                                  env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                                  text=True, check=False)
+            assert proc.returncode == code, proc.stderr[-2000:]
+            assert proc.stdout == ""
+            assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json", "good.json"]
+
     def test_undecodable_config_file_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(b'{"seed": 3}\xff')
@@ -887,6 +924,32 @@ class TestCli:
         codes, loaded = json.loads(proc.stderr)
         assert codes == [0, 0, 0, 0, 0, 0]
         assert loaded == []
+
+    def test_only_eval_imports_orjson(self, tmp_path):
+        # a fresh interpreter runs gen, sweep and verify without loading orjson;
+        # eval loads it on its first state file
+        script = """if True:
+            import json, sys
+            from qrelent.cli import main
+            def orjson_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "orjson")
+            codes = [main(["gen", "--d", "4", "--rank", "4", "--seed", "2", "--out", "rho.json"]),
+                     main(["gen", "--d", "4", "--rank", "3", "--seed", "3", "--out", "sigma.json"]),
+                     main(["sweep", "--dims", "4", "--q", "2", "--b0", "0.25", "--trials", "2",
+                           "--seed", "1", "--out", "s.csv"]),
+                     main(["verify", "--trials", "5", "--seed", "1", "--out", "v.json"])]
+            before = orjson_modules()
+            codes.append(main(["eval", "rho.json", "sigma.json", "--q", "2"]))
+            sys.stderr.write(json.dumps([codes, before, orjson_modules()]))
+        """
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, check=False,
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        codes, before, after = json.loads(proc.stderr)
+        assert codes == [0, 0, 0, 0, 0]
+        assert before == []
+        assert "orjson" in after
 
     def test_internal_error_exit_four(self, tmp_path, capsys):
         from qrelent.states import write_state

@@ -30,6 +30,8 @@ from qrelent.states import (
     read_state,
     sample_common_support_pair,
     sample_density,
+    state_arrays,
+    state_text,
     stream_seed,
     tensor,
     trial_stream,
@@ -409,6 +411,56 @@ class TestStateFiles:
         path.write_text('{"dim": 2, "re": [[1.0]], "im": [[0.0]]}')
         with pytest.raises(ParseError):
             read_state(path)
+
+    @pytest.mark.parametrize("dim, re", [
+        ("1.5", "[[1.0]]"), ("true", "[[1.0]]"), ('"1"', "[[1.0]]"), ("null", "[[1.0]]"),
+        ("[1]", "[[1.0]]"), ("1", "[[true]]"), ("1", '[["1"]]'), ("1", "[[null]]"),
+        ("1", "[[{}]]"), ("1", "[[[1.0]]]"), ("1", "[[1.0, 0.0]]"), ("1", "[1.0]"),
+    ])
+    def test_parse_error_on_what_the_writer_never_writes(self, tmp_path, dim, re):
+        # the writer's grammar: an integer dim and dim x dim arrays of JSON numbers
+        path = tmp_path / "odd.json"
+        path.write_text(f'{{"dim": {dim}, "re": {re}, "im": [[0.0]]}}')
+        with pytest.raises(ParseError):
+            read_state(path)
+        path.write_text(f'{{"dim": {dim}, "re": [[1.0]], "im": {re.replace("1.0", "0.0")}}}')
+        with pytest.raises(ParseError):
+            read_state(path)
+
+    @pytest.mark.parametrize("text", ["[]", "1", '"state"', "null", '{"re": [[1.0]], "im": [[0.0]]}'])
+    def test_parse_error_on_other_documents(self, tmp_path, text):
+        path = tmp_path / "odd.json"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            read_state(path)
+
+    def test_integer_entries_are_numbers(self, tmp_path):
+        # the writer prints 1.0 as "1" and -0.0 as "-0"
+        path = tmp_path / "one.json"
+        path.write_text('{"dim": 1, "re": [[1]], "im": [[-0]]}')
+        assert read_state(path).matrix.tolist() == [[1.0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        min_size=2 * d * d, max_size=2 * d * d)))
+    @example([5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+              0.0, -0.0, 1e300, -1e-300])
+    @example([1.7976931348623157e308, -1.7976931348623157e308, 1e-300, -1e300,
+              4.9406564584124654e-324, 0.1, -0.0, 1.0])
+    def test_decode_matches_json(self, entries):
+        # the entry arrays hold the bits json.loads gives on the writer's text
+        d = math.isqrt(len(entries) // 2)
+        parts = np.array(entries, dtype=np.float64).reshape(2, d, d)
+        text = state_text(parts[0], parts[1])
+        doc = json.loads(text)
+        assert doc["dim"] == d
+        for name, got, want in zip(("re", "im"), state_arrays(text.encode()), parts):
+            expected = np.asarray(doc[name], dtype=np.float64)
+            assert got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes(), name
+            # 17 digits round-trip every value; "-0" reads back as the integer 0
+            assert np.array_equal(got, want)
 
 
 def test_stream_seed_formula():
