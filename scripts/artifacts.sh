@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Write the program's reference artifacts to OUT_DIR: verify reports and their
 # stdout, three sweeps, two generated states, eval of that pair in both orders
-# and at q = Q_MAX, the output of the two probe scripts, and the node-budget
+# and at q = Q_MAX, eval of a 2 x 2 pair whose D_q leaves the float range,
+# the output of the two probe scripts, and the node-budget
 # table of scripts/quadrature_budget.py at two operands per band (its check
 # that it reproduces the library's own rule runs with it).
 #
@@ -55,6 +56,15 @@ python -m qrelent eval rho.json sigma.json --q 1.000000001,1.5,2,3,7 > eval_rho_
 python -m qrelent eval sigma.json rho.json --q 1.000000001,1.5,2,3,7 > eval_sigma_rho.json
 # q = 40 is Q_MAX, the largest order D_q and the thm3 row accept
 python -m qrelent eval rho.json sigma.json --q 40 > eval_rho_sigma_q40.json
+# the float-range pair rho = diag(0.5, 0.5), sigma = diag(1 - 1e-10, 1e-10):
+# b0^(1-q) alone overflows from q = 31.8 on, D_31 and D_32 = 7.5e298 still
+# fit in float64, and D_33 and D_40 are past it (+inf, as is thm3's rhs).
+# The two hand-written state files are removed once evaluated
+printf '{"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}\n' > range_rho.json
+printf '{"dim": 2, "re": [[0.9999999999, 0], [0, 1e-10]], "im": [[0, 0], [0, 0]]}\n' \
+    > range_sigma.json
+python -m qrelent eval range_rho.json range_sigma.json --q 31,32,33,40 > eval_float_range.json
+rm range_rho.json range_sigma.json
 python "$scripts/divergence_rate.py" > divergence_rate.txt
 python "$scripts/tightness_crossover.py" > tightness_crossover.txt
 python "$scripts/quadrature_budget.py" --operands 2 > quadrature_budget.txt

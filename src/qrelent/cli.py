@@ -9,8 +9,8 @@ Exit codes:
   2  errors.UsageError: usage or configuration error, or an argument outside
      a function's domain
   3  errors.ParseError or OSError: an unreadable file or an unwritable path
-  4  errors.InternalError: two evaluation routes disagreed, a value
-     overflowed, or an eigendecomposition failed its contract
+  4  errors.InternalError: two evaluation routes disagreed, an infinite D_q
+     met a finite upper bound, or an eigendecomposition failed its contract
 """
 
 from __future__ import annotations

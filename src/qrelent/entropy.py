@@ -109,7 +109,8 @@ def classical_relative_q(a, b, q: float) -> ExtendedReal:
     Infinite whenever some outcome has a_i > 0 but b_i = 0; otherwise
     (1 - sum_{a_i>0} a_i^q b_i^(1-q)) / (1-q), evaluated as the divergence
     sum over a_i > 0 with a diagonal overlap,
-    (sum a_i^q b_i^(1-q) - sum a_i)/(q - 1), which does not cancel as q -> 1.
+    (sum a_i^q b_i^(1-q) - sum a_i)/(q - 1), which does not cancel as q -> 1,
+    and +inf past the float range.
     """
     va = probability_vector(a)
     vb = probability_vector(b)
@@ -120,7 +121,8 @@ def classical_relative_q(a, b, q: float) -> ExtendedReal:
         return POSITIVE_INFINITY
     support = va > 0.0
     a, b = va[support], vb[support]
-    return ExtendedReal.finite(_divergence_sum(np.eye(a.size), a, _log(a), _log(b), q))
+    value = _divergence_sum(np.eye(a.size), a, _log(a), _log(b), q)
+    return POSITIVE_INFINITY if value == math.inf else ExtendedReal.finite(value)
 
 
 def _overlap(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
@@ -247,9 +249,9 @@ def _divergence_sum(
 
     Each term a expm1((r-1)(ln a - ln b)) is evaluated as a X + a^r Y with
     X = expm1((r-1) ln a) and Y = expm1((1-r) ln b), one C-library call per
-    eigenvalue; nothing cancels as r -> 1.  A column of w that is all zero
-    contributes exactly 0, even where its Y overflows; any other value beyond
-    the float range is an InternalInconsistency.
+    eigenvalue; nothing cancels as r -> 1.  Where some Y overflows, each
+    weighted term is evaluated from its a and b together, so a column of w
+    that is all zero contributes nothing; a sum past the float range is +inf.
     """
     if r == 1.0:
         return exact_sum(w * a[:, None] * (log_a[:, None] - log_b))
@@ -258,13 +260,19 @@ def _divergence_sum(
         ax = np.array([v * math.expm1(t * u) for v, u in zip(a.tolist(), log_a.tolist())])
         y = np.array([math.expm1(-t * u) for u in log_b.tolist()])
         return exact_sum(w * (ax[:, None] + _power(a, r)[:, None] * y)) / t
-    except OverflowError as exc:
-        # all-zero columns are dropped only after an overflow, so the usual
-        # path keeps its cost
-        weighted = w.any(axis=0)
-        if not weighted.all():
-            return _divergence_sum(w[:, weighted], a, log_a, log_b[weighted], r)
-        raise InternalInconsistency(f"divergence sum of order {r!r} overflows float64") from exc
+    except OverflowError:
+        pass
+    # from x = 709 on, a expm1(x) = a e^x - a rounds to a e^x, and the term
+    # is exp(ln w + ln a + x): e^x alone may overflow where w a e^x does not
+    i, j = np.nonzero(w)
+    try:
+        return math.fsum(
+            wij * v * math.expm1(x) if x < 709.0 else math.exp(math.log(wij) + u + x)
+            for wij, v, u, x in zip(w[i, j].tolist(), a[i].tolist(), log_a[i].tolist(),
+                                    (t * (log_a[i] - log_b[j])).tolist())
+        ) / t
+    except OverflowError:
+        return math.inf
 
 
 def quantum_relative_q(
@@ -275,7 +283,8 @@ def quantum_relative_q(
     Returns +inf unless rho is supported inside the support of sigma (weight
     on the kernel at most ``TOL_INCL``).  The finite branch is the divergence
     sum of the restricted double sum; it must agree with the same sum on the
-    operator route within 1e-9 relative or an InternalInconsistency aborts.
+    operator route within 1e-9 relative or an InternalInconsistency aborts;
+    a sum past the float range on both routes is +inf.
     ``pair``, the PairEval of (rho, sigma), carries the q-independent work
     over from earlier calls.
     """
@@ -285,6 +294,8 @@ def quantum_relative_q(
         return POSITIVE_INFINITY
     value = _divergence_sum(*pair.overlap, pair.log_b, q)
     value_op = _divergence_sum(*pair.compressed, pair.log_b, q)
+    if value == value_op == math.inf:  # both routes past the float range
+        return POSITIVE_INFINITY
     if not abs(value - value_op) <= CROSS_CHECK_TOL * (1.0 + abs(value)):
         raise InternalInconsistency(
             f"double-sum route {value!r} disagrees with operator route {value_op!r}"

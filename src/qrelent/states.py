@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import functools
 import math
 import os
 from json.encoder import encode_basestring_ascii
@@ -16,7 +15,6 @@ import numpy as np
 from .errors import (
     BadFactorization,
     BadSpectrum,
-    ConvergenceFailure,
     DimensionMismatch,
     NotNormalized,
     NotPSD,
@@ -206,35 +204,11 @@ def sample_density(d: int, rank: int, rng) -> DensityMatrix:
     return DensityMatrix(draw_density(d, rank, rng))
 
 
-@functools.lru_cache(maxsize=MAX_DIM)
-def _qr_workspace(d: int) -> tuple[int, int]:
-    """Optimal zgeqrf and zungqr workspace sizes at d x d, the ones
-    np.linalg.qr queries: they select the same blocked code, so the same bits."""
-    import scipy.linalg
-
-    z = np.zeros((d, d), dtype=np.complex128)
-    work_r = scipy.linalg.lapack.zgeqrf(z, lwork=-1)[2]
-    work_q = scipy.linalg.lapack.zungqr(z, z[0], lwork=-1)[1]
-    return int(work_r[0].real), int(work_q[0].real)
-
-
 def haar_unitary(d: int, rng) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Ginibre matrix with the phases
-    of diag(R) pulled into Q.  The QR is LAPACK's zgeqrf and zungqr called
-    directly, which gives np.linalg.qr's Q and R without its wrapper's cost.
-    Only verify draws Haar unitaries, so scipy is imported here and the
-    other commands never load it."""
-    import scipy.linalg
-
-    rng = as_generator(rng)
-    z = ginibre(rng, (d, d))
-    lwork_r, lwork_q = _qr_workspace(d)
-    lapack = scipy.linalg.lapack
-    qr, tau, _, info_r = lapack.zgeqrf(z, lwork=lwork_r, overwrite_a=1)
-    diag = np.diagonal(qr).copy()
-    q, _, info_q = lapack.zungqr(qr, tau, lwork=lwork_q, overwrite_a=1)
-    if info_r or info_q:
-        raise ConvergenceFailure(f"QR failed: LAPACK info {info_r}, {info_q}")
+    of diag(R) pulled into Q."""
+    q, r = np.linalg.qr(ginibre(as_generator(rng), (d, d)))
+    diag = np.diagonal(r).copy()
     diag[diag == 0] = 1.0
     return np.multiply(q, diag / np.abs(diag), order="C")
 
@@ -350,6 +324,13 @@ def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _entry17(x: float) -> str:
+    """A state-file entry: 17 significant digits, with -0.0 written "-0.0",
+    since "-0" reads back as the integer 0."""
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text
+
+
 def state_text(re: np.ndarray, im: np.ndarray) -> str:
     """The state file of the d x d matrix re + i im: the JSON object
     {"dim", "re", "im"}, row-major, each entry with 17 significant digits."""
@@ -357,7 +338,7 @@ def state_text(re: np.ndarray, im: np.ndarray) -> str:
     def rows(part: np.ndarray) -> str:
         return (
             "["
-            + ", ".join("[" + ", ".join(_fmt17(v) for v in row) + "]" for row in part)
+            + ", ".join("[" + ", ".join(map(_entry17, row.tolist())) + "]" for row in part)
             + "]"
         )
 
@@ -472,6 +453,10 @@ def state_arrays(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
     # other command loads orjson
     import orjson
 
+    # numpy reads a bool among numbers as 1.0 or 0.0, and the writer writes no
+    # 't' or 'f': two byte scans refuse a true or false anywhere
+    if b"t" in raw or b"f" in raw:
+        raise ParseError("a bool (true or false) where the writer writes only numbers")
     data = np.frombuffer(raw, dtype=np.uint8)
     openers = np.count_nonzero(data == ord("[")) + np.count_nonzero(data == ord("{"))
     if openers > _MAX_OPENERS:

@@ -213,6 +213,23 @@ class TestThm3:
         assert rep.lhs.is_finite and rep.rhs == math.inf
         assert rep.holds and not rep.vacuous and rep.slack is None
 
+    @pytest.mark.parametrize("q", [33.0, 40.0])
+    def test_infinite_dq_against_infinite_rhs_holds(self, q):
+        # D_q = 0.5^q 1e(10(q-1)) / (q-1) and the rhs both pass the float range
+        rho = DensityMatrix(np.diag([0.5, 0.5]))
+        sigma = DensityMatrix(np.diag([0.9999999999, 1e-10]))
+        rep = thm3_bound(PairEval(rho, sigma), q)
+        assert not rep.lhs.is_finite and rep.rhs == math.inf
+        assert rep.holds and not rep.vacuous and rep.slack is None
+
+    def test_infinite_dq_against_finite_rhs_raises(self):
+        rho = DensityMatrix(np.diag([0.5, 0.5]))
+        sigma = DensityMatrix(np.diag([0.9999999999, 1e-10]))
+        pair = PairEval(rho, sigma)
+        pair.summary["b0"] = 1e-5  # puts the rhs, 1e160, back in range
+        with pytest.raises(InternalInconsistency, match="infinite divergence"):
+            thm3_bound(pair, 33.0)
+
     @given(seed=st.integers(0, 2**32 - 1), q=st.floats(1.01, 6.0))
     @settings(max_examples=40, deadline=None)
     def test_soundness_high_q(self, seed, q):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qrelent import entropy, errors
+from qrelent import entropy
 from qrelent.entropy import (
     POSITIVE_INFINITY,
     ExtendedReal,
@@ -203,19 +203,27 @@ class TestQuantumRelative:
 
     def test_q_max_with_tiny_b0_is_never_finite(self, rng):
         # b0^(1-q) = 1e390 at q = 40, b0 = 1e-10: the true value is past the
-        # float range, so the result must be +inf or a typed error
+        # float range, so the result is +inf
         d = 16
         spectrum = np.full(d, 1e-10)
         spectrum[0] = 1.0 - 1e-10 * (d - 1)
         sigma = DensityMatrix.from_eigensystem(spectrum, np.eye(d))
         rho = sample_density(d, d, rng)
-        typed = tuple(v for v in vars(errors).values()
-                      if isinstance(v, type) and issubclass(v, Exception))
-        try:
-            value = quantum_relative_q(rho, sigma, 40.0)
-        except typed:
-            return
-        assert value == POSITIVE_INFINITY
+        assert quantum_relative_q(rho, sigma, 40.0) == POSITIVE_INFINITY
+
+    @pytest.mark.parametrize("route", ["overlap", "compressed"])
+    def test_one_infinite_route_is_a_disagreement(self, route, rng, monkeypatch):
+        rho, sigma = sample_common_support_pair(4, 3, rng)
+        pair = entropy.PairEval(rho, sigma)
+        honest = entropy._divergence_sum
+
+        def overflowing(w, a, log_a, log_b, r):
+            # one route alone passes the float range
+            return math.inf if w is getattr(pair, route)[0] else honest(w, a, log_a, log_b, r)
+
+        monkeypatch.setattr(entropy, "_divergence_sum", overflowing)
+        with pytest.raises(InternalInconsistency):
+            quantum_relative_q(rho, sigma, 3.0, pair)
 
     def test_zero_weight_column_does_not_overflow(self):
         # rho puts exactly no weight on sigma's b = 1e-10 eigenvector, so its
@@ -229,11 +237,11 @@ class TestQuantumRelative:
         assert abs(ref - 1.00000008474037133e-10) <= 1e-16 * ref
         assert value.is_finite and abs(value.value - ref) <= 1e-14 * ref
 
-    def test_weighted_overflow_still_raises(self):
+    def test_weighted_overflow_is_infinite(self):
+        # 0.5^40 * 1e390 / 39 is past the float range on both routes
         rho = DensityMatrix(np.diag([0.5, 0.5]))
         sigma = DensityMatrix(np.diag([0.9999999999, 1e-10]))
-        with pytest.raises(InternalInconsistency, match="overflows"):
-            quantum_relative_q(rho, sigma, 40.0)
+        assert quantum_relative_q(rho, sigma, 40.0) == POSITIVE_INFINITY
 
     @given(seed=st.integers(0, 2**32 - 1), q=st.floats(1.01, 5.0))
     @settings(max_examples=40, deadline=None)
@@ -246,6 +254,50 @@ class TestQuantumRelative:
         assert value >= -1e-10
         if schatten_norm(rho.matrix - sigma.matrix, 1.0) > 1e-4:
             assert value > 1e-10
+
+
+#: sigma of the float-range pairs: b0 = 1e-10, so b0^(1-q) alone passes the
+#: float range from q = 31.8 on
+_RANGE_SIGMA = (0.9999999999, 1e-10)
+#: (rho's spectrum, q, D_q): closed form (sum a^q b^(1-q) - 1)/(q - 1) at
+#: 40 digits on the float64 spectra; inf where it is past the float range
+_FLOAT_RANGE = [
+    ((0.5, 0.5), 31.0, 1.5522042910257959e289),
+    ((0.5, 0.5), 32.0, 7.5106659243183666e298),
+    ((0.5, 0.5), 33.0, math.inf),  # 3.64e308
+    ((0.5, 0.5), 40.0, math.inf),
+    ((1.0 - 1e-5, 1e-5), 34.0, 3.030303030303035e158),
+    ((1.0 - 1e-5, 1e-5), 40.0, 2.5641025641025687e188),
+]
+
+
+def _closed_form(a, b, q):
+    with mpmath.workdps(40):
+        s = mpmath.fsum(mpmath.mpf(x) ** q * mpmath.mpf(y) ** (1 - q) for x, y in zip(a, b))
+        return float((s - 1) / (q - 1))
+
+
+class TestFloatRange:
+    """A D_q that fits in float64 is finite, and one past it is +inf, quantum
+    and classical, though b0^(1-q) alone overflows in each of these pairs."""
+
+    @pytest.mark.parametrize("a, q, expect", _FLOAT_RANGE)
+    def test_quantum_matches_closed_form(self, a, q, expect):
+        rho, sigma = DensityMatrix(np.diag(a)), DensityMatrix(np.diag(_RANGE_SIGMA))
+        assert _closed_form(rho.spectrum[::-1], sigma.spectrum[::-1], q) == expect
+        value = quantum_relative_q(rho, sigma, q)
+        if math.isinf(expect):
+            assert value == POSITIVE_INFINITY
+        else:
+            assert value.is_finite and abs(value.value - expect) <= 1e-12 * expect
+
+    @pytest.mark.parametrize("a, q, expect", _FLOAT_RANGE)
+    def test_classical_matches_closed_form(self, a, q, expect):
+        value = classical_relative_q(a, _RANGE_SIGMA, q)
+        if math.isinf(expect):
+            assert value == POSITIVE_INFINITY
+        else:
+            assert value.is_finite and abs(value.value - expect) <= 1e-12 * expect
 
 
 def _reference_divergence_sum(w, a, b, r):

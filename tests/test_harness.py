@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrelent import cli, errors, harness, quadrature
+from qrelent import cli, entropy, errors, harness, quadrature
 from qrelent.bounds import PairEval
 from qrelent.cli import main
 from qrelent.errors import ConfigError
@@ -903,7 +903,7 @@ class TestCli:
 
     def test_only_verify_imports_scipy(self, tmp_path):
         # a fresh interpreter runs gen, eval and sweep without loading scipy;
-        # verify, which draws Haar unitaries and factors operators, still passes
+        # verify, whose quadrature suites factor operators with it, still passes
         script = """if True:
             import json, sys
             from qrelent.cli import main
@@ -951,14 +951,42 @@ class TestCli:
         assert before == []
         assert "orjson" in after
 
-    def test_internal_error_exit_four(self, tmp_path, capsys):
-        from qrelent.states import write_state
+    def test_internal_error_exit_four(self, tmp_path, capsys, monkeypatch):
+        # a cross-route check that no pair passes: the routes "disagree"
+        monkeypatch.setattr(entropy, "CROSS_CHECK_TOL", -1.0)
+        state = cmd_gen(4, 4, seed=7, out=tmp_path / "s.json")
+        assert main(["eval", str(state), str(state), "--q", "2"]) == 4
+        assert capsys.readouterr().err.startswith("internal error:")
 
-        # b0^(1-q) = 1e390 overflows the eigenvalue power at q = Q_MAX
+    def test_eval_past_float_range_exit_zero(self, tmp_path, capsys):
+        # b0^(1-q) = 1e390 alone overflows at q = Q_MAX; D_q stays finite
+        # while it fits in float64, and is +inf, with a +inf thm3 rhs, past it
         rho = cmd_gen(16, 16, seed=7, out=tmp_path / "rho.json")
         write_state(tmp_path / "sigma.json", sigma_family(16, 1e-10))
-        assert main(["eval", str(rho), str(tmp_path / "sigma.json"), "--q", "40"]) == 4
-        assert capsys.readouterr().err.startswith("internal error:")
+        assert main(["eval", str(rho), str(tmp_path / "sigma.json"),
+                     "--q", "3,34,35,40"]) == 0
+        per_q = json.loads(capsys.readouterr().out)["per_q"]
+        assert [type(e["Dq"]) for e in per_q] == [float, float, str, str]
+        assert 1e304 < per_q[1]["Dq"] < 1e305
+        for entry in per_q[2:]:
+            rep = entry["reports"]["thm3_rhs"]
+            assert entry["Dq"] == rep["lhs"] == rep["rhs"] == "inf"
+            assert rep["holds"] is True and rep["slack"] is None
+
+    def test_eval_first_float_range_pair(self, tmp_path, capsys):
+        # rho = diag(0.5, 0.5), sigma = diag(1 - 1e-10, 1e-10): D_32 in closed
+        # form at 40 digits, then past the float range from q = 33 on
+        paths = [tmp_path / "rho.json", tmp_path / "sigma.json"]
+        paths[0].write_text('{"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}')
+        paths[1].write_text('{"dim": 2, "re": [[0.9999999999, 0], [0, 1e-10]], '
+                            '"im": [[0, 0], [0, 0]]}')
+        assert main(["eval", *map(str, paths), "--q", "32,33,40"]) == 0
+        per_q = json.loads(capsys.readouterr().out)["per_q"]
+        assert abs(per_q[0]["Dq"] - 7.5106659243183666e298) <= 1e-12 * 7.5106659243183666e298
+        assert per_q[0]["reports"]["thm3_rhs"]["rhs"] == "inf"
+        for entry in per_q[1:]:
+            assert entry["Dq"] == entry["reports"]["thm3_rhs"]["rhs"] == "inf"
+            assert entry["reports"]["thm3_rhs"]["holds"] is True
 
     def test_verify_ignores_sweep_grids(self, tmp_path):
         # the default b0 grid exceeds 1/16, but verify never reads it

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qrelent import states
 from qrelent.entropy import PairEval
 from qrelent.errors import (
     BadFactorization,
@@ -134,8 +139,8 @@ class TestHaarUnitary:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 16, 64])
     def test_matches_numpy_qr(self, d):
-        # the direct zgeqrf/zungqr calls give np.linalg.qr's factors: bitwise
-        # with one LAPACK build, within 1e-14 across builds
+        # the Haar draw is np.linalg.qr of the Ginibre draw with the phases of
+        # diag(R) pulled into Q: bitwise with one LAPACK build, within 1e-14 across builds
         for seed in range(10):
             gen = np.random.Generator(np.random.SFC64(seed))
             z = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
@@ -145,6 +150,24 @@ class TestHaarUnitary:
             u = haar_unitary(d, np.random.Generator(np.random.SFC64(seed)))
             assert u.flags.c_contiguous
             np.testing.assert_allclose(u, expect, rtol=0.0, atol=1e-14)
+
+    def test_draws_load_no_scipy(self):
+        # a fresh interpreter draws through every Haar caller without loading scipy
+        script = """if True:
+            import json, sys
+            from qrelent.states import (density_with_spectrum, haar_unitary,
+                                        sample_common_support_pair)
+            u = haar_unitary(4, 1)
+            rho = density_with_spectrum([0.1, 0.2, 0.7], 2)
+            pair = sample_common_support_pair(5, 3, 3)
+            sys.stdout.write(json.dumps(sorted(m for m in sys.modules
+                                               if m.split(".")[0] == "scipy")))
+        """
+        src = str(Path(states.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], check=False, capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
 
 class TestKernelInclusion:
@@ -427,6 +450,27 @@ class TestStateFiles:
         with pytest.raises(ParseError):
             read_state(path)
 
+    @pytest.mark.parametrize("token", ["true", "false"])
+    @pytest.mark.parametrize("name", ["re", "im"])
+    def test_parse_error_on_bool_among_numbers(self, tmp_path, name, token):
+        # numpy reads [0.5, true] as [0.5, 1.0]; the writer writes no 't' or 'f'
+        parts = {"re": "[[0.5, 0.0], [0.0, 0.5]]", "im": "[[0.0, 0.0], [0.0, 0.0]]"}
+        parts[name] = parts[name].replace("0.0]", f"{token}]", 1)
+        path = tmp_path / "bool.json"
+        path.write_text(f'{{"dim": 2, "re": {parts["re"]}, "im": {parts["im"]}}}')
+        with pytest.raises(ParseError, match="bool"):
+            read_state(path)
+
+    def test_negative_zero_round_trip(self):
+        # "-0" would read back as the integer 0, so the writer prints "-0.0"
+        re = np.array([[0.5, -0.0], [-0.0, 0.5]])
+        im = np.array([[-0.0, 0.0], [-0.0, -0.0]])
+        text = state_text(re, im)
+        assert "-0," not in text and "-0]" not in text
+        for got, want in zip(state_arrays(text.encode()), (re, im)):
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("text", ["[]", "1", '"state"', "null", '{"re": [[1.0]], "im": [[0.0]]}'])
     def test_parse_error_on_other_documents(self, tmp_path, text):
         path = tmp_path / "odd.json"
@@ -435,7 +479,7 @@ class TestStateFiles:
             read_state(path)
 
     def test_integer_entries_are_numbers(self, tmp_path):
-        # the writer prints 1.0 as "1" and -0.0 as "-0"
+        # the writer prints 1.0 as "1"; an integer "-0" reads as 0
         path = tmp_path / "one.json"
         path.write_text('{"dim": 1, "re": [[1]], "im": [[-0]]}')
         assert read_state(path).matrix.tolist() == [[1.0]]
@@ -459,8 +503,9 @@ class TestStateFiles:
             expected = np.asarray(doc[name], dtype=np.float64)
             assert got.dtype == np.float64
             assert got.tobytes() == expected.tobytes(), name
-            # 17 digits round-trip every value; "-0" reads back as the integer 0
+            # 17 digits round-trip every value, and "-0.0" keeps its sign
             assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_stream_seed_formula():
