@@ -17,7 +17,8 @@ lhs <= rhs holds within an allowance iff rhs + allowance - lhs >= 0.
 A report is *vacuous* when the hypotheses of the inequality fail for the
 given states (for example a rank-deficient state where strict positivity is
 required); the right-hand side is then +inf and ``holds`` is true by
-vacuity, so sweeps over mixed instance families can proceed.
+vacuity, so sweeps over mixed instance families can proceed.  Both sides of
+a report are plain floats, with math.inf for +inf, as divergences are.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .linalg import (
     zero_threshold,
 )
 from .quadrature import frechet_integral_rhs
-from .entropy import Q_MAX, ExtendedReal, PairEval, q_log
+from .entropy import Q_MAX, PairEval, q_log
 
 #: relative slack allowed by the ``holds`` verdict: lhs <= rhs + tol*(1+rhs)
 TOL_BOUND = 1e-9
@@ -52,12 +53,13 @@ FRECHET_ALLOWANCE = 1e-7
 class BoundReport:
     """Outcome of one inequality check.
 
+    ``lhs`` and ``rhs`` are plain floats, math.inf where a side is +inf.
     ``holds`` is ``margin(lhs, rhs, allowance) >= 0``, except in the
     lower-bound chains, which apply the rule to each link of the chain.
     """
 
     name: str
-    lhs: ExtendedReal
+    lhs: float
     rhs: float
     holds: bool
     vacuous: bool = False
@@ -68,7 +70,7 @@ class BoundReport:
         """rhs - lhs; None when vacuous or rhs is infinite."""
         if self.vacuous or math.isinf(self.rhs):
             return None
-        return self.rhs - self.lhs.value
+        return self.rhs - self.lhs
 
 
 def margin(lhs: float, rhs: float, allowance: float) -> float:
@@ -83,16 +85,17 @@ def margin(lhs: float, rhs: float, allowance: float) -> float:
     return rhs + allowance - lhs
 
 
-def _report(name: str, lhs: ExtendedReal, rhs: float, vacuous: bool) -> BoundReport:
+def _report(name: str, lhs: float, rhs: float, vacuous: bool) -> BoundReport:
     """An upper-bound report: lhs <= rhs within TOL_BOUND*(1 + rhs)."""
-    if math.isinf(lhs.value) and math.isfinite(rhs):
+    if math.isnan(lhs):
+        raise InternalInconsistency(f"{name}: the left-hand side is NaN")
+    if math.isinf(lhs) and math.isfinite(rhs):
         raise InternalInconsistency(
             "infinite divergence against a finite bound while hypotheses hold; "
             "kernel-inclusion tolerances are inconsistent"
         )
     allowance = TOL_BOUND * (1.0 + rhs)
-    return BoundReport(name, lhs, rhs, margin(lhs.value, rhs, allowance) >= 0.0, vacuous,
-                       allowance)
+    return BoundReport(name, lhs, rhs, margin(lhs, rhs, allowance) >= 0.0, vacuous, allowance)
 
 
 def _chain_holds(*links: float) -> bool:
@@ -221,10 +224,10 @@ def lower_bounds(pair: PairEval, q: float, p: float) -> list[BoundReport]:
     p = float(p)
     if not 0.0 <= p < 1.0:
         raise PreconditionFailed(f"requires 0 <= p < 1, got {p}")
-    d1f, dqf, dp = pair.d1.value, pair.dq(q).value, pair.dp(p)
+    d1, dq, dp = pair.d1, pair.dq(q), pair.dp(p)
     pinsker_lhs = 0.5 * pair.distances["trace_norm"] ** 2
     return [
-        BoundReport(name, ExtendedReal.finite(low), dqf, _chain_holds(low, d1f, dqf))
+        BoundReport(name, low, dq, _chain_holds(low, d1, dq))
         for name, low in (("lower_chain", dp), ("pinsker", pinsker_lhs))
     ]
 
@@ -282,7 +285,7 @@ def power_diff_bound(ops: OperatorPair, n: int, p: float) -> BoundReport:
     dist_p = schatten_norm(ops.diff_singular_values, p)
     base = max(schatten_norm(s, math.inf) for s in ops.operand_singular_values)
     rhs = n * base ** (n - 1) * dist_p
-    return _report("power_diff", ExtendedReal.finite(lhs_val), rhs, False)
+    return _report("power_diff", lhs_val, rhs, False)
 
 
 def _positive_eigenvalues(op: HermitianOperator, side: str) -> np.ndarray:
@@ -312,7 +315,7 @@ def lemma3_bound(ops: OperatorPair, s: float) -> BoundReport:
     a1 = float(a_eigs[-1])
     b0 = float(b_eigs[0])
     rhs = (a1 / b0) ** s * ops.distances["trace_norm"]
-    return _report("lemma3", ExtendedReal.finite(lhs_val), rhs, False)
+    return _report("lemma3", lhs_val, rhs, False)
 
 
 def frechet_check(ops: OperatorPair, rs) -> tuple[BoundReport, ...]:
@@ -335,7 +338,6 @@ def frechet_check(ops: OperatorPair, rs) -> tuple[BoundReport, ...]:
     reports = []
     for r, rhs_op in zip(rs, frechet_integral_rhs(A, B - A, rs)):
         gap = psd_gap(herm_power(A, -r) - herm_power(B, -r), rhs_op)
-        reports.append(BoundReport("frechet_gap", ExtendedReal.finite(0.0), gap,
-                                   margin(0.0, gap, FRECHET_ALLOWANCE) >= 0.0, False,
-                                   FRECHET_ALLOWANCE))
+        holds = margin(0.0, gap, FRECHET_ALLOWANCE) >= 0.0
+        reports.append(BoundReport("frechet_gap", 0.0, gap, holds, False, FRECHET_ALLOWANCE))
     return tuple(reports)

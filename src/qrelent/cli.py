@@ -21,6 +21,7 @@ import functools
 import json
 import sys
 
+from .entropy import Q_MAX
 from .errors import ConfigError, InternalError, ParseError, UsageError
 from .harness import SweepConfig, cmd_eval, cmd_gen, cmd_sweep, cmd_verify
 from .states import json_text
@@ -108,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid sweep writing one CSV row per instance")
     _add_run_flags(p_sweep)
-    p_sweep.add_argument("--q", type=_float_list, default=None, help="comma list of q values")
+    p_sweep.add_argument("--q", type=_float_list, default=None,
+                         help=f"comma list of q values, each in (1, {Q_MAX:g}]")
     p_sweep.add_argument("--b0", type=_float_list, default=None,
                          help="comma list of smallest-eigenvalue values, each at most "
                               "1/max(dims); the default 0.1,0.01 fits only dims up to 10")

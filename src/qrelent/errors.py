@@ -67,4 +67,5 @@ class ParseError(ValueError):
 
 
 class InternalInconsistency(InternalError):
-    """Two evaluation routes disagreed beyond tolerance, or a NaN appeared."""
+    """Two evaluation routes disagreed beyond tolerance; the D_q cross-check
+    counts a NaN, or a +inf on one route only, as a disagreement."""

@@ -34,12 +34,7 @@ from .bounds import (
     thm2_bound,
     thm3_bound,
 )
-from .entropy import (
-    classical_relative_q,
-    extended_to_json,
-    quantum_relative_q,
-    relative_entropy_vn,
-)
+from .entropy import Q_MAX, classical_relative_q, quantum_relative_q, relative_entropy_vn
 from .errors import ConfigError
 from .linalg import (
     MAX_DIM,
@@ -469,13 +464,13 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     for i, rng, pair in _pairs(run, config, count, 4, lambda i: i % 3 == 2):
         rho, sigma = pair.rho, pair.sigma
         q = _sample_q(rng, exact_every=10, i=i)
-        value = pair.dq(q).value
+        value = pair.dq(q)
         run.le("positivity", 0.0, value, 1e-10, states=(rho, sigma), q=q)
         dist = schatten_norm(rho.matrix - sigma.matrix, 1.0)
         if dist > 1e-4:
             run.verdict("zero_only_at_equality", value > 1e-10, states=(rho, sigma), q=q)
         if i % 25 == 0:
-            run.le("self_zero", abs(quantum_relative_q(rho, rho, q).value), 0.0, 1e-10, q=q)
+            run.le("self_zero", abs(quantum_relative_q(rho, rho, q)), 0.0, 1e-10, q=q)
 
     dims = _dims(config, 8)
 
@@ -497,37 +492,34 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         r1, s1, r2, s2, ra, sa, rb, sb, rho_ab, sigma_ab = states
         q, lam, da, db, u, spec_a, spec_b, basis = drawn
         # pseudoadditivity on tensor products
-        v1 = quantum_relative_q(r1, s1, q).value
-        v2 = quantum_relative_q(r2, s2, q).value
-        joint = quantum_relative_q(tensor(r1, r2), tensor(s1, s2), q).value
+        v1 = quantum_relative_q(r1, s1, q)
+        v2 = quantum_relative_q(r2, s2, q)
+        joint = quantum_relative_q(tensor(r1, r2), tensor(s1, s2), q)
         expect = v1 + v2 + (q - 1.0) * v1 * v2
         run.le("pseudoadditive", abs(joint - expect), 0.0, 1e-9, q=q)
         # joint convexity
         mix_r = DensityMatrix(lam * ra.matrix + (1.0 - lam) * rb.matrix)
         mix_s = DensityMatrix(lam * sa.matrix + (1.0 - lam) * sb.matrix)
-        mixed = quantum_relative_q(mix_r, mix_s, q).value
-        base = quantum_relative_q(ra, sa, q).value
-        averaged = lam * base + (1.0 - lam) * quantum_relative_q(rb, sb, q).value
+        mixed = quantum_relative_q(mix_r, mix_s, q)
+        base = quantum_relative_q(ra, sa, q)
+        averaged = lam * base + (1.0 - lam) * quantum_relative_q(rb, sb, q)
         run.le("joint_convexity", mixed, averaged, 1e-9, states=(mix_r, mix_s), q=q)
         # monotonicity under partial trace
-        whole = quantum_relative_q(rho_ab, sigma_ab, q).value
+        whole = quantum_relative_q(rho_ab, sigma_ab, q)
         reduced = quantum_relative_q(
             partial_trace(rho_ab, da, db, "A"), partial_trace(sigma_ab, da, db, "A"), q
-        ).value
+        )
         run.le("partial_trace_monotone", reduced, whole, 1e-9, states=(rho_ab, sigma_ab), q=q)
         # unitary invariance
-        rot = quantum_relative_q(
-            DensityMatrix(u @ ra.matrix @ u.conj().T),
-            DensityMatrix(u @ sa.matrix @ u.conj().T),
-            q,
-        ).value
+        rot = quantum_relative_q(DensityMatrix(u @ ra.matrix @ u.conj().T),
+                                 DensityMatrix(u @ sa.matrix @ u.conj().T), q)
         run.le("unitary_invariance", abs(rot - base), 0.0, 1e-9 * (1.0 + abs(base)), q=q)
         # reduction to the classical formula for commuting states; pairing of
         # the two spectra follows the shared eigenbasis columns
         qa = DensityMatrix.from_eigensystem(spec_a, basis)
         qb = DensityMatrix.from_eigensystem(spec_b, basis)
-        quantum = quantum_relative_q(qa, qb, q).value
-        classical = classical_relative_q(spec_a, spec_b, q).value
+        quantum = quantum_relative_q(qa, qb, q)
+        classical = classical_relative_q(spec_a, spec_b, q)
         run.le("classical_reduction", abs(quantum - classical), 0.0, 1e-10, q=q)
 
     # q -> 1 consistency on fixed pairs
@@ -535,11 +527,11 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         return [draw_density(2 + 2 * i, 2 + 2 * i, rng) for _ in range(2)], None
 
     for _, _, _, (rho, sigma), _ in run.draws(6, 2, None, draw_fixed):
-        d1 = relative_entropy_vn(rho, sigma).value
+        d1 = relative_entropy_vn(rho, sigma)
         ratios = []
         for k in range(2, 10):
             q = 1.0 + 10.0**-k
-            dq = quantum_relative_q(rho, sigma, q).value
+            dq = quantum_relative_q(rho, sigma, q)
             ratios.append(abs(dq - d1) / (q - 1.0))
         for ratio in ratios[1:]:
             run.le("q_to_1", ratio, 2.0 * ratios[0], 1e-9, states=(rho, sigma))
@@ -550,7 +542,7 @@ def _suite_thm1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         q = _sample_q(rng, exact_every=10, i=i)
         states, reports = (pair.rho, pair.sigma), thm1_bounds(pair, q)
         for rep in reports:
-            run.le(rep.name, rep.lhs.value, rep.rhs, rep.allowance, states, q=q)
+            run.le(rep.name, rep.lhs, rep.rhs, rep.allowance, states, q=q)
         # the spectral-norm bound is never looser than the halved trace-norm one
         rhs1, rhs2 = reports[0].rhs, reports[1].rhs
         run.le("rhs1_le_rhs2", rhs1, rhs2, 1e-12 * (1.0 + rhs2), states, q=q)
@@ -560,7 +552,7 @@ def _suite_thm2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     for i, rng, pair in _pairs(run, config, count, 8, lambda i: i % 2 == 1):
         q = _sample_q(rng, exact_every=10, i=i)
         for rep in (thm2_bound(pair, q, v) for v in ("general", "traceless")):
-            run.le(rep.name, rep.lhs.value, rep.rhs, rep.allowance, (pair.rho, pair.sigma), q=q)
+            run.le(rep.name, rep.lhs, rep.rhs, rep.allowance, (pair.rho, pair.sigma), q=q)
 
 
 def _suite_thm3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
@@ -573,7 +565,7 @@ def _suite_thm3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             q = _sample_q(rng, exact_every=0, i=i, lo=2.0, hi=6.0)
         for variant, q in (("general", q), ("q2", _sample_q(rng, exact_every=10, i=i))):
             rep = thm3_bound(pair, q, variant)
-            run.le(rep.name, rep.lhs.value, rep.rhs, rep.allowance, (pair.rho, pair.sigma), q=q)
+            run.le(rep.name, rep.lhs, rep.rhs, rep.allowance, (pair.rho, pair.sigma), q=q)
 
 
 def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
@@ -583,7 +575,7 @@ def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         p = 0.0 if i % 10 == 5 else float(rng.uniform(0.0, 1.0))
         for rep in lower_bounds(pair, q, p):
             run.verdict(rep.name, rep.holds, states=(rho, sigma), q=q, p=p)
-            run.le(rep.name + "_slack", 0.0, rep.rhs - rep.lhs.value, TOL_BOUND,
+            run.le(rep.name + "_slack", 0.0, rep.rhs - rep.lhs, TOL_BOUND,
                    states=(rho, sigma), q=q, p=p)
 
 
@@ -593,7 +585,7 @@ def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         a_op = _rand_pd(rng, d)
         b_op = _rand_pd(rng, d)
         for r, rep in zip(r_values, frechet_check(OperatorPair(a_op, b_op), r_values)):
-            run.le("psd_gap", rep.lhs.value, rep.rhs, rep.allowance, r=r)
+            run.le("psd_gap", rep.lhs, rep.rhs, rep.allowance, r=r)
 
 
 def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
@@ -603,9 +595,9 @@ def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         for n in range(1, 7):
             for p in (1.0, 2.0, math.inf):
                 rep = power_diff_bound(ops, n, p)
-                run.le(rep.name, rep.lhs.value, rep.rhs, rep.allowance, n=n, p=p)
+                run.le(rep.name, rep.lhs, rep.rhs, rep.allowance, n=n, p=p)
                 if n == 1:
-                    run.le("n1_equality", abs(rep.rhs - rep.lhs.value), 0.0,
+                    run.le("n1_equality", abs(rep.rhs - rep.lhs), 0.0,
                            1e-10 * max(1.0, rep.rhs), p=p)
 
 
@@ -617,7 +609,7 @@ def _suite_lemma3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         ops = OperatorPair(a_op, b_op)
         for s in (0.25, 0.5, 0.75):
             rep = lemma3_bound(ops, s)
-            run.le(rep.name, rep.lhs.value, rep.rhs, rep.allowance, s=s)
+            run.le(rep.name, rep.lhs, rep.rhs, rep.allowance, s=s)
 
 
 ENVELOPE_B0 = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -640,7 +632,7 @@ def divergence_envelope(seed: int, d: int) -> list[dict]:
     for q in ENVELOPE_Q:
         for b0, pair in zip(ENVELOPE_B0, pairs):
             rep = thm3_bound(pair, q, "general")
-            dq = rep.lhs.value
+            dq = rep.lhs
             ratio = dq * b0 ** (q - 1.0)
             constant = ceiling_factor(q) * pair.summary["lambda1"] ** (
                 q - 1.0
@@ -763,7 +755,7 @@ CSV_COLUMNS = (
 def sweep_row(pair: PairEval, q: float, b0: float, trial: int, stream_seed: int) -> dict:
     """One record of the sweep CSV for a given state pair; an upper bound whose
     q gate or hypotheses fail is ``nan`` in its columns and named in ``vacuous``."""
-    dq = pair.dq(q).value
+    dq = pair.dq(q)
     row = {
         "d": pair.rho.dim,
         "q": q,
@@ -771,7 +763,7 @@ def sweep_row(pair: PairEval, q: float, b0: float, trial: int, stream_seed: int)
         "trial": trial,
         "seed": stream_seed,
         "Dq": dq,
-        "D1": pair.d1.value,
+        "D1": pair.d1,
         "dist_tr": pair.distances["trace_norm"],
         "dist_sp": pair.distances["spectral_norm"],
         "pinsker_lhs": 0.5 * pair.distances["trace_norm"] ** 2,
@@ -806,8 +798,10 @@ def cmd_sweep(config: SweepConfig) -> Path:
     trial) order.
     """
     config.validate()
-    if not config.q_grid or any(q <= 1.0 for q in config.q_grid):
-        raise ConfigError(f"q_grid must be nonempty with every q above 1, got {config.q_grid!r}")
+    if not config.q_grid or not all(1.0 < q <= Q_MAX for q in config.q_grid):
+        raise ConfigError(
+            f"q_grid must be nonempty with every q in (1, {Q_MAX}], got {config.q_grid!r}"
+        )
     d_max = max(config.dims)
     if not config.b0_grid or any(not 0.0 < b <= 1.0 / d_max for b in config.b0_grid):
         raise ConfigError(
@@ -837,10 +831,15 @@ def cmd_sweep(config: SweepConfig) -> Path:
     return out
 
 
+def _json_value(x: float):
+    """A divergence or bound side as eval writes it: itself, or "inf" for +inf."""
+    return x if math.isfinite(x) else "inf"
+
+
 def _report_to_json(rep: BoundReport) -> dict:
     return {
-        "lhs": extended_to_json(rep.lhs),
-        "rhs": rep.rhs if math.isfinite(rep.rhs) else "inf",
+        "lhs": _json_value(rep.lhs),
+        "rhs": _json_value(rep.rhs),
         "slack": rep.slack,
         "holds": rep.holds,
         "vacuous": rep.vacuous,
@@ -865,14 +864,14 @@ def cmd_eval(rho_path, sigma_path, q_list) -> dict:
             if spec.applies(q)
             for rep in spec.evaluate(pair, q)
         }
-        per_q.append({"q": q, "Dq": extended_to_json(dq), "reports": reports})
+        per_q.append({"q": q, "Dq": _json_value(dq), "reports": reports})
     return {
         "rho_path": str(rho_path),
         "sigma_path": str(sigma_path),
         "dim": pair.rho.dim,
         "spectral_summary": pair.summary,
         "distances": pair.distances,
-        "D1": extended_to_json(pair.d1),
+        "D1": _json_value(pair.d1),
         "per_q": per_q,
     }
 

@@ -1,8 +1,12 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
+import ast
 import math
+import re
+import textwrap
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,9 +55,9 @@ def test_criterion_1_fixture_suite(fixture_pair):
     rho, sigma = fixture_pair
     with criterion(1, "fixture-suite"):
         tol = 1e-9
-        assert quantum_relative_q(rho, sigma, 2.0).value == pytest.approx(
+        assert quantum_relative_q(rho, sigma, 2.0) == pytest.approx(
             1.0 / 3.0, abs=tol)
-        d1 = relative_entropy_vn(rho, sigma).value
+        d1 = relative_entropy_vn(rho, sigma)
         assert d1 == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=tol)
         assert f"{d1:.6f}" == "0.143841"
         assert schatten_norm(rho.matrix - sigma.matrix, 1.0) == pytest.approx(
@@ -65,7 +69,7 @@ def test_criterion_1_fixture_suite(fixture_pair):
         assert thm3_bound(pair, 2.0).rhs == pytest.approx(1.5, abs=tol)
         assert thm3_bound(pair, 2.0, "q2").rhs == pytest.approx(1.0, abs=tol)
         _, pinsker = lower_bounds(pair, 2.0, 0.5)
-        assert pinsker.lhs.value == pytest.approx(0.125, abs=tol)
+        assert pinsker.lhs == pytest.approx(0.125, abs=tol)
         for rep in (r1, r2, r3):
             assert rep.holds
 
@@ -108,7 +112,7 @@ def test_criterion_5_entropy_properties(full_verify, fixture_pair):
         assert suite.instances_run >= 1000 and suite.failures == 0
         rho, sigma = fixture_pair
         joint = quantum_relative_q(tensor(rho, rho), tensor(sigma, sigma), 2.0)
-        assert joint.value == pytest.approx(7.0 / 9.0, abs=1e-9)
+        assert joint == pytest.approx(7.0 / 9.0, abs=1e-9)
         states = full_verify.suite("state_invariants")
         assert states.instances_run >= 1000 and states.failures == 0
 
@@ -146,3 +150,19 @@ def test_criterion_8_determinism(tmp_path):
                                   output_path=str(tmp_path / name)))
             sweeps.append((tmp_path / name).read_bytes())
         assert sweeps[0] == sweeps[1]
+
+
+def test_readme_closest_replay(full_verify):
+    # README's replay of thm2's closest instance, run as printed: its last
+    # expression gives the recorded ratio bit for bit
+    closest = full_verify.suite("thm2_soundness").closest
+    assert (closest["trial"], closest["salt"]) == (84, 8)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S)
+                if "thm2_bound" in b]
+    tree = ast.parse(textwrap.dedent(block))
+    last = tree.body.pop()
+    namespace = {"closest": closest}
+    exec(compile(tree, "README.md", "exec"), namespace)
+    ratio = eval(compile(ast.Expression(last.value), "README.md", "eval"), namespace)
+    assert ratio == closest["ratio"]

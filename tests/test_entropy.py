@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from qrelent import entropy
 from qrelent.entropy import (
-    POSITIVE_INFINITY,
-    ExtendedReal,
     classical_relative_q,
     q_log,
     quantum_relative_q,
@@ -43,17 +41,36 @@ def fixture_pair():
     return DensityMatrix(RHO_DIAG), DensityMatrix(SIGMA_DIAG)
 
 
-class TestExtendedReal:
-    def test_finite_round_trip(self):
-        x = ExtendedReal.finite(0.25)
-        assert x.is_finite and x.value == 0.25
+class TestPlainFloats:
+    """Every divergence is a float, math.inf where it is +inf, never NaN."""
 
-    def test_infinity_value(self):
-        assert math.isinf(POSITIVE_INFINITY.value)
-
-    def test_nan_rejected(self):
-        with pytest.raises(InternalInconsistency):
-            ExtendedReal.finite(math.nan)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 6),
+        kind=st.sampled_from(["full", "common_kernel", "kernel_excluded"]),
+        q=st.floats(1.0, 40.0, exclude_min=True),
+        p=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_divergences_are_floats(self, seed, d, kind, q, p):
+        gen = np.random.Generator(np.random.SFC64(seed))
+        k = int(gen.integers(1, d))
+        if kind == "full":
+            rho, sigma = sample_density(d, d, gen), sample_density(d, d, gen)
+        elif kind == "common_kernel":
+            rho, sigma = sample_common_support_pair(d, k, gen, rho_rank=int(gen.integers(1, k + 1)))
+        else:  # a full-rank rho has weight on every kernel vector of sigma
+            rho, sigma = sample_density(d, d, gen), sample_density(d, k, gen)
+        pair = entropy.PairEval(rho, sigma)
+        dq = quantum_relative_q(rho, sigma, q, pair)
+        d1 = relative_entropy_vn(rho, sigma, pair)
+        dp = quantum_relative_q_low(rho, sigma, p, pair)
+        for x in (dq, d1, dp):
+            assert type(x) is float and not math.isnan(x)
+        if kind == "kernel_excluded":
+            assert dq == d1 == math.inf
+        else:
+            assert math.isfinite(d1)
 
 
 class TestQLog:
@@ -98,19 +115,28 @@ class TestTsallisEntropy:
 class TestClassicalRelative:
     def test_equal_distributions(self):
         out = classical_relative_q([0.3, 0.7], [0.3, 0.7], 2.0)
-        assert out.is_finite and out.value == pytest.approx(0.0, abs=1e-15)
+        assert out == pytest.approx(0.0, abs=1e-15)
 
     def test_diagonal_fixture(self):
         out = classical_relative_q([0.5, 0.5], [0.75, 0.25], 2.0)
-        assert out.value == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert out == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_singular_branch(self):
         out = classical_relative_q([0.5, 0.5], [1.0, 0.0], 2.0)
-        assert not out.is_finite
+        assert out == math.inf
 
     def test_q_gate(self):
         with pytest.raises(QOutOfRange):
             classical_relative_q([1.0], [1.0], 0.5)
+
+    @pytest.mark.parametrize("q", [1.0 + 1e-9, 3.0, 40.0])
+    def test_zero_probabilities_give_no_nan(self, q):
+        a = (0.6, 0.4, 0.0)
+        shared = classical_relative_q(a, (0.5, 0.5, 0.0), q)  # b = 0 only where a = 0
+        excluded = classical_relative_q(a, (0.5, 0.0, 0.5), q)  # b = 0 where a > 0
+        for out in (shared, excluded):
+            assert type(out) is float and not math.isnan(out)
+        assert math.isfinite(shared) and excluded == math.inf
 
     @pytest.mark.parametrize("q", [math.inf, 1e6, 40.5, math.nan])
     def test_orders_past_q_max_rejected(self, q):
@@ -144,19 +170,19 @@ class TestClassicalNearOrderOne:
     @pytest.mark.parametrize("q", _NEAR_ONE_ORDERS)
     def test_classical_relative_q(self, q):
         expect = _mp_support_sum(_A, _B, q)
-        got = classical_relative_q(_A, _B, q).value
+        got = classical_relative_q(_A, _B, q)
         assert abs(got - expect) <= 1e-14 * abs(expect)
 
 
 class TestQuantumRelative:
     def test_equal_states_vanish(self, rng):
         rho = sample_density(4, 4, rng)
-        value = quantum_relative_q(rho, rho, 2.0).value
+        value = quantum_relative_q(rho, rho, 2.0)
         assert abs(value) <= 1e-10
 
     def test_diagonal_fixture(self, fixture_pair):
         rho, sigma = fixture_pair
-        assert quantum_relative_q(rho, sigma, 2.0).value == pytest.approx(
+        assert quantum_relative_q(rho, sigma, 2.0) == pytest.approx(
             1.0 / 3.0, abs=1e-10
         )
 
@@ -164,14 +190,14 @@ class TestQuantumRelative:
         rho = DensityMatrix(np.diag([0.6, 0.4, 0.0]))
         sigma = DensityMatrix(np.diag([0.5, 0.5, 0.0]))
         # closed form on the common support: 0.72 + 0.32 - 1
-        assert quantum_relative_q(rho, sigma, 2.0).value == pytest.approx(
+        assert quantum_relative_q(rho, sigma, 2.0) == pytest.approx(
             0.04, abs=1e-10
         )
 
     def test_singular_branch(self):
         rho = DensityMatrix(np.diag([0.5, 0.5]))
         sigma = DensityMatrix(np.diag([1.0, 0.0]))
-        assert not quantum_relative_q(rho, sigma, 2.0).is_finite
+        assert quantum_relative_q(rho, sigma, 2.0) == math.inf
 
     def test_q_gates(self, fixture_pair):
         rho, sigma = fixture_pair
@@ -183,7 +209,7 @@ class TestQuantumRelative:
     def test_q_cap_is_inclusive(self, fixture_pair):
         rho, sigma = fixture_pair
         value = quantum_relative_q(rho, sigma, 40.0)
-        assert value.is_finite and value.value > 0.0
+        assert 0.0 < value < math.inf
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
@@ -193,8 +219,7 @@ class TestQuantumRelative:
         # the operator-route cross-check runs on every call; exercise it on a
         # rank-deficient pair where the restricted trace matters
         rho, sigma = sample_common_support_pair(5, 3, rng)
-        value = quantum_relative_q(rho, sigma, 1.7)
-        assert value.is_finite
+        assert math.isfinite(quantum_relative_q(rho, sigma, 1.7))
         pair = entropy.PairEval(rho, sigma)
         weights, lam, log_lam = pair.compressed
         pair.compressed = (weights * (1.0 + 1e-6), lam, log_lam)
@@ -209,21 +234,22 @@ class TestQuantumRelative:
         spectrum[0] = 1.0 - 1e-10 * (d - 1)
         sigma = DensityMatrix.from_eigensystem(spectrum, np.eye(d))
         rho = sample_density(d, d, rng)
-        assert quantum_relative_q(rho, sigma, 40.0) == POSITIVE_INFINITY
+        assert quantum_relative_q(rho, sigma, 40.0) == math.inf
 
     @pytest.mark.parametrize("route", ["overlap", "compressed"])
     def test_one_infinite_route_is_a_disagreement(self, route, rng, monkeypatch):
         rho, sigma = sample_common_support_pair(4, 3, rng)
         pair = entropy.PairEval(rho, sigma)
         honest = entropy._divergence_sum
+        # one route alone passes the float range, or turns NaN; either way
+        # the call raises and no +inf or NaN leaves it
+        for bad in (math.inf, math.nan):
+            def broken(w, a, log_a, log_b, r):
+                return bad if w is getattr(pair, route)[0] else honest(w, a, log_a, log_b, r)
 
-        def overflowing(w, a, log_a, log_b, r):
-            # one route alone passes the float range
-            return math.inf if w is getattr(pair, route)[0] else honest(w, a, log_a, log_b, r)
-
-        monkeypatch.setattr(entropy, "_divergence_sum", overflowing)
-        with pytest.raises(InternalInconsistency):
-            quantum_relative_q(rho, sigma, 3.0, pair)
+            monkeypatch.setattr(entropy, "_divergence_sum", broken)
+            with pytest.raises(InternalInconsistency):
+                quantum_relative_q(rho, sigma, 3.0, pair)
 
     def test_zero_weight_column_does_not_overflow(self):
         # rho puts exactly no weight on sigma's b = 1e-10 eigenvector, so its
@@ -235,13 +261,13 @@ class TestQuantumRelative:
             b = mpmath.mpf(float(sigma.spectrum[-1]))
             ref = float((b**-39 - 1) / 39)  # 1.00000008474037133e-10
         assert abs(ref - 1.00000008474037133e-10) <= 1e-16 * ref
-        assert value.is_finite and abs(value.value - ref) <= 1e-14 * ref
+        assert abs(value - ref) <= 1e-14 * ref
 
     def test_weighted_overflow_is_infinite(self):
         # 0.5^40 * 1e390 / 39 is past the float range on both routes
         rho = DensityMatrix(np.diag([0.5, 0.5]))
         sigma = DensityMatrix(np.diag([0.9999999999, 1e-10]))
-        assert quantum_relative_q(rho, sigma, 40.0) == POSITIVE_INFINITY
+        assert quantum_relative_q(rho, sigma, 40.0) == math.inf
 
     @given(seed=st.integers(0, 2**32 - 1), q=st.floats(1.01, 5.0))
     @settings(max_examples=40, deadline=None)
@@ -250,7 +276,7 @@ class TestQuantumRelative:
         d = int(gen.integers(2, 6))
         rho = sample_density(d, d, gen)
         sigma = sample_density(d, d, gen)
-        value = quantum_relative_q(rho, sigma, q).value
+        value = quantum_relative_q(rho, sigma, q)
         assert value >= -1e-10
         if schatten_norm(rho.matrix - sigma.matrix, 1.0) > 1e-4:
             assert value > 1e-10
@@ -287,17 +313,17 @@ class TestFloatRange:
         assert _closed_form(rho.spectrum[::-1], sigma.spectrum[::-1], q) == expect
         value = quantum_relative_q(rho, sigma, q)
         if math.isinf(expect):
-            assert value == POSITIVE_INFINITY
+            assert value == math.inf
         else:
-            assert value.is_finite and abs(value.value - expect) <= 1e-12 * expect
+            assert abs(value - expect) <= 1e-12 * expect
 
     @pytest.mark.parametrize("a, q, expect", _FLOAT_RANGE)
     def test_classical_matches_closed_form(self, a, q, expect):
         value = classical_relative_q(a, _RANGE_SIGMA, q)
         if math.isinf(expect):
-            assert value == POSITIVE_INFINITY
+            assert value == math.inf
         else:
-            assert value.is_finite and abs(value.value - expect) <= 1e-12 * expect
+            assert abs(value - expect) <= 1e-12 * expect
 
 
 def _reference_divergence_sum(w, a, b, r):
@@ -370,8 +396,8 @@ class TestVectorisedSums:
         got = entropy._divergence_sum(*pair.compressed, pair.log_b, q)
         assert _close(got, _reference_operator_sum(rho, sigma, q))
         d1 = relative_entropy_vn(rho, sigma)
-        if d1.is_finite:
-            assert _close(d1.value, _reference_trace_sum(rho, sigma, 1.0))
+        if math.isfinite(d1):
+            assert _close(d1, _reference_trace_sum(rho, sigma, 1.0))
         else:
             assert kind == "rank_deficient"
 
@@ -445,7 +471,7 @@ class TestNearOrderOne:
         # (1 - s)/(1 - q) would be off by 5e-7 at q = 1 + 1e-9
         rho, sigma = sample_common_support_pair(3, 2, np.random.Generator(np.random.SFC64(27)),
                                                 rho_rank=1)
-        value = quantum_relative_q(rho, sigma, q).value
+        value = quantum_relative_q(rho, sigma, q)
         assert abs(value - self._mp_restricted(rho, sigma, q)) <= 1e-14 * value
         if q == 1.0 + 1e-6:
             assert value == pytest.approx(0.13774219772437517718, rel=1e-14)
@@ -468,7 +494,7 @@ class TestNearOrderOne:
         b = sigma.spectrum[sigma.dim - sigma.rank:]
         assume((q - 1.0) * -math.log(float(b[0])) < 700.0)
         w, a, _ = pair.overlap
-        value = quantum_relative_q(rho, sigma, q, pair).value
+        value = quantum_relative_q(rho, sigma, q, pair)
         assert abs(value - _mp_divergence(w, a, b, q)) <= 1e-13 * abs(value)
 
 
@@ -492,24 +518,24 @@ class TestLowOrderRelative:
 class TestStandardRelativeEntropy:
     def test_equal_states(self, rng):
         rho = sample_density(3, 3, rng)
-        assert relative_entropy_vn(rho, rho).value == pytest.approx(0.0, abs=1e-12)
+        assert relative_entropy_vn(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_fixture(self, fixture_pair):
         rho, sigma = fixture_pair
-        assert relative_entropy_vn(rho, sigma).value == pytest.approx(
+        assert relative_entropy_vn(rho, sigma) == pytest.approx(
             0.5 * math.log(4.0 / 3.0), abs=1e-12
         )
 
     def test_orthogonal_pure_states(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]))
         sigma = DensityMatrix(np.diag([0.0, 1.0]))
-        assert not relative_entropy_vn(rho, sigma).is_finite
+        assert relative_entropy_vn(rho, sigma) == math.inf
 
 
 class TestStructuralProperties:
     def test_pseudoadditivity_fixture(self, fixture_pair):
         rho, sigma = fixture_pair
-        joint = quantum_relative_q(tensor(rho, rho), tensor(sigma, sigma), 2.0).value
+        joint = quantum_relative_q(tensor(rho, rho), tensor(sigma, sigma), 2.0)
         assert joint == pytest.approx(7.0 / 9.0, abs=1e-9)
 
     def test_pseudoadditivity_random(self, rng):
@@ -517,9 +543,9 @@ class TestStructuralProperties:
             q = 1.0 + rng.uniform(0.05, 1.0)
             r1, s1 = sample_density(2, 2, rng), sample_density(2, 2, rng)
             r2, s2 = sample_density(3, 3, rng), sample_density(3, 3, rng)
-            d1 = quantum_relative_q(r1, s1, q).value
-            d2 = quantum_relative_q(r2, s2, q).value
-            joint = quantum_relative_q(tensor(r1, r2), tensor(s1, s2), q).value
+            d1 = quantum_relative_q(r1, s1, q)
+            d2 = quantum_relative_q(r2, s2, q)
+            joint = quantum_relative_q(tensor(r1, r2), tensor(s1, s2), q)
             assert joint == pytest.approx(d1 + d2 + (q - 1.0) * d1 * d2, abs=1e-9)
 
     def test_joint_convexity(self, rng):
@@ -532,9 +558,9 @@ class TestStructuralProperties:
                 DensityMatrix(lam * ra.matrix + (1 - lam) * rb.matrix),
                 DensityMatrix(lam * sa.matrix + (1 - lam) * sb.matrix),
                 q,
-            ).value
-            avg = (lam * quantum_relative_q(ra, sa, q).value
-                   + (1 - lam) * quantum_relative_q(rb, sb, q).value)
+            )
+            avg = (lam * quantum_relative_q(ra, sa, q)
+                   + (1 - lam) * quantum_relative_q(rb, sb, q))
             assert mixed <= avg + 1e-9
 
     def test_partial_trace_monotonicity(self, rng):
@@ -542,21 +568,21 @@ class TestStructuralProperties:
             q = 1.0 + rng.uniform(0.05, 1.0)
             rho = sample_density(6, 6, rng)
             sigma = sample_density(6, 6, rng)
-            whole = quantum_relative_q(rho, sigma, q).value
+            whole = quantum_relative_q(rho, sigma, q)
             reduced = quantum_relative_q(
                 partial_trace(rho, 2, 3, "B"), partial_trace(sigma, 2, 3, "B"), q
-            ).value
+            )
             assert reduced <= whole + 1e-9
 
     def test_unitary_invariance(self, rng):
         rho, sigma = sample_density(4, 4, rng), sample_density(4, 4, rng)
-        base = quantum_relative_q(rho, sigma, 1.5).value
+        base = quantum_relative_q(rho, sigma, 1.5)
         u = haar_unitary(4, rng)
         rotated = quantum_relative_q(
             DensityMatrix(u @ rho.matrix @ u.conj().T),
             DensityMatrix(u @ sigma.matrix @ u.conj().T),
             1.5,
-        ).value
+        )
         assert rotated == pytest.approx(base, abs=1e-9 * (1 + abs(base)))
 
     def test_classical_reduction(self, rng):
@@ -567,17 +593,17 @@ class TestStructuralProperties:
         rho = DensityMatrix.from_eigensystem(spec_a, basis)
         sigma = DensityMatrix.from_eigensystem(spec_b, basis)
         for q in (1.3, 2.0, 3.5):
-            quantum = quantum_relative_q(rho, sigma, q).value
-            classical = classical_relative_q(spec_a, spec_b, q).value
+            quantum = quantum_relative_q(rho, sigma, q)
+            classical = classical_relative_q(spec_a, spec_b, q)
             assert quantum == pytest.approx(classical, abs=1e-10)
 
     def test_q_to_one_consistency(self, rng):
         rho, sigma = sample_density(4, 4, rng), sample_density(4, 4, rng)
-        d1 = relative_entropy_vn(rho, sigma).value
+        d1 = relative_entropy_vn(rho, sigma)
         ratios = []
         for k in range(2, 10):
             q = 1.0 + 10.0**-k
-            dq = quantum_relative_q(rho, sigma, q).value
+            dq = quantum_relative_q(rho, sigma, q)
             ratios.append(abs(dq - d1) / (q - 1.0))
         bound = 2.0 * ratios[0] + 1e-9
         assert all(r <= bound for r in ratios[1:])

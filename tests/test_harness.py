@@ -71,6 +71,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cmd_sweep(SweepConfig(q_grid=(1.0,), output_path=str(tmp_path / "x.csv")))
 
+    @pytest.mark.parametrize("q", ["nan", "inf", "41"])
+    def test_sweep_q_outside_range_names_q_grid(self, q, tmp_path, capsys):
+        # D_q is defined for 1 < q <= Q_MAX, so validation rejects the rest,
+        # a NaN included, before any row is evaluated
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--dims", "2", "--q", q, "--b0", "0.25", "--trials", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "q_grid" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_b0_beyond_inverse_dimension(self, tmp_path):
         with pytest.raises(ConfigError):
             cmd_sweep(SweepConfig(dims=(4,), b0_grid=(0.3,), output_path=str(tmp_path / "x.csv")))
@@ -448,7 +459,6 @@ class TestVerify:
     def test_counterexample_replays(self, tmp_path, monkeypatch):
         import qrelent.harness as hz
         from qrelent.bounds import BoundReport
-        from qrelent.entropy import ExtendedReal
 
         # the third thm1 instance (trial 2) fails: its report has rhs -1
         calls = []
@@ -456,7 +466,7 @@ class TestVerify:
         def thm1_bounds(pair, q):
             calls.append(q)
             rhs = -1.0 if len(calls) == 3 else 1.0
-            return [BoundReport("forced", ExtendedReal.finite(0.0), rhs, rhs > 0.0)] * 2
+            return [BoundReport("forced", 0.0, rhs, rhs > 0.0)] * 2
 
         monkeypatch.setattr(hz, "thm1_bounds", thm1_bounds)
         monkeypatch.setattr(hz, "_SUITES", (("thm1_soundness", hz._suite_thm1, 1),))
@@ -478,7 +488,6 @@ class TestVerify:
     def test_common_kernel_counterexample_replays(self, tmp_path, monkeypatch):
         import qrelent.harness as hz
         from qrelent.bounds import BoundReport
-        from qrelent.entropy import ExtendedReal
         from qrelent.states import sample_common_support_pair
 
         # the fourth thm2 instance (trial 3, odd, so a pair with a common
@@ -488,7 +497,7 @@ class TestVerify:
         def thm2_bound(pair, q, variant):
             calls.append((pair.rho.rank, pair.sigma.rank))
             rhs = -1.0 if len(calls) == 7 else 1.0
-            return BoundReport("forced", ExtendedReal.finite(0.0), rhs, rhs > 0.0)
+            return BoundReport("forced", 0.0, rhs, rhs > 0.0)
 
         monkeypatch.setattr(hz, "thm2_bound", thm2_bound)
         monkeypatch.setattr(hz, "_SUITES", (("thm2_soundness", hz._suite_thm2, 1),))
@@ -565,7 +574,7 @@ class TestVerify:
             ratio = reports[0].rhs / reports[1].rhs
         else:
             (rep,) = [rep for rep in reports if rep.name == closest["check"]]
-            ratio = rep.lhs.value / rep.rhs
+            ratio = rep.lhs / rep.rhs
         assert ratio == closest["ratio"]
 
     def test_small_run_passes(self, tmp_path):
@@ -1128,14 +1137,13 @@ def test_block_restores_each_instance(tmp_path, monkeypatch, block_bytes):
     # a failure in the fourth thm2 instance records trial 3, however many
     # instances share its block
     from qrelent.bounds import BoundReport
-    from qrelent.entropy import ExtendedReal
 
     calls = []
 
     def thm2_bound(pair, q, variant):
         calls.append(q)
         rhs = -1.0 if len(calls) == 7 else 1.0
-        return BoundReport("forced", ExtendedReal.finite(0.0), rhs, rhs > 0.0)
+        return BoundReport("forced", 0.0, rhs, rhs > 0.0)
 
     monkeypatch.setattr(harness, "thm2_bound", thm2_bound)
     monkeypatch.setattr(harness, "_BLOCK_BYTES", block_bytes)
