@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Write the program's reference artifacts to OUT_DIR: verify reports and their
 # stdout, three sweeps, two generated states, eval of that pair in both orders
-# and at q = Q_MAX, eval of a 2 x 2 pair whose D_q leaves the float range,
+# and at q = Q_MAX, eval of a d = 64 pair in both orders, eval of a
+# 2 x 2 pair whose D_q leaves the float range,
 # the output of the two probe scripts, and the node-budget
 # table of scripts/quadrature_budget.py at two operands per band (its check
 # that it reproduces the library's own rule runs with it).
@@ -56,6 +57,14 @@ python -m qrelent eval rho.json sigma.json --q 1.000000001,1.5,2,3,7 > eval_rho_
 python -m qrelent eval sigma.json rho.json --q 1.000000001,1.5,2,3,7 > eval_sigma_rho.json
 # q = 40 is Q_MAX, the largest order D_q and the thm3 row accept
 python -m qrelent eval rho.json sigma.json --q 40 > eval_rho_sigma_q40.json
+# d = 64: each state in a non-trivial basis, rho of rank 40 against a
+# full-rank sigma.  D(rho64||sigma64) takes the finite branch: rho's
+# compression to sigma's support has 24 eigenvalues at round-off level, and
+# those at or below zero (12 of them) are cut.  D(sigma64||rho64) is +inf
+python -m qrelent gen --d 64 --rank 40 --seed 5 --out rho64.json > /dev/null
+python -m qrelent gen --d 64 --rank 64 --seed 6 --out sigma64.json > /dev/null
+python -m qrelent eval rho64.json sigma64.json --q 1.5,2,3 > eval_rho64_sigma64.json
+python -m qrelent eval sigma64.json rho64.json --q 1.5,2,3 > eval_sigma64_rho64.json
 # the float-range pair rho = diag(0.5, 0.5), sigma = diag(1 - 1e-10, 1e-10):
 # b0^(1-q) alone overflows from q = 31.8 on, D_31 and D_32 = 7.5e298 still
 # fit in float64, and D_33 and D_40 are past it (+inf, as is thm3's rhs).

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InternalInconsistency, PreconditionFailed
+from .errors import DomainViolation, InternalInconsistency, PreconditionFailed
 from .linalg import (
     HermitianOperator,
     OperatorPair,
@@ -277,13 +277,24 @@ BOUNDS = UPPER_BOUNDS + (
 
 def power_diff_bound(ops: OperatorPair, n: int, p: float) -> BoundReport:
     """||X^n - Y^n||_p <= n * c^(n-1) * ||X - Y||_p with c = max(||X||_inf, ||Y||_inf)
-    for the operands (X, Y) of ``ops``."""
+    for the operands (X, Y) of ``ops``.
+
+    Every entry of X^n, Y^n and X^n - Y^n is at most 2 c^n in modulus; where
+    2 c^n or n c^(n-1) is past the float range, DomainViolation is raised
+    before any matrix power is formed."""
     n = int(n)
     if n < 1:
         raise PreconditionFailed(f"requires integer n >= 1, got {n}")
+    base = max(schatten_norm(s, math.inf) for s in ops.operand_singular_values)
+    try:
+        fits = math.isfinite(2.0 * base**n) and math.isfinite(n * base ** (n - 1))
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise DomainViolation(
+            f"power_diff: n = {n} takes the operand norm {base!r} past the float range")
     lhs_val = schatten_norm(ops.power_diff_singular_values(n), p)
     dist_p = schatten_norm(ops.diff_singular_values, p)
-    base = max(schatten_norm(s, math.inf) for s in ops.operand_singular_values)
     rhs = n * base ** (n - 1) * dist_p
     return _report("power_diff", lhs_val, rhs, False)
 

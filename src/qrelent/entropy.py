@@ -24,7 +24,8 @@ bits either side.
 
 ``PairEval``, the OperatorPair of (rho, sigma), is the one evaluation context
 of a state pair: it keeps what the entropy calls and the bound evaluators
-share, each computed once.
+share, each computed once.  The contexts of a block of pairs, made together
+by ``PairEval.stack``, share stacked solves of their q-independent work.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     PreconditionFailed,
     QOutOfRange,
 )
-from .linalg import OperatorPair, exact_sum, lapack_eigh
+from .linalg import BlockQuantity, OperatorPair, exact_sum, grouped, lapack_eigh, stacked
 from .states import DensityMatrix, kernel_included, probability_vector
 
 #: largest accepted entropy order; beyond this a^q underflows for typical spectra
@@ -97,14 +98,59 @@ def classical_relative_q(a, b, q: float) -> float:
     return _divergence_sum(np.eye(a.size), a, _log(a), _log(b), q)
 
 
-def _overlap(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
-    """|<a_i|b_j>|^2 between the eigenbases of rho (rows) and sigma (columns)."""
-    return np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
+def _overlap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|<a_i|b_j>|^2 between the eigenbases u of rho (rows) and v of sigma
+    (columns), for each basis pair of two stacks."""
+    return np.abs(u.conj().swapaxes(-1, -2) @ v) ** 2
 
 
 def _log(x: np.ndarray) -> np.ndarray:
     """ln x entrywise by the C library, for the same reason as ``_power``."""
     return np.array([math.log(v) for v in x.tolist()])
+
+
+def _fill_overlaps(_, pairs) -> None:
+    """Double-sum route: the overlaps between the nonzero eigenvalues of rho
+    (rows) and of sigma (columns), and rho's nonzero spectrum with its
+    logarithms; with them ``log_b``, the logarithms of sigma's nonzero
+    spectrum, which both routes read.  Spectra are ascending with their
+    exact zeros first, so each restriction is a slice.  One stacked product
+    per dimension gives the pairs' overlaps."""
+    for group in grouped(pairs, lambda p: p.rho.dim):
+        w = _overlap(stacked([p.rho.eigenvectors for p in group]),
+                     stacked([p.sigma.eigenvectors for p in group]))
+        for p, w_k in zip(group, w):
+            i, j = p.rho.dim - p.rho.rank, p.sigma.dim - p.sigma.rank
+            a = p.rho.spectrum[i:]
+            p.overlap = w_k[i:, j:], a, _log(a)
+            p.log_b = _log(p.sigma.spectrum[j:])
+
+
+def _fill_compressions(pair, pairs) -> None:
+    """Operator route: the squared eigenvector moduli of rho compressed to the
+    support of sigma (rows: the compression's nonzero eigenvalues; columns:
+    sigma's support eigenvectors, on which sigma is diagonal), those
+    eigenvalues and their logarithms.  Only rho's matrix and sigma's
+    eigensystem enter, so the route stays independent of the double sum.
+
+    Solved for the pair that asks and the kernel-included pairs of its
+    block, with one stacked eigh per (dimension, rank of sigma); each
+    compression must have no eigenvalue below -1e-10, and the first pair
+    that does raises its own error for the block."""
+    todo = [p for p in pairs if p is pair or p.kernel_included]
+    for group in grouped(todo, lambda p: (p.rho.dim, p.sigma.rank)):
+        support = stacked([p.sigma.eigenvectors[:, p.sigma.dim - p.sigma.rank :]
+                           for p in group])
+        compressed = (support.conj().swapaxes(-1, -2) @ stacked([p.rho.matrix for p in group])
+                      @ support)
+        lam, w = lapack_eigh((compressed + compressed.conj().swapaxes(-1, -2)) / 2.0)
+        for p, lam_k, weights in zip(group, lam, np.abs(w.swapaxes(-1, -2)) ** 2):
+            if lam_k[0] < -1e-10:
+                raise InternalInconsistency(f"compression has eigenvalue {float(lam_k[0])!r}")
+            if lam_k[0] <= 0.0:  # ascending, so the eigenvalues at or below 0 come first
+                n = int(np.searchsorted(lam_k, 0.0, side="right"))
+                lam_k, weights = lam_k[n:], weights[n:]
+            p.compressed = weights, lam_k, _log(lam_k)
 
 
 class PairEval(OperatorPair):
@@ -119,6 +165,11 @@ class PairEval(OperatorPair):
     q and D_p for every p asked for.  Pass one instance to every entropy
     call and bound evaluator on the pair; each entropy call still runs its
     own checks, the cross-route check included.
+
+    The q-independent solves (overlap, compression, rho - sigma) are block
+    quantities: the contexts that ``PairEval.stack`` makes together get
+    them from stacked solves, one per dimension, when the first of them
+    asks, each with the bits it gets alone.
     """
 
     def __init__(self, rho: DensityMatrix, sigma: DensityMatrix) -> None:
@@ -131,38 +182,9 @@ class PairEval(OperatorPair):
     def kernel_included(self) -> bool:
         return kernel_included(self.sigma, self.rho)
 
-    @cached_property
-    def overlap(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Double-sum route: the overlaps between the nonzero eigenvalues of
-        rho (rows) and of sigma (columns), and rho's nonzero spectrum with its
-        logarithms.  Spectra are ascending with their exact zeros first, so
-        the restriction is a slice."""
-        i, j = self.rho.dim - self.rho.rank, self.sigma.dim - self.sigma.rank
-        a = self.rho.spectrum[i:]
-        return _overlap(self.rho, self.sigma)[i:, j:], a, _log(a)
-
-    @cached_property
-    def compressed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Operator route: the squared eigenvector moduli of rho compressed to
-        the support of sigma (rows: the compression's nonzero eigenvalues;
-        columns: sigma's support eigenvectors, on which sigma is diagonal),
-        those eigenvalues and their logarithms.  Only rho's matrix and
-        sigma's eigensystem enter, so the route stays independent of the
-        double sum."""
-        support = self.sigma.eigenvectors[:, self.sigma.dim - self.sigma.rank :]
-        compressed = support.conj().T @ self.rho.matrix @ support
-        lam, w = lapack_eigh((compressed + compressed.conj().T) / 2.0)
-        if lam[0] < -1e-10:
-            raise InternalInconsistency(f"compression has eigenvalue {float(lam[0])!r}")
-        weights = np.abs(w.T) ** 2
-        if lam[0] <= 0.0:  # ascending, so the eigenvalues at or below 0 come first
-            n = int(np.searchsorted(lam, 0.0, side="right"))
-            lam, weights = lam[n:], weights[n:]
-        return weights, lam, _log(lam)
-
-    @cached_property
-    def log_b(self) -> np.ndarray:
-        return _log(self.sigma.spectrum[self.sigma.dim - self.sigma.rank :])
+    overlap = BlockQuantity(_fill_overlaps)
+    log_b = BlockQuantity(_fill_overlaps)
+    compressed = BlockQuantity(_fill_compressions)
 
     @cached_property
     def summary(self) -> dict[str, float]:

@@ -34,7 +34,7 @@ from .bounds import (
     thm2_bound,
     thm3_bound,
 )
-from .entropy import Q_MAX, classical_relative_q, quantum_relative_q, relative_entropy_vn
+from .entropy import Q_MAX, classical_relative_q, quantum_relative_q
 from .errors import ConfigError
 from .linalg import (
     MAX_DIM,
@@ -203,6 +203,14 @@ class _SuiteRun:
         last yielded, which with the seed redraw it.  The checks may go on
         drawing from the stream: no other instance uses it.
         """
+        return self.block_draws(salt, count, dims, draw, None)
+
+    def block_draws(self, salt: int, count: int, dims: list[int] | None, draw, build):
+        """The instances of :meth:`draws`, where ``build(states, drawn)``, unless
+        None, receives each block's states and draws, one entry per
+        instance, before the block's first instance is yielded, and returns
+        what each instance is yielded with in place of its states: the
+        block's evaluation contexts, made together."""
         block, size = [], 0
         for trial in range(count):
             self.instances_run += 1
@@ -214,12 +222,16 @@ class _SuiteRun:
             size += sum(m.nbytes for m in matrices)
             if draw and size < _BLOCK_BYTES and trial + 1 < count:
                 continue
-            states = DensityMatrix.stack([m for *_, ms, _ in block for m in ms]) if draw else []
-            start = 0
-            for trial, rng, d, matrices, drawn in block:
-                self._instance = {"trial": trial, "salt": salt}
-                yield trial, rng, d, states[start : start + len(matrices)], drawn
+            built = DensityMatrix.stack([m for *_, ms, _ in block for m in ms]) if draw else []
+            states, start = [], 0
+            for *_, matrices, _ in block:
+                states.append(built[start : start + len(matrices)])
                 start += len(matrices)
+            if build is not None:
+                states = build(states, [drawn for *_, drawn in block])
+            for (trial, rng, d, _, drawn), instance in zip(block, states):
+                self._instance = {"trial": trial, "salt": salt}
+                yield trial, rng, d, instance, drawn
             block, size = [], 0
 
     def le(self, name: str, lhs: float, rhs: float, allowance: float, states=None,
@@ -323,7 +335,9 @@ _BLOCK_BYTES = 1 << 18
 def _pairs(run: _SuiteRun, config: SweepConfig, count: int, salt: int, deficient):
     """(trial, stream, PairEval) per instance of the bound sweeps' family: a
     full-rank pair, or where ``deficient(trial)`` holds a pair with an exact
-    common kernel, sigma full-rank on the shared support."""
+    common kernel, sigma full-rank on the shared support.  The PairEvals of
+    a block are made together, so its overlaps, compressions and distances
+    are solved by stacked calls."""
 
     def draw(trial, rng, d):
         if not deficient(trial):
@@ -333,9 +347,12 @@ def _pairs(run: _SuiteRun, config: SweepConfig, count: int, salt: int, deficient
         rho_k, sigma_k, basis = draw_common_support_pair(d, k, rng, rho_rank)
         return [rho_k, sigma_k], basis
 
-    for trial, rng, _, states, basis in run.draws(salt, count, _dims(config, 8), draw):
-        rho, sigma = states if basis is None else embed_common_support(*states, basis)
-        yield trial, rng, PairEval(rho, sigma)
+    def build(states, bases):
+        return PairEval.stack(pair if basis is None else embed_common_support(*pair, basis)
+                              for pair, basis in zip(states, bases))
+
+    for trial, rng, _, pair, _ in run.block_draws(salt, count, _dims(config, 8), draw, build):
+        yield trial, rng, pair
 
 
 def _sample_q(rng, exact_every: int, i: int, lo: float = 1.0, hi: float = 2.0) -> float:
@@ -466,8 +483,7 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         q = _sample_q(rng, exact_every=10, i=i)
         value = pair.dq(q)
         run.le("positivity", 0.0, value, 1e-10, states=(rho, sigma), q=q)
-        dist = schatten_norm(rho.matrix - sigma.matrix, 1.0)
-        if dist > 1e-4:
+        if pair.distances["trace_norm"] > 1e-4:
             run.verdict("zero_only_at_equality", value > 1e-10, states=(rho, sigma), q=q)
         if i % 25 == 0:
             run.le("self_zero", abs(quantum_relative_q(rho, rho, q)), 0.0, 1e-10, q=q)
@@ -488,51 +504,64 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         spec_b = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
         return matrices, (q, lam, da, db, u, spec_a, spec_b, haar_unitary(d, rng))
 
-    for _, _, _, states, drawn in run.draws(5, max(1, count // 5), None, draw_properties):
-        r1, s1, r2, s2, ra, sa, rb, sb, rho_ab, sigma_ab = states
-        q, lam, da, db, u, spec_a, spec_b, basis = drawn
+    def build_properties(states, drawn):
+        """Per instance its ten pairs, in the order the checks read them:
+        the two tensor factors and their product, the mixture of the two
+        pairs of dimension d and those pairs, the bipartite pair and its
+        reduction, the rotation of the first d pair, and the commuting pair.
+        The block's mixtures and rotations are built by one stack call."""
+        matrices = []
+        for (_, _, _, _, ra, sa, rb, sb, _, _), (_, lam, _, _, u, *_) in zip(states, drawn):
+            u_h = u.conj().T
+            matrices += [lam * ra.matrix + (1.0 - lam) * rb.matrix,
+                         lam * sa.matrix + (1.0 - lam) * sb.matrix,
+                         u @ ra.matrix @ u_h, u @ sa.matrix @ u_h]
+        mixed_and_rotated = iter(DensityMatrix.stack(matrices))
+        pairs = []
+        for (r1, s1, r2, s2, ra, sa, rb, sb, rho_ab, sigma_ab), drawn_k in zip(states, drawn):
+            mix_r, mix_s, rot_r, rot_s = (next(mixed_and_rotated) for _ in range(4))
+            _, _, da, db, _, spec_a, spec_b, basis = drawn_k
+            pairs += [(r1, s1), (r2, s2), (tensor(r1, r2), tensor(s1, s2)), (mix_r, mix_s),
+                      (ra, sa), (rb, sb), (rho_ab, sigma_ab),
+                      (partial_trace(rho_ab, da, db, "A"), partial_trace(sigma_ab, da, db, "A")),
+                      (rot_r, rot_s),
+                      (DensityMatrix.from_eigensystem(spec_a, basis),
+                       DensityMatrix.from_eigensystem(spec_b, basis))]
+        contexts = PairEval.stack(pairs)
+        return [contexts[k : k + 10] for k in range(0, len(contexts), 10)]
+
+    for _, _, _, pairs, drawn in run.block_draws(5, max(1, count // 5), None, draw_properties,
+                                                 build_properties):
+        q, lam, _, _, _, spec_a, spec_b, _ = drawn
+        first, second, joint, mix, pair_a, pair_b, whole, reduced, rot, commuting = pairs
         # pseudoadditivity on tensor products
-        v1 = quantum_relative_q(r1, s1, q)
-        v2 = quantum_relative_q(r2, s2, q)
-        joint = quantum_relative_q(tensor(r1, r2), tensor(s1, s2), q)
+        v1, v2 = first.dq(q), second.dq(q)
         expect = v1 + v2 + (q - 1.0) * v1 * v2
-        run.le("pseudoadditive", abs(joint - expect), 0.0, 1e-9, q=q)
+        run.le("pseudoadditive", abs(joint.dq(q) - expect), 0.0, 1e-9, q=q)
         # joint convexity
-        mix_r = DensityMatrix(lam * ra.matrix + (1.0 - lam) * rb.matrix)
-        mix_s = DensityMatrix(lam * sa.matrix + (1.0 - lam) * sb.matrix)
-        mixed = quantum_relative_q(mix_r, mix_s, q)
-        base = quantum_relative_q(ra, sa, q)
-        averaged = lam * base + (1.0 - lam) * quantum_relative_q(rb, sb, q)
-        run.le("joint_convexity", mixed, averaged, 1e-9, states=(mix_r, mix_s), q=q)
+        base = pair_a.dq(q)
+        averaged = lam * base + (1.0 - lam) * pair_b.dq(q)
+        run.le("joint_convexity", mix.dq(q), averaged, 1e-9, states=(mix.rho, mix.sigma), q=q)
         # monotonicity under partial trace
-        whole = quantum_relative_q(rho_ab, sigma_ab, q)
-        reduced = quantum_relative_q(
-            partial_trace(rho_ab, da, db, "A"), partial_trace(sigma_ab, da, db, "A"), q
-        )
-        run.le("partial_trace_monotone", reduced, whole, 1e-9, states=(rho_ab, sigma_ab), q=q)
+        run.le("partial_trace_monotone", reduced.dq(q), whole.dq(q), 1e-9,
+               states=(whole.rho, whole.sigma), q=q)
         # unitary invariance
-        rot = quantum_relative_q(DensityMatrix(u @ ra.matrix @ u.conj().T),
-                                 DensityMatrix(u @ sa.matrix @ u.conj().T), q)
-        run.le("unitary_invariance", abs(rot - base), 0.0, 1e-9 * (1.0 + abs(base)), q=q)
+        run.le("unitary_invariance", abs(rot.dq(q) - base), 0.0, 1e-9 * (1.0 + abs(base)), q=q)
         # reduction to the classical formula for commuting states; pairing of
         # the two spectra follows the shared eigenbasis columns
-        qa = DensityMatrix.from_eigensystem(spec_a, basis)
-        qb = DensityMatrix.from_eigensystem(spec_b, basis)
-        quantum = quantum_relative_q(qa, qb, q)
         classical = classical_relative_q(spec_a, spec_b, q)
-        run.le("classical_reduction", abs(quantum - classical), 0.0, 1e-10, q=q)
+        run.le("classical_reduction", abs(commuting.dq(q) - classical), 0.0, 1e-10, q=q)
 
-    # q -> 1 consistency on fixed pairs
+    # q -> 1 consistency on fixed pairs, each on one PairEval for D_1 and every q
     def draw_fixed(i, rng, _):
         return [draw_density(2 + 2 * i, 2 + 2 * i, rng) for _ in range(2)], None
 
     for _, _, _, (rho, sigma), _ in run.draws(6, 2, None, draw_fixed):
-        d1 = relative_entropy_vn(rho, sigma)
+        pair = PairEval(rho, sigma)
         ratios = []
         for k in range(2, 10):
             q = 1.0 + 10.0**-k
-            dq = quantum_relative_q(rho, sigma, q)
-            ratios.append(abs(dq - d1) / (q - 1.0))
+            ratios.append(abs(pair.dq(q) - pair.d1) / (q - 1.0))
         for ratio in ratios[1:]:
             run.le("q_to_1", ratio, 2.0 * ratios[0], 1e-9, states=(rho, sigma))
 

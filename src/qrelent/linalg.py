@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from functools import cached_property
 from typing import Callable
 
@@ -359,13 +360,64 @@ def schatten_norm(x, p: float) -> float:
     return math.fsum(si**p for si in s) ** (1.0 / p)
 
 
+def grouped(items, key) -> list[list]:
+    """The items in groups of equal ``key(item)``: groups in the order of
+    their first item, items in their own order within each."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return list(groups.values())
+
+
+def stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """Equal-shape arrays as one (n, ...) stack: a view of a lone array, so a
+    block of one copies no operand, and a copy of several."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+class BlockQuantity:
+    """A value of each context of a block, computed for the whole block on
+    first read: ``fill(pair, pairs)`` sets the attribute on each of
+    ``pairs``, the live contexts of ``pair``'s block that lack it (``pair``
+    among them).  The value lives in the context's ``__dict__``, which later
+    reads find first, as with functools.cached_property; a context built
+    alone is a block of one."""
+
+    def __init__(self, fill) -> None:
+        self.fill = fill
+        self.__doc__ = fill.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, pair, owner):
+        if pair is None:
+            return self
+        block = (ref() for ref in pair._block)
+        self.fill(pair, [p for p in block if p is not None and self.name not in vars(p)])
+        return vars(pair)[self.name]
+
+
+def _fill_diff_singular_values(_, pairs) -> None:
+    """Singular values of A - B, descending.  Every HermitianOperator's matrix
+    is exactly Hermitian, so A - B is, and they are the sorted moduli of its
+    eigenvalues: one eigvalsh call per dimension solves the pairs'
+    differences, each with the bits of its own solve."""
+    for group in grouped(pairs, lambda p: p.a.dim):
+        diff = stacked([p.a.matrix for p in group]) - stacked([p.b.matrix for p in group])
+        for p, s in zip(group, np.sort(np.abs(np.linalg.eigvalsh(diff)))[..., ::-1]):
+            p.diff_singular_values = s
+
+
 class OperatorPair:
     """Norm context of two Hermitian operands (A, B): a lemma check's or a state pair's.
 
     The singular values of A, B, A - B and A^n - B^n are each computed once,
     on first use, and shared by every norm and distance taken of the pair.
     Pass one instance to every check on the same (A, B).  Operands of
-    different dimensions raise DimensionMismatch.
+    different dimensions raise DimensionMismatch.  Contexts made together by
+    :meth:`stack` form a block, whose block quantities (here the singular
+    values of A - B) are solved for all its pairs at once.
     """
 
     def __init__(self, a, b) -> None:
@@ -374,16 +426,25 @@ class OperatorPair:
         if self.a.dim != self.b.dim:
             raise DimensionMismatch(f"dimension mismatch: {self.a.dim} vs {self.b.dim}")
         self._power_diff: dict[int, np.ndarray] = {}
+        # weak references to the contexts of this one's block: strong ones
+        # would tie each block into a reference cycle, freed only when a
+        # full garbage collection finds it
+        self._block = (weakref.ref(self),)
+
+    @classmethod
+    def stack(cls, operands) -> list:
+        """One context per (A, B) of ``operands``, in order, all of one block."""
+        pairs = [cls(a, b) for a, b in operands]
+        block = tuple(weakref.ref(pair) for pair in pairs)
+        for pair in pairs:
+            pair._block = block
+        return pairs
 
     @cached_property
     def operand_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
         return singular_values(self.a), singular_values(self.b)
 
-    @cached_property
-    def diff_singular_values(self) -> np.ndarray:
-        # every HermitianOperator's matrix is exactly Hermitian, so A - B is:
-        # its singular values are the sorted moduli of its eigenvalues
-        return np.sort(np.abs(np.linalg.eigvalsh(self.a.matrix - self.b.matrix)))[::-1]
+    diff_singular_values = BlockQuantity(_fill_diff_singular_values)
 
     @cached_property
     def distances(self) -> dict[str, float]:

@@ -28,6 +28,7 @@ from .linalg import (
     checked_eigh,
     compose,
     exact_sum,
+    grouped,
     hermitian_parts,
     square_dim,
 )
@@ -97,11 +98,8 @@ class DensityMatrix(HermitianOperator):
         the error that matrix raises alone.
         """
         arrays = [np.asarray(m, dtype=np.complex128) for m in matrices]
-        groups: dict[int, list[int]] = {}
-        for k, a in enumerate(arrays):
-            groups.setdefault(square_dim(a.shape), []).append(k)
         states: list = [None] * len(arrays)
-        for idx in groups.values():
+        for idx in grouped(range(len(arrays)), lambda k: square_dim(arrays[k].shape)):
             herm = hermitian_parts(np.array([arrays[k] for k in idx]))
             _trace_gate(herm)
             w, u, mats, ranks = _settle(*checked_eigh(herm))

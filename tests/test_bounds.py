@@ -19,7 +19,12 @@ from qrelent.bounds import (
     thm3_bound,
 )
 from qrelent.entropy import Q_MAX, quantum_relative_q
-from qrelent.errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
+from qrelent.errors import (
+    DimensionMismatch,
+    DomainViolation,
+    InternalInconsistency,
+    PreconditionFailed,
+)
 from qrelent.linalg import HermitianOperator, schatten_norm
 from qrelent.states import (
     DensityMatrix,
@@ -281,13 +286,25 @@ class TestPowerDiff:
         with pytest.raises(DimensionMismatch):
             power_diff_bound(OperatorPair(np.eye(2), np.eye(3)), 2, 1.0)
 
-    def test_nan_lhs_raises(self):
-        # X^2 overflows, so its singular values are NaN: no report carries them
+    def test_nan_lhs_raises(self, monkeypatch):
+        # singular values of X^2 - Y^2 that came out NaN: no report carries them
+        x = HermitianOperator(np.diag([2.0, 1.0]))
+        y = HermitianOperator(np.diag([1.0, 2.0]))
+        monkeypatch.setattr(OperatorPair, "power_diff_singular_values",
+                            lambda ops, n: np.array([math.nan, 1.0]))
+        with pytest.raises(InternalInconsistency, match="NaN"):
+            power_diff_bound(OperatorPair(x, y), 2, 1.0)
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_power_past_float_range_is_a_domain_error(self, n):
+        # c = 1e200: c^n leaves the float range at n = 2, and at n = 6 so
+        # does Python's own c^(n-1); either way one typed error, raised
+        # before numpy forms a power (pytest turns its RuntimeWarnings into
+        # errors)
         x = HermitianOperator(np.diag([1e200, 1.0]))
         y = HermitianOperator(np.diag([1.0, 2.0]))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(InternalInconsistency, match="NaN"):
-            power_diff_bound(OperatorPair(x, y), 2, 1.0)
+        with pytest.raises(DomainViolation, match=f"n = {n} .*1e\\+200"):
+            power_diff_bound(OperatorPair(x, y), n, 1.0)
 
     def test_equal_operands(self, rng):
         x = HermitianOperator(random_hermitian(rng, 3))

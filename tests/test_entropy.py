@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,6 +22,7 @@ from qrelent.entropy import (
 )
 from qrelent.errors import (
     BadSpectrum,
+    InternalError,
     DimensionMismatch,
     DomainViolation,
     InternalInconsistency,
@@ -71,6 +78,119 @@ class TestPlainFloats:
             assert dq == d1 == math.inf
         else:
             assert math.isfinite(d1)
+
+
+#: the kinds of pair a block may hold
+BLOCK_KINDS = ("full", "common_kernel", "kernel_excluded", "rank1_rho")
+
+
+def block_pair(gen, d: int, kind: str) -> tuple[DensityMatrix, DensityMatrix]:
+    """A pair of one of BLOCK_KINDS on C^d; d = 1 gives a full-rank pair."""
+    if d == 1 or kind == "full":
+        return sample_density(d, d, gen), sample_density(d, d, gen)
+    k = int(gen.integers(1, d))
+    if kind == "common_kernel":
+        return sample_common_support_pair(d, k, gen, rho_rank=int(gen.integers(1, k + 1)))
+    if kind == "kernel_excluded":  # a full-rank rho has weight on every kernel vector
+        return sample_density(d, d, gen), sample_density(d, k, gen)
+    return sample_density(d, 1, gen), sample_density(d, d, gen)
+
+
+def _outcome(f):
+    """repr of f()'s value, or its error's type and message."""
+    try:
+        return repr(f())
+    except (InternalError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def block_quantities(pair, q: float, p: float) -> list:
+    """Every q-independent block quantity of a PairEval (shape and bytes of
+    each array) and its distances, D_q, D_1 and D_p, read in that order."""
+    arrays = [*pair.overlap, pair.log_b, *pair.compressed, pair.diff_singular_values]
+    return ([(a.shape, a.tobytes()) for a in arrays]
+            + [_outcome(f) for f in (lambda: pair.distances, lambda: pair.dq(q),
+                                     lambda: pair.d1, lambda: pair.dp(p))])
+
+
+class TestBlocks:
+    """A block of PairEvals solves each quantity for all its pairs at once,
+    and every pair gets the bits it gets as a block of one."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        members=st.lists(st.tuples(st.integers(1, 8), st.sampled_from(BLOCK_KINDS)),
+                         min_size=1, max_size=10),
+        q=st.floats(1.0, 40.0, exclude_min=True),
+        p=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_block_bits_equal_lone_bits(self, seed, members, q, p):
+        gen = np.random.Generator(np.random.SFC64(seed))
+        states = [block_pair(gen, d, kind) for d, kind in members]
+        block = entropy.PairEval.stack(states)
+        got = [block_quantities(pair, q, p) for pair in block]
+        assert got == [block_quantities(entropy.PairEval(*s), q, p) for s in states]
+
+    def test_large_blocks_at_one_blas_thread(self):
+        # d = 64 and 256 in one block, BLAS on one thread as in the
+        # reference artifacts: rank-40 and full-rank rho against a full sigma,
+        # a common kernel, an excluded kernel and a d = 256 full pair
+        script = """if True:
+            import json, sys
+            import numpy as np
+            from qrelent.entropy import PairEval
+            from qrelent.states import sample_common_support_pair, sample_density
+            from test_entropy import block_quantities
+
+            gen = np.random.Generator(np.random.SFC64(64))
+            states = [(sample_density(64, 40, gen), sample_density(64, 64, gen)),
+                      (sample_density(64, 64, gen), sample_density(64, 64, gen)),
+                      sample_common_support_pair(64, 40, gen, rho_rank=30),
+                      (sample_density(64, 64, gen), sample_density(64, 40, gen)),
+                      (sample_density(256, 256, gen), sample_density(256, 256, gen)),
+                      (sample_density(256, 200, gen), sample_density(256, 256, gen))]
+            block = PairEval.stack(states)
+            got = [block_quantities(pair, 1.5, 0.5) for pair in block]
+            lone = [block_quantities(PairEval(*s), 1.5, 0.5) for s in states]
+            json.dump([g == w for g, w in zip(got, lone)], sys.stdout)
+        """
+        tests = Path(__file__).resolve().parent
+        src = str(Path(entropy.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, str(tests))),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script], check=False, capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [True] * 6
+
+    def test_blocks_are_freed_without_the_cycle_collector(self, rng):
+        # a block whose contexts referred to each other strongly would live
+        # until a full collection: verify's peak memory grew with each block
+        states = [(sample_density(3, 3, rng), sample_density(3, 3, rng)) for _ in range(3)]
+        block = entropy.PairEval.stack(states)
+        assert math.isfinite(block[0].dq(2.0))
+        refs = [weakref.ref(pair) for pair in block]
+        del block
+        assert [ref() for ref in refs] == [None] * 3
+
+    def test_failed_compression_check_raises_for_the_block(self, rng):
+        # a state whose matrix has eigenvalue -1e-6 though its spectrum does
+        # not: compressed to sigma's full support it fails the -1e-10 check
+        good = sample_density(3, 3, rng)
+        matrix = good.matrix - (good.spectrum[0] + 1e-6) * np.eye(3)
+        matrix.setflags(write=False)
+        bad = DensityMatrix.__new__(DensityMatrix)._adopt(matrix, good.spectrum,
+                                                          good.eigenvectors, good.rank)
+        states = [(good, sample_density(3, 3, rng)), (bad, sample_density(3, 3, rng)),
+                  (sample_density(3, 3, rng), sample_density(3, 3, rng))]
+        with pytest.raises(InternalInconsistency, match="compression") as alone:
+            entropy.PairEval(*states[1]).dq(2.0)
+        for k in (0, 1, 2):
+            block = entropy.PairEval.stack(states)
+            with pytest.raises(InternalInconsistency) as blocked:
+                block[k].dq(2.0)
+            assert str(blocked.value) == str(alone.value)
 
 
 class TestQLog:

@@ -273,6 +273,24 @@ class TestEvaluationCounts:
         assert calls["sigma_family"] == len(harness.CROSSOVER_B0)
         assert calls["sample_density"] == 3
 
+    def test_thm1_batches_its_solves(self, monkeypatch):
+        # 40 instances fill one block; per dimension one eigh builds the
+        # states, one solves the compressions and one eigvalsh the distances
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            def counting(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        config = SweepConfig(seed=1)
+        run = harness._SuiteRun("thm1_soundness", None, config.seed)
+        harness._suite_thm1(run, config, 40)
+        assert run.instances_run == 40 and run.failures == 0
+        drawn = harness._SuiteRun("dims", None, config.seed).draws(7, 40, list(config.dims), None)
+        dims = {d for _, _, d, _, _ in drawn}
+        assert counts == {"eigh": 2 * len(dims), "eigvalsh": len(dims)}
+
     def test_entropy_suite_repeats_no_evaluation(self, monkeypatch):
         import qrelent.entropy as entropy_module
         import qrelent.harness as harness_module
