@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Print the size of the qrelent package: its line count, and its count of
-settable values.
+"""Print the size of the qrelent package: its line count and its count of
+settable values, then the line count of each module.
 
 Settable values are the parameters with a default, of every ``def`` and
 ``lambda``, plus the fields of every ``@dataclass``: each is a value a caller
@@ -40,13 +40,16 @@ def settable_values(tree: ast.AST) -> int:
 
 def main(argv: list[str]) -> None:
     package = Path(argv[0]) if argv else PACKAGE
-    lines = values = 0
+    per_module = {}
+    values = 0
     for path in sorted(package.glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        lines += len(text.splitlines())
+        per_module[path.name] = len(text.splitlines())
         values += settable_values(ast.parse(text, filename=str(path)))
-    print(f"lines {lines}")
+    print(f"lines {sum(per_module.values())}")
     print(f"settable_values {values}")
+    for name, lines in per_module.items():
+        print(f"  {name} {lines}")
 
 
 if __name__ == "__main__":

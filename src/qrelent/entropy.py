@@ -24,8 +24,9 @@ bits either side.
 
 ``PairEval``, the OperatorPair of (rho, sigma), is the one evaluation context
 of a state pair: it keeps what the entropy calls and the bound evaluators
-share, each computed once.  The contexts of a block of pairs, made together
-by ``PairEval.stack``, share stacked solves of their q-independent work.
+share, each computed once.  Its constructor solves the q-independent work;
+the contexts of a block of pairs, made together by ``PairEval.stack``, solve
+it with stacked calls.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
     PreconditionFailed,
     QOutOfRange,
 )
-from .linalg import BlockQuantity, OperatorPair, exact_sum, grouped, lapack_eigh, stacked
+from .linalg import OperatorPair, exact_sum, grouped, lapack_eigh, stacked
 from .states import DensityMatrix, kernel_included, probability_vector
 
 #: largest accepted entropy order; beyond this a^q underflows for typical spectra
@@ -109,36 +110,45 @@ def _log(x: np.ndarray) -> np.ndarray:
     return np.array([math.log(v) for v in x.tolist()])
 
 
-def _fill_overlaps(_, pairs) -> None:
-    """Double-sum route: the overlaps between the nonzero eigenvalues of rho
-    (rows) and of sigma (columns), and rho's nonzero spectrum with its
-    logarithms; with them ``log_b``, the logarithms of sigma's nonzero
-    spectrum, which both routes read.  Spectra are ascending with their
-    exact zeros first, so each restriction is a slice.  One stacked product
-    per dimension gives the pairs' overlaps."""
+def _solve(pairs: list[PairEval]) -> None:
+    """Solve the q-independent quantities of the contexts ``pairs`` together,
+    each pair with the bits it gets alone:
+
+    - ``kernel_included``, the verdict ker(sigma) in ker(rho);
+    - ``overlap``, the double-sum route: |<a|b>|^2 between the nonzero
+      eigenvalues of rho (rows) and of sigma (columns), with rho's nonzero
+      spectrum and its logarithms; and ``log_b``, the logarithms of sigma's
+      nonzero spectrum, which both routes read;
+    - ``diff_singular_values`` of rho - sigma: the sorted moduli of its
+      eigenvalues, as it is exactly Hermitian;
+    - ``compressed``, the operator route, None unless the kernel is included:
+      the squared eigenvector moduli of rho compressed to sigma's support
+      (rows: its nonzero eigenvalues; columns: sigma's support eigenvectors,
+      on which sigma is diagonal), those eigenvalues and their logarithms.
+      Only rho's matrix and sigma's eigensystem enter, so the route stays
+      independent of the double sum.
+
+    Spectra ascend with their exact zeros first, so each restriction is a
+    slice.  Per dimension one product gives the overlaps and one eigvalsh the
+    differences; per (dimension, rank of sigma) one eigh gives the
+    compressions, the first of which with an eigenvalue below -1e-10 raises
+    InternalInconsistency.
+    """
     for group in grouped(pairs, lambda p: p.rho.dim):
         w = _overlap(stacked([p.rho.eigenvectors for p in group]),
                      stacked([p.sigma.eigenvectors for p in group]))
-        for p, w_k in zip(group, w):
+        diff = stacked([p.rho.matrix for p in group]) - stacked([p.sigma.matrix for p in group])
+        s = np.sort(np.abs(np.linalg.eigvalsh(diff)))[..., ::-1]
+        for p, w_k, s_k in zip(group, w, s):
             i, j = p.rho.dim - p.rho.rank, p.sigma.dim - p.sigma.rank
             a = p.rho.spectrum[i:]
             p.overlap = w_k[i:, j:], a, _log(a)
             p.log_b = _log(p.sigma.spectrum[j:])
-
-
-def _fill_compressions(pair, pairs) -> None:
-    """Operator route: the squared eigenvector moduli of rho compressed to the
-    support of sigma (rows: the compression's nonzero eigenvalues; columns:
-    sigma's support eigenvectors, on which sigma is diagonal), those
-    eigenvalues and their logarithms.  Only rho's matrix and sigma's
-    eigensystem enter, so the route stays independent of the double sum.
-
-    Solved for the pair that asks and the kernel-included pairs of its
-    block, with one stacked eigh per (dimension, rank of sigma); each
-    compression must have no eigenvalue below -1e-10, and the first pair
-    that does raises its own error for the block."""
-    todo = [p for p in pairs if p is pair or p.kernel_included]
-    for group in grouped(todo, lambda p: (p.rho.dim, p.sigma.rank)):
+            p.diff_singular_values = s_k
+            p.kernel_included = kernel_included(p.sigma, p.rho)
+            p.compressed = None
+    included = [p for p in pairs if p.kernel_included]
+    for group in grouped(included, lambda p: (p.rho.dim, p.sigma.rank)):
         support = stacked([p.sigma.eigenvectors[:, p.sigma.dim - p.sigma.rank :]
                            for p in group])
         compressed = (support.conj().swapaxes(-1, -2) @ stacked([p.rho.matrix for p in group])
@@ -154,37 +164,36 @@ def _fill_compressions(pair, pairs) -> None:
 
 
 class PairEval(OperatorPair):
-    """Evaluation context of one state pair: the OperatorPair of (rho, sigma),
-    with its dimension check and its distances from one solve of rho - sigma.
+    """Evaluation context of one state pair: the OperatorPair of (rho, sigma).
 
-    Each further quantity is computed on first use and kept: the kernel
-    verdict ker(sigma) in ker(rho), the restricted overlap |<a|b>|^2 with
-    rho's nonzero spectrum (the double-sum route), the compressed
-    eigensystem of the operator route, the logarithms of sigma's nonzero
-    spectrum (read by both routes), the spectral summary, D_1, D_q for every
-    q and D_p for every p asked for.  Pass one instance to every entropy
-    call and bound evaluator on the pair; each entropy call still runs its
-    own checks, the cross-route check included.
-
-    The q-independent solves (overlap, compression, rho - sigma) are block
-    quantities: the contexts that ``PairEval.stack`` makes together get
-    them from stacked solves, one per dimension, when the first of them
-    asks, each with the bits it gets alone.
+    Its constructor checks the dimensions and solves the q-independent
+    quantities that every D_q and bound reads (``_solve``), so a failed
+    compression check raises from it; ``PairEval.stack`` makes the contexts
+    of a block of pairs with stacked solves, each with the bits it gets
+    alone.  The spectral summary, D_1, D_q for every q and D_p for every p
+    asked for are computed on first use and kept.  Pass one instance to
+    every entropy call and bound evaluator on the pair; each entropy call
+    still runs its own checks, the cross-route check included.
     """
 
     def __init__(self, rho: DensityMatrix, sigma: DensityMatrix) -> None:
+        self._open(rho, sigma)
+        _solve([self])
+
+    @classmethod
+    def stack(cls, operands) -> list[PairEval]:
+        """One context per (rho, sigma) of ``operands``, in order, solved together."""
+        pairs = [cls.__new__(cls)._open(rho, sigma) for rho, sigma in operands]
+        _solve(pairs)
+        return pairs
+
+    def _open(self, rho: DensityMatrix, sigma: DensityMatrix) -> PairEval:
+        """The context with its operands checked and nothing solved; returns self."""
         super().__init__(rho, sigma)
         self.rho, self.sigma = self.a, self.b
         self._dq: dict[float, float] = {}
         self._dp: dict[float, float] = {}
-
-    @cached_property
-    def kernel_included(self) -> bool:
-        return kernel_included(self.sigma, self.rho)
-
-    overlap = BlockQuantity(_fill_overlaps)
-    log_b = BlockQuantity(_fill_overlaps)
-    compressed = BlockQuantity(_fill_compressions)
+        return self
 
     @cached_property
     def summary(self) -> dict[str, float]:

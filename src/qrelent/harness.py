@@ -188,7 +188,7 @@ class _SuiteRun:
         self.counterexample_path: str | None = None
         self._instance: dict = {}
 
-    def draws(self, salt: int, count: int, dims: list[int] | None, draw):
+    def block_draws(self, salt: int, count: int, dims: list[int] | None, draw, build):
         """(trial, stream, d, states, drawn) per instance, trials 0 to count - 1:
         the one path from (seed, trial, salt) to an instance.
 
@@ -199,18 +199,14 @@ class _SuiteRun:
         drew.  Instances are drawn in blocks of _BLOCK_BYTES of matrices, and
         one DensityMatrix.stack call builds a block's states; with ``draw``
         None, each instance is yielded as soon as it is counted, with no
-        states.  A counterexample records the trial and salt of the instance
-        last yielded, which with the seed redraw it.  The checks may go on
-        drawing from the stream: no other instance uses it.
+        states.  ``build(states, drawn)``, unless None, receives each block's
+        states and draws, one entry per instance, before the block's first
+        instance is yielded, and returns what each instance is yielded with
+        in place of its states: the block's evaluation contexts, made
+        together.  A counterexample records the trial and salt of the
+        instance last yielded, which with the seed redraw it.  The checks may
+        go on drawing from the stream: no other instance uses it.
         """
-        return self.block_draws(salt, count, dims, draw, None)
-
-    def block_draws(self, salt: int, count: int, dims: list[int] | None, draw, build):
-        """The instances of :meth:`draws`, where ``build(states, drawn)``, unless
-        None, receives each block's states and draws, one entry per
-        instance, before the block's first instance is yielded, and returns
-        what each instance is yielded with in place of its states: the
-        block's evaluation contexts, made together."""
         block, size = [], 0
         for trial in range(count):
             self.instances_run += 1
@@ -368,7 +364,7 @@ def _sample_q(rng, exact_every: int, i: int, lo: float = 1.0, hi: float = 2.0) -
 
 def _suite_linalg_norms(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     tol = 1e-10
-    for _, rng, d, _, _ in run.draws(1, count, _dims(config, math.inf), None):
+    for _, rng, d, _, _ in run.block_draws(1, count, _dims(config, math.inf), None, None):
         x, y, z = (ginibre(rng, (d, d)) for _ in range(3))
         xy = x @ y
         xyz = xy @ z
@@ -406,7 +402,7 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             got = quadrature.frac_power_scalar(a, r, form=form)
             run.le("scalar_fixture", abs(got - expect) / expect, 0.0, 1e-10,
                    a=a, r=r, form=form)
-    for i, rng, d, _, _ in run.draws(2, count, _dims(config, 8), None):
+    for i, rng, d, _, _ in run.block_draws(2, count, _dims(config, 8), None, None):
         a_op = _conditioned_pd(rng, d, log10_cond=float(rng.uniform(0.0, 6.0)))
         norm_inf = schatten_norm(a_op, math.inf)
         # one resolvent stack per form serves all three exponents
@@ -459,7 +455,7 @@ def _draw_state_checks(trial, rng, d):
 
 def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     dims = _dims(config, math.inf)
-    for _, _, d, states, drawn in run.draws(3, count, dims, _draw_state_checks):
+    for _, _, d, states, drawn in run.block_draws(3, count, dims, _draw_state_checks, None):
         (rho, other, *extra), (rank, spec, controlled, lam) = states, drawn
         run.le("psd", 0.0, np.min(rho.spectrum), 0.0)
         run.le("unit_trace", abs(exact_sum(rho.spectrum) - 1.0), 0.0, 1e-10)
@@ -556,7 +552,7 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     def draw_fixed(i, rng, _):
         return [draw_density(2 + 2 * i, 2 + 2 * i, rng) for _ in range(2)], None
 
-    for _, _, _, (rho, sigma), _ in run.draws(6, 2, None, draw_fixed):
+    for _, _, _, (rho, sigma), _ in run.block_draws(6, 2, None, draw_fixed, None):
         pair = PairEval(rho, sigma)
         ratios = []
         for k in range(2, 10):
@@ -610,7 +606,7 @@ def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     r_values = (0.1, 0.5, 0.9)
-    for _, rng, d, _, _ in run.draws(11, count, _dims(config, 8), None):
+    for _, rng, d, _, _ in run.block_draws(11, count, _dims(config, 8), None, None):
         a_op = _rand_pd(rng, d)
         b_op = _rand_pd(rng, d)
         for r, rep in zip(r_values, frechet_check(OperatorPair(a_op, b_op), r_values)):
@@ -618,7 +614,7 @@ def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for _, rng, d, _, _ in run.draws(12, count, _dims(config, 8), None):
+    for _, rng, d, _, _ in run.block_draws(12, count, _dims(config, 8), None, None):
         x, y = _rand_herm(rng, d), _rand_herm(rng, d)
         ops = OperatorPair(x, y)
         for n in range(1, 7):
@@ -631,7 +627,7 @@ def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_lemma3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d, _, _ in run.draws(13, count, _dims(config, 8), None):
+    for i, rng, d, _, _ in run.block_draws(13, count, _dims(config, 8), None, None):
         rank = d if i % 3 else max(1, d - 1)
         a_op = HermitianOperator(draw_density(d, rank, rng))
         b_op = _rand_pd(rng, d, trace_one=True)

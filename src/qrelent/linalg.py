@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from functools import cached_property
 from typing import Callable
 
@@ -347,7 +346,8 @@ def schatten_norm(x, p: float) -> float:
     p=1 is the trace norm, p=2 the Frobenius norm, p=inf the spectral norm.
     ``x`` is a matrix, or a 1-d array of the singular values themselves (as
     :func:`singular_values` returns them), so that several norms of one
-    matrix share a single decomposition.
+    matrix share a single decomposition.  A norm inside the float range is
+    finite even where the p-th power of a singular value is not.
     """
     p = float(p)
     if not p >= 1.0:
@@ -357,7 +357,12 @@ def schatten_norm(x, p: float) -> float:
         return float(s.max()) if s.size else 0.0
     if p == 1.0:
         return exact_sum(s)
-    return math.fsum(si**p for si in s) ** (1.0 / p)
+    values = s.tolist()
+    try:  # a Python float's power raises OverflowError where numpy's is inf
+        return math.fsum(si**p for si in values) ** (1.0 / p)
+    except OverflowError:  # rescaled only here, so in-range norms keep their bits
+        top = max(values)
+        return top * math.fsum((si / top) ** p for si in values) ** (1.0 / p)
 
 
 def grouped(items, key) -> list[list]:
@@ -375,49 +380,13 @@ def stacked(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-class BlockQuantity:
-    """A value of each context of a block, computed for the whole block on
-    first read: ``fill(pair, pairs)`` sets the attribute on each of
-    ``pairs``, the live contexts of ``pair``'s block that lack it (``pair``
-    among them).  The value lives in the context's ``__dict__``, which later
-    reads find first, as with functools.cached_property; a context built
-    alone is a block of one."""
-
-    def __init__(self, fill) -> None:
-        self.fill = fill
-        self.__doc__ = fill.__doc__
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, pair, owner):
-        if pair is None:
-            return self
-        block = (ref() for ref in pair._block)
-        self.fill(pair, [p for p in block if p is not None and self.name not in vars(p)])
-        return vars(pair)[self.name]
-
-
-def _fill_diff_singular_values(_, pairs) -> None:
-    """Singular values of A - B, descending.  Every HermitianOperator's matrix
-    is exactly Hermitian, so A - B is, and they are the sorted moduli of its
-    eigenvalues: one eigvalsh call per dimension solves the pairs'
-    differences, each with the bits of its own solve."""
-    for group in grouped(pairs, lambda p: p.a.dim):
-        diff = stacked([p.a.matrix for p in group]) - stacked([p.b.matrix for p in group])
-        for p, s in zip(group, np.sort(np.abs(np.linalg.eigvalsh(diff)))[..., ::-1]):
-            p.diff_singular_values = s
-
-
 class OperatorPair:
     """Norm context of two Hermitian operands (A, B): a lemma check's or a state pair's.
 
     The singular values of A, B, A - B and A^n - B^n are each computed once,
     on first use, and shared by every norm and distance taken of the pair.
     Pass one instance to every check on the same (A, B).  Operands of
-    different dimensions raise DimensionMismatch.  Contexts made together by
-    :meth:`stack` form a block, whose block quantities (here the singular
-    values of A - B) are solved for all its pairs at once.
+    different dimensions raise DimensionMismatch.
     """
 
     def __init__(self, a, b) -> None:
@@ -426,25 +395,17 @@ class OperatorPair:
         if self.a.dim != self.b.dim:
             raise DimensionMismatch(f"dimension mismatch: {self.a.dim} vs {self.b.dim}")
         self._power_diff: dict[int, np.ndarray] = {}
-        # weak references to the contexts of this one's block: strong ones
-        # would tie each block into a reference cycle, freed only when a
-        # full garbage collection finds it
-        self._block = (weakref.ref(self),)
-
-    @classmethod
-    def stack(cls, operands) -> list:
-        """One context per (A, B) of ``operands``, in order, all of one block."""
-        pairs = [cls(a, b) for a, b in operands]
-        block = tuple(weakref.ref(pair) for pair in pairs)
-        for pair in pairs:
-            pair._block = block
-        return pairs
 
     @cached_property
     def operand_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
         return singular_values(self.a), singular_values(self.b)
 
-    diff_singular_values = BlockQuantity(_fill_diff_singular_values)
+    @cached_property
+    def diff_singular_values(self) -> np.ndarray:
+        """Singular values of A - B, descending.  Every HermitianOperator's
+        matrix is exactly Hermitian, so A - B is, and they are the sorted
+        moduli of its eigenvalues."""
+        return np.sort(np.abs(np.linalg.eigvalsh(self.a.matrix - self.b.matrix)))[::-1]
 
     @cached_property
     def distances(self) -> dict[str, float]:
@@ -471,7 +432,9 @@ def psd_gap(a, b) -> float:
     relative to the operand scale; this function returns the raw gap and
     leaves the tolerance decision to the caller.
     """
-    ops = OperatorPair(a, b)  # the operands, of one dimension
-    diff = ops.b.matrix - ops.a.matrix
-    return float(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)[0])
+    a, b = as_herm(a), as_herm(b)
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
+    # the difference of two exactly Hermitian matrices is exactly Hermitian
+    return float(np.linalg.eigvalsh(b.matrix - a.matrix)[0])
 

@@ -306,6 +306,15 @@ class TestPowerDiff:
         with pytest.raises(DomainViolation, match=f"n = {n} .*1e\\+200"):
             power_diff_bound(OperatorPair(x, y), n, 1.0)
 
+    def test_norm_whose_square_overflows(self):
+        # ||X - Y||_2 = 1e200 fits in float64 though its square does not:
+        # the report is finite, not inf <= inf
+        x = HermitianOperator(np.diag([1e200, 1.0]))
+        y = HermitianOperator(np.diag([1.0, 2.0]))
+        rep = power_diff_bound(OperatorPair(x, y), 1, 2.0)
+        assert rep.lhs == rep.rhs == pytest.approx(1e200, rel=1e-15)
+        assert rep.holds
+
     def test_equal_operands(self, rng):
         x = HermitianOperator(random_hermitian(rng, 3))
         rep = power_diff_bound(OperatorPair(x, x), 3, 2.0)

@@ -105,17 +105,19 @@ def _outcome(f):
 
 
 def block_quantities(pair, q: float, p: float) -> list:
-    """Every q-independent block quantity of a PairEval (shape and bytes of
-    each array) and its distances, D_q, D_1 and D_p, read in that order."""
-    arrays = [*pair.overlap, pair.log_b, *pair.compressed, pair.diff_singular_values]
+    """Every q-independent quantity of a PairEval (shape and bytes of each
+    array; the operator route of kernel-included pairs only) and its
+    distances, D_q, D_1 and D_p, read in that order."""
+    routes = [*pair.overlap, *(pair.compressed if pair.kernel_included else ())]
+    arrays = [*routes, pair.log_b, pair.diff_singular_values]
     return ([(a.shape, a.tobytes()) for a in arrays]
             + [_outcome(f) for f in (lambda: pair.distances, lambda: pair.dq(q),
                                      lambda: pair.d1, lambda: pair.dp(p))])
 
 
 class TestBlocks:
-    """A block of PairEvals solves each quantity for all its pairs at once,
-    and every pair gets the bits it gets as a block of one."""
+    """A block of PairEvals solves its pairs' quantities together when it is
+    made, and every pair gets the bits it gets as a block of one."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -176,21 +178,38 @@ class TestBlocks:
 
     def test_failed_compression_check_raises_for_the_block(self, rng):
         # a state whose matrix has eigenvalue -1e-6 though its spectrum does
-        # not: compressed to sigma's full support it fails the -1e-10 check
+        # not: compressed to sigma's full support it fails the -1e-10 check,
+        # when the context is made
         good = sample_density(3, 3, rng)
         matrix = good.matrix - (good.spectrum[0] + 1e-6) * np.eye(3)
         matrix.setflags(write=False)
         bad = DensityMatrix.__new__(DensityMatrix)._adopt(matrix, good.spectrum,
                                                           good.eigenvectors, good.rank)
-        states = [(good, sample_density(3, 3, rng)), (bad, sample_density(3, 3, rng)),
-                  (sample_density(3, 3, rng), sample_density(3, 3, rng))]
+        bad_pair = (bad, sample_density(3, 3, rng))
+        others = [(sample_density(3, 3, rng), sample_density(3, 3, rng)) for _ in range(2)]
         with pytest.raises(InternalInconsistency, match="compression") as alone:
-            entropy.PairEval(*states[1]).dq(2.0)
+            entropy.PairEval(*bad_pair)
         for k in (0, 1, 2):
-            block = entropy.PairEval.stack(states)
             with pytest.raises(InternalInconsistency) as blocked:
-                block[k].dq(2.0)
+                entropy.PairEval.stack(others[:k] + [bad_pair] + others[k:])
             assert str(blocked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("kind", BLOCK_KINDS)
+    def test_reads_after_construction_solve_nothing(self, rng, monkeypatch, kind):
+        # every np.linalg solve of a context runs when it is made: D_q, D_1,
+        # D_p and the distances only add up divergence sums
+        gen = np.random.Generator(np.random.SFC64(int(rng.integers(2**32))))
+        block = entropy.PairEval.stack([block_pair(gen, d, kind) for d in (2, 4, 4)])
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd", "qr", "matrix_power"):
+            def counting(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        for pair in block:
+            pair.dq(1.5), pair.dq(40.0), pair.d1, pair.dp(0.5), pair.distances
+        assert calls == []
 
 
 class TestQLog:
@@ -513,8 +532,9 @@ class TestVectorisedSums:
         for order in (q, p):
             got = entropy._divergence_sum(*pair.overlap, pair.log_b, order)
             assert _close(got, _reference_trace_sum(rho, sigma, order))
-        got = entropy._divergence_sum(*pair.compressed, pair.log_b, q)
-        assert _close(got, _reference_operator_sum(rho, sigma, q))
+        if pair.kernel_included:  # only these carry the operator route
+            got = entropy._divergence_sum(*pair.compressed, pair.log_b, q)
+            assert _close(got, _reference_operator_sum(rho, sigma, q))
         d1 = relative_entropy_vn(rho, sigma)
         if math.isfinite(d1):
             assert _close(d1, _reference_trace_sum(rho, sigma, 1.0))

@@ -287,7 +287,8 @@ class TestEvaluationCounts:
         run = harness._SuiteRun("thm1_soundness", None, config.seed)
         harness._suite_thm1(run, config, 40)
         assert run.instances_run == 40 and run.failures == 0
-        drawn = harness._SuiteRun("dims", None, config.seed).draws(7, 40, list(config.dims), None)
+        drawn = harness._SuiteRun("dims", None, config.seed).block_draws(
+            7, 40, list(config.dims), None, None)
         dims = {d for _, _, d, _, _ in drawn}
         assert counts == {"eigh": 2 * len(dims), "eigvalsh": len(dims)}
 
@@ -429,7 +430,7 @@ class TestVerify:
 
         run = _SuiteRun("demo", tmp_path, seed=3)
         states = (sample_density(2, 2, rng), sample_density(2, 2, rng))
-        for _ in run.draws(4, 1, None, None):
+        for _ in run.block_draws(4, 1, None, None, None):
             run.le("forced", 1.5, 1.0, 0.0, states=states, q=2.0)
         assert run.failures == 1
         assert run.counterexample_path is not None
@@ -445,7 +446,7 @@ class TestVerify:
         states = (sample_density(2, 2, rng), sample_density(2, 2, rng))
         with_states = _SuiteRun("numeric", tmp_path, seed=3)
         verdict_only = _SuiteRun("verdict", tmp_path, seed=3)  # margin null
-        for _ in with_states.draws(4, 1, None, None):
+        for _ in with_states.block_draws(4, 1, None, None, None):
             with_states.le("forced", 1.5, 1.0, 0.0, states=states, q=2.0)
             verdict_only.verdict("forced", False, label="\u00e9\t")
         assert len(json_docs) == 2
@@ -1077,7 +1078,7 @@ def test_closest_is_largest_finite_ratio():
                            ("inf_lhs", math.inf, 1.0), ("negative_rhs", -1.0, -1.0)):
         run.le(name, lhs, rhs, 1.0)
     assert run.closest is None
-    for _ in run.draws(6, 1, None, None):
+    for _ in run.block_draws(6, 1, None, None, None):
         run.le("first", 1.0, 4.0, 0.0, q=1.5)
         run.le("tie", 2.0, 8.0, 0.0)
         run.le("lower", 0.1, 4.0, 0.0)
@@ -1092,7 +1093,7 @@ def test_instances_draw_as_choice(seed, salt, dims):
     # leaves the trial's stream where rng.choice leaves it; with no draw, an
     # instance comes as soon as it is counted
     run = harness._SuiteRun("demo", None, seed)
-    for i, rng, d, states, drawn in run.draws(salt, 4, dims, None):
+    for i, rng, d, states, drawn in run.block_draws(salt, 4, dims, None, None):
         assert run.instances_run == i + 1
         reference = trial_stream(seed, i, salt=salt)
         assert d == int(reference.choice(dims))
@@ -1107,7 +1108,7 @@ def test_instances_draw_as_choice(seed, salt, dims):
         assert rng.standard_normal(3).tolist() == fresh.standard_normal(3).tolist()
         return [], i
 
-    assert [drawn for *_, drawn in run.draws(salt, 3, None, draw)] == [0, 1, 2]
+    assert [drawn for *_, drawn in run.block_draws(salt, 3, None, draw, None)] == [0, 1, 2]
     assert run.instances_run == 7
 
 

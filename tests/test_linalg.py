@@ -223,6 +223,25 @@ class TestSchattenNorm:
         with pytest.raises(DomainViolation):
             schatten_norm(np.eye(2), 0.5)
 
+    @pytest.mark.parametrize("s, p, norm", [
+        ([2e154, 1.0], 2.0, 2e154),
+        ([3e200, 4e200], 2.0, 5e200),
+        ([1e300, 1e300], 3.0, 2.0 ** (1.0 / 3.0) * 1e300),
+        ([1e300, 0.0], 1.5, 1e300),
+    ])
+    def test_power_past_float_range(self, s, p, norm):
+        # each s_i^p, or their sum, overflows though the norm fits; pytest
+        # turns a numpy overflow warning into an error
+        assert schatten_norm(np.array(s), p) == pytest.approx(norm, rel=1e-15)
+
+    @given(s=hnp.arrays(np.float64, st.integers(0, 12), elements=st.floats(0.0, 1e15)),
+           p=st.floats(1.0, 20.0, exclude_min=True))
+    @settings(max_examples=200, deadline=None)
+    def test_in_range_norm_keeps_its_bits(self, s, p):
+        # every s_i^p and their sum fit: the bits of the unscaled sum of
+        # numpy powers
+        assert schatten_norm(s, p) == math.fsum(si**p for si in s) ** (1.0 / p)
+
     def test_non_hermitian_route(self):
         m = np.array([[0.0, 2.0], [0.0, 0.0]])
         np.testing.assert_allclose(singular_values(m), [2.0, 0.0], atol=1e-12)
