@@ -43,7 +43,7 @@ from .errors import (
     PreconditionFailed,
     QOutOfRange,
 )
-from .linalg import OperatorPair, exact_sum, grouped, lapack_eigh, stacked
+from .linalg import OperatorPair, diff_singular_values, exact_sum, grouped, lapack_eigh, stacked
 from .states import DensityMatrix, kernel_included, probability_vector
 
 #: largest accepted entropy order; beyond this a^q underflows for typical spectra
@@ -119,8 +119,7 @@ def _solve(pairs: list[PairEval]) -> None:
       eigenvalues of rho (rows) and of sigma (columns), with rho's nonzero
       spectrum and its logarithms; and ``log_b``, the logarithms of sigma's
       nonzero spectrum, which both routes read;
-    - ``diff_singular_values`` of rho - sigma: the sorted moduli of its
-      eigenvalues, as it is exactly Hermitian;
+    - ``diff_singular_values`` of rho - sigma, as a lone OperatorPair gets them;
     - ``compressed``, the operator route, None unless the kernel is included:
       the squared eigenvector moduli of rho compressed to sigma's support
       (rows: its nonzero eigenvalues; columns: sigma's support eigenvectors,
@@ -137,8 +136,8 @@ def _solve(pairs: list[PairEval]) -> None:
     for group in grouped(pairs, lambda p: p.rho.dim):
         w = _overlap(stacked([p.rho.eigenvectors for p in group]),
                      stacked([p.sigma.eigenvectors for p in group]))
-        diff = stacked([p.rho.matrix for p in group]) - stacked([p.sigma.matrix for p in group])
-        s = np.sort(np.abs(np.linalg.eigvalsh(diff)))[..., ::-1]
+        s = diff_singular_values(stacked([p.rho.matrix for p in group]),
+                                 stacked([p.sigma.matrix for p in group]))
         for p, w_k, s_k in zip(group, w, s):
             i, j = p.rho.dim - p.rho.rank, p.sigma.dim - p.sigma.rank
             a = p.rho.spectrum[i:]
@@ -167,7 +166,7 @@ class PairEval(OperatorPair):
     """Evaluation context of one state pair: the OperatorPair of (rho, sigma).
 
     Its constructor checks the dimensions and solves the q-independent
-    quantities that every D_q and bound reads (``_solve``), so a failed
+    quantities that the D_q and the bounds read (``_solve``), so a failed
     compression check raises from it; ``PairEval.stack`` makes the contexts
     of a block of pairs with stacked solves, each with the bits it gets
     alone.  The spectral summary, D_1, D_q for every q and D_p for every p

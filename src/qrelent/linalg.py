@@ -362,7 +362,14 @@ def schatten_norm(x, p: float) -> float:
         return math.fsum(si**p for si in values) ** (1.0 / p)
     except OverflowError:  # rescaled only here, so in-range norms keep their bits
         top = max(values)
+        if math.isinf(top):
+            return top
         return top * math.fsum((si / top) ** p for si in values) ** (1.0 / p)
+
+
+def diff_singular_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Singular values of A - B, descending, for exactly Hermitian A and B or stacks."""
+    return np.sort(np.abs(np.linalg.eigvalsh(a - b)))[..., ::-1]
 
 
 def grouped(items, key) -> list[list]:
@@ -402,10 +409,8 @@ class OperatorPair:
 
     @cached_property
     def diff_singular_values(self) -> np.ndarray:
-        """Singular values of A - B, descending.  Every HermitianOperator's
-        matrix is exactly Hermitian, so A - B is, and they are the sorted
-        moduli of its eigenvalues."""
-        return np.sort(np.abs(np.linalg.eigvalsh(self.a.matrix - self.b.matrix)))[::-1]
+        """Singular values of A - B, descending."""
+        return diff_singular_values(self.a.matrix, self.b.matrix)
 
     @cached_property
     def distances(self) -> dict[str, float]:
@@ -432,9 +437,7 @@ def psd_gap(a, b) -> float:
     relative to the operand scale; this function returns the raw gap and
     leaves the tolerance decision to the caller.
     """
-    a, b = as_herm(a), as_herm(b)
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
+    ops = OperatorPair(a, b)
     # the difference of two exactly Hermitian matrices is exactly Hermitian
-    return float(np.linalg.eigvalsh(b.matrix - a.matrix)[0])
+    return float(np.linalg.eigvalsh(ops.b.matrix - ops.a.matrix)[0])
 

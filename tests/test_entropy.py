@@ -29,7 +29,7 @@ from qrelent.errors import (
     QOutOfRange,
 )
 from qrelent.harness import sigma_family
-from qrelent.linalg import exact_sum, schatten_norm
+from qrelent.linalg import OperatorPair, exact_sum, schatten_norm
 from qrelent.states import (
     DensityMatrix,
     haar_unitary,
@@ -133,6 +133,21 @@ class TestBlocks:
         block = entropy.PairEval.stack(states)
         got = [block_quantities(pair, q, p) for pair in block]
         assert got == [block_quantities(entropy.PairEval(*s), q, p) for s in states]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        members=st.lists(st.tuples(st.integers(1, 8), st.sampled_from(BLOCK_KINDS)),
+                         min_size=1, max_size=10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_diff_bits_equal_an_operator_pair(self, seed, members):
+        # a state pair, alone or in a block, and a lemma context of the same
+        # operands take the singular values of rho - sigma by one route
+        gen = np.random.Generator(np.random.SFC64(seed))
+        states = [block_pair(gen, d, kind) for d, kind in members]
+        want = [OperatorPair(*s).diff_singular_values.tobytes() for s in states]
+        assert [p.diff_singular_values.tobytes() for p in entropy.PairEval.stack(states)] == want
+        assert [entropy.PairEval(*s).diff_singular_values.tobytes() for s in states] == want
 
     def test_large_blocks_at_one_blas_thread(self):
         # d = 64 and 256 in one block, BLAS on one thread as in the

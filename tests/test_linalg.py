@@ -228,10 +228,12 @@ class TestSchattenNorm:
         ([3e200, 4e200], 2.0, 5e200),
         ([1e300, 1e300], 3.0, 2.0 ** (1.0 / 3.0) * 1e300),
         ([1e300, 0.0], 1.5, 1e300),
+        ([math.inf, 1e200], 2.0, math.inf),
     ])
     def test_power_past_float_range(self, s, p, norm):
-        # each s_i^p, or their sum, overflows though the norm fits; pytest
-        # turns a numpy overflow warning into an error
+        # each s_i^p, or their sum, overflows though the norm fits, or an
+        # infinite singular value makes it +inf; pytest turns a numpy
+        # overflow warning into an error
         assert schatten_norm(np.array(s), p) == pytest.approx(norm, rel=1e-15)
 
     @given(s=hnp.arrays(np.float64, st.integers(0, 12), elements=st.floats(0.0, 1e15)),
