@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Write the program's reference artifacts to OUT_DIR: verify reports and their
-# stdout, three sweeps, two generated states, eval of that pair in both orders
+# stdout, four sweeps, two generated states, eval of that pair in both orders
 # and at q = Q_MAX, eval of a d = 64 pair in both orders, eval of a
 # 2 x 2 pair whose D_q leaves the float range,
 # the output of the two probe scripts, and the node-budget
@@ -45,9 +45,16 @@ python -m qrelent sweep --dims 2,3,5,16 --q 1.5,2,3,1.0001 --b0 0.05,0.01,0.001 
     --trials 7 --seed 4 --out sweep_small.csv > /dev/null
 python -m qrelent sweep --dims 16,64 --q 1.5,2,3 --b0 1e-3,1e-4 --trials 2 --seed 3 \
     --out sweep_large.csv > /dev/null
-# d = 256: each divergence sum has 65 536 terms, enough for exact_sum to fold
+# d = 256: each divergence sum has 65 536 terms, enough for exact_sum to fold.
+# sigma(b0) has a standard basis, so this sweep, like every sweep and like
+# eval_float_range below, takes the gather path for its overlaps and
+# compressions (linalg.basis_rows); most verify and eval pairs take the product
 python -m qrelent sweep --dims 256 --q 1.5,2 --b0 1e-3 --trials 1 --seed 2 \
     --out sweep_d256.csv > /dev/null
+# b0^(q-1) underflows at q = 34 and 40 and D_40 is past the float range:
+# ratio_dq_b0 comes from the divergence sums with (q-1) ln b0 in each exponent
+python -m qrelent sweep --dims 16 --q 34,40 --b0 1e-10 --trials 1 --seed 1 \
+    --out sweep_ratio_edge.csv > /dev/null
 python -m qrelent gen --d 8 --rank 5 --seed 2 --out rho.json > /dev/null
 python -m qrelent gen --d 8 --rank 8 --seed 3 --out sigma.json > /dev/null
 # rho has rank 5 and sigma full rank: D(rho||sigma) is finite, D(sigma||rho)

@@ -43,7 +43,15 @@ from .errors import (
     PreconditionFailed,
     QOutOfRange,
 )
-from .linalg import OperatorPair, diff_singular_values, exact_sum, grouped, lapack_eigh, stacked
+from .linalg import (
+    OperatorPair,
+    basis_rows,
+    diff_singular_values,
+    exact_sum,
+    grouped,
+    lapack_eigh,
+    stacked,
+)
 from .states import DensityMatrix, kernel_included, probability_vector
 
 #: largest accepted entropy order; beyond this a^q underflows for typical spectra
@@ -101,8 +109,25 @@ def classical_relative_q(a, b, q: float) -> float:
 
 def _overlap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """|<a_i|b_j>|^2 between the eigenbases u of rho (rows) and v of sigma
-    (columns), for each basis pair of two stacks."""
-    return np.abs(u.conj().swapaxes(-1, -2) @ v) ** 2
+    (columns), for each basis pair of two stacks.  Where every v is a
+    standard basis (``basis_rows``), <a_i|b_j> is the conjugate of u's entry
+    at row j of v, so the moduli are gathered with the bits of the product."""
+    rows = basis_rows(v)
+    if rows is None:
+        return np.abs(u.conj().swapaxes(-1, -2) @ v) ** 2
+    return (np.abs(np.take_along_axis(u, rows[..., None], axis=-2)) ** 2).swapaxes(-1, -2)
+
+
+def _compress(support: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """V^dag rho V, symmetrized, for each support basis V (d x r) and matrix
+    rho of two stacks.  Where every V is a standard basis (``basis_rows``),
+    it is the block of rho at V's rows, with the bits of the symmetrized
+    product: rho's matrix is exactly Hermitian, and so is the block."""
+    rows = basis_rows(support)
+    if rows is None:
+        compressed = support.conj().swapaxes(-1, -2) @ rhos @ support
+        return (compressed + compressed.conj().swapaxes(-1, -2)) / 2.0
+    return rhos[np.arange(len(rows))[:, None, None], rows[:, :, None], rows[:, None, :]]
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -131,7 +156,9 @@ def _solve(pairs: list[PairEval]) -> None:
     slice.  Per dimension one product gives the overlaps and one eigvalsh the
     differences; per (dimension, rank of sigma) one eigh gives the
     compressions, the first of which with an eigenvalue below -1e-10 raises
-    InternalInconsistency.
+    InternalInconsistency.  Where every sigma of a stack has a standard
+    basis, as the diagonal sigma_family does, ``_overlap`` and ``_compress``
+    gather entries in place of their d^3 products, with the same bits.
     """
     for group in grouped(pairs, lambda p: p.rho.dim):
         w = _overlap(stacked([p.rho.eigenvectors for p in group]),
@@ -148,11 +175,11 @@ def _solve(pairs: list[PairEval]) -> None:
             p.compressed = None
     included = [p for p in pairs if p.kernel_included]
     for group in grouped(included, lambda p: (p.rho.dim, p.sigma.rank)):
-        support = stacked([p.sigma.eigenvectors[:, p.sigma.dim - p.sigma.rank :]
-                           for p in group])
-        compressed = (support.conj().swapaxes(-1, -2) @ stacked([p.rho.matrix for p in group])
-                      @ support)
-        lam, w = lapack_eigh((compressed + compressed.conj().swapaxes(-1, -2)) / 2.0)
+        # columns of the stacked whole bases: each support has the strides of
+        # a lone one, and matmul rounds a rank-1 support by its strides
+        j = group[0].sigma.dim - group[0].sigma.rank
+        support = stacked([p.sigma.eigenvectors for p in group])[..., j:]
+        lam, w = lapack_eigh(_compress(support, stacked([p.rho.matrix for p in group])))
         for p, lam_k, weights in zip(group, lam, np.abs(w.swapaxes(-1, -2)) ** 2):
             if lam_k[0] < -1e-10:
                 raise InternalInconsistency(f"compression has eigenvalue {float(lam_k[0])!r}")
@@ -222,6 +249,24 @@ class PairEval(OperatorPair):
             self._dp[p] = quantum_relative_q_low(self.rho, self.sigma, p, self)
         return self._dp[p]
 
+    def scaled_dq(self, q: float, b0: float) -> float:
+        """D_q * b0^(q-1) for b0 > 0, finite wherever that product is, and +inf
+        where the kernel is not included.  It is the plain product where
+        b0^(q-1) is nonzero and D_q finite.  Elsewhere the product would read
+        0, NaN or +inf, and the divergence sum of both routes takes
+        (q-1) ln b0 into each term's exponent, under the cross-route check of
+        D_q."""
+        q = float(q)
+        dq = self.dq(q)
+        scale = b0 ** (q - 1.0)
+        if scale > 0.0 and dq < math.inf:
+            return dq * scale
+        if not self.kernel_included:
+            return math.inf
+        t = q - 1.0
+        return _agreed(_term_sum(*self.overlap, self.log_b, t, t * math.log(b0)),
+                       _term_sum(*self.compressed, self.log_b, t, t * math.log(b0)), scale)
+
 
 def _state_pair(rho: DensityMatrix, sigma: DensityMatrix, pair: PairEval | None) -> PairEval:
     if pair is None:
@@ -251,9 +296,8 @@ def _divergence_sum(
 
     Each term a expm1((r-1)(ln a - ln b)) is evaluated as a X + a^r Y with
     X = expm1((r-1) ln a) and Y = expm1((1-r) ln b), one C-library call per
-    eigenvalue; nothing cancels as r -> 1.  Where some Y overflows, each
-    weighted term is evaluated from its a and b together, so a column of w
-    that is all zero contributes nothing; a sum past the float range is +inf.
+    eigenvalue; nothing cancels as r -> 1.  Where some Y overflows, the sum
+    is ``_term_sum``'s.
     """
     if r == 1.0:
         return exact_sum(w * a[:, None] * (log_a[:, None] - log_b))
@@ -263,18 +307,54 @@ def _divergence_sum(
         y = np.array([math.expm1(-t * u) for u in log_b.tolist()])
         return exact_sum(w * (ax[:, None] + _power(a, r)[:, None] * y)) / t
     except OverflowError:
-        pass
-    # from x = 709 on, a expm1(x) = a e^x - a rounds to a e^x, and the term
-    # is exp(ln w + ln a + x): e^x alone may overflow where w a e^x does not
+        return _term_sum(w, a, log_a, log_b, t, 0.0)
+
+
+def _term_sum(
+    w: np.ndarray, a: np.ndarray, log_a: np.ndarray, log_b: np.ndarray, t: float, s: float
+) -> float:
+    """The divergence sum of order r = 1 + t != 1 times e^s, added term by
+    term (``_term``) over the nonzero entries of w, so a column of w that is
+    all zero contributes nothing; a sum past the float range is +inf."""
     i, j = np.nonzero(w)
     try:
         return math.fsum(
-            wij * v * math.expm1(x) if x < 709.0 else math.exp(math.log(wij) + u + x)
+            _term(wij, v, u, x, s)
             for wij, v, u, x in zip(w[i, j].tolist(), a[i].tolist(), log_a[i].tolist(),
                                     (t * (log_a[i] - log_b[j])).tolist())
         ) / t
     except OverflowError:
         return math.inf
+
+
+def _term(w: float, a: float, log_a: float, x: float, s: float) -> float:
+    """w a expm1(x) e^s.  From x = 709 on, a expm1(x) = a e^x - a rounds to
+    a e^x, and the term is exp(ln w + ln a + x + s): e^x alone may overflow
+    where w a e^x does not.  A scale s != 0, whose e^s alone may underflow,
+    enters the same exponent, with ln|expm1(x)| below x = 709."""
+    if x < 709.0 and not s:
+        return w * a * math.expm1(x)
+    if x == 0.0:
+        return 0.0
+    log_expm1 = x if x >= 709.0 else math.log(abs(math.expm1(x)))
+    return math.copysign(math.exp(math.log(w) + log_a + s + log_expm1), x)
+
+
+def _agreed(value: float, value_op: float, unit: float) -> float:
+    """A divergence sum from the double-sum route, checked against the
+    operator route's value_op: +inf where both pass the float range, else
+    value, which must be finite and within CROSS_CHECK_TOL * (unit + |value|)
+    of value_op, or an InternalInconsistency aborts.  ``unit`` is 1 for D_q,
+    and b0^(q-1) for D_q * b0^(q-1): the same test on D_q."""
+    if value == value_op == math.inf:  # both routes past the float range
+        return math.inf
+    # an infinite value passes the relative test against any finite value_op
+    if not (math.isfinite(value)
+            and abs(value - value_op) <= CROSS_CHECK_TOL * (unit + abs(value))):
+        raise InternalInconsistency(
+            f"double-sum route {value!r} disagrees with operator route {value_op!r}"
+        )
+    return value
 
 
 def quantum_relative_q(
@@ -295,17 +375,8 @@ def quantum_relative_q(
     q = _order(q)
     if not pair.kernel_included:
         return math.inf
-    value = _divergence_sum(*pair.overlap, pair.log_b, q)
-    value_op = _divergence_sum(*pair.compressed, pair.log_b, q)
-    if value == value_op == math.inf:  # both routes past the float range
-        return math.inf
-    # an infinite value passes the relative test against any finite value_op
-    if not (math.isfinite(value)
-            and abs(value - value_op) <= CROSS_CHECK_TOL * (1.0 + abs(value))):
-        raise InternalInconsistency(
-            f"double-sum route {value!r} disagrees with operator route {value_op!r}"
-        )
-    return value
+    return _agreed(_divergence_sum(*pair.overlap, pair.log_b, q),
+                   _divergence_sum(*pair.compressed, pair.log_b, q), 1.0)
 
 
 def quantum_relative_q_low(

@@ -276,7 +276,10 @@ def sigma_family(d: int, b0: float) -> DensityMatrix:
     """The diagonal family (1 - b0 (d-1)) |0><0| + b0 (I - |0><0|).
 
     Its smallest eigenvalue equals b0 for d >= 2 and b0 <= 1/d, which makes
-    it the canonical probe for divergence rates as b0 -> 0.  A b0 at or below
+    it the canonical probe for divergence rates as b0 -> 0.  Its eigenvector
+    matrix is a permutation of the identity, a standard basis
+    (``linalg.basis_rows``), so its matrix and each pair's overlap and
+    compression against it are index gathers, not d^3 products.  A b0 at or below
     the state's zero threshold (about d * 2.2e-16) is a ConfigError, since
     the state would lose eigenvalue b0 and its full rank.
     """
@@ -658,7 +661,7 @@ def divergence_envelope(seed: int, d: int) -> list[dict]:
         for b0, pair in zip(ENVELOPE_B0, pairs):
             rep = thm3_bound(pair, q, "general")
             dq = rep.lhs
-            ratio = dq * b0 ** (q - 1.0)
+            ratio = pair.scaled_dq(q, b0)
             constant = ceiling_factor(q) * pair.summary["lambda1"] ** (
                 q - 1.0
             ) * pair.distances["trace_norm"]
@@ -792,7 +795,7 @@ def sweep_row(pair: PairEval, q: float, b0: float, trial: int, stream_seed: int)
         "dist_tr": pair.distances["trace_norm"],
         "dist_sp": pair.distances["spectral_norm"],
         "pinsker_lhs": 0.5 * pair.distances["trace_norm"] ** 2,
-        "ratio_dq_b0": dq * b0 ** (q - 1.0),
+        "ratio_dq_b0": pair.scaled_dq(q, b0),
     }
     vacuous: list[str] = []
     for spec in UPPER_BOUNDS:

@@ -192,9 +192,43 @@ def checked_eigh(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
+def basis_rows(u: np.ndarray) -> np.ndarray | None:
+    """The row of each column's 1 when every column of ``u`` (d x r, or each
+    matrix of a stack) is a standard basis vector and no two columns of a
+    matrix share a row; otherwise None.
+
+    The test is on bits: each column holds one 1.0 and every other real and
+    imaginary part is +0.0.  A product with such a basis only copies entries,
+    signed zeros included, so an index gather at these rows gives its bits
+    with no d^3 work.  A dense basis fails the first count.
+    """
+    columns = u.size // u.shape[-2]
+    if np.count_nonzero(u) != columns:
+        return None
+    re = u.real
+    rows = re.argmax(axis=-2)
+    # the int64 views count the words with any bit set, -0.0 included
+    if (np.count_nonzero(re.view(np.int64)) != columns or np.count_nonzero(u.imag.view(np.int64))
+            or not (np.take_along_axis(re, rows[..., None, :], axis=-2) == 1.0).all()):
+        return None
+    ordered = np.sort(rows, axis=-1)
+    if (ordered[..., 1:] == ordered[..., :-1]).any():
+        return None
+    return rows
+
+
 def compose(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """U diag(w) U^dag, symmetrized, of one eigensystem (w of shape (d,)) or
-    of each of a stack (w of shape (n, d))."""
+    of each of a stack (w of shape (n, d)).  Where U is a standard basis
+    (:func:`basis_rows`), w is written onto the diagonal at its rows: the
+    bits of the product, which only copies entries."""
+    rows = basis_rows(u)
+    if rows is not None:
+        diag = np.zeros_like(w)
+        np.put_along_axis(diag, rows, w, axis=-1)
+        mat = np.zeros(u.shape, dtype=np.complex128)
+        mat.reshape(*u.shape[:-2], -1)[..., :: u.shape[-1] + 1] = diag
+        return mat
     mat = (u * w[..., None, :]) @ u.conj().swapaxes(-1, -2)
     mat += mat.conj().swapaxes(-1, -2)
     mat *= 0.5

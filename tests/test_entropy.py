@@ -29,7 +29,8 @@ from qrelent.errors import (
     QOutOfRange,
 )
 from qrelent.harness import sigma_family
-from qrelent.linalg import OperatorPair, exact_sum, schatten_norm
+from qrelent import linalg
+from qrelent.linalg import OperatorPair, basis_rows, exact_sum, schatten_norm
 from qrelent.states import (
     DensityMatrix,
     haar_unitary,
@@ -37,6 +38,7 @@ from qrelent.states import (
     sample_common_support_pair,
     sample_density,
     tensor,
+    trial_stream,
 )
 
 RHO_DIAG = np.diag([0.5, 0.5])
@@ -181,6 +183,16 @@ class TestBlocks:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [True] * 6
 
+    def test_rank_one_supports(self):
+        # two d = 8 pairs whose sigma has rank 1: a block's supports were a
+        # contiguous copy, for which matmul rounded the 1 x 1 compression
+        # otherwise than for a lone pair's strided view (0.0, not -1.1e-16)
+        gen = np.random.Generator(np.random.SFC64(103468))
+        states = [block_pair(gen, d, "common_kernel") for d in (4, 8, 8)]
+        assert [s[1].rank for s in states[1:]] == [1, 1]
+        got = [block_quantities(pair, 2.0, 0.0) for pair in entropy.PairEval.stack(states)]
+        assert got == [block_quantities(entropy.PairEval(*s), 2.0, 0.0) for s in states]
+
     def test_blocks_are_freed_without_the_cycle_collector(self, rng):
         # a block whose contexts referred to each other strongly would live
         # until a full collection: verify's peak memory grew with each block
@@ -225,6 +237,115 @@ class TestBlocks:
         for pair in block:
             pair.dq(1.5), pair.dq(40.0), pair.d1, pair.dp(0.5), pair.distances
         assert calls == []
+
+
+def _product_compose(w, u):
+    mat = (u * w[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return (mat + mat.conj().swapaxes(-1, -2)) * 0.5
+
+
+def _product_overlap(u, v):
+    return np.abs(u.conj().swapaxes(-1, -2) @ v) ** 2
+
+
+def _product_compress(support, rhos):
+    mat = support.conj().swapaxes(-1, -2) @ rhos @ support
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _bits(x: np.ndarray) -> tuple:
+    """Shape and bytes, signed zeros included."""
+    return x.shape, np.ascontiguousarray(x).tobytes()
+
+
+def _permutation_basis(gen, d: int) -> np.ndarray:
+    u = np.zeros((d, d), dtype=np.complex128)
+    u[gen.permutation(d), np.arange(d)] = 1.0
+    return u
+
+
+class TestStandardBasisGather:
+    """A basis whose columns are standard basis vectors turns compose, the
+    overlap and the compression into index gathers with the products' bits."""
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 16), n=st.integers(1, 3),
+           rank_deficient=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_gathers_equal_the_products(self, seed, d, n, rank_deficient):
+        gen = np.random.Generator(np.random.SFC64(seed))
+        rank = int(gen.integers(1, d)) if rank_deficient and d > 1 else d
+        sigmas = []
+        for _ in range(n):
+            spectrum = np.zeros(d)
+            spectrum[d - rank:] = gen.dirichlet(np.ones(rank))
+            sigmas.append(DensityMatrix.from_eigensystem(gen.permutation(spectrum),
+                                                         _permutation_basis(gen, d)))
+        assert all(s.rank == rank for s in sigmas)
+        rhos = [sample_density(d, int(gen.integers(1, d + 1)), gen) for _ in range(n)]
+        bases = np.stack([s.eigenvectors for s in sigmas])
+        spectra = np.stack([s.spectrum for s in sigmas])
+        assert basis_rows(bases) is not None
+        for k, sigma in enumerate(sigmas):
+            assert _bits(sigma.matrix) == _bits(_product_compose(sigma.spectrum,
+                                                                 sigma.eigenvectors))
+            assert _bits(linalg.compose(spectra[k], bases[k])) == _bits(sigma.matrix)
+        assert _bits(linalg.compose(spectra, bases)) == _bits(_product_compose(spectra, bases))
+        u = np.stack([r.eigenvectors for r in rhos])
+        assert _bits(entropy._overlap(u, bases)) == _bits(_product_overlap(u, bases))
+        support = bases[:, :, d - rank:]
+        matrices = np.stack([r.matrix for r in rhos])
+        assert basis_rows(support) is not None
+        assert (_bits(entropy._compress(support, matrices))
+                == _bits(_product_compress(support, matrices)))
+        lone = sigmas[0].eigenvectors[:, d - rank:][None]  # a strided view, as _solve has it
+        assert (_bits(entropy._compress(lone, matrices[:1]))
+                == _bits(_product_compress(lone, matrices[:1])))
+        pairs = list(zip(rhos, sigmas))
+        got = [block_quantities(pair, 2.0, 0.5) for pair in entropy.PairEval.stack(pairs)]
+        assert got == [block_quantities(entropy.PairEval(*s), 2.0, 0.5) for s in pairs]
+
+    @pytest.mark.parametrize("kind", ["minus_one", "phase", "negative_zero", "shared_row",
+                                      "haar"])
+    def test_other_bases_take_the_product(self, kind):
+        gen = np.random.Generator(np.random.SFC64(7))
+        d = 5
+        u = _permutation_basis(gen, d)
+        if kind == "minus_one":
+            u[:, 2] *= -1.0
+        elif kind == "phase":
+            u[:, 2] *= np.exp(0.3j)
+        elif kind == "negative_zero":
+            u.imag[0, 2] = -0.0
+        elif kind == "shared_row":  # no longer unitary, but 1.0s and zeros only
+            u[:, 2] = u[:, 1]
+        else:
+            u = haar_unitary(d, gen)
+        assert basis_rows(u) is None and basis_rows(u[None, :, 1:]) is None
+        w = gen.dirichlet(np.ones(d))
+        assert _bits(linalg.compose(w, u)) == _bits(_product_compose(w, u))
+        rho = sample_density(d, d, gen)
+        u_rho = rho.eigenvectors[None]
+        assert _bits(entropy._overlap(u_rho, u[None])) == _bits(_product_overlap(u_rho, u[None]))
+        support, matrices = u[None, :, 1:], rho.matrix[None]
+        assert (_bits(entropy._compress(support, matrices))
+                == _bits(_product_compress(support, matrices)))
+
+    def test_sigma_family_pair_keeps_the_product_bits(self, monkeypatch):
+        rho = sample_density(64, 64, np.random.Generator(np.random.SFC64(64)))
+        sigma = sigma_family(64, 1e-4)
+        assert basis_rows(sigma.eigenvectors) is not None
+        gathered = entropy.PairEval(rho, sigma)
+        # the product path, as it ran before the gathers: no basis is standard
+        monkeypatch.setattr(linalg, "basis_rows", lambda u: None)
+        monkeypatch.setattr(entropy, "basis_rows", lambda u: None)
+        sigma_product = sigma_family(64, 1e-4)
+        assert _bits(sigma_product.matrix) == _bits(sigma.matrix)
+        product = entropy.PairEval(rho, sigma_product)
+        for q in (1.5, 2.0, 3.0, 40.0):
+            assert gathered.dq(q).hex() == product.dq(q).hex()
+        assert gathered.d1.hex() == product.d1.hex()
+        assert gathered.distances == product.distances
+        assert block_quantities(gathered, 2.0, 0.5) == block_quantities(product, 2.0, 0.5)
 
 
 class TestQLog:
@@ -651,6 +772,67 @@ class TestNearOrderOne:
         w, a, _ = pair.overlap
         value = quantum_relative_q(rho, sigma, q, pair)
         assert abs(value - _mp_divergence(w, a, b, q)) <= 1e-13 * abs(value)
+
+
+class TestScaledDivergence:
+    """D_q * b0^(q-1), the sweep's ratio_dq_b0 and the envelope's ratio,
+    against 40-digit sums of the double-sum route's own terms."""
+
+    @staticmethod
+    def _mp_scaled(pair, q, b0):
+        w, a, _ = pair.overlap
+        b = pair.sigma.spectrum[pair.sigma.dim - pair.sigma.rank:]
+        with mpmath.workdps(40):
+            return float(_mp_divergence(w, a, b, q) * mpmath.mpf(b0) ** (q - 1.0))
+
+    @pytest.mark.parametrize("q", [34.0, 40.0])
+    def test_underflowing_scale(self, q):
+        # the pair of `sweep --dims 16 --b0 1e-10 --trials 1 --seed 1`:
+        # b0^(q-1) underflows to 0 at both orders and D_40 is past the float
+        # range, so the plain product reads 0 at q = 34 and NaN at q = 40
+        b0 = 1e-10
+        pair = entropy.PairEval(sample_density(16, 16, trial_stream(1, 0, 0)),
+                                sigma_family(16, b0))
+        got = pair.scaled_dq(q, b0)
+        ref = self._mp_scaled(pair, q, b0)
+        assert 0.0 < ref < 1e-20
+        assert abs(got - ref) <= 1e-12 * ref
+        if q == 34.0:
+            assert got == pytest.approx(3.7e-26, rel=0.02)
+
+    def test_overflowing_divergence_with_subnormal_scale(self):
+        # D_33 of the float-range pair is past the float range while
+        # b0^32 = 1e-320 is subnormal, not 0: the plain product reads +inf
+        b0 = 1e-10
+        pair = entropy.PairEval(DensityMatrix(np.diag([0.5, 0.5])),
+                                DensityMatrix(np.diag([1.0 - b0, b0])))
+        assert pair.dq(33.0) == math.inf
+        ref = self._mp_scaled(pair, 33.0, b0)
+        assert abs(pair.scaled_dq(33.0, b0) - ref) <= 1e-12 * ref
+
+    @given(seed=st.integers(0, 2**32 - 1), q=st.floats(1.0, 40.0, exclude_min=True),
+           b0=st.sampled_from([0.1, 1e-3, 1e-6]))
+    @settings(max_examples=40, deadline=None)
+    def test_plain_product_where_it_is_nonzero(self, seed, q, b0):
+        pair = entropy.PairEval(sample_density(8, 8, np.random.Generator(np.random.SFC64(seed))),
+                                sigma_family(8, b0))
+        scale = b0 ** (q - 1.0)
+        assume(scale > 0.0)
+        assert pair.scaled_dq(q, b0) == pair.dq(q) * scale
+
+    def test_kernel_excluded_is_infinite(self, rng):
+        # D_q = +inf times an underflowing scale is NaN as a product
+        rho = sample_density(3, 3, rng)
+        sigma = DensityMatrix(np.diag([0.0, 0.5, 0.5]))
+        pair = entropy.PairEval(rho, sigma)
+        assert pair.scaled_dq(40.0, 1e-10) == math.inf
+
+    def test_routes_are_cross_checked(self, monkeypatch):
+        pair = entropy.PairEval(sample_density(16, 16, trial_stream(1, 0, 0)),
+                                sigma_family(16, 1e-10))
+        pair.compressed = (pair.compressed[0], pair.compressed[1] * 2.0, pair.compressed[2])
+        with pytest.raises(InternalInconsistency):
+            pair.scaled_dq(34.0, 1e-10)
 
 
 class TestLowOrderRelative:

@@ -209,6 +209,23 @@ class TestSweepRow:
         assert "thm1" in row["vacuous"] and "thm3q2" in row["vacuous"]
 
 
+    def test_ratio_column_at_tiny_b0(self, tmp_path):
+        # b0^(q-1) underflows at q = 34 and 40, where the plain product
+        # D_q * b0^(q-1) read 0 and NaN; both are finite and positive
+        out = tmp_path / "edge.csv"
+        cmd_sweep(SweepConfig(dims=(16,), q_grid=(34.0, 40.0), b0_grid=(1e-10,), trials=1,
+                              seed=1, output_path=str(out)))
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+        pair = PairEval(sample_density(16, 16, trial_stream(1, 0, 0)), sigma_family(16, 1e-10))
+        assert [(float(row["q"]), float(row["Dq"])) for row in rows] == [
+            (34.0, pair.dq(34.0)), (40.0, math.inf)]
+        for row in rows:
+            ratio = float(row["ratio_dq_b0"])
+            assert 0.0 < ratio < 1e-20
+            assert ratio == pair.scaled_dq(float(row["q"]), 1e-10)
+
+
 class TestEvaluationCounts:
     """Each pair computes D_q once per q, D_1 once and the distances once."""
 
