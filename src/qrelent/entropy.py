@@ -32,6 +32,7 @@ it with stacked calls.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -111,11 +112,12 @@ def _overlap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """|<a_i|b_j>|^2 between the eigenbases u of rho (rows) and v of sigma
     (columns), for each basis pair of two stacks.  Where every v is a
     standard basis (``basis_rows``), <a_i|b_j> is the conjugate of u's entry
-    at row j of v, so the moduli are gathered with the bits of the product."""
+    in the row of b_j's 1 and column i, so the moduli are gathered with the
+    bits of the product."""
     rows = basis_rows(v)
     if rows is None:
         return np.abs(u.conj().swapaxes(-1, -2) @ v) ** 2
-    return (np.abs(np.take_along_axis(u, rows[..., None], axis=-2)) ** 2).swapaxes(-1, -2)
+    return (np.abs(u[np.arange(len(rows))[:, None], rows]) ** 2).swapaxes(-1, -2)
 
 
 def _compress(support: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -175,8 +177,8 @@ def _solve(pairs: list[PairEval]) -> None:
             p.compressed = None
     included = [p for p in pairs if p.kernel_included]
     for group in grouped(included, lambda p: (p.rho.dim, p.sigma.rank)):
-        # columns of the stacked whole bases: each support has the strides of
-        # a lone one, and matmul rounds a rank-1 support by its strides
+        # sliced from the stacked whole bases, each support has the strides of
+        # a lone pair's: matmul rounds a rank-1 compression by its operands' strides
         j = group[0].sigma.dim - group[0].sigma.rank
         support = stacked([p.sigma.eigenvectors for p in group])[..., j:]
         lam, w = lapack_eigh(_compress(support, stacked([p.rho.matrix for p in group])))
@@ -252,20 +254,21 @@ class PairEval(OperatorPair):
     def scaled_dq(self, q: float, b0: float) -> float:
         """D_q * b0^(q-1) for b0 > 0, finite wherever that product is, and +inf
         where the kernel is not included.  It is the plain product where
-        b0^(q-1) is nonzero and D_q finite.  Elsewhere the product would read
-        0, NaN or +inf, and the divergence sum of both routes takes
-        (q-1) ln b0 into each term's exponent, under the cross-route check of
-        D_q."""
+        b0^(q-1) is a normal float and D_q finite.  Elsewhere the product would
+        read 0, NaN or +inf, or carry a subnormal scale's few bits, and the
+        divergence sum of both routes takes (q-1) ln b0 into each term's
+        exponent, under the cross-route check of D_q."""
         q = float(q)
         dq = self.dq(q)
         scale = b0 ** (q - 1.0)
-        if scale > 0.0 and dq < math.inf:
+        if scale >= sys.float_info.min and dq < math.inf:
             return dq * scale
         if not self.kernel_included:
             return math.inf
         t = q - 1.0
-        return _agreed(_term_sum(*self.overlap, self.log_b, t, t * math.log(b0)),
-                       _term_sum(*self.compressed, self.log_b, t, t * math.log(b0)), scale)
+        s = t * math.log(b0)
+        return _agreed(_term_sum(*self.overlap, self.log_b, t, s),
+                       _term_sum(*self.compressed, self.log_b, t, s), scale)
 
 
 def _state_pair(rho: DensityMatrix, sigma: DensityMatrix, pair: PairEval | None) -> PairEval:
@@ -345,7 +348,10 @@ def _agreed(value: float, value_op: float, unit: float) -> float:
     operator route's value_op: +inf where both pass the float range, else
     value, which must be finite and within CROSS_CHECK_TOL * (unit + |value|)
     of value_op, or an InternalInconsistency aborts.  ``unit`` is 1 for D_q,
-    and b0^(q-1) for D_q * b0^(q-1): the same test on D_q."""
+    and b0^(q-1) for D_q * b0^(q-1): D_q's test on the scaled values.  Where
+    b0^(q-1) underflows to 0, 1e-9 times its true value lies below the
+    smallest nonzero difference of two floats, so dropping it changes no
+    verdict."""
     if value == value_op == math.inf:  # both routes past the float range
         return math.inf
     # an infinite value passes the relative test against any finite value_op

@@ -200,21 +200,20 @@ def basis_rows(u: np.ndarray) -> np.ndarray | None:
     The test is on bits: each column holds one 1.0 and every other real and
     imaginary part is +0.0.  A product with such a basis only copies entries,
     signed zeros included, so an index gather at these rows gives its bits
-    with no d^3 work.  A dense basis fails the first count.
+    with no d^3 work.  Every entry of a standard basis equals 0 or 1, so a
+    dense basis fails at its first entry, before any count.
     """
-    columns = u.size // u.shape[-2]
-    if np.count_nonzero(u) != columns:
+    if u.item(0) not in (0.0, 1.0):
         return None
     re = u.real
-    rows = re.argmax(axis=-2)
-    # the int64 views count the words with any bit set, -0.0 included
+    columns = u.size // u.shape[-2]
+    # the int64 views count the words with any bit set, -0.0 included.  One
+    # real word per column on average, and a sum of 1.0 in every column,
+    # leave each column one word, 1.0; a row sum above 1.0 is a shared row
     if (np.count_nonzero(re.view(np.int64)) != columns or np.count_nonzero(u.imag.view(np.int64))
-            or not (np.take_along_axis(re, rows[..., None, :], axis=-2) == 1.0).all()):
+            or not (re.sum(axis=-2) == 1.0).all() or re.sum(axis=-1).max() > 1.0):
         return None
-    ordered = np.sort(rows, axis=-1)
-    if (ordered[..., 1:] == ordered[..., :-1]).any():
-        return None
-    return rows
+    return re.argmax(axis=-2)
 
 
 def compose(w: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -304,18 +304,23 @@ class TestStandardBasisGather:
         got = [block_quantities(pair, 2.0, 0.5) for pair in entropy.PairEval.stack(pairs)]
         assert got == [block_quantities(entropy.PairEval(*s), 2.0, 0.5) for s in pairs]
 
-    @pytest.mark.parametrize("kind", ["minus_one", "phase", "negative_zero", "shared_row",
-                                      "haar"])
+    @pytest.mark.parametrize("kind", ["minus_one", "phase", "negative_zero",
+                                      "real_negative_zero", "two_words", "shared_row", "haar"])
     def test_other_bases_take_the_product(self, kind):
         gen = np.random.Generator(np.random.SFC64(7))
         d = 5
         u = _permutation_basis(gen, d)
-        if kind == "minus_one":
-            u[:, 2] *= -1.0
+        if kind == "minus_one":  # zeros keep their +0.0 bits
+            u.real[np.flatnonzero(u.real[:, 2]), 2] = -1.0
         elif kind == "phase":
             u[:, 2] *= np.exp(0.3j)
         elif kind == "negative_zero":
             u.imag[0, 2] = -0.0
+        elif kind == "real_negative_zero":
+            u.real[np.flatnonzero(u.real[:, 2] == 0.0)[0], 2] = -0.0
+        elif kind == "two_words":  # one word per column on average; column 2 sums to 1.0
+            u[:, 2] = 2.0 * u[:, 2] - u[:, 3]
+            u[:, 3] = 0.0
         elif kind == "shared_row":  # no longer unitary, but 1.0s and zeros only
             u[:, 2] = u[:, 1]
         else:
@@ -800,24 +805,27 @@ class TestScaledDivergence:
         if q == 34.0:
             assert got == pytest.approx(3.7e-26, rel=0.02)
 
-    def test_overflowing_divergence_with_subnormal_scale(self):
-        # D_33 of the float-range pair is past the float range while
-        # b0^32 = 1e-320 is subnormal, not 0: the plain product reads +inf
+    @pytest.mark.parametrize("a0", [0.5, 0.001])
+    def test_subnormal_scale(self, a0):
+        # b0^32 = 1e-320 is subnormal, not 0.  D_33 of the float-range pair
+        # (a0 = 0.5) is past the float range, so the plain product reads +inf;
+        # at a0 = 0.001 D_33 = 3.1e219 is finite, and the product is off by
+        # 1.1e-5 relative, the precision of the scale
         b0 = 1e-10
-        pair = entropy.PairEval(DensityMatrix(np.diag([0.5, 0.5])),
+        pair = entropy.PairEval(DensityMatrix(np.diag([1.0 - a0, a0])),
                                 DensityMatrix(np.diag([1.0 - b0, b0])))
-        assert pair.dq(33.0) == math.inf
+        assert (pair.dq(33.0) == math.inf) == (a0 == 0.5)
         ref = self._mp_scaled(pair, 33.0, b0)
         assert abs(pair.scaled_dq(33.0, b0) - ref) <= 1e-12 * ref
 
     @given(seed=st.integers(0, 2**32 - 1), q=st.floats(1.0, 40.0, exclude_min=True),
            b0=st.sampled_from([0.1, 1e-3, 1e-6]))
     @settings(max_examples=40, deadline=None)
-    def test_plain_product_where_it_is_nonzero(self, seed, q, b0):
+    def test_plain_product_where_the_scale_is_normal(self, seed, q, b0):
         pair = entropy.PairEval(sample_density(8, 8, np.random.Generator(np.random.SFC64(seed))),
                                 sigma_family(8, b0))
         scale = b0 ** (q - 1.0)
-        assume(scale > 0.0)
+        assume(scale >= sys.float_info.min)
         assert pair.scaled_dq(q, b0) == pair.dq(q) * scale
 
     def test_kernel_excluded_is_infinite(self, rng):

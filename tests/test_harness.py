@@ -208,7 +208,6 @@ class TestSweepRow:
         assert math.isfinite(row["thm3_rhs"])
         assert "thm1" in row["vacuous"] and "thm3q2" in row["vacuous"]
 
-
     def test_ratio_column_at_tiny_b0(self, tmp_path):
         # b0^(q-1) underflows at q = 34 and 40, where the plain product
         # D_q * b0^(q-1) read 0 and NaN; both are finite and positive
