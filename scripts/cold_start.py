@@ -58,7 +58,12 @@ def main() -> None:
         sys.exit(2)
     # the tree that holds this interpreter's qrelent, pinned before the
     # children start in another working directory
-    tree = Path(importlib.util.find_spec("qrelent").origin).resolve().parents[1]
+    spec = importlib.util.find_spec("qrelent")
+    if spec is None:
+        print("error: qrelent is not importable; install it, or run with PYTHONPATH=src",
+              file=sys.stderr)
+        sys.exit(2)
+    tree = Path(spec.origin).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(tree))
 
     with tempfile.TemporaryDirectory() as work:

@@ -8,7 +8,7 @@ Exit codes:
   1  property failure (counterexample written)
   2  errors.UsageError: usage or configuration error, or an argument outside
      a function's domain
-  3  errors.ParseError or OSError: an unreadable file or an unwritable path
+  3  errors.ParseError, OSError or UnicodeEncodeError: an unreadable file or unwritable output
   4  errors.InternalError: two evaluation routes disagreed, an infinite D_q
      met a finite upper bound, or an eigendecomposition failed its contract
 """
@@ -24,7 +24,7 @@ import sys
 from .entropy import Q_MAX
 from .errors import ConfigError, InternalError, ParseError, UsageError
 from .harness import SweepConfig, cmd_eval, cmd_gen, cmd_sweep, cmd_verify
-from .states import json_text
+from .states import eval_text
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -82,7 +82,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 def _run_eval(args: argparse.Namespace) -> int:
     report = cmd_eval(args.rho, args.sigma, (2.0,) if args.q is None else args.q)
-    print(json_text(report))
+    print(eval_text(report))
     return 0
 
 
@@ -137,7 +137,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, UnicodeEncodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except InternalError as exc:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -130,7 +132,9 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    # in the float range: json reads NaN and +-Infinity, which no JSON document
+    # may echo, and float() of a larger integer overflows
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 def _list_of(is_item):
@@ -144,8 +148,8 @@ def _floats(values) -> tuple[float, ...]:
 #: config key -> (JSON type in words, type test, conversion to the field value)
 _CONFIG_TYPES = {
     "dims": ("a list of integers", _list_of(_is_int), tuple),
-    "q_grid": ("a list of numbers", _list_of(_is_number), _floats),
-    "b0_grid": ("a list of numbers", _list_of(_is_number), _floats),
+    "q_grid": ("a list of finite numbers", _list_of(_is_number), _floats),
+    "b0_grid": ("a list of finite numbers", _list_of(_is_number), _floats),
     "trials": ("an integer", _is_int, int),
     "seed": ("an integer", _is_int, int),
     "output_path": ("a string or null", lambda v: v is None or isinstance(v, str), lambda v: v),
@@ -261,7 +265,7 @@ class _SuiteRun:
         if self.counterexample_path is not None or self.out_dir is None:
             return
         stem = self.out_dir / f"counterexample_{self.name}"
-        doc = {"suite": self.name, "seed": self.seed, "margin": m, **self._instance,
+        doc = {"suite": self.name, "seed": self.seed, "margin": _json_value(m), **self._instance,
                "check": name, **where}
         if states is not None:
             for label, state in zip(("rho", "sigma"), states):
@@ -432,8 +436,9 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             envelope = min(a0, b0) ** (-(r + 1.0))
             run.le("pair_envelope", closed, envelope, 1e-12 * envelope, r=r)
         limit_base = float(rng.uniform(0.1, 1.0))
+        closed = quadrature.resolvent_pair_closed_form(limit_base, limit_base, 0.5)
         got = quadrature.resolvent_pair_integral(limit_base, limit_base, 0.5)
-        run.le("pair_limit", abs(got - 0.5 * limit_base**-1.5), 0.0, 1e-10)
+        run.le("pair_limit", abs(got - closed), 0.0, 1e-10)
 
 
 def _draw_state_checks(trial, rng, d):
@@ -859,9 +864,9 @@ def cmd_sweep(config: SweepConfig) -> Path:
     return out
 
 
-def _json_value(x: float):
-    """A divergence or bound side as eval writes it: itself, or "inf" for +inf."""
-    return x if math.isfinite(x) else "inf"
+def _json_value(x: float | None):
+    """``x`` as JSON holds it: None, a finite float, or else its repr, as "inf"."""
+    return x if x is None or math.isfinite(x) else repr(x)
 
 
 def _report_to_json(rep: BoundReport) -> dict:
@@ -882,6 +887,8 @@ def cmd_eval(rho_path, sigma_path, q_list) -> dict:
         raise ConfigError("q_list must be nonempty")
     _self_test()
     pair = PairEval(read_state(rho_path), read_state(sigma_path))
+    # bytes of a file name that are not UTF-8 (lone surrogates in a str) become \x escapes
+    paths = [os.fsencode(p).decode("utf-8", "backslashreplace") for p in (rho_path, sigma_path)]
     per_q = []
     for q in q_list:
         q = float(q)
@@ -894,8 +901,8 @@ def cmd_eval(rho_path, sigma_path, q_list) -> dict:
         }
         per_q.append({"q": q, "Dq": _json_value(dq), "reports": reports})
     return {
-        "rho_path": str(rho_path),
-        "sigma_path": str(sigma_path),
+        "rho_path": paths[0],
+        "sigma_path": paths[1],
         "dim": pair.rho.dim,
         "spectral_summary": pair.summary,
         "distances": pair.distances,

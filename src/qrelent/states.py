@@ -1,13 +1,14 @@
 """Density matrices: support/kernel machinery, random generators, tensor
-products, partial traces, and the JSON state-file format."""
+products, partial traces, and every JSON format the program reads or writes:
+the state file, and the report texts of eval and of verify."""
 
 from __future__ import annotations
 
 import bisect
 import contextlib
+import json
 import math
 import os
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -349,68 +350,16 @@ def write_state(path, rho: DensityMatrix) -> None:
     write_atomic(path, state_text(m.real, m.imag))
 
 
-#: the text of the three JSON constants; only ever indexed by True, False or None
-_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
-
-
 def json_text(obj) -> str:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, character for
-    character, for trees of dicts with str keys, lists, tuples, str, bool, None,
-    int and float (subclasses included); any other type is a TypeError.
-    ``indent`` makes json fall back to its pure-Python encoder, and this writer
-    builds the same text in about half its time."""
-    out: list[str] = []
-    _json_parts(obj, "\n", out)
-    return "".join(out)
+    """The ASCII text of verify's JSON files: json.dumps, key-sorted, indented by 2."""
+    return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _json_parts(obj, newline: str, out: list[str]) -> None:
-    # json's own rules: floats through float.__repr__ with NaN and +-Infinity,
-    # strings through encode_basestring_ascii, bool tested before int.  The
-    # dict loop writes finite floats, bools and None in line: they are most of
-    # a report's values, and a call per value would cost as much as the text
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            value = obj[key]
-            head = sep + encode_basestring_ascii(key) + ": "
-            if type(value) is float and math.isfinite(value):
-                out.append(head + float.__repr__(value))
-            elif value is True or value is False or value is None:
-                out.append(head + _JSON_CONSTANTS[value])
-            else:
-                out.append(head)
-                _json_parts(value, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _json_parts(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(obj, float):
-        if math.isfinite(obj):
-            out.append(float.__repr__(obj))
-        else:
-            out.append("NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is True or obj is False or obj is None:
-        out.append(_JSON_CONSTANTS[obj])
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+def eval_text(report: dict) -> str:
+    """The UTF-8 text eval prints: orjson's, key-sorted, indented by 2.  orjson,
+    imported here as :func:`state_arrays` imports it, refuses numpy scalars."""
+    import orjson
+    return orjson.dumps(report, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS).decode()
 
 
 def write_atomic(path, text: str) -> None:

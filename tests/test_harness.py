@@ -30,6 +30,7 @@ from qrelent.states import (
     DensityMatrix,
     json_text,
     read_state,
+    sample_common_support_pair,
     sample_density,
     trial_stream,
     write_state,
@@ -39,6 +40,26 @@ from qrelent.states import (
 def _indented(doc) -> str:
     """The text every indented JSON artifact must equal."""
     return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _strict_json(text: str):
+    """json.loads, refusing the NaN and Infinity tokens that standard JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"{token} is not standard JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _leaves(tree):
+    """Every leaf of a tree of dicts and lists."""
+    if isinstance(tree, dict):
+        for value in tree.values():
+            yield from _leaves(value)
+    elif isinstance(tree, list):
+        for item in tree:
+            yield from _leaves(item)
+    else:
+        yield tree
 
 
 @pytest.fixture
@@ -134,6 +155,24 @@ class TestConfigValidation:
         for seed in (0, 2**40 - 1):
             SweepConfig(seed=seed).validate()
             cmd_gen(2, 2, seed=seed, out=tmp_path / f"s{seed}.json")
+
+    # json reads NaN and Infinity, and an integer past the float range; no
+    # grid holds one, and verify's report would echo it as non-standard JSON
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("text", [
+        '{"q_grid": [NaN], "b0_grid": [Infinity]}', '{"b0_grid": [0.1, -Infinity]}',
+        '{"q_grid": [2, 1e400]}', '{"b0_grid": [1' + "0" * 400 + "]}",
+    ], ids=["nan", "-inf", "1e400", "int_1e400"])
+    def test_non_finite_grid_exits_two(self, command, text, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(text)
+        assert main([command, "--config", str(cfg_path), "--dims", "2", "--trials", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "finite" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     @pytest.mark.parametrize("doc", [{"dims": 5}, {"trials": "3"}])
     def test_wrong_json_type_exits_two(self, doc, tmp_path, capsys):
@@ -424,14 +463,72 @@ class TestEvalAndGen:
         assert record["reports"]["thm3_rhs"]["holds"] is True
 
     def test_eval_output_is_indented_json(self, tmp_path, rng, capsys):
-        # D_q = +inf ("inf") and vacuous reports (slack null) at q = 40
+        import orjson
+
+        # D_q = +inf ("inf") and vacuous reports (slack null) at q = 40; on
+        # rho = diag(0.5, 0.5), sigma = diag(1 - 1e-10, 1e-10), D_q is near
+        # 1e289 and 1e299 at q = 31 and 32, exponents json spells "e+289"
         write_state(tmp_path / "rho.json", sample_density(3, 3, rng))
         write_state(tmp_path / "sigma.json", DensityMatrix(np.diag([0.7, 0.3, 0.0])))
-        paths = [str(tmp_path / "rho.json"), str(tmp_path / "sigma.json")]
-        assert main(["eval", *paths, "--q", "1.5,2,40"]) == 0
-        out = capsys.readouterr().out
-        assert out == _indented(cmd_eval(*paths, [1.5, 2.0, 40.0])) + "\n"
-        assert '"inf"' in out and "null" in out
+        write_state(tmp_path / "range_rho.json", DensityMatrix(np.diag([0.5, 0.5])))
+        write_state(tmp_path / "range_sigma.json", DensityMatrix(np.diag([1 - 1e-10, 1e-10])))
+        option = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+        outs = []
+        for prefix, q_list in (("", [1.5, 2.0, 40.0]), ("range_", [31.0, 32.0])):
+            paths = [str(tmp_path / f"{prefix}{label}.json") for label in ("rho", "sigma")]
+            assert main(["eval", *paths, "--q", ",".join(map(str, q_list))]) == 0
+            out = capsys.readouterr().out
+            assert out == orjson.dumps(cmd_eval(*paths, q_list), option=option).decode() + "\n"
+            outs.append(out)
+        assert '"inf"' in outs[0] and "null" in outs[0]
+        assert "e289" in outs[1] and "e+" not in outs[1]
+
+    @pytest.mark.parametrize("kind", ["full", "common", "excluded", "edge"])
+    def test_eval_output_parses_back(self, kind, tmp_path, rng, capsys):
+        # the benchmark's pair kinds: full rank, a common kernel, rho weighing
+        # on the kernel of sigma (D_q = +inf), and b0 = 1e-10 at q = 40
+        pairs = {
+            "full": lambda: (sample_density(4, 4, rng), sample_density(4, 4, rng)),
+            "common": lambda: sample_common_support_pair(4, 2, rng),
+            "excluded": lambda: (sample_density(4, 4, rng), sample_density(4, 2, rng)),
+            "edge": lambda: (sample_density(16, 16, rng), sigma_family(16, 1e-10)),
+        }
+        q_list = [1.5, 2.0, 3.0] + ([40.0] if kind == "edge" else [])
+        paths = [str(tmp_path / f"{label}.json") for label in ("rho", "sigma")]
+        for path, state in zip(paths, pairs[kind]()):
+            write_state(path, state)
+        doc = cmd_eval(*paths, q_list)
+        assert main(["eval", *paths, "--q", ",".join(map(str, q_list))]) == 0
+        assert _strict_json(capsys.readouterr().out) == doc
+        # orjson refuses numpy scalars, which json accepted as float subclasses
+        assert {type(leaf) for leaf in _leaves(doc)} <= {float, int, bool, str, type(None)}
+        if kind in ("excluded", "edge"):
+            assert "inf" in list(_leaves(doc))
+
+    def test_eval_under_a_non_ascii_directory(self, tmp_path):
+        # eval prints a path's non-ASCII characters as themselves, in UTF-8;
+        # a stdout that cannot encode them is an i/o error
+        state = cmd_gen(2, 2, seed=7, out=tmp_path / "\u00e9tats \u03c8" / "rho.json")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        procs = [subprocess.run([sys.executable, "-m", "qrelent", "eval", str(state), str(state)],
+                                env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING=encoding),
+                                capture_output=True, check=False)
+                 for encoding in ("utf-8", "ascii")]
+        assert procs[0].returncode == 0, procs[0].stderr
+        doc = _strict_json(procs[0].stdout.decode("utf-8"))
+        assert doc["rho_path"] == doc["sigma_path"] == str(state)
+        assert "\u00e9tats \u03c8".encode() in procs[0].stdout
+        assert procs[1].returncode == 3
+        assert procs[1].stdout == b""
+        assert procs[1].stderr.startswith(b"i/o error:") and procs[1].stderr.count(b"\n") == 1
+
+    def test_eval_path_that_is_not_utf8(self, tmp_path, capsys):
+        # a file name's byte 0xff, held by Python as a lone surrogate, has no
+        # UTF-8 text: it is written as the escape \xff
+        state = cmd_gen(2, 2, seed=7, out=tmp_path / os.fsdecode(b"st\xffte.json"))
+        assert main(["eval", str(state), str(state)]) == 0
+        doc = _strict_json(capsys.readouterr().out)
+        assert doc["rho_path"] == str(tmp_path / "st\\xffte.json")
 
     def test_gen_then_eval_round_trip(self, tmp_path):
         p1 = cmd_gen(4, 4, seed=3, out=tmp_path / "a.json")
@@ -476,6 +573,22 @@ class TestVerify:
         (doc,) = json_docs
         assert isinstance(doc["config"]["dims"], tuple)
         assert (tmp_path / "r.json").read_text(encoding="ascii") == _indented(doc) + "\n"
+
+    @pytest.mark.parametrize("lhs, rhs, written", [
+        (math.nan, 1.0, "nan"), (1.0, math.nan, "nan"), (math.inf, 1.0, "-inf"),
+    ])
+    def test_non_finite_margin_is_a_string(self, lhs, rhs, written, tmp_path, monkeypatch):
+        import qrelent.harness as hz
+
+        def failing_suite(run, config, count):
+            run.instances_run += 1
+            run.le("forced", lhs, rhs, 0.0)
+
+        monkeypatch.setattr(hz, "_SUITES", (("forced", failing_suite, 5),))
+        assert main(["verify", "--trials", "5", "--out", str(tmp_path / "r.json")]) == 1
+        context = tmp_path / "counterexample_forced_context.json"
+        assert _strict_json(context.read_text(encoding="ascii"))["margin"] == written
+        _strict_json((tmp_path / "r.json").read_text(encoding="ascii"))
 
     def test_failure_exit_code_and_report(self, tmp_path, monkeypatch):
         import qrelent.harness as hz
@@ -678,6 +791,19 @@ class TestExperimentHelpers:
     ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
     def test_script_bad_count_or_seed(self, script, argv):
         _assert_script_usage_error(script, argv)
+
+
+def test_cold_start_outside_an_install():
+    # -S and no PYTHONPATH: the interpreter cannot import qrelent, and the
+    # script says how to point it at the tree
+    script = Path(__file__).resolve().parents[1] / "scripts" / "cold_start.py"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-S", str(script), "--runs", "1"], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "PYTHONPATH=src" in proc.stderr
 
 
 def _assert_script_usage_error(script: str, argv: list[str]) -> None:
