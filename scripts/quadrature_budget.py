@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from qrelent.errors import ConfigError, UsageError
-from qrelent.harness import _check_seed, _conditioned_pd
+from qrelent.harness import _check_seed, _conditioned_spectrum
 from qrelent.linalg import HermitianOperator, apply_function, schatten_norm
 from qrelent.quadrature import (
     NODES_PER_PANEL,
@@ -45,7 +45,7 @@ from qrelent.quadrature import (
     geometric_splits,
     shared_nodes_weights,
 )
-from qrelent.states import as_generator
+from qrelent.states import as_generator, haar_unitary
 
 NODES = (12, 16, 20, 24, 32, 64)
 PADS = (0, 1)
@@ -144,7 +144,8 @@ def main() -> None:
         band = []
         for _ in range(args.operands):
             d = int(rng.integers(2, 9))
-            a = _conditioned_pd(rng, d, float(rng.uniform(low, high)))
+            w = _conditioned_spectrum(rng, d, float(rng.uniform(low, high)))
+            a = HermitianOperator.from_eigensystem(w, haar_unitary(d, rng))
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             direction = (g + g.conj().T) / 2.0
             band.append((a, direction / np.max(np.abs(direction))))

@@ -36,6 +36,7 @@ from .linalg import (
     herm_power,
     psd_gap,
     schatten_norm,
+    stackwise,
     zero_threshold,
 )
 from .quadrature import frechet_integral_rhs
@@ -329,26 +330,36 @@ def lemma3_bound(ops: OperatorPair, s: float) -> BoundReport:
     return _report("lemma3", lhs_val, rhs, False)
 
 
-def frechet_check(ops: OperatorPair, rs) -> tuple[BoundReport, ...]:
+def frechet_check(pairs: list[OperatorPair], rs) -> list[tuple[BoundReport, ...]]:
     """Operator-order check A^(-r) - B^(-r) <= directional-derivative integral
-    for the operands (A, B) of ``ops``, one report for each exponent r in the
-    tuple ``rs``.
+    for the operands (A, B) of each OperatorPair of ``pairs``: per pair, one
+    report for each exponent r in the tuple ``rs``.
 
     The left side is evaluated by spectral calculus, the right side by
     resolvent quadrature in the direction B - A, one stack of solves for
-    every r; each report's rhs is the minimum eigenvalue of (right - left),
-    which must not drop below -FRECHET_ALLOWANCE.
+    every r of a pair; each report's rhs is the minimum eigenvalue of (right
+    - left), which must not drop below -FRECHET_ALLOWANCE.  The gaps of
+    every pair and r are solved by one psd_gap stack per dimension.
     """
-    A, B = ops.a, ops.b
     rs = tuple(float(r) for r in rs)
     for r in rs:
         if not 0.0 < r < 1.0:
             raise PreconditionFailed(f"requires 0 < r < 1, got {r}")
-    for op, side in ((A, "first"), (B, "second")):
-        _positive_eigenvalues(op, side)
-    reports = []
-    for r, rhs_op in zip(rs, frechet_integral_rhs(A, B - A, rs)):
-        gap = psd_gap(herm_power(A, -r) - herm_power(B, -r), rhs_op)
-        holds = margin(0.0, gap, FRECHET_ALLOWANCE) >= 0.0
-        reports.append(BoundReport("frechet_gap", 0.0, gap, holds, False, FRECHET_ALLOWANCE))
-    return tuple(reports)
+    lefts, rights = [], []
+    for ops in pairs:
+        A, B = ops.a, ops.b
+        for op, side in ((A, "first"), (B, "second")):
+            _positive_eigenvalues(op, side)
+        for r, rhs_op in zip(rs, frechet_integral_rhs(A, B - A, rs)):
+            lefts.append((herm_power(A, -r) - herm_power(B, -r)).matrix)
+            rights.append(rhs_op.matrix)
+    gaps = iter(stackwise(psd_gap, lefts, rights))
+    checks = []
+    for _ in pairs:
+        reports = []
+        for _ in rs:
+            gap = float(next(gaps))
+            holds = margin(0.0, gap, FRECHET_ALLOWANCE) >= 0.0
+            reports.append(BoundReport("frechet_gap", 0.0, gap, holds, False, FRECHET_ALLOWANCE))
+        checks.append(tuple(reports))
+    return checks

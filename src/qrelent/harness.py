@@ -47,19 +47,20 @@ from .linalg import (
     exact_sum,
     schatten_norm,
     singular_values,
+    stackwise,
 )
 from .states import (
     DensityMatrix,
     _fmt17,
-    density_with_spectrum,
     draw_common_support_pair,
     draw_density,
     embed_common_support,
     ginibre,
-    haar_unitary,
+    haar_bases,
     json_text,
     kernel_included,
-    partial_trace,
+    partial_trace_matrix,
+    probability_vector,
     read_state,
     sample_density,
     stream_seed,
@@ -103,6 +104,11 @@ class SweepConfig:
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
         _check_seed(self.seed)
+        # from_dict's rule for the grids, which every report echoes
+        for key in ("q_grid", "b0_grid"):
+            if not all(map(_is_number, getattr(self, key))):
+                raise ConfigError(f"{key} must be {_CONFIG_TYPES[key][0]}, "
+                                  f"got {getattr(self, key)!r}")
 
     def echo_dict(self) -> dict:
         """Configuration echo for artifact headers; excludes the output path so
@@ -192,24 +198,27 @@ class _SuiteRun:
         self.counterexample_path: str | None = None
         self._instance: dict = {}
 
-    def block_draws(self, salt: int, count: int, dims: list[int] | None, draw, build):
-        """(trial, stream, d, states, drawn) per instance, trials 0 to count - 1:
+    def block_draws(self, salt: int, count: int, dims: list[int] | None, draw, kernel, build):
+        """(trial, stream, d, made, drawn) per instance, trials 0 to count - 1:
         the one path from (seed, trial, salt) to an instance.
 
         Each instance is counted and opens its own stream, from which d is
         drawn first, as rng.choice(dims) draws it (None when ``dims`` is None).
         ``draw(trial, stream, d)`` then makes every random draw that feeds the
-        instance's states and returns their raw matrices with whatever else it
-        drew.  Instances are drawn in blocks of _BLOCK_BYTES of matrices, and
-        one DensityMatrix.stack call builds a block's states; with ``draw``
-        None, each instance is yielded as soon as it is counted, with no
-        states.  ``build(states, drawn)``, unless None, receives each block's
-        states and draws, one entry per instance, before the block's first
-        instance is yielded, and returns what each instance is yielded with
-        in place of its states: the block's evaluation contexts, made
-        together.  A counterexample records the trial and salt of the
-        instance last yielded, which with the seed redraw it.  The checks may
-        go on drawing from the stream: no other instance uses it.
+        instance and returns its raw matrices with whatever else it drew.
+        Instances are drawn in blocks of _BLOCK_BYTES of raw matrices, and
+        one ``kernel`` call makes every raw matrix of a block: the states of
+        ``DensityMatrix.stack``, the operators of ``HermitianOperator.stack``
+        or the unitaries of ``haar_bases``.  With ``draw`` None, each
+        instance is yielded as soon as it is counted, with nothing made.
+        ``build(made, drawn)``, unless None, receives what each instance's
+        matrices made and its draws, one entry per instance, before the
+        block's first instance is yielded, and returns what each instance is
+        yielded with in place of what its matrices made: the block's
+        evaluation contexts or checks, solved together.  A counterexample
+        records the trial and salt of the instance last yielded, which with
+        the seed redraw it.  The checks may go on drawing from the stream: no
+        other instance uses it.
         """
         block, size = [], 0
         for trial in range(count):
@@ -222,14 +231,14 @@ class _SuiteRun:
             size += sum(m.nbytes for m in matrices)
             if draw and size < _BLOCK_BYTES and trial + 1 < count:
                 continue
-            built = DensityMatrix.stack([m for *_, ms, _ in block for m in ms]) if draw else []
-            states, start = [], 0
+            built = kernel([m for *_, ms, _ in block for m in ms]) if draw else []
+            made, start = [], 0
             for *_, matrices, _ in block:
-                states.append(built[start : start + len(matrices)])
+                made.append(built[start : start + len(matrices)])
                 start += len(matrices)
             if build is not None:
-                states = build(states, [drawn for *_, drawn in block])
-            for (trial, rng, d, _, drawn), instance in zip(block, states):
+                made = build(made, [drawn for *_, drawn in block])
+            for (trial, rng, d, _, drawn), instance in zip(block, made):
                 self._instance = {"trial": trial, "salt": salt}
                 yield trial, rng, d, instance, drawn
             block, size = [], 0
@@ -300,28 +309,29 @@ def sigma_family(d: int, b0: float) -> DensityMatrix:
     return sigma
 
 
-def _rand_herm(rng, d: int) -> HermitianOperator:
-    return HermitianOperator((lambda g: (g + g.conj().T) / 2.0)(ginibre(rng, (d, d))))
+def _herm_draw(rng, d: int) -> np.ndarray:
+    """(G + G^dag)/2 of a d x d Ginibre draw: exactly Hermitian, so it is
+    the matrix of its HermitianOperator bit for bit."""
+    g = ginibre(rng, (d, d))
+    return (g + g.conj().T) / 2.0
 
 
-def _rand_pd(rng, d: int, trace_one: bool = False) -> HermitianOperator:
+def _pd_draw(rng, d: int, trace_one: bool = False) -> np.ndarray:
     g = ginibre(rng, (d, d))
     m = g @ g.conj().T / d
     if trace_one:
         m /= np.trace(m).real
-    return HermitianOperator(m)
+    return m
 
 
-def _conditioned_pd(rng, d: int, log10_cond: float) -> HermitianOperator:
-    """Strictly positive matrix with condition number 10^log10_cond exactly."""
+def _conditioned_spectrum(rng, d: int, log10_cond: float) -> np.ndarray:
+    """Strictly positive spectrum with condition number 10^log10_cond exactly."""
     exponents = -log10_cond * rng.uniform(0.0, 1.0, size=d)
     exponents[0] = 0.0
     if d > 1:
         exponents[1] = -log10_cond
     scale = 10.0 ** rng.uniform(-2.0, 2.0)
-    w = scale * 10.0**exponents
-    u = haar_unitary(d, rng)
-    return HermitianOperator.from_eigensystem(w, u)
+    return scale * 10.0**exponents
 
 
 def _dims(config: SweepConfig, max_dim: float) -> list[int]:
@@ -329,9 +339,10 @@ def _dims(config: SweepConfig, max_dim: float) -> list[int]:
     return [d for d in config.dims if 2 <= d <= max_dim] or [2]
 
 
-#: bytes of drawn matrices per construction-kernel call: a suite draws
-#: instances until their matrices reach this size, builds them all with one
-#: DensityMatrix.stack call, then checks the instances in order
+#: bytes of raw matrices per kernel call: a suite draws instances until their
+#: raw matrices (states, lemma and norm operands, the Ginibre draws of Haar
+#: bases) reach this size, makes them all with one kernel call, then checks
+#: the instances in order, so a block's memory stays bounded
 _BLOCK_BYTES = 1 << 18
 
 
@@ -347,14 +358,16 @@ def _pairs(run: _SuiteRun, config: SweepConfig, count: int, salt: int, deficient
             return [draw_density(d, d, rng), draw_density(d, d, rng)], None
         k = int(rng.integers(1, d))
         rho_rank = int(rng.integers(1, k + 1))
-        rho_k, sigma_k, basis = draw_common_support_pair(d, k, rng, rho_rank)
-        return [rho_k, sigma_k], basis
+        rho_k, sigma_k, g = draw_common_support_pair(d, k, rng, rho_rank)
+        return [rho_k, sigma_k], g
 
-    def build(states, bases):
-        return PairEval.stack(pair if basis is None else embed_common_support(*pair, basis)
-                              for pair, basis in zip(states, bases))
+    def build(states, ginibres):
+        bases = iter(haar_bases([g for g in ginibres if g is not None]))
+        return PairEval.stack(pair if g is None else embed_common_support(*pair, next(bases))
+                              for pair, g in zip(states, ginibres))
 
-    for trial, rng, _, pair, _ in run.block_draws(salt, count, _dims(config, 8), draw, build):
+    for trial, rng, _, pair, _ in run.block_draws(salt, count, _dims(config, 8), draw,
+                                                  DensityMatrix.stack, build):
         yield trial, rng, pair
 
 
@@ -371,12 +384,27 @@ def _sample_q(rng, exact_every: int, i: int, lo: float = 1.0, hi: float = 2.0) -
 
 def _suite_linalg_norms(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     tol = 1e-10
-    for _, rng, d, _, _ in run.block_draws(1, count, _dims(config, math.inf), None, None):
+
+    def draw(trial, rng, d):
         x, y, z = (ginibre(rng, (d, d)) for _ in range(3))
-        xy = x @ y
-        xyz = xy @ z
-        # one singular-value solve per matrix serves all of its norms
-        sx, sy, sz, sxy, sxyz = map(singular_values, (x, y, z, xy, xyz))
+        h = _herm_draw(rng, d)
+        # h's traceless part, as h.matrix - (h.trace() / d) I reads it
+        return [h, h - (np.trace(h).real / d) * np.eye(d)], (x, y, z)
+
+    def build(operands, drawn):
+        """Per instance h, its traceless part, XYZ, and the singular values
+        of X, Y, Z, XY and XYZ, of which one stack per dimension serves
+        every norm of the block."""
+        products = []
+        for x, y, z in drawn:
+            xy = x @ y
+            products += [x, y, z, xy, xy @ z]
+        values = stackwise(singular_values, products)
+        return [(h, delta, products[5 * k + 4], values[5 * k : 5 * k + 5])
+                for k, (h, delta) in enumerate(operands)]
+
+    for _, _, _, (h, delta, xyz, (sx, sy, sz, sxy, sxyz)), _ in run.block_draws(
+            1, count, _dims(config, math.inf), draw, HermitianOperator.stack, build):
         for p in (1.0, 2.0, math.inf):
             rhs = schatten_norm(sx, math.inf) * schatten_norm(sy, p) * schatten_norm(sz, math.inf)
             run.le("holder", schatten_norm(sxyz, p), rhs, tol * max(1.0, rhs), p=p)
@@ -387,8 +415,6 @@ def _suite_linalg_norms(run: _SuiteRun, config: SweepConfig, count: int) -> None
         run.le("trace_bound", abs(np.trace(xyz)), tr_rhs, tol * max(1.0, tr_rhs))
         for p_lo, p_hi in ((1.0, 2.0), (2.0, math.inf), (1.0, math.inf)):
             run.le("p_monotone", schatten_norm(sx, p_hi), schatten_norm(sx, p_lo), tol)
-        h = _rand_herm(rng, d)
-        delta = HermitianOperator(h.matrix - (h.trace() / d) * np.eye(d))
         s_delta = singular_values(delta)
         run.le("traceless_half", schatten_norm(s_delta, math.inf),
                0.5 * schatten_norm(s_delta, 1.0), tol)
@@ -409,8 +435,17 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
             got = quadrature.frac_power_scalar(a, r, form=form)
             run.le("scalar_fixture", abs(got - expect) / expect, 0.0, 1e-10,
                    a=a, r=r, form=form)
-    for i, rng, d, _, _ in run.block_draws(2, count, _dims(config, 8), None, None):
-        a_op = _conditioned_pd(rng, d, log10_cond=float(rng.uniform(0.0, 6.0)))
+
+    # a spectrum of a drawn condition number, then its Haar basis
+    def draw(trial, rng, d):
+        w = _conditioned_spectrum(rng, d, float(rng.uniform(0.0, 6.0)))
+        return [ginibre(rng, (d, d))], w
+
+    def build(bases, spectra):
+        return [HermitianOperator.from_eigensystem(w, u) for (u,), w in zip(bases, spectra)]
+
+    for i, rng, d, a_op, _ in run.block_draws(2, count, _dims(config, 8), draw, haar_bases,
+                                              build):
         norm_inf = schatten_norm(a_op, math.inf)
         # one resolvent stack per form serves all three exponents
         firsts = quadrature.frac_power_operator(a_op, r_values, form="first")
@@ -442,9 +477,10 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _draw_state_checks(trial, rng, d):
-    """States rho (of a drawn rank), other, and for d >= 2 a rank-deficient
-    and a full-rank state; the controlled-spectrum state and the mixing
-    weight are drawn in between, in the order the checks use them."""
+    """Matrices of the states rho (of a drawn rank), other, and for d >= 2 a
+    rank-deficient and a full-rank state; the controlled spectrum with the
+    Ginibre draw of its Haar basis, and the mixing weight, are drawn in
+    between, in the order the checks use them."""
     rank = int(rng.integers(1, d + 1))
     rho = draw_density(d, rank, rng)
     # exact-spectrum construction round-trips
@@ -453,18 +489,27 @@ def _draw_state_checks(trial, rng, d):
     if zeros:
         raw[np.argsort(raw)[:zeros]] = 0.0
     spec = np.sort(raw / exact_sum(raw))
-    controlled = density_with_spectrum(spec, rng)
+    g = ginibre(rng, (d, d))
     lam = float(rng.uniform(0.0, 1.0))
     matrices = [rho, draw_density(d, d, rng)]
     if d >= 2:
         matrices += [draw_density(d, d - 1, rng), draw_density(d, d, rng)]
-    return matrices, (rank, spec, controlled, lam)
+    return matrices, (rank, spec, g, lam)
 
 
 def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    dims = _dims(config, math.inf)
-    for _, _, d, states, drawn in run.block_draws(3, count, dims, _draw_state_checks, None):
-        (rho, other, *extra), (rank, spec, controlled, lam) = states, drawn
+    def build(states, drawn):
+        """Per instance its states, the state of density_with_spectrum and
+        the mixture of rho and other.  The block's Haar bases come from one
+        haar_bases call and its mixtures from one stack call."""
+        bases = haar_bases([g for _, _, g, _ in drawn])
+        mixes = DensityMatrix.stack([lam * rho.matrix + (1.0 - lam) * other.matrix
+                                     for (rho, other, *_), (*_, lam) in zip(states, drawn)])
+        return [(made, DensityMatrix.from_eigensystem(probability_vector(spec), u), mix)
+                for made, (_, spec, _, _), u, mix in zip(states, drawn, bases, mixes)]
+
+    for _, _, d, ((rho, _, *extra), controlled, mix), (rank, spec, _, _) in run.block_draws(
+            3, count, _dims(config, math.inf), _draw_state_checks, DensityMatrix.stack, build):
         run.le("psd", 0.0, np.min(rho.spectrum), 0.0)
         run.le("unit_trace", abs(exact_sum(rho.spectrum) - 1.0), 0.0, 1e-10)
         run.verdict("rank", rho.rank == rank, states=(rho, rho), expected=rank)
@@ -473,8 +518,6 @@ def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         run.le("projector_trace", abs(float(np.trace(proj).real) - rho.rank), 0.0, 1e-10)
         run.verdict("kernel_reflexive", kernel_included(rho, rho))
         run.le("spectrum_roundtrip", np.max(np.abs(controlled.spectrum - spec)), 0.0, 1e-10)
-        # mixing closure
-        mix = DensityMatrix(lam * rho.matrix + (1.0 - lam) * other.matrix)
         run.verdict("mixing_closure", mix.dim == d)
         if extra:
             deficient, full = extra
@@ -503,39 +546,45 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         lam = float(rng.uniform(0.0, 1.0))
         da, db = int(rng.choice([2, 3])), int(rng.choice([2, 3]))
         matrices += [draw_density(da * db, da * db, rng) for _ in range(2)]
-        u = haar_unitary(d, rng)
+        g = ginibre(rng, (d, d))
         spec_a = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
         spec_b = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
-        return matrices, (q, lam, da, db, u, spec_a, spec_b, haar_unitary(d, rng))
+        # the Ginibre draws of the rotation and of the commuting pair's basis
+        return matrices, (q, lam, da, db, g, spec_a, spec_b, ginibre(rng, (d, d)))
 
     def build_properties(states, drawn):
         """Per instance its ten pairs, in the order the checks read them:
         the two tensor factors and their product, the mixture of the two
         pairs of dimension d and those pairs, the bipartite pair and its
         reduction, the rotation of the first d pair, and the commuting pair.
-        The block's mixtures and rotations are built by one stack call."""
-        matrices = []
-        for (_, _, _, _, ra, sa, rb, sb, _, _), (_, lam, _, _, u, *_) in zip(states, drawn):
+        The block's Haar bases come from one haar_bases call, and its
+        mixtures, rotations and reductions from one stack call."""
+        bases = iter(haar_bases([g for drawn_k in drawn for g in (drawn_k[4], drawn_k[7])]))
+        matrices, commuting_bases = [], []
+        for (*_, ra, sa, rb, sb, rho_ab, sigma_ab), (_, lam, da, db, *_) in zip(states, drawn):
+            u, basis = next(bases), next(bases)
             u_h = u.conj().T
             matrices += [lam * ra.matrix + (1.0 - lam) * rb.matrix,
                          lam * sa.matrix + (1.0 - lam) * sb.matrix,
-                         u @ ra.matrix @ u_h, u @ sa.matrix @ u_h]
-        mixed_and_rotated = iter(DensityMatrix.stack(matrices))
+                         u @ ra.matrix @ u_h, u @ sa.matrix @ u_h,
+                         partial_trace_matrix(rho_ab, da, db, "A"),
+                         partial_trace_matrix(sigma_ab, da, db, "A")]
+            commuting_bases.append(basis)
+        made = iter(DensityMatrix.stack(matrices))
         pairs = []
-        for (r1, s1, r2, s2, ra, sa, rb, sb, rho_ab, sigma_ab), drawn_k in zip(states, drawn):
-            mix_r, mix_s, rot_r, rot_s = (next(mixed_and_rotated) for _ in range(4))
-            _, _, da, db, _, spec_a, spec_b, basis = drawn_k
+        for (r1, s1, r2, s2, ra, sa, rb, sb, rho_ab, sigma_ab), drawn_k, basis in zip(
+                states, drawn, commuting_bases):
+            mix_r, mix_s, rot_r, rot_s, red_r, red_s = (next(made) for _ in range(6))
+            spec_a, spec_b = drawn_k[5:7]
             pairs += [(r1, s1), (r2, s2), (tensor(r1, r2), tensor(s1, s2)), (mix_r, mix_s),
-                      (ra, sa), (rb, sb), (rho_ab, sigma_ab),
-                      (partial_trace(rho_ab, da, db, "A"), partial_trace(sigma_ab, da, db, "A")),
-                      (rot_r, rot_s),
+                      (ra, sa), (rb, sb), (rho_ab, sigma_ab), (red_r, red_s), (rot_r, rot_s),
                       (DensityMatrix.from_eigensystem(spec_a, basis),
                        DensityMatrix.from_eigensystem(spec_b, basis))]
         contexts = PairEval.stack(pairs)
         return [contexts[k : k + 10] for k in range(0, len(contexts), 10)]
 
     for _, _, _, pairs, drawn in run.block_draws(5, max(1, count // 5), None, draw_properties,
-                                                 build_properties):
+                                                 DensityMatrix.stack, build_properties):
         q, lam, _, _, _, spec_a, spec_b, _ = drawn
         first, second, joint, mix, pair_a, pair_b, whole, reduced, rot, commuting = pairs
         # pseudoadditivity on tensor products
@@ -560,7 +609,8 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     def draw_fixed(i, rng, _):
         return [draw_density(2 + 2 * i, 2 + 2 * i, rng) for _ in range(2)], None
 
-    for _, _, _, (rho, sigma), _ in run.block_draws(6, 2, None, draw_fixed, None):
+    for _, _, _, (rho, sigma), _ in run.block_draws(6, 2, None, draw_fixed, DensityMatrix.stack,
+                                                    None):
         pair = PairEval(rho, sigma)
         ratios = []
         for k in range(2, 10):
@@ -614,17 +664,27 @@ def _suite_lower(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     r_values = (0.1, 0.5, 0.9)
-    for _, rng, d, _, _ in run.block_draws(11, count, _dims(config, 8), None, None):
-        a_op = _rand_pd(rng, d)
-        b_op = _rand_pd(rng, d)
-        for r, rep in zip(r_values, frechet_check(OperatorPair(a_op, b_op), r_values)):
+
+    def draw(trial, rng, d):
+        return [_pd_draw(rng, d), _pd_draw(rng, d)], None
+
+    def build(operands, _):
+        return frechet_check([OperatorPair(a, b) for a, b in operands], r_values)
+
+    for _, _, _, reports, _ in run.block_draws(11, count, _dims(config, 8), draw,
+                                               HermitianOperator.stack, build):
+        for r, rep in zip(r_values, reports):
             run.le("psd_gap", rep.lhs, rep.rhs, rep.allowance, r=r)
 
 
 def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for _, rng, d, _, _ in run.block_draws(12, count, _dims(config, 8), None, None):
-        x, y = _rand_herm(rng, d), _rand_herm(rng, d)
-        ops = OperatorPair(x, y)
+    def draw(trial, rng, d):
+        return [_herm_draw(rng, d), _herm_draw(rng, d)], None
+
+    for _, _, _, ops, _ in run.block_draws(12, count, _dims(config, 8), draw,
+                                           HermitianOperator.stack,
+                                           lambda operands, _: OperatorPair.stack(operands,
+                                                                                  range(2, 7))):
         for n in range(1, 7):
             for p in (1.0, 2.0, math.inf):
                 rep = power_diff_bound(ops, n, p)
@@ -635,11 +695,13 @@ def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 
 
 def _suite_lemma3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
-    for i, rng, d, _, _ in run.block_draws(13, count, _dims(config, 8), None, None):
+    def draw(i, rng, d):
         rank = d if i % 3 else max(1, d - 1)
-        a_op = HermitianOperator(draw_density(d, rank, rng))
-        b_op = _rand_pd(rng, d, trace_one=True)
-        ops = OperatorPair(a_op, b_op)
+        return [draw_density(d, rank, rng), _pd_draw(rng, d, trace_one=True)], None
+
+    for _, _, _, ops, _ in run.block_draws(13, count, _dims(config, 8), draw,
+                                           HermitianOperator.stack,
+                                           lambda operands, _: OperatorPair.stack(operands, ())):
         for s in (0.25, 0.5, 0.75):
             rep = lemma3_bound(ops, s)
             run.le(rep.name, rep.lhs, rep.rhs, rep.allowance, s=s)
@@ -655,12 +717,13 @@ def divergence_envelope(seed: int, d: int) -> list[dict]:
     Each record carries D_q, the general b0^(1-q) bound, and the rescaled
     ratio D_q * b0^(q-1) next to its b0-free envelope constant, with the
     trial and salt of rho's stream.  Each b0 builds one sigma and one pair,
-    which every q evaluates.  The seed must lie where the CLI's seeds do.
+    which every q evaluates; the pairs are made together by PairEval.stack.
+    The seed must lie where the CLI's seeds do.
     """
     _check_seed(seed)
     trial, salt = 0, 14
     rho = sample_density(d, d, trial_stream(seed, trial, salt))
-    pairs = [PairEval(rho, sigma_family(d, b0)) for b0 in ENVELOPE_B0]
+    pairs = PairEval.stack((rho, sigma_family(d, b0)) for b0 in ENVELOPE_B0)
     records = []
     for q in ENVELOPE_Q:
         for b0, pair in zip(ENVELOPE_B0, pairs):
@@ -693,17 +756,18 @@ def tightness_crossover(seed: int, trials: int, d: int) -> list[dict]:
     """Compare the quadratic-in-b0 bound against the b0^(1-q) one at q = 2 for
     small b0, where the latter must win in every trial.  Each record carries
     the trial and salt of rho's stream; each b0 builds one sigma for every
-    trial.  The seed must lie where the CLI's seeds do, and trials must be
-    at least 1."""
+    trial, and one PairEval.stack call makes every pair.  The seed must lie
+    where the CLI's seeds do, and trials must be at least 1."""
     _check_seed(seed)
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
     records, salt = [], 15
     sigmas = [sigma_family(d, b0) for b0 in CROSSOVER_B0]
+    rhos = [sample_density(d, d, trial_stream(seed, trial, salt)) for trial in range(trials)]
+    pairs = iter(PairEval.stack((rho, sigma) for rho in rhos for sigma in sigmas))
     for trial in range(trials):
-        rho = sample_density(d, d, trial_stream(seed, trial, salt))
-        for b0, sigma in zip(CROSSOVER_B0, sigmas):
-            pair = PairEval(rho, sigma)
+        for b0 in CROSSOVER_B0:
+            pair = next(pairs)
             rep2 = thm2_bound(pair, 2.0, "general")
             rep3 = thm3_bound(pair, 2.0, "q2")
             records.append(

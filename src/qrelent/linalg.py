@@ -266,6 +266,33 @@ class HermitianOperator:
             a.setflags(write=False)
         return cls.__new__(cls)._adopt(mat, w, u)
 
+    @classmethod
+    def stack(cls, matrices) -> list:
+        """One operator per matrix, in order; the matrices may differ in dimension.
+
+        The construction kernel: the matrices of each dimension are stacked,
+        checked and symmetrized by :func:`hermitian_parts`, and made by
+        ``_made``, which here runs :func:`checked_eigh` on the stack and
+        caches each operator's eigensystem.  Each operator is bit-identical to
+        the same matrix built alone, its eigensystem included, and keeps its
+        own read-only slice of the stacks.  A stack holding one bad matrix
+        raises the error that matrix raises alone.
+        """
+
+        def made(mats: np.ndarray) -> list:
+            square_dim(mats.shape[1:])
+            return cls._made(hermitian_parts(mats))
+
+        return stackwise(made, [np.asarray(m, dtype=np.complex128) for m in matrices])
+
+    @classmethod
+    def _made(cls, herm: np.ndarray) -> list:
+        """The operators of a symmetrized stack of one dimension."""
+        w, u = checked_eigh(herm)
+        for a in (herm, w, u):
+            a.setflags(write=False)
+        return [cls.__new__(cls)._adopt(*parts) for parts in zip(herm, w, u)]
+
     def _adopt(self, mat: np.ndarray, w: np.ndarray, u: np.ndarray) -> "HermitianOperator":
         """Take a read-only symmetrized matrix and its read-only ascending
         eigensystem as given, with no checks and no copies; returns self."""
@@ -355,22 +382,35 @@ def herm_power(h, exponent: float) -> HermitianOperator:
 
 
 def singular_values(x) -> np.ndarray:
-    """Singular values in descending order, via eigh of X^dag X (or of X directly
-    when X is Hermitian within round-off)."""
+    """Singular values in descending order of a matrix, or of each matrix of a
+    stack (the rows of the result): by eigvalsh of the Hermitian part where
+    a square matrix is Hermitian within round-off, else of X^dag X.  A stack
+    takes one eigvalsh for each of the two kinds, and each matrix gets the
+    bits it gets alone."""
     if isinstance(x, HermitianOperator):
         return np.sort(np.abs(x.eigenvalues()))[::-1]
     mat = np.asarray(x, dtype=np.complex128)
-    if mat.ndim != 2:
+    if mat.ndim < 2:
         raise DimensionMismatch(f"expected a matrix, got shape {mat.shape}")
-    if mat.shape[0] == mat.shape[1]:
-        mat_h = mat.conj().T
-        asym = float(np.abs(mat - mat_h).max())
-        scale = max(1.0, float(np.linalg.norm(mat, "fro")))
-        if asym <= 1e-12 * scale:
-            return np.sort(np.abs(np.linalg.eigvalsh((mat + mat_h) / 2.0)))[::-1]
-    gram = mat.conj().T @ mat
-    w = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    return np.sqrt(np.clip(w, 0.0, None))[::-1]
+    mats = mat.reshape(-1, *mat.shape[-2:])
+    hermitian = np.zeros(len(mats), dtype=bool)
+    if mats.shape[-1] == mats.shape[-2]:
+        asym = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).tolist()
+        # the tolerance 1e-12 * max(1, ||M||_F) is at least 1e-12, so the norm
+        # is taken only above it
+        hermitian[:] = [a <= 1e-12 or a <= 1e-12 * float(np.linalg.norm(m, "fro"))
+                        for a, m in zip(asym, mats)]
+    s = np.empty((len(mats), mats.shape[-1]))
+    if hermitian.any():
+        herm = mats[hermitian]
+        w = np.linalg.eigvalsh((herm + herm.conj().swapaxes(-1, -2)) / 2.0)
+        s[hermitian] = np.sort(np.abs(w))[..., ::-1]
+    if not hermitian.all():
+        general = mats[~hermitian]
+        gram = general.conj().swapaxes(-1, -2) @ general
+        w = np.linalg.eigvalsh((gram + gram.conj().swapaxes(-1, -2)) / 2.0)
+        s[~hermitian] = np.sqrt(np.clip(w, 0.0, None))[..., ::-1]
+    return s.reshape(*mat.shape[:-2], -1)
 
 
 def schatten_norm(x, p: float) -> float:
@@ -420,6 +460,19 @@ def stacked(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
+def stackwise(fn, *operands: list[np.ndarray]) -> list:
+    """``fn`` of stacks of the arrays of ``operands``, lists of equal length:
+    one call per shape of the first list's arrays, in the order of its first
+    array, with the k-th array of every list in the same place of its stack.
+    The entries of the results go back in the arrays' order."""
+    first = operands[0]
+    results: list = [None] * len(first)
+    for idx in grouped(range(len(first)), lambda k: first[k].shape):
+        for k, item in zip(idx, fn(*(np.array([arrays[k] for k in idx]) for arrays in operands))):
+            results[k] = item
+    return results
+
+
 class OperatorPair:
     """Norm context of two Hermitian operands (A, B): a lemma check's or a state pair's.
 
@@ -435,6 +488,25 @@ class OperatorPair:
         if self.a.dim != self.b.dim:
             raise DimensionMismatch(f"dimension mismatch: {self.a.dim} vs {self.b.dim}")
         self._power_diff: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def stack(cls, operands, powers) -> list[OperatorPair]:
+        """One context per (A, B) of ``operands``, in order, with the singular
+        values of A - B, and of A^n - B^n for each n in ``powers``, solved
+        together: per dimension one eigvalsh for the differences and one
+        :func:`singular_values` stack for every power, each pair with the
+        bits it gets alone."""
+        pairs = [cls(a, b) for a, b in operands]
+        a, b = [p.a.matrix for p in pairs], [p.b.matrix for p in pairs]
+        for p, s in zip(pairs, stackwise(diff_singular_values, a, b)):
+            p.diff_singular_values = s
+        if powers:
+            power = np.linalg.matrix_power
+            solved = stackwise(lambda x, y: singular_values(
+                np.stack([power(x, n) - power(y, n) for n in powers], axis=1)), a, b)
+            for p, s in zip(pairs, solved):
+                p._power_diff.update(zip(powers, s))
+        return pairs
 
     @cached_property
     def operand_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
@@ -463,14 +535,27 @@ class OperatorPair:
         return self._power_diff[n]
 
 
-def psd_gap(a, b) -> float:
-    """Minimum eigenvalue of B - A.
+def psd_gap(a, b):
+    """Minimum eigenvalue of B - A, for two Hermitian operators or matrices,
+    or for each pair of matrices of two stacks (n, d, d), as an array, with
+    one eigvalsh for the whole stack.
 
     A <= B in the positive-semidefinite order iff the gap is >= -PSD_TOL
     relative to the operand scale; this function returns the raw gap and
     leaves the tolerance decision to the caller.
     """
-    ops = OperatorPair(a, b)
+    a, b = (x.matrix if isinstance(x, HermitianOperator) else _hermitian_stack(x) for x in (a, b))
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     # the difference of two exactly Hermitian matrices is exactly Hermitian
-    return float(np.linalg.eigvalsh(ops.b.matrix - ops.a.matrix)[0])
+    gaps = np.linalg.eigvalsh(b - a)[..., 0]
+    return float(gaps) if gaps.ndim == 0 else gaps
 
+
+def _hermitian_stack(x) -> np.ndarray:
+    """:func:`hermitian_parts` of a square matrix or of a stack of them."""
+    mats = np.asarray(x, dtype=np.complex128)
+    if mats.ndim not in (2, 3):
+        raise DimensionMismatch(f"expected a matrix or a stack of them, got shape {mats.shape}")
+    square_dim(mats.shape[-2:])
+    return hermitian_parts(mats)

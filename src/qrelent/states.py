@@ -29,9 +29,7 @@ from .linalg import (
     checked_eigh,
     compose,
     exact_sum,
-    grouped,
-    hermitian_parts,
-    square_dim,
+    stackwise,
 )
 
 #: default absolute weight allowed on the kernel of sigma
@@ -85,28 +83,16 @@ class DensityMatrix(HermitianOperator):
         self._adopt(mat, w, u, rank)
 
     @classmethod
-    def stack(cls, matrices) -> list["DensityMatrix"]:
-        """One state per matrix, in order; the matrices may differ in dimension.
-
-        The construction kernel: the matrices of each dimension are stacked,
-        and every check of the constructor runs on the whole stack (finite
-        entries, Hermitian asymmetry, the trace gate, the eigendecomposition
-        with its reconstruction and unitarity contract, the PSD gate), then
-        each spectrum is thresholded and renormalized by its own fsum and
-        U diag(w) U^dag is rebuilt for the stack.  Each state is
-        bit-identical to the same matrix built alone and keeps its own
-        read-only slice of the stacks.  A stack holding one bad matrix raises
-        the error that matrix raises alone.
-        """
-        arrays = [np.asarray(m, dtype=np.complex128) for m in matrices]
-        states: list = [None] * len(arrays)
-        for idx in grouped(range(len(arrays)), lambda k: square_dim(arrays[k].shape)):
-            herm = hermitian_parts(np.array([arrays[k] for k in idx]))
-            _trace_gate(herm)
-            w, u, mats, ranks = _settle(*checked_eigh(herm))
-            for j, k in enumerate(idx):
-                states[k] = cls.__new__(cls)._adopt(mats[j], w[j], u[j], ranks[j])
-        return states
+    def _made(cls, herm: np.ndarray) -> list["DensityMatrix"]:
+        """The states of a symmetrized stack of one dimension, for
+        :meth:`stack`, the construction kernel: the trace gate, the
+        eigendecomposition with its reconstruction and unitarity contract and
+        the PSD gate run on the whole stack, then each spectrum is
+        thresholded and renormalized by its own fsum and U diag(w) U^dag is
+        rebuilt for the stack."""
+        _trace_gate(herm)
+        w, u, mats, ranks = _settle(*checked_eigh(herm))
+        return [cls.__new__(cls)._adopt(*parts) for parts in zip(mats, w, u, ranks)]
 
     @classmethod
     def from_eigensystem(cls, eigenvalues, eigenvectors) -> "DensityMatrix":
@@ -204,12 +190,25 @@ def sample_density(d: int, rank: int, rng) -> DensityMatrix:
 
 
 def haar_unitary(d: int, rng) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix with the phases
-    of diag(R) pulled into Q."""
-    q, r = np.linalg.qr(ginibre(as_generator(rng), (d, d)))
-    diag = np.diagonal(r).copy()
-    diag[diag == 0] = 1.0
-    return np.multiply(q, diag / np.abs(diag), order="C")
+    """Haar-distributed unitary: :func:`haar_bases` of a d x d complex
+    Ginibre matrix drawn from ``rng``."""
+    return haar_bases([ginibre(as_generator(rng), (d, d))])[0]
+
+
+def haar_bases(ginibres) -> list[np.ndarray]:
+    """The Haar unitary of each square complex Ginibre matrix, in order: the
+    Q of its QR decomposition with the phases of diag(R) pulled into Q.  The
+    matrices may differ in dimension; one np.linalg.qr runs per dimension,
+    which gives each matrix the bits it gets alone, and each unitary is a
+    C-ordered slice of its stack."""
+
+    def bases(z: np.ndarray) -> np.ndarray:
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+        diag[diag == 0] = 1.0
+        return np.multiply(q, (diag / np.abs(diag))[:, None, :], order="C")
+
+    return stackwise(bases, list(ginibres))
 
 
 def probability_vector(p) -> np.ndarray:
@@ -238,8 +237,9 @@ def draw_common_support_pair(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The draws of :func:`sample_common_support_pair`, in its order: sigma's
     and then rho's matrix on the support (rho of rank ``rho_rank``, or full
-    rank for None), then the Haar basis of C^d.  Returned as
-    (rho_k, sigma_k, u) for :func:`embed_common_support`."""
+    rank for None), then the Ginibre matrix g of the Haar basis of C^d.
+    Returned as (rho_k, sigma_k, g); :func:`haar_bases` of g is the basis
+    :func:`embed_common_support` takes."""
     if not 1 <= support_rank <= d:
         raise BadSpectrum(f"support rank must lie in [1, {d}], got {support_rank}")
     rng = as_generator(rng)
@@ -247,7 +247,7 @@ def draw_common_support_pair(
     rho_rank = k if rho_rank is None else rho_rank
     sigma_k = draw_density(k, k, rng)
     rho_k = draw_density(k, rho_rank, rng)
-    return rho_k, sigma_k, haar_unitary(d, rng)
+    return rho_k, sigma_k, ginibre(rng, (d, d))
 
 
 def embed_common_support(
@@ -280,8 +280,8 @@ def sample_common_support_pair(
     share an exactly-zero block outside it, so ker(sigma) is contained in
     ker(rho) by construction.
     """
-    rho_k, sigma_k, u = draw_common_support_pair(d, support_rank, rng, rho_rank)
-    return embed_common_support(*DensityMatrix.stack([rho_k, sigma_k]), u)
+    rho_k, sigma_k, g = draw_common_support_pair(d, support_rank, rng, rho_rank)
+    return embed_common_support(*DensityMatrix.stack([rho_k, sigma_k]), haar_bases([g])[0])
 
 
 def kernel_included(sigma: DensityMatrix, rho: DensityMatrix) -> bool:
@@ -308,6 +308,12 @@ def tensor(rho1: DensityMatrix, rho2: DensityMatrix) -> DensityMatrix:
 
 def partial_trace(rho: DensityMatrix, d_a: int, d_b: int, keep: str) -> DensityMatrix:
     """Trace out one tensor factor of a state on a (d_a * d_b)-dimensional space."""
+    return DensityMatrix(partial_trace_matrix(rho, d_a, d_b, keep))
+
+
+def partial_trace_matrix(rho: DensityMatrix, d_a: int, d_b: int, keep: str) -> np.ndarray:
+    """The reduced matrix of :func:`partial_trace` before the state's checks,
+    so a caller can build many with :meth:`DensityMatrix.stack`."""
     if d_a * d_b != rho.dim:
         raise BadFactorization(
             f"declared factors {d_a} x {d_b} do not match dimension {rho.dim}"
@@ -315,8 +321,7 @@ def partial_trace(rho: DensityMatrix, d_a: int, d_b: int, keep: str) -> DensityM
     if keep not in ("A", "B"):
         raise BadFactorization(f"keep must be 'A' or 'B', got {keep!r}")
     m = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    reduced = np.einsum("ijkj->ik", m) if keep == "A" else np.einsum("ijil->jl", m)
-    return DensityMatrix(reduced)
+    return np.einsum("ijkj->ik", m) if keep == "A" else np.einsum("ijil->jl", m)
 
 
 def _fmt17(x: float) -> str:

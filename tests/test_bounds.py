@@ -418,18 +418,18 @@ class TestLemma3:
 class TestFrechetCheck:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            frechet_check(OperatorPair(np.eye(2), 2.0 * np.eye(3)), (0.5,))
+            frechet_check([OperatorPair(np.eye(2), 2.0 * np.eye(3))], (0.5,))
 
     def test_equal_operands(self, rng):
         a = HermitianOperator(random_pd(rng, 3))
-        (rep,) = frechet_check(OperatorPair(a, a), (0.5,))
+        (rep,) = frechet_check([OperatorPair(a, a)], (0.5,))[0]
         assert abs(rep.rhs) <= 1e-9
         assert rep.holds
 
     def test_commuting_scalar_fixture(self):
         a = HermitianOperator(np.eye(2))
         b = HermitianOperator(2.0 * np.eye(2))
-        (rep,) = frechet_check(OperatorPair(a, b), (0.5,))
+        (rep,) = frechet_check([OperatorPair(a, b)], (0.5,))[0]
         # gap = 0.5 - (1 - 2^(-1/2))
         assert rep.rhs == pytest.approx(0.5 - (1.0 - 2.0**-0.5), abs=1e-8)
         assert rep.holds
@@ -438,7 +438,7 @@ class TestFrechetCheck:
         a = HermitianOperator(np.diag([1.0, 0.0]))
         b = HermitianOperator(random_pd(rng, 2))
         with pytest.raises(PreconditionFailed):
-            frechet_check(OperatorPair(a, b), (0.5,))
+            frechet_check([OperatorPair(a, b)], (0.5,))
 
     @pytest.mark.parametrize("gap, holds", [(-1e-7, True), (-1.05e-7, False)])
     def test_one_allowance(self, monkeypatch, gap, holds):
@@ -446,12 +446,20 @@ class TestFrechetCheck:
         import qrelent.bounds as bounds_module
         from qrelent.harness import _SuiteRun
 
-        monkeypatch.setattr(bounds_module, "psd_gap", lambda left, right: gap)
-        (rep,) = frechet_check(OperatorPair(np.eye(2), 2.0 * np.eye(2)), (0.5,))
+        monkeypatch.setattr(bounds_module, "psd_gap", lambda left, right: [gap] * len(left))
+        (rep,) = frechet_check([OperatorPair(np.eye(2), 2.0 * np.eye(2))], (0.5,))[0]
         assert rep.allowance == 1e-7 and rep.holds is holds
         run = _SuiteRun("lemma1_psd_gap", None, 1)
         run.le(rep.name, rep.lhs, rep.rhs, rep.allowance)
         assert run.failures == (0 if holds else 1)
+
+    def test_block_equals_each_pair_alone(self, rng):
+        # one gap stack per dimension gives each pair the reports it gets alone
+        pairs = [OperatorPair(HermitianOperator(random_pd(rng, d)),
+                              HermitianOperator(random_pd(rng, d))) for d in (3, 2, 3, 5, 2)]
+        rs = (0.1, 0.5, 0.9)
+        assert frechet_check(pairs, rs) == [frechet_check([ops], rs)[0] for ops in pairs]
+        assert frechet_check([], rs) == []
 
     @given(seed=st.integers(0, 2**32 - 1), r=st.sampled_from([0.1, 0.5, 0.9]))
     @settings(max_examples=25, deadline=None)
@@ -459,7 +467,7 @@ class TestFrechetCheck:
         gen = np.random.Generator(np.random.SFC64(seed))
         a = HermitianOperator(random_pd(gen, 4))
         b = HermitianOperator(random_pd(gen, 4))
-        (rep,) = frechet_check(OperatorPair(a, b), (r,))
+        (rep,) = frechet_check([OperatorPair(a, b)], (r,))[0]
         assert rep.rhs >= -1e-7
         assert rep.holds
 
@@ -560,7 +568,7 @@ class TestSharedWork:
         b = HermitianOperator(random_pd(rng, 4))
         ops = OperatorPair(a, b)
         for r in (0.1, 0.5, 0.9):
-            assert frechet_check(ops, (r,)) == frechet_check(OperatorPair(a, b), (r,))
+            assert frechet_check([ops], (r,)) == frechet_check([OperatorPair(a, b)], (r,))
         a1 = HermitianOperator(a.matrix / a.trace())
         b1 = HermitianOperator(b.matrix / b.trace())
         ops = OperatorPair(a1, b1)

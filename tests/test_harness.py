@@ -26,8 +26,10 @@ from qrelent.harness import (
     sweep_row,
     tightness_crossover,
 )
+from qrelent.linalg import HermitianOperator
 from qrelent.states import (
     DensityMatrix,
+    haar_bases,
     json_text,
     read_state,
     sample_common_support_pair,
@@ -173,6 +175,22 @@ class TestConfigValidation:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "finite" in captured.err
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    # the library route refuses what the config-file route refuses: verify
+    # never reads the grids, but it echoes them into its report
+    @pytest.mark.parametrize("grids", [
+        {"q_grid": (math.nan,), "b0_grid": (math.inf,)}, {"b0_grid": (0.1, -math.inf)},
+        {"q_grid": (2.0, math.nan)}, {"q_grid": (True,)},
+    ], ids=["nan_inf", "-inf", "nan", "bool"])
+    def test_non_finite_grid_in_library_config(self, grids, tmp_path):
+        config = SweepConfig(dims=(2,), trials=1, output_path=str(tmp_path / "r.json"), **grids)
+        key = next(iter(grids))
+        with pytest.raises(ConfigError, match=f"{key} must be a list of finite numbers"):
+            config.validate()
+        for command in (cmd_verify, cmd_sweep):
+            with pytest.raises(ConfigError, match="finite"):
+                command(config)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("doc", [{"dims": 5}, {"trials": "3"}])
     def test_wrong_json_type_exits_two(self, doc, tmp_path, capsys):
@@ -343,7 +361,7 @@ class TestEvaluationCounts:
         harness._suite_thm1(run, config, 40)
         assert run.instances_run == 40 and run.failures == 0
         drawn = harness._SuiteRun("dims", None, config.seed).block_draws(
-            7, 40, list(config.dims), None, None)
+            7, 40, list(config.dims), None, None, None)
         dims = {d for _, _, d, _, _ in drawn}
         assert counts == {"eigh": 2 * len(dims), "eigvalsh": len(dims)}
 
@@ -543,7 +561,7 @@ class TestVerify:
 
         run = _SuiteRun("demo", tmp_path, seed=3)
         states = (sample_density(2, 2, rng), sample_density(2, 2, rng))
-        for _ in run.block_draws(4, 1, None, None, None):
+        for _ in run.block_draws(4, 1, None, None, None, None):
             run.le("forced", 1.5, 1.0, 0.0, states=states, q=2.0)
         assert run.failures == 1
         assert run.counterexample_path is not None
@@ -559,7 +577,7 @@ class TestVerify:
         states = (sample_density(2, 2, rng), sample_density(2, 2, rng))
         with_states = _SuiteRun("numeric", tmp_path, seed=3)
         verdict_only = _SuiteRun("verdict", tmp_path, seed=3)  # margin null
-        for _ in with_states.block_draws(4, 1, None, None, None):
+        for _ in with_states.block_draws(4, 1, None, None, None, None):
             with_states.le("forced", 1.5, 1.0, 0.0, states=states, q=2.0)
             verdict_only.verdict("forced", False, label="\u00e9\t")
         assert len(json_docs) == 2
@@ -1220,7 +1238,7 @@ def test_closest_is_largest_finite_ratio():
                            ("inf_lhs", math.inf, 1.0), ("negative_rhs", -1.0, -1.0)):
         run.le(name, lhs, rhs, 1.0)
     assert run.closest is None
-    for _ in run.block_draws(6, 1, None, None, None):
+    for _ in run.block_draws(6, 1, None, None, None, None):
         run.le("first", 1.0, 4.0, 0.0, q=1.5)
         run.le("tie", 2.0, 8.0, 0.0)
         run.le("lower", 0.1, 4.0, 0.0)
@@ -1235,7 +1253,7 @@ def test_instances_draw_as_choice(seed, salt, dims):
     # leaves the trial's stream where rng.choice leaves it; with no draw, an
     # instance comes as soon as it is counted
     run = harness._SuiteRun("demo", None, seed)
-    for i, rng, d, states, drawn in run.block_draws(salt, 4, dims, None, None):
+    for i, rng, d, states, drawn in run.block_draws(salt, 4, dims, None, None, None):
         assert run.instances_run == i + 1
         reference = trial_stream(seed, i, salt=salt)
         assert d == int(reference.choice(dims))
@@ -1250,28 +1268,43 @@ def test_instances_draw_as_choice(seed, salt, dims):
         assert rng.standard_normal(3).tolist() == fresh.standard_normal(3).tolist()
         return [], i
 
-    assert [drawn for *_, drawn in run.block_draws(salt, 3, None, draw, None)] == [0, 1, 2]
+    instances = run.block_draws(salt, 3, None, draw, DensityMatrix.stack, None)
+    assert [drawn for *_, drawn in instances] == [0, 1, 2]
     assert run.instances_run == 7
 
 
-#: the suites that draw their states and build them in blocks
-_STACKING_SUITES = {"_suite_states", "_suite_entropy", "_suite_thm1", "_suite_thm2",
-                    "_suite_thm3", "_suite_lower"}
+#: the suites that draw their instances and build them in blocks: all but
+#: the two probes
+_STACKING_SUITES = {"_suite_linalg_norms", "_suite_quadrature", "_suite_states",
+                    "_suite_entropy", "_suite_thm1", "_suite_thm2", "_suite_thm3",
+                    "_suite_lower", "_suite_lemma1", "_suite_lemma2", "_suite_lemma3"}
+#: suite -> (its one construction kernel, raw matrices per instance)
+_KERNEL_OF = {"_suite_linalg_norms": ("HermitianOperator", 2),
+              "_suite_quadrature": ("haar_bases", 1),
+              "_suite_lemma1": ("HermitianOperator", 2),
+              "_suite_lemma2": ("HermitianOperator", 2),
+              "_suite_lemma3": ("HermitianOperator", 2)}
 
 
 @pytest.mark.parametrize("builder", [b.__name__ for _, b, _ in harness._SUITES])
 def test_block_size_changes_no_result(monkeypatch, builder):
     # with one instance per block, as with the default blocks, a suite gives
-    # the same record; a suite that builds states calls the kernel once
-    # per block, and the others never call it
+    # the same record; a suite that draws in blocks calls its kernels once
+    # per block, and the probes never call them
     calls = []
-    stack = DensityMatrix.stack.__func__
+    stack = HermitianOperator.stack.__func__
 
     def counted(cls, matrices):
-        calls.append(len(matrices))
+        calls.append((cls.__name__, len(matrices)))
         return stack(cls, matrices)
 
-    monkeypatch.setattr(DensityMatrix, "stack", classmethod(counted))
+    def counted_bases(ginibres):
+        calls.append(("haar_bases", len(ginibres)))
+        return haar_bases(ginibres)
+
+    # DensityMatrix inherits the kernel of HermitianOperator
+    monkeypatch.setattr(HermitianOperator, "stack", classmethod(counted))
+    monkeypatch.setattr(harness, "haar_bases", counted_bases)
 
     def run_suite(block_bytes):
         monkeypatch.setattr(harness, "_BLOCK_BYTES", block_bytes)
@@ -1287,10 +1320,15 @@ def test_block_size_changes_no_result(monkeypatch, builder):
     assert default.failures == 0
     if builder in _STACKING_SUITES:
         assert default.instances_run >= 30
-        # every instance builds at least one state, alone in its block
-        assert len([n for n in alone_calls if n]) >= 30 > len(default_calls)
+        # every instance draws at least one matrix, alone in its block
+        assert len([n for _, n in alone_calls if n]) >= 30 > len(default_calls)
     else:
         assert alone_calls == default_calls == []
+    if builder in _KERNEL_OF:
+        # 30 instances fill one default block
+        kernel, per_instance = _KERNEL_OF[builder]
+        assert default_calls == [(kernel, 30 * per_instance)]
+        assert alone_calls == [(kernel, per_instance)] * 30
 
 
 @pytest.mark.parametrize("block_bytes", [1, 1 << 18])
@@ -1313,3 +1351,69 @@ def test_block_restores_each_instance(tmp_path, monkeypatch, block_bytes):
     assert run.failures == 1
     doc = json.loads((tmp_path / "counterexample_thm2_soundness_context.json").read_text())
     assert (doc["seed"], doc["trial"], doc["salt"]) == (9, 3, 8)
+
+
+def _forced_power_diff(calls):
+    # the first report of n = 2 in the fourth instance fails: 18 reports per
+    # instance, n = 1 first with its three p
+    from qrelent.bounds import BoundReport
+
+    def power_diff_bound(ops, n, p):
+        calls.append(n)
+        rhs = -1.0 if len(calls) == 3 * 18 + 4 else 1.0
+        return BoundReport("forced", 0.0 if n > 1 else rhs, rhs, rhs > 0.0)
+
+    return "power_diff_bound", power_diff_bound
+
+
+def _forced_composition(calls):
+    # the fourth instance's composed exponential is off by the identity: three
+    # apply_function calls per instance, composed first
+    original = harness.apply_function
+
+    def apply_function(h, f):
+        calls.append(h)
+        result = original(h, f)
+        if len(calls) == 3 * 3 + 1:
+            return HermitianOperator(result.matrix + np.eye(result.dim))
+        return result
+
+    return "apply_function", apply_function
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 18])
+@pytest.mark.parametrize("suite, builder, salt, forced", [
+    ("lemma2_power_diff", "_suite_lemma2", 12, _forced_power_diff),
+    ("linalg_norms", "_suite_linalg_norms", 1, _forced_composition),
+])
+def test_block_replays_lemma_and_norm_instances(tmp_path, monkeypatch, block_bytes, suite,
+                                                builder, salt, forced):
+    # the checks of a block solved together run with their own instance
+    # current: a failure in the fourth instance records trial 3 and the
+    # suite's salt, however many instances share its block
+    calls = []
+    monkeypatch.setattr(harness, *forced(calls))
+    monkeypatch.setattr(harness, "_BLOCK_BYTES", block_bytes)
+    run = harness._SuiteRun(suite, tmp_path, 9)
+    getattr(harness, builder)(run, SweepConfig(seed=9), 10)
+    assert run.instances_run == 10 and run.failures == 1
+    doc = json.loads((tmp_path / f"counterexample_{suite}_context.json").read_text())
+    assert (doc["seed"], doc["trial"], doc["salt"]) == (9, 3, salt)
+    assert doc["margin"] < 0.0
+
+
+def test_verify_solves_a_block_at_a_time(monkeypatch):
+    # LAPACK calls on one matrix (a 2-D input, or a stack of one) in one
+    # 40-trial request.  Before the lemma, norm, state and Haar draws were
+    # solved in blocks these were 239 eigh, 234 eigvalsh and 127 qr; the
+    # bounds are the counts measured with the blocks, so a change that
+    # solves one matrix at a time again fails here
+    counts = dict.fromkeys(("eigh", "eigvalsh", "qr"), 0)
+    for name in counts:
+        def counting(a, *args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += math.prod(np.shape(a)[:-2]) == 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    assert cmd_verify(SweepConfig(trials=40, seed=5)).passed
+    assert counts["eigh"] <= 45 and counts["eigvalsh"] <= 5 and counts["qr"] <= 11, counts

@@ -402,3 +402,61 @@ def test_zero_threshold_scales_with_dimension():
     cut = zero_threshold(w)
     assert 0.0 < cut < 1e-12
     assert abs(w[1]) <= cut
+
+
+class TestStackedSolvesAreLoneBits:
+    """Each stacked solve of a block, over d = 1..8 with several dimensions
+    in one stack, gives every matrix the bits it gets alone."""
+
+    @staticmethod
+    def _mixed_dims(rng, make):
+        return [make(d) for d in (3, 1, 8, 2, 5, 8, 4, 6, 7, 3, 1, 2)]
+
+    def test_operator_construction(self, rng):
+        # inputs within the asymmetry budget, so the Hermitian parts move them
+        def draw(d):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            return g + g.conj().T + 1e-13 * rng.standard_normal((d, d))
+
+        mats = self._mixed_dims(rng, draw)
+        for m, op in zip(mats, HermitianOperator.stack(mats)):
+            lone = HermitianOperator(m)
+            assert type(op) is HermitianOperator and not op.matrix.flags.writeable
+            assert np.array_equal(op.matrix, lone.matrix)
+            for got, expect in zip(op._eig, lone.eig()):  # cached when made
+                assert np.array_equal(got, expect)
+
+    def test_operator_construction_refuses_what_the_constructor_does(self):
+        with pytest.raises(NonHermitianInput):
+            HermitianOperator.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        with pytest.raises(DimensionMismatch):
+            HermitianOperator.stack([np.eye(2), np.ones((2, 3))])
+
+    def test_singular_values(self, rng):
+        # general, Hermitian and nearly Hermitian matrices take both routes
+        def draw(d):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            kind = int(rng.integers(0, 3))
+            return g if kind == 0 else np.linalg.matrix_power(g + g.conj().T, 2 * kind + 1)
+
+        mats = self._mixed_dims(rng, draw)
+        for m, s in zip(mats, linalg.stackwise(singular_values, mats)):
+            assert np.array_equal(s, singular_values(m))
+        # a stack of stacks keeps its leading shape
+        both = singular_values(np.stack([mats[2], mats[5]])[None])
+        assert both.shape == (1, 2, 8) and np.array_equal(both[0, 1], singular_values(mats[5]))
+
+    def test_psd_gap_and_operator_pairs(self, rng):
+        def draw(d):
+            return HermitianOperator(random_hermitian(rng, d))
+
+        a, b = self._mixed_dims(rng, draw), self._mixed_dims(rng, draw)
+        gaps = linalg.stackwise(psd_gap, [x.matrix for x in a], [y.matrix for y in b])
+        pairs = linalg.OperatorPair.stack(zip(a, b), (2, 5))
+        for x, y, gap, ops in zip(a, b, gaps, pairs):
+            assert gap == psd_gap(x, y)
+            lone = linalg.OperatorPair(x, y)
+            assert np.array_equal(ops.diff_singular_values, lone.diff_singular_values)
+            for n in (2, 5):
+                assert np.array_equal(ops.power_diff_singular_values(n),
+                                      lone.power_diff_singular_values(n))

@@ -483,7 +483,8 @@ class TestSharedExponents:
             monkeypatch.setattr(owner, name, wrapper)
         if call == "check":
             doubled = OperatorPair(a, HermitianOperator(2.0 * a.matrix))
-            assert len(frechet_check(doubled, R_VALUES)) == len(R_VALUES)
+            (reports,) = frechet_check([doubled], R_VALUES)
+            assert len(reports) == len(R_VALUES)
         else:
             _integrals(call, a, direction, R_VALUES)
         assert counts == {"cho_factor": 1, "cholesky": 1, "solve": 1}

@@ -28,6 +28,8 @@ from qrelent.states import (
     TOL_INCL,
     DensityMatrix,
     density_with_spectrum,
+    ginibre,
+    haar_bases,
     haar_unitary,
     json_text,
     kernel_included,
@@ -807,3 +809,18 @@ def test_eigensystem_rejected_by_both_constructors(build, w, u, error):
     with pytest.raises(error):
         build(w, u)
 
+
+
+def test_haar_bases_are_lone_bits():
+    # one QR per dimension over a block of d = 1..8 gives each basis the bits
+    # of haar_unitary and of the lone QR with the phases of diag(R) pulled in
+    dims = (3, 1, 8, 2, 5, 8, 4, 6, 7, 3, 1, 2)
+    ginibres = [ginibre(np.random.Generator(np.random.SFC64(seed)), (d, d))
+                for seed, d in enumerate(dims)]
+    for seed, (d, g, u) in enumerate(zip(dims, ginibres, haar_bases(ginibres))):
+        q, r = np.linalg.qr(g)
+        diag = np.diagonal(r).copy()
+        diag[diag == 0] = 1.0
+        assert u.flags.c_contiguous
+        assert np.array_equal(u, np.multiply(q, diag / np.abs(diag), order="C"))
+        assert np.array_equal(u, haar_unitary(d, np.random.Generator(np.random.SFC64(seed))))
