@@ -4,8 +4,8 @@
 # and at q = Q_MAX, eval of a d = 64 pair in both orders, eval of a
 # 2 x 2 pair whose D_q leaves the float range,
 # the output of the two probe scripts, and the node-budget
-# table of scripts/quadrature_budget.py at two operands per band (its check
-# that it reproduces the library's own rule runs with it).
+# table of scripts/quadrature_budget.py at two operands per band (it runs
+# the library's own quadrature rules).
 #
 # Every command runs through `python -m qrelent`, so PYTHONPATH (or the
 # installed package) picks the source tree that runs.  Two trees give the same

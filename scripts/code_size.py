@@ -3,9 +3,10 @@
 settable values, then the line count of each module.
 
 Settable values are the parameters with a default, of every ``def`` and
-``lambda``, plus the fields of every ``@dataclass``: each is a value a caller
-may set or leave alone.  Only the standard library's ``ast`` is used, so the
-count needs no import of the package.
+``lambda``, plus the fields with a default (an assigned value) of every
+``@dataclass``: each is a value a caller may set or leave alone.  Only the
+standard library's ``ast`` is used, so the count needs no import of the
+package.
 
     python scripts/code_size.py [PACKAGE_DIR]
 """
@@ -34,7 +35,8 @@ def settable_values(tree: ast.AST) -> int:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+            count += sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                         for stmt in node.body)
     return count
 
 

@@ -199,8 +199,8 @@ class _SuiteRun:
         self._instance: dict = {}
 
     def block_draws(self, salt: int, count: int, dims: list[int] | None, draw, kernel, build):
-        """(trial, stream, d, made, drawn) per instance, trials 0 to count - 1:
-        the one path from (seed, trial, salt) to an instance.
+        """(trial, stream, instance) per instance, trials 0 to count - 1: the
+        one path from (seed, trial, salt) to an instance.
 
         Each instance is counted and opens its own stream, from which d is
         drawn first, as rng.choice(dims) draws it (None when ``dims`` is None).
@@ -209,13 +209,11 @@ class _SuiteRun:
         Instances are drawn in blocks of _BLOCK_BYTES of raw matrices, and
         one ``kernel`` call makes every raw matrix of a block: the states of
         ``DensityMatrix.stack``, the operators of ``HermitianOperator.stack``
-        or the unitaries of ``haar_bases``.  With ``draw`` None, each
-        instance is yielded as soon as it is counted, with nothing made.
-        ``build(made, drawn)``, unless None, receives what each instance's
-        matrices made and its draws, one entry per instance, before the
-        block's first instance is yielded, and returns what each instance is
-        yielded with in place of what its matrices made: the block's
-        evaluation contexts or checks, solved together.  A counterexample
+        or the unitaries of ``haar_bases``.  ``build(made, drawn)`` receives
+        what each instance's matrices made and its draws, one entry per
+        instance, before the block's first instance is yielded, and returns
+        the block's instances: its evaluation contexts or checks, solved
+        together, with whatever of the draws the checks read.  A counterexample
         records the trial and salt of the instance last yielded, which with
         the seed redraw it.  The checks may go on drawing from the stream: no
         other instance uses it.
@@ -226,21 +224,16 @@ class _SuiteRun:
             rng = trial_stream(self.seed, trial, salt)
             # the draw of rng.choice(dims), without converting dims to an array
             d = None if dims is None else dims[int(rng.integers(0, len(dims), dtype=np.int64))]
-            matrices, drawn = draw(trial, rng, d) if draw else ([], None)
-            block.append((trial, rng, d, matrices, drawn))
+            matrices, drawn = draw(trial, rng, d)
+            block.append((trial, rng, matrices, drawn))
             size += sum(m.nbytes for m in matrices)
-            if draw and size < _BLOCK_BYTES and trial + 1 < count:
+            if size < _BLOCK_BYTES and trial + 1 < count:
                 continue
-            built = kernel([m for *_, ms, _ in block for m in ms]) if draw else []
-            made, start = [], 0
-            for *_, matrices, _ in block:
-                made.append(built[start : start + len(matrices)])
-                start += len(matrices)
-            if build is not None:
-                made = build(made, [drawn for *_, drawn in block])
-            for (trial, rng, d, _, drawn), instance in zip(block, made):
+            built = iter(kernel([m for *_, ms, _ in block for m in ms]))
+            made = [[next(built) for _ in ms] for *_, ms, _ in block]
+            for (trial, rng, *_), instance in zip(block, build(made, [dr for *_, dr in block])):
                 self._instance = {"trial": trial, "salt": salt}
-                yield trial, rng, d, instance, drawn
+                yield trial, rng, instance
             block, size = [], 0
 
     def le(self, name: str, lhs: float, rhs: float, allowance: float, states=None,
@@ -339,10 +332,11 @@ def _dims(config: SweepConfig, max_dim: float) -> list[int]:
     return [d for d in config.dims if 2 <= d <= max_dim] or [2]
 
 
-#: bytes of raw matrices per kernel call: a suite draws instances until their
-#: raw matrices (states, lemma and norm operands, the Ginibre draws of Haar
-#: bases) reach this size, makes them all with one kernel call, then checks
-#: the instances in order, so a block's memory stays bounded
+#: bytes per kernel call of the matrices that draws return (states, lemma and
+#: norm operands, the quadrature suite's Ginibre draws): a suite draws
+#: instances until theirs reach this size, makes them with one kernel call and
+#: checks them in order, so a block's memory stays bounded.  What a draw keeps
+#: beside its matrices, as the other suites' Ginibre draws, does not count
 _BLOCK_BYTES = 1 << 18
 
 
@@ -366,9 +360,7 @@ def _pairs(run: _SuiteRun, config: SweepConfig, count: int, salt: int, deficient
         return PairEval.stack(pair if g is None else embed_common_support(*pair, next(bases))
                               for pair, g in zip(states, ginibres))
 
-    for trial, rng, _, pair, _ in run.block_draws(salt, count, _dims(config, 8), draw,
-                                                  DensityMatrix.stack, build):
-        yield trial, rng, pair
+    return run.block_draws(salt, count, _dims(config, 8), draw, DensityMatrix.stack, build)
 
 
 def _sample_q(rng, exact_every: int, i: int, lo: float = 1.0, hi: float = 2.0) -> float:
@@ -403,7 +395,7 @@ def _suite_linalg_norms(run: _SuiteRun, config: SweepConfig, count: int) -> None
         return [(h, delta, products[5 * k + 4], values[5 * k : 5 * k + 5])
                 for k, (h, delta) in enumerate(operands)]
 
-    for _, _, _, (h, delta, xyz, (sx, sy, sz, sxy, sxyz)), _ in run.block_draws(
+    for _, _, (h, delta, xyz, (sx, sy, sz, sxy, sxyz)) in run.block_draws(
             1, count, _dims(config, math.inf), draw, HermitianOperator.stack, build):
         for p in (1.0, 2.0, math.inf):
             rhs = schatten_norm(sx, math.inf) * schatten_norm(sy, p) * schatten_norm(sz, math.inf)
@@ -444,8 +436,7 @@ def _suite_quadrature(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     def build(bases, spectra):
         return [HermitianOperator.from_eigensystem(w, u) for (u,), w in zip(bases, spectra)]
 
-    for i, rng, d, a_op, _ in run.block_draws(2, count, _dims(config, 8), draw, haar_bases,
-                                              build):
+    for i, rng, a_op in run.block_draws(2, count, _dims(config, 8), draw, haar_bases, build):
         norm_inf = schatten_norm(a_op, math.inf)
         # one resolvent stack per form serves all three exponents
         firsts = quadrature.frac_power_operator(a_op, r_values, form="first")
@@ -500,15 +491,16 @@ def _draw_state_checks(trial, rng, d):
 def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     def build(states, drawn):
         """Per instance its states, the state of density_with_spectrum and
-        the mixture of rho and other.  The block's Haar bases come from one
+        the mixture of rho and other, with rho's drawn rank and the
+        controlled spectrum.  The block's Haar bases come from one
         haar_bases call and its mixtures from one stack call."""
         bases = haar_bases([g for _, _, g, _ in drawn])
         mixes = DensityMatrix.stack([lam * rho.matrix + (1.0 - lam) * other.matrix
                                      for (rho, other, *_), (*_, lam) in zip(states, drawn)])
-        return [(made, DensityMatrix.from_eigensystem(probability_vector(spec), u), mix)
-                for made, (_, spec, _, _), u, mix in zip(states, drawn, bases, mixes)]
+        return [(made, DensityMatrix.from_eigensystem(probability_vector(spec), u), mix, rank,
+                 spec) for made, (rank, spec, _, _), u, mix in zip(states, drawn, bases, mixes)]
 
-    for _, _, d, ((rho, _, *extra), controlled, mix), (rank, spec, _, _) in run.block_draws(
+    for _, _, ((rho, _, *extra), controlled, mix, rank, spec) in run.block_draws(
             3, count, _dims(config, math.inf), _draw_state_checks, DensityMatrix.stack, build):
         run.le("psd", 0.0, np.min(rho.spectrum), 0.0)
         run.le("unit_trace", abs(exact_sum(rho.spectrum) - 1.0), 0.0, 1e-10)
@@ -518,7 +510,7 @@ def _suite_states(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         run.le("projector_trace", abs(float(np.trace(proj).real) - rho.rank), 0.0, 1e-10)
         run.verdict("kernel_reflexive", kernel_included(rho, rho))
         run.le("spectrum_roundtrip", np.max(np.abs(controlled.spectrum - spec)), 0.0, 1e-10)
-        run.verdict("mixing_closure", mix.dim == d)
+        run.verdict("mixing_closure", mix.dim == rho.dim)
         if extra:
             deficient, full = extra
             run.verdict("kernel_excluded", not kernel_included(deficient, full))
@@ -553,11 +545,11 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         return matrices, (q, lam, da, db, g, spec_a, spec_b, ginibre(rng, (d, d)))
 
     def build_properties(states, drawn):
-        """Per instance its ten pairs, in the order the checks read them:
-        the two tensor factors and their product, the mixture of the two
-        pairs of dimension d and those pairs, the bipartite pair and its
-        reduction, the rotation of the first d pair, and the commuting pair.
-        The block's Haar bases come from one haar_bases call, and its
+        """Per instance its ten pairs, in the order the checks read them, and
+        its draws: the two tensor factors and their product, the mixture of
+        the two pairs of dimension d and those pairs, the bipartite pair and
+        its reduction, the rotation of the first d pair, and the commuting
+        pair.  The block's Haar bases come from one haar_bases call, and its
         mixtures, rotations and reductions from one stack call."""
         bases = iter(haar_bases([g for drawn_k in drawn for g in (drawn_k[4], drawn_k[7])]))
         matrices, commuting_bases = [], []
@@ -581,10 +573,10 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
                       (DensityMatrix.from_eigensystem(spec_a, basis),
                        DensityMatrix.from_eigensystem(spec_b, basis))]
         contexts = PairEval.stack(pairs)
-        return [contexts[k : k + 10] for k in range(0, len(contexts), 10)]
+        return [(contexts[10 * k : 10 * k + 10], drawn_k) for k, drawn_k in enumerate(drawn)]
 
-    for _, _, _, pairs, drawn in run.block_draws(5, max(1, count // 5), None, draw_properties,
-                                                 DensityMatrix.stack, build_properties):
+    for _, _, (pairs, drawn) in run.block_draws(5, max(1, count // 5), None, draw_properties,
+                                                DensityMatrix.stack, build_properties):
         q, lam, _, _, _, spec_a, spec_b, _ = drawn
         first, second, joint, mix, pair_a, pair_b, whole, reduced, rot, commuting = pairs
         # pseudoadditivity on tensor products
@@ -609,15 +601,14 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     def draw_fixed(i, rng, _):
         return [draw_density(2 + 2 * i, 2 + 2 * i, rng) for _ in range(2)], None
 
-    for _, _, _, (rho, sigma), _ in run.block_draws(6, 2, None, draw_fixed, DensityMatrix.stack,
-                                                    None):
-        pair = PairEval(rho, sigma)
+    for _, _, pair in run.block_draws(6, 2, None, draw_fixed, DensityMatrix.stack,
+                                      lambda states, _: PairEval.stack(states)):
         ratios = []
         for k in range(2, 10):
             q = 1.0 + 10.0**-k
             ratios.append(abs(pair.dq(q) - pair.d1) / (q - 1.0))
         for ratio in ratios[1:]:
-            run.le("q_to_1", ratio, 2.0 * ratios[0], 1e-9, states=(rho, sigma))
+            run.le("q_to_1", ratio, 2.0 * ratios[0], 1e-9, states=(pair.rho, pair.sigma))
 
 
 def _suite_thm1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
@@ -671,8 +662,8 @@ def _suite_lemma1(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     def build(operands, _):
         return frechet_check([OperatorPair(a, b) for a, b in operands], r_values)
 
-    for _, _, _, reports, _ in run.block_draws(11, count, _dims(config, 8), draw,
-                                               HermitianOperator.stack, build):
+    for _, _, reports in run.block_draws(11, count, _dims(config, 8), draw,
+                                         HermitianOperator.stack, build):
         for r, rep in zip(r_values, reports):
             run.le("psd_gap", rep.lhs, rep.rhs, rep.allowance, r=r)
 
@@ -681,10 +672,8 @@ def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     def draw(trial, rng, d):
         return [_herm_draw(rng, d), _herm_draw(rng, d)], None
 
-    for _, _, _, ops, _ in run.block_draws(12, count, _dims(config, 8), draw,
-                                           HermitianOperator.stack,
-                                           lambda operands, _: OperatorPair.stack(operands,
-                                                                                  range(2, 7))):
+    for _, _, ops in run.block_draws(12, count, _dims(config, 8), draw, HermitianOperator.stack,
+                                     lambda operands, _: OperatorPair.stack(operands, range(2, 7))):
         for n in range(1, 7):
             for p in (1.0, 2.0, math.inf):
                 rep = power_diff_bound(ops, n, p)
@@ -699,9 +688,8 @@ def _suite_lemma3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         rank = d if i % 3 else max(1, d - 1)
         return [draw_density(d, rank, rng), _pd_draw(rng, d, trace_one=True)], None
 
-    for _, _, _, ops, _ in run.block_draws(13, count, _dims(config, 8), draw,
-                                           HermitianOperator.stack,
-                                           lambda operands, _: OperatorPair.stack(operands, ())):
+    for _, _, ops in run.block_draws(13, count, _dims(config, 8), draw, HermitianOperator.stack,
+                                     lambda operands, _: OperatorPair.stack(operands, ())):
         for s in (0.25, 0.5, 0.75):
             rep = lemma3_bound(ops, s)
             run.le(rep.name, rep.lhs, rep.rhs, rep.allowance, s=s)

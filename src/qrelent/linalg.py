@@ -445,6 +445,15 @@ def diff_singular_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(np.linalg.eigvalsh(a - b)))[..., ::-1]
 
 
+def _solve_power_diffs(pairs: list[OperatorPair], powers) -> None:
+    """Keep on each pair the singular values of A^n - B^n per n of ``powers``."""
+    power = np.linalg.matrix_power
+    for p, s in zip(pairs, stackwise(lambda a, b: singular_values(
+            np.stack([power(a, n) - power(b, n) for n in powers], axis=1)),
+            [p.a.matrix for p in pairs], [p.b.matrix for p in pairs])):
+        p._power_diff.update(zip(powers, s))
+
+
 def grouped(items, key) -> list[list]:
     """The items in groups of equal ``key(item)``: groups in the order of
     their first item, items in their own order within each."""
@@ -501,11 +510,7 @@ class OperatorPair:
         for p, s in zip(pairs, stackwise(diff_singular_values, a, b)):
             p.diff_singular_values = s
         if powers:
-            power = np.linalg.matrix_power
-            solved = stackwise(lambda x, y: singular_values(
-                np.stack([power(x, n) - power(y, n) for n in powers], axis=1)), a, b)
-            for p, s in zip(pairs, solved):
-                p._power_diff.update(zip(powers, s))
+            _solve_power_diffs(pairs, powers)
         return pairs
 
     @cached_property
@@ -529,9 +534,7 @@ class OperatorPair:
         if n == 1:
             return self.diff_singular_values
         if n not in self._power_diff:
-            power = np.linalg.matrix_power
-            self._power_diff[n] = singular_values(power(self.a.matrix, n)
-                                                  - power(self.b.matrix, n))
+            _solve_power_diffs([self], (n,))
         return self._power_diff[n]
 
 

@@ -279,35 +279,34 @@ def _pd_scales(h: HermitianOperator) -> tuple[float, float]:
 
 
 def frac_power_operator(A, rs, form: str = "first") -> tuple[HermitianOperator, ...]:
-    """A^r for strictly positive A and each exponent r in the tuple ``rs``, by
-    resolvent quadrature on the ladder of A's scales; one stack of solves
-    serves every exponent.
-
-    form="first" integrates x^(r-1) A (A + x I)^(-1); form="second" integrates
-    y^(-r) (y I + A^(-1))^(-1), evaluated as A (y A + I)^(-1) so that only
-    positive-definite solves are needed.
-    """
+    """A^r for strictly positive A and each exponent r in the tuple ``rs``: the
+    ``_power_rule`` of either ``form`` on the ladder of A's scales; one stack
+    of solves serves every exponent."""
     A = as_herm(A)
     rs = _exponents(rs)
     lo, hi = _pd_scales(A)
-    mat = A.matrix
-
-    if form == "first":
-        y, rules = shared_nodes_weights([r - 1.0 for r in rs], geometric_splits(lo, hi),
-                                        NODES_PER_PANEL)
-        alpha, beta = np.ones_like(y), y
-    elif form == "second":
-        y, rules = shared_nodes_weights([-r for r in rs], geometric_splits(1.0 / hi, 1.0 / lo),
-                                        NODES_PER_PANEL)
-        alpha, beta = y, np.ones_like(y)
-    else:
+    if form not in ("first", "second"):
         raise DomainViolation(f"unknown form {form!r}")
+    splits = geometric_splits(lo, hi) if form == "first" else geometric_splits(1.0 / hi, 1.0 / lo)
+    return _power_rule(A.matrix, rs, form, splits, NODES_PER_PANEL)
+
+
+def _power_rule(mat: np.ndarray, rs: tuple[float, ...], form: str, splits: tuple[float, ...],
+                n: int) -> tuple[HermitianOperator, ...]:
+    """A^r of the positive definite ``mat`` per exponent of ``rs``, n nodes per
+    panel of ``splits``.  form="first" integrates x^(r-1) A (A + x I)^(-1);
+    form="second" integrates y^(-r) (y I + A^(-1))^(-1) as A (y A + I)^(-1),
+    so that only positive-definite solves are needed."""
+    first = form == "first"
+    y, rules = shared_nodes_weights([r - 1.0 if first else -r for r in rs], splits, n)
+    alpha, beta = (np.ones_like(y), y) if first else (y, np.ones_like(y))
     return _scaled_hermitian(rs, _resolvent_sum(mat, alpha, beta, rules, mat))
 
 
 def frechet_integral_rhs(A, D, rs) -> tuple[HermitianOperator, ...]:
     """(sin(r pi)/pi) int_0^inf y^(-r) (yI+A)^(-1) D (yI+A)^(-1) dy for each
-    exponent r in the tuple ``rs``; one stack of solves serves every exponent.
+    exponent r in the tuple ``rs``: the ``_frechet_rule`` on the ladder of A's
+    scales; one stack of solves serves every exponent.
 
     For D commuting with A this acts eigenvalue-wise as d * r * a^(-r-1); in
     general it is the derivative of t -> -t^(-r) at A in the direction D.
@@ -318,9 +317,16 @@ def frechet_integral_rhs(A, D, rs) -> tuple[HermitianOperator, ...]:
         raise DimensionMismatch(f"dimension mismatch: {A.dim} vs {D.dim}")
     rs = _exponents(rs)
     lo, hi = _pd_scales(A)
-    y, rules = shared_nodes_weights([-r for r in rs], geometric_splits(lo, hi), NODES_PER_PANEL)
-    eye = np.eye(A.dim, dtype=np.complex128)
-    totals = _resolvent_sum(A.matrix, np.ones_like(y), y, rules, eye, middle=D.matrix)
+    return _frechet_rule(A.matrix, D.matrix, rs, geometric_splits(lo, hi), NODES_PER_PANEL)
+
+
+def _frechet_rule(mat: np.ndarray, direction: np.ndarray, rs: tuple[float, ...],
+                  splits: tuple[float, ...], n: int) -> tuple[HermitianOperator, ...]:
+    """The integral of ``frechet_integral_rhs`` at the positive definite ``mat``
+    in ``direction`` per exponent of ``rs``, n nodes per panel of ``splits``."""
+    y, rules = shared_nodes_weights([-r for r in rs], splits, n)
+    eye = np.eye(len(mat), dtype=np.complex128)
+    totals = _resolvent_sum(mat, np.ones_like(y), y, rules, eye, middle=direction)
     return _scaled_hermitian(rs, totals)
 
 

@@ -52,6 +52,13 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+def _bare_instances(run, salt: int, count: int):
+    """run.block_draws of ``count`` instances that draw no matrix, each
+    yielded as its trial number."""
+    return run.block_draws(salt, count, None, lambda trial, rng, d: ([], trial), list,
+                           lambda made, drawn: drawn)
+
+
 def _leaves(tree):
     """Every leaf of a tree of dicts and lists."""
     if isinstance(tree, dict):
@@ -348,7 +355,9 @@ class TestEvaluationCounts:
 
     def test_thm1_batches_its_solves(self, monkeypatch):
         # 40 instances fill one block; per dimension one eigh builds the
-        # states, one solves the compressions and one eigvalsh the distances
+        # states and one eigvalsh takes the distances, and per rank, which is
+        # the dimension for these full-rank pairs, one eigh solves the
+        # compressions
         counts = {"eigh": 0, "eigvalsh": 0}
         for name in counts:
             def counting(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
@@ -360,9 +369,7 @@ class TestEvaluationCounts:
         run = harness._SuiteRun("thm1_soundness", None, config.seed)
         harness._suite_thm1(run, config, 40)
         assert run.instances_run == 40 and run.failures == 0
-        drawn = harness._SuiteRun("dims", None, config.seed).block_draws(
-            7, 40, list(config.dims), None, None, None)
-        dims = {d for _, _, d, _, _ in drawn}
+        dims = {int(trial_stream(config.seed, i, 7).choice(config.dims)) for i in range(40)}
         assert counts == {"eigh": 2 * len(dims), "eigvalsh": len(dims)}
 
     def test_entropy_suite_repeats_no_evaluation(self, monkeypatch):
@@ -561,7 +568,7 @@ class TestVerify:
 
         run = _SuiteRun("demo", tmp_path, seed=3)
         states = (sample_density(2, 2, rng), sample_density(2, 2, rng))
-        for _ in run.block_draws(4, 1, None, None, None, None):
+        for _ in _bare_instances(run, 4, 1):
             run.le("forced", 1.5, 1.0, 0.0, states=states, q=2.0)
         assert run.failures == 1
         assert run.counterexample_path is not None
@@ -577,7 +584,7 @@ class TestVerify:
         states = (sample_density(2, 2, rng), sample_density(2, 2, rng))
         with_states = _SuiteRun("numeric", tmp_path, seed=3)
         verdict_only = _SuiteRun("verdict", tmp_path, seed=3)  # margin null
-        for _ in with_states.block_draws(4, 1, None, None, None, None):
+        for _ in _bare_instances(with_states, 4, 1):
             with_states.le("forced", 1.5, 1.0, 0.0, states=states, q=2.0)
             verdict_only.verdict("forced", False, label="\u00e9\t")
         assert len(json_docs) == 2
@@ -1238,7 +1245,7 @@ def test_closest_is_largest_finite_ratio():
                            ("inf_lhs", math.inf, 1.0), ("negative_rhs", -1.0, -1.0)):
         run.le(name, lhs, rhs, 1.0)
     assert run.closest is None
-    for _ in run.block_draws(6, 1, None, None, None, None):
+    for _ in _bare_instances(run, 6, 1):
         run.le("first", 1.0, 4.0, 0.0, q=1.5)
         run.le("tie", 2.0, 8.0, 0.0)
         run.le("lower", 0.1, 4.0, 0.0)
@@ -1249,27 +1256,33 @@ def test_closest_is_largest_finite_ratio():
        dims=st.lists(st.integers(2, 8), min_size=1, max_size=7))
 @settings(max_examples=60, deadline=None)
 def test_instances_draw_as_choice(seed, salt, dims):
-    # each instance's dimension is the draw rng.choice(dims) makes, and
-    # leaves the trial's stream where rng.choice leaves it; with no draw, an
-    # instance comes as soon as it is counted
+    # each instance is counted and its dimension drawn, as rng.choice(dims)
+    # draws it, before its draw is called; the draw and then the checks read
+    # the trial's stream on from where rng.choice leaves it
     run = harness._SuiteRun("demo", None, seed)
-    for i, rng, d, states, drawn in run.block_draws(salt, 4, dims, None, None, None):
+
+    def draw(i, rng, d):
         assert run.instances_run == i + 1
         reference = trial_stream(seed, i, salt=salt)
         assert d == int(reference.choice(dims))
         assert rng.standard_normal(3).tolist() == reference.standard_normal(3).tolist()
-        assert (states, drawn) == ([], None)
+        return [], reference
+
+    for i, rng, reference in run.block_draws(salt, 4, dims, draw, list,
+                                             lambda made, drawn: drawn):
+        assert rng.standard_normal(3).tolist() == reference.standard_normal(3).tolist()
     assert run.instances_run == 4
 
     # with no dims, draw gets the trial's stream before any draw
-    def draw(i, rng, d):
+    def draw_undimensioned(i, rng, d):
         assert d is None
         fresh = trial_stream(seed, i, salt=salt)
         assert rng.standard_normal(3).tolist() == fresh.standard_normal(3).tolist()
         return [], i
 
-    instances = run.block_draws(salt, 3, None, draw, DensityMatrix.stack, None)
-    assert [drawn for *_, drawn in instances] == [0, 1, 2]
+    instances = run.block_draws(salt, 3, None, draw_undimensioned, DensityMatrix.stack,
+                                lambda made, drawn: drawn)
+    assert [(i, instance) for i, _, instance in instances] == [(0, 0), (1, 1), (2, 2)]
     assert run.instances_run == 7
 
 
@@ -1405,9 +1418,10 @@ def test_block_replays_lemma_and_norm_instances(tmp_path, monkeypatch, block_byt
 def test_verify_solves_a_block_at_a_time(monkeypatch):
     # LAPACK calls on one matrix (a 2-D input, or a stack of one) in one
     # 40-trial request.  Before the lemma, norm, state and Haar draws were
-    # solved in blocks these were 239 eigh, 234 eigvalsh and 127 qr; the
-    # bounds are the counts measured with the blocks, so a change that
-    # solves one matrix at a time again fails here
+    # solved in blocks these were 239 eigh, 234 eigvalsh and 127 qr, and 45
+    # eigh before the compressions were solved per rank across dimensions;
+    # the bounds are the counts measured since, so a change that solves one
+    # matrix at a time again fails here
     counts = dict.fromkeys(("eigh", "eigvalsh", "qr"), 0)
     for name in counts:
         def counting(a, *args, _original=getattr(np.linalg, name), _name=name, **kwargs):
@@ -1416,4 +1430,4 @@ def test_verify_solves_a_block_at_a_time(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     assert cmd_verify(SweepConfig(trials=40, seed=5)).passed
-    assert counts["eigh"] <= 45 and counts["eigvalsh"] <= 5 and counts["qr"] <= 11, counts
+    assert counts["eigh"] <= 11 and counts["eigvalsh"] <= 5 and counts["qr"] <= 11, counts

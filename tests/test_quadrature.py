@@ -14,7 +14,9 @@ from qrelent.errors import ConfigError, DomainViolation, PreconditionFailed
 from qrelent.linalg import HermitianOperator, OperatorPair, apply_function, schatten_norm
 from qrelent.quadrature import (
     NODES_PER_PANEL,
+    _frechet_rule,
     _pd_scales,
+    _power_rule,
     frac_power_operator,
     frac_power_scalar,
     frechet_integral_rhs,
@@ -495,6 +497,28 @@ class TestSharedExponents:
                 frac_power_operator(_PD, rs)
             with pytest.raises(DomainViolation):
                 frechet_integral_rhs(_PD, np.eye(2), rs)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_integrals_are_their_rules(d):
+    # at NODES_PER_PANEL on the operand's own ladder, each rule is its public
+    # integral bit for bit, so the rules that scripts/quadrature_budget.py
+    # runs at other node counts and on padded ladders are the library's own
+    for cond in (1.0, 1e3, 1e6):
+        a, direction = _shared_operand(cond, d)
+        lo, hi = _pd_scales(a)
+        ladders = {"first": geometric_splits(lo, hi),
+                   "second": geometric_splits(1.0 / hi, 1.0 / lo)}
+        for rs in ((0.5,), R_VALUES):
+            rules = {form: _power_rule(a.matrix, rs, form, splits, NODES_PER_PANEL)
+                     for form, splits in ladders.items()}
+            rules["frechet"] = _frechet_rule(a.matrix, direction.matrix, rs, ladders["first"],
+                                             NODES_PER_PANEL)
+            for call, rule in rules.items():
+                library = _integrals(call, a, direction, rs)
+                assert len(rule) == len(library)
+                for x, y in zip(rule, library):
+                    assert np.array_equal(x.matrix, y), (call, cond, rs)
 
 
 def test_quadrature_never_decomposes(rng, monkeypatch):
