@@ -182,6 +182,13 @@ class VerifyReport:
         raise KeyError(name)
 
 
+def _batched(fn, groups) -> list[list]:
+    """``fn`` of every item of ``groups``, a list of per-instance lists, in
+    one call, and its results grouped as the items were."""
+    results = iter(fn([item for group in groups for item in group]))
+    return [[next(results) for _ in group] for group in groups]
+
+
 class _SuiteRun:
     """Accumulates the checks of one suite, and is its record in the report
     (SUITE_FIELDS); a failed check serializes the offending instance to disk
@@ -206,17 +213,17 @@ class _SuiteRun:
         drawn first, as rng.choice(dims) draws it (None when ``dims`` is None).
         ``draw(trial, stream, d)`` then makes every random draw that feeds the
         instance and returns its raw matrices with whatever else it drew.
-        Instances are drawn in blocks of _BLOCK_BYTES of raw matrices, and
-        one ``kernel`` call makes every raw matrix of a block: the states of
-        ``DensityMatrix.stack``, the operators of ``HermitianOperator.stack``
-        or the unitaries of ``haar_bases``.  ``build(made, drawn)`` receives
-        what each instance's matrices made and its draws, one entry per
-        instance, before the block's first instance is yielded, and returns
-        the block's instances: its evaluation contexts or checks, solved
-        together, with whatever of the draws the checks read.  A counterexample
-        records the trial and salt of the instance last yielded, which with
-        the seed redraw it.  The checks may go on drawing from the stream: no
-        other instance uses it.
+        Instances are drawn in blocks of _BLOCK_BYTES of raw matrices, and one
+        ``kernel`` call, regrouped per instance by ``_batched``, makes every
+        raw matrix of a block: the states of ``DensityMatrix.stack``, the
+        operators of ``HermitianOperator.stack`` or the unitaries of
+        ``haar_bases``.  ``build(made, drawn)`` receives what each instance's
+        matrices made and its draws, one entry per instance, before the block's
+        first instance is yielded, and returns the block's instances: its
+        evaluation contexts or checks, solved together, with whatever of the
+        draws the checks read.  A counterexample records the trial and salt of
+        the instance last yielded, which with the seed redraw it.  The checks
+        may go on drawing from the stream: no other instance uses it.
         """
         block, size = [], 0
         for trial in range(count):
@@ -229,8 +236,7 @@ class _SuiteRun:
             size += sum(m.nbytes for m in matrices)
             if size < _BLOCK_BYTES and trial + 1 < count:
                 continue
-            built = iter(kernel([m for *_, ms, _ in block for m in ms]))
-            made = [[next(built) for _ in ms] for *_, ms, _ in block]
+            made = _batched(kernel, [ms for *_, ms, _ in block])
             for (trial, rng, *_), instance in zip(block, build(made, [dr for *_, dr in block])):
                 self._instance = {"trial": trial, "salt": salt}
                 yield trial, rng, instance
@@ -309,12 +315,9 @@ def _herm_draw(rng, d: int) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def _pd_draw(rng, d: int, trace_one: bool = False) -> np.ndarray:
+def _pd_draw(rng, d: int) -> np.ndarray:
     g = ginibre(rng, (d, d))
-    m = g @ g.conj().T / d
-    if trace_one:
-        m /= np.trace(m).real
-    return m
+    return g @ g.conj().T / d
 
 
 def _conditioned_spectrum(rng, d: int, log10_cond: float) -> np.ndarray:
@@ -356,9 +359,9 @@ def _pairs(run: _SuiteRun, config: SweepConfig, count: int, salt: int, deficient
         return [rho_k, sigma_k], g
 
     def build(states, ginibres):
-        bases = iter(haar_bases([g for g in ginibres if g is not None]))
-        return PairEval.stack(pair if g is None else embed_common_support(*pair, next(bases))
-                              for pair, g in zip(states, ginibres))
+        bases = _batched(haar_bases, [[] if g is None else [g] for g in ginibres])
+        return PairEval.stack(embed_common_support(*pair, *basis) if basis else pair
+                              for pair, basis in zip(states, bases))
 
     return run.block_draws(salt, count, _dims(config, 8), draw, DensityMatrix.stack, build)
 
@@ -380,22 +383,18 @@ def _suite_linalg_norms(run: _SuiteRun, config: SweepConfig, count: int) -> None
     def draw(trial, rng, d):
         x, y, z = (ginibre(rng, (d, d)) for _ in range(3))
         h = _herm_draw(rng, d)
+        xy = x @ y
         # h's traceless part, as h.matrix - (h.trace() / d) I reads it
-        return [h, h - (np.trace(h).real / d) * np.eye(d)], (x, y, z)
+        return [h, h - (np.trace(h).real / d) * np.eye(d)], (x, y, z, xy, xy @ z)
 
-    def build(operands, drawn):
-        """Per instance h, its traceless part, XYZ, and the singular values
-        of X, Y, Z, XY and XYZ, of which one stack per dimension serves
-        every norm of the block."""
-        products = []
-        for x, y, z in drawn:
-            xy = x @ y
-            products += [x, y, z, xy, xy @ z]
-        values = stackwise(singular_values, products)
-        return [(h, delta, products[5 * k + 4], values[5 * k : 5 * k + 5])
-                for k, (h, delta) in enumerate(operands)]
+    def build(operands, products):
+        """Per instance h and its traceless part, X, Y, Z, XY and XYZ, and
+        the singular values of the five products, of which one stack per
+        dimension serves every norm of the block."""
+        values = _batched(functools.partial(stackwise, singular_values), products)
+        return zip(operands, products, values)
 
-    for _, _, (h, delta, xyz, (sx, sy, sz, sxy, sxyz)) in run.block_draws(
+    for _, _, ((h, delta), (*_, xyz), (sx, sy, sz, sxy, sxyz)) in run.block_draws(
             1, count, _dims(config, math.inf), draw, HermitianOperator.stack, build):
         for p in (1.0, 2.0, math.inf):
             rhs = schatten_norm(sx, math.inf) * schatten_norm(sy, p) * schatten_norm(sz, math.inf)
@@ -549,31 +548,29 @@ def _suite_entropy(run: _SuiteRun, config: SweepConfig, count: int) -> None:
         its draws: the two tensor factors and their product, the mixture of
         the two pairs of dimension d and those pairs, the bipartite pair and
         its reduction, the rotation of the first d pair, and the commuting
-        pair.  The block's Haar bases come from one haar_bases call, and its
-        mixtures, rotations and reductions from one stack call."""
-        bases = iter(haar_bases([g for drawn_k in drawn for g in (drawn_k[4], drawn_k[7])]))
-        matrices, commuting_bases = [], []
-        for (*_, ra, sa, rb, sb, rho_ab, sigma_ab), (_, lam, da, db, *_) in zip(states, drawn):
-            u, basis = next(bases), next(bases)
+        pair.  The block's Haar bases come from one haar_bases call, its
+        mixtures, rotations and reductions from one stack call, and its
+        contexts from one PairEval.stack call."""
+        bases = _batched(haar_bases, [(g, g_commuting) for *_, g, _, _, g_commuting in drawn])
+        matrices = []
+        for (*_, ra, sa, rb, sb, rho_ab, sigma_ab), (_, lam, da, db, *_), (u, _) in zip(
+                states, drawn, bases):
             u_h = u.conj().T
-            matrices += [lam * ra.matrix + (1.0 - lam) * rb.matrix,
-                         lam * sa.matrix + (1.0 - lam) * sb.matrix,
-                         u @ ra.matrix @ u_h, u @ sa.matrix @ u_h,
-                         partial_trace_matrix(rho_ab, da, db, "A"),
-                         partial_trace_matrix(sigma_ab, da, db, "A")]
-            commuting_bases.append(basis)
-        made = iter(DensityMatrix.stack(matrices))
+            matrices.append([lam * ra.matrix + (1.0 - lam) * rb.matrix,
+                             lam * sa.matrix + (1.0 - lam) * sb.matrix,
+                             u @ ra.matrix @ u_h, u @ sa.matrix @ u_h,
+                             partial_trace_matrix(rho_ab, da, db, "A"),
+                             partial_trace_matrix(sigma_ab, da, db, "A")])
         pairs = []
-        for (r1, s1, r2, s2, ra, sa, rb, sb, rho_ab, sigma_ab), drawn_k, basis in zip(
-                states, drawn, commuting_bases):
-            mix_r, mix_s, rot_r, rot_s, red_r, red_s = (next(made) for _ in range(6))
-            spec_a, spec_b = drawn_k[5:7]
-            pairs += [(r1, s1), (r2, s2), (tensor(r1, r2), tensor(s1, s2)), (mix_r, mix_s),
-                      (ra, sa), (rb, sb), (rho_ab, sigma_ab), (red_r, red_s), (rot_r, rot_s),
-                      (DensityMatrix.from_eigensystem(spec_a, basis),
-                       DensityMatrix.from_eigensystem(spec_b, basis))]
-        contexts = PairEval.stack(pairs)
-        return [(contexts[10 * k : 10 * k + 10], drawn_k) for k, drawn_k in enumerate(drawn)]
+        for states_k, made_k, (*_, spec_a, spec_b, _), (_, basis) in zip(
+                states, _batched(DensityMatrix.stack, matrices), drawn, bases):
+            r1, s1, r2, s2, ra, sa, rb, sb, rho_ab, sigma_ab = states_k
+            mix_r, mix_s, rot_r, rot_s, red_r, red_s = made_k
+            pairs.append([(r1, s1), (r2, s2), (tensor(r1, r2), tensor(s1, s2)), (mix_r, mix_s),
+                          (ra, sa), (rb, sb), (rho_ab, sigma_ab), (red_r, red_s), (rot_r, rot_s),
+                          (DensityMatrix.from_eigensystem(spec_a, basis),
+                           DensityMatrix.from_eigensystem(spec_b, basis))])
+        return zip(_batched(PairEval.stack, pairs), drawn)
 
     for _, _, (pairs, drawn) in run.block_draws(5, max(1, count // 5), None, draw_properties,
                                                 DensityMatrix.stack, build_properties):
@@ -686,7 +683,8 @@ def _suite_lemma2(run: _SuiteRun, config: SweepConfig, count: int) -> None:
 def _suite_lemma3(run: _SuiteRun, config: SweepConfig, count: int) -> None:
     def draw(i, rng, d):
         rank = d if i % 3 else max(1, d - 1)
-        return [draw_density(d, rank, rng), _pd_draw(rng, d, trace_one=True)], None
+        rho, b = draw_density(d, rank, rng), _pd_draw(rng, d)
+        return [rho, b / np.trace(b).real], None
 
     for _, _, ops in run.block_draws(13, count, _dims(config, 8), draw, HermitianOperator.stack,
                                      lambda operands, _: OperatorPair.stack(operands, ())):
@@ -752,10 +750,9 @@ def tightness_crossover(seed: int, trials: int, d: int) -> list[dict]:
     records, salt = [], 15
     sigmas = [sigma_family(d, b0) for b0 in CROSSOVER_B0]
     rhos = [sample_density(d, d, trial_stream(seed, trial, salt)) for trial in range(trials)]
-    pairs = iter(PairEval.stack((rho, sigma) for rho in rhos for sigma in sigmas))
-    for trial in range(trials):
-        for b0 in CROSSOVER_B0:
-            pair = next(pairs)
+    rows = _batched(PairEval.stack, [[(rho, sigma) for sigma in sigmas] for rho in rhos])
+    for trial, row in enumerate(rows):
+        for b0, pair in zip(CROSSOVER_B0, row):
             rep2 = thm2_bound(pair, 2.0, "general")
             rep3 = thm3_bound(pair, 2.0, "q2")
             records.append(

@@ -8,7 +8,6 @@ correctly rounded array sum that every exact sum of the package uses.
 
 from __future__ import annotations
 
-import functools
 import math
 from functools import cached_property
 from typing import Callable
@@ -72,24 +71,11 @@ def exact_sum(x: np.ndarray) -> float:
     return math.fsum(totals + r.tolist())
 
 
-def zero_threshold(eigenvalues: np.ndarray) -> float:
-    """Cutoff below which eigenvalues are treated as exact zeros.
-
-    Scales with the dimension and the largest eigenvalue magnitude so that
-    rank decisions stay stable under round-off.
-    """
-    w = np.asarray(eigenvalues, dtype=float)
-    lam_max = float(np.abs(w).max()) if w.size else 0.0
-    return w.size * _EPS * max(1.0, lam_max)
-
-
-@functools.lru_cache(maxsize=None)
-def _identity(d: int) -> np.ndarray:
-    """Read-only d x d identity, shared by every unitarity check at that d
-    (at most MAX_DIM of them)."""
-    eye = np.eye(d)
-    eye.setflags(write=False)
-    return eye
+def zero_threshold(spectrum) -> float:
+    """Cutoff below which eigenvalues are treated as exact zeros, d * eps *
+    max(1, |lambda|_max) of an ascending spectrum (a list or an array), whose
+    ends hold its largest magnitude: rank decisions stay stable under round-off."""
+    return float(len(spectrum) * _EPS * max(1.0, -spectrum[0], spectrum[-1]))
 
 
 def lapack_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +172,7 @@ def checked_eigh(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if (recon.max(axis=(-2, -1)) > EIG_TOL * scale).any():
             raise ConvergenceFailure("eigendecomposition failed reconstruction check")
     gram = u_h @ u
-    gram -= _identity(w.shape[-1])
+    gram -= np.eye(w.shape[-1])
     if np.abs(gram).max() > EIG_TOL:
         raise ConvergenceFailure("eigenvector matrix is not unitary")
     return w, u

@@ -170,9 +170,9 @@ def _scalar_integral(f, exponent: float, splits: tuple[float, ...]) -> float:
 
 def _resolvent_sum(mat: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
                    rules: list[tuple[np.ndarray, np.ndarray]], rhs: np.ndarray,
-                   middle: np.ndarray | None = None) -> list[np.ndarray]:
+                   middle: np.ndarray | None) -> list[np.ndarray]:
     """Per rule (index, w), sum_k w_k X_(index_k) with X_j = (alpha_j A +
-    beta_j I)^(-1) rhs, or X_j D X_j when ``middle`` = D is given.
+    beta_j I)^(-1) rhs, or X_j D X_j when ``middle`` = D is not None.
 
     Every shifted matrix must be positive definite: each chunk of the stack
     is Cholesky-checked before it is solved, and DomainViolation is raised
@@ -300,7 +300,7 @@ def _power_rule(mat: np.ndarray, rs: tuple[float, ...], form: str, splits: tuple
     first = form == "first"
     y, rules = shared_nodes_weights([r - 1.0 if first else -r for r in rs], splits, n)
     alpha, beta = (np.ones_like(y), y) if first else (y, np.ones_like(y))
-    return _scaled_hermitian(rs, _resolvent_sum(mat, alpha, beta, rules, mat))
+    return _scaled_hermitian(rs, _resolvent_sum(mat, alpha, beta, rules, mat, None))
 
 
 def frechet_integral_rhs(A, D, rs) -> tuple[HermitianOperator, ...]:
@@ -326,7 +326,7 @@ def _frechet_rule(mat: np.ndarray, direction: np.ndarray, rs: tuple[float, ...],
     in ``direction`` per exponent of ``rs``, n nodes per panel of ``splits``."""
     y, rules = shared_nodes_weights([-r for r in rs], splits, n)
     eye = np.eye(len(mat), dtype=np.complex128)
-    totals = _resolvent_sum(mat, np.ones_like(y), y, rules, eye, middle=direction)
+    totals = _resolvent_sum(mat, np.ones_like(y), y, rules, eye, direction)
     return _scaled_hermitian(rs, totals)
 
 

@@ -22,7 +22,6 @@ from .errors import (
     ParseError,
 )
 from .linalg import (
-    _EPS,
     MAX_DIM,
     HermitianOperator,
     checked_eigensystem,
@@ -30,6 +29,7 @@ from .linalg import (
     compose,
     exact_sum,
     stackwise,
+    zero_threshold,
 )
 
 #: default absolute weight allowed on the kernel of sigma
@@ -145,8 +145,7 @@ def _settle(w: np.ndarray, u: np.ndarray) -> tuple:
     for values in w.reshape(-1, w.shape[-1]).tolist():
         if values[0] < -TOL_STATE:
             raise NotPSD(f"eigenvalue {values[0]!r} below -{TOL_STATE:.1e}")
-        # zero_threshold(w) from the ends of the ascending spectrum
-        cut = len(values) * _EPS * max(1.0, -values[0], values[-1])
+        cut = zero_threshold(values)
         # the entries <= cut, both |w| <= cut and the round-off negatives that
         # passed the -TOL_STATE gate, are a prefix of w; zeroing keeps w ascending
         zeros = bisect.bisect_right(values, cut)
@@ -325,13 +324,9 @@ def partial_trace_matrix(rho: DensityMatrix, d_a: int, d_b: int, keep: str) -> n
 
 
 def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _entry17(x: float) -> str:
-    """A state-file entry: 17 significant digits, with -0.0 written "-0.0",
-    since "-0" reads back as the integer 0."""
-    text = format(x, ".17g")
+    """A number of a sweep CSV or a state file: 17 significant digits, with
+    -0.0 written "-0.0", since "-0" reads back as the integer 0."""
+    text = format(float(x), ".17g")
     return "-0.0" if text == "-0" else text
 
 
@@ -342,7 +337,7 @@ def state_text(re: np.ndarray, im: np.ndarray) -> str:
     def rows(part: np.ndarray) -> str:
         return (
             "["
-            + ", ".join("[" + ", ".join(map(_entry17, row.tolist())) + "]" for row in part)
+            + ", ".join("[" + ", ".join(map(_fmt17, row.tolist())) + "]" for row in part)
             + "]"
         )
 

@@ -1291,25 +1291,48 @@ def test_instances_draw_as_choice(seed, salt, dims):
 _STACKING_SUITES = {"_suite_linalg_norms", "_suite_quadrature", "_suite_states",
                     "_suite_entropy", "_suite_thm1", "_suite_thm2", "_suite_thm3",
                     "_suite_lower", "_suite_lemma1", "_suite_lemma2", "_suite_lemma3"}
-#: suite -> (its one construction kernel, raw matrices per instance)
-_KERNEL_OF = {"_suite_linalg_norms": ("HermitianOperator", 2),
-              "_suite_quadrature": ("haar_bases", 1),
-              "_suite_lemma1": ("HermitianOperator", 2),
-              "_suite_lemma2": ("HermitianOperator", 2),
-              "_suite_lemma3": ("HermitianOperator", 2)}
+#: suite -> the kernel calls of one block, in order, each with its matrices
+#: per instance: the construction kernel, then any kernel its build calls
+_BLOCK_CALLS = {"_suite_linalg_norms": [("HermitianOperator", 2)],
+                "_suite_quadrature": [("haar_bases", 1)],
+                "_suite_states": [("DensityMatrix", 4), ("haar_bases", 1), ("DensityMatrix", 1)],
+                "_suite_lemma1": [("HermitianOperator", 2)],
+                "_suite_lemma2": [("HermitianOperator", 2)],
+                "_suite_lemma3": [("HermitianOperator", 2)]}
+#: the suites of harness._pairs, whose blocks make their states, the Haar
+#: bases of their common-kernel pairs, then their contexts
+_PAIR_SUITES = {"_suite_entropy", "_suite_thm1", "_suite_thm2", "_suite_thm3", "_suite_lower"}
+#: the block of _suite_entropy's properties (30 // 5 instances): its states,
+#: two Haar bases, six derived states and ten contexts per instance
+_PROPERTY_CALLS = [("DensityMatrix", 10), ("haar_bases", 2), ("DensityMatrix", 6),
+                   ("PairEval.stack", 10)]
+#: probe -> its calls, which no block size changes
+_PROBE_CALLS = {"_suite_envelope": [("PairEval.stack", 6)],
+                "_suite_crossover": [("PairEval.stack", 20)]}
+
+
+def _runs_of(calls: list, sub: list) -> int:
+    """The number of places where ``sub`` is a contiguous run of ``calls``."""
+    return sum(calls[k : k + len(sub)] == sub for k in range(len(calls)))
 
 
 @pytest.mark.parametrize("builder", [b.__name__ for _, b, _ in harness._SUITES])
 def test_block_size_changes_no_result(monkeypatch, builder):
     # with one instance per block, as with the default blocks, a suite gives
-    # the same record; a suite that draws in blocks calls its kernels once
-    # per block, and the probes never call them
+    # the same record; a suite that draws in blocks calls each of its kernels
+    # once per block, and the probes make the same calls either way
     calls = []
     stack = HermitianOperator.stack.__func__
+    pair_stack = PairEval.stack.__func__
 
     def counted(cls, matrices):
         calls.append((cls.__name__, len(matrices)))
         return stack(cls, matrices)
+
+    def counted_pairs(cls, operands):
+        operands = list(operands)
+        calls.append(("PairEval.stack", len(operands)))
+        return pair_stack(cls, operands)
 
     def counted_bases(ginibres):
         calls.append(("haar_bases", len(ginibres)))
@@ -1317,6 +1340,7 @@ def test_block_size_changes_no_result(monkeypatch, builder):
 
     # DensityMatrix inherits the kernel of HermitianOperator
     monkeypatch.setattr(HermitianOperator, "stack", classmethod(counted))
+    monkeypatch.setattr(PairEval, "stack", classmethod(counted_pairs))
     monkeypatch.setattr(harness, "haar_bases", counted_bases)
 
     def run_suite(block_bytes):
@@ -1336,12 +1360,22 @@ def test_block_size_changes_no_result(monkeypatch, builder):
         # every instance draws at least one matrix, alone in its block
         assert len([n for _, n in alone_calls if n]) >= 30 > len(default_calls)
     else:
-        assert alone_calls == default_calls == []
-    if builder in _KERNEL_OF:
-        # 30 instances fill one default block
-        kernel, per_instance = _KERNEL_OF[builder]
-        assert default_calls == [(kernel, 30 * per_instance)]
-        assert alone_calls == [(kernel, per_instance)] * 30
+        assert alone_calls == default_calls == _PROBE_CALLS[builder]
+    if builder in _BLOCK_CALLS:
+        # 30 instances fill one default block, and alone each makes every call
+        stages = _BLOCK_CALLS[builder]
+        assert default_calls == [(kernel, 30 * n) for kernel, n in stages]
+        assert alone_calls == stages * 30
+    if builder in _PAIR_SUITES:
+        # the first 30 instances: one block, or 30 of three calls each
+        kernels = ["DensityMatrix", "haar_bases", "PairEval.stack"]
+        assert [kernel for kernel, _ in default_calls[:3]] == kernels
+        assert default_calls[2] == ("PairEval.stack", 30)
+        assert [kernel for kernel, _ in alone_calls[:90]] == kernels * 30
+        assert alone_calls[2:90:3] == [("PairEval.stack", 1)] * 30
+    if builder == "_suite_entropy":
+        assert _runs_of(default_calls, [(kernel, 6 * n) for kernel, n in _PROPERTY_CALLS]) == 1
+        assert _runs_of(alone_calls, _PROPERTY_CALLS) == 6
 
 
 @pytest.mark.parametrize("block_bytes", [1, 1 << 18])

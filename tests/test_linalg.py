@@ -398,10 +398,17 @@ class TestPsdGap:
 
 
 def test_zero_threshold_scales_with_dimension():
+    eps = float(np.finfo(np.float64).eps)
     w = np.array([1.0, 1e-17, -1e-17])
     cut = zero_threshold(w)
     assert 0.0 < cut < 1e-12
     assert abs(w[1]) <= cut
+    assert cut == 3 * eps
+    # an ascending spectrum holds its largest magnitude at one of its ends,
+    # the negative as the positive one, and a list gives its array's value
+    for spectrum in ([-3.0, 0.0, 1e-17, 2.0], [-2.0, 0.0, 1e-17, 3.0]):
+        assert zero_threshold(np.array(spectrum)) == zero_threshold(spectrum) == 4 * eps * 3.0
+    assert zero_threshold([1e-17, 0.5, 0.5]) == 3 * eps
 
 
 class TestStackedSolvesAreLoneBits:

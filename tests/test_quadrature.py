@@ -135,7 +135,8 @@ class TestOperatorPower:
                     frac_power_operator(mat, (0.5,), form=form)
             # the stacked solve checks every node itself: the middle node is A
             with pytest.raises(DomainViolation):
-                quadrature._resolvent_sum(mat, ones, shifts, [(np.arange(3), ones)], np.eye(2))
+                quadrature._resolvent_sum(mat, ones, shifts, [(np.arange(3), ones)], np.eye(2),
+                                         None)
 
 
 class TestFrechetIntegral:
